@@ -9,8 +9,8 @@ hash ring (a single hot key would pin every request to one worker by
 design).
 
 Results (req/s per worker count, per-worker forward distribution) are
-printed and written to ``BENCH_fleet.json`` at the repo root. As in
-``bench_parallel_runtime``, the JSON records ``cpus_available`` and
+printed and written to ``BENCH_fleet.json`` at the repo root. The JSON
+records ``cpus_available`` and
 scaling is only asserted when the host actually exposes >= 4 CPUs —
 worker processes cannot create cores, and on the single-CPU containers
 this repo targets, extra workers only add scheduler thrash (the numbers

@@ -50,7 +50,7 @@ WARMUP_S = 0.4
 SPEEDUP_FLOOR = 5.0
 
 # Model-level serving leg: a 3-linear-layer MLP on the same 16x16 geniex
-# tiles, served as one compiled NetworkProgram per request vs driven
+# tiles, served as one compiled network per request vs driven
 # layer-by-layer over /v1/matmul (the pre-model-serving execution model).
 NET_SIZES = (64, 48, 32, 10)
 NET_SPEEDUP_FLOOR = 3.0
@@ -245,7 +245,7 @@ def _image_workload(port: int, concurrency: int, predict_one):
 
 
 def _run_net_mode() -> tuple:
-    """Compiled NetworkProgram inference: one /v1/net_predict per image."""
+    """Compiled-network inference: one /v1/net_predict per image."""
     spec = _net_spec()
     model = _net_model()
     results = {}

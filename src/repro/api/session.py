@@ -9,10 +9,10 @@
 * the engine is constructed by the same
   :func:`~repro.funcsim.engine.make_engine` factory every other surface
   uses, so a session is bit-identical to the hand-wired pipeline (tested);
-* the session owns the runtime lifecycle: leaving the ``with`` block (or
-  calling :meth:`Session.close`) releases sharded-runtime worker pools,
-  after which the engine degrades to inline single-core execution rather
-  than breaking — the same evict-degrade semantics the serving registry
+* the session owns the engine lifecycle: leaving the ``with`` block (or
+  calling :meth:`Session.close`) releases the engine's shard thread pool,
+  after which the engine keeps running single-threaded rather than
+  breaking — the same evict-degrade semantics the serving registry
   relies on.
 
 Typical use::
@@ -75,7 +75,7 @@ def build_engine(spec: EmulationSpec, emulator=None):
                        spec.sim.to_config(), emulator=emulator,
                        tile_cache_size=runtime.tile_cache_size,
                        batch_invariant=runtime.batch_invariant,
-                       executor=runtime.executor, workers=runtime.workers,
+                       workers=runtime.workers,
                        nonideality=spec.nonideality,
                        backend=runtime.backend)
 
@@ -83,8 +83,8 @@ def build_engine(spec: EmulationSpec, emulator=None):
 class Session:
     """A live emulation setup: spec + resolved emulator + engine.
 
-    Context-managed; closing releases runtime worker pools (the engine
-    stays usable inline afterwards). Prefer :func:`open_session` over
+    Context-managed; closing releases the engine's shard threads (the
+    engine stays usable afterwards). Prefer :func:`open_session` over
     constructing directly.
     """
 
@@ -102,18 +102,9 @@ class Session:
                 emulator = resolve_emulator(spec, zoo=zoo, progress=progress)
             self.emulator = emulator
             self.engine = build_engine(spec, emulator=emulator)
-        # Evicting a prepared matrix also drops its layer program from
-        # the attached executor (if any), so a sharded session streaming
-        # many distinct matrices stays bounded on both sides.
-        self._prepared = LruDict(PREPARED_CACHE_ENTRIES,
-                                 on_evict=self._on_evict_prepared)
+        self._prepared = LruDict(PREPARED_CACHE_ENTRIES)
         self._simulator = None
         self._closed = False
-
-    def _on_evict_prepared(self, _key, prepared) -> None:
-        executor = getattr(self.engine, "executor", None)
-        if executor is not None and prepared.program is not None:
-            executor.remove_layer(prepared.uid)
 
     # ------------------------------------------------------------------
     # Compute
@@ -161,9 +152,9 @@ class Session:
         """An MVM copy of ``model`` running on this session's engine.
 
         Wraps :func:`~repro.funcsim.convert.convert_to_mvm`; the
-        converted layers dispatch through the session's runtime (sharded
-        when the spec configures workers), and the session — not the
-        returned model — owns the worker lifecycle.
+        converted layers run on the session's engine (threaded when the
+        spec configures workers), and the session — not the returned
+        model — owns the engine lifecycle.
         """
         if chunk_rows is None:
             chunk_rows = self.spec.runtime.chunk_rows
@@ -198,11 +189,8 @@ class Session:
 
         Always carries ``spec_key`` and the engine's event counters
         (``engine``); adds ``tile_cache`` counters when the engine keeps
-        a tile-result cache, and ``runtime`` — the attached executor's
-        cumulative per-stage span timings (``{stage: {count, total_s}}``,
-        folded in from every shard worker) — when the session runs on a
-        sharded executor. Reading the snapshot never perturbs caches or
-        counters.
+        a tile-result cache. Reading the snapshot never perturbs caches
+        or counters.
         """
         out = {"spec_key": self.spec.key(),
                "engine": self.engine.stats.snapshot()
@@ -212,20 +200,13 @@ class Session:
             hits, misses = cache.counters()
             out["tile_cache"] = {"hits": hits, "misses": misses,
                                  "size": len(cache)}
-        executor = getattr(self.engine, "executor", None)
-        if executor is not None:
-            out["runtime"] = {
-                "backend": executor.name,
-                "workers": executor.workers,
-                "span_timings": executor.span_timings.snapshot(),
-            }
         return out
 
     def close(self, wait: bool = True) -> None:
-        """Release runtime workers; the engine degrades to inline.
+        """Release the engine's shard threads; the engine stays usable.
 
         Idempotent. Matmuls issued after ``close()`` still complete
-        (single-core), mirroring the serving registry's evict-degrade
+        (single-threaded), mirroring the serving registry's evict-degrade
         contract, so a session handed to background work cannot strand
         queued calls.
         """

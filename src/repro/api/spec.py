@@ -26,7 +26,7 @@ The spec tree::
     │   ├── noise: NoiseTrainSpec    # noise-injection / HW-loop training
     │   ├── calibration: CalibrationSpec
     │   └── seed
-    └── runtime: RuntimeSpec         # executor / workers / caches
+    └── runtime: RuntimeSpec         # workers / caches / backend
 
 The design-parameter nodes subclass the validated config dataclasses they
 describe (:class:`XbarSpec` extends
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,12 @@ from repro.devices.rram import RramParameters
 from repro.errors import ConfigError
 from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.engine import ENGINE_KINDS, INVARIANT_KINDS
-from repro.funcsim.runtime.backends import BACKEND_KINDS, INTERPRETER_KINDS
+from repro.funcsim.runtime.backends import (
+    BACKEND_KINDS,
+    DEPRECATED_KINDS,
+    INTERPRETER_KINDS,
+    warn_deprecated_backend,
+)
 from repro.mitigation.spec import (
     CalibrationSpec,
     MitigationSpec,
@@ -82,9 +88,6 @@ from repro.nonideal.transforms import (
 )
 from repro.utils.digest import content_key
 from repro.xbar.config import CrossbarConfig
-
-#: Runtime backends accepted by :class:`RuntimeSpec` (``None`` = inline).
-EXECUTOR_KINDS = (None, "serial", "threads", "process")
 
 
 def supports_batch_invariance(engine: str, sim) -> bool:
@@ -208,10 +211,8 @@ class RuntimeSpec:
     """Execution policy: how a resolved engine runs, not what it computes.
 
     Attributes:
-        executor: Runtime backend (``None`` = inline on the calling
-            thread, or ``"serial"``/``"threads"``/``"process"``).
-        workers: Backend parallelism; ``workers > 1`` with no explicit
-            executor selects the process backend (as ``make_engine``).
+        workers: Threads running one matmul's shards (``make_engine``'s
+            ``workers``); results are identical at any count.
         tile_cache_size: Per-engine tile-result LRU entries (0 disables).
         chunk_rows: Conv-layer im2col chunking for converted models.
         batch_invariant: Route tile matmuls through the batch-invariant
@@ -224,24 +225,38 @@ class RuntimeSpec:
             ``"interp"`` forces the interpreted reference kernel). All
             values are bit-identical, so — like every knob but
             ``batch_invariant`` — the choice never enters ``spec.key()``
-            or cache digests.
+            or cache digests. The removed ``"numba"``/``"torch"``
+            backends are accepted with a :class:`DeprecationWarning`
+            and stored as ``"numpy"``.
         fleet: Fleet routing policy (:class:`FleetSpec`); a digest-
             neutral hint consumed only by the fleet front-end.
+        executor: Deprecated and ignored (accepted with a
+            :class:`DeprecationWarning` so stored specs still load);
+            ``workers > 1`` always means threads. Never serialised.
     """
 
-    executor: str | None = None
     workers: int = 1
     tile_cache_size: int = 256
     chunk_rows: int | None = None
     batch_invariant: bool = False
     backend: str | None = None
     fleet: FleetSpec = FleetSpec()
+    executor: str | None = field(default=None, compare=False, repr=False,
+                                 metadata={"serialise": False})
 
     def __post_init__(self):
-        if self.executor not in EXECUTOR_KINDS:
-            raise ConfigError(
-                f"unknown executor {self.executor!r}; expected one of "
-                f"{EXECUTOR_KINDS}")
+        if self.executor is not None:
+            if self.executor not in ("serial", "threads", "process"):
+                raise ConfigError(f"unknown executor {self.executor!r}")
+            warnings.warn(
+                "spec.runtime.executor is deprecated and ignored (one "
+                "execution path; workers > 1 runs threads); it will be "
+                "rejected in the next release",
+                DeprecationWarning, stacklevel=3)
+            object.__setattr__(self, "executor", None)
+        if self.backend in DEPRECATED_KINDS:
+            warn_deprecated_backend(self.backend, stacklevel=4)
+            object.__setattr__(self, "backend", "numpy")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.tile_cache_size < 0:
@@ -394,7 +409,7 @@ class EmulationSpec:
         emulator node too rather than risk ever sharing an engine across
         different crossbar designs), the sim precision and the
         batch-invariance flag. Deliberately excludes every other runtime
-        knob: executor backend, worker count and cache sizes never change
+        knob: worker count, cache sizes and the array backend never change
         results (the runtime's determinism contract), so two specs that
         differ only there share warm engines.
         """
@@ -442,6 +457,8 @@ def _shallow_dict(node, cls) -> dict:
 def _node_to_dict(node) -> dict:
     out = {}
     for f in dataclasses.fields(node):
+        if not f.metadata.get("serialise", True):
+            continue
         value = getattr(node, f.name)
         if dataclasses.is_dataclass(value):
             out[f.name] = _node_to_dict(value)

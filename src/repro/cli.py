@@ -564,13 +564,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("name", choices=sorted(_FIG_RUNNERS))
     _add_spec_args(p_fig)
     p_fig.add_argument("--workers", type=int, default=None,
-                       help="funcsim runtime workers for DNN accuracy "
-                            "experiments (default: $REPRO_WORKERS or 1; "
-                            ">1 uses the sharded process backend)")
+                       help="funcsim engine threads for DNN accuracy "
+                            "experiments (default: $REPRO_WORKERS or 1)")
     p_fig.add_argument("--backend", default=None,
-                       help="fused-kernel array backend (numpy, numba, "
-                            "torch, or interp for the interpreted "
-                            "reference; default: $REPRO_BACKEND or numpy)")
+                       help="fused-kernel array backend (numpy, or interp "
+                            "for the interpreted reference; default: "
+                            "$REPRO_BACKEND or numpy)")
     p_fig.set_defaults(func=_cmd_fig)
 
     p_mitigate = sub.add_parser(
@@ -610,11 +609,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-engine tile-result LRU size; 0 disables")
     p_serve.add_argument("--engine-workers", type=int, default=1,
                          help="shard prepared-engine matmuls across this "
-                              "many runtime threads (1 = inline)")
+                              "many threads (1 = calling thread only)")
     p_serve.add_argument("--backend", default=None,
                          help="fused-kernel array backend for warm engines "
-                              "(numpy, numba, torch, or interp; default: "
-                              "$REPRO_BACKEND or numpy)")
+                              "(numpy or interp; default: $REPRO_BACKEND "
+                              "or numpy)")
     p_serve.add_argument("--cache-dir", default=None,
                          help="GENIEx zoo directory (default: "
                               "$REPRO_CACHE_DIR or ~/.cache/repro/geniex)")
@@ -653,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--max-nets", type=int, default=8,
                          help="compiled network programs per worker (LRU)")
     p_fleet.add_argument("--engine-workers", type=int, default=1,
-                         help="runtime threads per worker engine")
+                         help="shard threads per worker engine")
     p_fleet.add_argument("--cache-dir", default=None,
                          help="shared GENIEx zoo directory — the fleet's "
                               "artifact store (default: $REPRO_CACHE_DIR "

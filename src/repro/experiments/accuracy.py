@@ -19,7 +19,7 @@ from repro.core.emulator import GeniexEmulator
 from repro.datasets import make_shapes_split, make_textures_split
 from repro.errors import ConfigError
 from repro.experiments.common import Profile, default_workers, dnn_cache_dir
-from repro.funcsim import close_mvm_executor, convert_to_mvm, make_engine
+from repro.funcsim import convert_to_mvm
 from repro.funcsim.config import FuncSimConfig
 from repro.models import ResNet
 from repro.nn import Adam, cross_entropy, load_state_dict, save_state_dict
@@ -115,29 +115,13 @@ def evaluate_float(model, x: np.ndarray, y: np.ndarray,
 
 
 def evaluate_engine(model, x: np.ndarray, y: np.ndarray, engine,
-                    batch: int = 64, workers: int | None = None,
-                    executor=None) -> float:
+                    batch: int = 64) -> float:
     """Top-1 accuracy of the model converted onto an MVM engine.
 
-    ``workers`` (default: ``REPRO_WORKERS`` env, i.e. 1) shards converted
-    inference over the funcsim runtime; ``executor`` picks the backend
-    (spec string or instance; ``workers > 1`` alone selects ``process``).
-    The executor's worker pool is torn down before returning unless a
-    ready-made instance was passed in (the caller owns its lifecycle).
+    The engine's own ``workers`` decide its threading; the caller owns
+    the engine.
     """
-    owns_executor = not hasattr(executor, "matmul")
-    if workers is None:
-        workers = default_workers()
-    if workers <= 1 and executor is None:
-        converted = convert_to_mvm(model, engine)
-    else:
-        converted = convert_to_mvm(model, engine, executor=executor,
-                                   workers=workers)
-    try:
-        return _top1_accuracy(converted, x, y, batch)
-    finally:
-        if owns_executor:
-            close_mvm_executor(converted)
+    return _top1_accuracy(convert_to_mvm(model, engine), x, y, batch)
 
 
 def evaluate_spec(model, x: np.ndarray, y: np.ndarray,

@@ -235,9 +235,9 @@ def get_profile(name: str | None = None) -> Profile:
 def default_workers() -> int:
     """Funcsim runtime worker count (``REPRO_WORKERS`` env, default 1).
 
-    Threaded through every accuracy experiment: ``1`` keeps the historical
-    single-core inline path; ``> 1`` shards converted-model inference over
-    the process backend (see :mod:`repro.funcsim.runtime`). The CLI's
+    Threaded through every accuracy experiment: ``1`` runs every shard on
+    the calling thread; ``> 1`` runs converted-model inference on that
+    many engine threads (see :mod:`repro.funcsim.engine`). The CLI's
     ``fig --workers`` sets the variable for one invocation.
     """
     try:

@@ -22,22 +22,20 @@ circuit simulator.
 
 * :meth:`CrossbarMvmEngine.prepare` (compile) quantises, slices and tiles
   a weight matrix, programs every (sign, slice, tile) crossbar model and
-  lowers the layer into a static, picklable
+  lowers the layer into a static
   :class:`~repro.funcsim.planner.LayerProgram` — the tile stream-block
   schedule, ADC/shift-add merge plan and cost metadata
-  (:mod:`repro.funcsim.planner`);
-* the :mod:`~repro.funcsim.runtime` package (execute) runs programs as
-  independent (tile-row, batch-chunk) shards on one of three pluggable
-  backends — ``serial`` (single core, the reference), ``threads`` and
-  ``process`` (worker processes with shared-memory activation/output
-  arrays) — merging partial sums digitally in tile-row order as the
-  hardware's peripheral logic would. :func:`convert_to_mvm` compiles a
-  whole network into one :class:`~repro.funcsim.planner.NetworkProgram`
-  and attaches the executor to every converted layer.
+  (:mod:`repro.funcsim.planner`); :func:`convert_to_mvm` does this once
+  for every layer of a network;
+* :meth:`CrossbarMvmEngine.matmul` (execute) runs a program as
+  independent (batch-chunk, tile-row) shards through the kernel of
+  :mod:`repro.funcsim.runtime`, on the calling thread or — with
+  ``workers > 1`` — on the engine's thread pool, merging partial sums
+  digitally in tile-row order as the hardware's peripheral logic would.
 
-In batch-invariant mode all backends produce bit-identical outputs at any
-worker count; with ADC noise, per-shard noise streams are keyed by tile
-coordinates so noisy runs reproduce exactly regardless of scheduling.
+Every worker count produces bit-identical outputs; with ADC noise,
+per-shard noise streams are keyed by tile coordinates so noisy runs
+reproduce exactly regardless of scheduling.
 
 **Compiled fused execution.** For the closed-form tile kinds (``geniex``,
 ``exact``, ``analytical``) a compile pass (:mod:`repro.funcsim.compiler`)
@@ -46,9 +44,9 @@ stacked operand tensors, one batched read-out and one ADC pass per stream
 stack, and a vectorized decode with precomputed sign/shift prefactors.
 The fused path is bit-identical to the interpreted kernel (which remains
 the reference and the fallback for ``decoupled``/``circuit``), executes
-on a pluggable array backend (:mod:`repro.funcsim.runtime.backends`:
-``numpy`` default, ``numba``/``torch`` when installed), and is on by
-default — disable it with ``backend="interp"`` or ``REPRO_BACKEND=interp``.
+on the numpy array backend (:mod:`repro.funcsim.runtime.backends`), and
+is on by default — disable it with ``backend="interp"`` or
+``REPRO_BACKEND=interp``.
 
 **Batched tile API.** Every tile model maps a voltage batch ``(M, rows)``
 to currents ``(M, cols)`` in one call, and the kernel stacks all active
@@ -88,28 +86,10 @@ from repro.funcsim.engine import (
     make_engine,
 )
 from repro.funcsim.compiler import CompiledLayer, compile_program
-from repro.funcsim.planner import (
-    LayerPlan,
-    LayerProgram,
-    NetworkProgram,
-    plan_layer,
-)
-from repro.funcsim.runtime import (
-    ExecutorBase,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    available_backends,
-    get_backend,
-    make_executor,
-    resolve_backend,
-)
+from repro.funcsim.planner import LayerPlan, LayerProgram, plan_layer
+from repro.funcsim.runtime import resolve_backend
 from repro.funcsim.layers import Conv2dMVM, LinearMVM
-from repro.funcsim.convert import (
-    close_mvm_executor,
-    compile_network,
-    convert_to_mvm,
-)
+from repro.funcsim.convert import convert_to_mvm
 
 __all__ = [
     "FuncSimConfig",
@@ -127,21 +107,11 @@ __all__ = [
     "make_engine",
     "LayerPlan",
     "LayerProgram",
-    "NetworkProgram",
     "plan_layer",
     "CompiledLayer",
     "compile_program",
-    "ExecutorBase",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "available_backends",
-    "get_backend",
-    "make_executor",
     "resolve_backend",
     "LinearMVM",
     "Conv2dMVM",
     "convert_to_mvm",
-    "compile_network",
-    "close_mvm_executor",
 ]

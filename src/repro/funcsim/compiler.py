@@ -25,7 +25,7 @@ re-derives per call and lowers the shard into three fused stages:
    as dense prefactor arrays (products of signed powers of two: exact in
    float64) and applied to the whole measured tensor at once.
 3. **Ordered accumulation** — the decode terms collapse through the
-   pluggable backend ops, which preserve the interpreted kernel's
+   backend ops, which preserve the interpreted kernel's
    (stream, sign, slice) addition order per output element; a pairwise
    ``np.sum`` reduction would regroup the floating-point adds and drift
    in the last ulp.
@@ -49,7 +49,7 @@ Bit-identity contract: the compiled path produces *bit-identical* outputs
 to the interpreted kernel — same zero-stream skips, same tile-result
 cache keys and hits, same ADC noise draw order (model-major, matching the
 interpreted per-model sequence), same statistics. This holds for every
-engine kind, executor backend, worker count and faulty
+engine kind, worker count and faulty
 (:class:`~repro.nonideal.NonidealitySpec`) preparation; the equivalence
 suite (``tests/funcsim/test_compiled.py``) asserts it. The interpreted
 kernel therefore remains the reference implementation and the transparent
@@ -95,20 +95,18 @@ def _cat_columns(stack: np.ndarray) -> np.ndarray:
 
 
 class CompiledLayer:
-    """Fused execution form of one layer program (picklable).
+    """Fused execution form of one layer program.
 
-    Holds the per-tile-row stacked operands and the precomputed decode
-    prefactors; the array backend is resolved lazily by name (and dropped
-    on pickling), so compiled programs ship to process-pool workers like
-    any other program state.
+    Holds the per-tile-row stacked operands, the precomputed decode
+    prefactors and the array backend that executes them.
     """
 
-    def __init__(self, kind: str, backend_name: str, batch_invariant: bool,
+    def __init__(self, kind: str, backend, batch_invariant: bool,
                  model_coords: list, n_sw: int, n_k: int, t_c: int,
                  row_stacks: dict, stream_scales: np.ndarray,
                  sw_slice: np.ndarray, max_fused_bytes: int):
         self.kind = kind
-        self.backend_name = backend_name
+        self.backend = backend
         self.batch_invariant = batch_invariant
         #: ``(sign, slice, tc)`` per stacked model, in the interpreted
         #: kernel's model-major iteration order — the decode reshape and
@@ -130,27 +128,9 @@ class CompiledLayer:
         #: Verdicts of the runtime stacked-NN-forward check, keyed by
         #: ``(n_rows, n_models)`` shape class (see :meth:`_friction`).
         self._nn_stack_ok: dict = {}
-        self._backend = None
         #: Per-thread scratch buffers (:meth:`_workspace`). The layer is
-        #: shared across thread-pool workers, so the pool is
+        #: shared across the engine's shard threads, so the pool is
         #: thread-local; buffers never escape a shard call.
-        self._ws_local = threading.local()
-
-    @property
-    def backend(self):
-        if self._backend is None:
-            from repro.funcsim.runtime.backends import get_backend
-            self._backend = get_backend(self.backend_name)
-        return self._backend
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_backend"] = None  # re-resolved by name in the worker
-        del state["_ws_local"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
         self._ws_local = threading.local()
 
     def _workspace(self, name: str, shape: tuple,
@@ -553,7 +533,7 @@ def compile_program(program: LayerProgram, backend) -> CompiledLayer | None:
         stream_scales = np.array([float(2 ** (m * cfg.stream_bits))
                                   for m in range(cfg.n_streams)])
         compiled = CompiledLayer(
-            kind=kind, backend_name=backend.name,
+            kind=kind, backend=backend,
             batch_invariant=bool(getattr(program.tile_factory,
                                          "batch_invariant", False)),
             model_coords=coords, n_sw=len(plan.sign_present),
@@ -561,7 +541,6 @@ def compile_program(program: LayerProgram, backend) -> CompiledLayer | None:
             stream_scales=stream_scales,
             sw_slice=np.outer(sw_factors, slice_scales),
             max_fused_bytes=_max_fused_bytes())
-        compiled._backend = backend
         min_rows = _probe_stacked_readout(compiled, program)
         if min_rows is None:
             return None

@@ -7,21 +7,17 @@ normalisation and pooling untouched — exactly the ``Model.py ->
 Model-mvm.py`` step in the paper's Fig. 6. The converted model is
 inference-only.
 
-Conversion is also the network-level *compile* step of the runtime: every
-replaced layer's weights are prepared (programmed into tile models and
-lowered to a :class:`~repro.funcsim.planner.LayerProgram`) exactly once,
-and with ``executor=...`` the per-layer programs are aggregated into one
-:class:`~repro.funcsim.planner.NetworkProgram`, loaded into the executor
-in a single call (one process-pool initialisation for the whole network)
-and every MVM layer dispatches through the sharded backend. The executor
-is exposed as ``converted.mvm_executor``; call ``close()`` on it (or on
-the model via :func:`close_mvm_executor`) to release worker pools.
+Conversion is also the network-level *compile* step: every replaced
+layer's weights are prepared (programmed into tile models and lowered to
+a :class:`~repro.funcsim.planner.LayerProgram`) exactly once, and every
+forward pass only executes those programs on the engine — threaded when
+the engine has ``workers > 1``.
 
 Fault injection composes transparently: an engine built with a
 ``nonideality`` spec (see :mod:`repro.nonideal`) perturbs every layer's
-tiles during this compile step, so the resulting network programs carry
-the faulty crossbar state to every backend — whole-DNN inference under
-device faults is just ``convert_to_mvm(model, faulty_engine)``.
+tiles during this compile step, so the layer programs carry the faulty
+crossbar state — whole-DNN inference under device faults is just
+``convert_to_mvm(model, faulty_engine)``.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.funcsim.layers import Conv2dMVM, LinearMVM
-from repro.funcsim.planner import NetworkProgram
 from repro.nn.modules import Conv2d, Linear, Module
 
 
@@ -55,26 +50,6 @@ def mvm_layers(model: Module) -> list:
             if isinstance(m, (LinearMVM, Conv2dMVM))]
 
 
-def compile_network(model: Module) -> NetworkProgram:
-    """Aggregate the compiled programs of a converted model's MVM layers.
-
-    Layers programmed from identical weights on the same engine share a
-    program entry (content-digest layer ids), which is value-exact.
-    """
-    network = NetworkProgram()
-    for layer in mvm_layers(model):
-        if layer.prepared.program is not None:
-            network.add(layer.prepared.uid, layer.prepared.program)
-    return network
-
-
-def close_mvm_executor(model: Module) -> None:
-    """Release the worker pool of a model converted with ``executor=...``."""
-    executor = getattr(model, "mvm_executor", None)
-    if executor is not None:
-        executor.close()
-
-
 def _sync_module(converted: Module, source: Module, path: str) -> None:
     for name, src_child in source._modules.items():
         child_path = f"{path}.{name}" if path else name
@@ -87,10 +62,6 @@ def _sync_module(converted: Module, source: Module, path: str) -> None:
                 raise ConfigError(
                     f"{child_path!r} is Linear in the source but "
                     f"{type(mvm_child).__name__} in the converted model")
-            if mvm_child.executor is not None:
-                raise ConfigError(
-                    f"{child_path!r} is attached to an executor; its loaded "
-                    f"program would go stale — sync only inline models")
             weight = np.asarray(src_child.weight.data, dtype=np.float64)
             mvm_child.prepared = mvm_child.engine.prepare(weight.T)
             mvm_child.bias = None if src_child.bias is None else np.asarray(
@@ -100,10 +71,6 @@ def _sync_module(converted: Module, source: Module, path: str) -> None:
                 raise ConfigError(
                     f"{child_path!r} is Conv2d in the source but "
                     f"{type(mvm_child).__name__} in the converted model")
-            if mvm_child.executor is not None:
-                raise ConfigError(
-                    f"{child_path!r} is attached to an executor; its loaded "
-                    f"program would go stale — sync only inline models")
             weight = np.asarray(src_child.weight.data, dtype=np.float64)
             mvm_child.prepared = mvm_child.engine.prepare(
                 weight.reshape(mvm_child.out_channels, -1).T)
@@ -141,40 +108,21 @@ def sync_mvm_model(converted: Module, source: Module) -> None:
 
     Engines prepare deterministically (fault injection included — the
     non-ideality pipeline keys its draws by matrix content, not call
-    order), so syncing is safe to repeat and value-stable. Layers
-    attached to a runtime executor are rejected: their compiled programs
-    are already loaded into the backend and would silently go stale.
+    order), so syncing is safe to repeat and value-stable.
     """
     _sync_module(converted, source, "")
 
 
-def convert_to_mvm(model: Module, engine, chunk_rows: int | None = None,
-                   executor=None, workers: int | None = None) -> Module:
+def convert_to_mvm(model: Module, engine,
+                   chunk_rows: int | None = None) -> Module:
     """Return an MVM copy of ``model`` running on ``engine``.
 
     The original model is untouched. The copy is put in eval mode; running
     statistics of normalisation layers are preserved by the deep copy.
-
-    ``executor`` routes every converted layer through a runtime backend:
-    a spec string (``"serial"`` / ``"threads"`` / ``"process"``), an
-    :class:`repro.funcsim.runtime.ExecutorBase` instance, or ``None`` for
-    the engine's inline path. ``workers`` sets the backend parallelism;
-    given alone (``workers > 1``) it selects the process backend. The whole
-    network is compiled and loaded into the executor before the first
-    forward pass.
+    The engine's ``workers`` decide how many threads each layer's matmul
+    uses; the caller owns the engine and closes it.
     """
     converted = copy.deepcopy(model)
     _replace_layers(converted, engine, chunk_rows)
     converted.eval()
-    if executor is None and workers is not None and workers > 1:
-        executor = "process"
-    if executor is not None:
-        from repro.funcsim.runtime import make_executor
-
-        executor = make_executor(executor, workers=workers)
-        executor.load_program(compile_network(converted))
-        for layer in mvm_layers(converted):
-            if layer.prepared.program is not None:
-                layer.attach_executor(executor)
-        object.__setattr__(converted, "mvm_executor", executor)
     return converted

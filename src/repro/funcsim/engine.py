@@ -5,7 +5,7 @@
 
 * **Compile** — :meth:`CrossbarMvmEngine.prepare` quantises, sign-splits,
   slices and tiles a weight matrix, programs one tile model per
-  (weight-sign, slice, tile) and lowers the result into a static, picklable
+  (weight-sign, slice, tile) and lowers the result into a static
   :class:`~repro.funcsim.planner.LayerProgram` (tile schedule, decode
   constants, ADC transfer, cost metadata).
 * **Execute** — :meth:`CrossbarMvmEngine.matmul` streams quantised
@@ -17,13 +17,15 @@
   the ``g_off`` mapping bias, merges streams/slices with shift-and-add and
   accumulates tile partial sums in the fixed-point accumulator.
 
-Without an executor the engine runs the kernel inline on the calling
-thread — bit-identical to the historical monolithic implementation,
-including the sequential ADC noise stream. With an executor
-(``make_engine(..., executor="process", workers=4)`` or any
-:class:`repro.funcsim.runtime.ExecutorBase`) execution is sharded across
-tile-rows and batch chunks on threads or worker processes; see
-:mod:`repro.funcsim.runtime` for the determinism contract.
+Every matmul runs one schedule: the batch is cut into fixed
+:data:`~repro.funcsim.runtime.kernel.DEFAULT_SHARD_ROWS`-row chunks and
+each (chunk, tile-row) shard goes through the kernel with its own
+coordinate-keyed ADC noise stream; tile-row partial sums are then merged
+through the fixed-point accumulator in tile-row order. ``workers > 1``
+fans the shards over an engine-owned thread pool (the tile math is BLAS
+and releases the GIL). The shard set never depends on ``workers``, so
+every worker count returns bit-identical outputs; see
+:mod:`repro.funcsim.runtime.kernel` for the determinism contract.
 
 **Batched execution.** Every tile model accepts voltage batches of shape
 ``(M, rows)`` and returns currents of shape ``(M, cols)`` — that is the
@@ -65,6 +67,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -78,13 +81,16 @@ from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.compiler import compile_program
 from repro.funcsim.planner import plan_layer
 from repro.funcsim.runtime.backends import resolve_backend
-from repro.funcsim.runtime.base import make_executor
 from repro.funcsim.runtime.kernel import (
+    DEFAULT_SHARD_ROWS,
     STAT_FIELDS,
     active_signs,
+    chunk_ranges,
+    merge_tile_rows,
     new_stat_counts,
     quantize_input,
     run_tile_row,
+    shard_adc,
 )
 from repro.obs import span
 from repro.funcsim.slicing import sign_split, split_unsigned
@@ -109,6 +115,16 @@ ENGINE_KINDS = ("ideal", "exact", "geniex", "analytical", "decoupled",
 #: single source of truth: :func:`make_engine` enforces it here and
 #: :func:`repro.api.spec.supports_batch_invariance` builds on it.
 INVARIANT_KINDS = ("geniex", "exact", "analytical")
+
+#: Work (activation elements x tile-rows) below which a multi-worker
+#: engine runs a matmul's shards on the calling thread: pool dispatch
+#: would cost more than the compute.
+INLINE_WORK_THRESHOLD = 1 << 15
+
+#: Minimum estimated ADC conversions per shard for pool dispatch to pay
+#: for itself (futures bookkeeping and result handling); see
+#: :meth:`CrossbarMvmEngine._should_inline`.
+MIN_SHARD_COST = 1 << 14
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +218,7 @@ class GeniexTileFactory:
         Digests the trained network's parameters so two engines backed by
         *differently trained* emulators (same crossbar shape) can never
         share prepared-matrix uids — and with them tile-result cache
-        entries or runtime layer programs.
+        entries or ADC noise streams.
         """
         if self._cache_token is None:
             digest = hashlib.sha256()
@@ -276,18 +292,6 @@ class AnalyticalTileFactory:
     def build(self, conductance_s: np.ndarray) -> "AnalyticalTileModel":
         return AnalyticalTileModel(
             self._solver.transfer_matrix(conductance_s), self._matmul)
-
-    def __getstate__(self):
-        # The sparse-LU cache inside the solver is not picklable (and not
-        # needed after tiles are built); worker processes rebuild it lazily.
-        state = self.__dict__.copy()
-        state["_solver"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if self._solver is None:
-            self._solver = LinearCrossbarSolver(self.config)
 
 
 class AnalyticalTileModel:
@@ -395,8 +399,8 @@ class PreparedMatrix:
     """Weight matrix quantised, sliced, tiled and programmed into models.
 
     ``uid`` identifies the prepared content in tile-result cache keys and
-    runtime layer programs. It is a content digest (weights + tiling +
-    engine token), not a process-local counter: two workers that prepare
+    ADC noise stream seeds. It is a content digest (weights + tiling +
+    engine token), not a process-local counter: two processes that prepare
     the same matrix agree on the uid, and two *different* matrices can
     never collide just because they were prepared in forked processes with
     the same counter state.
@@ -425,8 +429,8 @@ class TileResultCache(LruDict):
     bounds memory at roughly ``max_entries * batch * cols`` floats.
 
     Hit/miss counters are updated under the cache lock, so a single
-    instance may be shared by concurrent shard workers (the thread backend
-    does) without racing the statistics.
+    instance may be shared by concurrent shard threads without racing the
+    statistics.
     """
 
     def __init__(self, max_entries: int):
@@ -448,11 +452,6 @@ class TileResultCache(LruDict):
         with self._lock:
             return self.hits, self.misses
 
-    def __setstate__(self, state):
-        super().__setstate__(state)
-        self.hits = 0
-        self.misses = 0
-
     def clear(self) -> None:
         with self._lock:
             super().clear()
@@ -463,18 +462,25 @@ class TileResultCache(LruDict):
 class EngineStats:
     """Cumulative event counters of a :class:`CrossbarMvmEngine`.
 
-    ``readouts`` counts logical analog tile evaluations — what the modelled
-    hardware would execute, independent of the software tile-result cache;
-    zero-valued stream blocks are skipped (they drive no current) and
-    tallied separately, so ``readouts + skipped`` equals the static worst
-    case of :func:`repro.funcsim.cost.matmul_cost` scaled by the batch.
-    ``cache_hits`` counts read-outs served from the tile-result cache
-    instead of the tile model (a software-side saving; such read-outs still
-    count in ``readouts`` and ``adc_conversions``).
+    ``matmuls`` counts engine calls and ``adc_conversions`` digitised bit
+    lines (read-outs x rows x cols) — hardware quantities that do not
+    depend on how a batch is chunked, as long as no chunk skips a stream
+    block the whole batch would drive. ``readouts`` counts batched analog
+    tile evaluations — one per (model, active stream block, chunk) — and
+    ``fused_calls``/``fallback_calls`` one per (tile-row, chunk) shard, so
+    these three scale with the number of
+    :data:`~repro.funcsim.runtime.kernel.DEFAULT_SHARD_ROWS`-row chunks.
+    Zero-valued stream blocks are skipped per chunk (they drive no
+    current) and tallied in ``skipped_zero_streams``; for a one-chunk call
+    ``readouts + skipped`` equals the static worst case of
+    :func:`repro.funcsim.cost.matmul_cost`. ``cache_hits`` counts read-outs
+    served from the tile-result cache instead of the tile model (a
+    software-side saving; such read-outs still count in ``readouts`` and
+    ``adc_conversions``).
 
     Counters accumulate shard-locally during execution and are folded in
-    through :meth:`merge`, which is lock-protected — per-worker statistics
-    aggregate into one coherent report instead of racing on increments.
+    through :meth:`merge`, which is lock-protected, so shards running on
+    different threads aggregate into one coherent report.
     """
 
     # Aliases the kernel's schema: one tuple defines which counters
@@ -577,21 +583,19 @@ class CrossbarMvmEngine:
     also disabled when the ADC models noise, because noisy conversions must
     be re-sampled on every read-out.
 
-    ``executor`` (optional, any :class:`repro.funcsim.runtime.ExecutorBase`)
-    shards every ``matmul`` across tile-rows and batch chunks on the given
-    backend; without one the kernel runs inline, reproducing the historical
-    single-core behaviour bit-for-bit.
+    ``workers`` sets how many threads run the (chunk, tile-row) shards of
+    one ``matmul``; ``1`` runs them in order on the calling thread. The
+    pool is created on first use and released by :meth:`close`.
 
     ``nonideality`` (optional :class:`repro.nonideal.NonidealitySpec` or
     pipeline) injects device faults at *programming* time: every tile's
     mapped conductances are perturbed by the coordinate-keyed pipeline in
-    :meth:`prepare`, before the layer program is built — so the perturbed
-    tiles travel inside the program across thread and process boundaries
-    and every executor backend computes on bit-identical hardware state.
+    :meth:`prepare`, before the layer program is built — so every shard
+    computes on the same perturbed hardware state.
 
     ``backend`` selects the array backend of the compiled fused kernel
-    (``"numpy"`` default, ``"numba"``/``"torch"`` when installed; see
-    :mod:`repro.funcsim.runtime.backends`). The interpreter sentinels
+    (``"numpy"``, the default; see :mod:`repro.funcsim.runtime.backends`).
+    The interpreter sentinels
     ``"interp"``/``"interpreted"``/``"off"`` disable the compile pass and
     run the reference kernel; either way the results are bit-identical,
     and the choice never enters cache keys or spec digests.
@@ -599,14 +603,23 @@ class CrossbarMvmEngine:
 
     def __init__(self, xbar_config: CrossbarConfig,
                  sim_config: FuncSimConfig, tile_factory,
-                 tile_cache_size: int = 256, executor=None,
+                 tile_cache_size: int = 256, workers: int = 1,
                  nonideality=None, backend=None):
         tile_factory.check_crossbar(xbar_config)
+        if workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {workers}")
         self.xbar_config = xbar_config
         self.sim_config = sim_config
         self.tile_factory = tile_factory
         self.name = tile_factory.name
-        self.executor = executor
+        self.workers = int(workers)
+        # Scheduling knobs (tests shrink them to force multi-chunk or
+        # pooled execution); results never depend on them.
+        self.shard_rows = DEFAULT_SHARD_ROWS
+        self.inline_work_threshold = INLINE_WORK_THRESHOLD
+        self._pool = None
+        self._pool_lock = threading.Lock()
+        self._closed = False
         self.array_backend = resolve_backend(backend)
         # None for clean engines (identity pipelines normalise to None,
         # keeping the clean path's prepared-matrix tokens byte-identical).
@@ -621,12 +634,13 @@ class CrossbarMvmEngine:
         self._g_lsb = ((xbar_config.g_on_s - xbar_config.g_off_s)
                        / (n_g_levels - 1)) if n_g_levels > 1 else \
             (xbar_config.g_on_s - xbar_config.g_off_s)
+        # The converter every layer plan snapshots; shards draw noise
+        # from their own coordinate-keyed streams (``shard_adc``).
         self.adc = AdcModel.aligned(sim_config.adc_bits,
                                     self._v_lsb * self._g_lsb,
                                     headroom=sim_config.adc_headroom,
                                     offset_lsb=sim_config.adc_offset_lsb,
-                                    noise_lsb=sim_config.adc_noise_lsb,
-                                    seed=sim_config.adc_seed)
+                                    noise_lsb=sim_config.adc_noise_lsb)
         self.stats = EngineStats()
 
     # ------------------------------------------------------------------
@@ -681,7 +695,7 @@ class CrossbarMvmEngine:
         if self.nonideality is not None:
             # Fold the fault composition into the prepared-matrix uid so a
             # perturbed layer can never share tile-result cache entries or
-            # runtime layer programs with a clean (or differently-faulty)
+            # noise streams with a clean (or differently-faulty)
             # preparation of the same weights. Clean engines keep the
             # historical token byte-for-byte.
             token = f"{token}|{self.nonideality.digest()}"
@@ -699,13 +713,14 @@ class CrossbarMvmEngine:
     def matmul(self, x: np.ndarray, prepared) -> np.ndarray:
         """Quantised crossbar product of ``x (B, K)`` with prepared weights.
 
-        With an executor attached the call is sharded across the runtime
-        backend; otherwise the shard kernel runs inline over the full batch
-        (one shard per tile-row, sequential ADC), which is bit-identical to
-        per-stream sequential execution for a noiseless ADC — with ADC
-        noise the seeded samples are drawn in stacked-batch order, so noisy
-        runs are statistically, not bitwise, equivalent to per-stream
-        execution while remaining reproducible run-to-run.
+        The batch is cut into ``shard_rows``-row chunks; every (chunk,
+        tile-row) shard runs through the kernel with an ADC whose noise
+        stream is keyed by (layer, matmul sequence number, tile-row,
+        chunk), and the tile-row contributions are merged digitally in
+        tile-row order. Shards run on the engine's thread pool when
+        ``workers > 1`` and the call is big enough to pay for dispatch
+        (see :meth:`_should_inline`); the schedule never changes a bit of
+        the result, noisy or not.
         """
         if not isinstance(prepared, PreparedMatrix):
             prepared = self.prepare(prepared)
@@ -714,44 +729,110 @@ class CrossbarMvmEngine:
             raise ConfigError(
                 "prepared matrix has no layer program; it was not prepared "
                 "by a CrossbarMvmEngine")
-        if self.executor is not None:
-            self.executor.add_layer(prepared.uid, program)
-            return self.executor.matmul(prepared.uid, x, stats=self.stats)
+        plan = program.plan
+        seq = program.next_seq()
         # The spans observe wall time only — no RNG, no numeric state —
         # so traced and untraced runs are bit-identical.
         with span("engine-compute"):
-            plan = program.plan
             qx = quantize_input(plan, x)
-            x_signs = active_signs(qx)
-            counts = new_stat_counts()
-            counts["matmuls"] = 1
-            acc = plan.sim_config.accumulator_format
-            out_value = np.zeros((qx.shape[0], plan.out_width))
+            chunks = chunk_ranges(qx.shape[0], self.shard_rows)
+            # Activation signs are a per-chunk property shared by every
+            # tile-row shard of the chunk; compute them once here.
+            signs = [active_signs(qx[start:stop]) for start, stop in chunks]
+            counts = np.empty((plan.t_r, qx.shape[0], plan.out_width))
+            call_stats = new_stat_counts()
+            call_stats["matmuls"] = 1
+            merge_lock = threading.Lock()
+
+            def run(shard) -> None:
+                chunk, tr = shard
+                start, stop = chunks[chunk]
+                local = new_stat_counts()
+                # Disjoint (tile-row, chunk) slab: safe to write unlocked.
+                counts[tr, start:stop] = run_tile_row(
+                    program, qx[start:stop], signs[chunk], tr,
+                    shard_adc(plan, seq, tr, chunk), cache=self.tile_cache,
+                    stats=local)
+                with merge_lock:
+                    for key, value in local.items():
+                        call_stats[key] += value
+
+            shards = [(chunk, tr) for chunk in range(len(chunks))
+                      for tr in range(plan.t_r)]
             fused = contextlib.nullcontext() if program.compiled is None \
                 else span("fused-execute", layer=plan.uid,
-                          backend=program.compiled.backend_name)
+                          backend=program.compiled.backend.name)
             with fused:
-                for tr in range(plan.t_r):
-                    tr_counts = run_tile_row(program, qx, x_signs, tr,
-                                             self.adc,
-                                             cache=self.tile_cache,
-                                             stats=counts)
-                    # Tile-row partial sums accumulate through the
-                    # fixed-point accumulator register (paper: 32-bit, 24
-                    # fractional).
-                    out_value = acc.quantize(out_value
-                                             + tr_counts * plan.value_lsb)
-            self.stats.merge(counts)
-            return out_value[:, :prepared.n_out]
+                futures = self._submit(plan, qx, run, shards)
+                if futures is None:
+                    for shard in shards:
+                        run(shard)
+                else:
+                    for future in futures:
+                        future.result()  # re-raises a shard's exception
+            out = merge_tile_rows(plan, counts)
+        self.stats.merge(call_stats)
+        return out
+
+    def _submit(self, plan, qx: np.ndarray, run, shards: list):
+        """Queue the shards on the thread pool, or ``None`` to run inline.
+
+        Submitting under the pool lock means a concurrent :meth:`close`
+        either happens first (the call runs inline) or after every shard
+        is queued (shut-down pools still finish queued work).
+        """
+        if self.workers <= 1 or len(shards) <= 1 \
+                or self._should_inline(plan, qx):
+            return None
+        with self._pool_lock:
+            if self._closed:
+                return None
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.workers,
+                    thread_name_prefix="funcsim-shard")
+            return [self._pool.submit(run, shard) for shard in shards]
+
+    def _should_inline(self, plan, qx: np.ndarray) -> bool:
+        """Run this call on the calling thread instead of the pool?
+
+        Purely a scheduling decision — the shard set and noise keying are
+        fixed, so inline and pooled runs are bit-identical. Inline wins
+        when (a) the whole call is small (activation elements x tile-rows
+        under ``inline_work_threshold``) or (b) the layer plan's
+        worst-case cost model prices one shard below
+        :data:`MIN_SHARD_COST` ADC conversions, where dispatch overhead
+        dominates the shard compute (conv-sized im2col batches clear the
+        bar; small fully-connected heads do not). Setting
+        ``inline_work_threshold <= 0`` disables both rules (tests force
+        pooled execution this way).
+        """
+        if self.inline_work_threshold <= 0:
+            return False
+        if qx.size * plan.t_r <= self.inline_work_threshold:
+            return True
+        if plan.cost is not None:
+            # cost is per input row (one MVM); scale to one chunk's rows
+            # and divide by the tile-row count for a per-shard estimate.
+            chunk_rows = min(qx.shape[0], self.shard_rows)
+            per_shard = (plan.cost.adc_conversions * chunk_rows
+                         / max(plan.t_r, 1))
+            return per_shard < MIN_SHARD_COST
+        return False
 
     def close(self, wait: bool = True) -> None:
-        """Release the attached executor's workers (if any).
+        """Release the shard thread pool (if any). Idempotent.
 
-        The executor keeps serving matmuls inline afterwards, so closing
-        a live engine degrades it to single-core rather than breaking it.
+        The engine keeps serving matmuls on the calling thread afterwards,
+        so closing a live engine degrades it to single-threaded execution
+        (identical results) rather than breaking it — queued work holding
+        an evicted engine still completes.
         """
-        if self.executor is not None:
-            self.executor.close(wait=wait)
+        with self._pool_lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait)
 
 
 def make_engine(kind: str, xbar_config: CrossbarConfig,
@@ -759,7 +840,7 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
                 emulator: GeniexEmulator | None = None,
                 tile_cache_size: int = 256,
                 batch_invariant: bool = False,
-                executor=None, workers: int | None = None,
+                workers: int | None = None,
                 nonideality=None, backend=None):
     """Engine factory: ``ideal | exact | geniex | analytical | decoupled |
     circuit`` (the :data:`ENGINE_KINDS` tuple).
@@ -779,11 +860,9 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
     execution when ``measure(0) == 0``, so converter offset or noise is
     rejected too.
 
-    ``executor`` selects the runtime backend (``"serial"``, ``"threads"``,
-    ``"process"`` or an :class:`repro.funcsim.runtime.ExecutorBase`
-    instance) and ``workers`` its parallelism; ``workers > 1`` alone
-    defaults to the process backend. Without either, the engine runs
-    single-core exactly as before.
+    ``workers`` (default 1) is the number of threads running one
+    matmul's shards; any value gives bit-identical results. It pays when
+    BLAS runs one thread per process.
 
     ``nonideality`` (a :class:`repro.nonideal.NonidealitySpec` or
     pipeline; identity normalises to "none") injects device faults into
@@ -805,8 +884,8 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
                 "the ideal engine is the digital fixed-point reference "
                 "and has no programmed conductances to perturb; drop the "
                 "nonideality node or pick an analog engine kind")
-        # Digital exact integer math: nothing to shard. executor/workers
-        # are ignored (convert_to_mvm leaves ideal layers detached too).
+        # Digital exact integer math: nothing to shard; workers is
+        # ignored.
         return IdealMvmEngine(sim_config)
     if batch_invariant and (sim_config.adc_offset_lsb != 0.0
                             or sim_config.adc_noise_lsb != 0.0):
@@ -839,13 +918,8 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
         raise ConfigError(
             f"unknown engine kind {kind!r}; expected one of "
             f"{', '.join(ENGINE_KINDS)}")
-    # Resolve the executor last: validation errors above must not leave
-    # an orphaned worker pool behind.
-    if executor is None and workers is not None and workers > 1:
-        executor = "process"
-    if executor is not None:
-        executor = make_executor(executor, workers=workers)
     return CrossbarMvmEngine(xbar_config, sim_config, factory,
                              tile_cache_size=tile_cache_size,
-                             executor=executor, nonideality=nonideality,
+                             workers=1 if workers is None else workers,
+                             nonideality=nonideality,
                              backend=backend)

@@ -4,21 +4,17 @@ These are inference-only drop-in replacements for :class:`repro.nn.Linear`
 and :class:`repro.nn.Conv2d` whose matrix products run through an MVM engine
 (paper Fig. 6: ``Model.py -> Model-mvm.py``). Weights are prepared (quantised
 / sliced / tiled / programmed) once at construction; biases are added
-digitally in float, as the peripheral digital logic would.
-
-Both layers can additionally be *attached* to a runtime executor
-(:meth:`MvmLayerMixin.attach_executor` — :func:`repro.funcsim.convert_to_mvm`
-does this for a whole network): the layer's compiled program is registered
-under its layer id and every forward pass dispatches through the executor's
-sharded backend instead of the engine's inline path. Detached layers behave
-exactly as before.
+digitally in float, as the peripheral digital logic would. Every forward
+pass runs through :meth:`CrossbarMvmEngine.matmul
+<repro.funcsim.engine.CrossbarMvmEngine.matmul>`, which shards the work
+over the engine's threads when it has more than one worker.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ShapeError
 from repro.nn.functional import _pair
 from repro.nn.imops import conv2d_output_shape, im2col
 from repro.nn.modules import Conv2d, Linear, Module
@@ -27,41 +23,7 @@ from repro.nn.tensor import Tensor
 DEFAULT_CHUNK_ROWS = 8192
 
 
-class MvmLayerMixin:
-    """Executor dispatch shared by the MVM layers."""
-
-    executor = None
-    layer_id: str | None = None
-
-    def attach_executor(self, executor, layer_id: str | None = None) -> None:
-        """Route this layer's matmuls through a runtime executor.
-
-        Registers the layer's compiled program under ``layer_id`` (default:
-        the prepared matrix uid — layers programmed from identical weights
-        on the same engine share one program, which is value-exact).
-        Passing ``None`` detaches the layer.
-        """
-        if executor is None:
-            object.__setattr__(self, "executor", None)
-            object.__setattr__(self, "layer_id", None)
-            return
-        if self.prepared.program is None:
-            raise ConfigError(
-                f"{type(self).__name__} has no layer program (ideal "
-                f"engines run digitally and need no executor)")
-        layer_id = layer_id or self.prepared.uid
-        executor.add_layer(layer_id, self.prepared.program)
-        object.__setattr__(self, "executor", executor)
-        object.__setattr__(self, "layer_id", layer_id)
-
-    def _engine_matmul(self, data: np.ndarray) -> np.ndarray:
-        if self.executor is not None:
-            return self.executor.matmul(self.layer_id, data,
-                                        stats=self.engine.stats)
-        return self.engine.matmul(data, self.prepared)
-
-
-class LinearMVM(MvmLayerMixin, Module):
+class LinearMVM(Module):
     """Dense layer executed as tiled, bit-sliced crossbar MVMs."""
 
     def __init__(self, engine, weight: np.ndarray, bias: np.ndarray | None):
@@ -83,7 +45,7 @@ class LinearMVM(MvmLayerMixin, Module):
 
     def forward(self, x: Tensor) -> Tensor:
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        out = self._engine_matmul(data)
+        out = self.engine.matmul(data, self.prepared)
         if self.bias is not None:
             out = out + self.bias
         return Tensor(out.astype(np.float32))
@@ -93,7 +55,7 @@ class LinearMVM(MvmLayerMixin, Module):
                 f"engine={self.engine.name})")
 
 
-class Conv2dMVM(MvmLayerMixin, Module):
+class Conv2dMVM(Module):
     """Convolution executed as iterative MVMs over im2col patches."""
 
     def __init__(self, engine, weight: np.ndarray,
@@ -134,7 +96,8 @@ class Conv2dMVM(MvmLayerMixin, Module):
         out = np.empty((cols.shape[0], self.out_channels))
         for start in range(0, cols.shape[0], self.chunk_rows):
             block = cols[start:start + self.chunk_rows]
-            out[start:start + block.shape[0]] = self._engine_matmul(block)
+            out[start:start + block.shape[0]] = self.engine.matmul(
+                block, self.prepared)
         if self.bias is not None:
             out = out + self.bias
         out = out.reshape(batch, out_h, out_w,

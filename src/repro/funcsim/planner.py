@@ -1,4 +1,4 @@
-"""Planner: lower a prepared layer into a static, picklable tile program.
+"""Planner: lower a prepared layer into a static tile program.
 
 The functional simulator is split into a *compile* phase and an *execute*
 phase. Compilation happens once per weight matrix — quantise, sign-split,
@@ -9,27 +9,23 @@ summarised by a :class:`LayerProgram`:
   layer: tile grid, present weight signs, DAC/conductance LSBs, the
   ``g_off`` bias-removal factor, shift-and-add scales, accumulator format
   and the ADC transfer parameters, plus worst-case cost metadata from
-  :mod:`repro.funcsim.cost`. Plans are plain frozen dataclasses: hashable
-  state only, fully picklable.
+  :mod:`repro.funcsim.cost`. Plans are plain frozen dataclasses.
 * the **tile models** programmed from the weight slices, and the shared
   :class:`tile factory <repro.funcsim.engine.GeniexTileFactory>` whose
   ``prepare_voltages`` hook computes terms shared by a whole tile-row.
 
-Execution consumes programs through :mod:`repro.funcsim.runtime`: the
-kernel (:mod:`repro.funcsim.runtime.kernel`) evaluates one (tile-row,
-batch-chunk) shard at a time, and the executors schedule shards serially,
-across threads, or across worker processes. Because a program is picklable
-it can be shipped to worker processes once and executed there repeatedly —
-the RxNN-style "compile the crossbar model into the network" step that
-makes whole-DNN non-ideal inference scale.
-
-``NetworkProgram`` aggregates the per-layer programs of a converted model
-so an executor can load the entire network in one call (one process-pool
-initialisation, shared across every layer's matmuls).
+Execution consumes programs through the kernel
+(:mod:`repro.funcsim.runtime.kernel`), which evaluates one (tile-row,
+batch-chunk) shard at a time; :meth:`CrossbarMvmEngine.matmul
+<repro.funcsim.engine.CrossbarMvmEngine.matmul>` schedules the shards.
+Converting a network prepares every layer's program once — the RxNN-style
+"compile the crossbar model into the network" step — so inference only
+executes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro.funcsim.config import FuncSimConfig
@@ -88,7 +84,7 @@ class LayerPlan:
 
         Keyed by tile coordinates and the per-layer matmul sequence number,
         never by shard *assignment*, so noisy runs reproduce bit-exactly at
-        any worker count and with any backend.
+        any worker count.
         """
         return [int(self.adc_seed) & _SEED_MASK, self.uid_seed,
                 int(seq) & _SEED_MASK, int(tr), int(chunk)]
@@ -100,9 +96,7 @@ class LayerProgram:
 
     ``models`` maps ``(sign, slice, tile_row, tile_col)`` to the tile model
     programmed from that weight slice; ``tile_factory`` provides the
-    per-tile-row shared voltage term. ``tile_cache_size`` carries the
-    engine's tile-result LRU budget so every execution context (engine,
-    executor, worker process) sizes its cache identically.
+    per-tile-row shared voltage term.
 
     ``compiled`` holds the program's fused execution form (a
     :class:`~repro.funcsim.compiler.CompiledLayer`, built by the engine's
@@ -114,57 +108,30 @@ class LayerProgram:
     plan: LayerPlan
     models: dict
     tile_factory: object
-    tile_cache_size: int = 0
     compiled: object = None
     compile_requested: bool = False
+    #: Matmul sequence numbers keying the ADC noise streams
+    #: (:meth:`LayerPlan.noise_seed`): every call through the program
+    #: draws fresh noise, and the counter lives as long as the program.
+    _seq: itertools.count = field(default_factory=itertools.count,
+                                  repr=False, compare=False)
 
-    @property
-    def cacheable(self) -> bool:
-        """Tile read-outs may be memoised (deterministic ADC only)."""
-        return self.tile_cache_size > 0 and self.plan.adc_noise_rms_a == 0.0
-
-
-class NetworkProgram:
-    """Ordered collection of layer programs for one converted network."""
-
-    def __init__(self):
-        self._layers: dict = {}
-
-    def add(self, layer_id: str, program: LayerProgram) -> None:
-        self._layers[layer_id] = program
-
-    def get(self, layer_id: str) -> LayerProgram | None:
-        return self._layers.get(layer_id)
-
-    def items(self):
-        return self._layers.items()
-
-    def __len__(self) -> int:
-        return len(self._layers)
-
-    def __contains__(self, layer_id) -> bool:
-        return layer_id in self._layers
-
-    def total_cost(self) -> CostReport:
-        """Aggregate worst-case cost of one MVM through every layer."""
-        total = CostReport(0, 0, 0, 0, 0)
-        for program in self._layers.values():
-            if program.plan.cost is not None:
-                total = total + program.plan.cost
-        return total
+    def next_seq(self) -> int:
+        """Sequence number of the next matmul (thread-safe: ``next`` on a
+        counter is atomic under the GIL)."""
+        return next(self._seq)
 
 
 def plan_layer(engine, prepared) -> LayerProgram:
     """Lower ``(engine, prepared)`` into a self-contained layer program.
 
     The plan snapshots every decode constant the engine derived from its
-    crossbar and simulator configs, so executing the program needs neither
-    the engine nor (for worker processes) the parent's memory.
+    crossbar and simulator configs, so executing the program does not
+    need the engine.
     """
     cfg = engine.sim_config
     xcfg = engine.xbar_config
     adc = engine.adc
-    cache = engine.tile_cache
     plan = LayerPlan(
         uid=prepared.uid,
         n_in=prepared.n_in,
@@ -191,6 +158,4 @@ def plan_layer(engine, prepared) -> LayerProgram:
                          signed_weights=len(prepared.sign_present) > 1),
     )
     return LayerProgram(plan=plan, models=prepared.models,
-                        tile_factory=engine.tile_factory,
-                        tile_cache_size=cache.max_entries
-                        if cache is not None else 0)
+                        tile_factory=engine.tile_factory)

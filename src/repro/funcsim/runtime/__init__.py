@@ -1,40 +1,26 @@
-"""Sharded execution runtime for the functional simulator.
+"""Execution kernel of the functional simulator.
 
 The planner (:mod:`repro.funcsim.planner`) compiles prepared layers into
-static, picklable tile programs; this package executes them. Work is
-decomposed into (tile-row, batch-chunk) shards evaluated by a shared
-kernel, scheduled by one of three interchangeable backends:
-
-========= ==================================================================
-backend   when to use it
-========= ==================================================================
-serial    single core, zero overhead — the default and the reference
-threads   multi-core hosts; tile math is BLAS-dominated (releases the GIL)
-          and the tile-result cache is shared between workers
-process   multi-core hosts where Python-side decode dominates, or when GIL
-          contention caps thread scaling; programs ship to workers once,
-          activations/outputs travel through shared memory
-========= ==================================================================
+static tile programs; this package executes them. Work is decomposed into
+(tile-row, batch-chunk) shards evaluated by one kernel
+(:mod:`repro.funcsim.runtime.kernel`);
+:meth:`~repro.funcsim.engine.CrossbarMvmEngine.matmul` schedules the
+shards, on the calling thread or on the engine's thread pool.
 
 Determinism: the shard decomposition depends only on the workload and
-``shard_rows`` — never on the worker count — so in batch-invariant mode
-every backend returns bit-identical outputs, and with ADC noise the
-coordinate-keyed noise streams make results reproducible at any worker
-count (see :mod:`repro.funcsim.runtime.kernel`).
+``shard_rows`` — never on the worker count — so every worker count
+returns bit-identical outputs, and with ADC noise the coordinate-keyed
+noise streams make results reproducible too (see
+:mod:`repro.funcsim.runtime.kernel`).
 
 Each shard runs through :func:`~repro.funcsim.runtime.kernel.run_tile_row`,
 which dispatches to the compiled fused kernel when the program carries one
 (see :mod:`repro.funcsim.compiler`) and to the interpreted reference kernel
 otherwise — bit-identically either way. The fused kernel's array ops come
-from the pluggable :mod:`~repro.funcsim.runtime.backends` registry.
+from :mod:`~repro.funcsim.runtime.backends`.
 """
 
-from repro.funcsim.runtime.backends import (
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
-from repro.funcsim.runtime.base import ExecutorBase, make_executor
+from repro.funcsim.runtime.backends import resolve_backend
 from repro.funcsim.runtime.kernel import (
     DEFAULT_SHARD_ROWS,
     chunk_ranges,
@@ -44,19 +30,9 @@ from repro.funcsim.runtime.kernel import (
     run_tile_row,
     shard_adc,
 )
-from repro.funcsim.runtime.process import ProcessExecutor
-from repro.funcsim.runtime.serial import SerialExecutor
-from repro.funcsim.runtime.threads import ThreadExecutor
 
 __all__ = [
     "DEFAULT_SHARD_ROWS",
-    "ExecutorBase",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "available_backends",
-    "get_backend",
-    "make_executor",
     "resolve_backend",
     "chunk_ranges",
     "execute_tile_row",

@@ -1,37 +1,17 @@
-"""Pluggable array backends for the compiled fused kernel.
+"""Array backend of the compiled fused kernel.
 
 The compiler (:mod:`repro.funcsim.compiler`) lowers a layer program into
-stacked dense tensors and expresses its execution through a tiny op set —
-the :class:`ArrayBackend` protocol — so the fused kernels are written once
-and run on interchangeable array runtimes:
-
-========= ==================================================================
-backend   what it is
-========= ==================================================================
-numpy     the reference implementation; always available, always the
-          fallback, and the baseline every other backend must match
-          bit-for-bit
-numba     JIT-compiles the ordered decode accumulation; auto-detected,
-          falls back to numpy (with a one-time warning) when the package
-          is absent
-torch     runs the decode stage on torch CPU tensors (exact IEEE-754
-          float64 ops, so bitwise interchangeable); auto-detected with
-          the same numpy fallback
-========= ==================================================================
-
-Bitwise contract: a backend may override any op, but every op is specified
-down to the floating-point operation order (see
-:class:`~repro.funcsim.runtime.backends.numpy_backend.NumpyBackend`), so
-all backends produce bit-identical results — and the compiled path stays
-bit-identical to the interpreted reference kernel no matter which backend
-executes it. The stacked tile read-outs themselves always run on numpy's
-BLAS: they are the physics model, and keeping them on one BLAS build is
-what makes the interpreter fallback invisible.
+stacked dense tensors and expresses its execution through a tiny op set,
+:class:`~repro.funcsim.runtime.backends.numpy_backend.NumpyBackend`. Every
+op is specified down to the floating-point operation order, so the
+compiled path stays bit-identical to the interpreted reference kernel.
 
 Selection precedence: an explicit spec/engine value beats the
 ``REPRO_BACKEND`` environment variable, which beats the default
 (``numpy``). The value ``"interp"`` (alias ``"interpreted"``/``"off"``)
-disables compilation entirely and forces the interpreted kernel.
+disables compilation entirely and forces the interpreted kernel. The
+names ``"numba"`` and ``"torch"`` are accepted for one release with a
+:class:`DeprecationWarning` and mean ``numpy``.
 """
 
 from __future__ import annotations
@@ -42,54 +22,23 @@ import warnings
 from repro.errors import ConfigError
 from repro.funcsim.runtime.backends.numpy_backend import NumpyBackend
 
-#: Array backends :func:`resolve_backend` accepts, in documentation order.
-BACKEND_KINDS = ("numpy", "numba", "torch")
+#: Array backends :func:`resolve_backend` accepts.
+BACKEND_KINDS = ("numpy",)
 
 #: Selector values that disable compilation (interpreted kernel only).
 INTERPRETER_KINDS = ("interp", "interpreted", "off")
 
-_instances: dict = {}
-_warned: set = set()
+#: Removed backends that stored specs may still name; they mean numpy.
+DEPRECATED_KINDS = ("numba", "torch")
+
+_NUMPY = NumpyBackend()
 
 
-def _backend_class(kind: str):
-    if kind == "numpy":
-        return NumpyBackend
-    if kind == "numba":
-        from repro.funcsim.runtime.backends.numba_backend import NumbaBackend
-        return NumbaBackend
-    if kind == "torch":
-        from repro.funcsim.runtime.backends.torch_backend import TorchBackend
-        return TorchBackend
-    raise KeyError(kind)
-
-
-def available_backends() -> tuple:
-    """Backends usable on this host, in :data:`BACKEND_KINDS` order."""
-    return tuple(kind for kind in BACKEND_KINDS
-                 if _backend_class(kind).is_available())
-
-
-def get_backend(kind: str):
-    """Backend instance by exact name (no env/None resolution).
-
-    An unavailable optional backend (numba/torch without the package)
-    degrades to numpy and warns once per process — a missing accelerator
-    must never turn a working setup into an import error.
-    """
-    cls = _backend_class(kind)
-    if not cls.is_available():
-        if kind not in _warned:
-            _warned.add(kind)
-            warnings.warn(
-                f"array backend {kind!r} is unavailable "
-                f"({cls.unavailable_reason()}); falling back to numpy",
-                RuntimeWarning, stacklevel=3)
-        kind, cls = "numpy", NumpyBackend
-    instance = _instances.get(kind)
-    if instance is None:
-        instance = _instances[kind] = cls()
-    return instance
+def warn_deprecated_backend(name: str, stacklevel: int = 3) -> None:
+    warnings.warn(
+        f"array backend {name!r} has been removed and now means 'numpy'; "
+        f"this alias will be rejected in the next release",
+        DeprecationWarning, stacklevel=stacklevel)
 
 
 def resolve_backend(name: str | None = None, path: str = "runtime.backend"):
@@ -110,18 +59,20 @@ def resolve_backend(name: str | None = None, path: str = "runtime.backend"):
     kind = str(name).lower()
     if kind in INTERPRETER_KINDS:
         return None
+    if kind in DEPRECATED_KINDS:
+        warn_deprecated_backend(name)
+        kind = "numpy"
     if kind not in BACKEND_KINDS:
         raise ConfigError(
             f"unknown array backend {name!r} at {path}; expected one of "
             f"{BACKEND_KINDS + INTERPRETER_KINDS}")
-    return get_backend(kind)
+    return _NUMPY
 
 
 __all__ = [
     "BACKEND_KINDS",
+    "DEPRECATED_KINDS",
     "INTERPRETER_KINDS",
     "NumpyBackend",
-    "available_backends",
-    "get_backend",
     "resolve_backend",
 ]

@@ -1,9 +1,8 @@
-"""Reference numpy backend: the op set every backend must match bitwise.
+"""Numpy backend: the fused kernel's op set, specified bitwise.
 
 Each op is specified down to the floating-point operation *order*, because
 the compiled kernel's acceptance bar is bit-identity with the interpreted
-reference kernel — not approximate agreement. Alternative backends inherit
-from :class:`NumpyBackend` and override only the ops they accelerate.
+reference kernel — not approximate agreement.
 """
 
 from __future__ import annotations
@@ -14,17 +13,9 @@ from repro.utils.numerics import batch_invariant_matmul
 
 
 class NumpyBackend:
-    """Always-available reference implementation of the fused-kernel ops."""
+    """Implementation of the fused-kernel ops."""
 
     name = "numpy"
-
-    @staticmethod
-    def is_available() -> bool:
-        return True
-
-    @staticmethod
-    def unavailable_reason() -> str:
-        return ""
 
     @staticmethod
     def matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:

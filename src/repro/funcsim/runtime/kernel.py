@@ -1,35 +1,32 @@
-"""Shard execution kernel shared by every runtime backend.
+"""Shard execution kernel of the funcsim engine.
 
 A *shard* is one (tile-row, batch-chunk) unit of an MVM: the kernel streams
 the chunk's activation bits through every (weight-sign, slice, tile-column)
 model of the tile-row, digitises the analog read-outs and decodes them into
 the tile-row's contribution ``tr_counts`` of shape ``(chunk, t_c * cols)``.
-Shards are independent, so backends may run them in any order on any
-worker; :func:`merge_tile_rows` then accumulates the per-tile-row
+Shards are independent, so they may run in any order on any thread;
+:func:`merge_tile_rows` then accumulates the per-tile-row
 contributions *in tile-row order* through the fixed-point accumulator,
 exactly as the hardware's peripheral digital logic would.
 
 Determinism contract:
 
 * The shard decomposition is a pure function of the batch size and the
-  executor's ``shard_rows`` — never of the worker count — so the set of
+  engine's ``shard_rows`` — never of the worker count — so the set of
   shards (and therefore every zero-stream skipping decision) is identical
   no matter how execution is scheduled.
 * With a deterministic ADC the kernel is pure, so any schedule produces
   bit-identical results; in batch-invariant mode results are additionally
-  identical across backends *and* chunk sizes.
+  identical across chunk sizes.
 * With ADC noise, :func:`shard_adc` derives each shard's noise stream from
   ``(adc_seed, layer uid, matmul sequence, tile-row, chunk)`` — tile
   coordinates, not shard assignment — so noisy runs reproduce bit-exactly
   at any worker count.
-
-The kernel is also the engine's serial execution path: a legacy
-``CrossbarMvmEngine.matmul`` call is one full-batch chunk per tile-row
-with the engine's own sequential ADC passed in, which keeps the refactor
-bit-identical to the historical monolithic implementation.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -44,7 +41,7 @@ from repro.funcsim.tiles import pad_axis
 #: only on the workload, never on the execution schedule. Sized so the
 #: Python-side decode loop stays negligible against the batched tile math
 #: while conv-sized im2col batches still split into several chunks per
-#: tile-row for the parallel backends.
+#: tile-row for the thread pool.
 DEFAULT_SHARD_ROWS = 1024
 
 
@@ -77,15 +74,24 @@ def chunk_ranges(batch: int, shard_rows: int) -> list:
             for start in range(0, batch, shard_rows)]
 
 
+@functools.lru_cache(maxsize=64)
+def _deterministic_adc(bits: int, lsb_a: float, offset_a: float) -> AdcModel:
+    # Without noise the converter never touches its generator, so one
+    # instance serves every shard (and thread) of every matching plan;
+    # seeding a generator per shard costs ~20 us, a tenth of a one-row
+    # serve shard.
+    return AdcModel(bits, lsb_a, offset_a=offset_a)
+
+
 def shard_adc(plan: LayerPlan, seq: int, tr: int, chunk: int) -> AdcModel:
     """ADC instance for one shard, with a coordinate-keyed noise stream."""
     if plan.adc_noise_rms_a == 0.0:
-        seed = 0  # deterministic transfer function; seed is irrelevant
-    else:
-        seed = plan.noise_seed(seq, tr, chunk)
+        return _deterministic_adc(plan.adc_bits, plan.adc_lsb_a,
+                                  plan.adc_offset_a)
     return AdcModel(plan.adc_bits, plan.adc_lsb_a,
                     offset_a=plan.adc_offset_a,
-                    noise_rms_a=plan.adc_noise_rms_a, seed=seed)
+                    noise_rms_a=plan.adc_noise_rms_a,
+                    seed=plan.noise_seed(seq, tr, chunk))
 
 
 def _measure_tile_row(program: LayerProgram, tr: int, stream_levels: list,

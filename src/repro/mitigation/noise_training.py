@@ -16,7 +16,7 @@ Two refinements over the plain recipe:
   seeded by ``(seed, purpose, epoch, step[, param])`` — the same
   discipline as :mod:`repro.nonideal` — instead of one shared sequential
   stream. A given (epoch, step) consumes exactly its own draws, so
-  training is bit-identical regardless of executor, of how many batches
+  training is bit-identical regardless of worker count, of how many batches
   an epoch has, or of whether some stage skips its draws.
 
 * **Hardware in the loop.** With ``engine=...`` every training forward
@@ -143,7 +143,7 @@ def train_with_noise(model: Module, x_train: np.ndarray,
     loss is taken on ``ideal + (hardware - ideal)`` — forward values from
     the crossbar, gradients through the float path (straight-through).
     Engine preparation is content-keyed (faults included), so the run is
-    bit-identical across executors and repetitions. Re-programming every
+    bit-identical across worker counts and repetitions. Re-programming every
     step is exact but costly; intended for the small models of this
     repo's training loops. The hardware pass runs in eval mode, so
     hardware-in-the-loop assumes models without train-time stochasticity.

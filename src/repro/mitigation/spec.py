@@ -124,7 +124,7 @@ class MitigationSpec:
     ``seed`` keys every stochastic training draw (batch shuffles and
     noise injection) through the same coordinate-keyed RNG discipline as
     :mod:`repro.nonideal`, so mitigated training is bit-identical across
-    executors and batch-iteration orders.
+    worker counts and batch-iteration orders.
     """
 
     seed: int = 0

@@ -18,8 +18,8 @@ node (folded into every content digest whenever it is non-identity, so a
 faulty crossbar can never be cache-aliased with a clean one — in the
 GENIEx zoo, the serving registry, or prepared-matrix uids), and
 :func:`repro.funcsim.engine.make_engine` applies the pipeline at tile
-programming time, so every executor backend and worker count sees the
-same perturbed tiles. See the README's "Non-ideality scenarios" section.
+programming time, so every worker count sees the same perturbed tiles.
+See the README's "Non-ideality scenarios" section.
 """
 
 from repro.nonideal.pipeline import (

@@ -13,9 +13,8 @@ runtime): every draw comes from a *coordinate-keyed* RNG seeded by
 ``(spec seed, transform index, tile coordinates)`` and each transform
 draws its whole tile in one fixed-shape call, so every cell position
 receives the same perturbation no matter the tile iteration order, the
-executor backend, the worker count, or the process that programs the tile
-— two engines built anywhere from the same spec hold bit-identical
-perturbed tiles.
+worker count, or the process that programs the tile — two engines built
+anywhere from the same spec hold bit-identical perturbed tiles.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ Two propagation caveats the serving layer works around explicitly:
   ``asyncio.to_thread``), so the scheduler activates a fresh collector
   trace inside the executor-thread callable and grafts the captured
   spans back into each awaiting request's trace;
-* a span completed elsewhere (queue wait measured by the scheduler,
-  shard timings folded up by an executor) is attached with
+* a span completed elsewhere (queue wait measured by the scheduler) is
+  attached with
   :meth:`Trace.add_span`, which is thread-safe.
 
 Span counts are capped per trace (``max_spans``) so a request that fans
@@ -238,11 +238,9 @@ class TraceBuffer:
 class SpanTimings:
     """Mergeable ``{stage: (count, total_seconds)}`` accumulator.
 
-    The runtime executors record shard-local timings into one of these
-    per call and fold them upward exactly like ``EngineStats.merge`` —
-    shard workers accumulate without contention, the per-call object
-    merges into the executor's cumulative timings under a lock, and the
-    process backend's workers ship plain dict snapshots over IPC.
+    Workers record local timings into one of these and fold them upward
+    exactly like ``EngineStats.merge``: accumulation is lock-protected,
+    and plain dict snapshots merge as well as instances.
     """
 
     __slots__ = ("_lock", "_data")

@@ -83,8 +83,7 @@ class ServeMetrics:
             "Input rows (images) served through net_predict.")
         self._net_compile_seconds = reg.histogram(
             "repro_net_compile_seconds",
-            "Server-side network compile time (rebuild + convert_to_mvm "
-            "+ compile_network).")
+            "Server-side network compile time (rebuild + convert_to_mvm).")
         self._net_layer_execs = reg.counter(
             "repro_net_layer_executions_total",
             "Fused kernel calls: one per MVM layer per flushed net batch.")

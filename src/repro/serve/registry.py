@@ -50,7 +50,7 @@ from repro.core.emulator import GeniexEmulator, MatrixEmulator
 from repro.core.zoo import GeniexZoo
 from repro.errors import ConfigError, ShapeError
 from repro.funcsim.config import FuncSimConfig
-from repro.funcsim.convert import compile_network, convert_to_mvm, mvm_layers
+from repro.funcsim.convert import convert_to_mvm, mvm_layers
 from repro.funcsim.engine import EngineStats
 from repro.mitigation.runner import mitigated_key, run_mitigation
 from repro.nn.serialization import net_digest, net_from_wire
@@ -76,9 +76,9 @@ class PreparedEngine:
         return self.engine.matmul(x, self.prepared)
 
     def close(self, wait: bool = True) -> None:
-        """Release the engine's runtime workers (if sharded).
+        """Release the engine's shard threads (if any).
 
-        The engine stays usable (inline, single-core) afterwards, so
+        The engine stays usable (single-threaded) afterwards, so
         microbatches queued against an evicted engine still complete.
         """
         self.engine.close(wait=wait)
@@ -104,7 +104,7 @@ class MitigatedModel:
                               dtype=np.float64)
 
     def close(self, wait: bool = True) -> None:
-        """Release the session's runtime workers (engine degrades inline)."""
+        """Release the session's shard threads (engine stays usable)."""
         self._session.close(wait=wait)
 
 
@@ -229,25 +229,24 @@ class ModelRegistry:
                  engine_workers: int = 1, backend: str | None = None):
         self.zoo = zoo or GeniexZoo()
         self.tile_cache_size = int(tile_cache_size)
-        # > 1 shards every prepared engine's matmuls over the funcsim
-        # thread backend (thread workers compose with the asyncio
-        # executor threads running the batched calls; process pools per
-        # cached engine would be far too heavy for a serving tier).
+        # > 1 shards every prepared engine's matmuls over that many
+        # funcsim threads (they compose with the asyncio executor
+        # threads running the batched calls).
         self.engine_workers = max(1, int(engine_workers))
         # Array backend of the compiled fused kernel for every warm
         # engine (None resolves through $REPRO_BACKEND to numpy);
-        # bit-identity across backends keeps responses byte-stable, so
-        # this is server policy, not part of any cache key.
+        # every backend selector is bit-identical, so this is server
+        # policy, not part of any cache key.
         self.backend = backend
         self._models = LruDict(max_models)      # model key -> emulator
         self._crossbars = LruDict(max_crossbars)
-        # Evicted engines release their sharded-runtime worker pools
-        # without blocking the event loop (wait=False); the closed engine
-        # still answers queued microbatches inline.
+        # Evicted engines release their shard thread pools without
+        # blocking the event loop (wait=False); the closed engine still
+        # answers queued microbatches on the calling thread.
         self._engines = LruDict(
             max_engines, on_evict=lambda _key, warm: warm.close(wait=False))
         # Mitigated models own a whole session; eviction releases its
-        # runtime workers the same way (the zoo artifact survives, so a
+        # shard threads the same way (the zoo artifact survives, so a
         # re-request rebuilds from disk, not from scratch). Unlike the
         # engines tier — whose puts happen on executor threads — the
         # mitigated tier is populated from the event loop, so the close
@@ -409,19 +408,16 @@ class ModelRegistry:
         The runtime node is server-owned: warm engines run
         batch-invariantly whenever the kind/ADC combination allows it —
         so coalesced microbatch responses are byte-identical to direct
-        per-request calls — with the registry's tile-cache size and
-        thread sharding. (Thread workers compose with the asyncio
-        executor threads running the batched calls; per-engine process
-        pools would be far too heavy for a serving tier.) Clients cannot
-        steer the server onto a process pool or an unbounded cache by
-        submitting a creative runtime node.
+        per-request calls — with the registry's tile-cache size, shard
+        threads and array backend. Clients cannot steer the server onto
+        more threads or an unbounded cache by submitting a creative
+        runtime node.
         """
         invariant = supports_batch_invariance(spec.engine,
                                               spec.sim.to_config())
         return spec.evolve(runtime={
             "batch_invariant": invariant,
             "tile_cache_size": self.tile_cache_size,
-            "executor": "threads" if self.engine_workers > 1 else None,
             "workers": self.engine_workers,
             "backend": self.backend,
         })
@@ -551,7 +547,7 @@ class ModelRegistry:
 
         Returns ``(warm, outcome)`` where ``outcome`` is one of
         ``"memory_hit"``, ``"disk_hit"`` or ``"compiled"``. Compilation
-        (rebuild + per-layer weight preparation + program aggregation)
+        (rebuild + per-layer weight preparation)
         runs on an executor thread under a per-key lock; the zoo
         persists the wire so every other fleet worker — and a restarted
         server — rebuilds from disk instead of needing the upload again.
@@ -633,7 +629,6 @@ class ModelRegistry:
             try:
                 converted = convert_to_mvm(
                     model, engine, chunk_rows=sspec.runtime.chunk_rows)
-                compile_network(converted)
             except BaseException:
                 engine.close(wait=False)
                 raise

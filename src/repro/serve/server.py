@@ -28,7 +28,7 @@ Endpoints
 ``POST /v1/mitigated_predict``  logits from a warm mitigated model
 ``POST /v1/nets``            upload a serialized ``repro.nn`` model +
                              spec; compiles it into a cached
-                             ``NetworkProgram``, returns ``net_key``
+                             converted network, returns ``net_key``
 ``POST /v1/net_predict``     whole-network logits from a warm compiled
                              net; concurrent requests share one fused
                              kernel call per layer (``stream: true``

@@ -24,7 +24,7 @@ class LruDict:
         self._lock = threading.RLock()
         # Optional ``on_evict(key, value)`` hook, called after the entry
         # has left the mapping (outside the critical section) so caches of
-        # resource-owning values can release them (e.g. executor pools).
+        # resource-owning values can release them (e.g. thread pools).
         self._on_evict = on_evict
 
     def __len__(self) -> int:
@@ -55,19 +55,6 @@ class LruDict:
         if self._on_evict is not None:
             for evicted_key, evicted_value in evicted:
                 self._on_evict(evicted_key, evicted_value)
-
-    def __getstate__(self):
-        # Caches are semantically transparent, so they pickle *empty*:
-        # entries may hold unpicklable values (sparse LU objects) and the
-        # lock/eviction hook cannot cross process boundaries. Worker
-        # processes simply re-fill their local copies.
-        return {"max_entries": self.max_entries}
-
-    def __setstate__(self, state):
-        self.max_entries = state["max_entries"]
-        self._data = OrderedDict()
-        self._lock = threading.RLock()
-        self._on_evict = None
 
     def keys(self) -> list:
         """Snapshot of the keys, oldest first."""

@@ -3,8 +3,11 @@
 The array backend of the compiled fused kernel is an execution knob with
 bit-identical outputs across every value — so it must serialise with the
 spec, validate strictly, and never participate in ``key()`` /
-``model_key()`` / warm-engine digests.
+``model_key()`` / warm-engine digests. The removed ``numba``/``torch``
+backends still load from stored specs, with a warning, as ``numpy``.
 """
+
+import contextlib
 
 import pytest
 
@@ -18,11 +21,15 @@ class TestRoundTrip:
     @pytest.mark.parametrize("backend",
                              [None, "numpy", "numba", "torch", "interp"])
     def test_json_round_trip(self, backend):
-        spec = EmulationSpec(engine="exact",
-                             runtime=RuntimeSpec(backend=backend))
+        removed = backend in ("numba", "torch")
+        with pytest.warns(DeprecationWarning, match=backend) if removed \
+                else contextlib.nullcontext():
+            spec = EmulationSpec(engine="exact",
+                                 runtime=RuntimeSpec(backend=backend))
         restored = EmulationSpec.from_dict(spec.to_dict())
         assert restored == spec
-        assert restored.runtime.backend == backend
+        assert restored.runtime.backend == ("numpy" if removed
+                                            else backend)
 
     def test_evolve_sets_backend(self):
         spec = EmulationSpec(engine="exact")
@@ -45,6 +52,7 @@ class TestDigestNeutrality:
     """Backends are bit-identical, so keys must not fork on them."""
 
     @pytest.mark.parametrize("backend", ["numpy", "numba", "torch", "interp"])
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_keys_unchanged(self, backend):
         base = EmulationSpec(engine="exact")
         evolved = base.evolve(runtime={"backend": backend})

@@ -1,5 +1,6 @@
 """One digest scheme: zoo / registry key shims delegate to spec keys,
-and every digest is stable across a spawn-pickled process boundary."""
+every digest is stable across a spawn-pickled process boundary, and the
+preset digests are pinned so stored artifacts keep their keys."""
 
 import os
 import pickle
@@ -7,6 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from repro.api import EmulationSpec, get_preset
 from repro.api.spec import engine_identity, weights_identity
@@ -104,3 +106,49 @@ class TestCrossProcessStability:
         spec = get_preset("quick")
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec and clone.key() == spec.key()
+
+
+#: ``(model_key(), key())`` of every preset, pinned: zoo artifacts and
+#: warm-engine caches are addressed by these, so a schema change that
+#: moves them would silently orphan every stored artifact.
+PINNED_PRESET_KEYS = {
+    "paper-32x32": ("4d60db3b3143a7b62a81", "spec-4edc099139fd8bac23de"),
+    "paper-64x64": ("40a220dba696caf60cd4", "spec-c2f8eed5db2ab97d373e"),
+    "paper-64x64-variation": ("4080c655a574845ec504",
+                              "spec-49f62441194782884291"),
+    "quick": ("e1047717f0ae4979c9f7", "spec-3f14fb1730ddf906ccef"),
+    "quick-analytical": ("e1047717f0ae4979c9f7",
+                         "spec-60a7679d5de3bb9565e1"),
+    "quick-exact": ("e1047717f0ae4979c9f7", "spec-c7afd3f3e3259f7b17b6"),
+    "quick-mitigated": ("51f0df6f1a496d1705a8",
+                        "spec-ffe7f1147fb153a99bad"),
+}
+
+
+class TestStoredSpecs:
+    @pytest.mark.parametrize("name", sorted(PINNED_PRESET_KEYS))
+    def test_preset_keys_pinned(self, name):
+        spec = get_preset(name)
+        assert (spec.model_key(), spec.key()) == PINNED_PRESET_KEYS[name]
+
+    def test_preset_list_is_pinned(self):
+        from repro.api.presets import preset_names
+        assert preset_names() == sorted(PINNED_PRESET_KEYS)
+
+    def test_removed_runtime_fields_still_load(self):
+        """A spec stored when executors and the numba/torch backends
+        existed loads with deprecation warnings, keeps its keys and no
+        longer serialises the executor."""
+        stored = {"engine": "exact", "runtime": {
+            "executor": "process", "workers": 4, "backend": "numba"}}
+        with pytest.warns(DeprecationWarning) as caught:
+            spec = EmulationSpec.from_dict(stored)
+        messages = " ".join(str(w.message) for w in caught)
+        assert "executor" in messages and "numba" in messages
+        assert spec.runtime.workers == 4
+        assert spec.runtime.backend == "numpy"
+        assert "executor" not in spec.to_dict()["runtime"]
+        assert EmulationSpec.from_dict(spec.to_dict()) == spec
+        clean = EmulationSpec(engine="exact")
+        assert (spec.model_key(), spec.key()) == \
+            (clean.model_key(), clean.key())

@@ -3,8 +3,7 @@
 The acceptance contract of the API redesign: a spec built from
 ``Profile.to_spec()`` and the same setup assembled by hand via
 ``make_engine`` / ``convert_to_mvm`` produce **bit-identical** outputs —
-for the geniex, exact and analytical kinds, inline and sharded over two
-workers.
+for the geniex, exact and analytical kinds, on one thread and on two.
 """
 
 import dataclasses
@@ -18,7 +17,7 @@ from repro.api.spec import RuntimeSpec
 from repro.core.zoo import GeniexZoo
 from repro.errors import ConfigError
 from repro.experiments.common import QUICK
-from repro.funcsim.convert import close_mvm_executor, convert_to_mvm
+from repro.funcsim.convert import convert_to_mvm
 from repro.funcsim.engine import make_engine
 from repro.nn.tensor import Tensor, no_grad
 
@@ -38,7 +37,7 @@ def zoo(tmp_path):
     return GeniexZoo(cache_dir=str(tmp_path / "zoo"))
 
 
-def hand_wired_engine(kind, zoo, executor=None, workers=None):
+def hand_wired_engine(kind, zoo, workers=None):
     """The historical assembly the spec path must reproduce exactly."""
     config = TINY.dnn_crossbar()
     sim = TINY.funcsim()
@@ -47,7 +46,7 @@ def hand_wired_engine(kind, zoo, executor=None, workers=None):
         emulator = zoo.get_or_train(config, TINY.sampling_spec(0),
                                     TINY.dnn_train_spec(0))
     return make_engine(kind, config, sim, emulator=emulator,
-                       executor=executor, workers=workers)
+                       workers=workers)
 
 
 def payload(seed=0):
@@ -69,13 +68,12 @@ class TestMatmulEquivalence:
     @pytest.mark.parametrize("kind", KINDS)
     def test_workers2_bit_identical_to_hand_wired(self, kind, zoo):
         weights, x = payload(1)
-        engine = hand_wired_engine(kind, zoo, executor="threads", workers=2)
+        engine = hand_wired_engine(kind, zoo, workers=2)
         try:
             expected = engine.matmul(x, engine.prepare(weights))
         finally:
             engine.close()
-        spec = TINY.to_spec(kind).evolve(
-            runtime={"executor": "threads", "workers": 2})
+        spec = TINY.to_spec(kind).evolve(runtime={"workers": 2})
         with open_session(spec, zoo=zoo) as session:
             np.testing.assert_array_equal(session.matmul(x, weights),
                                           expected)
@@ -84,8 +82,7 @@ class TestMatmulEquivalence:
         weights, x = payload(2)
         spec = TINY.to_spec("exact")
         with open_session(spec, zoo=zoo) as inline, \
-                open_session(spec.evolve(runtime={"executor": "threads",
-                                                  "workers": 2}),
+                open_session(spec.evolve(runtime={"workers": 2}),
                              zoo=zoo) as sharded:
             np.testing.assert_array_equal(sharded.matmul(x, weights),
                                           inline.matmul(x, weights))
@@ -101,7 +98,6 @@ class TestCompileEquivalence:
         converted = convert_to_mvm(model, engine)
         with no_grad():
             expected = converted(x).data
-        close_mvm_executor(converted)
         with open_session(TINY.to_spec(kind), zoo=zoo) as session:
             with no_grad():
                 got = session.compile(model)(x).data
@@ -123,8 +119,7 @@ class TestSessionBehaviour:
 
     def test_close_degrades_to_inline(self, zoo):
         weights, x = payload()
-        spec = TINY.to_spec("exact").evolve(
-            runtime={"executor": "threads", "workers": 2})
+        spec = TINY.to_spec("exact").evolve(runtime={"workers": 2})
         session = open_session(spec, zoo=zoo)
         before = session.matmul(x, weights)
         session.close()
@@ -196,7 +191,7 @@ class TestEvaluateModeEquivalence:
         y = rng.integers(0, 3, size=12)
         config, sim = TINY.dnn_crossbar(), TINY.funcsim()
         engine = make_engine("exact", config, sim)
-        expected = evaluate_engine(model, x, y, engine, batch=4, workers=1)
+        expected = evaluate_engine(model, x, y, engine, batch=4)
         got = evaluate_mode(model, x, y, "exact", config, sim, batch=4,
                             workers=1)
         assert got == expected
@@ -210,21 +205,18 @@ class TestEvaluateModeEquivalence:
 
 class TestShardedSessionBounds:
     def test_executor_programs_evict_with_prepared_lru(self, zoo):
-        """Streaming many distinct matrices through a sharded session
-        keeps BOTH the prepared-matrix LRU and the executor's layer
-        table bounded (evictions propagate via remove_layer)."""
+        """Streaming many distinct matrices through a threaded session
+        keeps the layer programs bounded: they live on the prepared
+        matrices, which the session's LRU evicts."""
         from repro.api.session import PREPARED_CACHE_ENTRIES
         rng = np.random.default_rng(0)
-        spec = TINY.to_spec("exact").evolve(
-            runtime={"executor": "threads", "workers": 2})
+        spec = TINY.to_spec("exact").evolve(runtime={"workers": 2})
         x = rng.standard_normal((2, 4)) * 0.5
         with open_session(spec, zoo=zoo) as session:
             for _ in range(PREPARED_CACHE_ENTRIES + 8):
                 session.matmul(x, rng.standard_normal((4, 4)) * 0.4)
-            executor = session.engine.executor
-            assert len(executor._programs) <= PREPARED_CACHE_ENTRIES
             assert len(session._prepared) <= PREPARED_CACHE_ENTRIES
-            # Evicted layers re-register transparently on reuse.
+            # Evicted matrices re-prepare transparently on reuse.
             w = rng.standard_normal((4, 4)) * 0.4
             y = session.matmul(x, w)
             np.testing.assert_array_equal(session.matmul(x, w), y)

@@ -110,7 +110,7 @@ class TestEvolve:
             ("exact", 8, 4)
 
     def test_dataclass_value_replaces_subtree(self):
-        runtime = RuntimeSpec(workers=3, executor="threads")
+        runtime = RuntimeSpec(workers=3, tile_cache_size=7)
         assert EmulationSpec().evolve(runtime=runtime).runtime == runtime
 
     def test_precedence_evolve_over_preset_over_defaults(self):
@@ -189,7 +189,7 @@ class TestKeys:
     def test_key_ignores_value_neutral_runtime_knobs(self):
         spec = get_preset("quick")
         assert spec.evolve(runtime={"workers": 4,
-                                    "executor": "threads",
+                                    "backend": "interp",
                                     "tile_cache_size": 0}).key() == \
             spec.key()
 

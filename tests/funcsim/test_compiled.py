@@ -2,31 +2,23 @@
 
 The compiled path (:mod:`repro.funcsim.compiler`) is accepted only if it
 is *bit-identical* to the interpreted reference kernel — per engine kind,
-executor backend, worker count, batch-invariant mode, tile-result cache
-state, ADC noise and active device-fault pipelines. These tests pin that
-contract, the interpreter fallbacks (unfusible kinds, memory guard) and
-the array-backend registry's degrade-to-numpy behaviour.
+worker count, batch-invariant mode, tile-result cache state, ADC noise
+and active device-fault pipelines. These tests pin that contract, the
+interpreter fallbacks (unfusible kinds, memory guard) and the backend
+selector's precedence and deprecated aliases.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
+from repro.api.spec import RuntimeSpec
 from repro.core.sampling import SamplingSpec
 from repro.core.trainer import TrainSpec
 from repro.core.zoo import GeniexZoo
 from repro.errors import ConfigError
 from repro.funcsim import FuncSimConfig, make_engine
 from repro.funcsim.compiler import compile_program
-from repro.funcsim.runtime import backends as backend_registry
-from repro.funcsim.runtime.backends import (
-    BACKEND_KINDS,
-    get_backend,
-    resolve_backend,
-)
-from repro.funcsim.runtime.backends.numba_backend import NumbaBackend
-from repro.funcsim.runtime.backends.torch_backend import TorchBackend
+from repro.funcsim.runtime.backends import resolve_backend
 from repro.nonideal.pipeline import NonidealitySpec
 from repro.nonideal.transforms import StuckSpec, VariationSpec
 from repro.xbar.config import CrossbarConfig
@@ -116,13 +108,15 @@ class TestFusedBitIdentity:
         ("process", 1), ("process", 2), ("process", 4),
     ])
     def test_executors(self, operands, executor, workers):
-        """Fused shards flow through every backend at several widths."""
+        """Fused shards flow through the thread pool at several widths,
+        for every executor a stored spec may still name (ignored now)."""
         x, w = operands
-        interp, fused = _pair("exact", batch_invariant=True,
-                              executor=executor, workers=workers)
+        with pytest.warns(DeprecationWarning, match="executor"):
+            workers = RuntimeSpec(executor=executor, workers=workers).workers
+        interp, fused = _pair("exact", batch_invariant=True, workers=workers)
         for engine in (interp, fused):
-            engine.executor.shard_rows = 5
-            engine.executor.inline_work_threshold = 0  # force pooling
+            engine.shard_rows = 5
+            engine.inline_work_threshold = 0  # force pooling
         try:
             np.testing.assert_array_equal(interp.matmul(x, interp.prepare(w)),
                                           fused.matmul(x, fused.prepare(w)))
@@ -173,7 +167,7 @@ class TestInterpreterFallback:
 
 
 class TestBackendRegistry:
-    """Selection precedence and missing-dependency degradation."""
+    """Selection precedence and the removed backends' aliases."""
 
     def test_resolve_precedence(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -191,45 +185,18 @@ class TestBackendRegistry:
         with pytest.raises(ConfigError, match=r"\$REPRO_BACKEND"):
             resolve_backend(None)
 
-    @pytest.mark.parametrize("cls,kind", [(NumbaBackend, "numba"),
-                                          (TorchBackend, "torch")])
-    def test_unavailable_backend_warns_once(self, monkeypatch, cls, kind):
-        monkeypatch.setattr(cls, "is_available", staticmethod(lambda: False))
-        monkeypatch.setattr(backend_registry, "_warned", set())
-        with pytest.warns(RuntimeWarning, match=f"{kind}.*falling back"):
-            backend = get_backend(kind)
-        assert backend.name == "numpy"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second resolve must be silent
-            assert get_backend(kind).name == "numpy"
-
-    def test_available_backend_decode_matches_numpy(self, rng):
-        """Installed optional backends must reproduce numpy bitwise."""
-        reference = get_backend("numpy")
-        terms = rng.normal(size=(12, 3, 5, 4))
-        expected = reference.decode_accumulate(
-            terms, np.zeros((5, 3, 4)))
-        for kind in BACKEND_KINDS[1:]:
-            cls = {"numba": NumbaBackend, "torch": TorchBackend}[kind]
-            if not cls.is_available():
-                continue
-            out = get_backend(kind).decode_accumulate(
-                terms, np.zeros((5, 3, 4)))
-            np.testing.assert_array_equal(out, expected)
+    @pytest.mark.parametrize("kind", ["numba", "torch"])
+    def test_removed_backend_means_numpy(self, monkeypatch, kind):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        with pytest.warns(DeprecationWarning, match=f"{kind}.*numpy"):
+            assert resolve_backend(kind).name == "numpy"
+        monkeypatch.setenv("REPRO_BACKEND", kind)
+        with pytest.warns(DeprecationWarning):
+            assert resolve_backend(None).name == "numpy"
 
 
 class TestCompiledLayer:
     """Structural properties of the compiled form."""
-
-    def test_pickle_roundtrip_drops_backend(self, operands):
-        import pickle
-
-        _, w = operands
-        engine = make_engine("exact", XCFG, SCFG)
-        program = engine.prepare(w).program
-        clone = pickle.loads(pickle.dumps(program))
-        assert clone.compiled._backend is None
-        assert clone.compiled.backend.name == "numpy"  # lazy re-resolve
 
     def test_compile_program_rejects_unfusible(self, operands):
         _, w = operands

@@ -164,61 +164,50 @@ class TestConvertContainers:
 
 
 class TestConvertExecutor:
-    """convert_to_mvm(..., executor=...) network-level compilation."""
+    """Converted networks on multi-worker engines."""
 
     def _model(self):
         return LeNet(in_channels=1, num_classes=4, image_size=8, width=4,
                      seed=0).eval()
 
-    def _engine(self):
-        return make_engine("exact", XCFG, SCFG, batch_invariant=True)
+    def _engine(self, workers=None):
+        return make_engine("exact", XCFG, SCFG, batch_invariant=True,
+                           workers=workers)
 
     @pytest.mark.parametrize("backend,workers", [("serial", None),
                                                  ("threads", 2),
                                                  ("process", 2)])
     def test_executor_matches_inline(self, rng, backend, workers):
-        from repro.funcsim import close_mvm_executor
+        """A stored spec naming any removed executor converts onto the
+        one schedule, bit-identical to a single-thread engine."""
+        from repro.api.spec import RuntimeSpec
 
+        with pytest.warns(DeprecationWarning, match="executor"):
+            runtime = RuntimeSpec(executor=backend, workers=workers or 1)
+        engine = self._engine(runtime.workers)
+        engine.shard_rows = 16
+        engine.inline_work_threshold = 0  # force pooled shards
         x = Tensor(rng.normal(size=(5, 1, 8, 8)).astype(np.float32) * 0.5)
         with no_grad():
             ref = convert_to_mvm(self._model(), self._engine())(x).data
-            converted = convert_to_mvm(self._model(), self._engine(),
-                                       executor=backend, workers=workers)
-            out = converted(x).data
-        close_mvm_executor(converted)
+            out = convert_to_mvm(self._model(), engine)(x).data
+        engine.close()
         np.testing.assert_array_equal(out, ref)
 
-    def test_executor_attached_to_every_layer(self):
-        converted = convert_to_mvm(self._model(), self._engine(),
-                                   executor="serial")
-        layers = [m for m in converted.modules()
-                  if type(m).__name__ in ("LinearMVM", "Conv2dMVM")]
-        assert layers and all(l.executor is converted.mvm_executor
-                              for l in layers)
-        assert all(converted.mvm_executor.has_layer(l.layer_id)
-                   for l in layers)
-
-    def test_workers_alone_selects_process(self):
-        from repro.funcsim import ProcessExecutor, close_mvm_executor
-
-        converted = convert_to_mvm(self._model(), self._engine(), workers=2)
-        assert isinstance(converted.mvm_executor, ProcessExecutor)
-        close_mvm_executor(converted)
-
-    def test_ideal_engine_ignores_executor(self):
+    def test_ideal_engine_ignores_executor(self, rng):
         from repro.funcsim import IdealMvmEngine
 
-        converted = convert_to_mvm(self._model(),
-                                   IdealMvmEngine(SCFG), executor="serial")
-        layers = [m for m in converted.modules()
-                  if type(m).__name__ in ("LinearMVM", "Conv2dMVM")]
-        # Digital engines have no tile program; layers stay detached.
-        assert all(l.executor is None for l in layers)
+        x = Tensor(rng.normal(size=(3, 1, 8, 8)).astype(np.float32) * 0.5)
+        with no_grad():
+            ref = convert_to_mvm(self._model(), IdealMvmEngine(SCFG))(x).data
+            out = convert_to_mvm(self._model(), make_engine(
+                "ideal", XCFG, SCFG, workers=4))(x).data
+        np.testing.assert_array_equal(out, ref)
 
-    def test_compile_network_collects_programs(self):
-        from repro.funcsim import compile_network
+    def test_conversion_prepares_every_layer_program(self):
+        from repro.funcsim.convert import mvm_layers
 
-        converted = convert_to_mvm(self._model(), self._engine())
-        network = compile_network(converted)
-        assert len(network) >= 2
-        assert network.total_cost().readouts > 0
+        layers = mvm_layers(convert_to_mvm(self._model(), self._engine()))
+        assert len(layers) >= 2
+        assert all(l.prepared.program.plan.cost.readouts > 0
+                   for l in layers)

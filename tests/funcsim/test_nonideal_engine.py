@@ -2,9 +2,9 @@
 
 The headline guarantee: perturbation happens once at tile-programming
 time with coordinate-keyed RNG streams, so perturbed engines are
-bit-identical across executor kinds and worker counts, and a perturbed
+bit-identical across worker counts and chunkings, and a perturbed
 preparation can never share prepared-matrix uids (and with them
-tile-result cache entries or runtime layer programs) with a clean one.
+tile-result cache entries or ADC noise streams) with a clean one.
 """
 
 import numpy as np
@@ -30,11 +30,14 @@ def operands():
     return x, weights
 
 
-def run(kind, operands, nonideality=None, executor=None, workers=None,
+def run(kind, operands, nonideality=None, workers=None, shard_rows=None,
         **kwargs):
     x, weights = operands
     engine = make_engine(kind, XBAR, SIM, nonideality=nonideality,
-                         executor=executor, workers=workers, **kwargs)
+                         workers=workers, **kwargs)
+    if shard_rows is not None:  # multi-chunk, pooled shards
+        engine.shard_rows = shard_rows
+        engine.inline_work_threshold = 0
     try:
         prepared = engine.prepare(weights)
         return engine.matmul(x, prepared), prepared.uid
@@ -104,23 +107,22 @@ class TestPerturbationSemantics:
 
 
 class TestExecutorDeterminism:
-    """Perturbed tiles travel inside the layer program, so every backend
-    and worker count must reproduce the inline result bit-for-bit."""
+    """Perturbed tiles travel inside the layer program, so every worker
+    count and chunking must reproduce the one-thread result bit-for-bit."""
 
     @pytest.mark.parametrize("kind", ["exact", "analytical"])
     def test_all_backends_and_worker_counts_bit_identical(self, kind,
                                                           operands):
         reference, _ = run(kind, operands, nonideality=FAULTS)
-        for executor, workers in [("serial", None), ("threads", 2),
-                                  ("threads", 3), ("process", 2)]:
-            y, _ = run(kind, operands, nonideality=FAULTS,
-                       executor=executor, workers=workers)
+        for workers in (1, 2, 3):
+            y, _ = run(kind, operands, nonideality=FAULTS, workers=workers,
+                       shard_rows=2)
             np.testing.assert_array_equal(
-                y, reference, err_msg=f"{kind}/{executor}/{workers}")
+                y, reference, err_msg=f"{kind}/workers={workers}")
 
     def test_converted_network_with_faults_matches_across_backends(self):
         import repro.nn as nn
-        from repro.funcsim.convert import close_mvm_executor, convert_to_mvm
+        from repro.funcsim.convert import convert_to_mvm
         from repro.nn.tensor import Tensor, no_grad
 
         model = nn.Sequential(nn.Linear(12, 10, seed=0), nn.ReLU(),
@@ -128,20 +130,19 @@ class TestExecutorDeterminism:
         x = Tensor(np.random.default_rng(2).normal(
             size=(4, 12)).astype(np.float32) * 0.3)
 
-        def infer(executor=None, workers=None):
+        def infer(workers=None):
             engine = make_engine("analytical", XBAR, SIM,
-                                 nonideality=FAULTS)
-            converted = convert_to_mvm(model, engine, executor=executor,
-                                       workers=workers)
+                                 nonideality=FAULTS, workers=workers)
+            engine.shard_rows = 1
+            engine.inline_work_threshold = 0
+            converted = convert_to_mvm(model, engine)
             with no_grad():
                 out = converted(x).data
-            close_mvm_executor(converted)
             engine.close()
             return out
 
         inline = infer()
-        np.testing.assert_array_equal(inline, infer("serial"))
-        np.testing.assert_array_equal(inline, infer("process", workers=2))
+        np.testing.assert_array_equal(inline, infer(workers=2))
         # And the faults actually bite at the network level too.
         clean_engine = make_engine("analytical", XBAR, SIM)
         clean = convert_to_mvm(model, clean_engine)

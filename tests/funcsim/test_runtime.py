@@ -1,12 +1,12 @@
-"""Plan/execute split and sharded runtime backends.
+"""Plan/execute split and the engine's sharded schedule.
 
-Covers the determinism contract of :mod:`repro.funcsim.runtime`: serial,
-threads and process backends must produce bit-identical outputs in
-batch-invariant mode at any worker count; with ADC noise the coordinate-
-keyed noise streams must make results worker-count independent and
-statistically equivalent to inline noisy execution. Also covers the
-content-digest prepared-matrix uids, mergeable engine statistics and the
-picklability of compiled layer programs.
+Covers the determinism contract of :mod:`repro.funcsim.runtime`: every
+worker count and chunk size must produce bit-identical outputs in
+batch-invariant mode; with ADC noise the coordinate-keyed noise streams
+must make results worker-count independent, fresh on every call and
+statistically equivalent across chunkings. Also covers the thread pool's
+lifecycle, the content-digest prepared-matrix uids and mergeable engine
+statistics.
 """
 
 import pickle
@@ -15,6 +15,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api.spec import RuntimeSpec
 from repro.core.sampling import SamplingSpec
 from repro.core.trainer import TrainSpec
 from repro.core.zoo import GeniexZoo
@@ -22,17 +23,12 @@ from repro.errors import ConfigError
 from repro.funcsim import (
     EngineStats,
     FuncSimConfig,
+    IdealMvmEngine,
     TileResultCache,
     make_engine,
-    make_executor,
 )
 from repro.funcsim.planner import plan_layer
-from repro.funcsim.runtime import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    chunk_ranges,
-)
+from repro.funcsim.runtime import chunk_ranges
 from repro.xbar.config import CrossbarConfig
 
 XCFG = CrossbarConfig(rows=8, cols=8)
@@ -59,8 +55,26 @@ def _engine(kind, emulator=None, **kwargs):
                        batch_invariant=True, **kwargs)
 
 
+def _pooled(engine, shard_rows):
+    """Force multi-chunk, pooled execution even at these small sizes."""
+    engine.shard_rows = shard_rows
+    engine.inline_work_threshold = 0
+    return engine
+
+
+def _legacy_workers(executor, workers):
+    """Worker count a stored runtime node naming a removed executor
+    resolves to: the field is accepted with a warning and ignored."""
+    with pytest.warns(DeprecationWarning, match="executor"):
+        return RuntimeSpec(executor=executor, workers=workers or 1).workers
+
+
 class TestBackendEquivalence:
-    """serial == threads == process, bit for bit, in invariant mode."""
+    """Every worker count and chunking, bit for bit, in invariant mode.
+
+    Parametrised by the executors stored specs may still name: each runs
+    the engine's one schedule (``workers > 1`` = threads).
+    """
 
     @pytest.mark.parametrize("backend,workers", [
         ("serial", None), ("threads", 2), ("threads", 3), ("process", 2),
@@ -69,10 +83,8 @@ class TestBackendEquivalence:
         x, w = operands
         ref_engine = _engine("exact")
         ref = ref_engine.matmul(x, ref_engine.prepare(w))
-        engine = _engine("exact", executor=backend, workers=workers)
-        # Small shards force multi-chunk execution even at this batch size.
-        engine.executor.shard_rows = 5
-        engine.executor.inline_work_threshold = 0
+        engine = _pooled(_engine(
+            "exact", workers=_legacy_workers(backend, workers)), 5)
         out = engine.matmul(x, engine.prepare(w))
         np.testing.assert_array_equal(out, ref)
         engine.close()
@@ -82,10 +94,8 @@ class TestBackendEquivalence:
         x, w = operands
         ref_engine = _engine("geniex", tiny_emulator)
         ref = ref_engine.matmul(x, ref_engine.prepare(w))
-        engine = _engine("geniex", tiny_emulator, executor=backend,
-                         workers=2)
-        engine.executor.shard_rows = 7
-        engine.executor.inline_work_threshold = 0
+        engine = _pooled(_engine("geniex", tiny_emulator,
+                                 workers=_legacy_workers(backend, 2)), 7)
         out = engine.matmul(x, engine.prepare(w))
         np.testing.assert_array_equal(out, ref)
         engine.close()
@@ -95,8 +105,8 @@ class TestBackendEquivalence:
         x, w = operands
         outputs = []
         for shard_rows in (3, 8, 64):
-            engine = _engine("exact", executor="serial")
-            engine.executor.shard_rows = shard_rows
+            engine = _engine("exact")
+            engine.shard_rows = shard_rows
             outputs.append(engine.matmul(x, engine.prepare(w)))
         np.testing.assert_array_equal(outputs[0], outputs[1])
         np.testing.assert_array_equal(outputs[0], outputs[2])
@@ -104,10 +114,8 @@ class TestBackendEquivalence:
     def test_stats_identical_across_backends(self, operands):
         x, w = operands
         snapshots = []
-        for backend, workers in (("serial", None), ("threads", 2)):
-            engine = _engine("exact", executor=backend, workers=workers)
-            engine.executor.shard_rows = 6
-            engine.executor.inline_work_threshold = 0
+        for workers in (1, 2):
+            engine = _pooled(_engine("exact", workers=workers), 6)
             engine.matmul(x, engine.prepare(w))
             snapshots.append(engine.stats.snapshot())
             engine.close()
@@ -116,14 +124,14 @@ class TestBackendEquivalence:
     @pytest.mark.slow
     @pytest.mark.parametrize("kind", ["exact", "analytical", "decoupled"])
     def test_all_kinds_process_matches_serial(self, operands, kind):
-        """Heavier sweep: every picklable tile kind, process vs serial."""
+        """Heavier sweep: every CPU tile kind, a stored ``process`` spec
+        (threads now) vs a ``serial`` one."""
         x, w = operands
         outs = {}
         for backend, workers in (("serial", None), ("process", 2)):
-            engine = make_engine(kind, XCFG, SCFG, executor=backend,
-                                 workers=workers)
-            engine.executor.shard_rows = 6
-            engine.executor.inline_work_threshold = 0
+            engine = _pooled(make_engine(
+                kind, XCFG, SCFG,
+                workers=_legacy_workers(backend, workers)), 6)
             outs[backend] = engine.matmul(x, engine.prepare(w))
             engine.close()
         np.testing.assert_array_equal(outs["serial"], outs["process"])
@@ -140,22 +148,22 @@ class TestNoiseDeterminism:
     def test_worker_count_invariant(self, operands):
         x, w = operands
         outputs = []
-        for backend, workers in (("serial", None), ("threads", 2),
-                                 ("process", 3)):
-            engine = self._noisy_engine(executor=backend, workers=workers)
+        for workers in (1, 2, 4):
+            engine = _pooled(self._noisy_engine(workers=workers), 5)
             outputs.append(engine.matmul(x, engine.prepare(w)))
             engine.close()
         np.testing.assert_array_equal(outputs[0], outputs[1])
         np.testing.assert_array_equal(outputs[0], outputs[2])
 
     def test_statistically_equivalent_to_inline(self, operands):
-        """Sharded noisy outputs track the noiseless reference as closely
-        as the inline noisy engine does (same noise distribution)."""
+        """Multi-chunk noisy outputs track the noiseless reference as
+        closely as a one-chunk (whole batch) call does: different noise
+        streams, same noise distribution."""
         x, w = operands
         clean_engine = make_engine("exact", XCFG, SCFG)
         clean = clean_engine.matmul(x, clean_engine.prepare(w))
         inline = self._noisy_engine()
-        sharded = self._noisy_engine(executor="threads", workers=2)
+        sharded = _pooled(self._noisy_engine(workers=2), 5)
         err_inline = np.abs(
             inline.matmul(x, inline.prepare(w)) - clean).mean()
         err_sharded = np.abs(
@@ -167,7 +175,7 @@ class TestNoiseDeterminism:
     def test_sequence_number_varies_noise(self, operands):
         """Two successive noisy matmuls must not reuse noise samples."""
         x, w = operands
-        engine = self._noisy_engine(executor="serial")
+        engine = self._noisy_engine()
         prepared = engine.prepare(w)
         a = engine.matmul(x, prepared)
         b = engine.matmul(x, prepared)
@@ -271,14 +279,6 @@ class TestPrograms:
         assert (plan.n_in, plan.n_out) == (20, 13)
         assert plan.cost.readouts > 0
 
-    def test_program_pickles(self, operands, tiny_emulator):
-        _, w = operands
-        engine = _engine("geniex", tiny_emulator)
-        program = engine.prepare(w).program
-        clone = pickle.loads(pickle.dumps(program))
-        assert clone.plan == program.plan
-        assert set(clone.models) == set(program.models)
-
     def test_plan_layer_matches_engine_constants(self, operands):
         _, w = operands
         engine = _engine("exact")
@@ -289,73 +289,122 @@ class TestPrograms:
 
 
 class TestExecutorApi:
-    def test_make_executor_specs(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("threads", workers=2),
-                          ThreadExecutor)
-        assert isinstance(make_executor("process", workers=2),
-                          ProcessExecutor)
-        serial = make_executor("serial")
-        assert make_executor(serial) is serial
-        with pytest.raises(ConfigError):
-            make_executor("gpu")
+    """The engine-owned thread pool: lifecycle and error paths."""
 
-    def test_unknown_layer_rejected(self):
-        with pytest.raises(ConfigError):
-            make_executor("serial").matmul("nope", np.zeros((1, 4)))
+    def test_unknown_layer_rejected(self, operands):
+        """A prepared matrix without a layer program (prepared by the
+        ideal engine) cannot run on a crossbar engine."""
+        _, w = operands
+        with pytest.raises(ConfigError, match="layer program"):
+            _engine("exact").matmul(np.zeros((1, 20)),
+                                    IdealMvmEngine(SCFG).prepare(w))
 
     def test_closed_executor_degrades_to_inline(self, operands):
-        """Closing releases pools but keeps matmuls working (identical
+        """Closing releases the pool but keeps matmuls working (identical
         results): queued serve batches on evicted engines must complete."""
         x, w = operands
-        engine = _engine("exact", executor="process", workers=2)
+        engine = _pooled(_engine("exact", workers=2), 5)
         prepared = engine.prepare(w)
         before = engine.matmul(x, prepared)
+        assert engine._pool is not None
         engine.close()
         after = engine.matmul(x, prepared)
         np.testing.assert_array_equal(before, after)
-        assert engine.executor._pool is None  # and no pool resurrected
+        assert engine._pool is None  # and no pool resurrected
+        engine.close()  # idempotent
 
     def test_chunk_ranges(self):
         assert chunk_ranges(10, 4) == [(0, 4), (4, 8), (8, 10)]
         assert chunk_ranges(3, 64) == [(0, 3)]
 
-    def test_workers_alone_selects_process(self):
-        engine = make_engine("exact", XCFG, SCFG, workers=2)
-        assert isinstance(engine.executor, ProcessExecutor)
+    def test_workers_select_thread_pool(self, operands):
+        x, w = operands
+        engine = _pooled(make_engine("exact", XCFG, SCFG, workers=2), 5)
+        engine.matmul(x, engine.prepare(w))
+        assert engine._pool._max_workers == 2
         engine.close()
 
-    def test_ideal_ignores_workers(self):
-        from repro.funcsim import IdealMvmEngine
+    def test_small_calls_stay_on_calling_thread(self, operands):
+        """``_should_inline``: calls too small to pay for dispatch never
+        create the pool; a single-worker engine never does."""
+        x, w = operands
+        engine = _engine("exact", workers=2)
+        engine.matmul(x, engine.prepare(w))
+        assert engine._pool is None
+        single = _pooled(_engine("exact"), 5)
+        single.matmul(x, single.prepare(w))
+        assert single._pool is None
 
+    def test_ideal_ignores_workers(self):
         engine = make_engine("ideal", XCFG, SCFG, workers=4)
         assert isinstance(engine, IdealMvmEngine)
 
-    def test_invalid_kind_does_not_leak_executor(self, monkeypatch):
-        import repro.funcsim.engine as engine_mod
-
-        calls = []
-        monkeypatch.setattr(
-            engine_mod, "make_executor",
-            lambda *a, **k: calls.append(a))
+    def test_invalid_kind_does_not_leak_executor(self):
+        before = threading.active_count()
         with pytest.raises(ConfigError):
             make_engine("hspice", XCFG, SCFG, workers=4)
-        assert not calls
+        assert threading.active_count() == before
+
+    def test_invalid_workers_rejected(self):
+        with pytest.raises(ConfigError, match="workers"):
+            make_engine("exact", XCFG, SCFG, workers=0)
 
     def test_reprepared_layer_keeps_worker_pool(self, rng):
-        """matmul(x, raw_weights) re-prepares per call; equivalent plans
-        must not invalidate the process pool (respawn per matmul)."""
+        """matmul(x, raw_weights) re-prepares per call; the pool belongs
+        to the engine and survives every call."""
         # Big enough batch to clear the small-work inline fallback.
         x = rng.normal(size=(2000, 20)) * 0.4
         w = rng.normal(size=(20, 13)) * 0.3
-        engine = _engine("exact", executor="process", workers=2)
+        engine = _engine("exact", workers=2)
+        engine.shard_rows = 500
         ref = engine.matmul(x, w)  # raw weights: prepare() inside
-        pool = engine.executor._pool
+        pool = engine._pool
         assert pool is not None
         out = engine.matmul(x, w)  # re-prepared, same content
-        assert engine.executor._pool is pool
+        assert engine._pool is pool
         np.testing.assert_array_equal(out, ref)
         engine.close()
+
+
+class TestThreadStress:
+    def test_concurrent_callers_and_close_conserve_stats(self, rng):
+        """More shard threads than cores, several callers sharing one
+        engine and a close racing them: every call completes with the
+        single-thread output and no counter update is lost."""
+        import sys
+
+        x = rng.normal(size=(40, 20)) * 0.4
+        w = rng.normal(size=(20, 13)) * 0.3
+        # No tile cache: repeated calls would turn read-outs into hits.
+        ref_engine = _pooled(_engine("exact", tile_cache_size=0), 3)
+        prepared = ref_engine.prepare(w)
+        ref = ref_engine.matmul(x, prepared)
+        per_call = ref_engine.stats.snapshot()
+        engine = _pooled(_engine("exact", workers=8, tile_cache_size=0), 3)
+        prepared = engine.prepare(w)
+        outputs, calls = [], 6
+
+        def caller():
+            for _ in range(calls):
+                outputs.append(engine.matmul(x, prepared))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            engine.close(wait=False)
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(outputs) == 4 * calls
+        for out in outputs:
+            np.testing.assert_array_equal(out, ref)
+        snap = engine.stats.snapshot()
+        assert snap == {k: v * 4 * calls for k, v in per_call.items()}
 
 
 class TestFactoryTokens:

@@ -111,14 +111,16 @@ class TestSpanTimings:
 class TestDeterminism:
     def test_engine_output_byte_identical_with_tracing(self):
         """Spans observe wall time only — tracing must not perturb RNG
-        or numerics, for any executor path."""
+        or numerics, on the calling thread or the shard pool."""
         rng = np.random.default_rng(0)
         w = rng.standard_normal((12, 8)) * 0.4
         x = rng.standard_normal((5, 12))
-        for executor in (None, "serial"):
+        for workers in (1, 2):
             engine = make_engine("analytical", CrossbarConfig(rows=8, cols=8),
                                  FuncSimConfig().with_precision(8),
-                                 executor=executor)
+                                 workers=workers)
+            engine.shard_rows = 2
+            engine.inline_work_threshold = 0
             prepared = engine.prepare(w)
             untraced = engine.matmul(x, prepared)
             trace = Trace("req")
@@ -131,17 +133,23 @@ class TestDeterminism:
             assert any(s.name == "engine-compute" for s in trace.spans())
             engine.close()
 
-    def test_executor_span_timings_accumulate(self):
+    def test_one_chunk_call_emits_engine_spans_only(self):
+        """A serve-sized call records exactly the engine's two spans."""
         rng = np.random.default_rng(1)
         w = rng.standard_normal((12, 8)) * 0.4
-        x = rng.standard_normal((5, 12))
         engine = make_engine("analytical", CrossbarConfig(rows=8, cols=8),
                              FuncSimConfig().with_precision(8),
-                             executor="serial")
+                             batch_invariant=True, workers=2)
         prepared = engine.prepare(w)
-        engine.matmul(x, prepared)  # untraced: timings accumulate anyway
-        snap = engine.executor.span_timings.snapshot()
-        assert snap["shard"]["count"] > 0
-        assert snap["tile-shards"]["count"] == 1
-        assert snap["shard"]["total_s"] <= snap["tile-shards"]["total_s"]
+        assert prepared.program.compiled is not None
+        trace = Trace("req")
+        token = activate(trace)
+        try:
+            engine.matmul(rng.standard_normal((2, 12)), prepared)
+        finally:
+            deactivate(token)
+        [top] = trace.spans()
+        assert top.name == "engine-compute"
+        assert [c.name for c in top.children] == ["fused-execute"]
+        assert not top.children[0].children
         engine.close()

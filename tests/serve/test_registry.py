@@ -212,12 +212,12 @@ class TestSpecKeyedEngines:
 
     def test_client_runtime_node_cannot_steer_server_policy(self, registry):
         """A creative runtime node in a submitted spec is server-
-        normalised: same key, same warm engine, no process pools."""
+        normalised: same key, same warm engine, no extra threads."""
         from repro.api.spec import RuntimeSpec
         weights = np.eye(4) * 0.3
         base = SPEC.to_spec(engine="exact", sim=SIM)
-        pushy = base.evolve(runtime=RuntimeSpec(
-            executor="process", workers=8, tile_cache_size=10_000))
+        pushy = base.evolve(runtime=RuntimeSpec(workers=8,
+                                                tile_cache_size=10_000))
 
         async def scenario():
             a = await registry.engine_from_spec(base, weights)
@@ -226,4 +226,4 @@ class TestSpecKeyedEngines:
 
         a, b = run(scenario())
         assert a is b
-        assert a.engine.executor is None  # engine_workers=1 -> inline
+        assert a.engine.workers == 1  # the registry's engine_workers
