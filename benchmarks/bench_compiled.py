@@ -9,8 +9,7 @@ asserted bit-identical to the interpreted kernel before any timing is
 trusted — the fused path must be a pure performance transform.
 
 Each timed pass runs over a *fresh* image set, so the numbers measure
-sustained compute throughput on previously unseen inputs rather than
-tile-cache replay of a repeated batch.
+sustained compute throughput on previously unseen inputs.
 
 Run with ``pytest benchmarks/bench_compiled.py -s`` or directly with
 ``PYTHONPATH=src python benchmarks/bench_compiled.py``, which additionally

@@ -63,9 +63,8 @@ def _cache_dir():
 
 
 def _boot(max_batch_rows: int, tracing: bool = True):
-    registry = ModelRegistry(GeniexZoo(cache_dir=_cache_dir()),
-                             tile_cache_size=0)  # measure the model, not
-    server = EmulationServer(registry,          # the tile-result cache
+    registry = ModelRegistry(GeniexZoo(cache_dir=_cache_dir()))
+    server = EmulationServer(registry,
                              max_batch_rows=max_batch_rows,
                              flush_deadline_s=0.002,
                              max_queue_rows=8192,

@@ -26,7 +26,7 @@ from repro.core.metrics import nonideality_factor
 
 # 1. One declarative description of the whole setup. evolve() overrides
 #    win over the preset, which wins over the dataclass defaults.
-spec = EmulationSpec.preset("quick").evolve(**{"runtime.tile_cache_size": 64})
+spec = EmulationSpec.preset("quick").evolve(**{"runtime.workers": 2})
 
 
 def main():

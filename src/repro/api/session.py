@@ -73,7 +73,6 @@ def build_engine(spec: EmulationSpec, emulator=None):
     runtime = spec.runtime
     return make_engine(spec.engine, spec.xbar.to_config(),
                        spec.sim.to_config(), emulator=emulator,
-                       tile_cache_size=runtime.tile_cache_size,
                        batch_invariant=runtime.batch_invariant,
                        workers=runtime.workers,
                        nonideality=spec.nonideality,
@@ -187,20 +186,12 @@ class Session:
     def stats(self) -> dict:
         """Unified observability snapshot of this session.
 
-        Always carries ``spec_key`` and the engine's event counters
-        (``engine``); adds ``tile_cache`` counters when the engine keeps
-        a tile-result cache. Reading the snapshot never perturbs caches
-        or counters.
+        Carries ``spec_key`` and the engine's event counters
+        (``engine``). Reading the snapshot never perturbs counters.
         """
-        out = {"spec_key": self.spec.key(),
-               "engine": self.engine.stats.snapshot()
-               if hasattr(self.engine, "stats") else {}}
-        cache = getattr(self.engine, "tile_cache", None)
-        if cache is not None:
-            hits, misses = cache.counters()
-            out["tile_cache"] = {"hits": hits, "misses": misses,
-                                 "size": len(cache)}
-        return out
+        return {"spec_key": self.spec.key(),
+                "engine": self.engine.stats.snapshot()
+                if hasattr(self.engine, "stats") else {}}
 
     def close(self, wait: bool = True) -> None:
         """Release the engine's shard threads; the engine stays usable.

@@ -26,7 +26,7 @@ The spec tree::
     │   ├── noise: NoiseTrainSpec    # noise-injection / HW-loop training
     │   ├── calibration: CalibrationSpec
     │   └── seed
-    └── runtime: RuntimeSpec         # workers / caches / backend
+    └── runtime: RuntimeSpec         # workers / chunking / backend
 
 The design-parameter nodes subclass the validated config dataclasses they
 describe (:class:`XbarSpec` extends
@@ -213,7 +213,6 @@ class RuntimeSpec:
     Attributes:
         workers: Threads running one matmul's shards (``make_engine``'s
             ``workers``); results are identical at any count.
-        tile_cache_size: Per-engine tile-result LRU entries (0 disables).
         chunk_rows: Conv-layer im2col chunking for converted models.
         batch_invariant: Route tile matmuls through the batch-invariant
             einsum kernel (bitwise row-independent results; required by
@@ -233,16 +232,21 @@ class RuntimeSpec:
         executor: Deprecated and ignored (accepted with a
             :class:`DeprecationWarning` so stored specs still load);
             ``workers > 1`` always means threads. Never serialised.
+        tile_cache_size: Deprecated and ignored (the tile-result cache
+            is gone; accepted with a :class:`DeprecationWarning` so
+            stored specs still load). Never serialised.
     """
 
     workers: int = 1
-    tile_cache_size: int = 256
     chunk_rows: int | None = None
     batch_invariant: bool = False
     backend: str | None = None
     fleet: FleetSpec = FleetSpec()
     executor: str | None = field(default=None, compare=False, repr=False,
                                  metadata={"serialise": False})
+    tile_cache_size: int | None = field(default=None, compare=False,
+                                        repr=False,
+                                        metadata={"serialise": False})
 
     def __post_init__(self):
         if self.executor is not None:
@@ -254,14 +258,18 @@ class RuntimeSpec:
                 "rejected in the next release",
                 DeprecationWarning, stacklevel=3)
             object.__setattr__(self, "executor", None)
+        if self.tile_cache_size is not None:
+            warnings.warn(
+                "spec.runtime.tile_cache_size is deprecated and ignored "
+                "(the tile-result cache was removed); it will be "
+                "rejected in the next release",
+                DeprecationWarning, stacklevel=3)
+            object.__setattr__(self, "tile_cache_size", None)
         if self.backend in DEPRECATED_KINDS:
             warn_deprecated_backend(self.backend, stacklevel=4)
             object.__setattr__(self, "backend", "numpy")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.tile_cache_size < 0:
-            raise ConfigError(
-                f"tile_cache_size must be >= 0, got {self.tile_cache_size}")
         if self.chunk_rows is not None and self.chunk_rows < 1:
             raise ConfigError(
                 f"chunk_rows must be >= 1 or None, got {self.chunk_rows}")
@@ -409,7 +417,7 @@ class EmulationSpec:
         emulator node too rather than risk ever sharing an engine across
         different crossbar designs), the sim precision and the
         batch-invariance flag. Deliberately excludes every other runtime
-        knob: worker count, cache sizes and the array backend never change
+        knob: worker count, chunking and the array backend never change
         results (the runtime's determinism contract), so two specs that
         differ only there share warm engines.
         """

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -42,6 +43,20 @@ class _TrackedAction(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
         vars(namespace).setdefault("_explicit", set()).add(self.dest)
+
+
+class _IgnoredTileCacheFlag(argparse.Action):
+    """``serve --tile-cache N``: accepted and ignored for one release.
+
+    The tile-result cache is gone; the flag only warns so existing
+    launch scripts keep working, and leaves nothing on the namespace.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        warnings.warn(
+            "--tile-cache is deprecated and ignored (the tile-result cache "
+            "was removed); it will be rejected in the next release",
+            DeprecationWarning, stacklevel=2)
 
 
 def _explicit(args) -> set:
@@ -383,7 +398,6 @@ def _cmd_serve(args) -> int:
                   max_memory_entries=args.max_models),
         max_models=args.max_models,
         max_nets=args.max_nets,
-        tile_cache_size=args.tile_cache,
         engine_workers=args.engine_workers,
         backend=args.backend)
     server = EmulationServer(
@@ -605,8 +619,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-nets", type=int, default=8,
                          help="compiled network programs kept in memory "
                               "(LRU)")
-    p_serve.add_argument("--tile-cache", type=int, default=256,
-                         help="per-engine tile-result LRU size; 0 disables")
+    p_serve.add_argument("--tile-cache", type=int,
+                         action=_IgnoredTileCacheFlag,
+                         default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     p_serve.add_argument("--engine-workers", type=int, default=1,
                          help="shard prepared-engine matmuls across this "
                               "many threads (1 = calling thread only)")

@@ -57,17 +57,9 @@ GENIEx premise of replacing per-vector SPICE solves with batched NN
 inference). With a noiseless ADC (the default), batched and per-stream
 execution produce identical outputs; with ADC noise enabled the two are
 statistically equivalent but not bit-identical, because batching draws the
-seeded noise samples in a different order.
-
-**Tile-result caching.** :class:`CrossbarMvmEngine` memoises measured
-(post-ADC) tile read-outs in an LRU keyed by the exact integer stream-level
-pattern (``tile_cache_size`` entries, default 256; ``0`` disables).
-Repeated activation patterns — ubiquitous in convolution im2col batches —
-skip the analog model entirely. Caching is value-exact, never changes
-results, and is automatically disabled when ADC noise is configured, since
-noisy conversions must be re-sampled. Engine statistics count logical
-read-outs as the modelled hardware would execute them; ``cache_hits``
-tracks the software-side savings separately.
+seeded noise samples in a different order. Engine statistics
+(:class:`EngineStats`) count read-outs and ADC conversions as the modelled
+hardware would execute them.
 """
 
 from repro.funcsim.config import FuncSimConfig
@@ -82,7 +74,6 @@ from repro.funcsim.engine import (
     ExactTileFactory,
     GeniexTileFactory,
     IdealMvmEngine,
-    TileResultCache,
     make_engine,
 )
 from repro.funcsim.compiler import CompiledLayer, compile_program
@@ -103,7 +94,6 @@ __all__ = [
     "AnalyticalTileFactory",
     "DecoupledTileFactory",
     "CircuitTileFactory",
-    "TileResultCache",
     "make_engine",
     "LayerPlan",
     "LayerProgram",

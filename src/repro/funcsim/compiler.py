@@ -15,7 +15,7 @@ re-derives per call and lowers the shard into three fused stages:
    out by *one* BLAS call and digitised by *one* ADC pass, instead of
    ``M`` of each (the geniex NN forwards stay per-model: sgemm row
    blocks are not bitwise stable under row-count changes, see
-   :meth:`CompiledLayer._model_frs`). Stacking must not change a
+   :meth:`CompiledLayer._friction`). Stacking must not change a
    single bit, so :func:`compile_program` *probes* it: the stacked
    read-out is checked bitwise against the per-model calls on a
    deterministic voltage batch at several row counts, and a layer whose
@@ -37,19 +37,22 @@ end: the ADC transfer runs as five in-place element-wise passes, the
 decode bias is subtracted in place, and the shift-and-add collapse is a
 single :meth:`~repro.funcsim.runtime.backends.NumpyBackend.
 decode_contract` contraction — no transposes, no temporaries beyond the
-measurement itself. It covers deterministic ADCs when the tile-result
-cache is off or the engine is batch-invariant (where a re-computed
-read-out is bitwise equal to a cached one, so cache hits only need to be
-*counted* and the cache traffic is replayed key-for-key). The *general*
-form (:meth:`CompiledLayer._measure` / :meth:`CompiledLayer._decode`)
-additionally handles ADC noise draws and partial cache hits on
-non-invariant engines, at the cost of model-major staging copies.
+measurement itself. It runs every shard whose ADC is noiseless. The
+*general* form (:meth:`CompiledLayer._measure` /
+:meth:`CompiledLayer._decode`) exists only for ADC noise: its
+model-major staging reproduces the interpreted kernel's per-model noise
+draw order.
+
+The fast form's large temporaries come from a :class:`ScratchPool` that
+the preparing engine shares across all its compiled layers: one
+grow-only flat buffer per (thread, name, dtype), so scratch memory is
+bounded by the largest shard rather than by the number of distinct shard
+shapes seen.
 
 Bit-identity contract: the compiled path produces *bit-identical* outputs
-to the interpreted kernel — same zero-stream skips, same tile-result
-cache keys and hits, same ADC noise draw order (model-major, matching the
-interpreted per-model sequence), same statistics. This holds for every
-engine kind, worker count and faulty
+to the interpreted kernel — same zero-stream skips, same ADC noise draw
+order (model-major, matching the interpreted per-model sequence), same
+statistics. This holds for every engine kind, worker count and faulty
 (:class:`~repro.nonideal.NonidealitySpec`) preparation; the equivalence
 suite (``tests/funcsim/test_compiled.py``) asserts it. The interpreted
 kernel therefore remains the reference implementation and the transparent
@@ -60,6 +63,7 @@ shards whose stacked working set would exceed :data:`the memory guard
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 
@@ -87,6 +91,43 @@ def _max_fused_bytes() -> int:
     return int(value) if value else DEFAULT_MAX_FUSED_BYTES
 
 
+class ScratchPool:
+    """Per-thread scratch arrays of the fused kernel, recycled across shards.
+
+    The fast form's large temporaries (stacked voltages, the flat
+    measurement, the NN hidden batch and its output) are multi-megabyte;
+    allocating them per shard keeps the allocator releasing and
+    re-faulting pages. Each thread instead keeps one grow-only flat
+    buffer per (name, dtype), shared by every layer compiled against the
+    pool, and :meth:`take` hands out a contiguous view of its prefix.
+    That is safe because no scratch array outlives the shard call that
+    took it, no two live users share a name, and every user fills its
+    array completely before reading it — so reuse never changes a value.
+    Thread-local, because the engine runs shards on several threads.
+    """
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def buffers(self) -> dict:
+        """The calling thread's flat buffers, keyed by (name, dtype char)."""
+        pool = getattr(self._local, "buffers", None)
+        if pool is None:
+            pool = self._local.buffers = {}
+        return pool
+
+    def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """Scratch array of ``shape`` (contents undefined)."""
+        pool = self.buffers()
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
+        key = (name, dtype.char)
+        buf = pool.get(key)
+        if buf is None or buf.size < size:
+            buf = pool[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
 def _cat_columns(stack: np.ndarray) -> np.ndarray:
     """``(M, rows, cols)`` model stack -> ``(rows, M * cols)`` operand."""
     m, rows, cols = stack.shape
@@ -98,15 +139,18 @@ class CompiledLayer:
     """Fused execution form of one layer program.
 
     Holds the per-tile-row stacked operands, the precomputed decode
-    prefactors and the array backend that executes them.
+    prefactors, the array backend that executes them and the scratch
+    pool of its fast form.
     """
 
     def __init__(self, kind: str, backend, batch_invariant: bool,
                  model_coords: list, n_sw: int, n_k: int, t_c: int,
                  row_stacks: dict, stream_scales: np.ndarray,
-                 sw_slice: np.ndarray, max_fused_bytes: int):
+                 sw_slice: np.ndarray, max_fused_bytes: int,
+                 scratch: ScratchPool):
         self.kind = kind
         self.backend = backend
+        self.scratch = scratch
         self.batch_invariant = batch_invariant
         #: ``(sign, slice, tc)`` per stacked model, in the interpreted
         #: kernel's model-major iteration order — the decode reshape and
@@ -128,51 +172,21 @@ class CompiledLayer:
         #: Verdicts of the runtime stacked-NN-forward check, keyed by
         #: ``(n_rows, n_models)`` shape class (see :meth:`_friction`).
         self._nn_stack_ok: dict = {}
-        #: Per-thread scratch buffers (:meth:`_workspace`). The layer is
-        #: shared across the engine's shard threads, so the pool is
-        #: thread-local; buffers never escape a shard call.
-        self._ws_local = threading.local()
-
-    def _workspace(self, name: str, shape: tuple,
-                   dtype=np.float64) -> np.ndarray:
-        """Reusable per-thread scratch array of the given shape class.
-
-        The fast path's large temporaries (stacked voltages, the flat
-        measurement, the NN hidden batch) are multi-megabyte and freed
-        at every shard, which keeps the allocator releasing and
-        re-faulting pages; recycling them costs nothing in values —
-        every user fills its buffer completely before reading it.
-        """
-        pool = getattr(self._ws_local, "buffers", None)
-        if pool is None:
-            pool = self._ws_local.buffers = {}
-        key = (name, shape, np.dtype(dtype).char)
-        buf = pool.get(key)
-        if buf is None:
-            buf = pool[key] = np.empty(shape, dtype)
-        return buf
 
     # ------------------------------------------------------------------
     # Fused read-out
     # ------------------------------------------------------------------
-    def _currents(self, program: LayerProgram, tr: int, model_idx,
+    def _currents(self, program: LayerProgram, tr: int,
                   voltages: np.ndarray, shared) -> np.ndarray:
-        """Stacked currents ``(M, n, cols)`` of (a subset of) the models.
+        """Stacked currents ``(M, n, cols)`` of every model of a tile-row.
 
-        ``model_idx=None`` reads out every model of the tile-row;
-        otherwise a list of stacked-model indices (cache-miss groups).
         Column-concatenated BLAS products are bitwise equal per column
         block to the per-model products, so the fused read-out matches
         the interpreted kernel's per-model calls exactly.
         """
-        plan = program.plan
-        cols = plan.cols
+        cols = program.plan.cols
         stacks = self.row_stacks[tr]
         g_cat = stacks["g_cat"]
-        if model_idx is not None:
-            sel = (np.asarray(model_idx)[:, None] * cols
-                   + np.arange(cols)).ravel()
-            g_cat = g_cat[:, sel]
         n_models = g_cat.shape[1] // cols
         n_rows = voltages.shape[0]
         backend = self.backend
@@ -182,10 +196,7 @@ class CompiledLayer:
             .reshape(n_rows, n_models, cols).transpose(1, 0, 2)
         if self.kind != "geniex":
             return i_ideal
-        bias = stacks["bias"]
-        if model_idx is not None:
-            bias = bias[model_idx]
-        fr = self._friction(program, bias, shared)
+        fr = self._friction(program, stacks["bias"], shared)
         return i_ideal / fr
 
     def _friction(self, program: LayerProgram, bias: np.ndarray,
@@ -212,7 +223,7 @@ class CompiledLayer:
         n_models = bias.shape[0]
         n_rows = shared.shape[0]
         hidden = np.add(shared[None, :, :], bias[:, None, :],
-                        out=self._workspace(
+                        out=self.scratch.take(
                             "hidden", (n_models, n_rows, bias.shape[1]),
                             shared.dtype))
         key = (n_rows, n_models)
@@ -226,7 +237,7 @@ class CompiledLayer:
             # its three temporaries (the float32 -> float64 widening of
             # the convert-assign is exact).
             norm = emu.normalizer
-            fr_stacked = self._workspace("fr", fr_norm.shape)
+            fr_stacked = self.scratch.take("fr", fr_norm.shape)
             fr_stacked[...] = fr_norm
             np.clip(fr_stacked, 0.0, 1.0, out=fr_stacked)
             np.multiply(fr_stacked, norm.fr_max - norm.fr_min,
@@ -263,7 +274,7 @@ class CompiledLayer:
         product = backend.invariant_matmul if self.batch_invariant \
             else backend.matmul
         g_cat = stacks["g_cat"]
-        i_flat = product(voltages, g_cat, out=self._workspace(
+        i_flat = product(voltages, g_cat, out=self.scratch.take(
             "i_flat", (voltages.shape[0], g_cat.shape[1])))
         if self.kind != "geniex":
             return i_flat
@@ -275,11 +286,10 @@ class CompiledLayer:
 
     def _execute_fast(self, program: LayerProgram, tr: int,
                       stream_levels: list, stream_info: list, batch: int,
-                      adc, cache, stats) -> np.ndarray:
+                      adc) -> np.ndarray:
         """Fused shard execution in the natural measurement layout.
 
-        Valid for deterministic ADCs with the cache off or the engine
-        batch-invariant (see the dispatch in
+        Valid for deterministic ADCs (see the dispatch in
         :func:`execute_tile_row_fused`). Every floating-point operation
         matches the interpreted kernel's element for element: the ADC
         transfer is the same ``+offset / lsb -> rint -> clip -> *lsb``
@@ -295,8 +305,8 @@ class CompiledLayer:
         # Per-stream scaled fill of the stacked voltage batch — bitwise
         # the concatenate-then-scale of the interpreted kernel, without
         # materialising the intermediate integer concatenation.
-        voltages = self._workspace("voltages",
-                                   (s_count * batch, plan.rows))
+        voltages = self.scratch.take("voltages",
+                                     (s_count * batch, plan.rows))
         for s, levels in enumerate(stream_levels):
             np.multiply(levels, plan.v_lsb,
                         out=voltages[s * batch:(s + 1) * batch])
@@ -312,9 +322,6 @@ class CompiledLayer:
         # Zero-copy six-axis view: (stream, batch, sign, slice, tc, cols).
         meas6 = i_flat.reshape(s_count, batch, self.n_sw, self.n_k,
                                self.t_c, cols)
-        if cache is not None:
-            self._replay_cache(plan, tr, meas6, stream_levels, batch,
-                               cache, stats)
         np.multiply(i_flat, plan.decode, out=i_flat)
         sums = np.stack([levels.sum(axis=1) for levels in stream_levels])
         np.subtract(meas6, (plan.bias_factor * sums)
@@ -325,100 +332,20 @@ class CompiledLayer:
         out = self.backend.decode_contract(meas6, prefac)
         return np.ascontiguousarray(out).reshape(batch, self.t_c * cols)
 
-    def _replay_cache(self, plan, tr: int, meas6: np.ndarray,
-                      stream_levels: list, batch: int, cache,
-                      stats) -> None:
-        """Replay the interpreted kernel's cache traffic key-for-key.
-
-        Batch-invariant mode only: a re-computed read-out is bitwise
-        equal to its cached copy, so hits are counted without reading
-        the cached value back, and misses store the freshly measured
-        block. Gets run before puts per model, models in the interpreted
-        kernel's (sign, slice, tile-column) order, streams ascending —
-        the exact op sequence the interpreted kernel issues — so the
-        cache's LRU state stays identical across the two kernels.
-        """
-        s_count = len(stream_levels)
-        level_bytes = [levels.tobytes() for levels in stream_levels]
-        for wi, sw in enumerate(plan.sign_present):
-            for k in range(self.n_k):
-                for tc in range(self.t_c):
-                    keys = [(plan.uid, sw, k, tr, tc, batch,
-                             level_bytes[s]) for s in range(s_count)]
-                    missing = []
-                    for s in range(s_count):
-                        if cache.get(keys[s]) is None:
-                            missing.append(s)
-                        else:
-                            stats["cache_hits"] += 1
-                    for s in missing:
-                        # Unconditional copy: the measurement buffer is
-                        # mutated by the decode stage (and recycled), so
-                        # a cached view would corrupt later interpreted
-                        # reads of the entry.
-                        cache.put(keys[s], meas6[s, :, wi, k, tc, :].copy())
-
     def _measure(self, program: LayerProgram, tr: int, stream_levels: list,
-                 batch: int, adc, cache, stats) -> np.ndarray:
-        """Measured tensor ``(M, S, batch, cols)``, cache-aware.
+                 batch: int, adc) -> np.ndarray:
+        """Measured tensor ``(M, S, batch, cols)`` of a noisy-ADC shard.
 
-        Without a cache, one stacked read-out and one ADC pass cover the
-        whole tile-row; the model-major layout reproduces the interpreted
-        kernel's per-model ADC noise draw order. With a cache, lookups
-        use the interpreted kernel's exact keys, and the models missing
-        the same stream subset are grouped into one stacked read-out per
-        miss pattern.
+        One stacked read-out and one ADC pass cover the whole tile-row;
+        the model-major layout reproduces the interpreted kernel's
+        per-model ADC noise draw order.
         """
         plan = program.plan
-        cols = plan.cols
-        coords = self.model_coords
-        n_models = len(coords)
-        s_count = len(stream_levels)
-        if cache is None:
-            voltages = np.concatenate(stream_levels, axis=0) * plan.v_lsb
-            shared = program.tile_factory.prepare_voltages(voltages)
-            raw = self._currents(program, tr, None, voltages, shared)
-            return adc.measure(raw).reshape(n_models, s_count, batch, cols)
-        level_bytes = [levels.tobytes() for levels in stream_levels]
-        keys = [[(plan.uid, sw, k, tr, tc, batch, level_bytes[s])
-                 for s in range(s_count)] for sw, k, tc in coords]
-        measured = np.empty((n_models, s_count, batch, cols))
-        miss_groups: dict = {}
-        for mi in range(n_models):
-            missing = []
-            for s in range(s_count):
-                hit = cache.get(keys[mi][s])
-                if hit is None:
-                    missing.append(s)
-                else:
-                    measured[mi, s] = hit
-                    stats["cache_hits"] += 1
-            if missing:
-                miss_groups.setdefault(tuple(missing), []).append(mi)
-        if miss_groups:
-            voltages = np.concatenate(stream_levels, axis=0) * plan.v_lsb
-            shared = program.tile_factory.prepare_voltages(voltages)
-            base_rows = np.arange(batch)
-            for missing, model_idx in miss_groups.items():
-                if len(missing) == s_count:
-                    v_sub, c_sub = voltages, shared
-                else:
-                    sel = (np.asarray(missing)[:, None] * batch
-                           + base_rows).ravel()
-                    v_sub = voltages[sel]
-                    c_sub = shared[sel] \
-                        if isinstance(shared, np.ndarray) else shared
-                raw = self._currents(program, tr, model_idx, v_sub, c_sub)
-                i_meas = adc.measure(raw).reshape(
-                    len(model_idx), len(missing), batch, cols)
-                for gi, mi in enumerate(model_idx):
-                    for si, s in enumerate(missing):
-                        block = i_meas[gi, si]
-                        measured[mi, s] = block
-                        # Copy out of the stacked measurement so a cache
-                        # entry never pins the whole block.
-                        cache.put(keys[mi][s], block.copy())
-        return measured
+        voltages = np.concatenate(stream_levels, axis=0) * plan.v_lsb
+        shared = program.tile_factory.prepare_voltages(voltages)
+        raw = self._currents(program, tr, voltages, shared)
+        return adc.measure(raw).reshape(len(self.model_coords),
+                                        len(stream_levels), batch, plan.cols)
 
     # ------------------------------------------------------------------
     # Fused decode
@@ -481,7 +408,7 @@ def _probe_stacked_readout(compiled: CompiledLayer,
                               size=(n, plan.rows)).astype(np.float64)
         voltages = levels * plan.v_lsb
         shared = program.tile_factory.prepare_voltages(voltages)
-        stacked = compiled._currents(program, 0, None, voltages, shared)
+        stacked = compiled._currents(program, 0, voltages, shared)
         ok = all(np.array_equal(
             stacked[mi], np.asarray(
                 program.models[(sw, k, 0, tc)].currents(voltages, shared)))
@@ -494,12 +421,14 @@ def _probe_stacked_readout(compiled: CompiledLayer,
     return min_rows
 
 
-def compile_program(program: LayerProgram, backend) -> CompiledLayer | None:
+def compile_program(program: LayerProgram, backend,
+                    scratch: ScratchPool) -> CompiledLayer | None:
     """Lower a layer program into its fused form (``None`` if unfusible).
 
-    Stacks every tile-row's model operands into dense arrays,
-    precomputes the decode prefactors and probes the stacked read-out
-    for bit-identity (:func:`_probe_stacked_readout`); emits a
+    ``scratch`` is the pool the fused kernel takes its temporaries from
+    (an engine passes one pool to all its layers). Stacks every
+    tile-row's model operands into dense arrays, precomputes the decode
+    prefactors and probes the stacked read-out for bit-identity (:func:`_probe_stacked_readout`); emits a
     ``kernel-compile`` obs span. Unfusible tile kinds (anything outside
     :data:`FUSIBLE_KINDS`) and programs failing the probe return
     ``None`` and keep executing through the interpreted kernel.
@@ -540,7 +469,8 @@ def compile_program(program: LayerProgram, backend) -> CompiledLayer | None:
             n_k=cfg.n_slices, t_c=plan.t_c, row_stacks=row_stacks,
             stream_scales=stream_scales,
             sw_slice=np.outer(sw_factors, slice_scales),
-            max_fused_bytes=_max_fused_bytes())
+            max_fused_bytes=_max_fused_bytes(),
+            scratch=scratch)
         min_rows = _probe_stacked_readout(compiled, program)
         if min_rows is None:
             return None
@@ -549,11 +479,13 @@ def compile_program(program: LayerProgram, backend) -> CompiledLayer | None:
 
 
 def execute_tile_row_fused(program: LayerProgram, qx: np.ndarray,
-                           x_signs: list, tr: int, adc, cache=None,
+                           x_signs: list, tr: int, adc,
                            stats=None) -> np.ndarray | None:
     """Fused counterpart of :func:`~repro.funcsim.runtime.kernel.
-    execute_tile_row`: bit-identical outputs, counters and cache traffic.
+    execute_tile_row`: bit-identical outputs and counters.
 
+    Noiseless shards run the fast form; only ADC noise takes the general
+    :meth:`~CompiledLayer._measure` / :meth:`~CompiledLayer._decode` form.
     Returns ``None`` (caller falls back to the interpreted kernel) when
     the shard's stacked working set would exceed the compiled layer's
     memory guard, or when its stacked voltage batch is below the row
@@ -573,11 +505,9 @@ def execute_tile_row_fused(program: LayerProgram, qx: np.ndarray,
         return None
     stats["readouts"] += n_models * s_count
     stats["adc_conversions"] += n_models * s_count * batch * plan.cols
-    if plan.adc_noise_rms_a == 0.0 and (cache is None
-                                        or compiled.batch_invariant):
+    if plan.adc_noise_rms_a == 0.0:
         return compiled._execute_fast(program, tr, stream_levels,
-                                      stream_info, batch, adc, cache, stats)
-    measured = compiled._measure(program, tr, stream_levels, batch, adc,
-                                 cache, stats)
+                                      stream_info, batch, adc)
+    measured = compiled._measure(program, tr, stream_levels, batch, adc)
     return compiled._decode(plan, measured, stream_levels, stream_info,
                             batch)

@@ -36,17 +36,6 @@ voltage batch and issuing a *single* batched call per tile model instead of
 matmuls, sparse back-substitution setup, Newton bring-up) is paid once per
 tile.
 
-**Tile-result caching.** Measured (post-ADC) tile read-outs are memoised in
-a per-engine LRU keyed by (prepared-matrix uid, tile key, stream level
-pattern). Convolution layers re-issue identical stream patterns constantly
-(im2col patches share activation blocks), so repeated patterns skip the
-analog model entirely. The cache is value-exact — keys include the raw
-integer stream levels — and is disabled automatically when ADC noise is
-enabled, because noisy conversions must be re-sampled per read-out.
-``EngineStats`` counts logical read-outs as if no cache existed (the stats
-describe the modelled hardware); ``cache_hits`` reports the software-side
-savings.
-
 Tile models:
 
 * :class:`GeniexTileFactory` — GENIEx emulation (default non-ideal mode),
@@ -78,7 +67,7 @@ from repro.core.emulator import GeniexEmulator
 from repro.errors import ConfigError, ShapeError
 from repro.funcsim.adc import AdcModel
 from repro.funcsim.config import FuncSimConfig
-from repro.funcsim.compiler import compile_program
+from repro.funcsim.compiler import ScratchPool, compile_program
 from repro.funcsim.planner import plan_layer
 from repro.funcsim.runtime.backends import resolve_backend
 from repro.funcsim.runtime.kernel import (
@@ -96,7 +85,6 @@ from repro.obs import span
 from repro.funcsim.slicing import sign_split, split_unsigned
 from repro.funcsim.tiles import n_tiles, tile_matrix
 from repro.nonideal.pipeline import as_pipeline
-from repro.utils.cache import LruDict
 from repro.utils.digest import content_key
 from repro.utils.numerics import batch_invariant_matmul
 from repro.xbar.config import CrossbarConfig
@@ -217,8 +205,7 @@ class GeniexTileFactory:
 
         Digests the trained network's parameters so two engines backed by
         *differently trained* emulators (same crossbar shape) can never
-        share prepared-matrix uids — and with them tile-result cache
-        entries or ADC noise streams.
+        share prepared-matrix uids — and with them ADC noise streams.
         """
         if self._cache_token is None:
             digest = hashlib.sha256()
@@ -386,8 +373,7 @@ def _content_uid(token: str, qw: np.ndarray, t_r: int, t_c: int,
     A digest of the quantised weights and the tiling layout (plus an
     engine-configuration token), so uids are stable across processes —
     fork-safe, unlike a per-process counter — and equal exactly when the
-    programmed tiles are value-identical, which makes any tile-result
-    cache sharing value-exact by construction. Built on the shared
+    programmed tiles are value-identical. Built on the shared
     :mod:`repro.utils.digest` primitives, like every other content key
     in the repository.
     """
@@ -398,8 +384,8 @@ def _content_uid(token: str, qw: np.ndarray, t_r: int, t_c: int,
 class PreparedMatrix:
     """Weight matrix quantised, sliced, tiled and programmed into models.
 
-    ``uid`` identifies the prepared content in tile-result cache keys and
-    ADC noise stream seeds. It is a content digest (weights + tiling +
+    ``uid`` identifies the prepared content in ADC noise stream seeds and
+    compile spans. It is a content digest (weights + tiling +
     engine token), not a process-local counter: two processes that prepare
     the same matrix agree on the uid, and two *different* matrices can
     never collide just because they were prepared in forked processes with
@@ -421,44 +407,6 @@ class PreparedMatrix:
         self.program = None
 
 
-class TileResultCache(LruDict):
-    """LRU cache of measured (post-ADC) tile read-outs.
-
-    Keys combine the prepared-matrix uid, the tile coordinates and the raw
-    integer stream-level block, so hits are value-exact. ``max_entries``
-    bounds memory at roughly ``max_entries * batch * cols`` floats.
-
-    Hit/miss counters are updated under the cache lock, so a single
-    instance may be shared by concurrent shard threads without racing the
-    statistics.
-    """
-
-    def __init__(self, max_entries: int):
-        super().__init__(max_entries)
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        with self._lock:
-            value = super().get(key)
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return value
-
-    def counters(self) -> tuple:
-        """Consistent ``(hits, misses)`` snapshot."""
-        with self._lock:
-            return self.hits, self.misses
-
-    def clear(self) -> None:
-        with self._lock:
-            super().clear()
-            self.hits = 0
-            self.misses = 0
-
-
 class EngineStats:
     """Cumulative event counters of a :class:`CrossbarMvmEngine`.
 
@@ -473,10 +421,7 @@ class EngineStats:
     Zero-valued stream blocks are skipped per chunk (they drive no
     current) and tallied in ``skipped_zero_streams``; for a one-chunk call
     ``readouts + skipped`` equals the static worst case of
-    :func:`repro.funcsim.cost.matmul_cost`. ``cache_hits`` counts read-outs
-    served from the tile-result cache instead of the tile model (a
-    software-side saving; such read-outs still count in ``readouts`` and
-    ``adc_conversions``).
+    :func:`repro.funcsim.cost.matmul_cost`.
 
     Counters accumulate shard-locally during execution and are folded in
     through :meth:`merge`, which is lock-protected, so shards running on
@@ -578,11 +523,6 @@ class IdealMvmEngine:
 class CrossbarMvmEngine:
     """Bit-sliced, tiled crossbar MVM with a non-ideal tile model.
 
-    ``tile_cache_size`` bounds the LRU tile-result cache (measured per-tile
-    read-outs keyed by activation pattern); ``0`` disables it. The cache is
-    also disabled when the ADC models noise, because noisy conversions must
-    be re-sampled on every read-out.
-
     ``workers`` sets how many threads run the (chunk, tile-row) shards of
     one ``matmul``; ``1`` runs them in order on the calling thread. The
     pool is created on first use and released by :meth:`close`.
@@ -603,8 +543,7 @@ class CrossbarMvmEngine:
 
     def __init__(self, xbar_config: CrossbarConfig,
                  sim_config: FuncSimConfig, tile_factory,
-                 tile_cache_size: int = 256, workers: int = 1,
-                 nonideality=None, backend=None):
+                 workers: int = 1, nonideality=None, backend=None):
         tile_factory.check_crossbar(xbar_config)
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -621,13 +560,12 @@ class CrossbarMvmEngine:
         self._pool_lock = threading.Lock()
         self._closed = False
         self.array_backend = resolve_backend(backend)
+        # Fused-kernel temporaries, shared by every layer this engine
+        # compiles (freed with the engine).
+        self._scratch = ScratchPool()
         # None for clean engines (identity pipelines normalise to None,
         # keeping the clean path's prepared-matrix tokens byte-identical).
         self.nonideality = as_pipeline(nonideality)
-        if tile_cache_size > 0 and sim_config.adc_noise_lsb == 0.0:
-            self.tile_cache = TileResultCache(tile_cache_size)
-        else:
-            self.tile_cache = None
         # DAC / conductance LSBs of the digital <-> analog mapping.
         self._v_lsb = xbar_config.v_supply_v / (2 ** sim_config.stream_bits - 1)
         n_g_levels = 2 ** sim_config.slice_bits
@@ -694,10 +632,9 @@ class CrossbarMvmEngine:
         token = f"{self.tile_factory.cache_token()}|{xcfg!r}|{cfg!r}"
         if self.nonideality is not None:
             # Fold the fault composition into the prepared-matrix uid so a
-            # perturbed layer can never share tile-result cache entries or
-            # noise streams with a clean (or differently-faulty)
-            # preparation of the same weights. Clean engines keep the
-            # historical token byte-for-byte.
+            # perturbed layer can never share noise streams with a clean
+            # (or differently-faulty) preparation of the same weights.
+            # Clean engines keep the historical token byte-for-byte.
             token = f"{token}|{self.nonideality.digest()}"
         prepared = PreparedMatrix(
             weights.shape[0], weights.shape[1], qw, models, t_r, t_c,
@@ -705,8 +642,8 @@ class CrossbarMvmEngine:
         prepared.program = plan_layer(self, prepared)
         if self.array_backend is not None:
             prepared.program.compile_requested = True
-            prepared.program.compiled = compile_program(prepared.program,
-                                                        self.array_backend)
+            prepared.program.compiled = compile_program(
+                prepared.program, self.array_backend, self._scratch)
         return prepared
 
     # ------------------------------------------------------------------
@@ -751,8 +688,7 @@ class CrossbarMvmEngine:
                 # Disjoint (tile-row, chunk) slab: safe to write unlocked.
                 counts[tr, start:stop] = run_tile_row(
                     program, qx[start:stop], signs[chunk], tr,
-                    shard_adc(plan, seq, tr, chunk), cache=self.tile_cache,
-                    stats=local)
+                    shard_adc(plan, seq, tr, chunk), stats=local)
                 with merge_lock:
                     for key, value in local.items():
                         call_stats[key] += value
@@ -838,7 +774,6 @@ class CrossbarMvmEngine:
 def make_engine(kind: str, xbar_config: CrossbarConfig,
                 sim_config: FuncSimConfig,
                 emulator: GeniexEmulator | None = None,
-                tile_cache_size: int = 256,
                 batch_invariant: bool = False,
                 workers: int | None = None,
                 nonideality=None, backend=None):
@@ -919,7 +854,6 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
             f"unknown engine kind {kind!r}; expected one of "
             f"{', '.join(ENGINE_KINDS)}")
     return CrossbarMvmEngine(xbar_config, sim_config, factory,
-                             tile_cache_size=tile_cache_size,
                              workers=1 if workers is None else workers,
                              nonideality=nonideality,
                              backend=backend)

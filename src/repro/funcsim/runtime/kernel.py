@@ -95,33 +95,20 @@ def shard_adc(plan: LayerPlan, seq: int, tr: int, chunk: int) -> AdcModel:
 
 
 def _measure_tile_row(program: LayerProgram, tr: int, stream_levels: list,
-                      batch: int, adc: AdcModel, cache, stats) -> dict:
+                      batch: int, adc: AdcModel, stats) -> dict:
     """One batched analog + ADC pass over every model of a tile-row.
 
     All ``S`` active stream blocks are stacked into a single
     ``(S * batch, rows)`` voltage batch; each tile model then runs one
-    batched call (minus any read-outs served by the tile-result cache)
-    and the measured currents come back as per-stream ``(batch, cols)``
-    slices. Returns ``{(sign, slice, tc): [S slices]}``.
+    batched call. Returns ``{(sign, slice, tc): (S, batch, cols)}``
+    measured currents.
     """
     plan = program.plan
     cfg = plan.sim_config
     cols = plan.cols
     s_count = len(stream_levels)
-    # Serialise each stream block once; the key bytes are shared by
-    # every (sign, slice, tile-column) lookup below.
-    level_bytes = [levels.tobytes() for levels in stream_levels] \
-        if cache is not None else None
-    # The stacked voltages and the factory's shared term are only
-    # needed on a cache miss; fully-cached tile-rows skip both.
-    voltages = None
-    shared = None
-    # Miss patterns repeat across the (sign, slice, tile-column) models,
-    # so the stacked-row selection index is memoised per pattern instead
-    # of being rebuilt from per-stream aranges for every model.
-    base_rows = None
-    sel_by_pattern: dict = {}
-
+    voltages = np.concatenate(stream_levels, axis=0) * plan.v_lsb
+    shared = program.tile_factory.prepare_voltages(voltages)
     measured = {}
     for sw in plan.sign_present:
         for k in range(cfg.n_slices):
@@ -129,51 +116,9 @@ def _measure_tile_row(program: LayerProgram, tr: int, stream_levels: list,
                 model = program.models[(sw, k, tr, tc)]
                 stats["readouts"] += s_count
                 stats["adc_conversions"] += s_count * batch * cols
-                result = [None] * s_count
-                keys = [None] * s_count
-                missing = []
-                if cache is not None:
-                    for s in range(s_count):
-                        keys[s] = (plan.uid, sw, k, tr, tc, batch,
-                                   level_bytes[s])
-                        hit = cache.get(keys[s])
-                        if hit is None:
-                            missing.append(s)
-                        else:
-                            result[s] = hit
-                            stats["cache_hits"] += 1
-                else:
-                    missing = list(range(s_count))
-                if missing:
-                    if voltages is None:
-                        voltages = np.concatenate(
-                            stream_levels, axis=0) * plan.v_lsb
-                        shared = program.tile_factory.prepare_voltages(
-                            voltages)
-                    if len(missing) == s_count:
-                        v_sub, c_sub = voltages, shared
-                    else:
-                        pattern = tuple(missing)
-                        sel = sel_by_pattern.get(pattern)
-                        if sel is None:
-                            if base_rows is None:
-                                base_rows = np.arange(batch)
-                            sel = sel_by_pattern[pattern] = (
-                                np.asarray(missing)[:, None] * batch
-                                + base_rows).ravel()
-                        v_sub = voltages[sel]
-                        c_sub = shared[sel] \
-                            if isinstance(shared, np.ndarray) else shared
-                    i_meas = adc.measure(
-                        model.currents(v_sub, c_sub)
-                    ).reshape(len(missing), batch, cols)
-                    for j, s in enumerate(missing):
-                        result[s] = i_meas[j]
-                        if cache is not None:
-                            # Copy out of the stacked measurement so a
-                            # cache entry never pins the whole block.
-                            cache.put(keys[s], i_meas[j].copy())
-                measured[(sw, k, tc)] = result
+                measured[(sw, k, tc)] = adc.measure(
+                    model.currents(voltages, shared)
+                ).reshape(s_count, batch, cols)
     return measured
 
 
@@ -208,8 +153,7 @@ def gather_streams(plan: LayerPlan, qx: np.ndarray, x_signs: list,
 
 
 def execute_tile_row(program: LayerProgram, qx: np.ndarray, x_signs: list,
-                     tr: int, adc: AdcModel, cache=None,
-                     stats=None) -> np.ndarray:
+                     tr: int, adc: AdcModel, stats=None) -> np.ndarray:
     """Decoded contribution of tile-row ``tr`` for one quantised chunk.
 
     ``qx`` is the full-width padded integer activation chunk; ``x_signs``
@@ -234,7 +178,7 @@ def execute_tile_row(program: LayerProgram, qx: np.ndarray, x_signs: list,
     if not stream_levels:
         return tr_counts
     measured = _measure_tile_row(program, tr, stream_levels, batch, adc,
-                                 cache, stats)
+                                 stats)
     for s, (sx, m) in enumerate(stream_info):
         sx_factor = 1.0 if sx == 0 else -1.0
         stream_sum = stream_levels[s].sum(axis=1)[:, None]
@@ -254,8 +198,7 @@ def execute_tile_row(program: LayerProgram, qx: np.ndarray, x_signs: list,
 
 
 def run_tile_row(program: LayerProgram, qx: np.ndarray, x_signs: list,
-                 tr: int, adc: AdcModel, cache=None,
-                 stats=None) -> np.ndarray:
+                 tr: int, adc: AdcModel, stats=None) -> np.ndarray:
     """Execute one (tile-row, chunk) shard: compiled when possible.
 
     Programs lowered by :func:`repro.funcsim.compiler.compile_program`
@@ -273,14 +216,13 @@ def run_tile_row(program: LayerProgram, qx: np.ndarray, x_signs: list,
         from repro.funcsim.compiler import execute_tile_row_fused
 
         out = execute_tile_row_fused(program, qx, x_signs, tr, adc,
-                                     cache=cache, stats=stats)
+                                     stats=stats)
         if out is not None:
             stats["fused_calls"] += 1
             return out
     if getattr(program, "compile_requested", False):
         stats["fallback_calls"] += 1
-    return execute_tile_row(program, qx, x_signs, tr, adc, cache=cache,
-                            stats=stats)
+    return execute_tile_row(program, qx, x_signs, tr, adc, stats=stats)
 
 
 def merge_tile_rows(plan: LayerPlan, counts: np.ndarray) -> np.ndarray:
@@ -304,8 +246,7 @@ def merge_tile_rows(plan: LayerPlan, counts: np.ndarray) -> np.ndarray:
 #: never drift apart (a new counter added here is automatically counted,
 #: merged, snapshotted and serialised everywhere).
 STAT_FIELDS = ("matmuls", "readouts", "skipped_zero_streams",
-               "adc_conversions", "cache_hits", "fused_calls",
-               "fallback_calls")
+               "adc_conversions", "fused_calls", "fallback_calls")
 
 
 def new_stat_counts() -> dict:

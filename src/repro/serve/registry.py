@@ -20,7 +20,7 @@ requests — from any client, in any order — land on the same warm object
   it also runs on the executor under a per-key lock. Engines are built
   through :func:`repro.api.session.build_engine` from the spec, under a
   server-owned runtime policy (batch-invariant whenever possible,
-  thread sharding, bounded tile cache).
+  thread sharding).
 * **mitigated** — whole mitigated classifiers (noise-trained weights on
   a live engine, output calibration applied), keyed by
   :func:`repro.mitigation.runner.mitigated_key` — full spec digest
@@ -225,10 +225,9 @@ class ModelRegistry:
     def __init__(self, zoo: GeniexZoo | None = None, *,
                  max_models: int = 8, max_crossbars: int = 128,
                  max_engines: int = 16, max_mitigated: int = 8,
-                 max_nets: int = 8, tile_cache_size: int = 256,
-                 engine_workers: int = 1, backend: str | None = None):
+                 max_nets: int = 8, engine_workers: int = 1,
+                 backend: str | None = None):
         self.zoo = zoo or GeniexZoo()
-        self.tile_cache_size = int(tile_cache_size)
         # > 1 shards every prepared engine's matmuls over that many
         # funcsim threads (they compose with the asyncio executor
         # threads running the batched calls).
@@ -408,16 +407,14 @@ class ModelRegistry:
         The runtime node is server-owned: warm engines run
         batch-invariantly whenever the kind/ADC combination allows it —
         so coalesced microbatch responses are byte-identical to direct
-        per-request calls — with the registry's tile-cache size, shard
-        threads and array backend. Clients cannot steer the server onto
-        more threads or an unbounded cache by submitting a creative
-        runtime node.
+        per-request calls — with the registry's shard threads and array
+        backend. Clients cannot steer the server onto more threads by
+        submitting a creative runtime node.
         """
         invariant = supports_batch_invariance(spec.engine,
                                               spec.sim.to_config())
         return spec.evolve(runtime={
             "batch_invariant": invariant,
-            "tile_cache_size": self.tile_cache_size,
             "workers": self.engine_workers,
             "backend": self.backend,
         })
@@ -674,25 +671,19 @@ class ModelRegistry:
 
         Registered as a snapshot-time collector on the server's metrics
         registry: LRU tier hit/miss/size/capacity, aggregate
-        ``EngineStats`` and tile-cache events over the *warm* engines
-        (gauges, since eviction shrinks the population), and the zoo's
-        get-or-train outcome counters. Reading never touches recency
+        ``EngineStats`` over the *warm* engines (gauges, since eviction
+        shrinks the population), and the zoo's get-or-train outcome
+        counters. Reading never touches recency
         (``LruDict.values`` is a pure snapshot), so scraping cannot
         perturb eviction order.
         """
         tiers = self.stats()
         engine_events = dict.fromkeys(EngineStats.FIELDS, 0)
-        tile_events = {"hits": 0, "misses": 0}
         warm_engines = [warm.engine for warm in self._engines.values()]
         warm_engines += [warm._engine for warm in self._nets.values()]
         for engine in warm_engines:
             for field, value in engine.stats.snapshot().items():
                 engine_events[field] = engine_events.get(field, 0) + value
-            cache = getattr(engine, "tile_cache", None)
-            if cache is not None:
-                hits, misses = cache.counters()
-                tile_events["hits"] += hits
-                tile_events["misses"] += misses
         return {
             "repro_registry_cache_hits_total": counter_family(
                 "Warm-tier cache hits, by registry tier.",
@@ -712,10 +703,6 @@ class ModelRegistry:
                 "EngineStats events summed over warm prepared engines.",
                 [({"event": field}, value)
                  for field, value in engine_events.items()]),
-            "repro_tile_cache_events": gauge_family(
-                "Tile-result cache events summed over warm engines.",
-                [({"event": name}, value)
-                 for name, value in tile_events.items()]),
             "repro_zoo_requests_total": counter_family(
                 "GENIEx zoo get-or-train calls, by outcome.",
                 [({"outcome": name}, value)

@@ -1,10 +1,9 @@
 """Shared content-digest primitives.
 
 Every cache in the repository — the GENIEx zoo on disk, the serving
-registry's warm tiers, prepared-matrix uids and tile-result cache keys —
-identifies values by deterministic content digests, so identical inputs
-land on the same artifact regardless of which process (or machine)
-computed the key. This module is the single implementation those keys are
+registry's warm tiers and prepared-matrix uids — identifies values by
+deterministic content digests, so identical inputs land on the same
+artifact regardless of which process (or machine) computed the key. This module is the single implementation those keys are
 built from; :mod:`repro.api.spec` layers the spec-level key scheme on top.
 
 All helpers are pure functions of their inputs: no process-local counters,

@@ -152,3 +152,16 @@ class TestStoredSpecs:
         clean = EmulationSpec(engine="exact")
         assert (spec.model_key(), spec.key()) == \
             (clean.model_key(), clean.key())
+
+    def test_removed_tile_cache_size_still_loads(self):
+        """A spec stored when the tile-result cache existed loads with a
+        deprecation warning, keeps its keys and no longer serialises the
+        field."""
+        with pytest.warns(DeprecationWarning, match="tile_cache_size"):
+            spec = EmulationSpec.from_dict(
+                {"runtime": {"tile_cache_size": 64}})
+        assert "tile_cache_size" not in spec.to_dict()["runtime"]
+        assert EmulationSpec.from_dict(spec.to_dict()) == spec
+        assert spec == EmulationSpec()
+        assert (spec.model_key(), spec.key()) == \
+            (EmulationSpec().model_key(), EmulationSpec().key())

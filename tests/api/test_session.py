@@ -153,7 +153,6 @@ class TestSessionBehaviour:
             stats = session.stats()
         assert stats["spec_key"] == session.spec.key()
         assert stats["engine"]["matmuls"] == 1
-        assert "tile_cache" in stats
 
     def test_geniex_resolution_goes_through_zoo(self, zoo):
         spec = TINY.to_spec("geniex")

@@ -110,7 +110,7 @@ class TestEvolve:
             ("exact", 8, 4)
 
     def test_dataclass_value_replaces_subtree(self):
-        runtime = RuntimeSpec(workers=3, tile_cache_size=7)
+        runtime = RuntimeSpec(workers=3, chunk_rows=7)
         assert EmulationSpec().evolve(runtime=runtime).runtime == runtime
 
     def test_precedence_evolve_over_preset_over_defaults(self):
@@ -190,7 +190,7 @@ class TestKeys:
         spec = get_preset("quick")
         assert spec.evolve(runtime={"workers": 4,
                                     "backend": "interp",
-                                    "tile_cache_size": 0}).key() == \
+                                    "chunk_rows": 16}).key() == \
             spec.key()
 
     def test_key_tracks_batch_invariance(self):

@@ -90,7 +90,7 @@ class TestRoutingKey:
     def test_runtime_policy_does_not_change_the_route(self):
         base = EmulationSpec()
         tuned = EmulationSpec(runtime=RuntimeSpec(
-            workers=4, tile_cache_size=0,
+            workers=4, chunk_rows=16,
             fleet=FleetSpec(replication=2)))
         assert routing_key({"spec": base.to_dict()}) \
             == routing_key({"spec": tuned.to_dict()})

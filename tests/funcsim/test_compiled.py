@@ -2,8 +2,9 @@
 
 The compiled path (:mod:`repro.funcsim.compiler`) is accepted only if it
 is *bit-identical* to the interpreted reference kernel — per engine kind,
-worker count, batch-invariant mode, tile-result cache state, ADC noise
-and active device-fault pipelines. These tests pin that contract, the
+worker count, batch-invariant mode, ADC noise and active device-fault
+pipelines. These tests pin that contract, the routing between the fused
+kernel's fast and general forms, its scratch-buffer reuse, the
 interpreter fallbacks (unfusible kinds, memory guard) and the backend
 selector's precedence and deprecated aliases.
 """
@@ -17,7 +18,8 @@ from repro.core.trainer import TrainSpec
 from repro.core.zoo import GeniexZoo
 from repro.errors import ConfigError
 from repro.funcsim import FuncSimConfig, make_engine
-from repro.funcsim.compiler import compile_program
+from repro.funcsim.compiler import (CompiledLayer, ScratchPool,
+                                    compile_program)
 from repro.funcsim.runtime.backends import resolve_backend
 from repro.nonideal.pipeline import NonidealitySpec
 from repro.nonideal.transforms import StuckSpec, VariationSpec
@@ -69,17 +71,16 @@ class TestFusedBitIdentity:
         assert fused.stats.snapshot()["fallback_calls"] == 0
 
     @pytest.mark.parametrize("kind", ["exact", "geniex"])
-    def test_tile_cache_and_counters(self, operands, tiny_emulator, kind):
-        """Cache keys and hits match; all shared counters agree."""
+    def test_counters_match(self, operands, tiny_emulator, kind):
+        """Every hardware counter agrees across repeated calls."""
         x, w = operands
         emulator = tiny_emulator if kind == "geniex" else None
-        interp, fused = _pair(kind, emulator, tile_cache_size=4096)
+        interp, fused = _pair(kind, emulator)
         p_i, p_f = interp.prepare(w), fused.prepare(w)
-        for chunk in (x, x, x[:7]):  # repeats exercise hits + subsets
+        for chunk in (x, x, x[:7]):
             np.testing.assert_array_equal(interp.matmul(chunk, p_i),
                                           fused.matmul(chunk, p_f))
         si, sf = interp.stats.snapshot(), fused.stats.snapshot()
-        assert si["cache_hits"] == sf["cache_hits"] > 0
         for field in ("matmuls", "readouts", "skipped_zero_streams",
                       "adc_conversions"):
             assert si[field] == sf[field], field
@@ -124,6 +125,87 @@ class TestFusedBitIdentity:
         finally:
             interp.close()
             fused.close()
+
+
+class TestFastFormRouting:
+    """Noiseless shards run the fast form; only ADC noise takes the
+    general ``_measure``/``_decode`` form."""
+
+    @pytest.mark.parametrize("kind", ["exact", "analytical", "geniex"])
+    def test_noiseless_shards_never_measure(self, operands, tiny_emulator,
+                                            kind, monkeypatch):
+        x, w = operands
+        emulator = tiny_emulator if kind == "geniex" else None
+        interp, fused = _pair(kind, emulator)
+        assert not fused.tile_factory.batch_invariant
+        for engine in (interp, fused):
+            engine.shard_rows = 5  # 23 rows -> five chunks
+        p_i, p_f = interp.prepare(w), fused.prepare(w)
+
+        def general_form(*args, **kwargs):
+            raise AssertionError("noiseless shard reached _measure")
+
+        monkeypatch.setattr(CompiledLayer, "_measure", general_form)
+        np.testing.assert_array_equal(interp.matmul(x, p_i),
+                                      fused.matmul(x, p_f))
+        stats = fused.stats.snapshot()
+        assert stats["fused_calls"] == 5 * p_f.t_r
+        assert stats["fallback_calls"] == 0
+
+    @pytest.mark.parametrize("kind", ["exact", "geniex"])
+    def test_noisy_shards_measure_and_match_interp(self, operands,
+                                                   tiny_emulator, kind,
+                                                   monkeypatch):
+        x, w = operands
+        emulator = tiny_emulator if kind == "geniex" else None
+        sim = SCFG.replace(adc_noise_lsb=0.5)
+        interp, fused = _pair(kind, emulator, sim=sim)
+        for engine in (interp, fused):
+            engine.shard_rows = 5
+        p_i, p_f = interp.prepare(w), fused.prepare(w)
+        calls = []
+        measure = CompiledLayer._measure
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return measure(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledLayer, "_measure", counted)
+        np.testing.assert_array_equal(interp.matmul(x, p_i),
+                                      fused.matmul(x, p_f))
+        assert len(calls) == fused.stats.snapshot()["fused_calls"] > 0
+
+
+class TestScratchPool:
+    """The fast form's per-thread scratch buffers: bounded and inert."""
+
+    def test_one_buffer_per_name_and_no_stale_values(self, rng,
+                                                     tiny_emulator):
+        """Two layers share one pool whose buffers only grow; after large
+        batches, small ones still equal a fresh engine's output (the
+        interpreted one, which uses no scratch) bit for bit."""
+        w1 = rng.normal(size=(20, 13)) * 0.3
+        w2 = rng.normal(size=(13, 6)) * 0.3
+
+        def engine_and_layers(**kwargs):
+            engine = make_engine("geniex", XCFG, SCFG, emulator=tiny_emulator,
+                                 **kwargs)
+            return engine, engine.prepare(w1), engine.prepare(w2)
+
+        engine, p1, p2 = engine_and_layers()
+        outs = {}
+        for n in (40, 23, 7, 2):  # large before small
+            x = rng.normal(size=(n, 20)) * 0.4
+            outs[n] = x, engine.matmul(engine.matmul(x, p1), p2)
+        pool = engine._scratch.buffers()
+        names = [key[0] for key in pool]  # key: (name, dtype)
+        assert sorted(names) == ["fr", "hidden", "i_flat", "voltages"]
+        assert all(buf.ndim == 1 for buf in pool.values())
+        fresh, f1, f2 = engine_and_layers(backend="interp")
+        for n in (7, 2):
+            x, out = outs[n]
+            np.testing.assert_array_equal(
+                out, fresh.matmul(fresh.matmul(x, f1), f2))
 
 
 class TestInterpreterFallback:
@@ -202,4 +284,5 @@ class TestCompiledLayer:
         _, w = operands
         engine = make_engine("circuit", XCFG, SCFG, backend="interp")
         program = engine.prepare(w).program
-        assert compile_program(program, resolve_backend("numpy")) is None
+        assert compile_program(program, resolve_backend("numpy"),
+                               ScratchPool()) is None

@@ -3,9 +3,8 @@
 ``sequential_matmul`` below is a faithful copy of the pre-refactor
 ``CrossbarMvmEngine.matmul`` loop (one tile-model call per stream, decode
 interleaved with the read-outs). The batched engine must reproduce it
-byte-for-byte for every tile factory, with and without the tile-result
-cache, because batching and caching are pure execution-order optimisations
-— the modelled hardware is unchanged.
+byte-for-byte for every tile factory, because batching is a pure
+execution-order optimisation — the modelled hardware is unchanged.
 """
 
 import numpy as np
@@ -142,71 +141,6 @@ class TestGoldenEquivalence:
         assert out.shape == (0, 13)
 
 
-class TestTileResultCache:
-    def test_cache_hits_do_not_change_results(self, operands):
-        x, w = operands
-        engine = make_engine("analytical", XCFG, SCFG)
-        prepared = engine.prepare(w)
-        cold = engine.matmul(x, prepared)
-        assert engine.stats.cache_hits == 0
-        warm = engine.matmul(x, prepared)
-        assert engine.stats.cache_hits > 0
-        np.testing.assert_array_equal(warm, cold)
-        # And both equal the uncached sequential oracle.
-        np.testing.assert_array_equal(cold,
-                                      sequential_matmul(engine, x, prepared))
-
-    def test_cache_respects_prepared_identity(self, operands, rng):
-        """Two different weight matrices must never share cache entries."""
-        x, w = operands
-        w2 = rng.normal(size=w.shape) * 0.3
-        engine = make_engine("analytical", XCFG, SCFG)
-        p1, p2 = engine.prepare(w), engine.prepare(w2)
-        out1 = engine.matmul(x, p1)
-        out2 = engine.matmul(x, p2)  # same x: identical stream patterns
-        reference = make_engine("analytical", XCFG, SCFG,
-                                tile_cache_size=0)
-        np.testing.assert_array_equal(out1, reference.matmul(x, p1))
-        np.testing.assert_array_equal(out2, reference.matmul(x, p2))
-
-    def test_cache_disabled_by_size_zero(self, operands):
-        x, w = operands
-        engine = make_engine("analytical", XCFG, SCFG, tile_cache_size=0)
-        assert engine.tile_cache is None
-        prepared = engine.prepare(w)
-        engine.matmul(x, prepared)
-        engine.matmul(x, prepared)
-        assert engine.stats.cache_hits == 0
-
-    def test_cache_disabled_under_adc_noise(self):
-        noisy = SCFG.replace(adc_noise_lsb=0.5)
-        engine = make_engine("analytical", XCFG, noisy)
-        assert engine.tile_cache is None
-
-    def test_lru_eviction_bounded(self, operands):
-        x, w = operands
-        engine = make_engine("analytical", XCFG, SCFG, tile_cache_size=4)
-        prepared = engine.prepare(w)
-        engine.matmul(x, prepared)
-        assert len(engine.tile_cache) <= 4
-
-    def test_stats_count_logical_readouts(self, operands):
-        """Cache hits keep hardware stats identical to uncached runs."""
-        x, w = operands
-        cached = make_engine("analytical", XCFG, SCFG)
-        uncached = make_engine("analytical", XCFG, SCFG, tile_cache_size=0)
-        pc, pu = cached.prepare(w), uncached.prepare(w)
-        for engine, prepared in ((cached, pc), (uncached, pu)):
-            engine.matmul(x, prepared)
-            engine.matmul(x, prepared)
-        assert cached.stats.readouts == uncached.stats.readouts
-        assert cached.stats.adc_conversions == uncached.stats.adc_conversions
-        assert cached.stats.skipped_zero_streams == \
-            uncached.stats.skipped_zero_streams
-        assert cached.stats.cache_hits > 0
-        assert uncached.stats.cache_hits == 0
-
-
 class TestBatchInvariantEngines:
     """Serving-mode engines: per-row results independent of the batch."""
 
@@ -215,7 +149,7 @@ class TestBatchInvariantEngines:
         xcfg = CrossbarConfig(rows=4, cols=4) if kind == "geniex" else XCFG
         emulator = geniex_emulator if kind == "geniex" else None
         engine = make_engine(kind, xcfg, SCFG, emulator=emulator,
-                             tile_cache_size=0, batch_invariant=True)
+                             batch_invariant=True)
         n = xcfg.rows
         weights = np.random.default_rng(0).standard_normal((n, n)) * 0.4
         prepared = engine.prepare(weights)

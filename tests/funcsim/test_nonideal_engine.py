@@ -3,8 +3,8 @@
 The headline guarantee: perturbation happens once at tile-programming
 time with coordinate-keyed RNG streams, so perturbed engines are
 bit-identical across worker counts and chunkings, and a perturbed
-preparation can never share prepared-matrix uids (and with them
-tile-result cache entries or ADC noise streams) with a clean one.
+preparation can never share prepared-matrix uids (and with them ADC
+noise streams) with a clean one.
 """
 
 import numpy as np

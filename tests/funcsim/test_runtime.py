@@ -24,7 +24,6 @@ from repro.funcsim import (
     EngineStats,
     FuncSimConfig,
     IdealMvmEngine,
-    TileResultCache,
     make_engine,
 )
 from repro.funcsim.planner import plan_layer
@@ -223,10 +222,10 @@ class TestPreparedUid:
 class TestEngineStats:
     def test_merge_accumulates(self):
         a, b = EngineStats(), EngineStats()
-        a.merge({"readouts": 3, "cache_hits": 1})
+        a.merge({"readouts": 3, "fused_calls": 1})
         b.merge({"readouts": 4, "matmuls": 2})
         a.merge(b)
-        assert a.readouts == 7 and a.matmuls == 2 and a.cache_hits == 1
+        assert a.readouts == 7 and a.matmuls == 2 and a.fused_calls == 1
 
     def test_merge_rejects_unknown_counter(self):
         with pytest.raises(ConfigError):
@@ -250,23 +249,6 @@ class TestEngineStats:
         assert clone.readouts == 5
         clone.merge({"readouts": 1})  # lock restored and functional
         assert clone.readouts == 6
-
-    def test_cache_counters_thread_safe(self):
-        cache = TileResultCache(64)
-        value = np.zeros(1)
-
-        def worker():
-            for k in range(200):
-                if cache.get(("k", k % 8)) is None:
-                    cache.put(("k", k % 8), value)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        hits, misses = cache.counters()
-        assert hits + misses == 4 * 200
 
 
 class TestPrograms:
@@ -375,12 +357,11 @@ class TestThreadStress:
 
         x = rng.normal(size=(40, 20)) * 0.4
         w = rng.normal(size=(20, 13)) * 0.3
-        # No tile cache: repeated calls would turn read-outs into hits.
-        ref_engine = _pooled(_engine("exact", tile_cache_size=0), 3)
+        ref_engine = _pooled(_engine("exact"), 3)
         prepared = ref_engine.prepare(w)
         ref = ref_engine.matmul(x, prepared)
         per_call = ref_engine.stats.snapshot()
-        engine = _pooled(_engine("exact", workers=8, tile_cache_size=0), 3)
+        engine = _pooled(_engine("exact", workers=8), 3)
         prepared = engine.prepare(w)
         outputs, calls = [], 6
 

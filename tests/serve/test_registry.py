@@ -216,8 +216,7 @@ class TestSpecKeyedEngines:
         from repro.api.spec import RuntimeSpec
         weights = np.eye(4) * 0.3
         base = SPEC.to_spec(engine="exact", sim=SIM)
-        pushy = base.evolve(runtime=RuntimeSpec(workers=8,
-                                                tile_cache_size=10_000))
+        pushy = base.evolve(runtime=RuntimeSpec(workers=8))
 
         async def scenario():
             a = await registry.engine_from_spec(base, weights)

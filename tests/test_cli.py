@@ -54,10 +54,15 @@ class TestServeCommand:
         args = build_parser().parse_args(
             ["serve", "--port", "0", "--max-batch", "32",
              "--flush-deadline-ms", "0.5", "--max-queue", "128",
-             "--tile-cache", "0", "--cache-dir", "/tmp/zoo"])
+             "--cache-dir", "/tmp/zoo"])
         assert (args.port, args.max_batch, args.flush_deadline_ms,
-                args.max_queue, args.tile_cache, args.cache_dir) == \
-            (0, 32, 0.5, 128, 0, "/tmp/zoo")
+                args.max_queue, args.cache_dir) == \
+            (0, 32, 0.5, 128, "/tmp/zoo")
+
+    def test_tile_cache_flag_deprecated_and_ignored(self):
+        with pytest.warns(DeprecationWarning, match="--tile-cache"):
+            args = build_parser().parse_args(["serve", "--tile-cache", "0"])
+        assert not hasattr(args, "tile_cache")
 
 
 class TestWorkersFlags:
