@@ -9,15 +9,16 @@ geometry — :func:`compile_program` precomputes everything that loop
 re-derives per call and lowers the shard into three fused stages:
 
 1. **Stacked read-out** — the per-model operands of a tile-row are
-   concatenated along columns at compile time (``(rows, M * cols)``; for
-   geniex, the hidden-bias rows are stacked to ``(M, hidden)``), so all
-   ``M = signs x slices x t_c`` tile models of a stream stack are read
-   out by *one* BLAS call and digitised by *one* ADC pass, instead of
-   ``M`` of each (the geniex NN forwards stay per-model: sgemm row
-   blocks are not bitwise stable under row-count changes, see
-   :meth:`CompiledLayer._friction`). Stacking must not change a
-   single bit, so :func:`compile_program` *probes* it: the stacked
-   read-out is checked bitwise against the per-model calls on a
+   concatenated along columns at compile time (``(rows, M * cols)``), so
+   all ``M = signs x slices x t_c`` tile models of a stream stack are
+   read out by *one* BLAS call and digitised by *one* ADC pass, instead
+   of ``M`` of each. The geniex NN forwards stay per-model: each tile's
+   network is pruned to its own live hidden units when the tile is
+   programmed, and both kernels run that tile's
+   :meth:`~repro.funcsim.engine.GeniexTileModel.forward` on the same
+   operands (see :meth:`CompiledLayer._friction`). Stacking must not
+   change a single bit, so :func:`compile_program` *probes* it: the
+   stacked read-out is checked bitwise against the per-model calls on a
    deterministic voltage batch at several row counts, and a layer whose
    BLAS build breaks the equality simply stays interpreted.
 2. **Vectorized decode** — the sign factors, ``2**(m * stream_bits)``
@@ -169,9 +170,6 @@ class CompiledLayer:
         #: validated for (set by the compile-time probe; shards below it
         #: fall back to the interpreted kernel).
         self.min_fused_rows = 1
-        #: Verdicts of the runtime stacked-NN-forward check, keyed by
-        #: ``(n_rows, n_models)`` shape class (see :meth:`_friction`).
-        self._nn_stack_ok: dict = {}
 
     # ------------------------------------------------------------------
     # Fused read-out
@@ -196,66 +194,35 @@ class CompiledLayer:
             .reshape(n_rows, n_models, cols).transpose(1, 0, 2)
         if self.kind != "geniex":
             return i_ideal
-        fr = self._friction(program, stacks["bias"], shared)
+        fr = self._friction(program, stacks["models"], shared)
         return i_ideal / fr
 
-    def _friction(self, program: LayerProgram, bias: np.ndarray,
+    def _friction(self, program: LayerProgram, models: list,
                   shared: np.ndarray) -> np.ndarray:
-        """Geniex non-ideality factors ``(M, n, cols)``.
+        """Geniex non-ideality factors ``(M, n, cols)``, model-major.
 
-        The hidden-layer bias add and the ``denormalize_fr`` rescale are
-        element-wise, so batching them over the model axis is trivially
-        bitwise equal to the interpreted kernel's per-model ops. The NN
-        *forward* is not: BLAS sgemm results for a row block are not
-        bitwise stable under changes of the total row count (observed at
-        odd counts on this host), so a ``(M * n, hidden)`` stacked
-        forward can diverge from the per-model forwards in the last
-        float32 ulp. The first call of each ``(n, M)`` shape class
-        therefore runs *both* and compares bitwise — kernel dispatch is
-        value-independent, so the verdict transfers to every later call
-        of the class — and only validated classes keep the one-call
-        stacked forward; others run the per-model forwards, matching the
-        interpreted kernel call for call.
+        Each tile model runs its own pruned forward
+        (:meth:`~repro.funcsim.engine.GeniexTileModel.forward`) — the very
+        method the interpreted kernel calls, on the same operands — into
+        a contiguous block of the pooled ``fr`` buffer, with its hidden
+        activations carved from the pooled ``hidden`` buffer, so every
+        BLAS call matches the interpreted kernel's call for call. The
+        ``denormalize_fr`` rescale is element-wise, so it runs once over
+        the whole block: the same clip -> scale -> shift chain, element
+        for element, without its per-model temporaries.
         """
-        emu = program.tile_factory.emulator
-        nn_matmul = self.backend.invariant_matmul \
-            if self.batch_invariant else None
-        n_models = bias.shape[0]
         n_rows = shared.shape[0]
-        hidden = np.add(shared[None, :, :], bias[:, None, :],
-                        out=self.scratch.take(
-                            "hidden", (n_models, n_rows, bias.shape[1]),
-                            shared.dtype))
-        key = (n_rows, n_models)
-        stack_ok = self._nn_stack_ok.get(key)
-        if stack_ok is not False:
-            fr_norm = emu.model.forward_hidden(
-                hidden.reshape(n_models * n_rows, bias.shape[1]),
-                matmul=nn_matmul)
-            # In-place denormalize: same clip -> scale -> shift chain as
-            # Normalizer.denormalize_fr, element for element, without
-            # its three temporaries (the float32 -> float64 widening of
-            # the convert-assign is exact).
-            norm = emu.normalizer
-            fr_stacked = self.scratch.take("fr", fr_norm.shape)
-            fr_stacked[...] = fr_norm
-            np.clip(fr_stacked, 0.0, 1.0, out=fr_stacked)
-            np.multiply(fr_stacked, norm.fr_max - norm.fr_min,
-                        out=fr_stacked)
-            np.add(fr_stacked, norm.fr_min, out=fr_stacked)
-            fr_stacked = fr_stacked.reshape(n_models, n_rows, -1)
-            if stack_ok:
-                return fr_stacked
-        fr_models = [emu.normalizer.denormalize_fr(
-            emu.model.forward_hidden(hidden[mi], matmul=nn_matmul))
-            for mi in range(n_models)]
-        if stack_ok is None:
-            stack_ok = all(np.array_equal(fr_stacked[mi], fr_models[mi])
-                           for mi in range(n_models))
-            self._nn_stack_ok[key] = stack_ok
-            if stack_ok:
-                return fr_stacked
-        return np.stack(fr_models)
+        fr = self.scratch.take("fr", (len(models), n_rows, program.plan.cols))
+        work = self.scratch.take(
+            "hidden", (n_rows * max(m.work_width for m in models),),
+            np.float32)
+        for mi, model in enumerate(models):
+            model.forward(shared, out=fr[mi], work=work)
+        norm = program.tile_factory.emulator.normalizer
+        np.clip(fr, 0.0, 1.0, out=fr)
+        np.multiply(fr, norm.fr_max - norm.fr_min, out=fr)
+        np.add(fr, norm.fr_min, out=fr)
+        return fr
 
     def _currents_flat(self, program: LayerProgram, tr: int,
                        voltages: np.ndarray, shared) -> np.ndarray:
@@ -278,9 +245,8 @@ class CompiledLayer:
             "i_flat", (voltages.shape[0], g_cat.shape[1])))
         if self.kind != "geniex":
             return i_flat
-        bias = stacks["bias"]
-        fr = self._friction(program, bias, shared)
-        i3 = i_flat.reshape(voltages.shape[0], bias.shape[0], plan.cols)
+        fr = self._friction(program, stacks["models"], shared)
+        i3 = i_flat.reshape(voltages.shape[0], fr.shape[0], plan.cols)
         np.divide(i3, fr.transpose(1, 0, 2), out=i3)
         return i_flat
 
@@ -428,8 +394,11 @@ def compile_program(program: LayerProgram, backend,
     ``scratch`` is the pool the fused kernel takes its temporaries from
     (an engine passes one pool to all its layers). Stacks every
     tile-row's model operands into dense arrays, precomputes the decode
-    prefactors and probes the stacked read-out for bit-identity (:func:`_probe_stacked_readout`); emits a
-    ``kernel-compile`` obs span. Unfusible tile kinds (anything outside
+    prefactors and probes the stacked read-out for bit-identity
+    (:func:`_probe_stacked_readout`); emits a ``kernel-compile`` obs span
+    (for geniex with ``hidden_kept``/``hidden_total`` meta: the hidden
+    units the layer's pruned tiles run, of those the emulator has).
+    Unfusible tile kinds (anything outside
     :data:`FUSIBLE_KINDS`) and programs failing the probe return
     ``None`` and keep executing through the interpreted kernel.
     """
@@ -438,8 +407,15 @@ def compile_program(program: LayerProgram, backend,
         return None
     plan = program.plan
     cfg = plan.sim_config
+    meta = {}
+    if kind == "geniex":
+        # How much of the emulator network the layer's tiles actually run.
+        meta["hidden_kept"] = sum(m.kept.size
+                                  for m in program.models.values())
+        meta["hidden_total"] = (program.tile_factory.emulator.model.hidden
+                                * len(program.models))
     with span("kernel-compile", layer=plan.uid, kind=kind,
-              backend=backend.name):
+              backend=backend.name, **meta):
         coords = [(sw, k, tc) for sw in plan.sign_present
                   for k in range(cfg.n_slices) for tc in range(plan.t_c)]
         row_stacks = {}
@@ -453,7 +429,7 @@ def compile_program(program: LayerProgram, backend,
                                   for m in models])
             stacks = {"g_cat": _cat_columns(stack)}
             if kind == "geniex":
-                stacks["bias"] = np.stack([m._hidden_bias for m in models])
+                stacks["models"] = models
             row_stacks[tr] = stacks
         sw_factors = np.array([1.0 if sw == 0 else -1.0
                                for sw in plan.sign_present])

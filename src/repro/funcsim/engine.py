@@ -38,9 +38,11 @@ tile.
 
 Tile models:
 
-* :class:`GeniexTileFactory` — GENIEx emulation (default non-ideal mode),
-  with the conductance term of the hidden layer precomputed per tile and the
-  voltage term shared across all tiles in a tile-row.
+* :class:`GeniexTileFactory` — GENIEx emulation (default non-ideal mode).
+  Each tile's network is specialised when the tile is programmed: the
+  conductance term of the hidden layer folds into a per-tile bias, hidden
+  units that bias provably keeps at zero are dropped, and the bias rides
+  in the first GEMM on voltages augmented once per tile-row.
 * :class:`AnalyticalTileFactory` — exact linear parasitic model (one sparse
   LU per tile, reused across all streams).
 * :class:`DecoupledTileFactory` — cheap first-order IR-drop model.
@@ -81,6 +83,7 @@ from repro.funcsim.runtime.kernel import (
     run_tile_row,
     shard_adc,
 )
+from repro.nn.modules import Linear
 from repro.obs import span
 from repro.funcsim.slicing import sign_split, split_unsigned
 from repro.funcsim.tiles import n_tiles, tile_matrix
@@ -174,18 +177,53 @@ class ExactTileFactory:
             self._matmul if self.batch_invariant else None)
 
 
+#: Kept hidden units are padded with dropped ones to a multiple of this
+#: width, so the pruned tile GEMMs fall into a handful of shape classes
+#: (each new class costs a one-time batch-invariance probe).
+HIDDEN_PAD = 16
+
+
 class GeniexTileFactory:
-    """Builds GENIEx-backed tile models for one trained emulator."""
+    """Builds GENIEx-backed tile models for one trained emulator.
+
+    ``v_supply_v`` is the highest word-line voltage the tiles will be
+    driven with (the engine's DAC full scale; default: the emulator's
+    training supply). Each tile prunes the hidden units that voltage
+    ceiling proves dead (see :class:`GeniexTileModel`), so an engine
+    whose supply exceeds it is rejected by :meth:`check_crossbar`.
+    """
 
     name = "geniex"
 
     def __init__(self, emulator: GeniexEmulator,
-                 batch_invariant: bool = False):
+                 batch_invariant: bool = False,
+                 v_supply_v: float | None = None):
         self.emulator = emulator
         self.batch_invariant = bool(batch_invariant)
         self._matmul = _select_matmul(batch_invariant)
-        w1v, _, _ = emulator.model.first_layer_views()
+        model = emulator.model
+        w1v, _, _ = model.first_layer_views()
         self._w1v_t = np.ascontiguousarray(w1v.T)
+        norm = emulator.normalizer
+        self.v_supply_v = float(norm.v_supply_v if v_supply_v is None
+                                else v_supply_v)
+        self.v_max = self.v_supply_v / norm.v_supply_v
+        # The voltage terms of the pruning bound (see kept_units), once
+        # per emulator: unit j is kept iff bias_j + c * |bias_j| >
+        # floor_j = -v_max * (sum(max(w1v_j, 0)) + c * sum(|w1v_j|)).
+        w1v64 = w1v.astype(np.float64)
+        self._margin_scale = (emulator.rows + 2) * 2.0 ** -23
+        self._alive_floor = -self.v_max * (
+            np.maximum(w1v64, 0.0).sum(axis=1)
+            + self._margin_scale * np.abs(w1v64).sum(axis=1))
+        # The Linear layers after the first ReLU, as (W.T, b) pairs with a
+        # ReLU between consecutive ones. Tiles restrict the first pair's
+        # W.T to their kept rows; the rest (hidden_layers=2) are shared.
+        linears = [(np.ascontiguousarray(layer.weight.data.T),
+                    layer.bias.data)
+                   for layer in list(model.body)[2:]
+                   if isinstance(layer, Linear)]
+        (self._w2_t, self._b2), self._tail = linears[0], linears[1:]
         self._cache_token = None
 
     def check_crossbar(self, config: CrossbarConfig) -> None:
@@ -194,11 +232,46 @@ class GeniexTileFactory:
                 f"emulator was trained for "
                 f"{self.emulator.rows}x{self.emulator.cols} crossbars, "
                 f"engine uses {config.rows}x{config.cols}")
+        if config.v_supply_v > self.v_supply_v:
+            raise ConfigError(
+                f"GENIEx tiles are pruned for word-line voltages up to "
+                f"{self.v_supply_v} V; the engine drives "
+                f"{config.v_supply_v} V")
 
     def prepare_voltages(self, voltages_v: np.ndarray):
-        """Hidden-layer voltage term, shared by every tile in a tile-row."""
-        v_norm = self.emulator.normalizer.normalize_v(voltages_v)
-        return self._matmul(v_norm, self._w1v_t)
+        """Augmented normalised voltages ``[v_norm, 1]`` ``(n, rows + 1)``,
+        shared by every tile in a tile-row; the constant column folds each
+        tile's hidden bias into its first GEMM."""
+        v_norm = self.emulator.normalizer.normalize_v(
+            np.atleast_2d(voltages_v))
+        v_aug = np.empty((v_norm.shape[0], v_norm.shape[1] + 1), np.float32)
+        v_aug[:, :-1] = v_norm
+        v_aug[:, -1] = 1.0
+        return v_aug
+
+    def kept_units(self, bias: np.ndarray) -> np.ndarray:
+        """Indices of the hidden units a tile with this float32 hidden
+        ``bias`` must run: every unit not provably dead, padded with dead
+        ones to a multiple of :data:`HIDDEN_PAD` (at least one pad width,
+        capped at ``hidden``).
+
+        Unit ``j`` is dead when ``bias_j + v_max * sum(max(w1v_j, 0))``
+        is at most ``-margin_j``, with ``margin_j = c * (|bias_j| + v_max
+        * sum(|w1v_j|))`` and ``c = (rows + 2) * 2**-23`` bounding the
+        float32 rounding error of the ``(rows + 1)``-term GEMM (and its
+        input roundings) relative to the sum of its absolute terms. Its
+        pre-activation is then negative both exactly and as computed, so
+        its ReLU output is exactly 0 for every normalised voltage in
+        ``[0, v_max]``.
+        """
+        b = bias.astype(np.float64)
+        alive = b + self._margin_scale * np.abs(b) > self._alive_floor
+        n_alive = np.count_nonzero(alive)
+        width = min(alive.size,
+                    max(HIDDEN_PAD, -(-n_alive // HIDDEN_PAD) * HIDDEN_PAD))
+        if width > n_alive:
+            alive[np.flatnonzero(~alive)[:width - n_alive]] = True
+        return np.flatnonzero(alive)
 
     def cache_token(self) -> str:
         """Identity of the emulation function, not just its topology.
@@ -221,25 +294,68 @@ class GeniexTileFactory:
 
 
 class GeniexTileModel:
-    """Per-tile GENIEx forward pass with the G term folded in."""
+    """Per-tile GENIEx forward pass, specialised when the tile is programmed.
+
+    The conductance term of the first layer is constant for a programmed
+    (and, with device faults, perturbed) tile, so it folds into a hidden
+    bias. Hidden units that bias provably keeps at zero are dropped (see
+    :meth:`GeniexTileFactory.kept_units`), and the bias becomes the last
+    row of the first-layer operand ``w_aug = [w1v[kept].T; bias[kept]]``,
+    so the hidden layer is a single GEMM on the augmented voltages of
+    :meth:`GeniexTileFactory.prepare_voltages`.
+    """
 
     def __init__(self, factory: GeniexTileFactory, conductance_s: np.ndarray):
         self._factory = factory
         emulator = factory.emulator
         _, w1g, b1 = emulator.model.first_layer_views()
         g_norm = emulator.normalizer.normalize_g(conductance_s).reshape(-1)
-        self._hidden_bias = (g_norm @ w1g.T + b1).astype(np.float32)
+        bias = (g_norm @ w1g.T + b1).astype(np.float32)
+        kept = factory.kept_units(bias)
+        #: Indices of the hidden units this tile runs.
+        self.kept = kept
+        self.w_aug = np.concatenate([factory._w1v_t[:, kept],
+                                     bias[None, kept]])
+        self._w2_t = factory._w2_t[kept]
+        #: Flat float32 work size per voltage row of :meth:`forward`.
+        self.work_width = kept.size + self._w2_t.shape[1]
         self.conductance_s = conductance_s
+
+    def forward(self, v_aug: np.ndarray, out=None, work=None) -> np.ndarray:
+        """Normalised network output ``(n, cols)`` for augmented voltages.
+
+        The one NN forward of both kernels: ``relu(v_aug @ w_aug) @ W2 +
+        b2`` (through any later layers) in float32, the last bias add
+        widened into ``out`` (float64; allocated when ``None``).
+        ``work`` is an optional flat float32 buffer of at least ``n *
+        work_width`` elements that the hidden activations and the first
+        post-ReLU product are carved from.
+        """
+        factory = self._factory
+        matmul = factory._matmul
+        n = v_aug.shape[0]
+        k, width = self._w2_t.shape
+        hidden = first = None
+        if work is not None:
+            hidden = work[:n * k].reshape(n, k)
+            first = work[n * k:n * (k + width)].reshape(n, width)
+        hidden = matmul(v_aug, self.w_aug, out=hidden)
+        np.maximum(hidden, 0.0, out=hidden)
+        y = matmul(hidden, self._w2_t, out=first)
+        bias = factory._b2
+        for w_t, next_bias in factory._tail:
+            np.add(y, bias, out=y)
+            np.maximum(y, 0.0, out=y)
+            y, bias = matmul(y, w_t), next_bias
+        if out is None:
+            out = np.empty(y.shape)
+        return np.add(y, bias, out=out)
 
     def currents(self, voltages_v: np.ndarray, cache=None) -> np.ndarray:
         factory = self._factory
         if cache is None:
             cache = factory.prepare_voltages(voltages_v)
-        hidden = cache + self._hidden_bias
-        fr_norm = factory.emulator.model.forward_hidden(
-            hidden, matmul=factory._matmul if factory.batch_invariant
-            else None)
-        fr = factory.emulator.normalizer.denormalize_fr(fr_norm)
+        fr = factory.emulator.normalizer.denormalize_fr(self.forward(cache))
         if factory.batch_invariant:
             i_ideal = factory._matmul(np.atleast_2d(voltages_v),
                                       self.conductance_s)
@@ -832,7 +948,8 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
     if kind == "geniex":
         if emulator is None:
             raise ConfigError("geniex engine requires a trained emulator")
-        factory = GeniexTileFactory(emulator, batch_invariant=batch_invariant)
+        factory = GeniexTileFactory(emulator, batch_invariant=batch_invariant,
+                                    v_supply_v=xbar_config.v_supply_v)
     elif kind == "exact":
         factory = ExactTileFactory(xbar_config,
                                    batch_invariant=batch_invariant)

@@ -1,0 +1,214 @@
+"""Dead-unit pruning of GENIEx tiles: soundness, equivalence, invariance.
+
+A programmed GENIEx tile drops every hidden unit whose ReLU provably
+outputs 0 for all legal word-line voltages (see
+:meth:`repro.funcsim.engine.GeniexTileFactory.kept_units`). These tests
+pin that the proof holds — in exact arithmetic and in the float32 GEMM
+the kernels run — for random emulators, faulty conductances and voltage
+ceilings other than the emulator's own supply; that the pruned forward
+equals an unpruned one; and that pruning keeps the serving contract
+(batch-invariant rows, fused == interpreted bit for bit).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.emulator import GeniexEmulator
+from repro.core.model import GeniexNet, Normalizer
+from repro.errors import ConfigError
+from repro.funcsim import FuncSimConfig, make_engine
+from repro.funcsim.engine import (HIDDEN_PAD, CrossbarMvmEngine,
+                                  GeniexTileFactory)
+from repro.nonideal.pipeline import NonidealitySpec, as_pipeline
+from repro.nonideal.transforms import StuckSpec, VariationSpec
+from repro.obs import start_trace
+from repro.utils.numerics import batch_invariant_matmul
+from repro.xbar.config import CrossbarConfig
+
+SCFG = FuncSimConfig()
+EMULATOR_SUPPLY_V = 0.25
+
+FAULTS = {
+    "clean": None,
+    "stuck": NonidealitySpec(seed=3, stuck=StuckSpec(p_on=0.1, p_off=0.1)),
+    "variation": NonidealitySpec(seed=5, variation=VariationSpec(sigma=0.3)),
+}
+
+
+def random_emulator(rows: int, cols: int, hidden: int, hidden_layers: int,
+                    seed: int, g_gain: float = 1.0) -> GeniexEmulator:
+    """Untrained emulator whose hidden biases straddle the dead/alive
+    boundary (uniform over a range wider than the voltage term).
+    ``g_gain`` scales the conductance weights, which makes the kept set
+    vary more from tile to tile."""
+    cfg = CrossbarConfig(rows=rows, cols=cols, v_supply_v=EMULATOR_SUPPLY_V)
+    net = GeniexNet(rows, cols, hidden=hidden, hidden_layers=hidden_layers,
+                    normalizer=Normalizer.from_config(cfg, 0.8, 1.3),
+                    seed=seed)
+    rng = np.random.default_rng(seed)
+    first = net.body[0]
+    first.bias.data[...] = rng.uniform(-2.0, 0.5, size=hidden)
+    first.weight.data[:, rows:] *= g_gain
+    return GeniexEmulator(net)
+
+
+def programmed_tiles(emulator, factory, fault: str, n_tiles: int, seed: int):
+    """(tile model, full float32 hidden bias) for random conductances."""
+    cfg = CrossbarConfig(rows=emulator.rows, cols=emulator.cols)
+    pipeline = as_pipeline(FAULTS[fault])
+    rng = np.random.default_rng(seed)
+    _, w1g, b1 = emulator.model.first_layer_views()
+    out = []
+    for t in range(n_tiles):
+        g = rng.uniform(cfg.g_off_s, cfg.g_on_s, size=cfg.shape)
+        if pipeline is not None:
+            g = pipeline.perturb(g, (seed, 0, 0, t), cfg.g_off_s, cfg.g_on_s)
+        tile = factory.build(g)
+        g_norm = emulator.normalizer.normalize_g(g).reshape(-1)
+        out.append((tile, (g_norm @ w1g.T + b1).astype(np.float32)))
+    return out
+
+
+def full_first_layer(emulator, bias: np.ndarray) -> np.ndarray:
+    """Unpruned ``[w1v.T; bias]`` operand ``(rows + 1, hidden)``."""
+    w1v, _, _ = emulator.model.first_layer_views()
+    return np.concatenate([w1v.T, bias[None, :]])
+
+
+def reference_fr(emulator, voltages_v: np.ndarray,
+                 bias: np.ndarray) -> np.ndarray:
+    """Unpruned float32 forward (separate voltage GEMM and bias add)."""
+    w1v, _, _ = emulator.model.first_layer_views()
+    v_norm = emulator.normalizer.normalize_v(voltages_v)
+    hidden = v_norm @ w1v.T + bias
+    return emulator.normalizer.denormalize_fr(
+        emulator.model.forward_hidden(hidden))
+
+
+#: Pruned vs unpruned fR, relative to the fR label range: the two
+#: forwards differ only in float32 summation order (bias folded into the
+#: GEMM, zero columns left out), a few ulps of the hidden sums.
+FR_TOLERANCE = 1e-5
+
+
+@given(rows=st.integers(2, 6), cols=st.integers(1, 4),
+       hidden=st.integers(1, 48), hidden_layers=st.sampled_from([1, 2]),
+       v_max=st.sampled_from([0.5, 1.0, 2.0]),
+       fault=st.sampled_from(sorted(FAULTS)),
+       seed=st.integers(0, 2 ** 16))
+def test_pruning_is_sound(rows, cols, hidden, hidden_layers, v_max, fault,
+                          seed):
+    emulator = random_emulator(rows, cols, hidden, hidden_layers, seed)
+    supply = v_max * EMULATOR_SUPPLY_V
+    factory = GeniexTileFactory(emulator, v_supply_v=supply)
+    assert factory.v_max == v_max
+    w1v, _, _ = emulator.model.first_layer_views()
+    rng = np.random.default_rng(seed + 1)
+    for tile, bias in programmed_tiles(emulator, factory, fault, 4, seed):
+        kept = tile.kept
+        k = kept.size
+        # (c) padded to the pad width, or the whole layer.
+        assert k == hidden or (k % HIDDEN_PAD == 0 and k > 0)
+        w_full = full_first_layer(emulator, bias)
+        np.testing.assert_array_equal(tile.w_aug, w_full[:, kept])
+        dropped = np.setdiff1d(np.arange(hidden), kept)
+
+        # (a) worst-case corner: v_max wherever the weight is positive.
+        corner = np.where(w1v[dropped] > 0, supply, 0.0)
+        v_aug = factory.prepare_voltages(corner)
+        rows_ = np.arange(dropped.size)
+        exact = (v_aug.astype(np.float64) @ w_full.astype(np.float64))
+        assert np.all(exact[rows_, dropped] <= 0.0)
+        for product in (np.matmul, batch_invariant_matmul):
+            assert np.all(product(v_aug, w_full)[rows_, dropped] <= 0.0)
+
+        # (a) random in-range batches, DAC-quantised and continuous.
+        levels = rng.integers(0, 2 ** SCFG.stream_bits, size=(33, rows))
+        for volts in (levels * supply / (2 ** SCFG.stream_bits - 1),
+                      rng.uniform(0.0, supply, size=(33, rows))):
+            pre = factory.prepare_voltages(volts) @ w_full
+            assert np.all(pre[:, dropped] <= 0.0)
+
+            # (b) pruned forward == unpruned reference, to float32.
+            norm = emulator.normalizer
+            np.testing.assert_allclose(
+                norm.denormalize_fr(
+                    tile.forward(factory.prepare_voltages(volts))),
+                reference_fr(emulator, volts, bias), rtol=0,
+                atol=FR_TOLERANCE * (norm.fr_max - norm.fr_min))
+
+
+def test_ceiling_above_factory_supply_rejected():
+    emulator = random_emulator(4, 4, 24, 1, seed=0)
+    xcfg = CrossbarConfig(rows=4, cols=4, v_supply_v=2 * EMULATOR_SUPPLY_V)
+    with pytest.raises(ConfigError, match="pruned for word-line voltages"):
+        CrossbarMvmEngine(xcfg, SCFG, GeniexTileFactory(emulator))
+    # make_engine hands the factory the engine's own supply.
+    engine = make_engine("geniex", xcfg, SCFG, emulator=emulator)
+    assert engine.tile_factory.v_max == 2.0
+
+
+@pytest.fixture(scope="module")
+def pruned_emulator():
+    """8x8 emulator whose tiles keep 16 or 32 of 48 hidden units."""
+    return random_emulator(8, 8, 48, 1, seed=3, g_gain=3.0)
+
+
+@pytest.fixture
+def weights(rng):
+    return rng.normal(size=(20, 13)) * 0.3
+
+
+def _kept_counts(prepared) -> set:
+    return {m.kept.size for m in prepared.models.values()}
+
+
+class TestPrunedEngine:
+    XCFG = CrossbarConfig(rows=8, cols=8, v_supply_v=EMULATOR_SUPPLY_V)
+
+    def _engine(self, emulator, **kwargs):
+        return make_engine("geniex", self.XCFG, SCFG, emulator=emulator,
+                           **kwargs)
+
+    @pytest.mark.parametrize("invariant", [False, True])
+    def test_fused_equals_interp(self, pruned_emulator, weights, rng,
+                                 invariant):
+        fused = self._engine(pruned_emulator, batch_invariant=invariant)
+        interp = self._engine(pruned_emulator, batch_invariant=invariant,
+                              backend="interp")
+        p_f, p_i = fused.prepare(weights), interp.prepare(weights)
+        assert len(_kept_counts(p_f)) > 1
+        for n in (1, 2, 7, 40):
+            x = rng.normal(size=(n, 20)) * 0.4
+            assert fused.matmul(x, p_f).tobytes() == \
+                interp.matmul(x, p_i).tobytes()
+        assert fused.stats.snapshot()["fused_calls"] > 0
+
+    def test_batch_invariant_rows(self, pruned_emulator, weights, rng):
+        """Every row equals its single-row result byte for byte, and the
+        fused kernel equals the interpreted one, at every batch size."""
+        fused = self._engine(pruned_emulator, batch_invariant=True)
+        interp = self._engine(pruned_emulator, batch_invariant=True,
+                              backend="interp")
+        p_f, p_i = fused.prepare(weights), interp.prepare(weights)
+        assert len(_kept_counts(p_f)) > 1
+        for n in (1, 2, 7, 40):
+            x = rng.normal(size=(n, 20)) * 0.4
+            out = fused.matmul(x, p_f)
+            assert out.tobytes() == interp.matmul(x, p_i).tobytes()
+            for i in range(n):
+                assert out[i].tobytes() == \
+                    fused.matmul(x[i:i + 1], p_f)[0].tobytes()
+
+    def test_compile_span_reports_kept_units(self, pruned_emulator, weights):
+        engine = self._engine(pruned_emulator)
+        with start_trace("compile") as trace:
+            prepared = engine.prepare(weights)
+        meta = [s.meta for s in trace.spans() if s.name == "kernel-compile"]
+        assert len(meta) == 1
+        assert meta[0]["hidden_total"] == 48 * len(prepared.models)
+        assert meta[0]["hidden_kept"] == sum(
+            m.kept.size for m in prepared.models.values())
+        assert meta[0]["hidden_kept"] < meta[0]["hidden_total"]
