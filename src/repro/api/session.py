@@ -75,8 +75,7 @@ def build_engine(spec: EmulationSpec, emulator=None):
                        spec.sim.to_config(), emulator=emulator,
                        batch_invariant=runtime.batch_invariant,
                        workers=runtime.workers,
-                       nonideality=spec.nonideality,
-                       backend=runtime.backend)
+                       nonideality=spec.nonideality)
 
 
 class Session:

@@ -26,7 +26,7 @@ The spec tree::
     │   ├── noise: NoiseTrainSpec    # noise-injection / HW-loop training
     │   ├── calibration: CalibrationSpec
     │   └── seed
-    └── runtime: RuntimeSpec         # workers / chunking / backend
+    └── runtime: RuntimeSpec         # workers / chunking / invariance
 
 The design-parameter nodes subclass the validated config dataclasses they
 describe (:class:`XbarSpec` extends
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,12 +65,6 @@ from repro.devices.rram import RramParameters
 from repro.errors import ConfigError
 from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.engine import ENGINE_KINDS, INVARIANT_KINDS
-from repro.funcsim.runtime.backends import (
-    BACKEND_KINDS,
-    DEPRECATED_KINDS,
-    INTERPRETER_KINDS,
-    warn_deprecated_backend,
-)
 from repro.mitigation.spec import (
     CalibrationSpec,
     MitigationSpec,
@@ -219,65 +212,25 @@ class RuntimeSpec:
             the microbatching service). Only this field participates in
             ``spec.key()`` — every other runtime knob is value-neutral
             by the runtime's determinism contract.
-        backend: Array backend of the compiled fused kernel (``None``
-            resolves through ``$REPRO_BACKEND`` to ``"numpy"``;
-            ``"interp"`` forces the interpreted reference kernel). All
-            values are bit-identical, so — like every knob but
-            ``batch_invariant`` — the choice never enters ``spec.key()``
-            or cache digests. The removed ``"numba"``/``"torch"``
-            backends are accepted with a :class:`DeprecationWarning`
-            and stored as ``"numpy"``.
         fleet: Fleet routing policy (:class:`FleetSpec`); a digest-
             neutral hint consumed only by the fleet front-end.
-        executor: Deprecated and ignored (accepted with a
-            :class:`DeprecationWarning` so stored specs still load);
-            ``workers > 1`` always means threads. Never serialised.
-        tile_cache_size: Deprecated and ignored (the tile-result cache
-            is gone; accepted with a :class:`DeprecationWarning` so
-            stored specs still load). Never serialised.
+
+    Stored specs naming a removed runtime field (the executor, the tile
+    cache size or the array backend) are rejected like any other unknown
+    field.
     """
 
     workers: int = 1
     chunk_rows: int | None = None
     batch_invariant: bool = False
-    backend: str | None = None
     fleet: FleetSpec = FleetSpec()
-    executor: str | None = field(default=None, compare=False, repr=False,
-                                 metadata={"serialise": False})
-    tile_cache_size: int | None = field(default=None, compare=False,
-                                        repr=False,
-                                        metadata={"serialise": False})
 
     def __post_init__(self):
-        if self.executor is not None:
-            if self.executor not in ("serial", "threads", "process"):
-                raise ConfigError(f"unknown executor {self.executor!r}")
-            warnings.warn(
-                "spec.runtime.executor is deprecated and ignored (one "
-                "execution path; workers > 1 runs threads); it will be "
-                "rejected in the next release",
-                DeprecationWarning, stacklevel=3)
-            object.__setattr__(self, "executor", None)
-        if self.tile_cache_size is not None:
-            warnings.warn(
-                "spec.runtime.tile_cache_size is deprecated and ignored "
-                "(the tile-result cache was removed); it will be "
-                "rejected in the next release",
-                DeprecationWarning, stacklevel=3)
-            object.__setattr__(self, "tile_cache_size", None)
-        if self.backend in DEPRECATED_KINDS:
-            warn_deprecated_backend(self.backend, stacklevel=4)
-            object.__setattr__(self, "backend", "numpy")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.chunk_rows is not None and self.chunk_rows < 1:
             raise ConfigError(
                 f"chunk_rows must be >= 1 or None, got {self.chunk_rows}")
-        if self.backend is not None \
-                and self.backend not in BACKEND_KINDS + INTERPRETER_KINDS:
-            raise ConfigError(
-                f"unknown array backend {self.backend!r}; expected one of "
-                f"{BACKEND_KINDS + INTERPRETER_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -417,7 +370,7 @@ class EmulationSpec:
         emulator node too rather than risk ever sharing an engine across
         different crossbar designs), the sim precision and the
         batch-invariance flag. Deliberately excludes every other runtime
-        knob: worker count, chunking and the array backend never change
+        knob: worker count, chunking and fleet routing never change
         results (the runtime's determinism contract), so two specs that
         differ only there share warm engines.
         """
@@ -465,8 +418,6 @@ def _shallow_dict(node, cls) -> dict:
 def _node_to_dict(node) -> dict:
     out = {}
     for f in dataclasses.fields(node):
-        if not f.metadata.get("serialise", True):
-            continue
         value = getattr(node, f.name)
         if dataclasses.is_dataclass(value):
             out[f.name] = _node_to_dict(value)

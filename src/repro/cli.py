@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 import numpy as np
 
@@ -43,20 +42,6 @@ class _TrackedAction(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
         vars(namespace).setdefault("_explicit", set()).add(self.dest)
-
-
-class _IgnoredTileCacheFlag(argparse.Action):
-    """``serve --tile-cache N``: accepted and ignored for one release.
-
-    The tile-result cache is gone; the flag only warns so existing
-    launch scripts keep working, and leaves nothing on the namespace.
-    """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warnings.warn(
-            "--tile-cache is deprecated and ignored (the tile-result cache "
-            "was removed); it will be rejected in the next release",
-            DeprecationWarning, stacklevel=2)
 
 
 def _explicit(args) -> set:
@@ -274,10 +259,6 @@ def _cmd_fig(args) -> int:
         # The experiment drivers read the worker count through
         # repro.experiments.common.default_workers().
         os.environ["REPRO_WORKERS"] = str(args.workers)
-    if args.backend is not None:
-        # Engines built anywhere down the run resolve this through
-        # resolve_backend(); an explicit spec value still wins.
-        os.environ["REPRO_BACKEND"] = args.backend
     spec = _load_spec(args)
     module_name, func_name = _FIG_RUNNERS[args.name].split(":")
     runner = getattr(importlib.import_module(module_name), func_name)
@@ -398,8 +379,7 @@ def _cmd_serve(args) -> int:
                   max_memory_entries=args.max_models),
         max_models=args.max_models,
         max_nets=args.max_nets,
-        engine_workers=args.engine_workers,
-        backend=args.backend)
+        engine_workers=args.engine_workers)
     server = EmulationServer(
         registry,
         max_batch_rows=args.max_batch,
@@ -580,10 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--workers", type=int, default=None,
                        help="funcsim engine threads for DNN accuracy "
                             "experiments (default: $REPRO_WORKERS or 1)")
-    p_fig.add_argument("--backend", default=None,
-                       help="fused-kernel array backend (numpy, or interp "
-                            "for the interpreted reference; default: "
-                            "$REPRO_BACKEND or numpy)")
     p_fig.set_defaults(func=_cmd_fig)
 
     p_mitigate = sub.add_parser(
@@ -619,16 +595,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-nets", type=int, default=8,
                          help="compiled network programs kept in memory "
                               "(LRU)")
-    p_serve.add_argument("--tile-cache", type=int,
-                         action=_IgnoredTileCacheFlag,
-                         default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     p_serve.add_argument("--engine-workers", type=int, default=1,
                          help="shard prepared-engine matmuls across this "
                               "many threads (1 = calling thread only)")
-    p_serve.add_argument("--backend", default=None,
-                         help="fused-kernel array backend for warm engines "
-                              "(numpy or interp; default: $REPRO_BACKEND "
-                              "or numpy)")
     p_serve.add_argument("--cache-dir", default=None,
                          help="GENIEx zoo directory (default: "
                               "$REPRO_CACHE_DIR or ~/.cache/repro/geniex)")

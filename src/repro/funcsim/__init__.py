@@ -37,16 +37,18 @@ Every worker count produces bit-identical outputs; with ADC noise,
 per-shard noise streams are keyed by tile coordinates so noisy runs
 reproduce exactly regardless of scheduling.
 
-**Compiled fused execution.** For the closed-form tile kinds (``geniex``,
-``exact``, ``analytical``) a compile pass (:mod:`repro.funcsim.compiler`)
-lowers each layer program into fused tile-row kernels: per-tile-row
-stacked operand tensors, one batched read-out and one ADC pass per stream
-stack, and a vectorized decode with precomputed sign/shift prefactors.
-The fused path is bit-identical to the interpreted kernel (which remains
-the reference and the fallback for ``decoupled``/``circuit``), executes
-on the numpy array backend (:mod:`repro.funcsim.runtime.backends`), and
-is on by default — disable it with ``backend="interp"`` or
-``REPRO_BACKEND=interp``.
+**One compiled kernel.** A compile pass (:mod:`repro.funcsim.compiler`)
+lowers each layer program into one tile-row shard kernel, the same for
+every engine kind: all active stream blocks of a tile-row are read out in
+one flat ``(streams * batch, models * cols)`` measurement — one stacked
+GEMM for ``exact``/``analytical``, plus the pruned NN forward and fR
+divide for ``geniex``, or each model's own solve for
+``decoupled``/``circuit`` — digitised by one in-place ADC pass. The
+digital back end is exact: integer ADC codes meet signed power-of-two
+shift-and-add prefactors, every partial sum stays below ``2**53``
+(asserted when the layer is planned), so the contraction is exact in any
+order, and the ``exact`` engine equals tile-row-accumulated Ideal FxP
+bit for bit.
 
 **Batched tile API.** Every tile model maps a voltage batch ``(M, rows)``
 to currents ``(M, cols)`` in one call, and the kernel stacks all active
@@ -54,10 +56,9 @@ stream blocks of a tile-row into a single such batch per tile model — the
 tile models therefore see one large batched inference/solve instead of one
 call per stream, which is what makes non-ideal inference tractable (cf. the
 GENIEx premise of replacing per-vector SPICE solves with batched NN
-inference). With a noiseless ADC (the default), batched and per-stream
-execution produce identical outputs; with ADC noise enabled the two are
-statistically equivalent but not bit-identical, because batching draws the
-seeded noise samples in a different order. Engine statistics
+inference). With ADC noise enabled, each shard draws its samples in the
+flat measurement layout from a generator keyed by tile coordinates, so
+noisy runs reproduce exactly at any worker count. Engine statistics
 (:class:`EngineStats`) count read-outs and ADC conversions as the modelled
 hardware would execute them.
 """
@@ -78,7 +79,6 @@ from repro.funcsim.engine import (
 )
 from repro.funcsim.compiler import CompiledLayer, compile_program
 from repro.funcsim.planner import LayerPlan, LayerProgram, plan_layer
-from repro.funcsim.runtime import resolve_backend
 from repro.funcsim.layers import Conv2dMVM, LinearMVM
 from repro.funcsim.convert import convert_to_mvm
 
@@ -100,7 +100,6 @@ __all__ = [
     "plan_layer",
     "CompiledLayer",
     "compile_program",
-    "resolve_backend",
     "LinearMVM",
     "Conv2dMVM",
     "convert_to_mvm",

@@ -68,16 +68,27 @@ class AdcModel:
         return cls(bits, lsb, offset_a=offset_lsb * lsb,
                    noise_rms_a=noise_lsb * lsb, seed=seed)
 
+    def transfer(self, currents_a: np.ndarray) -> np.ndarray:
+        """Convert a float64 current array into output codes, in place.
+
+        Adds the offset and (drawn in the array's own memory order) the
+        noise, then rounds to the nearest code and clips to the code
+        range. The codes stay float64 — exact integers — so the digital
+        back end can contract them without a cast. Returns the array.
+        """
+        if self.offset_a:
+            np.add(currents_a, self.offset_a, out=currents_a)
+        if self.noise_rms_a:
+            currents_a += self._rng.normal(0.0, self.noise_rms_a,
+                                           size=currents_a.shape)
+        np.divide(currents_a, self.lsb_a, out=currents_a)
+        np.rint(currents_a, out=currents_a)
+        return np.clip(currents_a, 0, self.n_codes - 1, out=currents_a)
+
     def codes(self, currents_a) -> np.ndarray:
         """Digital output codes (clipped round-to-nearest)."""
-        currents_a = np.asarray(currents_a, dtype=np.float64)
-        if self.offset_a:
-            currents_a = currents_a + self.offset_a
-        if self.noise_rms_a:
-            currents_a = currents_a + self._rng.normal(
-                0.0, self.noise_rms_a, size=currents_a.shape)
-        q = np.rint(currents_a / self.lsb_a)
-        return np.clip(q, 0, self.n_codes - 1).astype(np.int64)
+        return self.transfer(
+            np.array(currents_a, dtype=np.float64)).astype(np.int64)
 
     def measure(self, currents_a) -> np.ndarray:
         """Quantised current estimate (codes scaled back to Amperes)."""

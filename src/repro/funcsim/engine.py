@@ -31,10 +31,11 @@ every worker count returns bit-identical outputs; see
 ``(M, rows)`` and returns currents of shape ``(M, cols)`` — that is the
 batched tile API. The kernel exploits it by stacking all non-zero
 (activation-sign, stream) blocks of a tile-row into one ``(S * B, rows)``
-voltage batch and issuing a *single* batched call per tile model instead of
-``S`` separate ones, so the per-call overhead (Python dispatch, normaliser
-matmuls, sparse back-substitution setup, Newton bring-up) is paid once per
-tile.
+voltage batch, read out by one stacked GEMM for the closed-form tiles
+(:mod:`repro.funcsim.compiler`) or by a *single* batched call per
+iterative tile model instead of ``S`` separate ones, so the per-call
+overhead (Python dispatch, normaliser matmuls, sparse back-substitution
+setup, Newton bring-up) is paid once per tile.
 
 Tile models:
 
@@ -55,7 +56,6 @@ the exact fixed-point product ("Ideal FxP" in the paper's figures).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -71,7 +71,6 @@ from repro.funcsim.adc import AdcModel
 from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.compiler import ScratchPool, compile_program
 from repro.funcsim.planner import plan_layer
-from repro.funcsim.runtime.backends import resolve_backend
 from repro.funcsim.runtime.kernel import (
     DEFAULT_SHARD_ROWS,
     STAT_FIELDS,
@@ -131,10 +130,15 @@ def _select_matmul(batch_invariant: bool):
 
 
 class ExactTileModel:
-    """Tile computing the exact analog dot product (ideality oracle)."""
+    """Tile computing the exact analog dot product (ideality oracle).
+
+    ``transfer`` is the linear read-out operand (currents = ``V @
+    transfer``) the compiled kernel stacks across a tile-row.
+    """
 
     def __init__(self, conductance_s: np.ndarray, matmul=None):
         self.conductance_s = np.asarray(conductance_s, dtype=float)
+        self.transfer = self.conductance_s
         self._matmul = matmul
 
     def currents(self, voltages_v, cache=None) -> np.ndarray:
@@ -319,12 +323,14 @@ class GeniexTileModel:
         self._w2_t = factory._w2_t[kept]
         #: Flat float32 work size per voltage row of :meth:`forward`.
         self.work_width = kept.size + self._w2_t.shape[1]
-        self.conductance_s = conductance_s
+        self.conductance_s = np.asarray(conductance_s, dtype=float)
+        #: Ideal read-out operand; the currents divide it by fR.
+        self.transfer = self.conductance_s
 
     def forward(self, v_aug: np.ndarray, out=None, work=None) -> np.ndarray:
         """Normalised network output ``(n, cols)`` for augmented voltages.
 
-        The one NN forward of both kernels: ``relu(v_aug @ w_aug) @ W2 +
+        The one NN forward of the tile: ``relu(v_aug @ w_aug) @ W2 +
         b2`` (through any later layers) in float32, the last bias add
         widened into ``out`` (float64; allocated when ``None``).
         ``work`` is an optional flat float32 buffer of at least ``n *
@@ -399,11 +405,11 @@ class AnalyticalTileFactory:
 
 class AnalyticalTileModel:
     def __init__(self, transfer: np.ndarray, matmul=np.matmul):
-        self._transfer = transfer
+        self.transfer = transfer
         self._matmul = matmul
 
     def currents(self, voltages_v: np.ndarray, cache=None) -> np.ndarray:
-        return self._matmul(np.atleast_2d(voltages_v), self._transfer)
+        return self._matmul(np.atleast_2d(voltages_v), self.transfer)
 
 
 class DecoupledTileModel:
@@ -530,9 +536,8 @@ class EngineStats:
     lines (read-outs x rows x cols) — hardware quantities that do not
     depend on how a batch is chunked, as long as no chunk skips a stream
     block the whole batch would drive. ``readouts`` counts batched analog
-    tile evaluations — one per (model, active stream block, chunk) — and
-    ``fused_calls``/``fallback_calls`` one per (tile-row, chunk) shard, so
-    these three scale with the number of
+    tile evaluations — one per (model, active stream block, chunk) — so
+    it scales with the number of
     :data:`~repro.funcsim.runtime.kernel.DEFAULT_SHARD_ROWS`-row chunks.
     Zero-valued stream blocks are skipped per chunk (they drive no
     current) and tallied in ``skipped_zero_streams``; for a one-chunk call
@@ -648,18 +653,11 @@ class CrossbarMvmEngine:
     mapped conductances are perturbed by the coordinate-keyed pipeline in
     :meth:`prepare`, before the layer program is built — so every shard
     computes on the same perturbed hardware state.
-
-    ``backend`` selects the array backend of the compiled fused kernel
-    (``"numpy"``, the default; see :mod:`repro.funcsim.runtime.backends`).
-    The interpreter sentinels
-    ``"interp"``/``"interpreted"``/``"off"`` disable the compile pass and
-    run the reference kernel; either way the results are bit-identical,
-    and the choice never enters cache keys or spec digests.
     """
 
     def __init__(self, xbar_config: CrossbarConfig,
                  sim_config: FuncSimConfig, tile_factory,
-                 workers: int = 1, nonideality=None, backend=None):
+                 workers: int = 1, nonideality=None):
         tile_factory.check_crossbar(xbar_config)
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -675,9 +673,8 @@ class CrossbarMvmEngine:
         self._pool = None
         self._pool_lock = threading.Lock()
         self._closed = False
-        self.array_backend = resolve_backend(backend)
-        # Fused-kernel temporaries, shared by every layer this engine
-        # compiles (freed with the engine).
+        # Kernel temporaries, shared by every layer this engine compiles
+        # (freed with the engine).
         self._scratch = ScratchPool()
         # None for clean engines (identity pipelines normalise to None,
         # keeping the clean path's prepared-matrix tokens byte-identical).
@@ -756,17 +753,16 @@ class CrossbarMvmEngine:
             weights.shape[0], weights.shape[1], qw, models, t_r, t_c,
             sign_present, token=token)
         prepared.program = plan_layer(self, prepared)
-        if self.array_backend is not None:
-            prepared.program.compile_requested = True
-            prepared.program.compiled = compile_program(
-                prepared.program, self.array_backend, self._scratch)
+        prepared.program.compiled = compile_program(prepared.program,
+                                                    self._scratch)
         return prepared
 
     # ------------------------------------------------------------------
     def matmul(self, x: np.ndarray, prepared) -> np.ndarray:
         """Quantised crossbar product of ``x (B, K)`` with prepared weights.
 
-        The batch is cut into ``shard_rows``-row chunks; every (chunk,
+        The batch is cut into chunks of ``shard_rows`` rows (at most the
+        layer plan's ``chunk_rows`` cap); every (chunk,
         tile-row) shard runs through the kernel with an ADC whose noise
         stream is keyed by (layer, matmul sequence number, tile-row,
         chunk), and the tile-row contributions are merged digitally in
@@ -788,7 +784,8 @@ class CrossbarMvmEngine:
         # so traced and untraced runs are bit-identical.
         with span("engine-compute"):
             qx = quantize_input(plan, x)
-            chunks = chunk_ranges(qx.shape[0], self.shard_rows)
+            chunks = chunk_ranges(qx.shape[0],
+                                  min(self.shard_rows, plan.chunk_rows))
             # Activation signs are a per-chunk property shared by every
             # tile-row shard of the chunk; compute them once here.
             signs = [active_signs(qx[start:stop]) for start, stop in chunks]
@@ -811,10 +808,7 @@ class CrossbarMvmEngine:
 
             shards = [(chunk, tr) for chunk in range(len(chunks))
                       for tr in range(plan.t_r)]
-            fused = contextlib.nullcontext() if program.compiled is None \
-                else span("fused-execute", layer=plan.uid,
-                          backend=program.compiled.backend.name)
-            with fused:
+            with span("fused-execute", layer=plan.uid):
                 futures = self._submit(plan, qx, run, shards)
                 if futures is None:
                     for shard in shards:
@@ -866,7 +860,7 @@ class CrossbarMvmEngine:
         if plan.cost is not None:
             # cost is per input row (one MVM); scale to one chunk's rows
             # and divide by the tile-row count for a per-shard estimate.
-            chunk_rows = min(qx.shape[0], self.shard_rows)
+            chunk_rows = min(qx.shape[0], self.shard_rows, plan.chunk_rows)
             per_shard = (plan.cost.adc_conversions * chunk_rows
                          / max(plan.t_r, 1))
             return per_shard < MIN_SHARD_COST
@@ -892,7 +886,7 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
                 emulator: GeniexEmulator | None = None,
                 batch_invariant: bool = False,
                 workers: int | None = None,
-                nonideality=None, backend=None):
+                nonideality=None):
     """Engine factory: ``ideal | exact | geniex | analytical | decoupled |
     circuit`` (the :data:`ENGINE_KINDS` tuple).
 
@@ -923,10 +917,9 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
     clean results for a faulty spec would misreport every robustness
     sweep built on it.
 
-    ``backend`` picks the fused-kernel array backend (``None`` resolves
-    through ``$REPRO_BACKEND`` to ``"numpy"``; ``"interp"`` forces the
-    interpreted reference kernel) — purely a performance knob, outputs
-    are bit-identical either way. Ignored for ``ideal``.
+    Every analog kind runs the same compiled shard kernel
+    (:mod:`repro.funcsim.compiler`); only its read-out stage depends on
+    the kind.
     """
     nonideality = as_pipeline(nonideality)
     if kind == "ideal":
@@ -972,5 +965,4 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
             f"{', '.join(ENGINE_KINDS)}")
     return CrossbarMvmEngine(xbar_config, sim_config, factory,
                              workers=1 if workers is None else workers,
-                             nonideality=nonideality,
-                             backend=backend)
+                             nonideality=nonideality)

@@ -28,11 +28,31 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigError
 from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.cost import CostReport, matmul_cost
 
 #: Mask applied to seed components fed to ``np.random.default_rng``.
 _SEED_MASK = (1 << 63) - 1
+
+#: Byte budget of one shard's flat float64 measurement ``(S * chunk,
+#: M * cols)`` with every stream block active; :func:`plan_layer` caps a
+#: layer's chunk rows to stay under it (the kernel's other temporaries
+#: are a small multiple of the measurement).
+MAX_SHARD_BYTES = 1 << 28
+
+#: The exact digital back end sums integer ADC codes times signed powers
+#: of two in float64; every partial sum must stay below this.
+EXACT_INT_LIMIT = 2 ** 53
+
+
+def _snap(ratio: float) -> float:
+    """``ratio``, or the integer it equals up to the rounding of the LSB
+    arithmetic that produced it: aligned ADC and count grids have exact
+    integer ratios, which the digital back end needs exactly."""
+    nearest = round(ratio)
+    return float(nearest) if abs(ratio - nearest) <= 1e-9 * max(
+        1.0, abs(ratio)) else ratio
 
 
 @dataclass(frozen=True)
@@ -57,9 +77,14 @@ class LayerPlan:
     # Digital <-> analog mapping constants.
     v_lsb: float
     g_lsb: float
-    bias_factor: float
-    decode: float
+    #: ADC codes per unit count (one stream level x one slice level):
+    #: ``1 / headroom``, an integer whenever the ADC grid aligns.
+    codes_per_count: float
+    #: ADC codes the ``g_off`` mapping bias adds per unit stream level.
+    bias_codes: float
     value_lsb: float
+    #: Largest batch chunk one shard may take (memory cap).
+    chunk_rows: int
     # ADC transfer parameters (mirrors the engine's AdcModel).
     adc_bits: int
     adc_lsb_a: float
@@ -98,18 +123,15 @@ class LayerProgram:
     programmed from that weight slice; ``tile_factory`` provides the
     per-tile-row shared voltage term.
 
-    ``compiled`` holds the program's fused execution form (a
-    :class:`~repro.funcsim.compiler.CompiledLayer`, built by the engine's
-    compile pass) when the tile kind is fusible; ``compile_requested``
-    records that compilation was asked for, so the kernel dispatcher can
-    count interpreter fallbacks separately from interpreter-only runs.
+    ``compiled`` holds the program's executable form (a
+    :class:`~repro.funcsim.compiler.CompiledLayer`, attached by the
+    engine's compile pass).
     """
 
     plan: LayerPlan
     models: dict
     tile_factory: object
     compiled: object = None
-    compile_requested: bool = False
     #: Matmul sequence numbers keying the ADC noise streams
     #: (:meth:`LayerPlan.noise_seed`): every call through the program
     #: draws fresh noise, and the counter lives as long as the program.
@@ -127,11 +149,34 @@ def plan_layer(engine, prepared) -> LayerProgram:
 
     The plan snapshots every decode constant the engine derived from its
     crossbar and simulator configs, so executing the program does not
-    need the engine.
+    need the engine. It also fixes the layer's chunk cap
+    (:data:`MAX_SHARD_BYTES`) and rejects, with
+    :class:`~repro.errors.ConfigError`, a configuration whose digital
+    back end could not be exact: the sum of the absolute (stream, sign,
+    slice) prefactors over both activation signs, times the largest
+    number they multiply (an ADC code, or the bias codes of a stream's
+    level sum), must stay below :data:`EXACT_INT_LIMIT`.
     """
     cfg = engine.sim_config
     xcfg = engine.xbar_config
     adc = engine.adc
+    codes_per_count = _snap(engine._v_lsb * engine._g_lsb / adc.lsb_a)
+    bias_codes = _snap(xcfg.g_off_s / engine._g_lsb * codes_per_count)
+    n_sw = len(prepared.sign_present)
+    prefac_sum = 2 * n_sw \
+        * sum(2 ** (m * cfg.stream_bits) for m in range(cfg.n_streams)) \
+        * sum(2 ** (k * cfg.slice_bits) for k in range(cfg.n_slices))
+    largest = max(adc.n_codes - 1,
+                  bias_codes * xcfg.rows * (2 ** cfg.stream_bits - 1))
+    if prefac_sum * largest >= EXACT_INT_LIMIT:
+        raise ConfigError(
+            f"adc_bits={adc.bits} with stream_bits={cfg.stream_bits} and "
+            f"slice_bits={cfg.slice_bits} can sum to {prefac_sum * largest}"
+            f" >= 2**53 in the shift-and-add; the digital back end would "
+            f"not be exact (use fewer ADC bits or wider streams/slices)")
+    n_models = n_sw * cfg.n_slices * prepared.t_c
+    chunk_rows = max(1, MAX_SHARD_BYTES
+                     // (2 * cfg.n_streams * n_models * xcfg.cols * 8))
     plan = LayerPlan(
         uid=prepared.uid,
         n_in=prepared.n_in,
@@ -144,10 +189,11 @@ def plan_layer(engine, prepared) -> LayerProgram:
         sim_config=cfg,
         v_lsb=engine._v_lsb,
         g_lsb=engine._g_lsb,
-        bias_factor=xcfg.g_off_s / engine._g_lsb,
-        decode=1.0 / (engine._v_lsb * engine._g_lsb),
+        codes_per_count=codes_per_count,
+        bias_codes=bias_codes,
         value_lsb=(cfg.activation_format.resolution
                    * cfg.weight_format.resolution),
+        chunk_rows=chunk_rows,
         adc_bits=adc.bits,
         adc_lsb_a=adc.lsb_a,
         adc_offset_a=adc.offset_a,

@@ -4,20 +4,26 @@ A *shard* is one (tile-row, batch-chunk) unit of an MVM: the kernel streams
 the chunk's activation bits through every (weight-sign, slice, tile-column)
 model of the tile-row, digitises the analog read-outs and decodes them into
 the tile-row's contribution ``tr_counts`` of shape ``(chunk, t_c * cols)``.
-Shards are independent, so they may run in any order on any thread;
+:func:`run_tile_row` gathers the active stream blocks and hands them to the
+layer's one compiled kernel (:mod:`repro.funcsim.compiler`), whatever the
+engine kind. Shards are independent, so they may run in any order on any
+thread;
 :func:`merge_tile_rows` then accumulates the per-tile-row
 contributions *in tile-row order* through the fixed-point accumulator,
 exactly as the hardware's peripheral digital logic would.
 
 Determinism contract:
 
-* The shard decomposition is a pure function of the batch size and the
-  engine's ``shard_rows`` — never of the worker count — so the set of
+* The shard decomposition is a pure function of the batch size, the
+  engine's ``shard_rows`` and the layer's ``chunk_rows`` cap (see
+  :func:`~repro.funcsim.planner.plan_layer`) — never of the worker
+  count — so the set of
   shards (and therefore every zero-stream skipping decision) is identical
   no matter how execution is scheduled.
 * With a deterministic ADC the kernel is pure, so any schedule produces
   bit-identical results; in batch-invariant mode results are additionally
-  identical across chunk sizes.
+  identical across chunk sizes (the digital back end is exact, so only
+  the read-out could depend on the batch, and invariant mode pins it).
 * With ADC noise, :func:`shard_adc` derives each shard's noise stream from
   ``(adc_seed, layer uid, matmul sequence, tile-row, chunk)`` — tile
   coordinates, not shard assignment — so noisy runs reproduce bit-exactly
@@ -94,43 +100,14 @@ def shard_adc(plan: LayerPlan, seq: int, tr: int, chunk: int) -> AdcModel:
                     seed=plan.noise_seed(seq, tr, chunk))
 
 
-def _measure_tile_row(program: LayerProgram, tr: int, stream_levels: list,
-                      batch: int, adc: AdcModel, stats) -> dict:
-    """One batched analog + ADC pass over every model of a tile-row.
-
-    All ``S`` active stream blocks are stacked into a single
-    ``(S * batch, rows)`` voltage batch; each tile model then runs one
-    batched call. Returns ``{(sign, slice, tc): (S, batch, cols)}``
-    measured currents.
-    """
-    plan = program.plan
-    cfg = plan.sim_config
-    cols = plan.cols
-    s_count = len(stream_levels)
-    voltages = np.concatenate(stream_levels, axis=0) * plan.v_lsb
-    shared = program.tile_factory.prepare_voltages(voltages)
-    measured = {}
-    for sw in plan.sign_present:
-        for k in range(cfg.n_slices):
-            for tc in range(plan.t_c):
-                model = program.models[(sw, k, tr, tc)]
-                stats["readouts"] += s_count
-                stats["adc_conversions"] += s_count * batch * cols
-                measured[(sw, k, tc)] = adc.measure(
-                    model.currents(voltages, shared)
-                ).reshape(s_count, batch, cols)
-    return measured
-
-
 def gather_streams(plan: LayerPlan, qx: np.ndarray, x_signs: list,
                    tr: int, stats: dict) -> tuple:
     """Non-zero (sign, stream) level blocks of tile-row ``tr``.
 
     Returns ``(stream_levels, stream_info)`` in the fixed (activation
-    sign, stream) order the decode stage consumes them — the interpreted
-    and compiled kernels share this gather, so their zero-stream skip
-    decisions (and the ``skipped_zero_streams`` statistics) are
-    identical by construction.
+    sign, stream) order the decode stage consumes them. An all-zero
+    block drives no current, so it is skipped and tallied in
+    ``skipped_zero_streams``.
     """
     cfg = plan.sim_config
     block = qx[:, tr * plan.rows:(tr + 1) * plan.rows]
@@ -152,77 +129,31 @@ def gather_streams(plan: LayerPlan, qx: np.ndarray, x_signs: list,
     return stream_levels, stream_info
 
 
-def execute_tile_row(program: LayerProgram, qx: np.ndarray, x_signs: list,
-                     tr: int, adc: AdcModel, stats=None) -> np.ndarray:
+def run_tile_row(program: LayerProgram, qx: np.ndarray, x_signs: list,
+                 tr: int, adc: AdcModel, stats=None) -> np.ndarray:
     """Decoded contribution of tile-row ``tr`` for one quantised chunk.
 
     ``qx`` is the full-width padded integer activation chunk; ``x_signs``
     the activation signs present in it (see :func:`active_signs`).
     Returns ``(chunk, t_c * cols)`` float counts, already scaled by the
     shift-and-add and sign factors but *not* by ``value_lsb`` — the merge
-    step applies that together with the accumulator format.
-
-    This is the interpreted *reference* kernel; :func:`run_tile_row`
-    dispatches to the compiled fused kernel when the program carries one
-    and falls back here (bit-identically) when it does not.
+    step applies that together with the accumulator format. The active
+    stream blocks run through the layer's compiled kernel
+    (:meth:`~repro.funcsim.compiler.CompiledLayer.execute`).
     """
-    plan = program.plan
-    cfg = plan.sim_config
-    cols = plan.cols
     if stats is None:
         stats = new_stat_counts()
+    plan = program.plan
     batch = qx.shape[0]
     stream_levels, stream_info = gather_streams(plan, qx, x_signs, tr, stats)
-
-    tr_counts = np.zeros((batch, plan.out_width))
     if not stream_levels:
-        return tr_counts
-    measured = _measure_tile_row(program, tr, stream_levels, batch, adc,
-                                 stats)
-    for s, (sx, m) in enumerate(stream_info):
-        sx_factor = 1.0 if sx == 0 else -1.0
-        stream_sum = stream_levels[s].sum(axis=1)[:, None]
-        stream_scale = float(2 ** (m * cfg.stream_bits))
-        for sw in plan.sign_present:
-            sw_factor = 1.0 if sw == 0 else -1.0
-            for k in range(cfg.n_slices):
-                slice_scale = float(2 ** (k * cfg.slice_bits))
-                for tc in range(plan.t_c):
-                    i_meas = measured[(sw, k, tc)][s]
-                    counts = i_meas * plan.decode \
-                        - plan.bias_factor * stream_sum
-                    tr_counts[:, tc * cols:(tc + 1) * cols] += (
-                        sx_factor * sw_factor * stream_scale
-                        * slice_scale * counts)
-    return tr_counts
-
-
-def run_tile_row(program: LayerProgram, qx: np.ndarray, x_signs: list,
-                 tr: int, adc: AdcModel, stats=None) -> np.ndarray:
-    """Execute one (tile-row, chunk) shard: compiled when possible.
-
-    Programs lowered by :func:`repro.funcsim.compiler.compile_program`
-    run through the fused kernel (counted as ``fused_calls``); programs
-    without a compiled form — compilation disabled, an unfusible tile
-    kind, or the fused kernel declining a shard (memory guard) — run
-    through the interpreted reference kernel, counted as
-    ``fallback_calls`` when compilation had been requested. Both paths
-    are bit-identical, so the dispatch is purely a performance decision.
-    """
-    if stats is None:
-        stats = new_stat_counts()
-    compiled = getattr(program, "compiled", None)
-    if compiled is not None:
-        from repro.funcsim.compiler import execute_tile_row_fused
-
-        out = execute_tile_row_fused(program, qx, x_signs, tr, adc,
-                                     stats=stats)
-        if out is not None:
-            stats["fused_calls"] += 1
-            return out
-    if getattr(program, "compile_requested", False):
-        stats["fallback_calls"] += 1
-    return execute_tile_row(program, qx, x_signs, tr, adc, stats=stats)
+        return np.zeros((batch, plan.out_width))
+    compiled = program.compiled
+    readouts = compiled.n_models * len(stream_levels)
+    stats["readouts"] += readouts
+    stats["adc_conversions"] += readouts * batch * plan.cols
+    return compiled.execute(program, tr, stream_levels, stream_info, batch,
+                            adc)
 
 
 def merge_tile_rows(plan: LayerPlan, counts: np.ndarray) -> np.ndarray:
@@ -246,7 +177,7 @@ def merge_tile_rows(plan: LayerPlan, counts: np.ndarray) -> np.ndarray:
 #: never drift apart (a new counter added here is automatically counted,
 #: merged, snapshotted and serialised everywhere).
 STAT_FIELDS = ("matmuls", "readouts", "skipped_zero_streams",
-               "adc_conversions", "fused_calls", "fallback_calls")
+               "adc_conversions")
 
 
 def new_stat_counts() -> dict:

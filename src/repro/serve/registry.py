@@ -225,18 +225,12 @@ class ModelRegistry:
     def __init__(self, zoo: GeniexZoo | None = None, *,
                  max_models: int = 8, max_crossbars: int = 128,
                  max_engines: int = 16, max_mitigated: int = 8,
-                 max_nets: int = 8, engine_workers: int = 1,
-                 backend: str | None = None):
+                 max_nets: int = 8, engine_workers: int = 1):
         self.zoo = zoo or GeniexZoo()
         # > 1 shards every prepared engine's matmuls over that many
         # funcsim threads (they compose with the asyncio executor
         # threads running the batched calls).
         self.engine_workers = max(1, int(engine_workers))
-        # Array backend of the compiled fused kernel for every warm
-        # engine (None resolves through $REPRO_BACKEND to numpy);
-        # every backend selector is bit-identical, so this is server
-        # policy, not part of any cache key.
-        self.backend = backend
         self._models = LruDict(max_models)      # model key -> emulator
         self._crossbars = LruDict(max_crossbars)
         # Evicted engines release their shard thread pools without
@@ -407,8 +401,7 @@ class ModelRegistry:
         The runtime node is server-owned: warm engines run
         batch-invariantly whenever the kind/ADC combination allows it —
         so coalesced microbatch responses are byte-identical to direct
-        per-request calls — with the registry's shard threads and array
-        backend. Clients cannot steer the server onto more threads by
+        per-request calls — with the registry's shard threads. Clients cannot steer the server onto more threads by
         submitting a creative runtime node.
         """
         invariant = supports_batch_invariance(spec.engine,
@@ -416,7 +409,6 @@ class ModelRegistry:
         return spec.evolve(runtime={
             "batch_invariant": invariant,
             "workers": self.engine_workers,
-            "backend": self.backend,
         })
 
     async def engine_from_spec(self, spec: EmulationSpec,

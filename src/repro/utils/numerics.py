@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
@@ -26,11 +24,6 @@ def safe_divide(num, den, fallback=0.0, eps: float = 0.0):
     np.divide(num, den, out=out, where=mask)
     return out
 
-
-#: Environment switch for :func:`batch_invariant_matmul`. Set to
-#: ``einsum`` to disable the probed BLAS fast path and always use the
-#: reference ``np.einsum`` contraction.
-INVARIANT_MATMUL_ENV = "REPRO_INVARIANT_MATMUL"
 
 #: Per shape-class verdicts of :func:`_probe_blas_row_invariance`:
 #: ``(K, N, a_dtype, b_dtype) -> bool``. Probes are deterministic, so
@@ -101,15 +94,12 @@ def batch_invariant_matmul(a: np.ndarray, b: np.ndarray,
     batches computed via a validated two-row pad so they cannot fall into
     the gemv path. A failing probe pins the class to einsum. Either way
     the kernel choice is a pure function of the shape class, so results
-    stay byte-identical across batch sizes. Set ``REPRO_INVARIANT_MATMUL=
-    einsum`` to force the reference path globally.
+    stay byte-identical across batch sizes.
 
     ``out`` (optional, shape/dtype-matching) receives the product —
     same values, no result allocation.
     """
     a = np.atleast_2d(a)
-    if os.environ.get(INVARIANT_MATMUL_ENV) == "einsum":
-        return _einsum_matmul(a, b, out)
     if a.ndim != 2 or b.ndim != 2 or \
             a.dtype.kind != "f" or b.dtype.kind != "f":
         return _einsum_matmul(a, b, out)

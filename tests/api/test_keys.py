@@ -13,6 +13,7 @@ import pytest
 from repro.api import EmulationSpec, get_preset
 from repro.api.spec import engine_identity, weights_identity
 from repro.core.zoo import GeniexZoo
+from repro.errors import ConfigError
 from repro.funcsim.config import FuncSimConfig
 from repro.serve.protocol import ModelSpec
 from repro.serve.registry import ModelRegistry
@@ -135,33 +136,20 @@ class TestStoredSpecs:
         from repro.api.presets import preset_names
         assert preset_names() == sorted(PINNED_PRESET_KEYS)
 
-    def test_removed_runtime_fields_still_load(self):
-        """A spec stored when executors and the numba/torch backends
-        existed loads with deprecation warnings, keeps its keys and no
-        longer serialises the executor."""
-        stored = {"engine": "exact", "runtime": {
-            "executor": "process", "workers": 4, "backend": "numba"}}
-        with pytest.warns(DeprecationWarning) as caught:
-            spec = EmulationSpec.from_dict(stored)
-        messages = " ".join(str(w.message) for w in caught)
-        assert "executor" in messages and "numba" in messages
-        assert spec.runtime.workers == 4
-        assert spec.runtime.backend == "numpy"
-        assert "executor" not in spec.to_dict()["runtime"]
-        assert EmulationSpec.from_dict(spec.to_dict()) == spec
-        clean = EmulationSpec(engine="exact")
-        assert (spec.model_key(), spec.key()) == \
-            (clean.model_key(), clean.key())
+    def test_removed_runtime_fields_rejected(self):
+        """A spec stored when executors and array backends existed fails
+        to load with the typed unknown-field error naming the field."""
+        for field, value in (("executor", "process"), ("backend", "numba"),
+                             ("backend", "interp")):
+            stored = {"engine": "exact",
+                      "runtime": {"workers": 4, field: value}}
+            with pytest.raises(
+                    ConfigError,
+                    match=rf"unknown spec field spec\.runtime\.'{field}'"):
+                EmulationSpec.from_dict(stored)
 
-    def test_removed_tile_cache_size_still_loads(self):
-        """A spec stored when the tile-result cache existed loads with a
-        deprecation warning, keeps its keys and no longer serialises the
-        field."""
-        with pytest.warns(DeprecationWarning, match="tile_cache_size"):
-            spec = EmulationSpec.from_dict(
-                {"runtime": {"tile_cache_size": 64}})
-        assert "tile_cache_size" not in spec.to_dict()["runtime"]
-        assert EmulationSpec.from_dict(spec.to_dict()) == spec
-        assert spec == EmulationSpec()
-        assert (spec.model_key(), spec.key()) == \
-            (EmulationSpec().model_key(), EmulationSpec().key())
+    def test_removed_tile_cache_size_rejected(self):
+        """A spec stored when the tile-result cache existed fails to load
+        with the typed unknown-field error naming the field."""
+        with pytest.raises(ConfigError, match="tile_cache_size"):
+            EmulationSpec.from_dict({"runtime": {"tile_cache_size": 64}})

@@ -97,7 +97,7 @@ class TestStrictDecoding:
         with pytest.raises(ConfigError, match="workers"):
             RuntimeSpec(workers=0)
         with pytest.raises(ConfigError, match="executor"):
-            RuntimeSpec(executor="gpu")
+            EmulationSpec.from_dict({"runtime": {"executor": "gpu"}})
         with pytest.raises(ConfigError, match="mode"):
             EmulatorSpec(mode="spicy")
 
@@ -189,7 +189,6 @@ class TestKeys:
     def test_key_ignores_value_neutral_runtime_knobs(self):
         spec = get_preset("quick")
         assert spec.evolve(runtime={"workers": 4,
-                                    "backend": "interp",
                                     "chunk_rows": 16}).key() == \
             spec.key()
 

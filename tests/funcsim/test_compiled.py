@@ -1,26 +1,28 @@
-"""Compiled fused execution: bit-identity with the interpreted kernel.
+"""The one compiled shard kernel: read-out, exact back end, memory cap.
 
-The compiled path (:mod:`repro.funcsim.compiler`) is accepted only if it
-is *bit-identical* to the interpreted reference kernel — per engine kind,
-worker count, batch-invariant mode, ADC noise and active device-fault
-pipelines. These tests pin that contract, the routing between the fused
-kernel's fast and general forms, its scratch-buffer reuse, the
-interpreter fallbacks (unfusible kinds, memory guard) and the backend
-selector's precedence and deprecated aliases.
+Every engine kind runs :meth:`repro.funcsim.compiler.CompiledLayer.
+execute`. These tests pin that its stacked read-out equals each tile's own
+``currents()`` column block by column block; that it equals the
+per-stream, per-model oracle of ``test_engine_batched`` bit for bit per
+engine kind, batch-invariant mode and device-fault pipeline; that the
+``exact`` engine equals tile-row-accumulated Ideal FxP bit for bit; that
+the plan rejects configurations the exact back end cannot sum exactly;
+that the plan-time chunk cap bounds a shard; and that the kernel's
+scratch buffers stay bounded and inert.
 """
 
 import numpy as np
 import pytest
 
-from repro.api.spec import RuntimeSpec
+from test_engine_batched import sequential_matmul
+
 from repro.core.sampling import SamplingSpec
 from repro.core.trainer import TrainSpec
 from repro.core.zoo import GeniexZoo
 from repro.errors import ConfigError
 from repro.funcsim import FuncSimConfig, make_engine
-from repro.funcsim.compiler import (CompiledLayer, ScratchPool,
-                                    compile_program)
-from repro.funcsim.runtime.backends import resolve_backend
+from repro.funcsim import planner
+from repro.funcsim.tiles import pad_axis
 from repro.nonideal.pipeline import NonidealitySpec
 from repro.nonideal.transforms import StuckSpec, VariationSpec
 from repro.xbar.config import CrossbarConfig
@@ -44,152 +46,200 @@ def tiny_emulator(tmp_path_factory):
         TrainSpec(hidden=8, epochs=2, batch_size=8, seed=0))
 
 
-def _pair(kind, emulator=None, sim=SCFG, fused_kwargs=None, **kwargs):
-    """(interpreted, fused) engines of one configuration."""
-    interp = make_engine(kind, XCFG, sim, emulator=emulator,
-                         backend="interp", **kwargs)
-    fused = make_engine(kind, XCFG, sim, emulator=emulator,
-                        **{**kwargs, **(fused_kwargs or {})})
-    return interp, fused
+def _engine(kind, emulator=None, sim=SCFG, **kwargs):
+    return make_engine(kind, XCFG, sim,
+                       emulator=emulator if kind == "geniex" else None,
+                       **kwargs)
 
 
 class TestFusedBitIdentity:
-    """Fused output == interpreted output, bit for bit."""
+    """The stacked kernel == the per-model oracle, bit for bit."""
 
     @pytest.mark.parametrize("kind", ["exact", "analytical", "geniex"])
     @pytest.mark.parametrize("invariant", [False, True])
     def test_kinds(self, operands, tiny_emulator, kind, invariant):
         x, w = operands
-        emulator = tiny_emulator if kind == "geniex" else None
-        interp, fused = _pair(kind, emulator, batch_invariant=invariant)
-        p_i, p_f = interp.prepare(w), fused.prepare(w)
-        assert p_i.program.compiled is None
-        assert p_f.program.compiled is not None
-        np.testing.assert_array_equal(interp.matmul(x, p_i),
-                                      fused.matmul(x, p_f))
-        assert fused.stats.snapshot()["fused_calls"] > 0
-        assert fused.stats.snapshot()["fallback_calls"] == 0
+        engine = _engine(kind, tiny_emulator, batch_invariant=invariant)
+        prepared = engine.prepare(w)
+        np.testing.assert_array_equal(engine.matmul(x, prepared),
+                                      sequential_matmul(engine, x, prepared))
 
     @pytest.mark.parametrize("kind", ["exact", "geniex"])
     def test_counters_match(self, operands, tiny_emulator, kind):
-        """Every hardware counter agrees across repeated calls."""
+        """One-chunk calls count the cost model's read-outs, less the
+        skipped all-zero stream blocks, and ``cols`` conversions per
+        read-out row."""
         x, w = operands
-        emulator = tiny_emulator if kind == "geniex" else None
-        interp, fused = _pair(kind, emulator)
-        p_i, p_f = interp.prepare(w), fused.prepare(w)
-        for chunk in (x, x, x[:7]):
-            np.testing.assert_array_equal(interp.matmul(chunk, p_i),
-                                          fused.matmul(chunk, p_f))
-        si, sf = interp.stats.snapshot(), fused.stats.snapshot()
-        for field in ("matmuls", "readouts", "skipped_zero_streams",
-                      "adc_conversions"):
-            assert si[field] == sf[field], field
+        engine = _engine(kind, tiny_emulator)
+        prepared = engine.prepare(w)
+        cost = prepared.program.plan.cost
+        for chunk in (x, x[:7]):
+            before = engine.stats.snapshot()
+            engine.matmul(chunk, prepared)
+            after = engine.stats.snapshot()
+            delta = {k: after[k] - before[k] for k in after}
+            assert delta["matmuls"] == 1
+            assert delta["readouts"] + delta["skipped_zero_streams"] \
+                == cost.readouts
+            assert delta["adc_conversions"] \
+                == delta["readouts"] * len(chunk) * XCFG.cols
 
     def test_adc_noise_and_offset(self, operands):
-        """Stacked fused measurement draws the interpreted noise stream."""
+        """Noise and offset are drawn in the flat measurement layout from
+        coordinate-keyed streams: fresh engines reproduce each other, and
+        the offset alone keeps the kernel equal to the oracle."""
         x, w = operands
-        sim = SCFG.replace(adc_noise_lsb=0.3, adc_offset_lsb=0.1)
-        interp, fused = _pair("exact", sim=sim)
-        np.testing.assert_array_equal(interp.matmul(x, interp.prepare(w)),
-                                      fused.matmul(x, fused.prepare(w)))
+        noisy = SCFG.replace(adc_noise_lsb=0.3, adc_offset_lsb=0.1)
+        outs = [engine.matmul(x, engine.prepare(w))
+                for engine in (_engine("exact", sim=noisy),
+                               _engine("exact", sim=noisy))]
+        np.testing.assert_array_equal(outs[0], outs[1])
+        clean = _engine("exact")
+        assert not np.array_equal(outs[0], clean.matmul(x, clean.prepare(w)))
+        offset = _engine("exact", sim=SCFG.replace(adc_offset_lsb=0.4))
+        prepared = offset.prepare(w)
+        np.testing.assert_array_equal(offset.matmul(x, prepared),
+                                      sequential_matmul(offset, x, prepared))
 
     def test_nonideality_pipeline(self, operands):
-        """Faulty preparations compile and stay bit-identical."""
+        """Faulty preparations run the same kernel, bit-identically."""
         x, w = operands
         spec = NonidealitySpec(seed=7, stuck=StuckSpec(p_on=0.02, p_off=0.05),
                                variation=VariationSpec(sigma=0.05))
-        interp, fused = _pair("exact", nonideality=spec)
-        p_i, p_f = interp.prepare(w), fused.prepare(w)
-        assert p_f.program.compiled is not None
-        np.testing.assert_array_equal(interp.matmul(x, p_i),
-                                      fused.matmul(x, p_f))
+        engine = _engine("exact", nonideality=spec)
+        prepared = engine.prepare(w)
+        np.testing.assert_array_equal(engine.matmul(x, prepared),
+                                      sequential_matmul(engine, x, prepared))
 
-    @pytest.mark.parametrize("executor,workers", [
-        ("serial", 1), ("threads", 1), ("threads", 2), ("threads", 4),
-        ("process", 1), ("process", 2), ("process", 4),
-    ])
-    def test_executors(self, operands, executor, workers):
-        """Fused shards flow through the thread pool at several widths,
-        for every executor a stored spec may still name (ignored now)."""
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_workers(self, operands, tiny_emulator, workers):
+        """Noisy geniex shards reproduce on the thread pool at any width."""
         x, w = operands
-        with pytest.warns(DeprecationWarning, match="executor"):
-            workers = RuntimeSpec(executor=executor, workers=workers).workers
-        interp, fused = _pair("exact", batch_invariant=True, workers=workers)
-        for engine in (interp, fused):
+        noisy = SCFG.replace(adc_noise_lsb=0.5, adc_seed=3)
+        outs = []
+        for n_workers in (1, workers):
+            engine = _engine("geniex", tiny_emulator, sim=noisy,
+                             workers=n_workers)
             engine.shard_rows = 5
             engine.inline_work_threshold = 0  # force pooling
-        try:
-            np.testing.assert_array_equal(interp.matmul(x, interp.prepare(w)),
-                                          fused.matmul(x, fused.prepare(w)))
-            assert fused.stats.snapshot()["fused_calls"] > 0
-        finally:
-            interp.close()
-            fused.close()
+            outs.append(engine.matmul(x, engine.prepare(w)))
+            engine.close()
+        np.testing.assert_array_equal(outs[0], outs[1])
 
 
-class TestFastFormRouting:
-    """Noiseless shards run the fast form; only ADC noise takes the
-    general ``_measure``/``_decode`` form."""
+def _tile_row_ideal(cfg, x, w, rows):
+    """Ideal FxP product accumulated tile-row by tile-row through the
+    accumulator, as the crossbar pipeline's merge does."""
+    qx = pad_axis(cfg.activation_format.quantize_to_int(x), 1, rows)
+    qw = pad_axis(cfg.weight_format.quantize_to_int(w), 0, rows)
+    value_lsb = cfg.activation_format.resolution \
+        * cfg.weight_format.resolution
+    out = np.zeros((x.shape[0], w.shape[1]))
+    for tr in range(qx.shape[1] // rows):
+        block = slice(tr * rows, (tr + 1) * rows)
+        counts = qx[:, block].astype(np.float64) @ qw[block].astype(
+            np.float64)
+        out = cfg.accumulator_format.quantize(out + counts * value_lsb)
+    return out
 
-    @pytest.mark.parametrize("kind", ["exact", "analytical", "geniex"])
-    def test_noiseless_shards_never_measure(self, operands, tiny_emulator,
-                                            kind, monkeypatch):
+
+class TestExactBackEnd:
+    """Integer codes x power-of-two prefactors: an exact digital sum."""
+
+    @pytest.mark.parametrize("stream_bits,slice_bits",
+                             [(4, 4), (2, 4), (4, 2)])
+    @pytest.mark.parametrize("k", [8, 20, 64])
+    def test_exact_equals_tile_row_ideal_fxp(self, rng, stream_bits,
+                                             slice_bits, k):
+        # A fine ADC whose grid aligns with the g_off bias of any slicing.
+        cfg = SCFG.replace(stream_bits=stream_bits, slice_bits=slice_bits,
+                           adc_bits=20,
+                           adc_headroom=1.0 / (XCFG.onoff_ratio - 1))
+        x = rng.normal(size=(9, k)) * 0.4
+        w = rng.normal(size=(k, 13)) * 0.3
+        engine = make_engine("exact", XCFG, cfg)
+        out = engine.matmul(x, engine.prepare(w))
+        assert out.tobytes() == _tile_row_ideal(cfg, x, w, XCFG.rows).tobytes()
+
+    def test_bound_rejects_inexact_configs(self, operands):
+        """(1,1) slicing sums ~2**32 prefactor units: 20 ADC bits fit
+        under 2**53, 22 do not."""
+        _, w = operands
+        cfg = SCFG.replace(stream_bits=1, slice_bits=1)
+        make_engine("exact", XCFG, cfg.replace(adc_bits=20)).prepare(w)
+        with pytest.raises(ConfigError, match=r"2\*\*53"):
+            make_engine("exact", XCFG, cfg.replace(adc_bits=22)).prepare(w)
+
+
+class TestStackedReadout:
+    """Each column block of the stacked read-out is its tile's currents."""
+
+    @pytest.mark.parametrize("kind,invariant", [
+        ("exact", False), ("exact", True), ("analytical", False),
+        ("analytical", True), ("geniex", False), ("geniex", True),
+        ("decoupled", False),
+    ])
+    def test_blocks_equal_tile_currents(self, tiny_emulator, kind,
+                                        invariant):
+        rng = np.random.default_rng(29)
+        engine = _engine(kind, tiny_emulator, batch_invariant=invariant)
+        program = engine.prepare(rng.normal(size=(20, 13)) * 0.3).program
+        plan, compiled = program.plan, program.compiled
+        cols = plan.cols
+        for n in (1, 2, 7, 33, 256):
+            levels = rng.integers(0, 2 ** SCFG.stream_bits,
+                                  size=(n, plan.rows))
+            voltages = levels * plan.v_lsb
+            shared = engine.tile_factory.prepare_voltages(voltages)
+            for tr in range(plan.t_r):
+                stacked = compiled.readout(program, tr, voltages)
+                for mi, model in enumerate(compiled.row_models[tr]):
+                    block = stacked[:, mi * cols:(mi + 1) * cols]
+                    own = model.currents(voltages, shared)
+                    if n == 1 and not invariant:
+                        # BLAS may run one row as gemv, whose column
+                        # grouping depends on the operand width; the
+                        # invariant mode pads single rows to avoid it.
+                        np.testing.assert_array_max_ulp(block, own, 2)
+                    else:
+                        np.testing.assert_array_equal(
+                            block, own,
+                            err_msg=f"rows={n} tile-row={tr} model={mi}")
+
+
+class TestChunkCap:
+    """The plan caps a layer's chunk rows instead of a runtime guard."""
+
+    def test_cap_splits_shards_without_changing_results(self, operands,
+                                                        monkeypatch):
         x, w = operands
-        emulator = tiny_emulator if kind == "geniex" else None
-        interp, fused = _pair(kind, emulator)
-        assert not fused.tile_factory.batch_invariant
-        for engine in (interp, fused):
-            engine.shard_rows = 5  # 23 rows -> five chunks
-        p_i, p_f = interp.prepare(w), fused.prepare(w)
-
-        def general_form(*args, **kwargs):
-            raise AssertionError("noiseless shard reached _measure")
-
-        monkeypatch.setattr(CompiledLayer, "_measure", general_form)
-        np.testing.assert_array_equal(interp.matmul(x, p_i),
-                                      fused.matmul(x, p_f))
-        stats = fused.stats.snapshot()
-        assert stats["fused_calls"] == 5 * p_f.t_r
-        assert stats["fallback_calls"] == 0
-
-    @pytest.mark.parametrize("kind", ["exact", "geniex"])
-    def test_noisy_shards_measure_and_match_interp(self, operands,
-                                                   tiny_emulator, kind,
-                                                   monkeypatch):
-        x, w = operands
-        emulator = tiny_emulator if kind == "geniex" else None
-        sim = SCFG.replace(adc_noise_lsb=0.5)
-        interp, fused = _pair(kind, emulator, sim=sim)
-        for engine in (interp, fused):
-            engine.shard_rows = 5
-        p_i, p_f = interp.prepare(w), fused.prepare(w)
-        calls = []
-        measure = CompiledLayer._measure
-
-        def counted(self, *args, **kwargs):
-            calls.append(1)
-            return measure(self, *args, **kwargs)
-
-        monkeypatch.setattr(CompiledLayer, "_measure", counted)
-        np.testing.assert_array_equal(interp.matmul(x, p_i),
-                                      fused.matmul(x, p_f))
-        assert len(calls) == fused.stats.snapshot()["fused_calls"] > 0
+        reference = _engine("exact", batch_invariant=True)
+        expected = reference.matmul(x, reference.prepare(w))
+        # Room for exactly 4 rows of the worst-case measurement.
+        n_models = 2 * SCFG.n_slices * 2  # signs x slices x tile columns
+        monkeypatch.setattr(planner, "MAX_SHARD_BYTES",
+                            4 * 2 * SCFG.n_streams * n_models * XCFG.cols * 8)
+        capped = _engine("exact", batch_invariant=True)
+        prepared = capped.prepare(w)
+        assert prepared.program.plan.chunk_rows == 4
+        np.testing.assert_array_equal(capped.matmul(x, prepared), expected)
+        # 23 rows in 4-row chunks: six chunks per tile-row.
+        assert capped.stats.readouts > reference.stats.readouts
 
 
 class TestScratchPool:
-    """The fast form's per-thread scratch buffers: bounded and inert."""
+    """The kernel's per-thread scratch buffers: bounded and inert."""
 
     def test_one_buffer_per_name_and_no_stale_values(self, rng,
                                                      tiny_emulator):
         """Two layers share one pool whose buffers only grow; after large
-        batches, small ones still equal a fresh engine's output (the
-        interpreted one, which uses no scratch) bit for bit."""
+        batches, small ones still equal a fresh engine's output bit for
+        bit."""
         w1 = rng.normal(size=(20, 13)) * 0.3
         w2 = rng.normal(size=(13, 6)) * 0.3
 
-        def engine_and_layers(**kwargs):
-            engine = make_engine("geniex", XCFG, SCFG, emulator=tiny_emulator,
-                                 **kwargs)
+        def engine_and_layers():
+            engine = make_engine("geniex", XCFG, SCFG, emulator=tiny_emulator)
             return engine, engine.prepare(w1), engine.prepare(w2)
 
         engine, p1, p2 = engine_and_layers()
@@ -201,88 +251,8 @@ class TestScratchPool:
         names = [key[0] for key in pool]  # key: (name, dtype)
         assert sorted(names) == ["fr", "hidden", "i_flat", "voltages"]
         assert all(buf.ndim == 1 for buf in pool.values())
-        fresh, f1, f2 = engine_and_layers(backend="interp")
+        fresh, f1, f2 = engine_and_layers()
         for n in (7, 2):
             x, out = outs[n]
             np.testing.assert_array_equal(
                 out, fresh.matmul(fresh.matmul(x, f1), f2))
-
-
-class TestInterpreterFallback:
-    """Unfusible programs fall back transparently (and are counted)."""
-
-    def test_decoupled_kind_not_compiled(self, operands):
-        x, w = operands
-        engine = make_engine("decoupled", XCFG, SCFG)
-        prepared = engine.prepare(w)
-        assert prepared.program.compile_requested
-        assert prepared.program.compiled is None
-        reference = make_engine("decoupled", XCFG, SCFG, backend="interp")
-        np.testing.assert_array_equal(
-            engine.matmul(x, prepared),
-            reference.matmul(x, reference.prepare(w)))
-        snap = engine.stats.snapshot()
-        assert snap["fused_calls"] == 0
-        assert snap["fallback_calls"] > 0
-        assert reference.stats.snapshot()["fallback_calls"] == 0
-
-    def test_memory_guard(self, operands, monkeypatch):
-        """Shards over the fused byte budget run interpreted, identically."""
-        x, w = operands
-        monkeypatch.setenv("REPRO_MAX_FUSED_BYTES", "1")
-        interp, fused = _pair("exact")
-        p_f = fused.prepare(w)
-        assert p_f.program.compiled is not None
-        np.testing.assert_array_equal(interp.matmul(x, interp.prepare(w)),
-                                      fused.matmul(x, p_f))
-        snap = fused.stats.snapshot()
-        assert snap["fused_calls"] == 0
-        assert snap["fallback_calls"] > 0
-
-    def test_interp_selector_skips_compilation(self, operands):
-        _, w = operands
-        for selector in ("interp", "interpreted", "off"):
-            engine = make_engine("exact", XCFG, SCFG, backend=selector)
-            prepared = engine.prepare(w)
-            assert not prepared.program.compile_requested
-            assert prepared.program.compiled is None
-
-
-class TestBackendRegistry:
-    """Selection precedence and the removed backends' aliases."""
-
-    def test_resolve_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend(None).name == "numpy"
-        monkeypatch.setenv("REPRO_BACKEND", "interp")
-        assert resolve_backend(None) is None
-        assert resolve_backend("numpy").name == "numpy"  # explicit wins
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="runtime.backend"):
-            resolve_backend("cuda")
-
-    def test_unknown_env_backend_names_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cuda")
-        with pytest.raises(ConfigError, match=r"\$REPRO_BACKEND"):
-            resolve_backend(None)
-
-    @pytest.mark.parametrize("kind", ["numba", "torch"])
-    def test_removed_backend_means_numpy(self, monkeypatch, kind):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        with pytest.warns(DeprecationWarning, match=f"{kind}.*numpy"):
-            assert resolve_backend(kind).name == "numpy"
-        monkeypatch.setenv("REPRO_BACKEND", kind)
-        with pytest.warns(DeprecationWarning):
-            assert resolve_backend(None).name == "numpy"
-
-
-class TestCompiledLayer:
-    """Structural properties of the compiled form."""
-
-    def test_compile_program_rejects_unfusible(self, operands):
-        _, w = operands
-        engine = make_engine("circuit", XCFG, SCFG, backend="interp")
-        program = engine.prepare(w).program
-        assert compile_program(program, resolve_backend("numpy"),
-                               ScratchPool()) is None

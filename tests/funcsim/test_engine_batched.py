@@ -1,10 +1,14 @@
 """Golden-output regression tests for the batched MVM engine.
 
-``sequential_matmul`` below is a faithful copy of the pre-refactor
-``CrossbarMvmEngine.matmul`` loop (one tile-model call per stream, decode
-interleaved with the read-outs). The batched engine must reproduce it
-byte-for-byte for every tile factory, because batching is a pure
-execution-order optimisation — the modelled hardware is unchanged.
+``sequential_matmul`` below is the per-stream pipeline the engine is
+checked against: one tile-model call and one ADC conversion per (stream,
+model), decoded in exact integer form — ADC codes times the signed
+power-of-two shift-and-add factors, the ``g_off`` bias subtracted per row
+in code units and the codes converted to counts once per output element.
+The engine stacks every stream block and model of a tile-row into one
+read-out; it must reproduce this oracle byte-for-byte for every tile
+factory, because stacking is a pure execution-order optimisation — the
+modelled hardware is unchanged.
 """
 
 import numpy as np
@@ -25,8 +29,13 @@ SCFG = FuncSimConfig().with_precision(8)
 
 
 def sequential_matmul(engine: CrossbarMvmEngine, x, prepared) -> np.ndarray:
-    """The pre-refactor per-stream pipeline, kept verbatim as the oracle."""
+    """The per-stream, per-model pipeline with an exact integer decode.
+
+    The code-unit constants (codes per count, bias codes per level) come
+    from the layer plan; everything else is re-derived here.
+    """
     cfg, xcfg = engine.sim_config, engine.xbar_config
+    plan = prepared.program.plan
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     batch = x.shape[0]
     rows, cols = xcfg.rows, xcfg.cols
@@ -42,12 +51,11 @@ def sequential_matmul(engine: CrossbarMvmEngine, x, prepared) -> np.ndarray:
     value_lsb = (cfg.activation_format.resolution *
                  cfg.weight_format.resolution)
     acc = cfg.accumulator_format
-    bias_factor = xcfg.g_off_s / engine._g_lsb
-    decode = 1.0 / (engine._v_lsb * engine._g_lsb)
     out_value = np.zeros((batch, t_c * cols))
     for tr in range(t_r):
         row_block = slice(tr * rows, (tr + 1) * rows)
-        tr_counts = np.zeros((batch, t_c * cols))
+        tr_codes = np.zeros((batch, t_c * cols))
+        tr_bias = np.zeros(batch)
         for sx in x_signs:
             sx_factor = 1.0 if sx == 0 else -1.0
             for m in range(cfg.n_streams):
@@ -56,22 +64,24 @@ def sequential_matmul(engine: CrossbarMvmEngine, x, prepared) -> np.ndarray:
                     continue
                 voltages = levels * engine._v_lsb
                 cache = engine.tile_factory.prepare_voltages(voltages)
-                stream_sum = levels.sum(axis=1)[:, None]
+                stream_sum = levels.sum(axis=1)
                 stream_scale = float(2 ** (m * cfg.stream_bits))
                 for sw in prepared.sign_present:
                     sw_factor = 1.0 if sw == 0 else -1.0
                     for k in range(cfg.n_slices):
                         slice_scale = float(2 ** (k * cfg.slice_bits))
+                        prefac = (sx_factor * sw_factor * stream_scale
+                                  * slice_scale)
+                        tr_bias += prefac * stream_sum
                         for tc in range(t_c):
                             model = prepared.models[(sw, k, tr, tc)]
-                            i_meas = engine.adc.measure(
+                            codes = engine.adc.codes(
                                 model.currents(voltages, cache))
-                            counts = i_meas * decode \
-                                - bias_factor * stream_sum
-                            tr_counts[:, tc * cols:(tc + 1) * cols] += (
-                                sx_factor * sw_factor * stream_scale
-                                * slice_scale * counts)
-        out_value = acc.quantize(out_value + tr_counts * value_lsb)
+                            tr_codes[:, tc * cols:(tc + 1) * cols] += (
+                                prefac * codes)
+        counts = (tr_codes - (plan.bias_codes * tr_bias)[:, None]) \
+            / plan.codes_per_count
+        out_value = acc.quantize(out_value + counts * value_lsb)
     return out_value[:, :prepared.n_out]
 
 
@@ -153,11 +163,13 @@ class TestBatchInvariantEngines:
         n = xcfg.rows
         weights = np.random.default_rng(0).standard_normal((n, n)) * 0.4
         prepared = engine.prepare(weights)
-        x = np.random.default_rng(1).standard_normal((7, n))
-        full = engine.matmul(x, prepared)
-        for i in range(7):
-            np.testing.assert_array_equal(
-                engine.matmul(x[i:i + 1], prepared), full[i:i + 1])
+        rng = np.random.default_rng(1)
+        for batch in (1, 2, 7, 40):
+            x = rng.standard_normal((batch, n))
+            full = engine.matmul(x, prepared)
+            for i in range(batch):
+                np.testing.assert_array_equal(
+                    engine.matmul(x[i:i + 1], prepared), full[i:i + 1])
 
     def test_iterative_models_reject_the_flag(self):
         with pytest.raises(Exception):

@@ -4,10 +4,10 @@ A programmed GENIEx tile drops every hidden unit whose ReLU provably
 outputs 0 for all legal word-line voltages (see
 :meth:`repro.funcsim.engine.GeniexTileFactory.kept_units`). These tests
 pin that the proof holds — in exact arithmetic and in the float32 GEMM
-the kernels run — for random emulators, faulty conductances and voltage
+the kernel runs — for random emulators, faulty conductances and voltage
 ceilings other than the emulator's own supply; that the pruned forward
 equals an unpruned one; and that pruning keeps the serving contract
-(batch-invariant rows, fused == interpreted bit for bit).
+(batch-invariant rows, a warm engine == a fresh one bit for bit).
 """
 
 import numpy as np
@@ -173,34 +173,31 @@ class TestPrunedEngine:
                            **kwargs)
 
     @pytest.mark.parametrize("invariant", [False, True])
-    def test_fused_equals_interp(self, pruned_emulator, weights, rng,
+    def test_equals_fresh_engine(self, pruned_emulator, weights, rng,
                                  invariant):
-        fused = self._engine(pruned_emulator, batch_invariant=invariant)
-        interp = self._engine(pruned_emulator, batch_invariant=invariant,
-                              backend="interp")
-        p_f, p_i = fused.prepare(weights), interp.prepare(weights)
-        assert len(_kept_counts(p_f)) > 1
+        """Tiles with different kept counts share one kernel: a warm
+        engine equals a fresh one at every batch size."""
+        engine = self._engine(pruned_emulator, batch_invariant=invariant)
+        prepared = engine.prepare(weights)
+        assert len(_kept_counts(prepared)) > 1
         for n in (1, 2, 7, 40):
             x = rng.normal(size=(n, 20)) * 0.4
-            assert fused.matmul(x, p_f).tobytes() == \
-                interp.matmul(x, p_i).tobytes()
-        assert fused.stats.snapshot()["fused_calls"] > 0
+            fresh = self._engine(pruned_emulator, batch_invariant=invariant)
+            assert engine.matmul(x, prepared).tobytes() == \
+                fresh.matmul(x, fresh.prepare(weights)).tobytes()
 
     def test_batch_invariant_rows(self, pruned_emulator, weights, rng):
-        """Every row equals its single-row result byte for byte, and the
-        fused kernel equals the interpreted one, at every batch size."""
-        fused = self._engine(pruned_emulator, batch_invariant=True)
-        interp = self._engine(pruned_emulator, batch_invariant=True,
-                              backend="interp")
-        p_f, p_i = fused.prepare(weights), interp.prepare(weights)
-        assert len(_kept_counts(p_f)) > 1
+        """Every row equals its single-row result byte for byte, at every
+        batch size."""
+        engine = self._engine(pruned_emulator, batch_invariant=True)
+        prepared = engine.prepare(weights)
+        assert len(_kept_counts(prepared)) > 1
         for n in (1, 2, 7, 40):
             x = rng.normal(size=(n, 20)) * 0.4
-            out = fused.matmul(x, p_f)
-            assert out.tobytes() == interp.matmul(x, p_i).tobytes()
+            out = engine.matmul(x, prepared)
             for i in range(n):
                 assert out[i].tobytes() == \
-                    fused.matmul(x[i:i + 1], p_f)[0].tobytes()
+                    engine.matmul(x[i:i + 1], prepared)[0].tobytes()
 
     def test_compile_span_reports_kept_units(self, pruned_emulator, weights):
         engine = self._engine(pruned_emulator)

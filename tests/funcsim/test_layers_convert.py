@@ -174,17 +174,11 @@ class TestConvertExecutor:
         return make_engine("exact", XCFG, SCFG, batch_invariant=True,
                            workers=workers)
 
-    @pytest.mark.parametrize("backend,workers", [("serial", None),
-                                                 ("threads", 2),
-                                                 ("process", 2)])
-    def test_executor_matches_inline(self, rng, backend, workers):
-        """A stored spec naming any removed executor converts onto the
-        one schedule, bit-identical to a single-thread engine."""
-        from repro.api.spec import RuntimeSpec
-
-        with pytest.warns(DeprecationWarning, match="executor"):
-            runtime = RuntimeSpec(executor=backend, workers=workers or 1)
-        engine = self._engine(runtime.workers)
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_workers_match_inline(self, rng, workers):
+        """A converted network on pooled shards is bit-identical to a
+        single-thread engine."""
+        engine = self._engine(workers)
         engine.shard_rows = 16
         engine.inline_work_threshold = 0  # force pooled shards
         x = Tensor(rng.normal(size=(5, 1, 8, 8)).astype(np.float32) * 0.5)

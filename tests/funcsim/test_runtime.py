@@ -15,7 +15,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api.spec import RuntimeSpec
 from repro.core.sampling import SamplingSpec
 from repro.core.trainer import TrainSpec
 from repro.core.zoo import GeniexZoo
@@ -61,40 +60,27 @@ def _pooled(engine, shard_rows):
     return engine
 
 
-def _legacy_workers(executor, workers):
-    """Worker count a stored runtime node naming a removed executor
-    resolves to: the field is accepted with a warning and ignored."""
-    with pytest.warns(DeprecationWarning, match="executor"):
-        return RuntimeSpec(executor=executor, workers=workers or 1).workers
-
-
 class TestBackendEquivalence:
-    """Every worker count and chunking, bit for bit, in invariant mode.
+    """Every worker count and chunking, bit for bit, in invariant mode
+    (``workers > 1`` runs the engine's one schedule on threads)."""
 
-    Parametrised by the executors stored specs may still name: each runs
-    the engine's one schedule (``workers > 1`` = threads).
-    """
-
-    @pytest.mark.parametrize("backend,workers", [
-        ("serial", None), ("threads", 2), ("threads", 3), ("process", 2),
-    ])
-    def test_exact_bit_identical(self, operands, backend, workers):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_exact_bit_identical(self, operands, workers):
         x, w = operands
         ref_engine = _engine("exact")
         ref = ref_engine.matmul(x, ref_engine.prepare(w))
-        engine = _pooled(_engine(
-            "exact", workers=_legacy_workers(backend, workers)), 5)
+        engine = _pooled(_engine("exact", workers=workers), 5)
         out = engine.matmul(x, engine.prepare(w))
         np.testing.assert_array_equal(out, ref)
         engine.close()
 
-    @pytest.mark.parametrize("backend", ["threads", "process"])
-    def test_geniex_bit_identical(self, operands, tiny_emulator, backend):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_geniex_bit_identical(self, operands, tiny_emulator, workers):
         x, w = operands
         ref_engine = _engine("geniex", tiny_emulator)
         ref = ref_engine.matmul(x, ref_engine.prepare(w))
         engine = _pooled(_engine("geniex", tiny_emulator,
-                                 workers=_legacy_workers(backend, 2)), 7)
+                                 workers=workers), 7)
         out = engine.matmul(x, engine.prepare(w))
         np.testing.assert_array_equal(out, ref)
         engine.close()
@@ -123,17 +109,16 @@ class TestBackendEquivalence:
     @pytest.mark.slow
     @pytest.mark.parametrize("kind", ["exact", "analytical", "decoupled"])
     def test_all_kinds_process_matches_serial(self, operands, kind):
-        """Heavier sweep: every CPU tile kind, a stored ``process`` spec
-        (threads now) vs a ``serial`` one."""
+        """Heavier sweep: every CPU tile kind, pooled on two threads vs
+        inline on one."""
         x, w = operands
         outs = {}
-        for backend, workers in (("serial", None), ("process", 2)):
-            engine = _pooled(make_engine(
-                kind, XCFG, SCFG,
-                workers=_legacy_workers(backend, workers)), 6)
-            outs[backend] = engine.matmul(x, engine.prepare(w))
+        for workers in (1, 2):
+            engine = _pooled(make_engine(kind, XCFG, SCFG, workers=workers),
+                             6)
+            outs[workers] = engine.matmul(x, engine.prepare(w))
             engine.close()
-        np.testing.assert_array_equal(outs["serial"], outs["process"])
+        np.testing.assert_array_equal(outs[1], outs[2])
 
 
 class TestNoiseDeterminism:
@@ -222,10 +207,10 @@ class TestPreparedUid:
 class TestEngineStats:
     def test_merge_accumulates(self):
         a, b = EngineStats(), EngineStats()
-        a.merge({"readouts": 3, "fused_calls": 1})
+        a.merge({"readouts": 3, "adc_conversions": 1})
         b.merge({"readouts": 4, "matmuls": 2})
         a.merge(b)
-        assert a.readouts == 7 and a.matmuls == 2 and a.fused_calls == 1
+        assert a.readouts == 7 and a.matmuls == 2 and a.adc_conversions == 1
 
     def test_merge_rejects_unknown_counter(self):
         with pytest.raises(ConfigError):

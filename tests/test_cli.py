@@ -59,11 +59,6 @@ class TestServeCommand:
                 args.max_queue, args.cache_dir) == \
             (0, 32, 0.5, 128, "/tmp/zoo")
 
-    def test_tile_cache_flag_deprecated_and_ignored(self):
-        with pytest.warns(DeprecationWarning, match="--tile-cache"):
-            args = build_parser().parse_args(["serve", "--tile-cache", "0"])
-        assert not hasattr(args, "tile_cache")
-
 
 class TestWorkersFlags:
     def test_fig_workers_parsed(self):

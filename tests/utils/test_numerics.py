@@ -52,3 +52,32 @@ class TestRelativeError:
 
     def test_zero_reference_uses_eps(self):
         assert np.isfinite(relative_error(0.0, 1.0))
+
+
+class TestBatchInvariantMatmul:
+    def test_einsum_fallback_rows_independent_of_batch(self, monkeypatch):
+        """A shape class whose BLAS probe fails runs the einsum kernel:
+        every row is byte-equal to its single-row product."""
+        from repro.utils import numerics
+
+        monkeypatch.setattr(numerics, "_blas_invariant", {})
+        monkeypatch.setattr(numerics, "_probe_blas_row_invariance",
+                            lambda *args: False)
+        calls = []
+        einsum = numerics._einsum_matmul
+
+        def counted(a, b, out=None):
+            calls.append(a.shape[0])
+            return einsum(a, b, out)
+
+        monkeypatch.setattr(numerics, "_einsum_matmul", counted)
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=(13, 9))
+        for n in (1, 2, 7, 40):
+            a = rng.normal(size=(n, 13))
+            full = numerics.batch_invariant_matmul(a, b)
+            np.testing.assert_allclose(full, a @ b, rtol=1e-12)
+            for i in range(n):
+                assert full[i].tobytes() == numerics.batch_invariant_matmul(
+                    a[i:i + 1], b)[0].tobytes()
+        assert sorted(set(calls)) == [1, 2, 7, 40]
