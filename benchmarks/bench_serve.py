@@ -7,8 +7,9 @@ grid, paper-default 16-bit formats), one input vector per request, from
 ``C`` concurrent keep-alive client connections. Two server configurations
 are compared at identical load:
 
-* **microbatch** — ``max_batch_rows=64``, 2 ms flush deadline: concurrent
-  single-vector requests coalesce into large engine batches;
+* **microbatch** — ``max_batch_rows=64``: a request on an idle key
+  flushes at once, and concurrent single-vector requests that arrive
+  while a batch is in flight coalesce into the next engine batch;
 * **per-request** — ``max_batch_rows=1``: every request is dispatched as
   its own engine call (the pre-serving execution model).
 
@@ -66,7 +67,6 @@ def _boot(max_batch_rows: int, tracing: bool = True):
     registry = ModelRegistry(GeniexZoo(cache_dir=_cache_dir()))
     server = EmulationServer(registry,
                              max_batch_rows=max_batch_rows,
-                             flush_deadline_s=0.002,
                              max_queue_rows=8192,
                              tracing=tracing)
     return ServerThread(server)

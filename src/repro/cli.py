@@ -383,14 +383,12 @@ def _cmd_serve(args) -> int:
     server = EmulationServer(
         registry,
         max_batch_rows=args.max_batch,
-        flush_deadline_s=args.flush_deadline_ms / 1000.0,
         max_queue_rows=args.max_queue,
         max_workers=args.workers)
 
     async def run() -> None:
         await server.start(args.host, args.port)
-        log.info("serve options: max_batch=%d flush_deadline=%g ms",
-                 args.max_batch, args.flush_deadline_ms)
+        log.info("serve options: max_batch=%d", args.max_batch)
         await _run_until_sigterm(server, log, "server")
 
     try:
@@ -584,8 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="0 picks a free port")
     p_serve.add_argument("--max-batch", type=int, default=64,
                          help="rows per coalesced microbatch")
-    p_serve.add_argument("--flush-deadline-ms", type=float, default=2.0,
-                         help="max time a queued request waits for peers")
     p_serve.add_argument("--max-queue", type=int, default=4096,
                          help="pending rows per key before 429")
     p_serve.add_argument("--workers", type=int, default=1,

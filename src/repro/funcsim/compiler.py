@@ -13,7 +13,10 @@ the (weight-sign, slice, tile-column) models of the tile-row:
    rows)`` voltage batch. ``exact`` and ``analytical`` tiles are one
    stacked GEMM; ``geniex`` adds each tile's pruned NN forward
    (:meth:`~repro.funcsim.engine.GeniexTileModel.forward`) and the fR
-   divide; ``decoupled`` and ``circuit`` fill each model's column block
+   divide — under ``batch_invariant``, one stacked forward of the whole
+   tile-row (:class:`~repro.funcsim.engine.GeniexRowStack`), since those
+   engines serve few-row batches whose cost is per-call dispatch;
+   ``decoupled`` and ``circuit`` fill each model's column block
    with that model's ``currents()``. Only this stage depends on the kind.
 2. **ADC.** :meth:`~repro.funcsim.adc.AdcModel.transfer` turns the
    currents into integer output codes in place, drawing any offset noise
@@ -96,14 +99,15 @@ class CompiledLayer:
 
     Holds each tile-row's models (``(sign, slice, tc)`` model-major, the
     order of the measurement's column blocks) and, for the closed-form
-    kinds, their column-concatenated read-out operand; the shift-and-add
+    kinds, their column-concatenated read-out operand; for batch-invariant
+    geniex layers each tile-row's stacked forward; the shift-and-add
     prefactors; and the scratch pool the kernel takes temporaries from.
     """
 
     def __init__(self, kind: str, batch_invariant: bool, n_sw: int,
                  n_k: int, t_c: int, row_models: list, row_operands: list,
-                 stream_scales: np.ndarray, sw_slice: np.ndarray,
-                 scratch: ScratchPool):
+                 row_stacks: list, stream_scales: np.ndarray,
+                 sw_slice: np.ndarray, scratch: ScratchPool):
         self.kind = kind
         self.scratch = scratch
         self._matmul = batch_invariant_matmul if batch_invariant \
@@ -115,6 +119,9 @@ class CompiledLayer:
         #: Per tile-row ``(rows, M * cols)`` read-out operand (``None``
         #: for the iterative kinds, which solve each tile themselves).
         self.row_operands = row_operands
+        #: Per tile-row :class:`~repro.funcsim.engine.GeniexRowStack`
+        #: (``None``: each tile runs its own forward).
+        self.row_stacks = row_stacks
         self.stream_scales = stream_scales
         #: ``(n_sw, n_k)`` outer product of weight-sign factors and
         #: ``2**(k * slice_bits)`` slice scales (exact in float64).
@@ -149,31 +156,38 @@ class CompiledLayer:
             return i_flat
         self._matmul(voltages, operand, out=i_flat)
         if self.kind == "geniex":
-            fr = self._friction(program, models, shared)
+            fr = self._friction(program, tr, shared)
             i3 = i_flat.reshape(n_rows, len(models), cols)
             np.divide(i3, fr.transpose(1, 0, 2), out=i3)
         return i_flat
 
-    def _friction(self, program: LayerProgram, models: list,
+    def _friction(self, program: LayerProgram, tr: int,
                   shared: np.ndarray) -> np.ndarray:
         """Geniex non-ideality factors ``(M, n, cols)``, model-major.
 
-        Each tile model runs its own pruned forward
-        (:meth:`~repro.funcsim.engine.GeniexTileModel.forward`) into a
-        contiguous block of the pooled ``fr`` buffer, with its hidden
-        activations carved from the pooled ``hidden`` buffer. The
-        ``denormalize_fr`` rescale is element-wise, so it runs once over
-        the whole block: the same clip -> scale -> shift chain as
+        Tile-row ``tr``'s stacked forward, when it has one, writes every
+        model's block of the pooled ``fr`` buffer at once; otherwise each
+        tile model runs its own pruned forward
+        (:meth:`~repro.funcsim.engine.GeniexTileModel.forward`) into its
+        block, with its hidden activations carved from the pooled
+        ``hidden`` buffer. The ``denormalize_fr`` rescale is element-wise,
+        so it runs once over the whole block: the same clip -> scale ->
+        shift chain as
         :meth:`~repro.funcsim.engine.GeniexTileModel.currents`, element
         for element.
         """
+        models = self.row_models[tr]
         n_rows = shared.shape[0]
         fr = self.scratch.take("fr", (len(models), n_rows, program.plan.cols))
-        work = self.scratch.take(
-            "hidden", (n_rows * max(m.work_width for m in models),),
-            np.float32)
-        for mi, model in enumerate(models):
-            model.forward(shared, out=fr[mi], work=work)
+        stack = self.row_stacks[tr]
+        if stack is not None:
+            stack.forward(shared, fr, self.scratch)
+        else:
+            work = self.scratch.take(
+                "hidden", (n_rows * max(m.work_width for m in models),),
+                np.float32)
+            for mi, model in enumerate(models):
+                model.forward(shared, out=fr[mi], work=work)
         norm = program.tile_factory.emulator.normalizer
         np.clip(fr, 0.0, 1.0, out=fr)
         np.multiply(fr, norm.fr_max - norm.fr_min, out=fr)
@@ -230,10 +244,13 @@ def compile_program(program: LayerProgram,
     (``transfer``), column-concatenates those; precomputes the decode
     prefactors. Emits a ``kernel-compile`` obs span (for geniex with
     ``hidden_kept``/``hidden_total`` meta: the hidden units the layer's
-    pruned tiles run, of those the emulator has).
+    pruned tiles run, of those the emulator has). A batch-invariant
+    geniex layer also stacks each tile-row's tiles into one forward
+    (:meth:`~repro.funcsim.engine.GeniexTileFactory.stack`).
     """
     factory = program.tile_factory
     kind = factory.name
+    batch_invariant = bool(getattr(factory, "batch_invariant", False))
     plan = program.plan
     cfg = plan.sim_config
     meta = {}
@@ -246,7 +263,7 @@ def compile_program(program: LayerProgram,
     with span("kernel-compile", layer=plan.uid, kind=kind, **meta):
         coords = [(sw, k, tc) for sw in plan.sign_present
                   for k in range(cfg.n_slices) for tc in range(plan.t_c)]
-        row_models, row_operands = [], []
+        row_models, row_operands, row_stacks = [], [], []
         for tr in range(plan.t_r):
             models = [program.models[(sw, k, tr, tc)]
                       for sw, k, tc in coords]
@@ -254,6 +271,9 @@ def compile_program(program: LayerProgram,
             row_operands.append(
                 _cat_columns(np.stack([m.transfer for m in models]))
                 if hasattr(models[0], "transfer") else None)
+            row_stacks.append(factory.stack(models)
+                              if kind == "geniex" and batch_invariant
+                              else None)
         sw_factors = np.array([1.0 if sw == 0 else -1.0
                                for sw in plan.sign_present])
         slice_scales = np.array([float(2 ** (k * cfg.slice_bits))
@@ -261,9 +281,9 @@ def compile_program(program: LayerProgram,
         stream_scales = np.array([float(2 ** (m * cfg.stream_bits))
                                   for m in range(cfg.n_streams)])
         return CompiledLayer(
-            kind=kind,
-            batch_invariant=bool(getattr(factory, "batch_invariant", False)),
+            kind=kind, batch_invariant=batch_invariant,
             n_sw=len(plan.sign_present), n_k=cfg.n_slices, t_c=plan.t_c,
             row_models=row_models, row_operands=row_operands,
+            row_stacks=row_stacks,
             stream_scales=stream_scales,
             sw_slice=np.outer(sw_factors, slice_scales), scratch=scratch)

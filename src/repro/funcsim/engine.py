@@ -43,7 +43,9 @@ Tile models:
   Each tile's network is specialised when the tile is programmed: the
   conductance term of the hidden layer folds into a per-tile bias, hidden
   units that bias provably keeps at zero are dropped, and the bias rides
-  in the first GEMM on voltages augmented once per tile-row.
+  in the first GEMM on voltages augmented once per tile-row. Under
+  ``batch_invariant`` a tile-row's tiles run as one stacked forward
+  (:class:`GeniexRowStack`).
 * :class:`AnalyticalTileFactory` — exact linear parasitic model (one sparse
   LU per tile, reused across all streams).
 * :class:`DecoupledTileFactory` — cheap first-order IR-drop model.
@@ -69,7 +71,7 @@ from repro.core.emulator import GeniexEmulator
 from repro.errors import ConfigError, ShapeError
 from repro.funcsim.adc import AdcModel
 from repro.funcsim.config import FuncSimConfig
-from repro.funcsim.compiler import ScratchPool, compile_program
+from repro.funcsim.compiler import ScratchPool, _cat_columns, compile_program
 from repro.funcsim.planner import plan_layer
 from repro.funcsim.runtime.kernel import (
     DEFAULT_SHARD_ROWS,
@@ -296,6 +298,10 @@ class GeniexTileFactory:
     def build(self, conductance_s: np.ndarray) -> "GeniexTileModel":
         return GeniexTileModel(self, conductance_s)
 
+    def stack(self, models: list) -> "GeniexRowStack":
+        """One tile-row's programmed tiles as one stacked forward."""
+        return GeniexRowStack(self, models)
+
 
 class GeniexTileModel:
     """Per-tile GENIEx forward pass, specialised when the tile is programmed.
@@ -320,9 +326,10 @@ class GeniexTileModel:
         self.kept = kept
         self.w_aug = np.concatenate([factory._w1v_t[:, kept],
                                      bias[None, kept]])
-        self._w2_t = factory._w2_t[kept]
+        #: Second-layer operand, restricted to the kept units.
+        self.w2_t = factory._w2_t[kept]
         #: Flat float32 work size per voltage row of :meth:`forward`.
-        self.work_width = kept.size + self._w2_t.shape[1]
+        self.work_width = kept.size + self.w2_t.shape[1]
         self.conductance_s = np.asarray(conductance_s, dtype=float)
         #: Ideal read-out operand; the currents divide it by fR.
         self.transfer = self.conductance_s
@@ -340,14 +347,14 @@ class GeniexTileModel:
         factory = self._factory
         matmul = factory._matmul
         n = v_aug.shape[0]
-        k, width = self._w2_t.shape
+        k, width = self.w2_t.shape
         hidden = first = None
         if work is not None:
             hidden = work[:n * k].reshape(n, k)
             first = work[n * k:n * (k + width)].reshape(n, width)
         hidden = matmul(v_aug, self.w_aug, out=hidden)
         np.maximum(hidden, 0.0, out=hidden)
-        y = matmul(hidden, self._w2_t, out=first)
+        y = matmul(hidden, self.w2_t, out=first)
         bias = factory._b2
         for w_t, next_bias in factory._tail:
             np.add(y, bias, out=y)
@@ -368,6 +375,88 @@ class GeniexTileModel:
         else:
             i_ideal = ideal_mvm(voltages_v, self.conductance_s)
         return i_ideal / fr
+
+
+#: Widest first-layer GEMM of a :class:`GeniexRowStack`, in float32
+#: columns. Each GEMM width is a shape class of
+#: :func:`~repro.utils.numerics.batch_invariant_matmul`, whose one-time
+#: probe holds a ``(4131, width)`` problem: one GEMM across a serving
+#: tile-row (1536 columns) raised a server's peak RSS by 27% and ran no
+#: faster than groups of this width.
+STACK_GEMM_COLUMNS = 512
+
+
+class GeniexRowStack:
+    """The GENIEx tiles of one tile-row, run as one stacked forward.
+
+    Batch-invariant engines serve 1- and 2-row batches, where ``M``
+    per-tile forwards cost Python dispatch rather than FLOPs. The stack
+    pads every tile's kept hidden set to the tile-row's widest, ``kmax``:
+    a pad unit has zero voltage weights, bias -1 and a zero second-layer
+    row, so its ReLU output is exactly 0 and it adds exact zeros to the
+    second layer's sums. The first layer is then a few GEMMs on the
+    column-concatenated padded ``w_aug`` operands (grouped under
+    :data:`STACK_GEMM_COLUMNS`), the second one stacked ``(M, n, kmax) @
+    (M, kmax, h2)`` product, and any later layer, shared by all tiles,
+    one ``(M * n, h2)`` GEMM. Every product is
+    :func:`~repro.utils.numerics.batch_invariant_matmul`.
+
+    The padding costs FLOPs, which large non-invariant shards pay for
+    (they keep :meth:`GeniexTileModel.forward`), so the stack is chosen
+    by the engine's ``batch_invariant`` property, never by batch size.
+    """
+
+    def __init__(self, factory: GeniexTileFactory, models: list):
+        self._factory = factory
+        n_models = len(models)
+        kmax = max(tile.kept.size for tile in models)
+        w_aug = np.zeros((n_models, models[0].w_aug.shape[0], kmax),
+                         np.float32)
+        w_aug[:, -1, :] = -1.0
+        w2 = np.zeros((n_models, kmax, factory._w2_t.shape[1]), np.float32)
+        for mi, tile in enumerate(models):
+            k = tile.kept.size
+            w_aug[mi, :, :k] = tile.w_aug
+            w2[mi, :k] = tile.w2_t
+        # Balanced groups of whole tiles: one width, one probe class.
+        n_groups = -(-n_models * kmax // STACK_GEMM_COLUMNS)
+        per = -(-n_models // n_groups)
+        #: ``(first column, (rows + 1, g * kmax) operand)`` per group.
+        self.first = [(lo * kmax, _cat_columns(w_aug[lo:lo + per]))
+                      for lo in range(0, n_models, per)]
+        #: Stacked second-layer operand ``(M, kmax, h2)``.
+        self.w2 = w2
+
+    def forward(self, v_aug: np.ndarray, out: np.ndarray,
+                scratch) -> np.ndarray:
+        """Normalised network outputs ``(M, n, cols)`` into ``out``.
+
+        Tile ``mi``'s block ``out[mi]`` is what
+        :meth:`GeniexTileModel.forward` returns for it: byte for byte
+        where BLAS sums the zero-padded second-layer product in the
+        unpadded order, to 2 float32 ulps of the block's scale where it
+        does not (tested). ``scratch`` is the
+        :class:`~repro.funcsim.compiler.ScratchPool` the hidden
+        activations are taken from.
+        """
+        factory = self._factory
+        matmul = batch_invariant_matmul
+        n = v_aug.shape[0]
+        n_models, kmax, width = self.w2.shape
+        hidden = scratch.take("hidden", (n, n_models * kmax), np.float32)
+        for lo, w in self.first:
+            matmul(v_aug, w, out=hidden[:, lo:lo + w.shape[1]])
+        np.maximum(hidden, 0.0, out=hidden)
+        y = scratch.take("hidden2", (n_models, n, width), np.float32)
+        matmul(hidden.reshape(n, n_models, kmax).transpose(1, 0, 2),
+               self.w2, out=y)
+        bias = factory._b2
+        for w_t, next_bias in factory._tail:
+            np.add(y, bias, out=y)
+            np.maximum(y, 0.0, out=y)
+            y = matmul(y.reshape(n_models * n, -1), w_t)
+            bias = next_bias
+        return np.add(y.reshape(n_models, n, -1), bias, out=out)
 
 
 class AnalyticalTileFactory:

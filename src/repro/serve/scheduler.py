@@ -7,15 +7,18 @@ requests queue per *key* — one key per (endpoint, programmed crossbar) or
 (endpoint, prepared engine) — and a queue is flushed into a single batched
 model call when either
 
-* the pending row count reaches ``max_batch_rows`` (*full* flush),
-* ``flush_deadline_s`` elapses since the queue became non-empty while the
-  key was idle (*deadline* flush), bounding the latency a lone request can
-  pay, or
-* a batch for the key finishes while requests are queued (*completion*
-  flush — continuous batching): arrivals during an in-flight batch
-  accumulate instead of being fragmented by a ticking deadline timer, and
-  flush as one batch the moment the worker frees up, so the effective
-  batch size adapts itself to the offered load.
+* a request arrives while the key is idle (no batch in flight) and a
+  worker is free: it flushes at once, as a *full* flush when it brings
+  ``max_batch_rows`` or more and an *idle* flush otherwise, so a lone
+  request never waits for peers that may not come, or
+* a batch finishes — the key's own, or, when every worker is busy, any
+  key's — while requests are queued (*completion* flush — continuous
+  batching): arrivals during an in-flight batch, or while the workers
+  serve other keys, accumulate and flush as one batch (up to
+  ``max_batch_rows``) the moment a worker can run it, so the effective
+  batch size adapts itself to the offered load. Keys waiting for a
+  worker are served in arrival order. Under load every batch is a
+  completion flush; idle keys pay no coalescing delay.
 
 Per-key isolation is structural: a key's batches only ever contain rows for
 that key, so a slow model cannot delay another model's flushes and results
@@ -63,39 +66,38 @@ class QueueFullError(ReproError, RuntimeError):
 class _KeyQueue:
     """Pending requests of one scheduling key."""
 
-    __slots__ = ("items", "n_rows", "timer", "inflight")
+    __slots__ = ("items", "n_rows", "inflight", "waiting")
 
     def __init__(self):
         self.items = deque()     # (rows, batch_fn, future, trace, t_enq)
         self.n_rows = 0
-        self.timer = None        # asyncio.TimerHandle for the deadline
         self.inflight = 0        # batches launched but not yet completed
+        self.waiting = False     # listed in the scheduler's worker queue
 
 
 class MicrobatchScheduler:
     """Per-key dynamic microbatching over batched NumPy model calls."""
 
     def __init__(self, *, max_batch_rows: int = 64,
-                 flush_deadline_s: float = 0.002,
                  max_queue_rows: int = 4096,
                  max_workers: int = 1,
                  metrics: ServeMetrics | None = None):
         if max_batch_rows < 1:
             raise ConfigError("max_batch_rows must be >= 1")
-        if flush_deadline_s < 0:
-            raise ConfigError("flush_deadline_s must be >= 0")
         if max_queue_rows < max_batch_rows:
             raise ConfigError("max_queue_rows must be >= max_batch_rows")
         if max_workers < 1:
             raise ConfigError("max_workers must be >= 1")
         self.max_batch_rows = int(max_batch_rows)
-        self.flush_deadline_s = float(flush_deadline_s)
         self.max_queue_rows = int(max_queue_rows)
+        self.max_workers = int(max_workers)
         self.metrics = metrics or ServeMetrics()
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve-batch")
         self._queues: dict = {}
         self._inflight: set = set()
+        self._running = 0          # launched batches not yet completed
+        self._waiting = deque()    # keys with queued rows, awaiting a worker
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -150,16 +152,17 @@ class MicrobatchScheduler:
         queue.n_rows += n_rows
         self.metrics.record_queue_delta(n_rows)
         try:
-            if queue.n_rows >= self.max_batch_rows:
-                self._drain_key(key, queue, "full")
-            elif queue.inflight == 0 and queue.timer is None:
-                # Partial batch while the key is idle: start the deadline
-                # clock. While a batch is in flight, partial arrivals simply
-                # accumulate — they are flushed the moment it completes
-                # (continuous batching), so a ticking timer would only
-                # fragment them into needlessly small batches.
-                queue.timer = loop.call_later(
-                    self.flush_deadline_s, self._on_deadline, key)
+            # An idle key flushes at once if a worker is free. Otherwise
+            # arrivals accumulate and flush the moment a worker can run
+            # them (continuous batching).
+            if queue.inflight == 0 and not queue.waiting:
+                if self._running < self.max_workers:
+                    self._drain_key(
+                        key, queue,
+                        "full" if queue.n_rows >= self.max_batch_rows
+                        else "idle")
+                else:
+                    self._wait_for_worker(key, queue)
         except BaseException:
             self._rollback_submit(key, queue, entry, n_rows)
             raise
@@ -187,70 +190,61 @@ class MicrobatchScheduler:
             # submit re-raises it directly, so mark it retrieved.
             future.exception()
         if not queue.items and queue.inflight == 0:
-            if queue.timer is not None:
-                queue.timer.cancel()
-                queue.timer = None
             self._queues.pop(key, None)
 
     # ------------------------------------------------------------------
-    def _on_deadline(self, key) -> None:
-        queue = self._queues.get(key)
-        if queue is None:
-            return
-        queue.timer = None
-        if queue.items:
-            self._drain_key(key, queue, "deadline")
-        elif queue.inflight == 0:
-            del self._queues[key]
+    def _wait_for_worker(self, key, queue: _KeyQueue) -> None:
+        queue.waiting = True
+        self._waiting.append(key)
+
+    def _dispatch_waiting(self) -> None:
+        """Flush waiting keys, in arrival order, onto free workers."""
+        while self._waiting and self._running < self.max_workers:
+            key = self._waiting.popleft()
+            queue = self._queues.get(key)
+            if queue is None or not queue.waiting:
+                continue   # the key's requests were withdrawn meanwhile
+            queue.waiting = False
+            self._drain_key(key, queue,
+                            "drain" if self._closed else "completion")
 
     def _drain_key(self, key, queue: _KeyQueue, reason: str) -> None:
-        """Launch flush tasks for a key.
+        """Launch the key's next batch, unless one is in flight.
 
-        ``full`` flushes while a whole batch is pending; ``deadline``,
-        ``completion`` and ``drain`` flush everything, partial tail
-        included. Leftover rows after a ``full`` drain (a request
-        straddling the batch boundary keeps its rows together) wait for
-        more traffic, the in-flight batch's completion, or the deadline.
+        The batch takes the queued requests in order, partial tail
+        included, up to ``max_batch_rows``; leftover rows (a request
+        straddling the batch boundary keeps its rows together) flush when
+        it completes. ``reason`` labels the flush in the metrics.
         """
-        if queue.timer is not None:
-            queue.timer.cancel()
-            queue.timer = None
-        loop = asyncio.get_running_loop()
         # At most ONE batch of a key is ever in flight: tile models, engine
         # stats and solver factorisations are not thread-safe, so with
         # ``max_workers > 1`` concurrent flushes of the same key would race
-        # on shared state. Surplus full batches launch from the completion
+        # on shared state. Surplus batches launch from the completion
         # cascade instead; different keys still run in parallel.
-        while queue.items and queue.inflight == 0:
-            if reason == "full" and queue.n_rows < self.max_batch_rows:
-                break
-            batch, batch_rows = self._take_batch(queue)
-            self.metrics.record_queue_delta(-batch_rows)
-            try:
-                self.metrics.record_batch(batch_rows, len(batch), reason)
-                task = loop.create_task(
-                    self._run_batch(key, queue, batch, batch_rows, reason))
-            except BaseException as exc:
-                # The rows already left the queue (and the gauge); the
-                # batch can no longer run, so its futures must fail
-                # rather than hang, and an emptied queue must not leak.
-                for _, _, future, _, _ in batch:
-                    if not future.done():
-                        future.set_exception(
-                            exc if isinstance(exc, Exception)
-                            else RuntimeError(f"batch launch failed: {exc}"))
-                if not queue.items and queue.inflight == 0:
-                    self._queues.pop(key, None)
-                raise
-            queue.inflight += 1
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
-        if queue.items:
-            if queue.inflight == 0 and queue.timer is None:
-                queue.timer = loop.call_later(
-                    self.flush_deadline_s, self._on_deadline, key)
-        elif queue.inflight == 0:
-            del self._queues[key]
+        if not queue.items or queue.inflight:
+            return
+        batch, batch_rows = self._take_batch(queue)
+        self.metrics.record_queue_delta(-batch_rows)
+        try:
+            self.metrics.record_batch(batch_rows, len(batch), reason)
+            task = asyncio.get_running_loop().create_task(
+                self._run_batch(key, queue, batch, batch_rows, reason))
+        except BaseException as exc:
+            # The rows already left the queue (and the gauge); the batch
+            # can no longer run, so its futures must fail rather than
+            # hang, and an emptied queue must not leak.
+            for _, _, future, _, _ in batch:
+                if not future.done():
+                    future.set_exception(
+                        exc if isinstance(exc, Exception)
+                        else RuntimeError(f"batch launch failed: {exc}"))
+            if not queue.items:
+                self._queues.pop(key, None)
+            raise
+        queue.inflight += 1
+        self._running += 1
+        self._inflight.add(task)
+        task.add_done_callback(self._inflight.discard)
 
     def _take_batch(self, queue: _KeyQueue):
         """Pop whole requests greedily up to ``max_batch_rows``.
@@ -335,16 +329,18 @@ class MicrobatchScheduler:
                         meta={"rows": batch_rows, "requests": len(batch),
                               "reason": reason})
             queue.inflight -= 1
+            self._running -= 1
             if queue.items:
                 # Requests that arrived (or were left over) while this
                 # batch was computing have waited at least one batch's
-                # latency — flush them now at whatever size accumulated.
-                # During shutdown the cascade continues as "drain" so
-                # close() empties the queue one batch at a time.
-                self._drain_key(key, queue,
-                                "drain" if self._closed else "completion")
-            elif queue.inflight == 0 and queue.timer is None:
+                # latency: they flush at whatever size accumulated, after
+                # the keys already waiting for a worker.
+                self._wait_for_worker(key, queue)
+            elif queue.inflight == 0:
                 self._queues.pop(key, None)
+            # During shutdown the cascade continues as "drain", so close()
+            # empties every queue one batch at a time.
+            self._dispatch_waiting()
 
     # ------------------------------------------------------------------
     async def close(self) -> None:
@@ -352,12 +348,7 @@ class MicrobatchScheduler:
         if self._closed:
             return
         self._closed = True
-        for key, queue in list(self._queues.items()):
-            if queue.timer is not None:
-                queue.timer.cancel()
-                queue.timer = None
-            if queue.items:
-                self._drain_key(key, queue, "drain")
+        self._dispatch_waiting()
         while self._inflight:
             await asyncio.gather(*list(self._inflight),
                                  return_exceptions=True)

@@ -117,12 +117,12 @@ class EmulationServer:
 
     # Bodies above this size have their JSON parse/encode offloaded to the
     # executor: a multi-MB matrix decoded on the event loop would stall
-    # every flush-deadline timer and connection for its duration.
+    # every queue flush and connection for its duration.
     OFFLOAD_BYTES = 256 * 1024
 
     def __init__(self, registry: ModelRegistry | None = None, *,
-                 max_batch_rows: int = 64, flush_deadline_s: float = 0.002,
-                 max_queue_rows: int = 4096, max_workers: int = 1,
+                 max_batch_rows: int = 64, max_queue_rows: int = 4096,
+                 max_workers: int = 1,
                  max_body_bytes: int = 32 * 1024 * 1024,
                  idle_timeout_s: float = 120.0,
                  tracing: bool = True, trace_buffer_size: int = 256,
@@ -132,7 +132,6 @@ class EmulationServer:
         self.metrics.registry.register_collector(self.registry.obs_families)
         self.scheduler = MicrobatchScheduler(
             max_batch_rows=max_batch_rows,
-            flush_deadline_s=flush_deadline_s,
             max_queue_rows=max_queue_rows,
             max_workers=max_workers,
             metrics=self.metrics)
@@ -309,7 +308,7 @@ class EmulationServer:
                     data = payload.body
                 elif len(body) > self.OFFLOAD_BYTES:
                     # Big request -> likely big response: encode off-loop
-                    # so deadline timers and other connections keep moving.
+                    # so queue flushes and other connections keep moving.
                     content_type = "application/json"
                     data = await asyncio.get_running_loop().run_in_executor(
                         None, lambda: json.dumps(payload).encode())

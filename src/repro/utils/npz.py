@@ -16,6 +16,12 @@ be mapped (compressed, object-dtype, pickled) fall back to a regular
 copying load, as does the whole archive when ``mmap=False`` or the
 ``REPRO_ZOO_MMAP=0`` escape hatch is set — the copy-on-write path for
 callers that mutate what they load.
+
+Mapping skips the zip layer's CRC-32 check, so :func:`load_npz` checks
+each mapped member's bytes against its recorded CRC itself, once per
+process for each state of the file (path, inode, size, mtime): a flipped
+bit or a truncated archive raises :class:`~repro.errors.SerializationError`
+instead of serving a plausible wrong value.
 """
 
 from __future__ import annotations
@@ -23,13 +29,21 @@ from __future__ import annotations
 import os
 import struct
 import zipfile
+import zlib
 
 import numpy as np
+
+from repro.errors import SerializationError
 
 # Local file header: sig(4) ver(2) flags(2) method(2) time(2) date(2)
 # crc(4) csize(4) usize(4) name_len(2) extra_len(2)
 _LOCAL_HEADER = struct.Struct("<4s5H3I2H")
 _LOCAL_SIG = b"PK\x03\x04"
+
+#: Archive states whose mapped members passed their CRC-32 check in this
+#: process, as ``(path, inode, size, mtime_ns)``.
+_crc_verified: set = set()
+_CRC_CHUNK = 1 << 20
 
 
 def mmap_enabled(default: bool = True) -> bool:
@@ -58,6 +72,22 @@ def _member_data_offset(handle, info: zipfile.ZipInfo) -> int | None:
         return None
     name_len, extra_len = fields[9], fields[10]
     return info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
+
+
+def _check_crc(handle, path: str, info: zipfile.ZipInfo, offset: int) -> None:
+    """Raise unless a stored member's bytes match its recorded CRC-32."""
+    handle.seek(offset)
+    crc, left = 0, info.compress_size
+    while left:
+        chunk = handle.read(min(left, _CRC_CHUNK))
+        if not chunk:
+            break
+        crc = zlib.crc32(chunk, crc)
+        left -= len(chunk)
+    if left or crc != info.CRC:
+        raise SerializationError(
+            f"corrupt artifact {path}: member {info.filename!r} fails its "
+            f"CRC-32 check")
 
 
 def _read_npy_header(handle):
@@ -90,11 +120,28 @@ def load_npz(path: str, mmap: bool = True, writable: bool = False) -> dict:
     ``np.memmap`` views sharing the OS page cache across processes;
     pass ``writable=True`` (or ``mmap=False``) to get private mutable
     copies instead. Any member that cannot be mapped is loaded the
-    regular, copying way — the result dict is always complete.
+    regular, copying way — the result dict is always complete. A corrupt
+    archive (a member failing its CRC-32 check, a broken zip structure)
+    raises :class:`~repro.errors.SerializationError` naming the file.
     """
-    if writable or not mmap or not mmap_enabled():
-        with np.load(path, allow_pickle=False) as archive:
-            return {name: archive[name] for name in archive.files}
+    try:
+        if writable or not mmap or not mmap_enabled():
+            # Our own handle: np.load leaks its file when the zip
+            # directory is unreadable.
+            with open(path, "rb") as handle, \
+                    np.load(handle, allow_pickle=False) as archive:
+                return {name: archive[name] for name in archive.files}
+        return _load_mapped(path)
+    except zipfile.BadZipFile as exc:
+        raise SerializationError(f"corrupt artifact {path}: {exc}") from exc
+
+
+def _load_mapped(path: str) -> dict:
+    """The zero-copy path of :func:`load_npz`."""
+    stat = os.stat(path)
+    state = (os.path.abspath(path), stat.st_ino, stat.st_size,
+             stat.st_mtime_ns)
+    verify = state not in _crc_verified
     arrays: dict = {}
     fallback: list = []
     with zipfile.ZipFile(path) as archive, open(path, "rb") as handle:
@@ -104,6 +151,8 @@ def load_npz(path: str, mmap: bool = True, writable: bool = False) -> dict:
             offset = _member_data_offset(handle, info)
             header = None
             if offset is not None:
+                if verify:
+                    _check_crc(handle, path, info, offset)
                 handle.seek(offset)
                 header = _read_npy_header(handle)
             if header is None:
@@ -120,6 +169,7 @@ def load_npz(path: str, mmap: bool = True, writable: bool = False) -> dict:
         with np.load(path, allow_pickle=False) as archive:
             for key in fallback:
                 arrays[key] = archive[key]
+    _crc_verified.add(state)
     return arrays
 
 

@@ -43,7 +43,9 @@ _PROBE_WINDOWS = ((0, 1), (0, 2), (1, 2), (3, 10), (500, 501),
 
 def _einsum_matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Reference batch-invariant product: fixed-order ``K`` accumulation."""
-    return np.einsum("ik,kj->ij", a, b, out=out)
+    if a.ndim == b.ndim == 2:
+        return np.einsum("ik,kj->ij", a, b, out=out)
+    return np.einsum("...ik,...kj->...ij", a, b, out=out)
 
 
 def _probe_blas_row_invariance(k: int, n: int, a_dtype, b_dtype) -> bool:
@@ -96,22 +98,27 @@ def batch_invariant_matmul(a: np.ndarray, b: np.ndarray,
     the kernel choice is a pure function of the shape class, so results
     stay byte-identical across batch sizes.
 
+    Stacked operands ``(M, B, K) @ (M, K, N)`` are ``M`` independent
+    products of one ``(K, N)`` class: ``np.matmul`` runs one gemm per
+    stack element, so they share that class's probe verdict, and a
+    ``B = 1`` stack is padded to two rows along the row axis.
+
     ``out`` (optional, shape/dtype-matching) receives the product —
     same values, no result allocation.
     """
     a = np.atleast_2d(a)
-    if a.ndim != 2 or b.ndim != 2 or \
+    if a.ndim != b.ndim or a.ndim > 3 or \
             a.dtype.kind != "f" or b.dtype.kind != "f":
         return _einsum_matmul(a, b, out)
-    key = (a.shape[1], b.shape[1], a.dtype.char, b.dtype.char)
+    key = (b.shape[-2], b.shape[-1], a.dtype.char, b.dtype.char)
     fast = _blas_invariant.get(key)
     if fast is None:
         fast = _blas_invariant[key] = _probe_blas_row_invariance(
             key[0], key[1], a.dtype, b.dtype)
     if not fast:
         return _einsum_matmul(a, b, out)
-    if a.shape[0] == 1:
-        padded = (np.concatenate([a, a]) @ b)[:1]
+    if a.shape[-2] == 1:
+        padded = np.matmul(np.concatenate([a, a], axis=-2), b)[..., :1, :]
         if out is None:
             return padded
         out[...] = padded

@@ -6,19 +6,25 @@ outputs 0 for all legal word-line voltages (see
 pin that the proof holds — in exact arithmetic and in the float32 GEMM
 the kernel runs — for random emulators, faulty conductances and voltage
 ceilings other than the emulator's own supply; that the pruned forward
-equals an unpruned one; and that pruning keeps the serving contract
-(batch-invariant rows, a warm engine == a fresh one bit for bit).
+equals an unpruned one; that pruning keeps the serving contract
+(batch-invariant rows, a warm engine == a fresh one bit for bit); and
+that the stacked tile-row forward of batch-invariant engines, which pads
+every tile to the tile-row's widest kept set, equals each tile's own
+forward byte for byte.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.emulator import GeniexEmulator
 from repro.core.model import GeniexNet, Normalizer
 from repro.errors import ConfigError
 from repro.funcsim import FuncSimConfig, make_engine
+from repro.funcsim import engine as engine_mod
+from repro.funcsim.compiler import ScratchPool
 from repro.funcsim.engine import (HIDDEN_PAD, CrossbarMvmEngine,
                                   GeniexTileFactory)
 from repro.nonideal.pipeline import NonidealitySpec, as_pipeline
@@ -209,3 +215,105 @@ class TestPrunedEngine:
         assert meta[0]["hidden_kept"] == sum(
             m.kept.size for m in prepared.models.values())
         assert meta[0]["hidden_kept"] < meta[0]["hidden_total"]
+
+
+@pytest.fixture(scope="module")
+def pruned_emulator_2l():
+    """Two-hidden-layer twin of ``pruned_emulator`` (a shared tail GEMM)."""
+    return random_emulator(8, 8, 48, 2, seed=3, g_gain=3.0)
+
+
+def _stacked_program(emulator, invariant=True, seed=0):
+    engine = make_engine("geniex", TestPrunedEngine.XCFG, SCFG,
+                         emulator=emulator, batch_invariant=invariant)
+    weights = np.random.default_rng(seed).normal(size=(20, 13)) * 0.3
+    return engine, engine.prepare(weights).program
+
+
+class TestStackedForward:
+    """Batch-invariant engines run each tile-row as one stacked forward."""
+
+    def test_chosen_by_batch_invariance(self, pruned_emulator):
+        _, program = _stacked_program(pruned_emulator, invariant=True)
+        assert all(s is not None for s in program.compiled.row_stacks)
+        _, program = _stacked_program(pruned_emulator, invariant=False)
+        assert all(s is None for s in program.compiled.row_stacks)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("budget", [engine_mod.STACK_GEMM_COLUMNS, 40])
+    def test_blocks_equal_tile_forward(self, pruned_emulator,
+                                       pruned_emulator_2l, monkeypatch,
+                                       layers, budget):
+        """Each model's block equals that tile's own forward, at every
+        batch size, with one or several first-layer GEMM groups and with
+        or without a shared tail layer.
+
+        Byte for byte when the padded second layer feeds the 48-wide
+        second hidden layer. With one hidden layer it feeds the 8 output
+        columns directly, and there OpenBLAS sums a 16-deep product in a
+        different order than the same product zero-padded to 32 deep (a
+        kernel choice for narrow outputs): blocks then agree to 2 float32
+        ulps of the block's largest output.
+        """
+        emulator = pruned_emulator if layers == 1 else pruned_emulator_2l
+        monkeypatch.setattr(engine_mod, "STACK_GEMM_COLUMNS", budget)
+        engine, program = _stacked_program(emulator)
+        compiled, plan = program.compiled, program.plan
+        factory = engine.tile_factory
+        # Tiles of one tile-row keep different counts: padding is live.
+        assert any(len({m.kept.size for m in models}) > 1
+                   for models in compiled.row_models)
+        if budget == 40:
+            assert any(len(s.first) > 1 for s in compiled.row_stacks)
+        rng = np.random.default_rng(31)
+        scratch = ScratchPool()
+        for n in (1, 2, 7, 33):
+            levels = rng.integers(0, 2 ** SCFG.stream_bits,
+                                  size=(n, plan.rows))
+            shared = factory.prepare_voltages(levels * plan.v_lsb)
+            for tr, stack in enumerate(compiled.row_stacks):
+                models = compiled.row_models[tr]
+                out = np.empty((len(models), n, plan.cols))
+                stack.forward(shared, out, scratch)
+                for mi, model in enumerate(models):
+                    own = model.forward(shared)
+                    where = f"rows={n} tile-row={tr} model={mi}"
+                    if layers == 2:
+                        assert out[mi].tobytes() == own.tobytes(), where
+                    else:
+                        ulp = np.spacing(np.float32(np.abs(own).max()))
+                        np.testing.assert_allclose(
+                            out[mi], own, rtol=0, atol=2 * float(ulp),
+                            err_msg=where)
+
+
+@pytest.fixture(scope="module")
+def stacked_pads(pruned_emulator):
+    """(factory, stack, pad columns) of the tile-row with most padding."""
+    engine, program = _stacked_program(pruned_emulator, seed=4)
+    compiled = program.compiled
+    best = None
+    for tr, stack in enumerate(compiled.row_stacks):
+        kmax = stack.w2.shape[1]
+        pads = np.concatenate([
+            np.arange(mi * kmax + m.kept.size, (mi + 1) * kmax)
+            for mi, m in enumerate(compiled.row_models[tr])])
+        if best is None or pads.size > best[2].size:
+            best = (engine.tile_factory, stack, pads)
+    assert best[2].size > 0
+    return best
+
+
+@given(volts=hnp.arrays(np.float64, st.tuples(st.integers(1, 6),
+                                              st.just(8)),
+                        elements=st.floats(0.0, EMULATOR_SUPPLY_V)))
+def test_pad_units_are_exactly_zero(stacked_pads, volts):
+    """A pad unit's post-ReLU output is exactly 0 for every word-line
+    voltage in ``[0, v_max]``: zero voltage weights and bias -1."""
+    factory, stack, pads = stacked_pads
+    v_aug = factory.prepare_voltages(volts)
+    hidden = np.concatenate([batch_invariant_matmul(v_aug, w)
+                             for _, w in stack.first], axis=1)
+    post = np.maximum(hidden, 0.0)
+    assert np.all(hidden[:, pads] == -1.0)
+    assert post[:, pads].tobytes() == bytes(post[:, pads].nbytes)

@@ -28,8 +28,7 @@ DATASET = {"name": "blobs", "n_train": 256, "n_test": 128}
 def served(tmp_path_factory):
     zoo = GeniexZoo(cache_dir=str(tmp_path_factory.mktemp("zoo")))
     registry = ModelRegistry(zoo)
-    server = EmulationServer(registry, max_batch_rows=16,
-                             flush_deadline_s=0.002)
+    server = EmulationServer(registry, max_batch_rows=16)
     with ServerThread(server) as handle:
         yield handle, registry
 

@@ -47,8 +47,7 @@ def tiny_mlp(seed: int = 3) -> MLP:
 def served(tmp_path_factory):
     zoo = GeniexZoo(cache_dir=str(tmp_path_factory.mktemp("zoo")))
     registry = ModelRegistry(zoo)
-    server = EmulationServer(registry, max_batch_rows=32,
-                             flush_deadline_s=0.002)
+    server = EmulationServer(registry, max_batch_rows=32)
     with ServerThread(server) as handle:
         yield handle, registry, zoo
 

@@ -32,8 +32,7 @@ FAULTS = {"seed": 5, "variation": {"sigma": 0.2},
 def served(tmp_path_factory):
     zoo = GeniexZoo(cache_dir=str(tmp_path_factory.mktemp("zoo")))
     registry = ModelRegistry(zoo)
-    server = EmulationServer(registry, max_batch_rows=16,
-                             flush_deadline_s=0.002)
+    server = EmulationServer(registry, max_batch_rows=16)
     with ServerThread(server) as handle:
         yield handle, registry
 

@@ -41,8 +41,7 @@ class _RecordingHandler(logging.Handler):
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
     zoo = GeniexZoo(cache_dir=str(tmp_path_factory.mktemp("zoo")))
-    server = EmulationServer(ModelRegistry(zoo), max_batch_rows=16,
-                             flush_deadline_s=0.002)
+    server = EmulationServer(ModelRegistry(zoo), max_batch_rows=16)
     with ServerThread(server) as handle:
         with ServeClient("127.0.0.1", handle.port) as client:
             client.load_model(MODEL)

@@ -1,6 +1,7 @@
 """Unit tests for the dynamic microbatching scheduler."""
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -22,9 +23,70 @@ def negate(batch):
     return -np.asarray(batch)
 
 
-class TestCoalescing:
-    def test_full_batch_coalesces_into_one_call(self):
-        """max_batch concurrent single-row requests -> exactly one flush."""
+class Gate:
+    """Batch function that doubles its batch once released.
+
+    Submitting through it holds the key busy: arrivals queue behind the
+    in-flight batch instead of flushing on submit.
+    """
+
+    def __init__(self):
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.calls = []
+
+    def __call__(self, batch):
+        self.calls.append(batch.shape[0])
+        self.started.set()
+        assert self.release.wait(10), "gate never released"
+        return double(batch)
+
+    async def hold(self, sched, key="k"):
+        """Occupy ``key`` with a one-row batch; return its task."""
+        task = asyncio.ensure_future(
+            sched.submit(key, np.zeros((1, 2)), self))
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + 10
+        while not self.started.is_set():
+            assert loop.time() < deadline, "gated batch never started"
+            await asyncio.sleep(0.001)
+        return task
+
+
+class TestIdleFlush:
+    def test_lone_request_is_not_held(self):
+        async def scenario():
+            sched = MicrobatchScheduler(max_batch_rows=64)
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            await sched.submit("k", np.zeros((1, 2)), double)
+            elapsed = loop.time() - start
+            await sched.close()
+            return elapsed
+
+        # One lone request must not wait for a full batch that never comes.
+        assert run(scenario()) < 1.0
+
+    def test_lone_request_flushes_on_submit(self):
+        """A partial batch on an idle key flushes at once, as ``idle``."""
+        async def scenario():
+            sched = MicrobatchScheduler(max_batch_rows=64)
+            task = asyncio.ensure_future(
+                sched.submit("k", np.ones((1, 2)), double))
+            await asyncio.sleep(0)  # submit runs up to its await
+            launched = sched.metrics.snapshot()["microbatch"]
+            queued = sched.queue_rows
+            result = await task
+            await sched.close()
+            return launched, queued, result
+
+        launched, queued, result = run(scenario())
+        assert launched["flush_reasons"] == {"idle": 1}
+        assert launched["rows_histogram"] == {"1": 1}
+        assert queued == 0
+        np.testing.assert_array_equal(result, np.full((1, 2), 2.0))
+
+    def test_full_flush_at_max_batch_rows(self):
         calls = []
 
         def batch_fn(batch):
@@ -32,37 +94,60 @@ class TestCoalescing:
             return batch * 2.0
 
         async def scenario():
-            sched = MicrobatchScheduler(max_batch_rows=4,
-                                        flush_deadline_s=5.0)
-            rows = [np.full((1, 3), float(i)) for i in range(4)]
-            results = await asyncio.gather(
-                *[sched.submit("k", r, batch_fn) for r in rows])
+            sched = MicrobatchScheduler(max_batch_rows=4)
+            result = await sched.submit("k", np.ones((4, 3)), batch_fn)
             await sched.close()
-            return results, sched.metrics
+            return result, sched.metrics.snapshot()["microbatch"]
 
-        results, metrics = run(scenario())
+        result, snap = run(scenario())
         assert calls == [(4, 3)]
-        for i, result in enumerate(results):
-            np.testing.assert_array_equal(result, np.full((1, 3), 2.0 * i))
-        snap = metrics.snapshot()["microbatch"]
-        assert snap["batches"] == 1
-        assert snap["rows_histogram"] == {"4": 1}
+        np.testing.assert_array_equal(result, np.full((4, 3), 2.0))
         assert snap["flush_reasons"] == {"full": 1}
 
-    def test_excess_requests_roll_into_second_batch(self):
+
+class TestCoalescing:
+    def test_full_batch_coalesces_into_one_call(self):
+        """max_batch requests submitted while a slow batch is in flight
+        flush together, as one completion batch, the moment it ends."""
+        gate = Gate()
+
         async def scenario():
-            sched = MicrobatchScheduler(max_batch_rows=4,
-                                        flush_deadline_s=0.02)
+            sched = MicrobatchScheduler(max_batch_rows=16)
+            blocker = await gate.hold(sched)
+            waiting = [asyncio.ensure_future(
+                sched.submit("k", np.full((1, 2), float(i)), gate))
+                for i in range(16)]
+            await asyncio.sleep(0)
+            queued = sched.queue_rows
+            gate.release.set()
+            results = await asyncio.gather(blocker, *waiting)
+            await sched.close()
+            return queued, results, sched.metrics.snapshot()["microbatch"]
+
+        queued, results, snap = run(scenario())
+        assert queued == 16
+        assert gate.calls == [1, 16]
+        assert snap["flush_reasons"] == {"idle": 1, "completion": 1}
+        for i, result in enumerate(results[1:]):
+            np.testing.assert_array_equal(result, np.full((1, 2), 2.0 * i))
+
+    def test_excess_requests_roll_into_second_batch(self):
+        gate = Gate()
+
+        async def scenario():
+            sched = MicrobatchScheduler(max_batch_rows=4)
+            blocker = await gate.hold(sched)
             rows = [np.full((1, 2), float(i)) for i in range(6)]
-            results = await asyncio.gather(
-                *[sched.submit("k", r, double) for r in rows])
+            waiting = [sched.submit("k", r, gate) for r in rows]
+            gate.release.set()
+            results = await asyncio.gather(blocker, *waiting)
             await sched.close()
             return results, sched.metrics.snapshot()["microbatch"]
 
         results, snap = run(scenario())
-        assert snap["batches"] == 2
-        assert snap["rows"] == 6
-        for i, result in enumerate(results):
+        assert gate.calls == [1, 4, 2]
+        assert snap["rows"] == 7
+        for i, result in enumerate(results[1:]):
             np.testing.assert_array_equal(result, np.full((1, 2), 2.0 * i))
 
     def test_requests_are_never_split_across_flushes(self):
@@ -74,8 +159,7 @@ class TestCoalescing:
             return batch
 
         async def scenario():
-            sched = MicrobatchScheduler(max_batch_rows=8,
-                                        flush_deadline_s=0.02)
+            sched = MicrobatchScheduler(max_batch_rows=8)
             await asyncio.gather(
                 sched.submit("k", np.zeros((5, 2)), batch_fn),
                 sched.submit("k", np.ones((5, 2)), batch_fn))
@@ -86,8 +170,7 @@ class TestCoalescing:
 
     def test_oversized_request_flushes_alone(self):
         async def scenario():
-            sched = MicrobatchScheduler(max_batch_rows=4,
-                                        flush_deadline_s=5.0)
+            sched = MicrobatchScheduler(max_batch_rows=4)
             result = await sched.submit("k", np.ones((10, 2)), double)
             await sched.close()
             return result, sched.metrics.snapshot()["microbatch"]
@@ -95,46 +178,13 @@ class TestCoalescing:
         result, snap = run(scenario())
         np.testing.assert_array_equal(result, np.full((10, 2), 2.0))
         assert snap["rows_histogram"] == {"10": 1}
-
-
-class TestDeadline:
-    def test_partial_batch_flushes_on_deadline(self):
-        async def scenario():
-            sched = MicrobatchScheduler(max_batch_rows=64,
-                                        flush_deadline_s=0.01)
-            results = await asyncio.gather(
-                *[sched.submit("k", np.full((1, 2), float(i)), double)
-                  for i in range(3)])
-            await sched.close()
-            return results, sched.metrics.snapshot()["microbatch"]
-
-        results, snap = run(scenario())
-        assert snap["batches"] == 1
-        assert snap["flush_reasons"] == {"deadline": 1}
-        assert snap["rows_histogram"] == {"3": 1}
-        for i, result in enumerate(results):
-            np.testing.assert_array_equal(result, np.full((1, 2), 2.0 * i))
-
-    def test_deadline_bounds_latency(self):
-        async def scenario():
-            sched = MicrobatchScheduler(max_batch_rows=64,
-                                        flush_deadline_s=0.02)
-            loop = asyncio.get_running_loop()
-            start = loop.time()
-            await sched.submit("k", np.zeros((1, 2)), double)
-            elapsed = loop.time() - start
-            await sched.close()
-            return elapsed
-
-        # One lone request must not wait for a full batch that never comes.
-        assert run(scenario()) < 1.0
+        assert snap["flush_reasons"] == {"full": 1}
 
 
 class TestKeyIsolation:
     def test_keys_never_share_batches(self):
         async def scenario():
-            sched = MicrobatchScheduler(max_batch_rows=4,
-                                        flush_deadline_s=0.02)
+            sched = MicrobatchScheduler(max_batch_rows=4)
             a = [sched.submit("a", np.full((1, 2), float(i)), double)
                  for i in range(3)]
             b = [sched.submit("b", np.full((1, 2), float(i)), negate)
@@ -144,7 +194,11 @@ class TestKeyIsolation:
             return results, sched.metrics.snapshot()["microbatch"]
 
         results, snap = run(scenario())
-        assert snap["batches"] == 2
+        # One worker: key a's first request flushes at once; key b finds
+        # the worker busy, waits, and flushes its three rows together
+        # before a's last two (keys are served in arrival order).
+        assert snap["flush_reasons"] == {"idle": 1, "completion": 2}
+        assert snap["rows_histogram"] == {"1": 1, "3": 1, "2": 1}
         for i in range(3):
             np.testing.assert_array_equal(results[i],
                                           np.full((1, 2), 2.0 * i))
@@ -152,17 +206,19 @@ class TestKeyIsolation:
                                           np.full((1, 2), -float(i)))
 
     def test_queue_depths_reported_per_key(self):
+        gate = Gate()
+
         async def scenario():
             sched = MicrobatchScheduler(max_batch_rows=64,
-                                        flush_deadline_s=5.0,
                                         max_queue_rows=64)
-            tasks = [asyncio.ensure_future(
-                sched.submit("a", np.zeros((2, 2)), double))]
+            blocker = await gate.hold(sched, "a")
+            pending = asyncio.ensure_future(
+                sched.submit("a", np.zeros((2, 2)), gate))
             await asyncio.sleep(0)
             depths = dict(sched.queue_depths())
             total = sched.queue_rows
-            for task in tasks:
-                task.cancel()
+            gate.release.set()
+            await asyncio.gather(blocker, pending)
             await sched.close()
             return depths, total
 
@@ -172,21 +228,24 @@ class TestKeyIsolation:
 
 class TestBackpressure:
     def test_full_queue_raises(self):
+        gate = Gate()
+
         async def scenario():
             sched = MicrobatchScheduler(max_batch_rows=8,
-                                        flush_deadline_s=5.0,
                                         max_queue_rows=8)
+            blocker = await gate.hold(sched)
             waiting = asyncio.ensure_future(
-                sched.submit("k", np.zeros((6, 2)), double))
+                sched.submit("k", np.zeros((6, 2)), gate))
             await asyncio.sleep(0)
             with pytest.raises(QueueFullError):
-                await sched.submit("k", np.zeros((3, 2)), double)
+                await sched.submit("k", np.zeros((3, 2)), gate)
             # A different key still has capacity (per-key isolation).
             other = asyncio.ensure_future(
                 sched.submit("other", np.zeros((3, 2)), double))
             await asyncio.sleep(0)
-            waiting.cancel()
-            await sched.close()  # drains the "other" queue immediately
+            gate.release.set()
+            await asyncio.gather(blocker, waiting)
+            await sched.close()
             return await other
 
         assert run(scenario()).shape == (3, 2)
@@ -200,7 +259,6 @@ class TestBackpressure:
         """
         async def scenario():
             sched = MicrobatchScheduler(max_batch_rows=8,
-                                        flush_deadline_s=5.0,
                                         max_queue_rows=8)
             with pytest.raises(ConfigError):
                 await sched.submit("fresh", np.zeros((9, 2)), double)
@@ -214,17 +272,20 @@ class TestBackpressure:
 
     def test_rejected_request_leaves_queue_state_intact(self):
         """A backpressure bounce must not disturb the pending queue."""
+        gate = Gate()
+
         async def scenario():
             sched = MicrobatchScheduler(max_batch_rows=8,
-                                        flush_deadline_s=5.0,
                                         max_queue_rows=8)
+            blocker = await gate.hold(sched)
             waiting = asyncio.ensure_future(
-                sched.submit("k", np.zeros((6, 2)), double))
+                sched.submit("k", np.zeros((6, 2)), gate))
             await asyncio.sleep(0)
             with pytest.raises(QueueFullError):
-                await sched.submit("k", np.zeros((4, 2)), double)
+                await sched.submit("k", np.zeros((4, 2)), gate)
             depths = dict(sched.queue_depths())
-            waiting.cancel()
+            gate.release.set()
+            await asyncio.gather(blocker, waiting)
             await sched.close()
             return depths
 
@@ -233,7 +294,6 @@ class TestBackpressure:
     def test_queue_drains_after_flush(self):
         async def scenario():
             sched = MicrobatchScheduler(max_batch_rows=4,
-                                        flush_deadline_s=0.01,
                                         max_queue_rows=4)
             await sched.submit("k", np.zeros((4, 2)), double)
             # The previous batch flushed; the queue accepts new rows again.
@@ -263,7 +323,6 @@ class TestPerKeySerialization:
 
         async def scenario():
             sched = MicrobatchScheduler(max_batch_rows=2,
-                                        flush_deadline_s=0.005,
                                         max_workers=4)
             await asyncio.gather(
                 *[sched.submit("k", np.zeros((1, 2)), slow)
@@ -290,7 +349,6 @@ class TestPerKeySerialization:
 
         async def scenario():
             sched = MicrobatchScheduler(max_batch_rows=1,
-                                        flush_deadline_s=0.005,
                                         max_workers=4)
             await asyncio.gather(
                 *[sched.submit(f"k{i}", np.zeros((1, 2)), slow)
@@ -307,8 +365,7 @@ class TestErrorHandling:
             raise ValueError("model exploded")
 
         async def scenario():
-            sched = MicrobatchScheduler(max_batch_rows=2,
-                                        flush_deadline_s=0.01)
+            sched = MicrobatchScheduler(max_batch_rows=2)
             results = await asyncio.gather(
                 sched.submit("k", np.zeros((1, 2)), broken),
                 sched.submit("k", np.zeros((1, 2)), broken),
@@ -324,8 +381,7 @@ class TestErrorHandling:
             return batch[:-1]
 
         async def scenario():
-            sched = MicrobatchScheduler(max_batch_rows=2,
-                                        flush_deadline_s=0.01)
+            sched = MicrobatchScheduler(max_batch_rows=2)
             results = await asyncio.gather(
                 sched.submit("k", np.zeros((2, 2)), truncating),
                 return_exceptions=True)
@@ -348,31 +404,43 @@ class TestErrorHandling:
             MicrobatchScheduler(max_batch_rows=0)
         with pytest.raises(ConfigError):
             MicrobatchScheduler(max_batch_rows=8, max_queue_rows=4)
-        with pytest.raises(ConfigError):
-            MicrobatchScheduler(flush_deadline_s=-1.0)
 
 
 class TestClose:
     def test_close_drains_pending_requests(self):
-        async def scenario():
-            sched = MicrobatchScheduler(max_batch_rows=64,
-                                        flush_deadline_s=5.0)
-            pending = asyncio.ensure_future(
-                sched.submit("k", np.ones((2, 2)), double))
-            await asyncio.sleep(0)
-            await sched.close()
-            return await pending, sched.metrics.snapshot()["microbatch"]
+        """Requests queued behind in-flight batches on several keys all
+        run when the scheduler closes, flushed as ``drain``."""
+        gates = {"a": Gate(), "b": Gate()}
 
-        result, snap = run(scenario())
-        np.testing.assert_array_equal(result, np.full((2, 2), 2.0))
-        assert snap["flush_reasons"] == {"drain": 1}
+        async def scenario():
+            sched = MicrobatchScheduler(max_batch_rows=64, max_workers=2)
+            blockers = [await gate.hold(sched, key)
+                        for key, gate in gates.items()]
+            pending = [asyncio.ensure_future(
+                sched.submit(key, np.ones((2, 2)), gate))
+                for key, gate in gates.items()]
+            await asyncio.sleep(0)
+            closing = asyncio.ensure_future(sched.close())
+            await asyncio.sleep(0)
+            for gate in gates.values():
+                gate.release.set()
+            await closing
+            results = await asyncio.gather(*pending)
+            await asyncio.gather(*blockers)
+            return results, sched.metrics.snapshot()["microbatch"], \
+                sched.queue_rows
+
+        results, snap, queued = run(scenario())
+        for result in results:
+            np.testing.assert_array_equal(result, np.full((2, 2), 2.0))
+        assert snap["flush_reasons"] == {"idle": 2, "drain": 2}
+        assert queued == 0
 
     def test_metrics_queue_gauge_returns_to_zero(self):
         metrics = ServeMetrics()
 
         async def scenario():
             sched = MicrobatchScheduler(max_batch_rows=4,
-                                        flush_deadline_s=0.01,
                                         metrics=metrics)
             await asyncio.gather(
                 *[sched.submit("k", np.zeros((1, 2)), double)

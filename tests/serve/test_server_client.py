@@ -16,6 +16,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.emulator import MatrixEmulator
 from repro.core.zoo import GeniexZoo
 from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.engine import make_engine
@@ -37,8 +38,7 @@ SPEC = ModelSpec.from_payload(MODEL)
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
     zoo = GeniexZoo(cache_dir=str(tmp_path_factory.mktemp("zoo")))
-    server = EmulationServer(ModelRegistry(zoo), max_batch_rows=16,
-                             flush_deadline_s=0.002)
+    server = EmulationServer(ModelRegistry(zoo), max_batch_rows=16)
     with ServerThread(server) as handle:
         with ServeClient("127.0.0.1", handle.port) as client:
             client.load_model(MODEL)  # warm once for the whole module
@@ -297,36 +297,54 @@ class TestErrorMapping:
 
 
 class TestBackpressure:
-    def test_full_queue_maps_to_429(self, tmp_path):
+    def test_full_queue_maps_to_429(self, tmp_path, monkeypatch):
         """A saturated per-key queue rejects with 429 + Retry-After."""
+        started, release = threading.Event(), threading.Event()
+        predict = MatrixEmulator.predict_currents
+
+        def gated(self, voltages_v):
+            started.set()
+            assert release.wait(10), "gate never released"
+            return predict(self, voltages_v)
+
         zoo = GeniexZoo(cache_dir=str(tmp_path / "zoo"))
         server = EmulationServer(ModelRegistry(zoo), max_batch_rows=8,
-                                 flush_deadline_s=0.5, max_queue_rows=8)
+                                 max_queue_rows=8)
         with ServerThread(server) as handle:
             with ServeClient("127.0.0.1", handle.port) as client:
                 client.load_model(MODEL)
                 g = random_g(1)
                 key = client.register_crossbar(MODEL, g)
+                monkeypatch.setattr(MatrixEmulator, "predict_currents",
+                                    gated)
 
-                # 6 rows sit in the queue waiting out the 500 ms deadline…
-                def send_blocked():
+                def send(rows, seed):
                     with ServeClient("127.0.0.1", handle.port) as c:
-                        c.predict_currents(random_v(0, (6, 4)),
+                        c.predict_currents(random_v(seed, (rows, 4)),
                                            crossbar_key=key)
 
-                blocked = threading.Thread(target=send_blocked)
-                blocked.start()
+                # One row holds the key busy; 6 rows queue behind it…
+                senders = [threading.Thread(target=send, args=(1, 2))]
+                senders[0].start()
                 try:
-                    # …give it time to enqueue, then a 3-row probe must
-                    # bounce: 6 + 3 > max_queue_rows = 8.
+                    assert started.wait(10)
+                    senders.append(threading.Thread(target=send,
+                                                    args=(6, 0)))
+                    senders[1].start()
                     import time
-                    time.sleep(0.15)
+                    deadline = time.monotonic() + 10
+                    while server.scheduler.queue_rows < 6:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.005)
+                    # …so a 3-row probe must bounce: 6 + 3 > 8.
                     with pytest.raises(ServerBusyError) as excinfo:
                         client.predict_currents(random_v(1, (3, 4)),
                                                 crossbar_key=key)
                     assert excinfo.value.status == 429
                 finally:
-                    blocked.join()
+                    release.set()
+                    for sender in senders:
+                        sender.join()
 
 
 class TestIdleConnections:
@@ -384,7 +402,7 @@ class TestOversizedRequest:
         """A request that can never fit must not tell the client to retry."""
         zoo = GeniexZoo(cache_dir=str(tmp_path / "zoo"))
         server = EmulationServer(ModelRegistry(zoo), max_batch_rows=8,
-                                 flush_deadline_s=0.002, max_queue_rows=8)
+                                 max_queue_rows=8)
         with ServerThread(server) as handle:
             with ServeClient("127.0.0.1", handle.port) as client:
                 client.load_model(MODEL)

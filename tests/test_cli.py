@@ -46,18 +46,16 @@ class TestServeCommand:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1" and args.port == 8000
-        assert args.max_batch == 64 and args.flush_deadline_ms == 2.0
+        assert args.max_batch == 64
         assert args.max_queue == 4096 and args.workers == 1
         assert args.func.__name__ == "_cmd_serve"
 
     def test_serve_overrides(self):
         args = build_parser().parse_args(
             ["serve", "--port", "0", "--max-batch", "32",
-             "--flush-deadline-ms", "0.5", "--max-queue", "128",
-             "--cache-dir", "/tmp/zoo"])
-        assert (args.port, args.max_batch, args.flush_deadline_ms,
-                args.max_queue, args.cache_dir) == \
-            (0, 32, 0.5, 128, "/tmp/zoo")
+             "--max-queue", "128", "--cache-dir", "/tmp/zoo"])
+        assert (args.port, args.max_batch, args.max_queue,
+                args.cache_dir) == (0, 32, 128, "/tmp/zoo")
 
 
 class TestWorkersFlags:

@@ -4,13 +4,19 @@
 archives, so :mod:`repro.utils.npz` parses the zip local headers itself
 and hands back ``np.memmap`` views of stored members. These tests pin
 the properties the zoo relies on: values identical to ``np.load``,
-actual memmaps for stored members, and working escape hatches
-(``mmap=False``, ``writable=True``, ``REPRO_ZOO_MMAP=0``).
+actual memmaps for stored members, working escape hatches
+(``mmap=False``, ``writable=True``, ``REPRO_ZOO_MMAP=0``), and corrupt
+archives raising a typed error instead of serving wrong values.
 """
+
+import os
+import zipfile
 
 import numpy as np
 import pytest
 
+from repro.errors import SerializationError
+from repro.utils import npz
 from repro.utils.npz import load_npz, mmap_enabled
 
 
@@ -103,3 +109,59 @@ class TestCompressedFallback:
         loaded = load_npz(path)
         for name, expected in arrays.items():
             np.testing.assert_array_equal(loaded[name], expected)
+
+
+def _flip_payload_bit(path: str, member: str) -> None:
+    """Flip one bit in the middle of ``member``'s array data."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    with open(path, "r+b") as handle:
+        offset = npz._member_data_offset(handle, info)
+        target = offset + info.file_size - 8   # inside the last element
+        handle.seek(target)
+        byte = handle.read(1)[0]
+        handle.seek(target)
+        handle.write(bytes([byte ^ 0x01]))
+
+
+class TestIntegrity:
+    """Mapping skips the zip CRC; ``load_npz`` checks it itself."""
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_flipped_payload_bit_raises(self, tmp_path, mmap):
+        path = str(tmp_path / "flip.npz")
+        np.savez(path, value=np.array([493.0]), other=np.arange(4.0))
+        _flip_payload_bit(path, "value.npy")
+        with pytest.raises(SerializationError) as excinfo:
+            load_npz(path, mmap=mmap)
+        assert path in str(excinfo.value)
+        assert "value.npy" in str(excinfo.value)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_truncated_file_raises(self, archive, mmap):
+        path, _ = archive
+        size = os.path.getsize(path)
+        with open(path, "r+b") as handle:
+            handle.truncate(size // 2)
+        with pytest.raises(SerializationError, match="corrupt artifact"):
+            load_npz(path, mmap=mmap)
+
+    def test_checked_once_per_file_state(self, archive, monkeypatch):
+        """An unchanged file is verified once per process; a rewritten
+        one is verified again."""
+        path, _ = archive
+        calls = []
+        check = npz._check_crc
+        monkeypatch.setattr(npz, "_check_crc",
+                            lambda *args: calls.append(1) or check(*args))
+        load_npz(path)
+        first = len(calls)
+        assert first > 0
+        load_npz(path)
+        assert len(calls) == first
+        _flip_payload_bit(path, "bias.npy")
+        stat = os.stat(path)
+        os.utime(path, ns=(stat.st_atime_ns,
+                           stat.st_mtime_ns + 1_000_000_000))
+        with pytest.raises(SerializationError, match="bias.npy"):
+            load_npz(path)

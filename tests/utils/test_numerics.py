@@ -81,3 +81,76 @@ class TestBatchInvariantMatmul:
                 assert full[i].tobytes() == numerics.batch_invariant_matmul(
                     a[i:i + 1], b)[0].tobytes()
         assert sorted(set(calls)) == [1, 2, 7, 40]
+
+    @staticmethod
+    def _stack(rng, n, m=5, k=24, width=16):
+        a = rng.normal(size=(m, n, k)).astype(np.float32)
+        b = rng.normal(size=(m, k, width)).astype(np.float32)
+        return a, b
+
+    def test_stacked_rows_independent_of_batch(self):
+        """``(M, B, K) @ (M, K, N)``: every row of every stack element is
+        byte-equal to its single-row product and to the 2-D product of
+        its own element, also when the left operand is a strided view."""
+        from repro.utils.numerics import batch_invariant_matmul
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 40):
+            a, b = self._stack(rng, n)
+            full = batch_invariant_matmul(a, b)
+            assert full.shape == (5, n, 16)
+            wide = np.ascontiguousarray(a.transpose(1, 0, 2))
+            strided = wide.transpose(1, 0, 2)
+            assert batch_invariant_matmul(strided, b).tobytes() == \
+                full.tobytes()
+            for m in range(5):
+                assert full[m].tobytes() == \
+                    batch_invariant_matmul(a[m], b[m]).tobytes()
+            for i in range(n):
+                assert full[:, i].tobytes() == batch_invariant_matmul(
+                    a[:, i:i + 1], b)[:, 0].tobytes()
+
+    def test_stacked_einsum_fallback(self, monkeypatch):
+        """A failing probe routes stacked operands through einsum: rows
+        stay byte-equal across batch sizes and agree with ``np.matmul``."""
+        from repro.utils import numerics
+
+        monkeypatch.setattr(numerics, "_blas_invariant", {})
+        monkeypatch.setattr(numerics, "_probe_blas_row_invariance",
+                            lambda *args: False)
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 7, 40):
+            a, b = self._stack(rng, n)
+            out = np.empty((5, n, 16), np.float32)
+            full = numerics.batch_invariant_matmul(a, b, out=out)
+            assert full is out
+            np.testing.assert_allclose(full, np.matmul(a, b), rtol=1e-6,
+                                       atol=1e-6)
+            for i in range(n):
+                assert full[:, i].tobytes() == \
+                    numerics.batch_invariant_matmul(
+                        a[:, i:i + 1], b)[:, 0].tobytes()
+
+    def test_two_dimensional_calls_unchanged(self, monkeypatch):
+        """2-D calls compute what they did before stacked operands were
+        supported: padded BLAS for one row, BLAS for more, or einsum
+        ``ik,kj->ij`` when the probe fails."""
+        from repro.utils import numerics
+        rng = np.random.default_rng(13)
+        b = rng.normal(size=(17, 48)).astype(np.float32)
+        for n in (1, 2, 7, 40):
+            a = rng.normal(size=(n, 17)).astype(np.float32)
+            got = numerics.batch_invariant_matmul(a, b)
+            if not numerics._blas_invariant[(17, 48, "f", "f")]:
+                expected = np.einsum("ik,kj->ij", a, b)
+            elif n == 1:
+                expected = (np.concatenate([a, a]) @ b)[:1]
+            else:
+                expected = a @ b
+            assert got.tobytes() == expected.tobytes()
+        monkeypatch.setattr(numerics, "_blas_invariant", {})
+        monkeypatch.setattr(numerics, "_probe_blas_row_invariance",
+                            lambda *args: False)
+        for n in (1, 2, 7, 40):
+            a = rng.normal(size=(n, 17)).astype(np.float32)
+            assert numerics.batch_invariant_matmul(a, b).tobytes() == \
+                np.einsum("ik,kj->ij", a, b).tobytes()
