@@ -40,7 +40,7 @@ def run_comparison():
     fast_emulator = emulator.for_matrix(g)
     start = time.perf_counter()
     for _ in range(20):
-        fast = fast_emulator.predict_currents(v)
+        fast = fast_emulator.currents(v)
     t_fast = time.perf_counter() - start
 
     max_dev = float(np.max(np.abs(general - fast)))

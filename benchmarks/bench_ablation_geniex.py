@@ -42,7 +42,7 @@ def _score(emulator, test):
     for group in range(int(test.group_index.max()) + 1):
         sel = np.nonzero(test.group_index == group)[0]
         prediction[sel] = emulator.for_matrix(
-            test.conductances_s[group]).predict_currents(
+            test.conductances_s[group]).currents(
                 test.voltages_v[sel])
     return rmse_of_nf(test.i_ideal_a, test.i_nonideal_a, prediction)
 
@@ -100,7 +100,7 @@ def _tail_current_error(emulator, tail) -> float:
     for group in range(int(tail.group_index.max()) + 1):
         sel = np.nonzero(tail.group_index == group)[0]
         prediction[sel] = emulator.for_matrix(
-            tail.conductances_s[group]).predict_currents(
+            tail.conductances_s[group]).currents(
                 tail.voltages_v[sel])
     reference = tail.i_nonideal_a
     mask = reference > 1e-9

@@ -135,14 +135,14 @@ def test_batched_solve_throughput():
 
             def sequential():
                 for vk in v:
-                    matrix_emulator.predict_currents(vk)
+                    matrix_emulator.currents(vk)
 
             def batched():
-                matrix_emulator.predict_currents(v)
+                matrix_emulator.currents(v)
 
             seq_out = np.concatenate(
-                [matrix_emulator.predict_currents(vk) for vk in v])
-            batch_out = matrix_emulator.predict_currents(v)
+                [matrix_emulator.currents(vk) for vk in v])
+            batch_out = matrix_emulator.currents(v)
             np.testing.assert_allclose(
                 batch_out, seq_out, rtol=1e-6,
                 atol=1e-6 * np.abs(seq_out).max())

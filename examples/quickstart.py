@@ -69,7 +69,7 @@ def main():
         nf_circuit = nonideality_factor(i_ideal, i_circuit)
         nf_geniex = nonideality_factor(
             i_ideal, session.emulator.for_matrix(
-                conductances).predict_currents(voltages))
+                conductances).currents(voltages))
         nf_analytical = nonideality_factor(
             i_ideal, AnalyticalLinearModel(config).predict_currents(
                 voltages, conductances))

@@ -47,9 +47,14 @@ class Normalizer:
         return (g - np.float32(self.g_off_s)) / np.float32(
             self.g_on_s - self.g_off_s)
 
-    def denormalize_fr(self, fr_norm) -> np.ndarray:
-        fr_norm = np.clip(np.asarray(fr_norm, dtype=np.float64), 0.0, 1.0)
-        return self.fr_min + fr_norm * (self.fr_max - self.fr_min)
+    def denormalize_fr(self, fr_norm, out=None) -> np.ndarray:
+        """fR from the network's normalised output: clip to ``[0, 1]``,
+        then scale into ``[fr_min, fr_max]``. ``out`` (float64, the shape
+        of ``fr_norm``; may be ``fr_norm`` itself) receives the result."""
+        fr = np.clip(np.asarray(fr_norm, dtype=np.float64), 0.0, 1.0,
+                     out=out)
+        np.multiply(fr, self.fr_max - self.fr_min, out=fr)
+        return np.add(fr, self.fr_min, out=fr)
 
     def to_dict(self) -> dict:
         return {
@@ -124,30 +129,21 @@ class GeniexNet(Module):
         w1 = first.weight.data
         return w1[:, :self.rows], w1[:, self.rows:], first.bias.data
 
-    def forward_hidden(self, hidden: np.ndarray, matmul=None) -> np.ndarray:
-        """Run the layers after the first ReLU on a raw hidden batch.
-
-        ``matmul`` overrides the matrix product (default BLAS ``@``); the
-        serving layer passes a batch-invariant kernel here so predictions
-        do not depend on how requests were coalesced into the batch.
-        """
-        np.maximum(hidden, 0.0, out=hidden)
-        layers = list(self.body)[2:]
-        for layer in layers:
-            if isinstance(layer, Linear):
-                if matmul is None:
-                    hidden = hidden @ layer.weight.data.T
-                else:
-                    hidden = matmul(hidden, layer.weight.data.T)
-                hidden = hidden + layer.bias.data
-            else:
-                np.maximum(hidden, 0.0, out=hidden)
-        return hidden
-
     def predict_fr_norm(self, features: np.ndarray) -> np.ndarray:
-        """Normalised fR for a feature batch, without building a graph."""
+        """Normalised fR for a feature batch, without building a graph.
+
+        Every sample carries its own conductances. A programmed crossbar
+        folds them into a bias once instead
+        (:meth:`repro.core.emulator.GeniexEmulator.for_matrix`).
+        """
         w1v, w1g, b1 = self.first_layer_views()
         v_part = features[:, :self.rows]
         g_part = features[:, self.rows:]
         hidden = v_part @ w1v.T + g_part @ w1g.T + b1
-        return self.forward_hidden(hidden)
+        for layer in list(self.body)[1:]:
+            if isinstance(layer, Linear):
+                hidden = hidden @ layer.weight.data.T
+                hidden += layer.bias.data
+            else:
+                np.maximum(hidden, 0.0, out=hidden)
+        return hidden

@@ -75,7 +75,7 @@ def evaluate_voltage(config: CrossbarConfig, profile: Profile,
     for group in range(test_spec.n_g_matrices):
         rows = np.nonzero(test.group_index == group)[0]
         g = test.conductances_s[group]
-        i_geniex[rows] = emulator.for_matrix(g).predict_currents(
+        i_geniex[rows] = emulator.for_matrix(g).currents(
             test.voltages_v[rows])
         i_analytical[rows] = analytical.predict_currents(
             test.voltages_v[rows], g)

@@ -63,6 +63,7 @@ noisy runs reproduce exactly at any worker count. Engine statistics
 hardware would execute them.
 """
 
+from repro.core.emulator import GeniexTileFactory
 from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.quant import FixedPointFormat
 from repro.funcsim.adc import AdcModel
@@ -73,7 +74,6 @@ from repro.funcsim.engine import (
     DecoupledTileFactory,
     EngineStats,
     ExactTileFactory,
-    GeniexTileFactory,
     IdealMvmEngine,
     make_engine,
 )

@@ -12,9 +12,9 @@ the (weight-sign, slice, tile-column) models of the tile-row:
 1. **Read-out.** All stream blocks are stacked into one ``(S * batch,
    rows)`` voltage batch. ``exact`` and ``analytical`` tiles are one
    stacked GEMM; ``geniex`` adds each tile's pruned NN forward
-   (:meth:`~repro.funcsim.engine.GeniexTileModel.forward`) and the fR
+   (:meth:`~repro.core.emulator.GeniexTileModel.forward`) and the fR
    divide — under ``batch_invariant``, one stacked forward of the whole
-   tile-row (:class:`~repro.funcsim.engine.GeniexRowStack`), since those
+   tile-row (:class:`GeniexRowStack`), since those
    engines serve few-row batches whose cost is per-call dispatch;
    ``decoupled`` and ``circuit`` fill each model's column block
    with that model's ``currents()``. Only this stage depends on the kind.
@@ -45,9 +45,10 @@ import threading
 
 import numpy as np
 
+from repro.core.emulator import GeniexTileFactory
 from repro.funcsim.planner import LayerProgram
 from repro.obs import span
-from repro.utils.numerics import batch_invariant_matmul
+from repro.utils.numerics import batch_invariant_matmul, select_matmul
 
 
 class ScratchPool:
@@ -94,6 +95,88 @@ def _cat_columns(stack: np.ndarray) -> np.ndarray:
         rows, m * cols)
 
 
+#: Widest first-layer GEMM of a :class:`GeniexRowStack`, in float32
+#: columns. Each GEMM width is a shape class of
+#: :func:`~repro.utils.numerics.batch_invariant_matmul`, whose one-time
+#: probe holds a ``(4131, width)`` problem: one GEMM across a serving
+#: tile-row (1536 columns) raised a server's peak RSS by 27% and ran no
+#: faster than groups of this width.
+STACK_GEMM_COLUMNS = 512
+
+
+class GeniexRowStack:
+    """The GENIEx tiles of one tile-row, run as one stacked forward.
+
+    Batch-invariant engines serve 1- and 2-row batches, where ``M``
+    per-tile forwards cost Python dispatch rather than FLOPs. The stack
+    pads every tile's kept hidden set to the tile-row's widest, ``kmax``:
+    a pad unit has zero voltage weights, bias -1 and a zero second-layer
+    row, so its ReLU output is exactly 0 and it adds exact zeros to the
+    second layer's sums. The first layer is then a few GEMMs on the
+    column-concatenated padded ``w_aug`` operands (grouped under
+    :data:`STACK_GEMM_COLUMNS`), the second one stacked ``(M, n, kmax) @
+    (M, kmax, h2)`` product, and any later layer, shared by all tiles,
+    one ``(M * n, h2)`` GEMM. Every product is
+    :func:`~repro.utils.numerics.batch_invariant_matmul`.
+
+    The padding costs FLOPs, which large non-invariant shards pay for
+    (they keep :meth:`~repro.core.emulator.GeniexTileModel.forward`), so
+    the stack is chosen by the engine's ``batch_invariant`` property,
+    never by batch size.
+    """
+
+    def __init__(self, factory: GeniexTileFactory, models: list):
+        self._factory = factory
+        n_models = len(models)
+        kmax = max(tile.kept.size for tile in models)
+        w_aug = np.zeros((n_models, models[0].w_aug.shape[0], kmax),
+                         np.float32)
+        w_aug[:, -1, :] = -1.0
+        w2 = np.zeros((n_models, kmax, factory.w2_t.shape[1]), np.float32)
+        for mi, tile in enumerate(models):
+            k = tile.kept.size
+            w_aug[mi, :, :k] = tile.w_aug
+            w2[mi, :k] = tile.w2_t
+        # Balanced groups of whole tiles: one width, one probe class.
+        n_groups = -(-n_models * kmax // STACK_GEMM_COLUMNS)
+        per = -(-n_models // n_groups)
+        #: ``(first column, (rows + 1, g * kmax) operand)`` per group.
+        self.first = [(lo * kmax, _cat_columns(w_aug[lo:lo + per]))
+                      for lo in range(0, n_models, per)]
+        #: Stacked second-layer operand ``(M, kmax, h2)``.
+        self.w2 = w2
+
+    def forward(self, v_aug: np.ndarray, out: np.ndarray,
+                scratch) -> np.ndarray:
+        """Normalised network outputs ``(M, n, cols)`` into ``out``.
+
+        Tile ``mi``'s block ``out[mi]`` is what
+        :meth:`~repro.core.emulator.GeniexTileModel.forward` returns for
+        it: byte for byte where BLAS sums the zero-padded second-layer
+        product in the unpadded order, to 2 float32 ulps of the block's
+        scale where it does not (tested). ``scratch`` is the
+        :class:`ScratchPool` the hidden activations are taken from.
+        """
+        factory = self._factory
+        matmul = batch_invariant_matmul
+        n = v_aug.shape[0]
+        n_models, kmax, width = self.w2.shape
+        hidden = scratch.take("hidden", (n, n_models * kmax), np.float32)
+        for lo, w in self.first:
+            matmul(v_aug, w, out=hidden[:, lo:lo + w.shape[1]])
+        np.maximum(hidden, 0.0, out=hidden)
+        y = scratch.take("hidden2", (n_models, n, width), np.float32)
+        matmul(hidden.reshape(n, n_models, kmax).transpose(1, 0, 2),
+               self.w2, out=y)
+        bias = factory.b2
+        for w_t, next_bias in factory.tail:
+            np.add(y, bias, out=y)
+            np.maximum(y, 0.0, out=y)
+            y = matmul(y.reshape(n_models * n, -1), w_t)
+            bias = next_bias
+        return np.add(y.reshape(n_models, n, -1), bias, out=out)
+
+
 class CompiledLayer:
     """Executable form of one layer program.
 
@@ -110,8 +193,7 @@ class CompiledLayer:
                  sw_slice: np.ndarray, scratch: ScratchPool):
         self.kind = kind
         self.scratch = scratch
-        self._matmul = batch_invariant_matmul if batch_invariant \
-            else np.matmul
+        self._matmul = select_matmul(batch_invariant)
         self.n_sw = n_sw
         self.n_k = n_k
         self.t_c = t_c
@@ -119,7 +201,7 @@ class CompiledLayer:
         #: Per tile-row ``(rows, M * cols)`` read-out operand (``None``
         #: for the iterative kinds, which solve each tile themselves).
         self.row_operands = row_operands
-        #: Per tile-row :class:`~repro.funcsim.engine.GeniexRowStack`
+        #: Per tile-row :class:`GeniexRowStack`
         #: (``None``: each tile runs its own forward).
         self.row_stacks = row_stacks
         self.stream_scales = stream_scales
@@ -146,37 +228,36 @@ class CompiledLayer:
         cols = program.plan.cols
         models = self.row_models[tr]
         n_rows = voltages.shape[0]
-        shared = program.tile_factory.prepare_voltages(voltages)
         i_flat = self.scratch.take("i_flat", (n_rows, len(models) * cols))
         operand = self.row_operands[tr]
         if operand is None:
             for mi, model in enumerate(models):
                 i_flat[:, mi * cols:(mi + 1) * cols] = model.currents(
-                    voltages, shared)
+                    voltages)
             return i_flat
         self._matmul(voltages, operand, out=i_flat)
         if self.kind == "geniex":
-            fr = self._friction(program, tr, shared)
+            fr = self._friction(program, tr, voltages)
             i3 = i_flat.reshape(n_rows, len(models), cols)
             np.divide(i3, fr.transpose(1, 0, 2), out=i3)
         return i_flat
 
     def _friction(self, program: LayerProgram, tr: int,
-                  shared: np.ndarray) -> np.ndarray:
+                  voltages: np.ndarray) -> np.ndarray:
         """Geniex non-ideality factors ``(M, n, cols)``, model-major.
 
+        The factory augments the voltages once for the whole tile-row.
         Tile-row ``tr``'s stacked forward, when it has one, writes every
         model's block of the pooled ``fr`` buffer at once; otherwise each
         tile model runs its own pruned forward
-        (:meth:`~repro.funcsim.engine.GeniexTileModel.forward`) into its
+        (:meth:`~repro.core.emulator.GeniexTileModel.forward`) into its
         block, with its hidden activations carved from the pooled
-        ``hidden`` buffer. The ``denormalize_fr`` rescale is element-wise,
-        so it runs once over the whole block: the same clip -> scale ->
-        shift chain as
-        :meth:`~repro.funcsim.engine.GeniexTileModel.currents`, element
-        for element.
+        ``hidden`` buffer. The fR rescale
+        (:meth:`~repro.core.model.Normalizer.denormalize_fr`) is
+        element-wise, so it runs once, in place, over the whole block.
         """
         models = self.row_models[tr]
+        shared = program.tile_factory.prepare_voltages(voltages)
         n_rows = shared.shape[0]
         fr = self.scratch.take("fr", (len(models), n_rows, program.plan.cols))
         stack = self.row_stacks[tr]
@@ -188,11 +269,8 @@ class CompiledLayer:
                 np.float32)
             for mi, model in enumerate(models):
                 model.forward(shared, out=fr[mi], work=work)
-        norm = program.tile_factory.emulator.normalizer
-        np.clip(fr, 0.0, 1.0, out=fr)
-        np.multiply(fr, norm.fr_max - norm.fr_min, out=fr)
-        np.add(fr, norm.fr_min, out=fr)
-        return fr
+        return program.tile_factory.emulator.normalizer.denormalize_fr(
+            fr, out=fr)
 
     # ------------------------------------------------------------------
     # Shard kernel
@@ -246,7 +324,7 @@ def compile_program(program: LayerProgram,
     ``hidden_kept``/``hidden_total`` meta: the hidden units the layer's
     pruned tiles run, of those the emulator has). A batch-invariant
     geniex layer also stacks each tile-row's tiles into one forward
-    (:meth:`~repro.funcsim.engine.GeniexTileFactory.stack`).
+    (:class:`GeniexRowStack`).
     """
     factory = program.tile_factory
     kind = factory.name
@@ -271,7 +349,7 @@ def compile_program(program: LayerProgram,
             row_operands.append(
                 _cat_columns(np.stack([m.transfer for m in models]))
                 if hasattr(models[0], "transfer") else None)
-            row_stacks.append(factory.stack(models)
+            row_stacks.append(GeniexRowStack(factory, models)
                               if kind == "geniex" and batch_invariant
                               else None)
         sw_factors = np.array([1.0 if sw == 0 else -1.0

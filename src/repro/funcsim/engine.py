@@ -39,13 +39,13 @@ setup, Newton bring-up) is paid once per tile.
 
 Tile models:
 
-* :class:`GeniexTileFactory` — GENIEx emulation (default non-ideal mode).
-  Each tile's network is specialised when the tile is programmed: the
-  conductance term of the hidden layer folds into a per-tile bias, hidden
-  units that bias provably keeps at zero are dropped, and the bias rides
-  in the first GEMM on voltages augmented once per tile-row. Under
-  ``batch_invariant`` a tile-row's tiles run as one stacked forward
-  (:class:`GeniexRowStack`).
+* :class:`~repro.core.emulator.GeniexTileFactory` — GENIEx emulation
+  (default non-ideal mode). Each tile's network is specialised when the
+  tile is programmed: the conductance term of the hidden layer folds into
+  a per-tile bias, hidden units that bias provably keeps at zero are
+  dropped, and the bias rides in the first GEMM on voltages augmented
+  once per tile-row. Under ``batch_invariant`` a tile-row's tiles run as
+  one stacked forward (:class:`~repro.funcsim.compiler.GeniexRowStack`).
 * :class:`AnalyticalTileFactory` — exact linear parasitic model (one sparse
   LU per tile, reused across all streams).
 * :class:`DecoupledTileFactory` — cheap first-order IR-drop model.
@@ -58,7 +58,6 @@ the exact fixed-point product ("Ideal FxP" in the paper's figures).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -67,11 +66,11 @@ import numpy as np
 from repro.analytical.fast_model import DecoupledIrDropModel
 from repro.circuit.linear_solver import LinearCrossbarSolver
 from repro.circuit.simulator import CrossbarCircuitSimulator
-from repro.core.emulator import GeniexEmulator
+from repro.core.emulator import GeniexEmulator, GeniexTileFactory
 from repro.errors import ConfigError, ShapeError
 from repro.funcsim.adc import AdcModel
 from repro.funcsim.config import FuncSimConfig
-from repro.funcsim.compiler import ScratchPool, _cat_columns, compile_program
+from repro.funcsim.compiler import ScratchPool, compile_program
 from repro.funcsim.planner import plan_layer
 from repro.funcsim.runtime.kernel import (
     DEFAULT_SHARD_ROWS,
@@ -84,13 +83,12 @@ from repro.funcsim.runtime.kernel import (
     run_tile_row,
     shard_adc,
 )
-from repro.nn.modules import Linear
 from repro.obs import span
 from repro.funcsim.slicing import sign_split, split_unsigned
 from repro.funcsim.tiles import n_tiles, tile_matrix
 from repro.nonideal.pipeline import as_pipeline
 from repro.utils.digest import content_key
-from repro.utils.numerics import batch_invariant_matmul
+from repro.utils.numerics import select_matmul
 from repro.xbar.config import CrossbarConfig
 from repro.xbar.ideal import ideal_mvm
 from repro.xbar.mapping import conductances_from_levels
@@ -122,15 +120,6 @@ MIN_SHARD_COST = 1 << 14
 # ----------------------------------------------------------------------
 # Tile models
 # ----------------------------------------------------------------------
-def _select_matmul(batch_invariant: bool):
-    """Tile-math matrix product: BLAS by default, einsum when the caller
-    needs per-row results that are independent of the batch size (see
-    :func:`repro.utils.numerics.batch_invariant_matmul`)."""
-    if batch_invariant:
-        return batch_invariant_matmul
-    return np.matmul
-
-
 class ExactTileModel:
     """Tile computing the exact analog dot product (ideality oracle).
 
@@ -143,7 +132,7 @@ class ExactTileModel:
         self.transfer = self.conductance_s
         self._matmul = matmul
 
-    def currents(self, voltages_v, cache=None) -> np.ndarray:
+    def currents(self, voltages_v) -> np.ndarray:
         if self._matmul is not None:
             return self._matmul(np.atleast_2d(voltages_v),
                                 self.conductance_s)
@@ -165,14 +154,11 @@ class ExactTileFactory:
     def __init__(self, config: CrossbarConfig, batch_invariant: bool = False):
         self.config = config
         self.batch_invariant = bool(batch_invariant)
-        self._matmul = _select_matmul(batch_invariant)
+        self._matmul = select_matmul(batch_invariant)
 
     def check_crossbar(self, config: CrossbarConfig) -> None:
         if config.shape != self.config.shape:
             raise ConfigError("tile factory / engine crossbar shape mismatch")
-
-    def prepare_voltages(self, voltages_v: np.ndarray):
-        return None
 
     def cache_token(self) -> str:
         return f"exact|bi={int(self.batch_invariant)}"
@@ -181,282 +167,6 @@ class ExactTileFactory:
         return ExactTileModel(
             conductance_s,
             self._matmul if self.batch_invariant else None)
-
-
-#: Kept hidden units are padded with dropped ones to a multiple of this
-#: width, so the pruned tile GEMMs fall into a handful of shape classes
-#: (each new class costs a one-time batch-invariance probe).
-HIDDEN_PAD = 16
-
-
-class GeniexTileFactory:
-    """Builds GENIEx-backed tile models for one trained emulator.
-
-    ``v_supply_v`` is the highest word-line voltage the tiles will be
-    driven with (the engine's DAC full scale; default: the emulator's
-    training supply). Each tile prunes the hidden units that voltage
-    ceiling proves dead (see :class:`GeniexTileModel`), so an engine
-    whose supply exceeds it is rejected by :meth:`check_crossbar`.
-    """
-
-    name = "geniex"
-
-    def __init__(self, emulator: GeniexEmulator,
-                 batch_invariant: bool = False,
-                 v_supply_v: float | None = None):
-        self.emulator = emulator
-        self.batch_invariant = bool(batch_invariant)
-        self._matmul = _select_matmul(batch_invariant)
-        model = emulator.model
-        w1v, _, _ = model.first_layer_views()
-        self._w1v_t = np.ascontiguousarray(w1v.T)
-        norm = emulator.normalizer
-        self.v_supply_v = float(norm.v_supply_v if v_supply_v is None
-                                else v_supply_v)
-        self.v_max = self.v_supply_v / norm.v_supply_v
-        # The voltage terms of the pruning bound (see kept_units), once
-        # per emulator: unit j is kept iff bias_j + c * |bias_j| >
-        # floor_j = -v_max * (sum(max(w1v_j, 0)) + c * sum(|w1v_j|)).
-        w1v64 = w1v.astype(np.float64)
-        self._margin_scale = (emulator.rows + 2) * 2.0 ** -23
-        self._alive_floor = -self.v_max * (
-            np.maximum(w1v64, 0.0).sum(axis=1)
-            + self._margin_scale * np.abs(w1v64).sum(axis=1))
-        # The Linear layers after the first ReLU, as (W.T, b) pairs with a
-        # ReLU between consecutive ones. Tiles restrict the first pair's
-        # W.T to their kept rows; the rest (hidden_layers=2) are shared.
-        linears = [(np.ascontiguousarray(layer.weight.data.T),
-                    layer.bias.data)
-                   for layer in list(model.body)[2:]
-                   if isinstance(layer, Linear)]
-        (self._w2_t, self._b2), self._tail = linears[0], linears[1:]
-        self._cache_token = None
-
-    def check_crossbar(self, config: CrossbarConfig) -> None:
-        if (self.emulator.rows, self.emulator.cols) != config.shape:
-            raise ConfigError(
-                f"emulator was trained for "
-                f"{self.emulator.rows}x{self.emulator.cols} crossbars, "
-                f"engine uses {config.rows}x{config.cols}")
-        if config.v_supply_v > self.v_supply_v:
-            raise ConfigError(
-                f"GENIEx tiles are pruned for word-line voltages up to "
-                f"{self.v_supply_v} V; the engine drives "
-                f"{config.v_supply_v} V")
-
-    def prepare_voltages(self, voltages_v: np.ndarray):
-        """Augmented normalised voltages ``[v_norm, 1]`` ``(n, rows + 1)``,
-        shared by every tile in a tile-row; the constant column folds each
-        tile's hidden bias into its first GEMM."""
-        v_norm = self.emulator.normalizer.normalize_v(
-            np.atleast_2d(voltages_v))
-        v_aug = np.empty((v_norm.shape[0], v_norm.shape[1] + 1), np.float32)
-        v_aug[:, :-1] = v_norm
-        v_aug[:, -1] = 1.0
-        return v_aug
-
-    def kept_units(self, bias: np.ndarray) -> np.ndarray:
-        """Indices of the hidden units a tile with this float32 hidden
-        ``bias`` must run: every unit not provably dead, padded with dead
-        ones to a multiple of :data:`HIDDEN_PAD` (at least one pad width,
-        capped at ``hidden``).
-
-        Unit ``j`` is dead when ``bias_j + v_max * sum(max(w1v_j, 0))``
-        is at most ``-margin_j``, with ``margin_j = c * (|bias_j| + v_max
-        * sum(|w1v_j|))`` and ``c = (rows + 2) * 2**-23`` bounding the
-        float32 rounding error of the ``(rows + 1)``-term GEMM (and its
-        input roundings) relative to the sum of its absolute terms. Its
-        pre-activation is then negative both exactly and as computed, so
-        its ReLU output is exactly 0 for every normalised voltage in
-        ``[0, v_max]``.
-        """
-        b = bias.astype(np.float64)
-        alive = b + self._margin_scale * np.abs(b) > self._alive_floor
-        n_alive = np.count_nonzero(alive)
-        width = min(alive.size,
-                    max(HIDDEN_PAD, -(-n_alive // HIDDEN_PAD) * HIDDEN_PAD))
-        if width > n_alive:
-            alive[np.flatnonzero(~alive)[:width - n_alive]] = True
-        return np.flatnonzero(alive)
-
-    def cache_token(self) -> str:
-        """Identity of the emulation function, not just its topology.
-
-        Digests the trained network's parameters so two engines backed by
-        *differently trained* emulators (same crossbar shape) can never
-        share prepared-matrix uids — and with them ADC noise streams.
-        """
-        if self._cache_token is None:
-            digest = hashlib.sha256()
-            for name, array in self.emulator.model.state_dict().items():
-                digest.update(name.encode())
-                digest.update(np.ascontiguousarray(array).tobytes())
-            self._cache_token = (f"geniex|bi={int(self.batch_invariant)}"
-                                 f"|em={digest.hexdigest()[:16]}")
-        return self._cache_token
-
-    def build(self, conductance_s: np.ndarray) -> "GeniexTileModel":
-        return GeniexTileModel(self, conductance_s)
-
-    def stack(self, models: list) -> "GeniexRowStack":
-        """One tile-row's programmed tiles as one stacked forward."""
-        return GeniexRowStack(self, models)
-
-
-class GeniexTileModel:
-    """Per-tile GENIEx forward pass, specialised when the tile is programmed.
-
-    The conductance term of the first layer is constant for a programmed
-    (and, with device faults, perturbed) tile, so it folds into a hidden
-    bias. Hidden units that bias provably keeps at zero are dropped (see
-    :meth:`GeniexTileFactory.kept_units`), and the bias becomes the last
-    row of the first-layer operand ``w_aug = [w1v[kept].T; bias[kept]]``,
-    so the hidden layer is a single GEMM on the augmented voltages of
-    :meth:`GeniexTileFactory.prepare_voltages`.
-    """
-
-    def __init__(self, factory: GeniexTileFactory, conductance_s: np.ndarray):
-        self._factory = factory
-        emulator = factory.emulator
-        _, w1g, b1 = emulator.model.first_layer_views()
-        g_norm = emulator.normalizer.normalize_g(conductance_s).reshape(-1)
-        bias = (g_norm @ w1g.T + b1).astype(np.float32)
-        kept = factory.kept_units(bias)
-        #: Indices of the hidden units this tile runs.
-        self.kept = kept
-        self.w_aug = np.concatenate([factory._w1v_t[:, kept],
-                                     bias[None, kept]])
-        #: Second-layer operand, restricted to the kept units.
-        self.w2_t = factory._w2_t[kept]
-        #: Flat float32 work size per voltage row of :meth:`forward`.
-        self.work_width = kept.size + self.w2_t.shape[1]
-        self.conductance_s = np.asarray(conductance_s, dtype=float)
-        #: Ideal read-out operand; the currents divide it by fR.
-        self.transfer = self.conductance_s
-
-    def forward(self, v_aug: np.ndarray, out=None, work=None) -> np.ndarray:
-        """Normalised network output ``(n, cols)`` for augmented voltages.
-
-        The one NN forward of the tile: ``relu(v_aug @ w_aug) @ W2 +
-        b2`` (through any later layers) in float32, the last bias add
-        widened into ``out`` (float64; allocated when ``None``).
-        ``work`` is an optional flat float32 buffer of at least ``n *
-        work_width`` elements that the hidden activations and the first
-        post-ReLU product are carved from.
-        """
-        factory = self._factory
-        matmul = factory._matmul
-        n = v_aug.shape[0]
-        k, width = self.w2_t.shape
-        hidden = first = None
-        if work is not None:
-            hidden = work[:n * k].reshape(n, k)
-            first = work[n * k:n * (k + width)].reshape(n, width)
-        hidden = matmul(v_aug, self.w_aug, out=hidden)
-        np.maximum(hidden, 0.0, out=hidden)
-        y = matmul(hidden, self.w2_t, out=first)
-        bias = factory._b2
-        for w_t, next_bias in factory._tail:
-            np.add(y, bias, out=y)
-            np.maximum(y, 0.0, out=y)
-            y, bias = matmul(y, w_t), next_bias
-        if out is None:
-            out = np.empty(y.shape)
-        return np.add(y, bias, out=out)
-
-    def currents(self, voltages_v: np.ndarray, cache=None) -> np.ndarray:
-        factory = self._factory
-        if cache is None:
-            cache = factory.prepare_voltages(voltages_v)
-        fr = factory.emulator.normalizer.denormalize_fr(self.forward(cache))
-        if factory.batch_invariant:
-            i_ideal = factory._matmul(np.atleast_2d(voltages_v),
-                                      self.conductance_s)
-        else:
-            i_ideal = ideal_mvm(voltages_v, self.conductance_s)
-        return i_ideal / fr
-
-
-#: Widest first-layer GEMM of a :class:`GeniexRowStack`, in float32
-#: columns. Each GEMM width is a shape class of
-#: :func:`~repro.utils.numerics.batch_invariant_matmul`, whose one-time
-#: probe holds a ``(4131, width)`` problem: one GEMM across a serving
-#: tile-row (1536 columns) raised a server's peak RSS by 27% and ran no
-#: faster than groups of this width.
-STACK_GEMM_COLUMNS = 512
-
-
-class GeniexRowStack:
-    """The GENIEx tiles of one tile-row, run as one stacked forward.
-
-    Batch-invariant engines serve 1- and 2-row batches, where ``M``
-    per-tile forwards cost Python dispatch rather than FLOPs. The stack
-    pads every tile's kept hidden set to the tile-row's widest, ``kmax``:
-    a pad unit has zero voltage weights, bias -1 and a zero second-layer
-    row, so its ReLU output is exactly 0 and it adds exact zeros to the
-    second layer's sums. The first layer is then a few GEMMs on the
-    column-concatenated padded ``w_aug`` operands (grouped under
-    :data:`STACK_GEMM_COLUMNS`), the second one stacked ``(M, n, kmax) @
-    (M, kmax, h2)`` product, and any later layer, shared by all tiles,
-    one ``(M * n, h2)`` GEMM. Every product is
-    :func:`~repro.utils.numerics.batch_invariant_matmul`.
-
-    The padding costs FLOPs, which large non-invariant shards pay for
-    (they keep :meth:`GeniexTileModel.forward`), so the stack is chosen
-    by the engine's ``batch_invariant`` property, never by batch size.
-    """
-
-    def __init__(self, factory: GeniexTileFactory, models: list):
-        self._factory = factory
-        n_models = len(models)
-        kmax = max(tile.kept.size for tile in models)
-        w_aug = np.zeros((n_models, models[0].w_aug.shape[0], kmax),
-                         np.float32)
-        w_aug[:, -1, :] = -1.0
-        w2 = np.zeros((n_models, kmax, factory._w2_t.shape[1]), np.float32)
-        for mi, tile in enumerate(models):
-            k = tile.kept.size
-            w_aug[mi, :, :k] = tile.w_aug
-            w2[mi, :k] = tile.w2_t
-        # Balanced groups of whole tiles: one width, one probe class.
-        n_groups = -(-n_models * kmax // STACK_GEMM_COLUMNS)
-        per = -(-n_models // n_groups)
-        #: ``(first column, (rows + 1, g * kmax) operand)`` per group.
-        self.first = [(lo * kmax, _cat_columns(w_aug[lo:lo + per]))
-                      for lo in range(0, n_models, per)]
-        #: Stacked second-layer operand ``(M, kmax, h2)``.
-        self.w2 = w2
-
-    def forward(self, v_aug: np.ndarray, out: np.ndarray,
-                scratch) -> np.ndarray:
-        """Normalised network outputs ``(M, n, cols)`` into ``out``.
-
-        Tile ``mi``'s block ``out[mi]`` is what
-        :meth:`GeniexTileModel.forward` returns for it: byte for byte
-        where BLAS sums the zero-padded second-layer product in the
-        unpadded order, to 2 float32 ulps of the block's scale where it
-        does not (tested). ``scratch`` is the
-        :class:`~repro.funcsim.compiler.ScratchPool` the hidden
-        activations are taken from.
-        """
-        factory = self._factory
-        matmul = batch_invariant_matmul
-        n = v_aug.shape[0]
-        n_models, kmax, width = self.w2.shape
-        hidden = scratch.take("hidden", (n, n_models * kmax), np.float32)
-        for lo, w in self.first:
-            matmul(v_aug, w, out=hidden[:, lo:lo + w.shape[1]])
-        np.maximum(hidden, 0.0, out=hidden)
-        y = scratch.take("hidden2", (n_models, n, width), np.float32)
-        matmul(hidden.reshape(n, n_models, kmax).transpose(1, 0, 2),
-               self.w2, out=y)
-        bias = factory._b2
-        for w_t, next_bias in factory._tail:
-            np.add(y, bias, out=y)
-            np.maximum(y, 0.0, out=y)
-            y = matmul(y.reshape(n_models * n, -1), w_t)
-            bias = next_bias
-        return np.add(y.reshape(n_models, n, -1), bias, out=out)
 
 
 class AnalyticalTileFactory:
@@ -474,15 +184,12 @@ class AnalyticalTileFactory:
     def __init__(self, config: CrossbarConfig, batch_invariant: bool = False):
         self.config = config
         self.batch_invariant = bool(batch_invariant)
-        self._matmul = _select_matmul(batch_invariant)
+        self._matmul = select_matmul(batch_invariant)
         self._solver = LinearCrossbarSolver(config)
 
     def check_crossbar(self, config: CrossbarConfig) -> None:
         if config.shape != self.config.shape:
             raise ConfigError("tile factory / engine crossbar shape mismatch")
-
-    def prepare_voltages(self, voltages_v: np.ndarray):
-        return None
 
     def cache_token(self) -> str:
         return f"analytical|bi={int(self.batch_invariant)}"
@@ -497,7 +204,7 @@ class AnalyticalTileModel:
         self.transfer = transfer
         self._matmul = matmul
 
-    def currents(self, voltages_v: np.ndarray, cache=None) -> np.ndarray:
+    def currents(self, voltages_v: np.ndarray) -> np.ndarray:
         return self._matmul(np.atleast_2d(voltages_v), self.transfer)
 
 
@@ -509,7 +216,7 @@ class DecoupledTileModel:
         self._model = model
         self.conductance_s = np.asarray(conductance_s, dtype=float)
 
-    def currents(self, voltages_v, cache=None) -> np.ndarray:
+    def currents(self, voltages_v) -> np.ndarray:
         return self._model.predict_currents(voltages_v, self.conductance_s)
 
 
@@ -525,9 +232,6 @@ class DecoupledTileFactory:
     def check_crossbar(self, config: CrossbarConfig) -> None:
         if config.shape != self.config.shape:
             raise ConfigError("tile factory / engine crossbar shape mismatch")
-
-    def prepare_voltages(self, voltages_v: np.ndarray):
-        return None
 
     def cache_token(self) -> str:
         return f"decoupled|sweeps={self._model.n_sweeps}"
@@ -545,7 +249,7 @@ class CircuitTileModel:
         self._simulator = simulator
         self.conductance_s = np.asarray(conductance_s, dtype=float)
 
-    def currents(self, voltages_v, cache=None) -> np.ndarray:
+    def currents(self, voltages_v) -> np.ndarray:
         return self._simulator.solve_batch(voltages_v, self.conductance_s,
                                            mode="full")
 
@@ -562,9 +266,6 @@ class CircuitTileFactory:
     def check_crossbar(self, config: CrossbarConfig) -> None:
         if config.shape != self.config.shape:
             raise ConfigError("tile factory / engine crossbar shape mismatch")
-
-    def prepare_voltages(self, voltages_v: np.ndarray):
-        return None
 
     def cache_token(self) -> str:
         return "circuit"

@@ -11,8 +11,10 @@ summarised by a :class:`LayerProgram`:
   and the ADC transfer parameters, plus worst-case cost metadata from
   :mod:`repro.funcsim.cost`. Plans are plain frozen dataclasses.
 * the **tile models** programmed from the weight slices, and the shared
-  :class:`tile factory <repro.funcsim.engine.GeniexTileFactory>` whose
-  ``prepare_voltages`` hook computes terms shared by a whole tile-row.
+  tile factory (for GENIEx, the
+  :class:`~repro.core.emulator.GeniexTileFactory` whose
+  ``prepare_voltages`` computes the augmented voltages a whole tile-row
+  shares).
 
 Execution consumes programs through the kernel
 (:mod:`repro.funcsim.runtime.kernel`), which evaluates one (tile-row,

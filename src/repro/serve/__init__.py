@@ -3,7 +3,8 @@
 The serving subsystem exposes the GENIEx stack over a stdlib-only JSON/HTTP
 API. Concurrent single-vector requests for the same programmed crossbar are
 coalesced by :class:`~repro.serve.scheduler.MicrobatchScheduler` into exactly
-the large batches :class:`~repro.core.emulator.MatrixEmulator` and
+the large batches a programmed crossbar's
+:class:`~repro.core.emulator.GeniexTileModel` and
 :class:`~repro.funcsim.engine.CrossbarMvmEngine` are fast at, with bounded
 queues, backpressure and a ``/metrics`` endpoint.
 

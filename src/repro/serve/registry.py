@@ -9,8 +9,9 @@ requests — from any client, in any order — land on the same warm object
   :class:`GeniexZoo` on an executor thread; an asyncio per-key lock
   collapses concurrent misses into one training run while the event loop
   keeps serving other traffic.
-* **crossbars** — :class:`MatrixEmulator` instances for a programmed
-  conductance matrix, keyed by (model key, G digest). Always built with
+* **crossbars** — the :class:`GeniexTileModel` of a programmed
+  conductance matrix (:meth:`GeniexEmulator.for_matrix`: the engine's
+  folded, pruned tile), keyed by (model key, G digest). Always built with
   ``batch_invariant=True`` so coalesced predictions are byte-identical to
   direct per-request calls.
 * **engines** — prepared :class:`CrossbarMvmEngine` pipelines (engine +
@@ -46,7 +47,7 @@ from repro.api.spec import (
     supports_batch_invariance,
     weights_identity,
 )
-from repro.core.emulator import GeniexEmulator, MatrixEmulator
+from repro.core.emulator import GeniexEmulator, GeniexTileModel
 from repro.core.zoo import GeniexZoo
 from repro.errors import ConfigError, ShapeError
 from repro.funcsim.config import FuncSimConfig
@@ -346,7 +347,12 @@ class ModelRegistry:
 
     async def matrix_emulator(self, spec: ModelSpec,
                               conductance_s: np.ndarray) -> tuple:
-        """Warm the batch-invariant :class:`MatrixEmulator` for (spec, G).
+        """Warm the batch-invariant crossbar tile model for (spec, G).
+
+        Returns ``(crossbar_key, tile)``, ``tile`` being
+        ``emulator.for_matrix(G, batch_invariant=True)``: the
+        :class:`GeniexTileModel` whose ``fr``/``currents`` serve
+        ``/v1/predict_fr`` and ``/v1/predict_currents``.
 
         ``conductance_s`` is the *intended* programmed matrix; an active
         fault composition on the spec perturbs it (deterministically,
@@ -376,7 +382,7 @@ class ModelRegistry:
         self._crossbars.put(key, warm)
         return key, warm
 
-    def crossbar(self, key: str) -> MatrixEmulator | None:
+    def crossbar(self, key: str) -> GeniexTileModel | None:
         """Fetch a previously registered crossbar by key (or ``None``)."""
         return self._lookup("crossbars", key)
 

@@ -498,8 +498,10 @@ class EmulationServer:
             raise ProtocolError(
                 f"voltages must have {rows} entries per vector, "
                 f"got shape {voltages.shape}")
-        batch_fn = warm.predict_fr if field == "fr" \
-            else warm.predict_currents
+        # A voltage outside the pruned range is this request's 400, not
+        # an error of the batch it would have been coalesced into.
+        warm.validated(voltages)
+        batch_fn = warm.fr if field == "fr" else warm.currents
         result = await self.scheduler.submit(
             (endpoint, key), np.atleast_2d(voltages), batch_fn)
         if single:

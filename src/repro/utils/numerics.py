@@ -126,6 +126,13 @@ def batch_invariant_matmul(a: np.ndarray, b: np.ndarray,
     return np.matmul(a, b, out=out)
 
 
+def select_matmul(batch_invariant: bool):
+    """Matrix product for tile math: BLAS ``np.matmul`` by default,
+    :func:`batch_invariant_matmul` when the caller needs per-row results
+    that do not depend on the batch size."""
+    return batch_invariant_matmul if batch_invariant else np.matmul
+
+
 def relative_error(reference, value, eps: float = 1e-30):
     """Element-wise ``|value - reference| / max(|reference|, eps)``."""
     reference = np.asarray(reference, dtype=float)

@@ -52,7 +52,7 @@ class TestEmulator:
         g = dataset.conductances_s[1]
         v = dataset.voltages_v[:10]
         general = emulator.predict_currents(v, g)
-        fast = emulator.for_matrix(g).predict_currents(v)
+        fast = emulator.for_matrix(g).currents(v)
         np.testing.assert_allclose(fast, general, rtol=1e-5, atol=1e-12)
 
     def test_emulator_beats_wild_guess(self, trained):
@@ -61,7 +61,7 @@ class TestEmulator:
         emulator = GeniexEmulator(model)
         g = dataset.conductances_s[2]
         rows = np.nonzero(dataset.group_index == 2)[0]
-        pred = emulator.for_matrix(g).predict_currents(
+        pred = emulator.for_matrix(g).currents(
             dataset.voltages_v[rows])
         ref = dataset.i_nonideal_a[rows]
         mask = ref > 1e-9

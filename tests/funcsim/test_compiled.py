@@ -190,12 +190,11 @@ class TestStackedReadout:
             levels = rng.integers(0, 2 ** SCFG.stream_bits,
                                   size=(n, plan.rows))
             voltages = levels * plan.v_lsb
-            shared = engine.tile_factory.prepare_voltages(voltages)
             for tr in range(plan.t_r):
                 stacked = compiled.readout(program, tr, voltages)
                 for mi, model in enumerate(compiled.row_models[tr]):
                     block = stacked[:, mi * cols:(mi + 1) * cols]
-                    own = model.currents(voltages, shared)
+                    own = model.currents(voltages)
                     if n == 1 and not invariant:
                         # BLAS may run one row as gemv, whose column
                         # grouping depends on the operand width; the

@@ -63,7 +63,6 @@ def sequential_matmul(engine: CrossbarMvmEngine, x, prepared) -> np.ndarray:
                 if not levels.any():
                     continue
                 voltages = levels * engine._v_lsb
-                cache = engine.tile_factory.prepare_voltages(voltages)
                 stream_sum = levels.sum(axis=1)
                 stream_scale = float(2 ** (m * cfg.stream_bits))
                 for sw in prepared.sign_present:
@@ -76,7 +75,7 @@ def sequential_matmul(engine: CrossbarMvmEngine, x, prepared) -> np.ndarray:
                         for tc in range(t_c):
                             model = prepared.models[(sw, k, tr, tc)]
                             codes = engine.adc.codes(
-                                model.currents(voltages, cache))
+                                model.currents(voltages))
                             tr_codes[:, tc * cols:(tc + 1) * cols] += (
                                 prefac * codes)
         counts = (tr_codes - (plan.bias_codes * tr_bias)[:, None]) \

@@ -2,7 +2,7 @@
 
 A programmed GENIEx tile drops every hidden unit whose ReLU provably
 outputs 0 for all legal word-line voltages (see
-:meth:`repro.funcsim.engine.GeniexTileFactory.kept_units`). These tests
+:meth:`repro.core.emulator.GeniexTileFactory.kept_units`). These tests
 pin that the proof holds — in exact arithmetic and in the float32 GEMM
 the kernel runs — for random emulators, faulty conductances and voltage
 ceilings other than the emulator's own supply; that the pruned forward
@@ -19,14 +19,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.emulator import GeniexEmulator
+from repro.core.emulator import HIDDEN_PAD, GeniexEmulator, GeniexTileFactory
 from repro.core.model import GeniexNet, Normalizer
 from repro.errors import ConfigError
 from repro.funcsim import FuncSimConfig, make_engine
-from repro.funcsim import engine as engine_mod
+from repro.funcsim import compiler as compiler_mod
 from repro.funcsim.compiler import ScratchPool
-from repro.funcsim.engine import (HIDDEN_PAD, CrossbarMvmEngine,
-                                  GeniexTileFactory)
+from repro.funcsim.engine import CrossbarMvmEngine
 from repro.nonideal.pipeline import NonidealitySpec, as_pipeline
 from repro.nonideal.transforms import StuckSpec, VariationSpec
 from repro.obs import start_trace
@@ -61,7 +60,8 @@ def random_emulator(rows: int, cols: int, hidden: int, hidden_layers: int,
 
 
 def programmed_tiles(emulator, factory, fault: str, n_tiles: int, seed: int):
-    """(tile model, full float32 hidden bias) for random conductances."""
+    """(tile model, full float32 hidden bias, conductances) for random
+    conductances."""
     cfg = CrossbarConfig(rows=emulator.rows, cols=emulator.cols)
     pipeline = as_pipeline(FAULTS[fault])
     rng = np.random.default_rng(seed)
@@ -73,7 +73,7 @@ def programmed_tiles(emulator, factory, fault: str, n_tiles: int, seed: int):
             g = pipeline.perturb(g, (seed, 0, 0, t), cfg.g_off_s, cfg.g_on_s)
         tile = factory.build(g)
         g_norm = emulator.normalizer.normalize_g(g).reshape(-1)
-        out.append((tile, (g_norm @ w1g.T + b1).astype(np.float32)))
+        out.append((tile, (g_norm @ w1g.T + b1).astype(np.float32), g))
     return out
 
 
@@ -83,19 +83,11 @@ def full_first_layer(emulator, bias: np.ndarray) -> np.ndarray:
     return np.concatenate([w1v.T, bias[None, :]])
 
 
-def reference_fr(emulator, voltages_v: np.ndarray,
-                 bias: np.ndarray) -> np.ndarray:
-    """Unpruned float32 forward (separate voltage GEMM and bias add)."""
-    w1v, _, _ = emulator.model.first_layer_views()
-    v_norm = emulator.normalizer.normalize_v(voltages_v)
-    hidden = v_norm @ w1v.T + bias
-    return emulator.normalizer.denormalize_fr(
-        emulator.model.forward_hidden(hidden))
-
-
-#: Pruned vs unpruned fR, relative to the fR label range: the two
-#: forwards differ only in float32 summation order (bias folded into the
-#: GEMM, zero columns left out), a few ulps of the hidden sums.
+#: Pruned tile vs the unpruned per-sample forward
+#: (:meth:`GeniexEmulator.predict_fr`), relative to the fR label range:
+#: the two differ only in float32 summation order (conductance term
+#: folded into a bias inside the GEMM, zero columns left out), a few ulps
+#: of the hidden sums.
 FR_TOLERANCE = 1e-5
 
 
@@ -112,7 +104,8 @@ def test_pruning_is_sound(rows, cols, hidden, hidden_layers, v_max, fault,
     assert factory.v_max == v_max
     w1v, _, _ = emulator.model.first_layer_views()
     rng = np.random.default_rng(seed + 1)
-    for tile, bias in programmed_tiles(emulator, factory, fault, 4, seed):
+    for tile, bias, g in programmed_tiles(emulator, factory, fault, 4,
+                                          seed):
         kept = tile.kept
         k = kept.size
         # (c) padded to the pad width, or the whole layer.
@@ -142,7 +135,7 @@ def test_pruning_is_sound(rows, cols, hidden, hidden_layers, v_max, fault,
             np.testing.assert_allclose(
                 norm.denormalize_fr(
                     tile.forward(factory.prepare_voltages(volts))),
-                reference_fr(emulator, volts, bias), rtol=0,
+                emulator.predict_fr(volts, g), rtol=0,
                 atol=FR_TOLERANCE * (norm.fr_max - norm.fr_min))
 
 
@@ -240,7 +233,7 @@ class TestStackedForward:
         assert all(s is None for s in program.compiled.row_stacks)
 
     @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("budget", [engine_mod.STACK_GEMM_COLUMNS, 40])
+    @pytest.mark.parametrize("budget", [compiler_mod.STACK_GEMM_COLUMNS, 40])
     def test_blocks_equal_tile_forward(self, pruned_emulator,
                                        pruned_emulator_2l, monkeypatch,
                                        layers, budget):
@@ -256,7 +249,7 @@ class TestStackedForward:
         ulps of the block's largest output.
         """
         emulator = pruned_emulator if layers == 1 else pruned_emulator_2l
-        monkeypatch.setattr(engine_mod, "STACK_GEMM_COLUMNS", budget)
+        monkeypatch.setattr(compiler_mod, "STACK_GEMM_COLUMNS", budget)
         engine, program = _stacked_program(emulator)
         compiled, plan = program.compiled, program.plan
         factory = engine.tile_factory

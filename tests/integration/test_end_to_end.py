@@ -21,9 +21,9 @@ from repro.core import (
     rmse_of_nf,
     train_geniex,
 )
+from repro.core.emulator import GeniexTileFactory
 from repro.funcsim import FuncSimConfig, IdealMvmEngine, convert_to_mvm, \
     make_engine
-from repro.funcsim.engine import CrossbarMvmEngine, GeniexTileFactory
 from repro.models import LeNet
 from repro.nn.tensor import Tensor, no_grad
 from repro.xbar.config import CrossbarConfig
@@ -61,7 +61,7 @@ class TestEmulatorFidelity:
         for group in range(5):
             rows = np.nonzero(test_points.group_index == group)[0]
             g = test_points.conductances_s[group]
-            i_geniex[rows] = emulator.for_matrix(g).predict_currents(
+            i_geniex[rows] = emulator.for_matrix(g).currents(
                 test_points.voltages_v[rows])
             i_analytical[rows] = analytical.predict_currents(
                 test_points.voltages_v[rows], g)
@@ -76,7 +76,7 @@ class TestEmulatorFidelity:
         group = 1
         rows = np.nonzero(test_points.group_index == group)[0]
         g = test_points.conductances_s[group]
-        predicted = emulator.for_matrix(g).predict_currents(
+        predicted = emulator.for_matrix(g).currents(
             test_points.voltages_v[rows])
         reference = test_points.i_nonideal_a[rows]
         mask = reference > 1e-8
@@ -127,9 +127,13 @@ class TestFuncsimEngineAgreement:
         g = rng.uniform(CFG.g_off_s, CFG.g_on_s, size=CFG.shape)
         tile = factory.build(g)
         v = rng.uniform(0, CFG.v_supply_v, size=(5, CFG.rows))
-        cache = factory.prepare_voltages(v)
-        np.testing.assert_allclose(tile.currents(v, cache),
-                                   tile.currents(v, None), rtol=1e-6)
+        # The kernel's path: tile-row voltages prepared once, then the
+        # tile's forward; the public call prepares its own.
+        fr = emulator.normalizer.denormalize_fr(
+            tile.forward(factory.prepare_voltages(v)))
+        np.testing.assert_array_equal(tile.fr(v), fr)
+        np.testing.assert_allclose(tile.currents(v), (v @ g) / fr,
+                                   rtol=1e-6)
 
 
 class TestNetworkOnCrossbar:

@@ -7,8 +7,9 @@ and the load benchmark use.
 
 The equivalence tests assert **byte-identical** agreement with direct
 in-process calls: predictions go through the batch-invariant
-:class:`MatrixEmulator`, so a response must match a direct per-request
-call bit-for-bit even when the scheduler coalesced it with other traffic.
+:class:`~repro.core.emulator.GeniexTileModel` of the programmed crossbar,
+so a response must match a direct per-request call bit-for-bit even when
+the scheduler coalesced it with other traffic.
 """
 
 import threading
@@ -16,7 +17,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.emulator import MatrixEmulator
+from repro.core.emulator import GeniexTileModel
 from repro.core.zoo import GeniexZoo
 from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.engine import make_engine
@@ -95,7 +96,7 @@ class TestPredictionEquivalence:
         _, zoo = served
         g, v = random_g(1), random_v(2, 4)
         out = client.predict_currents(v, model=MODEL, conductances=g)
-        direct = direct_matrix_emulator(zoo, g).predict_currents(v)[0]
+        direct = direct_matrix_emulator(zoo, g).currents(v)[0]
         np.testing.assert_array_equal(out, direct)
         assert out.shape == (4,)
 
@@ -103,7 +104,7 @@ class TestPredictionEquivalence:
         _, zoo = served
         g, v = random_g(3), random_v(4, (6, 4))
         out = client.predict_currents(v, model=MODEL, conductances=g)
-        direct = direct_matrix_emulator(zoo, g).predict_currents(v)
+        direct = direct_matrix_emulator(zoo, g).currents(v)
         np.testing.assert_array_equal(out, direct)
 
     def test_predict_fr_byte_identical(self, client, served):
@@ -111,7 +112,7 @@ class TestPredictionEquivalence:
         g, v = random_g(5), random_v(6, (3, 4))
         key = client.register_crossbar(MODEL, g)
         out = client.predict_fr(v, crossbar_key=key)
-        direct = direct_matrix_emulator(zoo, g).predict_fr(v)
+        direct = direct_matrix_emulator(zoo, g).fr(v)
         np.testing.assert_array_equal(out, direct)
 
     def test_coalesced_concurrent_requests_byte_identical(self, served):
@@ -148,7 +149,7 @@ class TestPredictionEquivalence:
         assert not errors
         warm = direct_matrix_emulator(zoo, g)
         for i in range(32):
-            direct = warm.predict_currents(voltages[i])[0]
+            direct = warm.currents(voltages[i])[0]
             np.testing.assert_array_equal(results[i], direct)
 
     def test_coalescing_actually_happened(self, client):
@@ -295,12 +296,60 @@ class TestErrorMapping:
                              "voltages": [0.1, None, 0.1, 0.1]})
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("bad", [-0.01, 1.2])
+    def test_out_of_range_voltage_400_names_range(self, client, bad):
+        key = client.register_crossbar(MODEL, random_g(11))
+        v = random_v(12, 4)
+        v[2] = bad * SPEC.config.v_supply_v
+        with pytest.raises(ServerError) as excinfo:
+            client.predict_currents(v, crossbar_key=key)
+        assert excinfo.value.status == 400
+        assert f"[0, {SPEC.config.v_supply_v}] V" in excinfo.value.message
+
+    def test_out_of_range_request_never_fails_its_batch(self, served):
+        """Out-of-range requests are rejected before they are queued: the
+        in-range requests sent at the same time on the same crossbar_key
+        still get the in-process bytes."""
+        handle, zoo = served
+        g = random_g(13)
+        good = random_v(14, (8, 4))
+        bad = random_v(15, (8, 4))
+        bad[:, 1] = 1.5 * SPEC.config.v_supply_v
+        with ServeClient("127.0.0.1", handle.port) as warmup:
+            key = warmup.register_crossbar(MODEL, g)
+        results, statuses = [None] * 8, [None] * 8
+        barrier = threading.Barrier(16)
+
+        def send_good(i):
+            with ServeClient("127.0.0.1", handle.port) as c:
+                barrier.wait()
+                results[i] = c.predict_currents(good[i], crossbar_key=key)
+
+        def send_bad(i):
+            with ServeClient("127.0.0.1", handle.port) as c:
+                barrier.wait()
+                try:
+                    c.predict_currents(bad[i], crossbar_key=key)
+                except ServerError as exc:
+                    statuses[i] = exc.status
+
+        threads = [threading.Thread(target=fn, args=(i,))
+                   for i in range(8) for fn in (send_good, send_bad)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert statuses == [400] * 8
+        warm = direct_matrix_emulator(zoo, g)
+        for i in range(8):
+            assert results[i].tobytes() == warm.currents(good[i])[0].tobytes()
+
 
 class TestBackpressure:
     def test_full_queue_maps_to_429(self, tmp_path, monkeypatch):
         """A saturated per-key queue rejects with 429 + Retry-After."""
         started, release = threading.Event(), threading.Event()
-        predict = MatrixEmulator.predict_currents
+        predict = GeniexTileModel.currents
 
         def gated(self, voltages_v):
             started.set()
@@ -315,8 +364,7 @@ class TestBackpressure:
                 client.load_model(MODEL)
                 g = random_g(1)
                 key = client.register_crossbar(MODEL, g)
-                monkeypatch.setattr(MatrixEmulator, "predict_currents",
-                                    gated)
+                monkeypatch.setattr(GeniexTileModel, "currents", gated)
 
                 def send(rows, seed):
                     with ServeClient("127.0.0.1", handle.port) as c:
@@ -478,7 +526,7 @@ class TestDeclarativeSpec:
         g, v = random_g(21), random_v(22, (3, 4))
         out = client.predict_currents(v, spec=self._spec("geniex"),
                                       conductances=g)
-        direct = direct_matrix_emulator(zoo, g).predict_currents(v)
+        direct = direct_matrix_emulator(zoo, g).currents(v)
         np.testing.assert_array_equal(out, direct)
 
     def test_unknown_spec_field_is_http_400_with_path(self, client):
