@@ -32,14 +32,16 @@ the front-end's own :class:`~repro.obs.MetricsRegistry`; ``GET /metrics``
 federates every worker's families (scraped from ``/v1/debug/obs``) into
 the Prometheus exposition under a ``worker=<id>`` label, and the JSON
 shape carries a per-worker summary (queue depths, warm tiers, latency,
-zoo counters) that ``repro obs --fleet`` renders as a table. Each routed
-request records a trace with ``route`` and ``forward`` spans.
+zoo counters) that ``repro obs --fleet`` renders as a table. The
+connection loop, tracing, request metrics and drain are
+:class:`repro.serve.httpio.HttpService`'s, shared with the server, so a
+front-end trace has the server's shape: an ``http`` root span, here with
+``route`` and ``forward`` as its children.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import logging
 from time import perf_counter
@@ -54,16 +56,15 @@ from repro.fleet.routing import (
     requested_replication,
     routing_key,
 )
-from repro.obs import MetricsRegistry, Trace, TraceBuffer, activate, \
-    current_trace, deactivate
+from repro.obs import MetricsRegistry, current_trace
 from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
 from repro.serve.httpio import (
-    PayloadTooLarge,
+    HttpService,
+    RawResponse,
     encode_request,
-    encode_response,
-    read_request,
     read_response,
+    wants_prometheus,
 )
 from repro.serve.metrics import ServeMetrics
 from repro.utils.cache import LruDict
@@ -186,7 +187,7 @@ class FleetMetrics:
     def set_inflight(self, n: int) -> None:
         self._inflight.set(n)
 
-    def observe_request(self, endpoint: str, duration_s: float) -> None:
+    def observe_http(self, endpoint: str, duration_s: float) -> None:
         child = self._lat_by_endpoint.get(endpoint)
         if child is None:
             child = self._lat_by_endpoint[endpoint] = \
@@ -213,12 +214,11 @@ class FleetMetrics:
         }
 
 
-class FleetFrontend:
+class FleetFrontend(HttpService):
     """Consistent-hash routing proxy over a fleet of serve workers."""
 
-    # Bodies above this size have their JSON parse (for routing only)
-    # offloaded to the executor, mirroring the server's policy.
-    OFFLOAD_BYTES = 256 * 1024
+    TRACE_PREFIX = "fleet"
+    LOGGER = "repro.fleet"
 
     def __init__(self, *, replication: int = 1, vnodes: int = 64,
                  max_inflight: int = 256,
@@ -229,11 +229,12 @@ class FleetFrontend:
                  connect_timeout_s: float = 5.0,
                  forward_timeout_s: float = 300.0,
                  max_body_bytes: int = 32 * 1024 * 1024,
-                 idle_timeout_s: float = 120.0,
-                 tracing: bool = True, trace_buffer_size: int = 256,
+                 idle_timeout_s: float = 120.0, tracing: bool = True,
                  learned_keys: int = 4096, max_tenants: int = 1024):
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
+        super().__init__(FleetMetrics(), max_body_bytes=max_body_bytes,
+                         idle_timeout_s=idle_timeout_s, tracing=tracing)
         self.replication = int(replication)
         self.max_inflight = int(max_inflight)
         self.quota_rate = quota_rate
@@ -243,28 +244,20 @@ class FleetFrontend:
         self.health_timeout_s = float(health_timeout_s)
         self.connect_timeout_s = float(connect_timeout_s)
         self.forward_timeout_s = float(forward_timeout_s)
-        self.max_body_bytes = int(max_body_bytes)
-        self.idle_timeout_s = float(idle_timeout_s)
-        self.tracing = bool(tracing)
-        self.metrics = FleetMetrics()
-        self.traces = TraceBuffer(trace_buffer_size)
         self.ring = HashRing(vnodes)
         self.workers: dict = {}          # wid -> WorkerState
         self._pools: dict = {}           # wid -> [(reader, writer), ...]
         self._learned = LruDict(learned_keys)   # derived key -> route key
         self._tenants = LruDict(max_tenants)    # tenant -> TokenBucket
-        self._request_ids = itertools.count(1)
-        self.host = None
-        self.port = None
-        self._server = None
         self._health_task = None
-        self._inflight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._draining = False
-        self._routed = set(ROUTED_ENDPOINTS)
-        self._local_get = {"/healthz", "/metrics", "/v1/fleet",
-                           "/v1/debug/traces", "/v1/models"}
+        self.routes = {("GET", "/healthz"): self._get_healthz,
+                       ("GET", "/metrics"): self._get_metrics,
+                       ("GET", "/v1/fleet"): self._get_fleet,
+                       ("GET", "/v1/debug/traces"): self._get_traces,
+                       ("GET", "/v1/models"): self._get_models}
+        self.routes.update(dict.fromkeys(
+            (("POST", path) for path in ROUTED_ENDPOINTS),
+            self._route_and_forward))
 
     # ------------------------------------------------------------------
     # Topology
@@ -302,16 +295,9 @@ class FleetFrontend:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._server = await asyncio.start_server(self._handle, host, port)
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+        await super().start(host, port)
         self._health_task = asyncio.get_running_loop().create_task(
             self._health_loop())
-        _log.info("fleet front-end listening on http://%s:%s",
-                  self.host, self.port)
-
-    async def serve_forever(self) -> None:
-        await self._server.serve_forever()
 
     async def close(self) -> None:
         if self._health_task is not None:
@@ -321,27 +307,9 @@ class FleetFrontend:
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().close()
         for wid in list(self._pools):
             self._close_pool(wid)
-
-    async def drain(self, grace_s: float = 30.0) -> None:
-        """Stop accepting, let in-flight forwards finish, then close."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        try:
-            await asyncio.wait_for(self._idle.wait(), grace_s)
-        except TimeoutError:
-            _log.warning("drain grace of %.1fs expired with %d "
-                         "request(s) still in flight", grace_s,
-                         self._inflight)
-        await self.close()
 
     # ------------------------------------------------------------------
     # Worker connections (small keep-alive pool per worker)
@@ -422,117 +390,19 @@ class FleetFrontend:
             return status, rheaders, rbody
 
     # ------------------------------------------------------------------
-    # HTTP front door
+    # Local GETs
     # ------------------------------------------------------------------
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        pending = False
-        try:
-            while True:
-                try:
-                    request = await asyncio.wait_for(
-                        read_request(reader, self.max_body_bytes),
-                        self.idle_timeout_s)
-                except TimeoutError:
-                    break
-                except PayloadTooLarge as exc:
-                    self.metrics.record_response(413)
-                    writer.write(encode_response(
-                        413, json.dumps({"error": str(exc)}).encode(),
-                        "application/json", keep_alive=False))
-                    await writer.drain()
-                    break
-                except ValueError:
-                    break
-                if request is None:
-                    break
-                method, path, body, keep_alive, headers = request
-                if self._draining:
-                    keep_alive = False
-                self._inflight += 1
-                self._idle.clear()
-                pending = True
-                self.metrics.set_inflight(self._inflight)
-                endpoint = f"{method} {path}"
-                rid = next(self._request_ids)
-                t0 = perf_counter()
-                trace = token = None
-                if self.tracing:
-                    trace = Trace(endpoint, trace_id=f"fleet-{rid}")
-                    token = activate(trace)
-                try:
-                    status, content_type, payload, extra = \
-                        await self._dispatch(method, path, body, headers)
-                finally:
-                    if trace is not None:
-                        deactivate(token)
-                duration_s = perf_counter() - t0
-                self.metrics.record_response(status)
-                known = path in self._local_get or path in self._routed
-                self.metrics.observe_request(
-                    endpoint if known else "other", duration_s)
-                if trace is not None:
-                    trace.meta["endpoint"] = endpoint
-                    trace.meta["status"] = status
-                    trace.meta["duration_ms"] = round(duration_s * 1e3, 3)
-                    self.traces.append(trace.to_dict())
-                writer.write(encode_response(
-                    status, payload, content_type, keep_alive=keep_alive,
-                    extra_headers=extra))
-                await writer.drain()
-                pending = False
-                self._request_done()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if pending:
-                self._request_done()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    def _request_done(self) -> None:
-        self._inflight -= 1
-        self.metrics.set_inflight(self._inflight)
-        if self._inflight <= 0:
-            self._idle.set()
-
-    @staticmethod
-    def _json(status: int, obj) -> tuple:
-        return status, "application/json", json.dumps(obj).encode(), None
-
-    async def _dispatch(self, method: str, path: str, body: bytes,
-                        headers: dict) -> tuple:
-        """Returns ``(status, content_type, body_bytes, extra_headers)``."""
-        if method == "GET" and path in self._local_get:
-            self.metrics.record_request(f"GET {path}")
-            if path == "/healthz":
-                return self._json(200, {
-                    "status": "ok", "role": "fleet-frontend",
-                    "workers": len(self.ring)})
-            if path == "/v1/fleet":
-                return self._json(200, self._topology())
-            if path == "/v1/debug/traces":
-                return self._json(200, {"traces": self.traces.snapshot()})
-            if path == "/v1/models":
-                return await self._get_models()
-            return await self._get_metrics(headers)
-        if method == "POST" and path in self._routed:
-            self.metrics.record_request(f"POST {path}")
+    async def dispatch(self, method: str, path: str, body: bytes,
+                       headers: dict) -> tuple:
+        if method == "POST":
             return await self._route_and_forward(path, body, headers)
-        if path in self._local_get or path in self._routed:
-            return self._json(
-                405, {"error": f"method {method} not allowed for {path}"})
-        return self._json(404, {"error": f"unknown endpoint {path}"})
+        return 200, await self.routes[(method, path)](headers)
 
-    def _topology(self) -> dict:
+    async def _get_healthz(self, headers: dict) -> dict:
+        return {"status": "ok", "role": "fleet-frontend",
+                "workers": len(self.ring)}
+
+    async def _get_fleet(self, headers: dict) -> dict:
         return {"ring": self.ring.describe(),
                 "replication": self.replication,
                 "workers": {wid: state.describe()
@@ -545,14 +415,12 @@ class FleetFrontend:
     async def _route_and_forward(self, path: str, body: bytes,
                                  headers: dict) -> tuple:
         if self._draining:
-            return self._json(
-                503, {"error": "front-end is draining; retry elsewhere"})
+            return 503, {"error": "front-end is draining; retry elsewhere"}
         if self._inflight > self.max_inflight:
             self.metrics.record_shed("queue")
-            return self._json(
-                429, {"error": f"front-end at capacity "
-                               f"({self.max_inflight} requests in "
-                               f"flight); retry later"})
+            return 429, {"error": f"front-end at capacity "
+                                  f"({self.max_inflight} requests in "
+                                  f"flight); retry later"}
         if self.quota_rate:
             tenant = headers.get("x-repro-tenant", "")
             now = asyncio.get_running_loop().time()
@@ -562,10 +430,10 @@ class FleetFrontend:
                 self._tenants.put(tenant, bucket)
             if not bucket.admit(now):
                 self.metrics.record_shed("quota")
-                return self._json(
-                    429, {"error": f"tenant {tenant or 'default'!r} is "
-                                   f"over its request quota "
-                                   f"({self.quota_rate:g}/s); retry later"})
+                return 429, {"error": f"tenant {tenant or 'default'!r} is "
+                                      f"over its request quota "
+                                      f"({self.quota_rate:g}/s); "
+                                      f"retry later"}
 
         trace = current_trace()
         t_route = perf_counter()
@@ -603,7 +471,7 @@ class FleetFrontend:
                 self._mark_dead(wid, str(exc))
                 continue
             except _ForwardTimeout as exc:
-                return self._json(502, {"error": str(exc)})
+                return 502, {"error": str(exc)}
             finally:
                 worker.inflight -= 1
                 duration = perf_counter() - t_fwd
@@ -614,15 +482,14 @@ class FleetFrontend:
                                          "attempt": attempt})
             if status == 200 and path in LEARN_ENDPOINTS:
                 self._learn(rkey, rbody)
-            return (status,
-                    rheaders.get("content-type", "application/json"),
-                    rbody, {"X-Repro-Worker": wid})
+            return status, RawResponse(
+                rheaders.get("content-type", "application/json"), rbody,
+                {"X-Repro-Worker": wid})
         if not len(self.ring):
-            return self._json(
-                503, {"error": "no live workers in the fleet"})
-        return self._json(
-            502, {"error": f"request failed on {len(attempted)} worker(s) "
-                           f"and no replica remains; retry later"})
+            return 503, {"error": "no live workers in the fleet"}
+        return 502, {"error": f"request failed on {len(attempted)} "
+                              f"worker(s) and no replica remains; "
+                              f"retry later"}
 
     async def _routing_key(self, path: str, body: bytes) -> tuple:
         """Resolve ``(routing_key, parsed_body_or_None)`` without raising.
@@ -633,11 +500,7 @@ class FleetFrontend:
         validation.
         """
         try:
-            if len(body) > self.OFFLOAD_BYTES:
-                parsed = await asyncio.get_running_loop().run_in_executor(
-                    None, json.loads, body)
-            else:
-                parsed = json.loads(body.decode() or "{}")
+            parsed = await self.load_json(body)
         except (UnicodeDecodeError, json.JSONDecodeError):
             return fallback_key(body), None
         if not isinstance(parsed, dict):
@@ -676,7 +539,7 @@ class FleetFrontend:
     def _live_workers(self) -> list:
         return [self.workers[wid] for wid in self.ring.members()]
 
-    async def _get_models(self) -> tuple:
+    async def _get_models(self, headers: dict) -> dict:
         """Union of every live worker's warm models."""
         async def one(worker):
             try:
@@ -698,7 +561,7 @@ class FleetFrontend:
         for models in results:
             for model in models:
                 merged.setdefault(model.get("model_key"), model)
-        return self._json(200, {"models": list(merged.values())})
+        return {"models": list(merged.values())}
 
     async def _scrape_worker(self, worker: WorkerState) -> dict | None:
         """One worker's ``/v1/debug/obs`` snapshot (families + summary)."""
@@ -716,16 +579,15 @@ class FleetFrontend:
             return None
         return data if isinstance(data, dict) else None
 
-    async def _get_metrics(self, headers: dict) -> tuple:
+    async def _get_metrics(self, headers: dict):
+        self.metrics.set_inflight(self._inflight)
         live = self._live_workers()
         scrapes = dict(zip(
             (w.wid for w in live),
             await asyncio.gather(*(self._scrape_worker(w) for w in live))))
-        accept = headers.get("accept", "").lower()
-        if ("text/plain" in accept or "openmetrics" in accept
-                or "prometheus" in accept):
-            return (200, _PROM_CONTENT_TYPE,
-                    self._render_prometheus(scrapes).encode(), None)
+        if wants_prometheus(headers):
+            return RawResponse(_PROM_CONTENT_TYPE,
+                               self._render_prometheus(scrapes).encode())
         workers = {}
         for wid, state in self.workers.items():
             entry = {"healthy": state.healthy, "host": state.host,
@@ -735,13 +597,13 @@ class FleetFrontend:
             if scraped and isinstance(scraped.get("summary"), dict):
                 entry.update(scraped["summary"])
             workers[wid] = entry
-        return self._json(200, {
+        return {
             "fleet": self.metrics.summary(),
             "ring": {**self.ring.describe(),
                      "replication": self.replication},
             "workers": workers,
             "families": self.metrics.registry.snapshot(),
-        })
+        }
 
     def _render_prometheus(self, scrapes: dict) -> str:
         """Own families + every worker's, relabelled ``worker=<id>``."""

@@ -14,8 +14,9 @@ Layers:
 * :mod:`repro.serve.metrics` — thread-safe serving counters/histograms;
 * :mod:`repro.serve.scheduler` — per-key dynamic microbatching;
 * :mod:`repro.serve.registry` — warm-model LRU over :class:`GeniexZoo`;
-* :mod:`repro.serve.httpio` — shared HTTP/1.1 parsing/encoding (also
-  used by the :mod:`repro.fleet` front-end);
+* :mod:`repro.serve.httpio` — the HTTP/1.1 front door (connection loop,
+  response writer, tracing, drain) shared with the :mod:`repro.fleet`
+  front-end;
 * :mod:`repro.serve.server` — the asyncio HTTP server;
 * :mod:`repro.serve.client` — a small blocking HTTP client.
 """

@@ -1,8 +1,9 @@
 """The asyncio HTTP front-end of the emulation service.
 
-Stdlib-only: connections are handled with :func:`asyncio.start_server` and
-a minimal HTTP/1.1 parser (request line, headers, ``Content-Length`` body,
-keep-alive). Every response is JSON.
+Stdlib-only. The connection loop, the response writer, tracing, request
+metrics and drain are :class:`repro.serve.httpio.HttpService`'s, shared
+with the fleet front-end; this module holds the routes. Every response
+is JSON, except the Prometheus exposition and streamed NDJSON.
 
 Endpoints
 ---------
@@ -54,21 +55,17 @@ Prediction and matmul requests are coalesced per warm object by the
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
-import logging
 import threading
-from time import perf_counter
 
 import numpy as np
 
 from repro.errors import ConfigError, ReproError, ShapeError
-from repro.obs import Trace, TraceBuffer, activate, deactivate, span
+from repro.obs import span
 from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
-from repro.serve.httpio import REASONS as _REASONS
-from repro.serve.httpio import PayloadTooLarge as _PayloadTooLarge
-from repro.serve.httpio import read_request
+from repro.serve.httpio import (HttpService, RawResponse, StreamingResponse,
+                                wants_prometheus)
 from repro.serve.metrics import ServeMetrics
 from repro.serve.protocol import (ProtocolError, decode_array, encode_array,
                                   parse_emulation_spec, parse_engine_kind,
@@ -78,77 +75,29 @@ from repro.serve.protocol import (ProtocolError, decode_array, encode_array,
 from repro.serve.registry import ModelRegistry
 from repro.serve.scheduler import MicrobatchScheduler, QueueFullError
 
-_log = logging.getLogger("repro.serve")
-_access_log = logging.getLogger("repro.serve.access")
-
-
-class RawResponse:
-    """A non-JSON handler result: pre-encoded body + its content type."""
-
-    __slots__ = ("content_type", "body")
-
-    def __init__(self, content_type: str, body: bytes):
-        self.content_type = content_type
-        self.body = body
-
-
-class StreamingResponse:
-    """A handler result streamed as chunked NDJSON.
-
-    ``gen`` is an async generator of JSON-encodable payloads; the HTTP
-    layer writes each as one line inside a ``Transfer-Encoding:
-    chunked`` body. An exception mid-stream becomes a final
-    ``{"error": ...}`` line and closes the connection (the 200 status
-    line is already on the wire by then).
-    """
-
-    __slots__ = ("gen",)
-
-    def __init__(self, gen):
-        self.gen = gen
-
 
 class _NotFound(ReproError, KeyError):
     """A referenced registry key is unknown (HTTP 404)."""
 
 
-class EmulationServer:
+class EmulationServer(HttpService):
     """Asyncio HTTP server wiring registry + scheduler + metrics."""
-
-    # Bodies above this size have their JSON parse/encode offloaded to the
-    # executor: a multi-MB matrix decoded on the event loop would stall
-    # every queue flush and connection for its duration.
-    OFFLOAD_BYTES = 256 * 1024
 
     def __init__(self, registry: ModelRegistry | None = None, *,
                  max_batch_rows: int = 64, max_queue_rows: int = 4096,
                  max_workers: int = 1,
                  max_body_bytes: int = 32 * 1024 * 1024,
-                 idle_timeout_s: float = 120.0,
-                 tracing: bool = True, trace_buffer_size: int = 256,
-                 slow_request_s: float = 1.0):
+                 idle_timeout_s: float = 120.0, tracing: bool = True):
+        super().__init__(ServeMetrics(), max_body_bytes=max_body_bytes,
+                         idle_timeout_s=idle_timeout_s, tracing=tracing)
         self.registry = registry or ModelRegistry()
-        self.metrics = ServeMetrics()
         self.metrics.registry.register_collector(self.registry.obs_families)
         self.scheduler = MicrobatchScheduler(
             max_batch_rows=max_batch_rows,
             max_queue_rows=max_queue_rows,
             max_workers=max_workers,
             metrics=self.metrics)
-        self.max_body_bytes = int(max_body_bytes)
-        self.idle_timeout_s = float(idle_timeout_s)
-        self.tracing = bool(tracing)
-        self.slow_request_s = float(slow_request_s)
-        self.traces = TraceBuffer(trace_buffer_size)
-        self._request_ids = itertools.count(1)
-        self.host = None
-        self.port = None
-        self._server = None
-        self._inflight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._draining = False
-        self._routes = {
+        self.routes = {
             ("GET", "/healthz"): self._get_healthz,
             ("GET", "/metrics"): self._get_metrics,
             ("GET", "/v1/debug/traces"): self._get_traces,
@@ -166,240 +115,17 @@ class EmulationServer:
             ("POST", "/v1/net_predict"): self._post_net_predict,
         }
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Bind and start accepting; ``port=0`` picks a free port."""
-        self._server = await asyncio.start_server(self._handle, host, port)
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
-        _log.info("listening on http://%s:%s", self.host, self.port)
-
-    async def serve_forever(self) -> None:
-        await self._server.serve_forever()
-
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().close()
         await self.scheduler.close()
 
-    async def drain(self, grace_s: float = 30.0) -> None:
-        """Graceful shutdown: stop accepting, finish in-flight, close.
-
-        New connections are refused immediately (the listener closes);
-        requests already being processed get up to ``grace_s`` seconds to
-        complete and are answered normally. Idle keep-alive connections
-        are not waited for — only requests that have been read count.
-        """
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        try:
-            await asyncio.wait_for(self._idle.wait(), grace_s)
-        except TimeoutError:
-            _log.warning("drain grace of %.1fs expired with %d "
-                         "request(s) still in flight", grace_s,
-                         self._inflight)
-        await self.scheduler.close()
-
-    # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        pending = False
-        try:
-            while True:
-                try:
-                    # The idle timeout bounds how long a silent or stalled
-                    # client may pin this handler and its socket; a client
-                    # whose keep-alive connection is reaped mid-send sees
-                    # a clean close and reconnects.
-                    request = await asyncio.wait_for(
-                        self._read_request(reader), self.idle_timeout_s)
-                except TimeoutError:
-                    break
-                except _PayloadTooLarge as exc:
-                    # The body was never read, so the connection cannot be
-                    # reused — but the client deserves to learn the limit.
-                    self.metrics.record_response(413)
-                    data = json.dumps({"error": str(exc)}).encode()
-                    writer.write(
-                        (f"HTTP/1.1 413 {_REASONS[413]}"
-                         f"\r\nContent-Type: application/json"
-                         f"\r\nContent-Length: {len(data)}"
-                         f"\r\nConnection: close\r\n\r\n").encode() + data)
-                    await writer.drain()
-                    break
-                except ValueError:
-                    # Oversized request line/headers (StreamReader converts
-                    # LimitOverrunError to ValueError) or a malformed
-                    # Content-Length: drop the connection.
-                    break
-                if request is None:
-                    break
-                method, path, body, keep_alive, headers = request
-                if self._draining:
-                    # Requests already on a keep-alive connection are still
-                    # answered during the grace window, but the connection
-                    # closes after so the client moves elsewhere.
-                    keep_alive = False
-                self._inflight += 1
-                self._idle.clear()
-                pending = True
-                endpoint = f"{method} {path}"
-                rid = next(self._request_ids)
-                t0 = perf_counter()
-                trace = token = http_span = None
-                if self.tracing:
-                    trace = Trace(endpoint, trace_id=f"req-{rid}")
-                    token = activate(trace)
-                    http_span = trace.begin("http")
-                try:
-                    status, payload = await self._dispatch(
-                        method, path, body, headers)
-                finally:
-                    if trace is not None:
-                        trace.end(http_span)
-                        deactivate(token)
-                duration_s = perf_counter() - t0
-                self.metrics.record_response(status)
-                # Unknown paths share one latency label so a URL scanner
-                # cannot blow up the endpoint cardinality.
-                known = (method, path) in self._routes
-                self.metrics.observe_http(
-                    endpoint if known else "other", duration_s)
-                rows = 0
-                if trace is not None:
-                    rows = trace.meta.get("rows", 0)
-                    trace.meta["endpoint"] = endpoint
-                    trace.meta["status"] = status
-                    trace.meta["duration_ms"] = round(duration_s * 1e3, 3)
-                    self.traces.append(trace.to_dict())
-                _access_log.info(
-                    'id=%d endpoint="%s" status=%d rows=%d '
-                    'duration_ms=%.3f', rid, endpoint, status, rows,
-                    duration_s * 1e3)
-                if duration_s >= self.slow_request_s:
-                    stages = ""
-                    if trace is not None and http_span.children:
-                        stages = " stages: " + ", ".join(
-                            f"{child.name}={child.duration * 1e3:.1f}ms"
-                            for child in http_span.children)
-                    _log.warning(
-                        "slow request id=%d endpoint=%s status=%d "
-                        "duration_ms=%.1f%s", rid, endpoint, status,
-                        duration_s * 1e3, stages)
-                if isinstance(payload, StreamingResponse):
-                    ok = await self._write_stream(writer, status, payload,
-                                                  keep_alive)
-                    pending = False
-                    self._request_done()
-                    if not keep_alive or not ok:
-                        break
-                    continue
-                if isinstance(payload, RawResponse):
-                    content_type = payload.content_type
-                    data = payload.body
-                elif len(body) > self.OFFLOAD_BYTES:
-                    # Big request -> likely big response: encode off-loop
-                    # so queue flushes and other connections keep moving.
-                    content_type = "application/json"
-                    data = await asyncio.get_running_loop().run_in_executor(
-                        None, lambda: json.dumps(payload).encode())
-                else:
-                    content_type = "application/json"
-                    data = json.dumps(payload).encode()
-                connection = "keep-alive" if keep_alive else "close"
-                head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}"
-                        f"\r\nContent-Type: {content_type}"
-                        f"\r\nContent-Length: {len(data)}"
-                        f"\r\nConnection: {connection}")
-                if status == 429:
-                    head += "\r\nRetry-After: 1"
-                writer.write(head.encode() + b"\r\n\r\n" + data)
-                await writer.drain()
-                pending = False
-                self._request_done()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancels in-flight connection handlers; treat
-            # it as a normal close instead of surfacing a stack trace.
-            pass
-        finally:
-            if pending:
-                self._request_done()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    def _request_done(self) -> None:
-        self._inflight -= 1
-        if self._inflight <= 0:
-            self._idle.set()
-
-    async def _write_stream(self, writer: asyncio.StreamWriter, status: int,
-                            payload: StreamingResponse,
-                            keep_alive: bool) -> bool:
-        """Write a chunked NDJSON body; returns False if the connection
-        must close (an error surfaced after the status line went out)."""
-        connection = "keep-alive" if keep_alive else "close"
-        writer.write(
-            (f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}"
-             f"\r\nContent-Type: application/x-ndjson"
-             f"\r\nTransfer-Encoding: chunked"
-             f"\r\nConnection: {connection}\r\n\r\n").encode())
-        ok = True
-        try:
-            async for item in payload.gen:
-                line = json.dumps(item).encode() + b"\n"
-                writer.write(f"{len(line):x}\r\n".encode() + line + b"\r\n")
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            raise
-        except Exception as exc:
-            # Too late for an error status: emit a terminal error line so
-            # the client fails loudly, then close the connection.
-            ok = False
-            line = json.dumps(
-                {"error": f"{type(exc).__name__}: {exc}"}).encode() + b"\n"
-            writer.write(f"{len(line):x}\r\n".encode() + line + b"\r\n")
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
-        return ok
-
-    async def _read_request(self, reader: asyncio.StreamReader):
-        return await read_request(reader, self.max_body_bytes)
-
-    async def _dispatch(self, method: str, path: str, body: bytes,
-                        headers: dict):
-        handler = self._routes.get((method, path))
-        if handler is None:
-            if any(p == path for (_, p) in self._routes):
-                return 405, {"error": f"method {method} not allowed "
-                                      f"for {path}"}
-            return 404, {"error": f"unknown endpoint {path}"}
-        self.metrics.record_request(f"{method} {path}")
+    async def dispatch(self, method: str, path: str, body: bytes,
+                       headers: dict) -> tuple:
+        handler = self.routes[(method, path)]
         try:
             if method == "POST":
                 try:
-                    if len(body) > self.OFFLOAD_BYTES:
-                        loop = asyncio.get_running_loop()
-                        parsed = await loop.run_in_executor(
-                            None, json.loads, body)
-                    else:
-                        parsed = json.loads(body.decode() or "{}")
+                    parsed = await self.load_json(body)
                 except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                     raise ProtocolError(f"invalid JSON body: {exc}") from exc
                 if not isinstance(parsed, dict):
@@ -421,14 +147,8 @@ class EmulationServer:
     async def _get_healthz(self, headers: dict) -> dict:
         return {"status": "ok"}
 
-    @staticmethod
-    def _wants_prometheus(headers: dict) -> bool:
-        accept = headers.get("accept", "").lower()
-        return ("text/plain" in accept or "openmetrics" in accept
-                or "prometheus" in accept)
-
     async def _get_metrics(self, headers: dict):
-        if self._wants_prometheus(headers):
+        if wants_prometheus(headers):
             # Prometheus text exposition straight off the obs registry
             # (instrument families + registry/zoo/engine collectors).
             text = render_prometheus(self.metrics.registry.snapshot())
@@ -437,9 +157,6 @@ class EmulationServer:
         snapshot["queue"]["per_key"] = self.scheduler.queue_depths()
         snapshot["registry"] = self.registry.stats()
         return snapshot
-
-    async def _get_traces(self, headers: dict) -> dict:
-        return {"traces": self.traces.snapshot()}
 
     async def _get_obs(self, headers: dict) -> dict:
         """Raw obs-registry snapshot (families + collectors).
@@ -669,7 +386,8 @@ class EmulationServer:
 
 
 class ServerThread:
-    """Run an :class:`EmulationServer` on a background thread.
+    """Run an :class:`EmulationServer` (or any :class:`HttpService`) on a
+    background thread.
 
     Synchronous harness used by tests, the load benchmark and the CI smoke
     job:
@@ -678,7 +396,7 @@ class ServerThread:
     ...     client = ServeClient("127.0.0.1", handle.port)
     """
 
-    def __init__(self, server: EmulationServer,
+    def __init__(self, server: HttpService,
                  host: str = "127.0.0.1", port: int = 0):
         self.server = server
         self.host = host

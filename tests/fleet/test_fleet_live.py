@@ -258,9 +258,14 @@ class TestFleetObservability:
     def test_traces_record_route_and_forward(self, fleet_client):
         fleet_client.load_model(MODEL)
         traces = fleet_client.traces()
-        assert traces
-        spans = {s["name"] for t in traces for s in t.get("spans", [])}
-        assert {"route", "forward"} <= spans
+        routed = [t for t in traces if t["name"] == "POST /v1/models"][-1]
+        # One trace shape with the server: a single ``http`` root span,
+        # with the front-end's stages as its children.
+        (http,) = routed["spans"]
+        assert http["name"] == "http"
+        kids = [c["name"] for c in http.get("children", [])]
+        assert {"route", "forward"} <= set(kids)
+        assert routed["meta"]["status"] == 200
 
     def test_fleet_report_renders_per_worker_table(self, fleet_client):
         report = fleet_report(fleet_client.metrics())

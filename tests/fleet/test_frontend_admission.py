@@ -4,7 +4,9 @@ These tests boot a :class:`FleetFrontend` with *no workers* (admission
 decisions all happen before any forward), drive it with raw HTTP via the
 shared httpio helpers, and check the shedding/drain/error surface: 503
 with an empty ring or while draining, 429 with ``Retry-After`` for
-over-quota tenants, 413/404/405 parity with the single-process server.
+over-quota tenants, 404/405 parity with the single-process server. The
+connection loop both services share (413, dropped requests, idle reaping,
+drain) is tested against both in ``tests/serve/test_http_service.py``.
 """
 
 import asyncio
@@ -108,18 +110,6 @@ class TestAdmission:
         assert headers.get("retry-after") == "1"
         assert "capacity" in body["error"]
         assert summary["shed"] == {"queue": 1}
-
-    def test_oversized_body_is_413(self):
-        async def scenario():
-            frontend = await boot(max_body_bytes=64)
-            try:
-                status, _h, _b = await roundtrip(
-                    frontend, "POST", "/v1/matmul", {"x": [0.0] * 100})
-                return status
-            finally:
-                await frontend.close()
-
-        assert run(scenario()) == 413
 
     def test_unknown_path_404_and_wrong_method_405(self):
         async def scenario():

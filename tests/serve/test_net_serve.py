@@ -10,7 +10,12 @@ must equal a direct in-process ``convert_to_mvm`` forward bit-for-bit,
 for every engine kind and with active non-idealities.
 """
 
+import asyncio
 import concurrent.futures
+import json
+import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -173,6 +178,35 @@ class TestByteIdentity:
         ref = local_logits(registry, zoo, spec, model, x)
         np.testing.assert_array_equal(plain, ref)
 
+    def test_streamed_request_is_traced_to_its_last_byte(self, client,
+                                                          monkeypatch):
+        """Latency, rows and queue spans cover the whole stream, not just
+        the creation of the stream object."""
+        batch_fn = EmulationServer._net_batch_fn
+
+        def slow(self, warm):
+            run = batch_fn(self, warm)
+
+            def sleepy(stacked):
+                time.sleep(0.2)
+                return run(stacked)
+            return sleepy
+
+        monkeypatch.setattr(EmulationServer, "_net_batch_fn", slow)
+        spec = EmulationSpec.from_dict({"engine": "exact"})
+        key = client.upload_net(tiny_mlp(seed=9), spec=spec)["net_key"]
+        x = np.random.default_rng(4).standard_normal((9, N_IN))
+        client.net_predict(x, net_key=key, stream=True, chunk_rows=3)
+        trace = [t for t in client.traces()
+                 if t["name"] == "POST /v1/net_predict"][-1]
+        assert trace["meta"]["duration_ms"] >= 600
+        assert trace["meta"]["rows"] == 9
+        (http,) = trace["spans"]
+        assert http["name"] == "http"
+        waits = [c for c in http.get("children", [])
+                 if c["name"] == "queue-wait"]
+        assert len(waits) >= 3
+
     def test_single_row_round_trip(self, client):
         model = tiny_mlp()
         spec = EmulationSpec.from_dict({"engine": "exact"})
@@ -297,3 +331,73 @@ class TestIdempotentRetryPath:
                 cur_after = client.predict_currents(v, crossbar_key=key)
         np.testing.assert_array_equal(fr_after, fr_before)
         np.testing.assert_array_equal(cur_after, cur_before)
+
+
+class TestClientDropsMidStream:
+    """A client that closes after the first NDJSON chunk: the server
+    closes the stream generator, its in-flight count returns to 0 (so a
+    drain returns at once), and the key keeps serving the same bytes."""
+
+    def test_stream_closed_and_key_keeps_serving(self, tmp_path,
+                                                 monkeypatch):
+        zoo = GeniexZoo(cache_dir=str(tmp_path / "zoo"))
+        server = EmulationServer(ModelRegistry(zoo))
+        spec = EmulationSpec.from_dict({"engine": "exact"})
+        x = np.random.default_rng(6).standard_normal((9, N_IN))
+        flushes = []
+        closed = threading.Event()
+        batch_fn = EmulationServer._net_batch_fn
+        net_stream = EmulationServer._net_stream
+
+        def slow(self, warm):
+            run = batch_fn(self, warm)
+
+            def sleepy(stacked):
+                flushes.append(stacked.shape[0])
+                time.sleep(0.05)
+                return run(stacked)
+            return sleepy
+
+        async def tracked(self, *args):
+            try:
+                async for item in net_stream(self, *args):
+                    yield item
+            finally:
+                closed.set()
+
+        with ServerThread(server) as handle:
+            with ServeClient("127.0.0.1", handle.port,
+                             timeout=300) as client:
+                key = client.upload_net(tiny_mlp(seed=5),
+                                        spec=spec)["net_key"]
+                before = client.net_predict(x, net_key=key)
+            monkeypatch.setattr(EmulationServer, "_net_batch_fn", slow)
+            monkeypatch.setattr(EmulationServer, "_net_stream", tracked)
+            body = json.dumps({"net_key": key, "x": x.tolist(),
+                               "stream": True, "chunk_rows": 1}).encode()
+            with socket.create_connection(("127.0.0.1", handle.port),
+                                          timeout=10) as sock:
+                sock.sendall(b"POST /v1/net_predict HTTP/1.1\r\n"
+                             b"Content-Length: %d\r\n\r\n" % len(body)
+                             + body)
+                seen = b""
+                while b'"chunk": 0' not in seen:
+                    part = sock.recv(65536)
+                    assert part, "server closed before the first chunk"
+                    seen += part
+            assert closed.wait(10), "stream generator was never closed"
+            deadline = time.monotonic() + 10
+            while server._inflight:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            assert len(flushes) < 9, "the stream ran on for nobody"
+            monkeypatch.setattr(EmulationServer, "_net_batch_fn", batch_fn)
+            monkeypatch.setattr(EmulationServer, "_net_stream", net_stream)
+            with ServeClient("127.0.0.1", handle.port,
+                             timeout=300) as client:
+                after = client.net_predict(x, net_key=key)
+            assert after.tobytes() == before.tobytes()
+            t0 = time.monotonic()
+            asyncio.run_coroutine_threadsafe(
+                server.drain(grace_s=30), handle._loop).result(timeout=10)
+            assert time.monotonic() - t0 < 1.0
