@@ -33,8 +33,9 @@ import numpy as np
 from repro.api.spec import EmulationSpec
 from repro.core.zoo import GeniexZoo
 from repro.errors import ConfigError
+from repro.funcsim.compiler import PreparedMatrix
 from repro.funcsim.convert import convert_to_mvm
-from repro.funcsim.engine import PreparedMatrix, make_engine
+from repro.funcsim.engine import make_engine
 from repro.obs import span
 from repro.utils.cache import LruDict
 

@@ -22,14 +22,14 @@ circuit simulator.
 
 * :meth:`CrossbarMvmEngine.prepare` (compile) quantises, slices and tiles
   a weight matrix, programs every (sign, slice, tile) crossbar model and
-  lowers the layer into a static
-  :class:`~repro.funcsim.planner.LayerProgram` — the tile stream-block
-  schedule, ADC/shift-add merge plan and cost metadata
-  (:mod:`repro.funcsim.planner`); :func:`convert_to_mvm` does this once
-  for every layer of a network;
-* :meth:`CrossbarMvmEngine.matmul` (execute) runs a program as
-  independent (batch-chunk, tile-row) shards through the kernel of
-  :mod:`repro.funcsim.runtime`, on the calling thread or — with
+  returns one compiled layer,
+  :class:`~repro.funcsim.compiler.PreparedMatrix`, whose static
+  :class:`LayerPlan` holds the tile stream-block schedule, ADC/shift-add
+  merge plan and cost metadata (:mod:`repro.funcsim.planner`);
+  :func:`convert_to_mvm` does this once for every layer of a network;
+* :meth:`CrossbarMvmEngine.matmul` (execute) runs the layer as
+  independent (batch-chunk, tile-row) shards through its kernel
+  (:mod:`repro.funcsim.compiler`), on the calling thread or — with
   ``workers > 1`` — on the engine's thread pool, merging partial sums
   digitally in tile-row order as the hardware's peripheral logic would.
 
@@ -37,9 +37,9 @@ Every worker count produces bit-identical outputs; with ADC noise,
 per-shard noise streams are keyed by tile coordinates so noisy runs
 reproduce exactly regardless of scheduling.
 
-**One compiled kernel.** A compile pass (:mod:`repro.funcsim.compiler`)
-lowers each layer program into one tile-row shard kernel, the same for
-every engine kind: all active stream blocks of a tile-row are read out in
+**One compiled kernel.** Every prepared layer runs one tile-row shard
+kernel (:mod:`repro.funcsim.compiler`), the same for every engine kind:
+all active stream blocks of a tile-row are read out in
 one flat ``(streams * batch, models * cols)`` measurement — one stacked
 GEMM for ``exact``/``analytical``, plus the pruned NN forward and fR
 divide for ``geniex``, or each model's own solve for
@@ -77,8 +77,7 @@ from repro.funcsim.engine import (
     IdealMvmEngine,
     make_engine,
 )
-from repro.funcsim.compiler import CompiledLayer, compile_program
-from repro.funcsim.planner import LayerPlan, LayerProgram, plan_layer
+from repro.funcsim.planner import LayerPlan, plan_layer
 from repro.funcsim.layers import Conv2dMVM, LinearMVM
 from repro.funcsim.convert import convert_to_mvm
 
@@ -96,10 +95,7 @@ __all__ = [
     "CircuitTileFactory",
     "make_engine",
     "LayerPlan",
-    "LayerProgram",
     "plan_layer",
-    "CompiledLayer",
-    "compile_program",
     "LinearMVM",
     "Conv2dMVM",
     "convert_to_mvm",

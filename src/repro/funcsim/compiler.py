@@ -1,13 +1,17 @@
-"""Compile pass: lower a layer program into the one tile-row shard kernel.
+"""The compiled layer and its shard kernel.
 
-Every engine kind runs the same kernel (:meth:`CompiledLayer.execute`).
-:func:`compile_program` prepares, once per layer, what the kernel would
-otherwise re-derive per shard: each tile-row's models, their read-out
-operands column-concatenated into one ``(rows, M * cols)`` matrix for
-the closed-form kinds, and the shift-and-add prefactors. A shard then
-runs three stages over one flat ``(S * batch, M * cols)`` measurement,
-where ``S`` counts the active (activation-sign, stream) blocks and ``M``
-the (weight-sign, slice, tile-column) models of the tile-row:
+:meth:`CrossbarMvmEngine.prepare
+<repro.funcsim.engine.CrossbarMvmEngine.prepare>` returns a
+:class:`PreparedMatrix`: the quantised weights, the frozen
+:class:`~repro.funcsim.planner.LayerPlan`, and everything the kernel
+would otherwise re-derive per shard — each tile-row's models, their
+read-out operands column-concatenated into one ``(rows, M * cols)``
+matrix for the closed-form kinds, and the shift-and-add prefactors.
+Every engine kind runs the same kernel (:meth:`PreparedMatrix.run_shard`)
+on one (tile-row, batch-chunk) *shard* at a time, in three stages over
+one flat ``(S * batch, M * cols)`` measurement, where ``S`` counts the
+active (activation-sign, stream) blocks (:func:`gather_streams`) and
+``M`` the (weight-sign, slice, tile-column) models of the tile-row:
 
 1. **Read-out.** All stream blocks are stacked into one ``(S * batch,
    rows)`` voltage batch. ``exact`` and ``analytical`` tiles are one
@@ -32,23 +36,70 @@ the (weight-sign, slice, tile-column) models of the tile-row:
    with the count grid (the bias is a whole number of codes), every
    step is exact and the ``exact`` engine equals Ideal FxP bit for bit.
 
-The kernel's large temporaries come from a :class:`ScratchPool` that the
-preparing engine shares across all its compiled layers: one grow-only
-flat buffer per (thread, name, dtype), so scratch memory is bounded by
-the largest shard, which :func:`~repro.funcsim.planner.plan_layer` caps.
+Shards are independent, so they may run in any order on any thread;
+:func:`merge_tile_rows` then accumulates the per-tile-row contributions
+*in tile-row order* through the fixed-point accumulator, exactly as the
+hardware's peripheral digital logic would. The kernel's large
+temporaries come from a :class:`ScratchPool` that the preparing engine
+shares across all its layers: one grow-only flat buffer per (thread,
+name, dtype), so scratch memory is bounded by the largest shard, which
+:func:`~repro.funcsim.planner.plan_layer` caps.
+
+Determinism contract:
+
+* The shard decomposition (:func:`chunk_ranges`) is a pure function of
+  the batch size, the engine's ``shard_rows`` and the layer's
+  ``chunk_rows`` cap — never of the worker count — so the set of shards
+  (and therefore every zero-stream skipping decision) is identical no
+  matter how execution is scheduled.
+* With a deterministic ADC the kernel is pure, so any schedule produces
+  bit-identical results; in batch-invariant mode results are additionally
+  identical across chunk sizes (the digital back end is exact, so only
+  the read-out could depend on the batch, and invariant mode pins it).
+* With ADC noise, :func:`shard_adc` derives each shard's noise stream from
+  ``(adc_seed, layer uid, matmul sequence, tile-row, chunk)`` — tile
+  coordinates, not shard assignment — so noisy runs reproduce bit-exactly
+  at any worker count.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import threading
 
 import numpy as np
 
 from repro.core.emulator import GeniexTileFactory
-from repro.funcsim.planner import LayerProgram
+from repro.errors import ShapeError
+from repro.funcsim.adc import AdcModel
+from repro.funcsim.planner import LayerPlan, plan_layer
+from repro.funcsim.slicing import sign_split, split_unsigned
+from repro.funcsim.tiles import pad_axis
 from repro.obs import span
 from repro.utils.numerics import batch_invariant_matmul, select_matmul
+
+#: Default batch rows per shard. Fixed (worker-count independent) so the
+#: shard set — and with it zero-skip decisions and noise keying — depends
+#: only on the workload, never on the execution schedule. Sized so the
+#: Python-side decode loop stays negligible against the batched tile math
+#: while conv-sized im2col batches still split into several chunks per
+#: tile-row for the thread pool.
+DEFAULT_SHARD_ROWS = 1024
+
+#: Every per-shard counter, in report order. The single source of truth
+#: for the stat schema: ``EngineStats.FIELDS`` aliases this tuple, so the
+#: kernel's shard-local dicts and the engine's cumulative report can
+#: never drift apart (a new counter added here is automatically counted,
+#: merged, snapshotted and serialised everywhere).
+STAT_FIELDS = ("matmuls", "readouts", "skipped_zero_streams",
+               "adc_conversions")
+
+
+def new_stat_counts() -> dict:
+    """Fresh per-shard counter dict (mergeable into ``EngineStats``)."""
+    return dict.fromkeys(STAT_FIELDS, 0)
 
 
 class ScratchPool:
@@ -177,55 +228,208 @@ class GeniexRowStack:
         return np.add(y.reshape(n_models, n, -1), bias, out=out)
 
 
-class CompiledLayer:
-    """Executable form of one layer program.
+# ----------------------------------------------------------------------
+# Shard inputs
+# ----------------------------------------------------------------------
+def quantize_input(x, n_in: int, fmt, rows: int = 1) -> np.ndarray:
+    """Validate and quantise a ``(B, n_in)`` activation batch to ``fmt``.
 
-    Holds each tile-row's models (``(sign, slice, tc)`` model-major, the
-    order of the measurement's column blocks) and, for the closed-form
-    kinds, their column-concatenated read-out operand; for batch-invariant
-    geniex layers each tile-row's stacked forward; the shift-and-add
-    prefactors; and the scratch pool the kernel takes temporaries from.
+    A 1-D vector is one row. The integer codes are zero-padded to a
+    multiple of ``rows`` columns (the crossbar height). Any other shape
+    raises :class:`~repro.errors.ShapeError`.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.ndim != 2 or x.shape[1] != n_in:
+        raise ShapeError(
+            f"expected activations of shape (B, {n_in}), got {x.shape}")
+    return pad_axis(fmt.quantize_to_int(x), 1, rows)
+
+
+def active_signs(qx: np.ndarray) -> list:
+    """Activation signs present in a quantised (chunk) batch.
+
+    Computed over the full input width of the chunk — not per tile-row —
+    mirroring the historical engine loop so the per-block zero-stream
+    skip statistics stay comparable.
+    """
+    parts = sign_split(qx)
+    signs = [k for k, part in enumerate(parts) if np.any(part)]
+    return signs or [0]
+
+
+def chunk_ranges(batch: int, shard_rows: int) -> list:
+    """Fixed decomposition of ``batch`` rows into ``(start, stop)`` chunks."""
+    shard_rows = max(1, int(shard_rows))
+    return [(start, min(start + shard_rows, batch))
+            for start in range(0, batch, shard_rows)]
+
+
+@functools.lru_cache(maxsize=64)
+def _deterministic_adc(bits: int, lsb_a: float, offset_a: float) -> AdcModel:
+    # Without noise the converter never touches its generator, so one
+    # instance serves every shard (and thread) of every matching plan;
+    # seeding a generator per shard costs ~20 us, a tenth of a one-row
+    # serve shard.
+    return AdcModel(bits, lsb_a, offset_a=offset_a)
+
+
+def shard_adc(plan: LayerPlan, seq: int, tr: int, chunk: int) -> AdcModel:
+    """ADC instance for one shard, with a coordinate-keyed noise stream."""
+    if plan.adc_noise_rms_a == 0.0:
+        return _deterministic_adc(plan.adc_bits, plan.adc_lsb_a,
+                                  plan.adc_offset_a)
+    return AdcModel(plan.adc_bits, plan.adc_lsb_a,
+                    offset_a=plan.adc_offset_a,
+                    noise_rms_a=plan.adc_noise_rms_a,
+                    seed=plan.noise_seed(seq, tr, chunk))
+
+
+def gather_streams(plan: LayerPlan, qx: np.ndarray, x_signs: list,
+                   tr: int, stats: dict) -> tuple:
+    """Non-zero (sign, stream) level blocks of tile-row ``tr``.
+
+    Returns ``(stream_levels, stream_info)`` in the fixed (activation
+    sign, stream) order the decode stage consumes them. An all-zero
+    block drives no current, so it is skipped and tallied in
+    ``skipped_zero_streams``.
+    """
+    cfg = plan.sim_config
+    block = qx[:, tr * plan.rows:(tr + 1) * plan.rows]
+    parts = sign_split(block)
+    per_stream_models = len(plan.sign_present) * cfg.n_slices * plan.t_c
+    mag_bits = cfg.activation_format.magnitude_bits
+    stream_levels = []
+    stream_info = []
+    for sx in x_signs:
+        units = split_unsigned(parts[sx], mag_bits, cfg.stream_bits)
+        for m in range(cfg.n_streams):
+            levels = units[m]
+            if not levels.any():
+                # Zero drive => exactly zero currents.
+                stats["skipped_zero_streams"] += per_stream_models
+                continue
+            stream_levels.append(levels)
+            stream_info.append((sx, m))
+    return stream_levels, stream_info
+
+
+# ----------------------------------------------------------------------
+# The compiled layer
+# ----------------------------------------------------------------------
+class PreparedMatrix:
+    """A weight matrix quantised, tiled, programmed and compiled.
+
+    ``uid`` identifies the prepared content in ADC noise stream seeds and
+    compile spans. It is a content digest (weights + tiling + engine
+    token), not a process-local counter: two processes that prepare the
+    same matrix agree on the uid, and two *different* matrices can never
+    collide just because they were prepared in forked processes with the
+    same counter state.
+
+    Given the preparing ``engine`` and its programmed ``models`` (keyed
+    ``(sign, slice, tile_row, tile_col)``), the constructor plans the
+    layer (:func:`~repro.funcsim.planner.plan_layer`, from ``qw`` and
+    ``uid``) and compiles it under a ``kernel-compile`` span (for geniex
+    with ``hidden_kept``/``hidden_total`` meta: the hidden units the
+    layer's pruned tiles run, of those the emulator has). It keeps each
+    tile-row's models in ``(sign, slice, tile_col)`` model-major order —
+    the order of the measurement's column blocks — with, for the
+    closed-form kinds, their column-concatenated read-out operand and,
+    for batch-invariant geniex layers, their stacked forward
+    (:class:`GeniexRowStack`); the shift-and-add prefactors; the
+    engine's scratch pool; and the tile factory's voltage augmenter and
+    normaliser. Without an engine (the ideal engine's product) ``plan``
+    is ``None`` and the matrix holds only ``qw`` and ``uid``.
     """
 
-    def __init__(self, kind: str, batch_invariant: bool, n_sw: int,
-                 n_k: int, t_c: int, row_models: list, row_operands: list,
-                 row_stacks: list, stream_scales: np.ndarray,
-                 sw_slice: np.ndarray, scratch: ScratchPool):
-        self.kind = kind
-        self.scratch = scratch
+    def __init__(self, qw: np.ndarray, uid: str, engine=None,
+                 models: dict | None = None):
+        self.qw = qw
+        self.uid = uid
+        #: The frozen :class:`~repro.funcsim.planner.LayerPlan`.
+        self.plan = None if engine is None else plan_layer(engine, self)
+        if engine is None:
+            return
+        plan = self.plan
+        cfg = plan.sim_config
+        factory = engine.tile_factory
+        self.kind = factory.name
+        self.scratch = engine._scratch
+        batch_invariant = bool(getattr(factory, "batch_invariant", False))
         self._matmul = select_matmul(batch_invariant)
-        self.n_sw = n_sw
-        self.n_k = n_k
-        self.t_c = t_c
-        self.row_models = row_models
-        #: Per tile-row ``(rows, M * cols)`` read-out operand (``None``
-        #: for the iterative kinds, which solve each tile themselves).
-        self.row_operands = row_operands
-        #: Per tile-row :class:`GeniexRowStack`
-        #: (``None``: each tile runs its own forward).
-        self.row_stacks = row_stacks
-        self.stream_scales = stream_scales
-        #: ``(n_sw, n_k)`` outer product of weight-sign factors and
-        #: ``2**(k * slice_bits)`` slice scales (exact in float64).
-        self.sw_slice = sw_slice
+        geniex = self.kind == "geniex"
+        self._augment = factory.prepare_voltages if geniex else None
+        self._normalizer = factory.emulator.normalizer if geniex else None
+        #: Matmul sequence numbers keying the ADC noise streams
+        #: (:meth:`LayerPlan.noise_seed`): every call through the layer
+        #: draws fresh noise, and the counter lives as long as the layer.
+        self._seq = itertools.count()
+        meta = {}
+        if geniex:
+            # How much of the emulator network the layer's tiles actually
+            # run.
+            meta["hidden_kept"] = sum(m.kept.size for m in models.values())
+            meta["hidden_total"] = factory.emulator.model.hidden \
+                * len(models)
+        with span("kernel-compile", layer=plan.uid, kind=self.kind, **meta):
+            coords = [(sw, k, tc) for sw in plan.sign_present
+                      for k in range(cfg.n_slices) for tc in range(plan.t_c)]
+            self.row_models = [
+                [models[(sw, k, tr, tc)] for sw, k, tc in coords]
+                for tr in range(plan.t_r)]
+            #: Per tile-row ``(rows, M * cols)`` read-out operand (``None``
+            #: for the iterative kinds, which solve each tile themselves).
+            self.row_operands = [
+                _cat_columns(np.stack([m.transfer for m in row]))
+                if hasattr(row[0], "transfer") else None
+                for row in self.row_models]
+            #: Per tile-row :class:`GeniexRowStack`
+            #: (``None``: each tile runs its own forward).
+            self.row_stacks = [
+                GeniexRowStack(factory, row)
+                if geniex and batch_invariant else None
+                for row in self.row_models]
+            sw_factors = np.array([1.0 if sw == 0 else -1.0
+                                   for sw in plan.sign_present])
+            slice_scales = np.array([float(2 ** (k * cfg.slice_bits))
+                                     for k in range(cfg.n_slices)])
+            self.stream_scales = np.array(
+                [float(2 ** (m * cfg.stream_bits))
+                 for m in range(cfg.n_streams)])
+            #: ``(n_sw, n_k)`` outer product of weight-sign factors and
+            #: ``2**(k * slice_bits)`` slice scales (exact in float64).
+            self.sw_slice = np.outer(sw_factors, slice_scales)
+
+    @property
+    def n_in(self) -> int:
+        return self.qw.shape[0]
+
+    @property
+    def n_out(self) -> int:
+        return self.qw.shape[1]
 
     @property
     def n_models(self) -> int:
         """Models per tile-row (column blocks of the measurement)."""
-        return self.n_sw * self.n_k * self.t_c
+        plan = self.plan
+        return len(plan.sign_present) * plan.sim_config.n_slices * plan.t_c
+
+    def next_seq(self) -> int:
+        """Sequence number of the next matmul (thread-safe: ``next`` on a
+        counter is atomic under the GIL)."""
+        return next(self._seq)
 
     # ------------------------------------------------------------------
     # Read-out
     # ------------------------------------------------------------------
-    def readout(self, program: LayerProgram, tr: int,
-                voltages: np.ndarray) -> np.ndarray:
+    def readout(self, tr: int, voltages: np.ndarray) -> np.ndarray:
         """Currents of every model of tile-row ``tr``, ``(n, M * cols)``.
 
         Column block ``mi`` holds model ``mi``'s currents: a stacked
         product computes each output column from one operand column, so
         every block equals that model's own ``currents()`` call (tested).
         """
-        cols = program.plan.cols
+        cols = self.plan.cols
         models = self.row_models[tr]
         n_rows = voltages.shape[0]
         i_flat = self.scratch.take("i_flat", (n_rows, len(models) * cols))
@@ -237,13 +441,12 @@ class CompiledLayer:
             return i_flat
         self._matmul(voltages, operand, out=i_flat)
         if self.kind == "geniex":
-            fr = self._friction(program, tr, voltages)
+            fr = self._friction(tr, voltages)
             i3 = i_flat.reshape(n_rows, len(models), cols)
             np.divide(i3, fr.transpose(1, 0, 2), out=i3)
         return i_flat
 
-    def _friction(self, program: LayerProgram, tr: int,
-                  voltages: np.ndarray) -> np.ndarray:
+    def _friction(self, tr: int, voltages: np.ndarray) -> np.ndarray:
         """Geniex non-ideality factors ``(M, n, cols)``, model-major.
 
         The factory augments the voltages once for the whole tile-row.
@@ -257,9 +460,9 @@ class CompiledLayer:
         element-wise, so it runs once, in place, over the whole block.
         """
         models = self.row_models[tr]
-        shared = program.tile_factory.prepare_voltages(voltages)
+        shared = self._augment(voltages)
         n_rows = shared.shape[0]
-        fr = self.scratch.take("fr", (len(models), n_rows, program.plan.cols))
+        fr = self.scratch.take("fr", (len(models), n_rows, self.plan.cols))
         stack = self.row_stacks[tr]
         if stack is not None:
             stack.forward(shared, fr, self.scratch)
@@ -269,99 +472,73 @@ class CompiledLayer:
                 np.float32)
             for mi, model in enumerate(models):
                 model.forward(shared, out=fr[mi], work=work)
-        return program.tile_factory.emulator.normalizer.denormalize_fr(
-            fr, out=fr)
+        return self._normalizer.denormalize_fr(fr, out=fr)
 
     # ------------------------------------------------------------------
     # Shard kernel
     # ------------------------------------------------------------------
-    def execute(self, program: LayerProgram, tr: int, stream_levels: list,
-                stream_info: list, batch: int, adc) -> np.ndarray:
-        """Decoded counts ``(batch, t_c * cols)`` of one shard.
+    def run_shard(self, qx: np.ndarray, x_signs: list, seq: int, tr: int,
+                  chunk: int) -> tuple:
+        """Decoded contribution of tile-row ``tr`` for one quantised chunk.
 
-        ``stream_levels``/``stream_info`` are the active stream blocks of
-        :func:`~repro.funcsim.runtime.kernel.gather_streams`. The result
-        is scaled by the shift-and-add and sign factors but not by
-        ``value_lsb`` (the tile-row merge applies that).
+        ``qx`` is the full-width padded integer activation chunk number
+        ``chunk`` of matmul ``seq``; ``x_signs`` the activation signs
+        present in it (see :func:`active_signs`). Returns ``(counts,
+        stats)``: ``(chunk rows, t_c * cols)`` float counts, already
+        scaled by the shift-and-add and sign factors but *not* by
+        ``value_lsb`` (:func:`merge_tile_rows` applies that together with
+        the accumulator format), and the shard's
+        :func:`new_stat_counts`.
         """
-        plan = program.plan
+        plan = self.plan
         cols = plan.cols
+        batch = qx.shape[0]
+        stats = new_stat_counts()
+        stream_levels, stream_info = gather_streams(plan, qx, x_signs, tr,
+                                                    stats)
+        if not stream_levels:
+            return np.zeros((batch, plan.out_width)), stats
         s_count = len(stream_levels)
+        readouts = self.n_models * s_count
+        stats["readouts"] += readouts
+        stats["adc_conversions"] += readouts * batch * cols
         voltages = self.scratch.take("voltages",
                                      (s_count * batch, plan.rows))
         for s, levels in enumerate(stream_levels):
             np.multiply(levels, plan.v_lsb,
                         out=voltages[s * batch:(s + 1) * batch])
-        codes = adc.transfer(self.readout(program, tr, voltages))
+        adc = shard_adc(plan, seq, tr, chunk)
+        codes = adc.transfer(self.readout(tr, voltages))
         s_scale = np.array([(1.0 if sx == 0 else -1.0)
                             * self.stream_scales[m] for sx, m in stream_info])
         prefac = s_scale[:, None, None] * self.sw_slice[None, :, :]
         # Integer codes times signed powers of two, every partial sum
         # below 2**53: exact in float64 whatever the summation order.
+        n_sw, n_k = self.sw_slice.shape
         code_sums = np.einsum(
             "sbwktc,swk->btc",
-            codes.reshape(s_count, batch, self.n_sw, self.n_k, self.t_c,
-                          cols),
-            prefac).reshape(batch, self.t_c * cols)
+            codes.reshape(s_count, batch, n_sw, n_k, plan.t_c, cols),
+            prefac).reshape(batch, plan.out_width)
         # The g_off bias of every term, as one per-row code count: each
         # stream's level sum times its total prefactor, in bias codes.
         level_sums = np.stack([levels.sum(axis=1)
                                for levels in stream_levels])
         bias = plan.bias_codes * (prefac.sum(axis=(1, 2)) @ level_sums)
         np.subtract(code_sums, bias[:, None], out=code_sums)
-        return np.divide(code_sums, plan.codes_per_count, out=code_sums)
+        return np.divide(code_sums, plan.codes_per_count,
+                         out=code_sums), stats
 
 
-def compile_program(program: LayerProgram,
-                    scratch: ScratchPool) -> CompiledLayer:
-    """Lower a layer program into its executable form.
+def merge_tile_rows(plan: LayerPlan, counts: np.ndarray) -> np.ndarray:
+    """Accumulate per-tile-row counts ``(t_r, B, t_c * cols)`` digitally.
 
-    ``scratch`` is the pool the kernel takes its temporaries from (an
-    engine passes one pool to all its layers). Stacks each tile-row's
-    models and, when they expose a linear read-out operand
-    (``transfer``), column-concatenates those; precomputes the decode
-    prefactors. Emits a ``kernel-compile`` obs span (for geniex with
-    ``hidden_kept``/``hidden_total`` meta: the hidden units the layer's
-    pruned tiles run, of those the emulator has). A batch-invariant
-    geniex layer also stacks each tile-row's tiles into one forward
-    (:class:`GeniexRowStack`).
+    Tile-row partial sums pass through the fixed-point accumulator register
+    in tile-row order (paper: 32-bit, 24 fractional) — the order is part of
+    the modelled hardware, so the merge is sequential no matter how the
+    shards were scheduled. Returns the ``(B, n_out)`` output values.
     """
-    factory = program.tile_factory
-    kind = factory.name
-    batch_invariant = bool(getattr(factory, "batch_invariant", False))
-    plan = program.plan
-    cfg = plan.sim_config
-    meta = {}
-    if kind == "geniex":
-        # How much of the emulator network the layer's tiles actually run.
-        meta["hidden_kept"] = sum(m.kept.size
-                                  for m in program.models.values())
-        meta["hidden_total"] = factory.emulator.model.hidden \
-            * len(program.models)
-    with span("kernel-compile", layer=plan.uid, kind=kind, **meta):
-        coords = [(sw, k, tc) for sw in plan.sign_present
-                  for k in range(cfg.n_slices) for tc in range(plan.t_c)]
-        row_models, row_operands, row_stacks = [], [], []
-        for tr in range(plan.t_r):
-            models = [program.models[(sw, k, tr, tc)]
-                      for sw, k, tc in coords]
-            row_models.append(models)
-            row_operands.append(
-                _cat_columns(np.stack([m.transfer for m in models]))
-                if hasattr(models[0], "transfer") else None)
-            row_stacks.append(GeniexRowStack(factory, models)
-                              if kind == "geniex" and batch_invariant
-                              else None)
-        sw_factors = np.array([1.0 if sw == 0 else -1.0
-                               for sw in plan.sign_present])
-        slice_scales = np.array([float(2 ** (k * cfg.slice_bits))
-                                 for k in range(cfg.n_slices)])
-        stream_scales = np.array([float(2 ** (m * cfg.stream_bits))
-                                  for m in range(cfg.n_streams)])
-        return CompiledLayer(
-            kind=kind, batch_invariant=batch_invariant,
-            n_sw=len(plan.sign_present), n_k=cfg.n_slices, t_c=plan.t_c,
-            row_models=row_models, row_operands=row_operands,
-            row_stacks=row_stacks,
-            stream_scales=stream_scales,
-            sw_slice=np.outer(sw_factors, slice_scales), scratch=scratch)
+    acc = plan.sim_config.accumulator_format
+    out_value = np.zeros(counts.shape[1:])
+    for tr in range(counts.shape[0]):
+        out_value = acc.quantize(out_value + counts[tr] * plan.value_lsb)
+    return out_value[:, :plan.n_out]

@@ -8,14 +8,14 @@ Model-mvm.py`` step in the paper's Fig. 6. The converted model is
 inference-only.
 
 Conversion is also the network-level *compile* step: every replaced
-layer's weights are prepared (programmed into tile models and lowered to
-a :class:`~repro.funcsim.planner.LayerProgram`) exactly once, and every
-forward pass only executes those programs on the engine — threaded when
-the engine has ``workers > 1``.
+layer's weights are prepared (programmed into tile models and compiled
+into a :class:`~repro.funcsim.compiler.PreparedMatrix`) exactly once,
+and every forward pass only executes those compiled layers on the
+engine — threaded when the engine has ``workers > 1``.
 
 Fault injection composes transparently: an engine built with a
 ``nonideality`` spec (see :mod:`repro.nonideal`) perturbs every layer's
-tiles during this compile step, so the layer programs carry the faulty
+tiles during this compile step, so the compiled layers carry the faulty
 crossbar state — whole-DNN inference under device faults is just
 ``convert_to_mvm(model, faulty_engine)``.
 """

@@ -5,27 +5,29 @@
 
 * **Compile** — :meth:`CrossbarMvmEngine.prepare` quantises, sign-splits,
   slices and tiles a weight matrix, programs one tile model per
-  (weight-sign, slice, tile) and lowers the result into a static
-  :class:`~repro.funcsim.planner.LayerProgram` (tile schedule, decode
-  constants, ADC transfer, cost metadata).
+  (weight-sign, slice, tile) and returns the compiled layer, a
+  :class:`~repro.funcsim.compiler.PreparedMatrix` holding the static
+  :class:`~repro.funcsim.planner.LayerPlan` (tile schedule, decode
+  constants, ADC transfer, cost metadata) and the tile models.
 * **Execute** — :meth:`CrossbarMvmEngine.matmul` streams quantised
-  activations through the program via the shard kernel
-  (:mod:`repro.funcsim.runtime.kernel`): per tile-row the sign-split
-  activations are streamed ``stream_bits`` at a time as DAC voltages; every
-  (weight-sign, slice, tile) crossbar returns analog bit-line currents from
-  its *tile model*; the ADC digitises them; the digital back-end removes
-  the ``g_off`` mapping bias, merges streams/slices with shift-and-add and
-  accumulates tile partial sums in the fixed-point accumulator.
+  activations through the layer's shard kernel
+  (:meth:`~repro.funcsim.compiler.PreparedMatrix.run_shard`): per
+  tile-row the sign-split activations are streamed ``stream_bits`` at a
+  time as DAC voltages; every (weight-sign, slice, tile) crossbar returns
+  analog bit-line currents from its *tile model*; the ADC digitises
+  them; the digital back-end removes the ``g_off`` mapping bias, merges
+  streams/slices with shift-and-add and accumulates tile partial sums in
+  the fixed-point accumulator.
 
 Every matmul runs one schedule: the batch is cut into fixed
-:data:`~repro.funcsim.runtime.kernel.DEFAULT_SHARD_ROWS`-row chunks and
+:data:`~repro.funcsim.compiler.DEFAULT_SHARD_ROWS`-row chunks and
 each (chunk, tile-row) shard goes through the kernel with its own
 coordinate-keyed ADC noise stream; tile-row partial sums are then merged
 through the fixed-point accumulator in tile-row order. ``workers > 1``
 fans the shards over an engine-owned thread pool (the tile math is BLAS
 and releases the GIL). The shard set never depends on ``workers``, so
 every worker count returns bit-identical outputs; see
-:mod:`repro.funcsim.runtime.kernel` for the determinism contract.
+:mod:`repro.funcsim.compiler` for the determinism contract.
 
 **Batched execution.** Every tile model accepts voltage batches of shape
 ``(M, rows)`` and returns currents of shape ``(M, cols)`` — that is the
@@ -70,19 +72,17 @@ from repro.core.emulator import GeniexEmulator, GeniexTileFactory
 from repro.errors import ConfigError, ShapeError
 from repro.funcsim.adc import AdcModel
 from repro.funcsim.config import FuncSimConfig
-from repro.funcsim.compiler import ScratchPool, compile_program
-from repro.funcsim.planner import plan_layer
-from repro.funcsim.runtime.kernel import (
+from repro.funcsim.compiler import (
     DEFAULT_SHARD_ROWS,
     STAT_FIELDS,
+    PreparedMatrix,
+    ScratchPool,
     active_signs,
     chunk_ranges,
     merge_tile_rows,
-    new_stat_counts,
     quantize_input,
-    run_tile_row,
-    shard_adc,
 )
+from repro.funcsim.planner import weight_signs
 from repro.obs import span
 from repro.funcsim.slicing import sign_split, split_unsigned
 from repro.funcsim.tiles import n_tiles, tile_matrix
@@ -120,6 +120,15 @@ MIN_SHARD_COST = 1 << 14
 # ----------------------------------------------------------------------
 # Tile models
 # ----------------------------------------------------------------------
+class _ConfigTileFactory:
+    """Base of the factories built for one crossbar config: they program
+    tiles of exactly that shape."""
+
+    def check_crossbar(self, config: CrossbarConfig) -> None:
+        if config.shape != self.config.shape:
+            raise ConfigError("tile factory / engine crossbar shape mismatch")
+
+
 class ExactTileModel:
     """Tile computing the exact analog dot product (ideality oracle).
 
@@ -139,7 +148,7 @@ class ExactTileModel:
         return ideal_mvm(voltages_v, self.conductance_s)
 
 
-class ExactTileFactory:
+class ExactTileFactory(_ConfigTileFactory):
     """Ideality oracle: tiles compute the exact analog dot product.
 
     Running the full bit-sliced pipeline with this factory isolates the
@@ -156,10 +165,6 @@ class ExactTileFactory:
         self.batch_invariant = bool(batch_invariant)
         self._matmul = select_matmul(batch_invariant)
 
-    def check_crossbar(self, config: CrossbarConfig) -> None:
-        if config.shape != self.config.shape:
-            raise ConfigError("tile factory / engine crossbar shape mismatch")
-
     def cache_token(self) -> str:
         return f"exact|bi={int(self.batch_invariant)}"
 
@@ -169,7 +174,7 @@ class ExactTileFactory:
             self._matmul if self.batch_invariant else None)
 
 
-class AnalyticalTileFactory:
+class AnalyticalTileFactory(_ConfigTileFactory):
     """Exact linear parasitic model, reduced to a transfer matrix per tile.
 
     The parasitic network is linear, so programming a tile amounts to one
@@ -186,10 +191,6 @@ class AnalyticalTileFactory:
         self.batch_invariant = bool(batch_invariant)
         self._matmul = select_matmul(batch_invariant)
         self._solver = LinearCrossbarSolver(config)
-
-    def check_crossbar(self, config: CrossbarConfig) -> None:
-        if config.shape != self.config.shape:
-            raise ConfigError("tile factory / engine crossbar shape mismatch")
 
     def cache_token(self) -> str:
         return f"analytical|bi={int(self.batch_invariant)}"
@@ -220,7 +221,7 @@ class DecoupledTileModel:
         return self._model.predict_currents(voltages_v, self.conductance_s)
 
 
-class DecoupledTileFactory:
+class DecoupledTileFactory(_ConfigTileFactory):
     """First-order IR-drop approximation (ablation model)."""
 
     name = "decoupled"
@@ -228,10 +229,6 @@ class DecoupledTileFactory:
     def __init__(self, config: CrossbarConfig, n_sweeps: int = 2):
         self.config = config
         self._model = DecoupledIrDropModel(config, n_sweeps=n_sweeps)
-
-    def check_crossbar(self, config: CrossbarConfig) -> None:
-        if config.shape != self.config.shape:
-            raise ConfigError("tile factory / engine crossbar shape mismatch")
 
     def cache_token(self) -> str:
         return f"decoupled|sweeps={self._model.n_sweeps}"
@@ -254,7 +251,7 @@ class CircuitTileModel:
                                            mode="full")
 
 
-class CircuitTileFactory:
+class CircuitTileFactory(_ConfigTileFactory):
     """Full non-linear circuit solve per operating point (slow, exact)."""
 
     name = "circuit"
@@ -262,10 +259,6 @@ class CircuitTileFactory:
     def __init__(self, config: CrossbarConfig):
         self.config = config
         self._simulator = CrossbarCircuitSimulator(config)
-
-    def check_crossbar(self, config: CrossbarConfig) -> None:
-        if config.shape != self.config.shape:
-            raise ConfigError("tile factory / engine crossbar shape mismatch")
 
     def cache_token(self) -> str:
         return "circuit"
@@ -293,32 +286,6 @@ def _content_uid(token: str, qw: np.ndarray, t_r: int, t_c: int,
                        np.ascontiguousarray(qw), length=16)
 
 
-class PreparedMatrix:
-    """Weight matrix quantised, sliced, tiled and programmed into models.
-
-    ``uid`` identifies the prepared content in ADC noise stream seeds and
-    compile spans. It is a content digest (weights + tiling +
-    engine token), not a process-local counter: two processes that prepare
-    the same matrix agree on the uid, and two *different* matrices can
-    never collide just because they were prepared in forked processes with
-    the same counter state.
-    """
-
-    def __init__(self, n_in: int, n_out: int, qw: np.ndarray, models: dict,
-                 t_r: int, t_c: int, sign_present: tuple, token: str = ""):
-        self.n_in = n_in
-        self.n_out = n_out
-        self.qw = qw
-        self.models = models  # (sign, slice, tr, tc) -> tile model
-        self.t_r = t_r
-        self.t_c = t_c
-        self.sign_present = sign_present
-        self.uid = _content_uid(token, qw, t_r, t_c, sign_present)
-        #: Compiled :class:`~repro.funcsim.planner.LayerProgram`, attached
-        #: by the preparing engine (``None`` for the ideal engine).
-        self.program = None
-
-
 class EngineStats:
     """Cumulative event counters of a :class:`CrossbarMvmEngine`.
 
@@ -328,7 +295,7 @@ class EngineStats:
     block the whole batch would drive. ``readouts`` counts batched analog
     tile evaluations — one per (model, active stream block, chunk) — so
     it scales with the number of
-    :data:`~repro.funcsim.runtime.kernel.DEFAULT_SHARD_ROWS`-row chunks.
+    :data:`~repro.funcsim.compiler.DEFAULT_SHARD_ROWS`-row chunks.
     Zero-valued stream blocks are skipped per chunk (they drive no
     current) and tallied in ``skipped_zero_streams``; for a one-chunk call
     ``readouts + skipped`` equals the static worst case of
@@ -356,10 +323,6 @@ class EngineStats:
         """Consistent copy of all counters."""
         with self._lock:
             return {field: getattr(self, field) for field in self.FIELDS}
-
-    def as_dict(self) -> dict:
-        """Alias of :meth:`snapshot` (dict-like reporting surfaces)."""
-        return self.snapshot()
 
     def merge(self, other) -> "EngineStats":
         """Fold another stats object (or counter mapping) into this one."""
@@ -414,14 +377,14 @@ class IdealMvmEngine:
         if weights.ndim != 2:
             raise ShapeError(f"expected (K, M) weights, got {weights.shape}")
         qw = self.sim_config.weight_format.quantize_to_int(weights)
-        return PreparedMatrix(weights.shape[0], weights.shape[1], qw, {},
-                              0, 0, (1,), token=f"ideal|{self.sim_config!r}")
+        return PreparedMatrix(qw, _content_uid(f"ideal|{self.sim_config!r}",
+                                               qw, 0, 0, (1,)))
 
     def matmul(self, x: np.ndarray, prepared) -> np.ndarray:
         if not isinstance(prepared, PreparedMatrix):
             prepared = self.prepare(prepared)
         cfg = self.sim_config
-        qx = cfg.activation_format.quantize_to_int(x)
+        qx = quantize_input(x, prepared.n_in, cfg.activation_format)
         counts = qx.astype(np.float64) @ prepared.qw.astype(np.float64)
         value = counts * (cfg.activation_format.resolution *
                           cfg.weight_format.resolution)
@@ -441,7 +404,7 @@ class CrossbarMvmEngine:
     ``nonideality`` (optional :class:`repro.nonideal.NonidealitySpec` or
     pipeline) injects device faults at *programming* time: every tile's
     mapped conductances are perturbed by the coordinate-keyed pipeline in
-    :meth:`prepare`, before the layer program is built — so every shard
+    :meth:`prepare`, before the layer is compiled — so every shard
     computes on the same perturbed hardware state.
     """
 
@@ -463,7 +426,7 @@ class CrossbarMvmEngine:
         self._pool = None
         self._pool_lock = threading.Lock()
         self._closed = False
-        # Kernel temporaries, shared by every layer this engine compiles
+        # Kernel temporaries, shared by every layer this engine prepares
         # (freed with the engine).
         self._scratch = ScratchPool()
         # None for clean engines (identity pipelines normalise to None,
@@ -488,15 +451,14 @@ class CrossbarMvmEngine:
     def prepare(self, weights: np.ndarray) -> PreparedMatrix:
         """Compile a ``(K, M)`` weight matrix: quantise, sign-split, slice
         and tile it, program one tile model per (sign, slice, tile), and
-        lower the result into an executable layer program."""
+        compile the result into an executable layer."""
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 2:
             raise ShapeError(f"expected (K, M) weights, got {weights.shape}")
         cfg, xcfg = self.sim_config, self.xbar_config
         qw = cfg.weight_format.quantize_to_int(weights)
         parts = sign_split(qw)
-        sign_present = tuple(k for k, part in enumerate(parts)
-                             if np.any(part) or k == 0)
+        sign_present = weight_signs(qw)
         t_r = n_tiles(weights.shape[0], xcfg.rows)
         t_c = n_tiles(weights.shape[1], xcfg.cols)
         n_levels = 2 ** cfg.slice_bits
@@ -539,13 +501,8 @@ class CrossbarMvmEngine:
             # (or differently-faulty) preparation of the same weights.
             # Clean engines keep the historical token byte-for-byte.
             token = f"{token}|{self.nonideality.digest()}"
-        prepared = PreparedMatrix(
-            weights.shape[0], weights.shape[1], qw, models, t_r, t_c,
-            sign_present, token=token)
-        prepared.program = plan_layer(self, prepared)
-        prepared.program.compiled = compile_program(prepared.program,
-                                                    self._scratch)
-        return prepared
+        return PreparedMatrix(
+            qw, _content_uid(token, qw, t_r, t_c, sign_present), self, models)
 
     # ------------------------------------------------------------------
     def matmul(self, x: np.ndarray, prepared) -> np.ndarray:
@@ -553,7 +510,9 @@ class CrossbarMvmEngine:
 
         The batch is cut into chunks of ``shard_rows`` rows (at most the
         layer plan's ``chunk_rows`` cap); every (chunk,
-        tile-row) shard runs through the kernel with an ADC whose noise
+        tile-row) shard runs through the layer's kernel
+        (:meth:`~repro.funcsim.compiler.PreparedMatrix.run_shard`) with an
+        ADC whose noise
         stream is keyed by (layer, matmul sequence number, tile-row,
         chunk), and the tile-row contributions are merged digitally in
         tile-row order. Shards run on the engine's thread pool when
@@ -563,50 +522,46 @@ class CrossbarMvmEngine:
         """
         if not isinstance(prepared, PreparedMatrix):
             prepared = self.prepare(prepared)
-        program = prepared.program
-        if program is None:
+        plan = prepared.plan
+        if plan is None:
             raise ConfigError(
-                "prepared matrix has no layer program; it was not prepared "
-                "by a CrossbarMvmEngine")
-        plan = program.plan
-        seq = program.next_seq()
+                "prepared matrix has no layer plan; it was prepared by the "
+                "ideal engine, not by a CrossbarMvmEngine")
+        seq = prepared.next_seq()
         # The spans observe wall time only — no RNG, no numeric state —
         # so traced and untraced runs are bit-identical.
         with span("engine-compute"):
-            qx = quantize_input(plan, x)
+            qx = quantize_input(x, plan.n_in,
+                                plan.sim_config.activation_format, plan.rows)
             chunks = chunk_ranges(qx.shape[0],
                                   min(self.shard_rows, plan.chunk_rows))
             # Activation signs are a per-chunk property shared by every
             # tile-row shard of the chunk; compute them once here.
             signs = [active_signs(qx[start:stop]) for start, stop in chunks]
             counts = np.empty((plan.t_r, qx.shape[0], plan.out_width))
-            call_stats = new_stat_counts()
-            call_stats["matmuls"] = 1
-            merge_lock = threading.Lock()
 
-            def run(shard) -> None:
+            def run(shard) -> dict:
                 chunk, tr = shard
                 start, stop = chunks[chunk]
-                local = new_stat_counts()
+                tr_counts, local = prepared.run_shard(
+                    qx[start:stop], signs[chunk], seq, tr, chunk)
                 # Disjoint (tile-row, chunk) slab: safe to write unlocked.
-                counts[tr, start:stop] = run_tile_row(
-                    program, qx[start:stop], signs[chunk], tr,
-                    shard_adc(plan, seq, tr, chunk), stats=local)
-                with merge_lock:
-                    for key, value in local.items():
-                        call_stats[key] += value
+                counts[tr, start:stop] = tr_counts
+                return local
 
             shards = [(chunk, tr) for chunk in range(len(chunks))
                       for tr in range(plan.t_r)]
             with span("fused-execute", layer=plan.uid):
                 futures = self._submit(plan, qx, run, shards)
                 if futures is None:
-                    for shard in shards:
-                        run(shard)
+                    shard_stats = [run(shard) for shard in shards]
                 else:
-                    for future in futures:
-                        future.result()  # re-raises a shard's exception
+                    # result() re-raises a shard's exception.
+                    shard_stats = [future.result() for future in futures]
             out = merge_tile_rows(plan, counts)
+        call_stats = {key: sum(local[key] for local in shard_stats)
+                      for key in STAT_FIELDS}
+        call_stats["matmuls"] = 1
         self.stats.merge(call_stats)
         return out
 
@@ -647,14 +602,12 @@ class CrossbarMvmEngine:
             return False
         if qx.size * plan.t_r <= self.inline_work_threshold:
             return True
-        if plan.cost is not None:
-            # cost is per input row (one MVM); scale to one chunk's rows
-            # and divide by the tile-row count for a per-shard estimate.
-            chunk_rows = min(qx.shape[0], self.shard_rows, plan.chunk_rows)
-            per_shard = (plan.cost.adc_conversions * chunk_rows
-                         / max(plan.t_r, 1))
-            return per_shard < MIN_SHARD_COST
-        return False
+        # cost is per input row (one MVM); scale to one chunk's rows and
+        # divide by the tile-row count for a per-shard estimate.
+        chunk_rows = min(qx.shape[0], self.shard_rows, plan.chunk_rows)
+        per_shard = (plan.cost.adc_conversions * chunk_rows
+                     / max(plan.t_r, 1))
+        return per_shard < MIN_SHARD_COST
 
     def close(self, wait: bool = True) -> None:
         """Release the shard thread pool (if any). Idempotent.

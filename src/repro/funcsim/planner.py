@@ -1,38 +1,35 @@
-"""Planner: lower a prepared layer into a static tile program.
+"""Planner: the static execution schedule of one prepared layer.
 
 The functional simulator is split into a *compile* phase and an *execute*
 phase. Compilation happens once per weight matrix — quantise, sign-split,
-slice, tile, program every (sign, slice, tile) crossbar model — and is
-summarised by a :class:`LayerProgram`:
+slice, tile, program every (sign, slice, tile) crossbar model — and
+:func:`plan_layer` fixes the layer's :class:`LayerPlan`: the tile grid,
+present weight signs, DAC/conductance LSBs, the ``g_off`` bias-removal
+factor, shift-and-add scales, accumulator format and the ADC transfer
+parameters, plus worst-case cost metadata from :mod:`repro.funcsim.cost`.
+Plans are plain frozen dataclasses, computed from the engine and the
+prepared matrix's content (its quantised weights and uid) alone.
 
-* :class:`LayerPlan` — the static schedule and decode constants of the
-  layer: tile grid, present weight signs, DAC/conductance LSBs, the
-  ``g_off`` bias-removal factor, shift-and-add scales, accumulator format
-  and the ADC transfer parameters, plus worst-case cost metadata from
-  :mod:`repro.funcsim.cost`. Plans are plain frozen dataclasses.
-* the **tile models** programmed from the weight slices, and the shared
-  tile factory (for GENIEx, the
-  :class:`~repro.core.emulator.GeniexTileFactory` whose
-  ``prepare_voltages`` computes the augmented voltages a whole tile-row
-  shares).
-
-Execution consumes programs through the kernel
-(:mod:`repro.funcsim.runtime.kernel`), which evaluates one (tile-row,
-batch-chunk) shard at a time; :meth:`CrossbarMvmEngine.matmul
+The plan is part of the compiled layer,
+:class:`~repro.funcsim.compiler.PreparedMatrix`, which runs one
+(tile-row, batch-chunk) shard at a time;
+:meth:`CrossbarMvmEngine.matmul
 <repro.funcsim.engine.CrossbarMvmEngine.matmul>` schedules the shards.
-Converting a network prepares every layer's program once — the RxNN-style
+Converting a network prepares every layer once — the RxNN-style
 "compile the crossbar model into the network" step — so inference only
 executes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.cost import CostReport, matmul_cost
+from repro.funcsim.tiles import n_tiles
 
 #: Mask applied to seed components fed to ``np.random.default_rng``.
 _SEED_MASK = (1 << 63) - 1
@@ -64,7 +61,7 @@ class LayerPlan:
     Everything the execution kernel needs apart from the tile models
     themselves: geometry, decode constants and the ADC transfer function.
     ``uid`` is the content digest of the prepared matrix (stable across
-    processes — see :class:`repro.funcsim.engine.PreparedMatrix`).
+    processes — see :class:`repro.funcsim.compiler.PreparedMatrix`).
     """
 
     uid: str
@@ -94,7 +91,7 @@ class LayerPlan:
     adc_noise_rms_a: float
     adc_seed: int
     # Worst-case architectural cost of one MVM through this layer.
-    cost: CostReport = field(compare=False, default=None)
+    cost: CostReport = field(compare=False)
 
     @property
     def uid_seed(self) -> int:
@@ -117,42 +114,22 @@ class LayerPlan:
                 int(seq) & _SEED_MASK, int(tr), int(chunk)]
 
 
-@dataclass
-class LayerProgram:
-    """A compiled layer: static plan + programmed tile models.
-
-    ``models`` maps ``(sign, slice, tile_row, tile_col)`` to the tile model
-    programmed from that weight slice; ``tile_factory`` provides the
-    per-tile-row shared voltage term.
-
-    ``compiled`` holds the program's executable form (a
-    :class:`~repro.funcsim.compiler.CompiledLayer`, attached by the
-    engine's compile pass).
-    """
-
-    plan: LayerPlan
-    models: dict
-    tile_factory: object
-    compiled: object = None
-    #: Matmul sequence numbers keying the ADC noise streams
-    #: (:meth:`LayerPlan.noise_seed`): every call through the program
-    #: draws fresh noise, and the counter lives as long as the program.
-    _seq: itertools.count = field(default_factory=itertools.count,
-                                  repr=False, compare=False)
-
-    def next_seq(self) -> int:
-        """Sequence number of the next matmul (thread-safe: ``next`` on a
-        counter is atomic under the GIL)."""
-        return next(self._seq)
+def weight_signs(qw: np.ndarray) -> tuple:
+    """Weight signs a quantised matrix programs: the positive crossbar
+    set ``0`` always, the negative set ``1`` when any weight is
+    negative."""
+    return (0, 1) if np.any(qw < 0) else (0,)
 
 
-def plan_layer(engine, prepared) -> LayerProgram:
-    """Lower ``(engine, prepared)`` into a self-contained layer program.
+def plan_layer(engine, prepared) -> LayerPlan:
+    """The execution plan of ``prepared`` on ``engine``.
 
-    The plan snapshots every decode constant the engine derived from its
-    crossbar and simulator configs, so executing the program does not
-    need the engine. It also fixes the layer's chunk cap
-    (:data:`MAX_SHARD_BYTES`) and rejects, with
+    Reads only the prepared matrix's quantised weights ``qw`` and its
+    ``uid``, so a :class:`~repro.funcsim.compiler.PreparedMatrix` can plan
+    itself while it is constructed. The plan snapshots every decode
+    constant the engine derived from its crossbar and simulator configs,
+    so executing the layer does not need the engine. It also fixes the
+    layer's chunk cap (:data:`MAX_SHARD_BYTES`) and rejects, with
     :class:`~repro.errors.ConfigError`, a configuration whose digital
     back end could not be exact: the sum of the absolute (stream, sign,
     slice) prefactors over both activation signs, times the largest
@@ -164,7 +141,10 @@ def plan_layer(engine, prepared) -> LayerProgram:
     adc = engine.adc
     codes_per_count = _snap(engine._v_lsb * engine._g_lsb / adc.lsb_a)
     bias_codes = _snap(xcfg.g_off_s / engine._g_lsb * codes_per_count)
-    n_sw = len(prepared.sign_present)
+    n_in, n_out = prepared.qw.shape
+    t_c = n_tiles(n_out, xcfg.cols)
+    sign_present = weight_signs(prepared.qw)
+    n_sw = len(sign_present)
     prefac_sum = 2 * n_sw \
         * sum(2 ** (m * cfg.stream_bits) for m in range(cfg.n_streams)) \
         * sum(2 ** (k * cfg.slice_bits) for k in range(cfg.n_slices))
@@ -176,18 +156,18 @@ def plan_layer(engine, prepared) -> LayerProgram:
             f"slice_bits={cfg.slice_bits} can sum to {prefac_sum * largest}"
             f" >= 2**53 in the shift-and-add; the digital back end would "
             f"not be exact (use fewer ADC bits or wider streams/slices)")
-    n_models = n_sw * cfg.n_slices * prepared.t_c
+    n_models = n_sw * cfg.n_slices * t_c
     chunk_rows = max(1, MAX_SHARD_BYTES
                      // (2 * cfg.n_streams * n_models * xcfg.cols * 8))
-    plan = LayerPlan(
+    return LayerPlan(
         uid=prepared.uid,
-        n_in=prepared.n_in,
-        n_out=prepared.n_out,
+        n_in=n_in,
+        n_out=n_out,
         rows=xcfg.rows,
         cols=xcfg.cols,
-        t_r=prepared.t_r,
-        t_c=prepared.t_c,
-        sign_present=tuple(prepared.sign_present),
+        t_r=n_tiles(n_in, xcfg.rows),
+        t_c=t_c,
+        sign_present=sign_present,
         sim_config=cfg,
         v_lsb=engine._v_lsb,
         g_lsb=engine._g_lsb,
@@ -201,9 +181,6 @@ def plan_layer(engine, prepared) -> LayerProgram:
         adc_offset_a=adc.offset_a,
         adc_noise_rms_a=adc.noise_rms_a,
         adc_seed=cfg.adc_seed,
-        cost=matmul_cost(prepared.n_in, prepared.n_out, xcfg, cfg,
-                         signed_inputs=True,
-                         signed_weights=len(prepared.sign_present) > 1),
+        cost=matmul_cost(n_in, n_out, xcfg, cfg, signed_inputs=True,
+                         signed_weights=n_sw > 1),
     )
-    return LayerProgram(plan=plan, models=prepared.models,
-                        tile_factory=engine.tile_factory)

@@ -205,7 +205,7 @@ class TestEvaluateModeEquivalence:
 class TestShardedSessionBounds:
     def test_executor_programs_evict_with_prepared_lru(self, zoo):
         """Streaming many distinct matrices through a threaded session
-        keeps the layer programs bounded: they live on the prepared
+        keeps the compiled layers bounded: they are the prepared
         matrices, which the session's LRU evicts."""
         from repro.api.session import PREPARED_CACHE_ENTRIES
         rng = np.random.default_rng(0)

@@ -1,7 +1,7 @@
 """The one compiled shard kernel: read-out, exact back end, memory cap.
 
-Every engine kind runs :meth:`repro.funcsim.compiler.CompiledLayer.
-execute`. These tests pin that its stacked read-out equals each tile's own
+Every engine kind runs :meth:`repro.funcsim.compiler.PreparedMatrix.
+run_shard`. These tests pin that its stacked read-out equals each tile's own
 ``currents()`` column block by column block; that it equals the
 per-stream, per-model oracle of ``test_engine_batched`` bit for bit per
 engine kind, batch-invariant mode and device-fault pipeline; that the
@@ -72,7 +72,7 @@ class TestFusedBitIdentity:
         x, w = operands
         engine = _engine(kind, tiny_emulator)
         prepared = engine.prepare(w)
-        cost = prepared.program.plan.cost
+        cost = prepared.plan.cost
         for chunk in (x, x[:7]):
             before = engine.stats.snapshot()
             engine.matmul(chunk, prepared)
@@ -183,16 +183,16 @@ class TestStackedReadout:
                                         invariant):
         rng = np.random.default_rng(29)
         engine = _engine(kind, tiny_emulator, batch_invariant=invariant)
-        program = engine.prepare(rng.normal(size=(20, 13)) * 0.3).program
-        plan, compiled = program.plan, program.compiled
+        prepared = engine.prepare(rng.normal(size=(20, 13)) * 0.3)
+        plan = prepared.plan
         cols = plan.cols
         for n in (1, 2, 7, 33, 256):
             levels = rng.integers(0, 2 ** SCFG.stream_bits,
                                   size=(n, plan.rows))
             voltages = levels * plan.v_lsb
             for tr in range(plan.t_r):
-                stacked = compiled.readout(program, tr, voltages)
-                for mi, model in enumerate(compiled.row_models[tr]):
+                stacked = prepared.readout(tr, voltages)
+                for mi, model in enumerate(prepared.row_models[tr]):
                     block = stacked[:, mi * cols:(mi + 1) * cols]
                     own = model.currents(voltages)
                     if n == 1 and not invariant:
@@ -220,7 +220,7 @@ class TestChunkCap:
                             4 * 2 * SCFG.n_streams * n_models * XCFG.cols * 8)
         capped = _engine("exact", batch_invariant=True)
         prepared = capped.prepare(w)
-        assert prepared.program.plan.chunk_rows == 4
+        assert prepared.plan.chunk_rows == 4
         np.testing.assert_array_equal(capped.matmul(x, prepared), expected)
         # 23 rows in 4-row chunks: six chunks per tile-row.
         assert capped.stats.readouts > reference.stats.readouts

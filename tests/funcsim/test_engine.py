@@ -162,6 +162,19 @@ class TestNonIdealEngines:
             CrossbarMvmEngine(XCFG, SCFG, factory)
 
 
+class TestActivationShapes:
+    """Every engine checks activations with one typed check."""
+
+    @pytest.mark.parametrize("kind", ["ideal", "exact", "analytical"])
+    @pytest.mark.parametrize("shape", [(3, 21), (3, 20, 1)])
+    def test_bad_shape_raises_shape_error(self, operands, kind, shape):
+        _, w = operands
+        engine = make_engine(kind, XCFG, SCFG)
+        prepared = engine.prepare(w)
+        with pytest.raises(ShapeError, match=r"\(B, 20\)"):
+            engine.matmul(np.zeros(shape), prepared)
+
+
 class TestEngineKindsDocumented:
     """`make_engine`'s docstring, error message and ENGINE_KINDS agree,
     and every documented kind actually constructs."""

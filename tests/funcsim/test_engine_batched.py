@@ -31,15 +31,18 @@ SCFG = FuncSimConfig().with_precision(8)
 def sequential_matmul(engine: CrossbarMvmEngine, x, prepared) -> np.ndarray:
     """The per-stream, per-model pipeline with an exact integer decode.
 
-    The code-unit constants (codes per count, bias codes per level) come
-    from the layer plan; everything else is re-derived here.
+    The code-unit constants (codes per count, bias codes per level) and
+    the tile grid come from the layer plan; everything else is
+    re-derived here. Tile models are looked up by coordinate in the
+    documented ``(sign, slice, tile_col)`` model-major order of
+    ``prepared.row_models``.
     """
     cfg, xcfg = engine.sim_config, engine.xbar_config
-    plan = prepared.program.plan
+    plan = prepared.plan
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     batch = x.shape[0]
     rows, cols = xcfg.rows, xcfg.cols
-    t_r, t_c = prepared.t_r, prepared.t_c
+    t_r, t_c = plan.t_r, plan.t_c
     qx = cfg.activation_format.quantize_to_int(x)
     qx = pad_axis(qx, 1, rows)
     x_parts = sign_split(qx)
@@ -65,7 +68,7 @@ def sequential_matmul(engine: CrossbarMvmEngine, x, prepared) -> np.ndarray:
                 voltages = levels * engine._v_lsb
                 stream_sum = levels.sum(axis=1)
                 stream_scale = float(2 ** (m * cfg.stream_bits))
-                for sw in prepared.sign_present:
+                for si, sw in enumerate(plan.sign_present):
                     sw_factor = 1.0 if sw == 0 else -1.0
                     for k in range(cfg.n_slices):
                         slice_scale = float(2 ** (k * cfg.slice_bits))
@@ -73,7 +76,8 @@ def sequential_matmul(engine: CrossbarMvmEngine, x, prepared) -> np.ndarray:
                                   * slice_scale)
                         tr_bias += prefac * stream_sum
                         for tc in range(t_c):
-                            model = prepared.models[(sw, k, tr, tc)]
+                            model = prepared.row_models[tr][
+                                (si * cfg.n_slices + k) * t_c + tc]
                             codes = engine.adc.codes(
                                 model.currents(voltages))
                             tr_codes[:, tc * cols:(tc + 1) * cols] += (
@@ -81,7 +85,7 @@ def sequential_matmul(engine: CrossbarMvmEngine, x, prepared) -> np.ndarray:
         counts = (tr_codes - (plan.bias_codes * tr_bias)[:, None]) \
             / plan.codes_per_count
         out_value = acc.quantize(out_value + counts * value_lsb)
-    return out_value[:, :prepared.n_out]
+    return out_value[:, :plan.n_out]
 
 
 @pytest.fixture(scope="module")

@@ -160,8 +160,12 @@ def weights(rng):
     return rng.normal(size=(20, 13)) * 0.3
 
 
+def _tiles(prepared) -> list:
+    return [m for models in prepared.row_models for m in models]
+
+
 def _kept_counts(prepared) -> set:
-    return {m.kept.size for m in prepared.models.values()}
+    return {m.kept.size for m in _tiles(prepared)}
 
 
 class TestPrunedEngine:
@@ -204,9 +208,9 @@ class TestPrunedEngine:
             prepared = engine.prepare(weights)
         meta = [s.meta for s in trace.spans() if s.name == "kernel-compile"]
         assert len(meta) == 1
-        assert meta[0]["hidden_total"] == 48 * len(prepared.models)
+        assert meta[0]["hidden_total"] == 48 * len(_tiles(prepared))
         assert meta[0]["hidden_kept"] == sum(
-            m.kept.size for m in prepared.models.values())
+            m.kept.size for m in _tiles(prepared))
         assert meta[0]["hidden_kept"] < meta[0]["hidden_total"]
 
 
@@ -216,21 +220,21 @@ def pruned_emulator_2l():
     return random_emulator(8, 8, 48, 2, seed=3, g_gain=3.0)
 
 
-def _stacked_program(emulator, invariant=True, seed=0):
+def _stacked_layer(emulator, invariant=True, seed=0):
     engine = make_engine("geniex", TestPrunedEngine.XCFG, SCFG,
                          emulator=emulator, batch_invariant=invariant)
     weights = np.random.default_rng(seed).normal(size=(20, 13)) * 0.3
-    return engine, engine.prepare(weights).program
+    return engine, engine.prepare(weights)
 
 
 class TestStackedForward:
     """Batch-invariant engines run each tile-row as one stacked forward."""
 
     def test_chosen_by_batch_invariance(self, pruned_emulator):
-        _, program = _stacked_program(pruned_emulator, invariant=True)
-        assert all(s is not None for s in program.compiled.row_stacks)
-        _, program = _stacked_program(pruned_emulator, invariant=False)
-        assert all(s is None for s in program.compiled.row_stacks)
+        _, prepared = _stacked_layer(pruned_emulator, invariant=True)
+        assert all(s is not None for s in prepared.row_stacks)
+        _, prepared = _stacked_layer(pruned_emulator, invariant=False)
+        assert all(s is None for s in prepared.row_stacks)
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("budget", [compiler_mod.STACK_GEMM_COLUMNS, 40])
@@ -250,22 +254,22 @@ class TestStackedForward:
         """
         emulator = pruned_emulator if layers == 1 else pruned_emulator_2l
         monkeypatch.setattr(compiler_mod, "STACK_GEMM_COLUMNS", budget)
-        engine, program = _stacked_program(emulator)
-        compiled, plan = program.compiled, program.plan
+        engine, prepared = _stacked_layer(emulator)
+        plan = prepared.plan
         factory = engine.tile_factory
         # Tiles of one tile-row keep different counts: padding is live.
         assert any(len({m.kept.size for m in models}) > 1
-                   for models in compiled.row_models)
+                   for models in prepared.row_models)
         if budget == 40:
-            assert any(len(s.first) > 1 for s in compiled.row_stacks)
+            assert any(len(s.first) > 1 for s in prepared.row_stacks)
         rng = np.random.default_rng(31)
         scratch = ScratchPool()
         for n in (1, 2, 7, 33):
             levels = rng.integers(0, 2 ** SCFG.stream_bits,
                                   size=(n, plan.rows))
             shared = factory.prepare_voltages(levels * plan.v_lsb)
-            for tr, stack in enumerate(compiled.row_stacks):
-                models = compiled.row_models[tr]
+            for tr, stack in enumerate(prepared.row_stacks):
+                models = prepared.row_models[tr]
                 out = np.empty((len(models), n, plan.cols))
                 stack.forward(shared, out, scratch)
                 for mi, model in enumerate(models):
@@ -283,14 +287,13 @@ class TestStackedForward:
 @pytest.fixture(scope="module")
 def stacked_pads(pruned_emulator):
     """(factory, stack, pad columns) of the tile-row with most padding."""
-    engine, program = _stacked_program(pruned_emulator, seed=4)
-    compiled = program.compiled
+    engine, prepared = _stacked_layer(pruned_emulator, seed=4)
     best = None
-    for tr, stack in enumerate(compiled.row_stacks):
+    for tr, stack in enumerate(prepared.row_stacks):
         kmax = stack.w2.shape[1]
         pads = np.concatenate([
             np.arange(mi * kmax + m.kept.size, (mi + 1) * kmax)
-            for mi, m in enumerate(compiled.row_models[tr])])
+            for mi, m in enumerate(prepared.row_models[tr])])
         if best is None or pads.size > best[2].size:
             best = (engine.tile_factory, stack, pads)
     assert best[2].size > 0

@@ -203,5 +203,5 @@ class TestConvertExecutor:
 
         layers = mvm_layers(convert_to_mvm(self._model(), self._engine()))
         assert len(layers) >= 2
-        assert all(l.prepared.program.plan.cost.readouts > 0
+        assert all(l.prepared.plan.cost.readouts > 0
                    for l in layers)

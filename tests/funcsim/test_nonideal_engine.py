@@ -84,7 +84,8 @@ class TestPerturbationSemantics:
         w2 = np.full((8, 8), SIM.weight_format.resolution)
 
         def stuck_mask(weights):
-            tile = engine.prepare(weights).models[(0, 0, 0, 0)]
+            # Model (sign 0, slice 0, tile-column 0) of tile-row 0.
+            tile = engine.prepare(weights).row_models[0][0]
             return tile.conductance_s == XBAR.g_on_s
 
         m1, m2, m1_again = stuck_mask(w1), stuck_mask(w2), stuck_mask(w1)
@@ -107,7 +108,7 @@ class TestPerturbationSemantics:
 
 
 class TestExecutorDeterminism:
-    """Perturbed tiles travel inside the layer program, so every worker
+    """Perturbed tiles travel inside the compiled layer, so every worker
     count and chunking must reproduce the one-thread result bit-for-bit."""
 
     @pytest.mark.parametrize("kind", ["exact", "analytical"])

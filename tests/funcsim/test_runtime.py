@@ -1,6 +1,7 @@
 """Plan/execute split and the engine's sharded schedule.
 
-Covers the determinism contract of :mod:`repro.funcsim.runtime`: every
+Covers the determinism contract of the shard kernel
+(:mod:`repro.funcsim.compiler`): every
 worker count and chunk size must produce bit-identical outputs in
 batch-invariant mode; with ADC noise the coordinate-keyed noise streams
 must make results worker-count independent, fresh on every call and
@@ -25,8 +26,8 @@ from repro.funcsim import (
     IdealMvmEngine,
     make_engine,
 )
+from repro.funcsim.compiler import chunk_ranges
 from repro.funcsim.planner import plan_layer
-from repro.funcsim.runtime import chunk_ranges
 from repro.xbar.config import CrossbarConfig
 
 XCFG = CrossbarConfig(rows=8, cols=8)
@@ -241,16 +242,18 @@ class TestPrograms:
         _, w = operands
         engine = _engine("exact")
         prepared = engine.prepare(w)
-        assert prepared.program is not None
-        plan = prepared.program.plan
+        assert prepared.plan is not None
+        plan = prepared.plan
         assert (plan.n_in, plan.n_out) == (20, 13)
         assert plan.cost.readouts > 0
+        assert plan.uid == prepared.uid
 
     def test_plan_layer_matches_engine_constants(self, operands):
         _, w = operands
         engine = _engine("exact")
         prepared = engine.prepare(w)
-        plan = plan_layer(engine, prepared).plan
+        plan = plan_layer(engine, prepared)
+        assert plan == prepared.plan
         assert plan.v_lsb == engine._v_lsb
         assert plan.adc_lsb_a == engine.adc.lsb_a
 
@@ -259,10 +262,10 @@ class TestExecutorApi:
     """The engine-owned thread pool: lifecycle and error paths."""
 
     def test_unknown_layer_rejected(self, operands):
-        """A prepared matrix without a layer program (prepared by the
+        """A prepared matrix without a layer plan (prepared by the
         ideal engine) cannot run on a crossbar engine."""
         _, w = operands
-        with pytest.raises(ConfigError, match="layer program"):
+        with pytest.raises(ConfigError, match="layer plan"):
             _engine("exact").matmul(np.zeros((1, 20)),
                                     IdealMvmEngine(SCFG).prepare(w))
 

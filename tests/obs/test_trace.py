@@ -141,7 +141,7 @@ class TestDeterminism:
                              FuncSimConfig().with_precision(8),
                              batch_invariant=True, workers=2)
         prepared = engine.prepare(w)
-        assert prepared.program.compiled is not None
+        assert prepared.plan is not None
         trace = Trace("req")
         token = activate(trace)
         try:
