@@ -71,11 +71,9 @@ def build_engine(spec: EmulationSpec, emulator=None):
         raise ConfigError(
             "building a geniex engine requires a resolved emulator; "
             "open_session(spec) resolves one through the zoo")
-    runtime = spec.runtime
     return make_engine(spec.engine, spec.xbar.to_config(),
                        spec.sim.to_config(), emulator=emulator,
-                       batch_invariant=runtime.batch_invariant,
-                       workers=runtime.workers,
+                       workers=spec.runtime.workers,
                        nonideality=spec.nonideality)
 
 

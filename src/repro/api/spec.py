@@ -26,7 +26,7 @@ The spec tree::
     │   ├── noise: NoiseTrainSpec    # noise-injection / HW-loop training
     │   ├── calibration: CalibrationSpec
     │   └── seed
-    └── runtime: RuntimeSpec         # workers / chunking / invariance
+    └── runtime: RuntimeSpec         # workers / chunking / fleet
 
 The design-parameter nodes subclass the validated config dataclasses they
 describe (:class:`XbarSpec` extends
@@ -84,12 +84,13 @@ from repro.xbar.config import CrossbarConfig
 
 
 def supports_batch_invariance(engine: str, sim) -> bool:
-    """Whether ``engine`` under ``sim`` can run batch-invariantly.
+    """Whether ``engine`` under ``sim`` runs batch-invariantly.
 
-    True for the closed-form tile models with a deterministic,
-    zero-preserving ADC; converter offset or noise makes the per-batch
-    zero-stream skip observable and rules invariance out (the serving
-    registry uses this to decide how to build warm engines).
+    True for the closed-form tile models (whose products are always
+    batch-invariant) with a deterministic, zero-preserving ADC;
+    converter offset or noise makes the per-batch zero-stream skip
+    observable and rules invariance out. A property of the setup, not a
+    mode: :func:`engine_identity` folds it into ``key()``.
     """
     return (engine in INVARIANT_KINDS
             and sim.adc_offset_lsb == 0.0
@@ -186,9 +187,9 @@ class FleetSpec:
     ``replication`` asks the fleet front-end to spread this model's
     traffic over that many distinct workers (capped by the fleet size);
     the front-end picks the least-loaded replica per request. Purely a
-    routing hint: like every runtime knob except ``batch_invariant``, it
-    never enters ``model_key()``/``key()`` or any cache digest, and a
-    single-process server ignores it entirely.
+    routing hint: like every runtime knob, it never enters
+    ``model_key()``/``key()`` or any cache digest, and a single-process
+    server ignores it entirely.
     """
 
     replication: int = 1
@@ -203,26 +204,25 @@ class FleetSpec:
 class RuntimeSpec:
     """Execution policy: how a resolved engine runs, not what it computes.
 
+    No field participates in ``spec.key()``: every runtime knob is
+    value-neutral by the runtime's determinism contract. Batch
+    invariance is not a knob either; it is a property of the engine kind
+    and ADC (:func:`supports_batch_invariance`).
+
     Attributes:
         workers: Threads running one matmul's shards (``make_engine``'s
             ``workers``); results are identical at any count.
         chunk_rows: Conv-layer im2col chunking for converted models.
-        batch_invariant: Route tile matmuls through the batch-invariant
-            einsum kernel (bitwise row-independent results; required by
-            the microbatching service). Only this field participates in
-            ``spec.key()`` — every other runtime knob is value-neutral
-            by the runtime's determinism contract.
         fleet: Fleet routing policy (:class:`FleetSpec`); a digest-
             neutral hint consumed only by the fleet front-end.
 
     Stored specs naming a removed runtime field (the executor, the tile
-    cache size or the array backend) are rejected like any other unknown
-    field.
+    cache size, the array backend or the batch-invariance flag) are
+    rejected like any other unknown field.
     """
 
     workers: int = 1
     chunk_rows: int | None = None
-    batch_invariant: bool = False
     fleet: FleetSpec = FleetSpec()
 
     def __post_init__(self):
@@ -368,14 +368,12 @@ class EmulationSpec:
         emulator node, via :meth:`model_key` — matching the legacy
         registry scheme, so non-learned kinds key conservatively on the
         emulator node too rather than risk ever sharing an engine across
-        different crossbar designs), the sim precision and the
-        batch-invariance flag. Deliberately excludes every other runtime
-        knob: worker count, chunking and fleet routing never change
-        results (the runtime's determinism contract), so two specs that
-        differ only there share warm engines.
+        different crossbar designs) and the sim precision. Excludes the
+        whole runtime node: worker count, chunking and fleet routing
+        never change results (the runtime's determinism contract), so
+        two specs that differ only there share warm engines.
         """
-        return engine_identity(self.model_key(), self.engine, self.sim,
-                               self.runtime.batch_invariant)
+        return engine_identity(self.model_key(), self.engine, self.sim)
 
     def weights_key(self, weights) -> str:
         """Identity of one prepared weight matrix on this spec's engine."""
@@ -385,20 +383,23 @@ class EmulationSpec:
 # ----------------------------------------------------------------------
 # Digest composition (shared with the serving registry's legacy shims)
 # ----------------------------------------------------------------------
-def engine_identity(model_key: str, engine: str, sim,
-                    batch_invariant: bool) -> str:
+def engine_identity(model_key: str, engine: str, sim) -> str:
     """Engine-behaviour digest from pre-resolved parts.
 
     ``model_key`` is the :meth:`EmulationSpec.model_key` digest and
     carries the crossbar design (every kind's values depend on it) plus
     the emulator node. ``sim`` may be a :class:`SimSpec` or a plain
     :class:`~repro.funcsim.config.FuncSimConfig` — both digest to the
-    same key (identical field sets). :meth:`EmulationSpec.key` and the
-    registry's deprecated ``engine_key`` shim both bottom out here.
+    same key (identical field sets). The derived
+    :func:`supports_batch_invariance` is folded under the
+    ``batch_invariant`` name the flag once had, so every key the serving
+    registry ever issued keeps its value. :meth:`EmulationSpec.key` and
+    the registry's deprecated ``engine_key`` shim both bottom out here.
     """
     return content_key("spec", model_key, engine,
                        {"sim": _node_to_dict(sim),
-                        "batch_invariant": bool(batch_invariant)})
+                        "batch_invariant":
+                            supports_batch_invariance(engine, sim)})
 
 
 def weights_identity(engine_key: str, weights) -> str:

@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.model import GeniexNet
 from repro.errors import ConfigError, NotFittedError, ShapeError
 from repro.nn.modules import Linear
-from repro.utils.numerics import select_matmul
+from repro.utils.numerics import batch_invariant_matmul
 from repro.xbar.config import CrossbarConfig
 from repro.xbar.ideal import ideal_mvm
 
@@ -48,8 +48,8 @@ class GeniexEmulator:
                 "before emulation")
         self.model = model
         self.normalizer = model.normalizer
-        # for_matrix's tile factories, one per batch_invariant flag.
-        self._factories = {}
+        # for_matrix's tile factory, made on first use.
+        self._factory = None
 
     @property
     def rows(self) -> int:
@@ -93,13 +93,12 @@ class GeniexEmulator:
             i_ideal = np.einsum("ni,nij->nj", voltages_v, conductance_s)
         return i_ideal / fr
 
-    def for_matrix(self, conductance_s,
-                   batch_invariant: bool = False) -> "GeniexTileModel":
+    def for_matrix(self, conductance_s) -> "GeniexTileModel":
         """The tile model of one programmed crossbar, at the emulator's own
         supply: the conductance term folded, dead hidden units pruned.
 
-        ``batch_invariant=True`` makes every row of :meth:`GeniexTileModel.fr`
-        and :meth:`GeniexTileModel.currents` bitwise independent of the
+        Every row of :meth:`GeniexTileModel.fr` and
+        :meth:`GeniexTileModel.currents` is bitwise independent of the
         batch it shares (see
         :func:`repro.utils.numerics.batch_invariant_matmul`); the serving
         layer relies on it.
@@ -109,17 +108,19 @@ class GeniexEmulator:
             raise ShapeError(
                 f"expected G of shape ({self.rows}, {self.cols}), "
                 f"got {conductance_s.shape}")
-        key = bool(batch_invariant)
-        if key not in self._factories:
-            self._factories[key] = GeniexTileFactory(self,
-                                                     batch_invariant=key)
-        return self._factories[key].build(conductance_s)
+        if self._factory is None:
+            self._factory = GeniexTileFactory(self)
+        return self._factory.build(conductance_s)
 
 
 #: Kept hidden units are padded with dropped ones to a multiple of this
 #: width, so the pruned tile GEMMs fall into a handful of shape classes
-#: (each new class costs a one-time batch-invariance probe).
-HIDDEN_PAD = 16
+#: (each new class costs a one-time batch-invariance probe) and a
+#: tile-row's tiles into a few width groups, each one stacked product
+#: on a few-row batch. 32 rather than 16 cuts a serving tile-row from
+#: about 3 groups to 2; large shards pay for the extra dead units in
+#: FLOPs.
+HIDDEN_PAD = 32
 
 
 class GeniexTileFactory:
@@ -135,11 +136,8 @@ class GeniexTileFactory:
     name = "geniex"
 
     def __init__(self, emulator: GeniexEmulator,
-                 batch_invariant: bool = False,
                  v_supply_v: float | None = None):
         self.emulator = emulator
-        self.batch_invariant = bool(batch_invariant)
-        self._matmul = select_matmul(batch_invariant)
         model = emulator.model
         w1v, _, _ = model.first_layer_views()
         self._w1v_t = np.ascontiguousarray(w1v.T)
@@ -165,6 +163,20 @@ class GeniexTileFactory:
                    if isinstance(layer, Linear)]
         (self.w2_t, self.b2), self.tail = linears[0], linears[1:]
         self._cache_token = None
+
+    def head(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The network after its second GEMM, from that float32 product
+        ``y`` ``(..., n, h2)`` (overwritten) into ``out`` ``(..., n,
+        cols)``, the last bias add widened to float64. Every tile shares
+        these layers, so a stack of tiles runs each as one row-invariant
+        product over all its rows."""
+        bias = self.b2
+        for w_t, next_bias in self.tail:
+            np.add(y, bias, out=y)
+            np.maximum(y, 0.0, out=y)
+            y = batch_invariant_matmul(y.reshape(-1, y.shape[-1]), w_t)
+            bias = next_bias
+        return np.add(y.reshape(out.shape), bias, out=out)
 
     def check_crossbar(self, config: CrossbarConfig) -> None:
         if (self.emulator.rows, self.emulator.cols) != config.shape:
@@ -219,14 +231,15 @@ class GeniexTileFactory:
         Digests the trained network's parameters so two engines backed by
         *differently trained* emulators (same crossbar shape) can never
         share prepared-matrix uids — and with them ADC noise streams.
+        ``bi=0`` is part of every stored uid and noisy-ADC stream seed, so
+        it stays in the token.
         """
         if self._cache_token is None:
             digest = hashlib.sha256()
             for name, array in self.emulator.model.state_dict().items():
                 digest.update(name.encode())
                 digest.update(np.ascontiguousarray(array).tobytes())
-            self._cache_token = (f"geniex|bi={int(self.batch_invariant)}"
-                                 f"|em={digest.hexdigest()[:16]}")
+            self._cache_token = f"geniex|bi=0|em={digest.hexdigest()[:16]}"
         return self._cache_token
 
     def build(self, conductance_s: np.ndarray) -> "GeniexTileModel":
@@ -261,46 +274,25 @@ class GeniexTileModel:
                                      bias[None, kept]])
         #: Second-layer operand, restricted to the kept units.
         self.w2_t = factory.w2_t[kept]
-        #: Flat float32 work size per voltage row of :meth:`forward`.
-        self.work_width = kept.size + self.w2_t.shape[1]
         self.conductance_s = np.asarray(conductance_s, dtype=float)
         #: Ideal read-out operand; the currents divide it by fR.
         self.transfer = self.conductance_s
 
-    @property
-    def batch_invariant(self) -> bool:
-        return self._factory.batch_invariant
-
-    def forward(self, v_aug: np.ndarray, out=None, work=None) -> np.ndarray:
+    def forward(self, v_aug: np.ndarray) -> np.ndarray:
         """Normalised network output ``(n, cols)`` for augmented voltages.
 
         The one NN forward of the tile: ``relu(v_aug @ w_aug) @ W2 +
-        b2`` (through any later layers) in float32, the last bias add
-        widened into ``out`` (float64; allocated when ``None``).
-        ``work`` is an optional flat float32 buffer of at least ``n *
-        work_width`` elements that the hidden activations and the first
-        post-ReLU product are carved from. The voltages are not checked:
-        the kernel's DAC keeps them in range by construction.
+        b2`` (through any later layers, :meth:`GeniexTileFactory.head`)
+        in float32, every product
+        :func:`~repro.utils.numerics.batch_invariant_matmul` and the last
+        bias add widened to float64. The voltages are not checked: the
+        kernel's DAC keeps them in range by construction.
         """
-        factory = self._factory
-        matmul = factory._matmul
-        n = v_aug.shape[0]
-        k, width = self.w2_t.shape
-        hidden = first = None
-        if work is not None:
-            hidden = work[:n * k].reshape(n, k)
-            first = work[n * k:n * (k + width)].reshape(n, width)
-        hidden = matmul(v_aug, self.w_aug, out=hidden)
+        hidden = batch_invariant_matmul(v_aug, self.w_aug)
         np.maximum(hidden, 0.0, out=hidden)
-        y = matmul(hidden, self.w2_t, out=first)
-        bias = factory.b2
-        for w_t, next_bias in factory.tail:
-            np.add(y, bias, out=y)
-            np.maximum(y, 0.0, out=y)
-            y, bias = matmul(y, w_t), next_bias
-        if out is None:
-            out = np.empty(y.shape)
-        return np.add(y, bias, out=out)
+        y = batch_invariant_matmul(hidden, self.w2_t)
+        return self._factory.head(
+            y, np.empty((v_aug.shape[0], self.conductance_s.shape[1])))
 
     def validated(self, voltages_v) -> tuple:
         """``(voltages, v_aug)``: ``voltages_v`` as a float64 ``(B, rows)``
@@ -333,5 +325,5 @@ class GeniexTileModel:
     def currents(self, voltages_v) -> np.ndarray:
         """Non-ideal bit-line currents ``I_ideal / fR`` ``(B, cols)``."""
         voltages_v, v_aug = self.validated(voltages_v)
-        i_ideal = self._factory._matmul(voltages_v, self.conductance_s)
+        i_ideal = batch_invariant_matmul(voltages_v, self.conductance_s)
         return i_ideal / self._fr(v_aug)

@@ -15,13 +15,13 @@ active (activation-sign, stream) blocks (:func:`gather_streams`) and
 
 1. **Read-out.** All stream blocks are stacked into one ``(S * batch,
    rows)`` voltage batch. ``exact`` and ``analytical`` tiles are one
-   stacked GEMM; ``geniex`` adds each tile's pruned NN forward
-   (:meth:`~repro.core.emulator.GeniexTileModel.forward`) and the fR
-   divide — under ``batch_invariant``, one stacked forward of the whole
-   tile-row (:class:`GeniexRowStack`), since those
-   engines serve few-row batches whose cost is per-call dispatch;
-   ``decoupled`` and ``circuit`` fill each model's column block
-   with that model's ``currents()``. Only this stage depends on the kind.
+   stacked GEMM; ``geniex`` adds its tiles' pruned NN forward, stacked
+   per kept width (:class:`GeniexWidthGroup`) and byte-equal to each
+   tile's own (:meth:`~repro.core.emulator.GeniexTileModel.forward`),
+   and the fR divide; ``decoupled`` and ``circuit`` fill each model's
+   column block with that model's ``currents()``. Only this stage
+   depends on the kind. Every closed-form product is
+   :func:`~repro.utils.numerics.batch_invariant_matmul`.
 2. **ADC.** :meth:`~repro.funcsim.adc.AdcModel.transfer` turns the
    currents into integer output codes in place, drawing any offset noise
    from the shard's coordinate-keyed generator in this same layout.
@@ -53,9 +53,12 @@ Determinism contract:
   (and therefore every zero-stream skipping decision) is identical no
   matter how execution is scheduled.
 * With a deterministic ADC the kernel is pure, so any schedule produces
-  bit-identical results; in batch-invariant mode results are additionally
-  identical across chunk sizes (the digital back end is exact, so only
-  the read-out could depend on the batch, and invariant mode pins it).
+  bit-identical results. For ``geniex``, ``exact`` and ``analytical``
+  results are additionally identical across chunk sizes and batch
+  compositions: the digital back end is exact, so only the read-out
+  could depend on the batch, and its products are batch-invariant. A
+  zero-preserving ADC is needed too, because all-zero stream blocks are
+  skipped per chunk (:func:`repro.api.spec.supports_batch_invariance`).
 * With ADC noise, :func:`shard_adc` derives each shard's noise stream from
   ``(adc_seed, layer uid, matmul sequence, tile-row, chunk)`` — tile
   coordinates, not shard assignment — so noisy runs reproduce bit-exactly
@@ -71,14 +74,13 @@ import threading
 
 import numpy as np
 
-from repro.core.emulator import GeniexTileFactory
 from repro.errors import ShapeError
 from repro.funcsim.adc import AdcModel
 from repro.funcsim.planner import LayerPlan, plan_layer
 from repro.funcsim.slicing import sign_split, split_unsigned
 from repro.funcsim.tiles import pad_axis
 from repro.obs import span
-from repro.utils.numerics import batch_invariant_matmul, select_matmul
+from repro.utils.numerics import batch_invariant_matmul
 
 #: Default batch rows per shard. Fixed (worker-count independent) so the
 #: shard set — and with it zero-skip decisions and noise keying — depends
@@ -146,86 +148,80 @@ def _cat_columns(stack: np.ndarray) -> np.ndarray:
         rows, m * cols)
 
 
-#: Widest first-layer GEMM of a :class:`GeniexRowStack`, in float32
-#: columns. Each GEMM width is a shape class of
-#: :func:`~repro.utils.numerics.batch_invariant_matmul`, whose one-time
-#: probe holds a ``(4131, width)`` problem: one GEMM across a serving
-#: tile-row (1536 columns) raised a server's peak RSS by 27% and ran no
-#: faster than groups of this width.
-STACK_GEMM_COLUMNS = 512
+#: Float32 hidden activations (tiles x rows x kept units) one stacked
+#: product of a :class:`GeniexWidthGroup` may hold. Few-row batches run
+#: a whole group per product, where a per-tile loop would cost Python
+#: dispatch rather than FLOPs; a shard this large on its own runs one
+#: tile per product, exactly the per-tile forward.
+STACK_HIDDEN_ELEMENTS = 1 << 16
 
 
-class GeniexRowStack:
-    """The GENIEx tiles of one tile-row, run as one stacked forward.
+class GeniexWidthGroup:
+    """The GENIEx tiles of one tile-row that keep the same number of
+    hidden units, run as stacked per-tile products.
 
-    Batch-invariant engines serve 1- and 2-row batches, where ``M``
-    per-tile forwards cost Python dispatch rather than FLOPs. The stack
-    pads every tile's kept hidden set to the tile-row's widest, ``kmax``:
-    a pad unit has zero voltage weights, bias -1 and a zero second-layer
-    row, so its ReLU output is exactly 0 and it adds exact zeros to the
-    second layer's sums. The first layer is then a few GEMMs on the
-    column-concatenated padded ``w_aug`` operands (grouped under
-    :data:`STACK_GEMM_COLUMNS`), the second one stacked ``(M, n, kmax) @
-    (M, kmax, h2)`` product, and any later layer, shared by all tiles,
-    one ``(M * n, h2)`` GEMM. Every product is
-    :func:`~repro.utils.numerics.batch_invariant_matmul`.
-
-    The padding costs FLOPs, which large non-invariant shards pay for
-    (they keep :meth:`~repro.core.emulator.GeniexTileModel.forward`), so
-    the stack is chosen by the engine's ``batch_invariant`` property,
-    never by batch size.
+    The group owns its tiles' first- and second-layer operands, stacked
+    ``(g, rows + 1, k)`` and ``(g, k, h2)``; each tile's ``w_aug`` and
+    ``w2_t`` become views of its slice. :meth:`forward` runs both layers
+    as stacked products, one gemm per tile of exactly the shape the
+    tile's own :meth:`~repro.core.emulator.GeniexTileModel.forward` runs,
+    so every block is byte-equal to that forward's, however the group is
+    chunked (tested). The first layer is never one column-concatenated
+    GEMM across tiles: BLAS's result for it depends on its width.
     """
 
-    def __init__(self, factory: GeniexTileFactory, models: list):
-        self._factory = factory
-        n_models = len(models)
-        kmax = max(tile.kept.size for tile in models)
-        w_aug = np.zeros((n_models, models[0].w_aug.shape[0], kmax),
-                         np.float32)
-        w_aug[:, -1, :] = -1.0
-        w2 = np.zeros((n_models, kmax, factory.w2_t.shape[1]), np.float32)
-        for mi, tile in enumerate(models):
-            k = tile.kept.size
-            w_aug[mi, :, :k] = tile.w_aug
-            w2[mi, :k] = tile.w2_t
-        # Balanced groups of whole tiles: one width, one probe class.
-        n_groups = -(-n_models * kmax // STACK_GEMM_COLUMNS)
-        per = -(-n_models // n_groups)
-        #: ``(first column, (rows + 1, g * kmax) operand)`` per group.
-        self.first = [(lo * kmax, _cat_columns(w_aug[lo:lo + per]))
-                      for lo in range(0, n_models, per)]
-        #: Stacked second-layer operand ``(M, kmax, h2)``.
-        self.w2 = w2
+    def __init__(self, index: list, models: list):
+        #: Positions of the group's tiles in the tile-row's model order
+        #: (their column blocks of the measurement).
+        self.index = index
+        first = models[0]
+        self.w_aug = np.empty((len(models),) + first.w_aug.shape, np.float32)
+        self.w2 = np.empty((len(models),) + first.w2_t.shape, np.float32)
+        for i, model in enumerate(models):
+            self.w_aug[i], self.w2[i] = model.w_aug, model.w2_t
+            model.w_aug, model.w2_t = self.w_aug[i], self.w2[i]
 
-    def forward(self, v_aug: np.ndarray, out: np.ndarray,
-                scratch) -> np.ndarray:
-        """Normalised network outputs ``(M, n, cols)`` into ``out``.
+    def forward(self, v_aug: np.ndarray, head, fr: np.ndarray,
+                scratch) -> None:
+        """Write each tile's normalised network output ``(n, cols)`` into
+        its model block of ``fr`` ``(M, n, cols)``; ``head`` runs the
+        network after the second GEMM
+        (:meth:`~repro.core.emulator.GeniexTileFactory.head`).
 
-        Tile ``mi``'s block ``out[mi]`` is what
-        :meth:`~repro.core.emulator.GeniexTileModel.forward` returns for
-        it: byte for byte where BLAS sums the zero-padded second-layer
-        product in the unpadded order, to 2 float32 ulps of the block's
-        scale where it does not (tested). ``scratch`` is the
-        :class:`ScratchPool` the hidden activations are taken from.
+        Tiles run in chunks of at most :data:`STACK_HIDDEN_ELEMENTS`
+        hidden activations (at least one tile), taken from the
+        :class:`ScratchPool` ``scratch``. A chunk's output is finished
+        while it is in cache, so a large shard's tile runs its whole
+        forward before the next tile starts.
         """
-        factory = self._factory
-        matmul = batch_invariant_matmul
+        n_models, _, k = self.w_aug.shape
         n = v_aug.shape[0]
-        n_models, kmax, width = self.w2.shape
-        hidden = scratch.take("hidden", (n, n_models * kmax), np.float32)
-        for lo, w in self.first:
-            matmul(v_aug, w, out=hidden[:, lo:lo + w.shape[1]])
-        np.maximum(hidden, 0.0, out=hidden)
-        y = scratch.take("hidden2", (n_models, n, width), np.float32)
-        matmul(hidden.reshape(n, n_models, kmax).transpose(1, 0, 2),
-               self.w2, out=y)
-        bias = factory.b2
-        for w_t, next_bias in factory.tail:
-            np.add(y, bias, out=y)
-            np.maximum(y, 0.0, out=y)
-            y = matmul(y.reshape(n_models * n, -1), w_t)
-            bias = next_bias
-        return np.add(y.reshape(n_models, n, -1), bias, out=out)
+        per = max(1, STACK_HIDDEN_ELEMENTS // (n * k))
+        for lo in range(0, n_models, per):
+            index = self.index[lo:lo + per]
+            g = len(index)
+            hidden = scratch.take("hidden", (g, n, k), np.float32)
+            batch_invariant_matmul(v_aug[None], self.w_aug[lo:lo + g],
+                                   out=hidden)
+            np.maximum(hidden, 0.0, out=hidden)
+            y = scratch.take("hidden2", (g, n, self.w2.shape[2]),
+                             np.float32)
+            batch_invariant_matmul(hidden, self.w2[lo:lo + g], out=y)
+            first = index[0]
+            if index[-1] - first == g - 1:
+                head(y, fr[first:first + g])
+            else:
+                fr[index] = head(y, scratch.take("fr_group",
+                                                 (g, n, fr.shape[2])))
+
+
+def _width_groups(models: list) -> list:
+    """One :class:`GeniexWidthGroup` per kept width among ``models``."""
+    by_width = {}
+    for mi, model in enumerate(models):
+        by_width.setdefault(model.kept.size, []).append(mi)
+    return [GeniexWidthGroup(index, [models[mi] for mi in index])
+            for index in by_width.values()]
 
 
 # ----------------------------------------------------------------------
@@ -335,11 +331,10 @@ class PreparedMatrix:
     tile-row's models in ``(sign, slice, tile_col)`` model-major order —
     the order of the measurement's column blocks — with, for the
     closed-form kinds, their column-concatenated read-out operand and,
-    for batch-invariant geniex layers, their stacked forward
-    (:class:`GeniexRowStack`); the shift-and-add prefactors; the
-    engine's scratch pool; and the tile factory's voltage augmenter and
-    normaliser. Without an engine (the ideal engine's product) ``plan``
-    is ``None`` and the matrix holds only ``qw`` and ``uid``.
+    for geniex, their :class:`GeniexWidthGroup` forwards; the
+    shift-and-add prefactors; the engine's scratch pool; and the tile
+    factory. Without an engine (the ideal engine's product) ``plan`` is
+    ``None`` and the matrix holds only ``qw`` and ``uid``.
     """
 
     def __init__(self, qw: np.ndarray, uid: str, engine=None,
@@ -355,11 +350,8 @@ class PreparedMatrix:
         factory = engine.tile_factory
         self.kind = factory.name
         self.scratch = engine._scratch
-        batch_invariant = bool(getattr(factory, "batch_invariant", False))
-        self._matmul = select_matmul(batch_invariant)
         geniex = self.kind == "geniex"
-        self._augment = factory.prepare_voltages if geniex else None
-        self._normalizer = factory.emulator.normalizer if geniex else None
+        self._factory = factory
         #: Matmul sequence numbers keying the ADC noise streams
         #: (:meth:`LayerPlan.noise_seed`): every call through the layer
         #: draws fresh noise, and the counter lives as long as the layer.
@@ -383,12 +375,9 @@ class PreparedMatrix:
                 _cat_columns(np.stack([m.transfer for m in row]))
                 if hasattr(row[0], "transfer") else None
                 for row in self.row_models]
-            #: Per tile-row :class:`GeniexRowStack`
-            #: (``None``: each tile runs its own forward).
-            self.row_stacks = [
-                GeniexRowStack(factory, row)
-                if geniex and batch_invariant else None
-                for row in self.row_models]
+            #: Per tile-row :class:`GeniexWidthGroup` list (geniex only).
+            self.row_groups = [_width_groups(row)
+                               for row in self.row_models] if geniex else None
             sw_factors = np.array([1.0 if sw == 0 else -1.0
                                    for sw in plan.sign_present])
             slice_scales = np.array([float(2 ** (k * cfg.slice_bits))
@@ -439,7 +428,7 @@ class PreparedMatrix:
                 i_flat[:, mi * cols:(mi + 1) * cols] = model.currents(
                     voltages)
             return i_flat
-        self._matmul(voltages, operand, out=i_flat)
+        batch_invariant_matmul(voltages, operand, out=i_flat)
         if self.kind == "geniex":
             fr = self._friction(tr, voltages)
             i3 = i_flat.reshape(n_rows, len(models), cols)
@@ -449,30 +438,19 @@ class PreparedMatrix:
     def _friction(self, tr: int, voltages: np.ndarray) -> np.ndarray:
         """Geniex non-ideality factors ``(M, n, cols)``, model-major.
 
-        The factory augments the voltages once for the whole tile-row.
-        Tile-row ``tr``'s stacked forward, when it has one, writes every
-        model's block of the pooled ``fr`` buffer at once; otherwise each
-        tile model runs its own pruned forward
-        (:meth:`~repro.core.emulator.GeniexTileModel.forward`) into its
-        block, with its hidden activations carved from the pooled
-        ``hidden`` buffer. The fR rescale
-        (:meth:`~repro.core.model.Normalizer.denormalize_fr`) is
-        element-wise, so it runs once, in place, over the whole block.
+        The factory augments the voltages once for the whole tile-row,
+        and each of the tile-row's width groups writes its models' blocks
+        of the pooled ``fr`` buffer (:meth:`GeniexWidthGroup.forward`).
+        The fR rescale (:meth:`~repro.core.model.Normalizer.denormalize_fr`)
+        is element-wise, so it runs once, in place, over the whole block.
         """
-        models = self.row_models[tr]
-        shared = self._augment(voltages)
-        n_rows = shared.shape[0]
-        fr = self.scratch.take("fr", (len(models), n_rows, self.plan.cols))
-        stack = self.row_stacks[tr]
-        if stack is not None:
-            stack.forward(shared, fr, self.scratch)
-        else:
-            work = self.scratch.take(
-                "hidden", (n_rows * max(m.work_width for m in models),),
-                np.float32)
-            for mi, model in enumerate(models):
-                model.forward(shared, out=fr[mi], work=work)
-        return self._normalizer.denormalize_fr(fr, out=fr)
+        factory = self._factory
+        shared = factory.prepare_voltages(voltages)
+        fr = self.scratch.take("fr", (self.n_models, shared.shape[0],
+                                      self.plan.cols))
+        for group in self.row_groups[tr]:
+            group.forward(shared, factory.head, fr, self.scratch)
+        return factory.emulator.normalizer.denormalize_fr(fr, out=fr)
 
     # ------------------------------------------------------------------
     # Shard kernel

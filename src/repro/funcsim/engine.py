@@ -27,7 +27,12 @@ through the fixed-point accumulator in tile-row order. ``workers > 1``
 fans the shards over an engine-owned thread pool (the tile math is BLAS
 and releases the GIL). The shard set never depends on ``workers``, so
 every worker count returns bit-identical outputs; see
-:mod:`repro.funcsim.compiler` for the determinism contract.
+:mod:`repro.funcsim.compiler` for the determinism contract. The
+closed-form kinds (:data:`INVARIANT_KINDS`) run every tile product
+through :func:`~repro.utils.numerics.batch_invariant_matmul`, so with a
+deterministic, zero-preserving ADC a row's output never depends on the
+batch it shares either: one kernel, with no mode, serves in-process
+batches and microbatched serving alike.
 
 **Batched execution.** Every tile model accepts voltage batches of shape
 ``(M, rows)`` and returns currents of shape ``(M, cols)`` — that is the
@@ -46,8 +51,8 @@ Tile models:
   tile is programmed: the conductance term of the hidden layer folds into
   a per-tile bias, hidden units that bias provably keeps at zero are
   dropped, and the bias rides in the first GEMM on voltages augmented
-  once per tile-row. Under ``batch_invariant`` a tile-row's tiles run as
-  one stacked forward (:class:`~repro.funcsim.compiler.GeniexRowStack`).
+  once per tile-row. A tile-row's tiles of one kept width run as stacked
+  per-tile products (:class:`~repro.funcsim.compiler.GeniexWidthGroup`).
 * :class:`AnalyticalTileFactory` — exact linear parasitic model (one sparse
   LU per tile, reused across all streams).
 * :class:`DecoupledTileFactory` — cheap first-order IR-drop model.
@@ -88,9 +93,8 @@ from repro.funcsim.slicing import sign_split, split_unsigned
 from repro.funcsim.tiles import n_tiles, tile_matrix
 from repro.nonideal.pipeline import as_pipeline
 from repro.utils.digest import content_key
-from repro.utils.numerics import select_matmul
+from repro.utils.numerics import batch_invariant_matmul
 from repro.xbar.config import CrossbarConfig
-from repro.xbar.ideal import ideal_mvm
 from repro.xbar.mapping import conductances_from_levels
 
 #: Every engine kind :func:`make_engine` accepts, in documentation order.
@@ -99,10 +103,10 @@ from repro.xbar.mapping import conductances_from_levels
 ENGINE_KINDS = ("ideal", "exact", "geniex", "analytical", "decoupled",
                 "circuit")
 
-#: Kinds whose tile models support the batch-invariant einsum kernel
-#: (closed-form tile math; the iterative ``decoupled``/``circuit`` models
-#: cannot, and ``ideal`` is inherently invariant without the flag). The
-#: single source of truth: :func:`make_engine` enforces it here and
+#: Kinds whose tile products are always
+#: :func:`~repro.utils.numerics.batch_invariant_matmul` (closed-form tile
+#: math; the iterative ``decoupled``/``circuit`` models are not
+#: invariant, and ``ideal`` is exact integer math).
 #: :func:`repro.api.spec.supports_batch_invariance` builds on it.
 INVARIANT_KINDS = ("geniex", "exact", "analytical")
 
@@ -129,23 +133,18 @@ class _ConfigTileFactory:
             raise ConfigError("tile factory / engine crossbar shape mismatch")
 
 
-class ExactTileModel:
-    """Tile computing the exact analog dot product (ideality oracle).
+class LinearTileModel:
+    """Tile whose currents are one linear read-out, ``V @ transfer``: the
+    programmed conductances (``exact``) or a parasitic transfer matrix
+    (``analytical``). The compiled kernel stacks ``transfer`` across a
+    tile-row."""
 
-    ``transfer`` is the linear read-out operand (currents = ``V @
-    transfer``) the compiled kernel stacks across a tile-row.
-    """
-
-    def __init__(self, conductance_s: np.ndarray, matmul=None):
-        self.conductance_s = np.asarray(conductance_s, dtype=float)
-        self.transfer = self.conductance_s
-        self._matmul = matmul
+    def __init__(self, transfer: np.ndarray):
+        self.transfer = transfer
 
     def currents(self, voltages_v) -> np.ndarray:
-        if self._matmul is not None:
-            return self._matmul(np.atleast_2d(voltages_v),
-                                self.conductance_s)
-        return ideal_mvm(voltages_v, self.conductance_s)
+        return batch_invariant_matmul(np.atleast_2d(voltages_v),
+                                      self.transfer)
 
 
 class ExactTileFactory(_ConfigTileFactory):
@@ -160,18 +159,15 @@ class ExactTileFactory(_ConfigTileFactory):
 
     name = "exact"
 
-    def __init__(self, config: CrossbarConfig, batch_invariant: bool = False):
+    def __init__(self, config: CrossbarConfig):
         self.config = config
-        self.batch_invariant = bool(batch_invariant)
-        self._matmul = select_matmul(batch_invariant)
 
     def cache_token(self) -> str:
-        return f"exact|bi={int(self.batch_invariant)}"
+        # "bi=0" is part of every stored uid and noisy-ADC stream seed.
+        return "exact|bi=0"
 
-    def build(self, conductance_s: np.ndarray) -> ExactTileModel:
-        return ExactTileModel(
-            conductance_s,
-            self._matmul if self.batch_invariant else None)
+    def build(self, conductance_s: np.ndarray) -> LinearTileModel:
+        return LinearTileModel(np.asarray(conductance_s, dtype=float))
 
 
 class AnalyticalTileFactory(_ConfigTileFactory):
@@ -186,27 +182,16 @@ class AnalyticalTileFactory(_ConfigTileFactory):
 
     name = "analytical"
 
-    def __init__(self, config: CrossbarConfig, batch_invariant: bool = False):
+    def __init__(self, config: CrossbarConfig):
         self.config = config
-        self.batch_invariant = bool(batch_invariant)
-        self._matmul = select_matmul(batch_invariant)
         self._solver = LinearCrossbarSolver(config)
 
     def cache_token(self) -> str:
-        return f"analytical|bi={int(self.batch_invariant)}"
+        # "bi=0" is part of every stored uid and noisy-ADC stream seed.
+        return "analytical|bi=0"
 
-    def build(self, conductance_s: np.ndarray) -> "AnalyticalTileModel":
-        return AnalyticalTileModel(
-            self._solver.transfer_matrix(conductance_s), self._matmul)
-
-
-class AnalyticalTileModel:
-    def __init__(self, transfer: np.ndarray, matmul=np.matmul):
-        self.transfer = transfer
-        self._matmul = matmul
-
-    def currents(self, voltages_v: np.ndarray) -> np.ndarray:
-        return self._matmul(np.atleast_2d(voltages_v), self.transfer)
+    def build(self, conductance_s: np.ndarray) -> LinearTileModel:
+        return LinearTileModel(self._solver.transfer_matrix(conductance_s))
 
 
 class DecoupledTileModel:
@@ -627,7 +612,6 @@ class CrossbarMvmEngine:
 def make_engine(kind: str, xbar_config: CrossbarConfig,
                 sim_config: FuncSimConfig,
                 emulator: GeniexEmulator | None = None,
-                batch_invariant: bool = False,
                 workers: int | None = None,
                 nonideality=None):
     """Engine factory: ``ideal | exact | geniex | analytical | decoupled |
@@ -637,16 +621,16 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
     ``exact`` runs the full bit-sliced pipeline with ideality-oracle tiles,
     isolating the digital error sources from crossbar non-idealities.
 
-    ``batch_invariant=True`` routes tile matmuls through the einsum kernel
-    so each output row is bitwise independent of the batch it shares (the
-    serving layer needs this; see :mod:`repro.utils.numerics`). Supported
-    for ``geniex``, ``exact`` and ``analytical``; ``ideal`` is inherently
-    invariant (exact integer arithmetic); the iterative ``decoupled`` and
-    ``circuit`` models are not, and reject the flag. Invariance also
-    requires a deterministic, zero-preserving ADC: the engine skips
-    all-zero stream blocks *per batch*, which only equals per-row
-    execution when ``measure(0) == 0``, so converter offset or noise is
-    rejected too.
+    ``geniex``, ``exact`` and ``analytical`` tiles run every product
+    through :func:`~repro.utils.numerics.batch_invariant_matmul`, so with
+    a deterministic, zero-preserving ADC each output row is bitwise
+    independent of the batch it shares (the serving contract; see
+    :func:`repro.api.spec.supports_batch_invariance`). ``ideal`` is
+    invariant by construction (exact integer arithmetic). The iterative
+    ``decoupled`` and ``circuit`` models are not, and neither is any
+    kind under converter offset or noise: the engine skips all-zero
+    stream blocks *per batch*, which only equals per-row execution when
+    ``measure(0) == 0``.
 
     ``workers`` (default 1) is the number of threads running one
     matmul's shards; any value gives bit-identical results. It pays when
@@ -674,34 +658,19 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
         # Digital exact integer math: nothing to shard; workers is
         # ignored.
         return IdealMvmEngine(sim_config)
-    if batch_invariant and (sim_config.adc_offset_lsb != 0.0
-                            or sim_config.adc_noise_lsb != 0.0):
-        raise ConfigError(
-            "batch-invariant execution requires a deterministic, "
-            "zero-preserving ADC (adc_offset_lsb == adc_noise_lsb == 0); "
-            "zero-drive stream blocks are skipped per batch and would "
-            "otherwise measure differently depending on batch composition")
     if kind == "geniex":
         if emulator is None:
             raise ConfigError("geniex engine requires a trained emulator")
-        factory = GeniexTileFactory(emulator, batch_invariant=batch_invariant,
+        factory = GeniexTileFactory(emulator,
                                     v_supply_v=xbar_config.v_supply_v)
     elif kind == "exact":
-        factory = ExactTileFactory(xbar_config,
-                                   batch_invariant=batch_invariant)
+        factory = ExactTileFactory(xbar_config)
     elif kind == "analytical":
-        factory = AnalyticalTileFactory(xbar_config,
-                                        batch_invariant=batch_invariant)
-    elif kind in ("decoupled", "circuit"):
-        # The only kinds that *reject* the flag: they are not in
-        # INVARIANT_KINDS and, unlike "ideal" (exact integer math,
-        # invariant with or without the flag), cannot honour it.
-        if batch_invariant:
-            raise ConfigError(
-                f"batch-invariant execution is not supported for the "
-                f"iterative {kind!r} tile model")
-        factory = DecoupledTileFactory(xbar_config) if kind == "decoupled" \
-            else CircuitTileFactory(xbar_config)
+        factory = AnalyticalTileFactory(xbar_config)
+    elif kind == "decoupled":
+        factory = DecoupledTileFactory(xbar_config)
+    elif kind == "circuit":
+        factory = CircuitTileFactory(xbar_config)
     else:
         raise ConfigError(
             f"unknown engine kind {kind!r}; expected one of "

@@ -27,9 +27,13 @@ def pad_axis(array: np.ndarray, axis: int, multiple: int) -> np.ndarray:
     target = n_tiles(length, multiple) * multiple
     if target == length:
         return array
-    widths = [(0, 0)] * array.ndim
-    widths[axis] = (0, target - length)
-    return np.pad(array, widths)
+    # A zero-filled copy, as np.pad would return, without its per-call
+    # overhead (this runs on every activation batch).
+    shape = list(array.shape)
+    shape[axis] = target
+    out = np.zeros(shape, array.dtype)
+    out[tuple(slice(0, n) for n in array.shape)] = array
+    return out
 
 
 def tile_matrix(matrix: np.ndarray, tile_rows: int,

@@ -11,17 +11,20 @@ requests — from any client, in any order — land on the same warm object
   keeps serving other traffic.
 * **crossbars** — the :class:`GeniexTileModel` of a programmed
   conductance matrix (:meth:`GeniexEmulator.for_matrix`: the engine's
-  folded, pruned tile), keyed by (model key, G digest). Always built with
-  ``batch_invariant=True`` so coalesced predictions are byte-identical to
-  direct per-request calls.
+  folded, pruned tile), keyed by (model key, G digest). Its products are
+  batch-invariant, so coalesced predictions are byte-identical to direct
+  per-request calls.
 * **engines** — prepared :class:`CrossbarMvmEngine` pipelines (engine +
   :class:`PreparedMatrix`), keyed by ``spec.weights_key(weights)`` — the
   :class:`~repro.api.spec.EmulationSpec` digest scheme every other
   surface uses. Preparing programs every (sign, slice, tile) model, so
   it also runs on the executor under a per-key lock. Engines are built
-  through :func:`repro.api.session.build_engine` from the spec, under a
-  server-owned runtime policy (batch-invariant whenever possible,
-  thread sharding).
+  through :func:`repro.api.session.build_engine` from the spec, with
+  the registry's shard threads (:meth:`ModelRegistry.serving_spec`).
+  Where the spec supports it
+  (:func:`~repro.api.spec.supports_batch_invariance`), each row is
+  byte-identical whatever batch it is coalesced into: that is how every
+  engine computes, not a mode the registry switches on.
 * **mitigated** — whole mitigated classifiers (noise-trained weights on
   a live engine, output calibration applied), keyed by
   :func:`repro.mitigation.runner.mitigated_key` — full spec digest
@@ -30,6 +33,11 @@ requests — from any client, in any order — land on the same warm object
   physics. Builds run :func:`~repro.mitigation.runner.run_mitigation`
   on the executor; the zoo persists the artifact, so a registry restart
   rebuilds from disk instead of retraining.
+
+Compiled networks (:meth:`ModelRegistry.net`) are keyed and persisted the
+same way. No runtime field enters ``key()``, so ``serving_spec`` moves no
+key, and every key equals the one the registry issued while batch
+invariance was a runtime flag it switched on.
 """
 
 from __future__ import annotations
@@ -115,8 +123,8 @@ class CompiledNet:
 
     The whole network shares one engine (every layer's weights prepared
     on it during :func:`convert_to_mvm`); ``predict`` is row-independent
-    under batch-invariant modes, so microbatched calls are byte-identical
-    to sequential per-request runs.
+    whenever the spec supports batch invariance (``batch_invariant``), so
+    microbatched calls are byte-identical to sequential per-request runs.
     """
 
     key: str
@@ -160,6 +168,20 @@ class CompiledNet:
     def close(self, wait: bool = True) -> None:
         """Release the engine's runtime workers (degrades inline)."""
         self._engine.close(wait=wait)
+
+
+def _current_spec(stored: dict) -> dict:
+    """A stored net program's spec dict in today's schema.
+
+    Programs saved while batch invariance was a runtime flag store
+    ``runtime.batch_invariant``. Their keys never moved (the registry
+    always keyed them on the derived invariance, whatever the stored
+    flag said), so the field is dropped, not rejected; a client that
+    submits it still gets the unknown-field error.
+    """
+    runtime = {k: v for k, v in stored.get("runtime", {}).items()
+               if k != "batch_invariant"}
+    return {**stored, "runtime": runtime}
 
 
 def _net_input_features(wire: dict) -> tuple:
@@ -286,9 +308,8 @@ class ModelRegistry:
         same setup: ``model_key`` (crossbar design + emulator node)
         always participates, exactly as it did in the legacy scheme.
         """
-        invariant = supports_batch_invariance(kind, sim_config)
-        engine_id = engine_identity(model_key, kind, sim_config, invariant)
-        return weights_identity(engine_id, weights)
+        return weights_identity(
+            engine_identity(model_key, kind, sim_config), weights)
 
     def _lock_for(self, key: str) -> asyncio.Lock:
         lock = self._locks.get(key)
@@ -347,10 +368,10 @@ class ModelRegistry:
 
     async def matrix_emulator(self, spec: ModelSpec,
                               conductance_s: np.ndarray) -> tuple:
-        """Warm the batch-invariant crossbar tile model for (spec, G).
+        """Warm the crossbar tile model for (spec, G).
 
         Returns ``(crossbar_key, tile)``, ``tile`` being
-        ``emulator.for_matrix(G, batch_invariant=True)``: the
+        ``emulator.for_matrix(G)``: the
         :class:`GeniexTileModel` whose ``fr``/``currents`` serve
         ``/v1/predict_fr`` and ``/v1/predict_currents``.
 
@@ -378,7 +399,7 @@ class ModelRegistry:
                 conductance_s, (0,), spec.config.g_off_s,
                 spec.config.g_on_s)
         _, emulator = await self.emulator(spec)
-        warm = emulator.for_matrix(conductance_s, batch_invariant=True)
+        warm = emulator.for_matrix(conductance_s)
         self._crossbars.put(key, warm)
         return key, warm
 
@@ -404,18 +425,12 @@ class ModelRegistry:
         wire-visible warm-engine key, so clients that want to predict
         server cache keys call this (see the README's Public API notes).
 
-        The runtime node is server-owned: warm engines run
-        batch-invariantly whenever the kind/ADC combination allows it —
-        so coalesced microbatch responses are byte-identical to direct
-        per-request calls — with the registry's shard threads. Clients cannot steer the server onto more threads by
-        submitting a creative runtime node.
+        The runtime node is server-owned: warm engines run with the
+        registry's shard threads, so clients cannot steer the server onto
+        more threads by submitting a creative runtime node. No runtime
+        field enters ``key()``, so this never moves a key.
         """
-        invariant = supports_batch_invariance(spec.engine,
-                                              spec.sim.to_config())
-        return spec.evolve(runtime={
-            "batch_invariant": invariant,
-            "workers": self.engine_workers,
-        })
+        return spec.evolve(runtime={"workers": self.engine_workers})
 
     async def engine_from_spec(self, spec: EmulationSpec,
                                weights: np.ndarray) -> PreparedEngine:
@@ -528,10 +543,10 @@ class ModelRegistry:
         """The warm-program key for (net digest, spec).
 
         The issue-level identity is ``(net_digest, model_key)``; the
-        cache key additionally folds the engine kind, sim precision and
-        batch-invariance through ``serving_spec(spec).key()`` so two
-        specs sharing a trained model but differing in execution can
-        never alias one compiled program.
+        cache key additionally folds the engine kind and sim precision
+        through ``serving_spec(spec).key()`` so two specs sharing a
+        trained model but differing in execution can never alias one
+        compiled program.
         """
         return content_key("netprog", digest,
                            self.serving_spec(spec).key())
@@ -593,7 +608,7 @@ class ModelRegistry:
                 if loaded is None:
                     return None
                 wire, meta = loaded
-                spec = EmulationSpec.from_dict(meta["spec"])
+                spec = EmulationSpec.from_dict(_current_spec(meta["spec"]))
                 warm = await self._build_net(key, meta["net_digest"],
                                              wire, spec)
                 self._nets.put(key, warm)
@@ -630,7 +645,8 @@ class ModelRegistry:
             return CompiledNet(
                 key=key, net_digest=digest, model_key=sspec.model_key(),
                 spec_key=sspec.key(), engine_kind=sspec.engine,
-                batch_invariant=sspec.runtime.batch_invariant,
+                batch_invariant=supports_batch_invariance(sspec.engine,
+                                                          sspec.sim),
                 n_layers=len(wire["layers"]),
                 n_mvm_layers=len(mvm_layers(converted)),
                 n_in=n_in, input_shape=input_shape,

@@ -61,7 +61,7 @@ import threading
 import numpy as np
 
 from repro.errors import ConfigError, ReproError, ShapeError
-from repro.obs import span
+from repro.obs import gauge_family, span
 from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
 from repro.serve.httpio import (HttpService, RawResponse, StreamingResponse,
@@ -74,10 +74,28 @@ from repro.serve.protocol import (ProtocolError, decode_array, encode_array,
                                   parse_sim_config, reject_mixed_identity)
 from repro.serve.registry import ModelRegistry
 from repro.serve.scheduler import MicrobatchScheduler, QueueFullError
+from repro.utils.numerics import blas_probe_verdicts
 
 
 class _NotFound(ReproError, KeyError):
     """A referenced registry key is unknown (HTTP 404)."""
+
+
+def _blas_probe() -> dict:
+    """The JSON ``/metrics`` view of this process's batch-invariance
+    probes: how many shape classes were probed, and those a failed probe
+    pinned to the slower einsum kernel, as ``"KxN:<dtypes>"``."""
+    verdicts = blas_probe_verdicts()
+    return {"classes": len(verdicts),
+            "einsum_classes": sorted(
+                f"{k}x{n}:{a}{b}"
+                for (k, n, a, b), blas in verdicts.items() if not blas)}
+
+
+def _blas_probe_families() -> dict:
+    return {"repro_blas_einsum_classes": gauge_family(
+        "Shape classes of batch-invariant products pinned to einsum by a "
+        "failed BLAS probe.", [({}, len(_blas_probe()["einsum_classes"]))])}
 
 
 class EmulationServer(HttpService):
@@ -92,6 +110,7 @@ class EmulationServer(HttpService):
                          idle_timeout_s=idle_timeout_s, tracing=tracing)
         self.registry = registry or ModelRegistry()
         self.metrics.registry.register_collector(self.registry.obs_families)
+        self.metrics.registry.register_collector(_blas_probe_families)
         self.scheduler = MicrobatchScheduler(
             max_batch_rows=max_batch_rows,
             max_queue_rows=max_queue_rows,
@@ -156,6 +175,7 @@ class EmulationServer(HttpService):
         snapshot = self.metrics.snapshot()
         snapshot["queue"]["per_key"] = self.scheduler.queue_depths()
         snapshot["registry"] = self.registry.stats()
+        snapshot["blas_probe"] = _blas_probe()
         return snapshot
 
     async def _get_obs(self, headers: dict) -> dict:

@@ -126,11 +126,11 @@ def batch_invariant_matmul(a: np.ndarray, b: np.ndarray,
     return np.matmul(a, b, out=out)
 
 
-def select_matmul(batch_invariant: bool):
-    """Matrix product for tile math: BLAS ``np.matmul`` by default,
-    :func:`batch_invariant_matmul` when the caller needs per-row results
-    that do not depend on the batch size."""
-    return batch_invariant_matmul if batch_invariant else np.matmul
+def blas_probe_verdicts() -> dict:
+    """The probe verdicts so far, as a copy: ``(K, N, a_dtype char,
+    b_dtype char) -> bool``, ``True`` where the class runs BLAS and
+    ``False`` where a failed probe pinned it to einsum."""
+    return dict(_blas_invariant)
 
 
 def relative_error(reference, value, eps: float = 1e-30):

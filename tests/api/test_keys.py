@@ -15,6 +15,7 @@ from repro.api.spec import engine_identity, weights_identity
 from repro.core.zoo import GeniexZoo
 from repro.errors import ConfigError
 from repro.funcsim.config import FuncSimConfig
+from repro.funcsim.engine import ENGINE_KINDS
 from repro.serve.protocol import ModelSpec
 from repro.serve.registry import ModelRegistry
 
@@ -57,10 +58,9 @@ class TestDelegation:
         assert key != ModelRegistry.crossbar_key("other", g)
 
     def test_identity_helpers_compose(self):
-        spec = get_preset("quick").evolve(
-            runtime={"batch_invariant": True})
+        spec = get_preset("quick")
         assert spec.key() == engine_identity(
-            spec.model_key(), "geniex", spec.sim, True)
+            spec.model_key(), "geniex", spec.sim)
         weights = np.eye(3)
         assert spec.weights_key(weights) == weights_identity(spec.key(),
                                                              weights)
@@ -111,19 +111,127 @@ class TestCrossProcessStability:
 
 #: ``(model_key(), key())`` of every preset, pinned: zoo artifacts and
 #: warm-engine caches are addressed by these, so a schema change that
-#: moves them would silently orphan every stored artifact.
+#: moves them would silently orphan every stored artifact. The ``key()``
+#: halves moved once, when batch invariance stopped being a runtime
+#: flag: each is now the key the serving registry always used for the
+#: preset (see ``SERVING_KEYS``).
 PINNED_PRESET_KEYS = {
-    "paper-32x32": ("4d60db3b3143a7b62a81", "spec-4edc099139fd8bac23de"),
-    "paper-64x64": ("40a220dba696caf60cd4", "spec-c2f8eed5db2ab97d373e"),
+    "paper-32x32": ("4d60db3b3143a7b62a81", "spec-7786c20f8460e8bd1794"),
+    "paper-64x64": ("40a220dba696caf60cd4", "spec-413c19633dea6452460c"),
     "paper-64x64-variation": ("4080c655a574845ec504",
-                              "spec-49f62441194782884291"),
-    "quick": ("e1047717f0ae4979c9f7", "spec-3f14fb1730ddf906ccef"),
+                              "spec-74b78f1a849d4f7e3696"),
+    "quick": ("e1047717f0ae4979c9f7", "spec-01056ef08a6381fd244b"),
     "quick-analytical": ("e1047717f0ae4979c9f7",
-                         "spec-60a7679d5de3bb9565e1"),
-    "quick-exact": ("e1047717f0ae4979c9f7", "spec-c7afd3f3e3259f7b17b6"),
+                         "spec-6cc47f3108245f858059"),
+    "quick-exact": ("e1047717f0ae4979c9f7", "spec-a724f9fc231c27c16bf2"),
     "quick-mitigated": ("51f0df6f1a496d1705a8",
-                        "spec-ffe7f1147fb153a99bad"),
+                        "spec-dc3dc3475cd2f3de1962"),
 }
+
+
+#: ``serving_spec(spec).key()`` and ``.weights_key(SERVING_WEIGHTS)`` of
+#: every preset under every engine kind it admits, recorded while batch
+#: invariance was still a runtime flag that the registry switched on: the
+#: keys of warm engines, compiled nets, mitigated artifacts and stored
+#: net programs never move.
+SERVING_KEYS = {
+    "paper-32x32": {
+        "analytical": ("spec-22e4f27cfb21084299d8",
+                       "eng-24361100a3df777f3709"),
+        "circuit": ("spec-a5ada68b9f609769c159",
+                    "eng-6ad715df18598b4723ca"),
+        "decoupled": ("spec-74f015e564563853d6e2",
+                      "eng-3912ca357819240483f7"),
+        "exact": ("spec-a7ad24bd25e3d6a1dac8",
+                  "eng-f90b3252070efd54008e"),
+        "geniex": ("spec-7786c20f8460e8bd1794",
+                   "eng-496a8dacf18e9fdbcdb8"),
+        "ideal": ("spec-9c5a8889a96429f4beb5",
+                  "eng-d0d2147f5b684410a3ec"),
+    },
+    "paper-64x64": {
+        "analytical": ("spec-3442e8eb877f3bb39148",
+                       "eng-c17cafc2403500d5bdb1"),
+        "circuit": ("spec-730335376497ea37f36d",
+                    "eng-0a43a80f22ea0715260f"),
+        "decoupled": ("spec-995cc298f9c72d7e1ee1",
+                      "eng-840f6ecbc39cce6bdc40"),
+        "exact": ("spec-e739fce6ffb346d27f42",
+                  "eng-515daf4af5691a558f77"),
+        "geniex": ("spec-413c19633dea6452460c",
+                   "eng-2bcbcfac22094a609b8a"),
+        "ideal": ("spec-19140da74a218e6044d5",
+                  "eng-7cea4ba12d33e9a092f3"),
+    },
+    "paper-64x64-variation": {
+        "analytical": ("spec-5260f271777be78ff30d",
+                       "eng-0872e195ebe48366e1b7"),
+        "circuit": ("spec-e470b98c66225fb2c7df",
+                    "eng-a30a896b16f8d7583404"),
+        "decoupled": ("spec-9dbe71fa54ed3c84ccff",
+                      "eng-ab83dad921e717e86d01"),
+        "exact": ("spec-ed329bf6692326cae4ce",
+                  "eng-7c771549cd50d8253c45"),
+        "geniex": ("spec-74b78f1a849d4f7e3696",
+                   "eng-b81b9251fd8c9fd87d9f"),
+    },
+    "quick": {
+        "analytical": ("spec-6cc47f3108245f858059",
+                       "eng-98bbddafef827ac7905b"),
+        "circuit": ("spec-f707b8a6afafedde06c6",
+                    "eng-f20637ea84604f288f20"),
+        "decoupled": ("spec-2df1b38ea8e91d0ab0ef",
+                      "eng-29a20bea25d211f188da"),
+        "exact": ("spec-a724f9fc231c27c16bf2",
+                  "eng-09f2602cd79888cf1d80"),
+        "geniex": ("spec-01056ef08a6381fd244b",
+                   "eng-b5832d73451a7b1bd0bb"),
+        "ideal": ("spec-01557187969e7a797cb3",
+                  "eng-21a1ca8ea562866008ca"),
+    },
+    "quick-analytical": {
+        "analytical": ("spec-6cc47f3108245f858059",
+                       "eng-98bbddafef827ac7905b"),
+        "circuit": ("spec-f707b8a6afafedde06c6",
+                    "eng-f20637ea84604f288f20"),
+        "decoupled": ("spec-2df1b38ea8e91d0ab0ef",
+                      "eng-29a20bea25d211f188da"),
+        "exact": ("spec-a724f9fc231c27c16bf2",
+                  "eng-09f2602cd79888cf1d80"),
+        "geniex": ("spec-01056ef08a6381fd244b",
+                   "eng-b5832d73451a7b1bd0bb"),
+        "ideal": ("spec-01557187969e7a797cb3",
+                  "eng-21a1ca8ea562866008ca"),
+    },
+    "quick-exact": {
+        "analytical": ("spec-6cc47f3108245f858059",
+                       "eng-98bbddafef827ac7905b"),
+        "circuit": ("spec-f707b8a6afafedde06c6",
+                    "eng-f20637ea84604f288f20"),
+        "decoupled": ("spec-2df1b38ea8e91d0ab0ef",
+                      "eng-29a20bea25d211f188da"),
+        "exact": ("spec-a724f9fc231c27c16bf2",
+                  "eng-09f2602cd79888cf1d80"),
+        "geniex": ("spec-01056ef08a6381fd244b",
+                   "eng-b5832d73451a7b1bd0bb"),
+        "ideal": ("spec-01557187969e7a797cb3",
+                  "eng-21a1ca8ea562866008ca"),
+    },
+    "quick-mitigated": {
+        "analytical": ("spec-dc3dc3475cd2f3de1962",
+                       "eng-814fabfb7e19983a910d"),
+        "circuit": ("spec-3d953bfe2e2f2557a238",
+                    "eng-54eaade443fc6131b630"),
+        "decoupled": ("spec-a37668f856f356cf5a86",
+                      "eng-2782c8757f12f4b23a5a"),
+        "exact": ("spec-8fc4d09497a208ab035e",
+                  "eng-c137bb1c7b2d8052e343"),
+        "geniex": ("spec-4acbc229ab5d9f0f9260",
+                   "eng-725fd8715a1903d86631"),
+    },
+}
+
+SERVING_WEIGHTS = np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0
 
 
 class TestStoredSpecs:
@@ -132,15 +240,39 @@ class TestStoredSpecs:
         spec = get_preset(name)
         assert (spec.model_key(), spec.key()) == PINNED_PRESET_KEYS[name]
 
+    @pytest.mark.parametrize("name", sorted(SERVING_KEYS))
+    def test_serving_keys_pinned(self, name):
+        registry = ModelRegistry(GeniexZoo(cache_dir="/nonexistent-unused"))
+        preset = get_preset(name)
+        for kind, expected in SERVING_KEYS[name].items():
+            spec = registry.serving_spec(preset.evolve(engine=kind))
+            assert (spec.key(), spec.weights_key(SERVING_WEIGHTS)) == \
+                expected, kind
+        # Every kind the preset admits is pinned (ideal rejects faults).
+        assert set(SERVING_KEYS[name]) == set(ENGINE_KINDS) - (
+            set() if preset.nonideality.is_identity else {"ideal"})
+
+    @pytest.mark.parametrize("name", sorted(PINNED_PRESET_KEYS))
+    def test_runtime_node_never_moves_key(self, name):
+        spec = get_preset(name)
+        for runtime in ({"workers": 4}, {"chunk_rows": 16},
+                        {"fleet": {"replication": 3}},
+                        {"workers": 2, "chunk_rows": 1,
+                         "fleet": {"replication": 2}}):
+            assert spec.evolve(runtime=runtime).key() == spec.key(), runtime
+
     def test_preset_list_is_pinned(self):
         from repro.api.presets import preset_names
         assert preset_names() == sorted(PINNED_PRESET_KEYS)
 
     def test_removed_runtime_fields_rejected(self):
-        """A spec stored when executors and array backends existed fails
-        to load with the typed unknown-field error naming the field."""
+        """A spec stored when executors, array backends and the
+        batch-invariance flag existed fails to load with the typed
+        unknown-field error naming the field."""
         for field, value in (("executor", "process"), ("backend", "numba"),
-                             ("backend", "interp")):
+                             ("backend", "interp"),
+                             ("batch_invariant", True),
+                             ("batch_invariant", False)):
             stored = {"engine": "exact",
                       "runtime": {"workers": 4, field: value}}
             with pytest.raises(

@@ -41,11 +41,12 @@ class TestDigestNeutrality:
 
     def test_clean_quick_digests_unchanged(self):
         """The pinned pre-mitigation digests (see test_nonideality.py's
-        CLEAN_DIGESTS) survive the node's introduction."""
+        CLEAN_DIGESTS, whose key halves moved once with the batch
+        invariance flag) survive the node's introduction."""
         spec = get_preset("quick")
         assert (spec.model_key(), spec.key(), spec.weights_key(WEIGHTS)) \
-            == ("e1047717f0ae4979c9f7", "spec-3f14fb1730ddf906ccef",
-                "eng-cb53b7d44abc746194e8")
+            == ("e1047717f0ae4979c9f7", "spec-01056ef08a6381fd244b",
+                "eng-b5832d73451a7b1bd0bb")
 
     def test_default_node_is_identity(self):
         assert MitigationSpec().is_identity

@@ -192,10 +192,16 @@ class TestKeys:
                                     "chunk_rows": 16}).key() == \
             spec.key()
 
-    def test_key_tracks_batch_invariance(self):
+    def test_key_tracks_batch_invariance(self, monkeypatch):
+        """key() folds the derived supports_batch_invariance, not a
+        caller's flag: the same spec keys differently if its setup stops
+        being invariant."""
+        import repro.api.spec as spec_mod
         spec = get_preset("quick")
-        assert spec.evolve(
-            runtime={"batch_invariant": True}).key() != spec.key()
+        invariant_key = spec.key()
+        monkeypatch.setattr(spec_mod, "supports_batch_invariance",
+                            lambda engine, sim: False)
+        assert spec.key() != invariant_key
 
     def test_model_identity_always_participates(self):
         # key() folds model_key() for every kind — conservatively, so a

@@ -178,8 +178,7 @@ class TestPrunedTileAgreement:
                                                          hidden_layers):
         emu = random_emulator(hidden_layers)
         g = programmed_g(emu, True, 11)
-        tile = emu.for_matrix(g, batch_invariant=True)
-        assert tile.batch_invariant
+        tile = emu.for_matrix(g)
         assert tile.kept.size < emu.model.hidden
         v = np.random.default_rng(12).uniform(
             0.0, emu.normalizer.v_supply_v, size=(40, emu.rows))
@@ -190,13 +189,11 @@ class TestPrunedTileAgreement:
                     tile.currents(v[i])[0].tobytes()
                 assert fr[i].tobytes() == tile.fr(v[i])[0].tobytes()
 
-    def test_factory_reused_per_flag(self):
+    def test_factory_reused(self):
         emu = random_emulator(1)
         g = programmed_g(emu, False, 0)
         a, b = emu.for_matrix(g), emu.for_matrix(2 * g)
-        c = emu.for_matrix(g, batch_invariant=True)
         assert a._factory is b._factory
-        assert c._factory is not a._factory and c.batch_invariant
         assert a._factory.v_supply_v == emu.normalizer.v_supply_v
 
 

@@ -4,7 +4,7 @@ Every engine kind runs :meth:`repro.funcsim.compiler.PreparedMatrix.
 run_shard`. These tests pin that its stacked read-out equals each tile's own
 ``currents()`` column block by column block; that it equals the
 per-stream, per-model oracle of ``test_engine_batched`` bit for bit per
-engine kind, batch-invariant mode and device-fault pipeline; that the
+engine kind and device-fault pipeline; that the
 ``exact`` engine equals tile-row-accumulated Ideal FxP bit for bit; that
 the plan rejects configurations the exact back end cannot sum exactly;
 that the plan-time chunk cap bounds a shard; and that the kernel's
@@ -56,10 +56,9 @@ class TestFusedBitIdentity:
     """The stacked kernel == the per-model oracle, bit for bit."""
 
     @pytest.mark.parametrize("kind", ["exact", "analytical", "geniex"])
-    @pytest.mark.parametrize("invariant", [False, True])
-    def test_kinds(self, operands, tiny_emulator, kind, invariant):
+    def test_kinds(self, operands, tiny_emulator, kind):
         x, w = operands
-        engine = _engine(kind, tiny_emulator, batch_invariant=invariant)
+        engine = _engine(kind, tiny_emulator)
         prepared = engine.prepare(w)
         np.testing.assert_array_equal(engine.matmul(x, prepared),
                                       sequential_matmul(engine, x, prepared))
@@ -174,15 +173,11 @@ class TestExactBackEnd:
 class TestStackedReadout:
     """Each column block of the stacked read-out is its tile's currents."""
 
-    @pytest.mark.parametrize("kind,invariant", [
-        ("exact", False), ("exact", True), ("analytical", False),
-        ("analytical", True), ("geniex", False), ("geniex", True),
-        ("decoupled", False),
-    ])
-    def test_blocks_equal_tile_currents(self, tiny_emulator, kind,
-                                        invariant):
+    @pytest.mark.parametrize("kind", ["exact", "analytical", "geniex",
+                                      "decoupled"])
+    def test_blocks_equal_tile_currents(self, tiny_emulator, kind):
         rng = np.random.default_rng(29)
-        engine = _engine(kind, tiny_emulator, batch_invariant=invariant)
+        engine = _engine(kind, tiny_emulator)
         prepared = engine.prepare(rng.normal(size=(20, 13)) * 0.3)
         plan = prepared.plan
         cols = plan.cols
@@ -194,16 +189,11 @@ class TestStackedReadout:
                 stacked = prepared.readout(tr, voltages)
                 for mi, model in enumerate(prepared.row_models[tr]):
                     block = stacked[:, mi * cols:(mi + 1) * cols]
-                    own = model.currents(voltages)
-                    if n == 1 and not invariant:
-                        # BLAS may run one row as gemv, whose column
-                        # grouping depends on the operand width; the
-                        # invariant mode pads single rows to avoid it.
-                        np.testing.assert_array_max_ulp(block, own, 2)
-                    else:
-                        np.testing.assert_array_equal(
-                            block, own,
-                            err_msg=f"rows={n} tile-row={tr} model={mi}")
+                    # Single rows too: both products pad them to two
+                    # rows, so neither runs as a width-dependent gemv.
+                    np.testing.assert_array_equal(
+                        block, model.currents(voltages),
+                        err_msg=f"rows={n} tile-row={tr} model={mi}")
 
 
 class TestChunkCap:
@@ -212,13 +202,13 @@ class TestChunkCap:
     def test_cap_splits_shards_without_changing_results(self, operands,
                                                         monkeypatch):
         x, w = operands
-        reference = _engine("exact", batch_invariant=True)
+        reference = _engine("exact")
         expected = reference.matmul(x, reference.prepare(w))
         # Room for exactly 4 rows of the worst-case measurement.
         n_models = 2 * SCFG.n_slices * 2  # signs x slices x tile columns
         monkeypatch.setattr(planner, "MAX_SHARD_BYTES",
                             4 * 2 * SCFG.n_streams * n_models * XCFG.cols * 8)
-        capped = _engine("exact", batch_invariant=True)
+        capped = _engine("exact")
         prepared = capped.prepare(w)
         assert prepared.plan.chunk_rows == 4
         np.testing.assert_array_equal(capped.matmul(x, prepared), expected)
@@ -248,7 +238,8 @@ class TestScratchPool:
             outs[n] = x, engine.matmul(engine.matmul(x, p1), p2)
         pool = engine._scratch.buffers()
         names = [key[0] for key in pool]  # key: (name, dtype)
-        assert sorted(names) == ["fr", "hidden", "i_flat", "voltages"]
+        assert sorted(names) == ["fr", "hidden", "hidden2", "i_flat",
+                                 "voltages"]
         assert all(buf.ndim == 1 for buf in pool.values())
         fresh, f1, f2 = engine_and_layers()
         for n in (7, 2):

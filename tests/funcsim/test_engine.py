@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ShapeError
+from repro.funcsim.compiler import DEFAULT_SHARD_ROWS
 from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.engine import IdealMvmEngine, make_engine
 from repro.xbar.config import CrossbarConfig
@@ -213,32 +214,50 @@ class TestEngineKindsDocumented:
 
 
 class TestInvariantKindsSingleSource:
-    """make_engine's batch-invariance acceptance matches INVARIANT_KINDS
-    exactly, so the serving policy helper can never drift from the
-    factory's enforcement."""
+    """Batch invariance is how the INVARIANT_KINDS compute, not a mode:
+    a default spec's engine keeps every row independent of its batch,
+    and the serving policy helper builds on the same tuple."""
 
-    def test_factory_accepts_flag_exactly_for_invariant_kinds(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shard_rows", [DEFAULT_SHARD_ROWS, 7])
+    def test_default_spec_rows_independent_of_batch(self, workers,
+                                                    shard_rows):
+        """Each row of a 40-row batch equals the row alone and inside
+        2-row batches byte for byte, at any worker count and chunk
+        size."""
+        from repro.api import EmulationSpec, build_engine
         from repro.core.emulator import GeniexEmulator
         from repro.core.model import GeniexNet, Normalizer
-        from repro.funcsim.engine import ENGINE_KINDS, INVARIANT_KINDS
+        from repro.funcsim.engine import INVARIANT_KINDS
 
         normalizer = Normalizer.from_config(XCFG, fr_min=0.9, fr_max=1.2)
-        emulator = GeniexEmulator(GeniexNet(XCFG.rows, XCFG.cols, hidden=4,
+        emulator = GeniexEmulator(GeniexNet(XCFG.rows, XCFG.cols,
+                                            hidden=40, seed=2,
                                             normalizer=normalizer))
-        for kind in ENGINE_KINDS:
-            if kind == "ideal":
-                continue  # inherently invariant; flag is a no-op
-            build = lambda: make_engine(
-                kind, XCFG, SCFG, batch_invariant=True,
-                emulator=emulator if kind == "geniex" else None)
-            if kind in INVARIANT_KINDS:
-                engine = build()
-                assert engine.tile_factory.batch_invariant
-                engine.close()
-            else:
-                with pytest.raises(ConfigError,
-                                   match="batch-invariant"):
-                    build()
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(40, 20)) * 0.4
+        # Rows that drive one (sign, stream) block only: alone, they read
+        # out a single voltage row, the shape BLAS may run as a gemv.
+        x[::5] = SCFG.activation_format.resolution * rng.integers(
+            1, 2 ** SCFG.stream_bits, size=(8, 20))
+        w = rng.normal(size=(20, 13)) * 0.3
+        for kind in INVARIANT_KINDS:
+            spec = EmulationSpec(engine=kind).evolve(
+                xbar={"rows": XCFG.rows, "cols": XCFG.cols},
+                runtime={"workers": workers})
+            engine = build_engine(
+                spec, emulator=emulator if kind == "geniex" else None)
+            engine.shard_rows = shard_rows
+            engine.inline_work_threshold = 0  # pool shards when workers > 1
+            prepared = engine.prepare(w)
+            out = engine.matmul(x, prepared)
+            for i in range(len(x)):
+                assert out[i].tobytes() == \
+                    engine.matmul(x[i], prepared)[0].tobytes(), (kind, i)
+            for i in range(0, len(x), 2):
+                assert out[i:i + 2].tobytes() == \
+                    engine.matmul(x[i:i + 2], prepared).tobytes(), (kind, i)
+            engine.close()
 
     def test_spec_helper_builds_on_the_same_tuple(self):
         from repro.api.spec import supports_batch_invariance

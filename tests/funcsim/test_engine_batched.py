@@ -155,14 +155,13 @@ class TestGoldenEquivalence:
 
 
 class TestBatchInvariantEngines:
-    """Serving-mode engines: per-row results independent of the batch."""
+    """The closed-form kinds: per-row results independent of the batch."""
 
     @pytest.mark.parametrize("kind", ["exact", "analytical", "geniex"])
     def test_rows_independent_of_batch(self, kind, geniex_emulator):
         xcfg = CrossbarConfig(rows=4, cols=4) if kind == "geniex" else XCFG
         emulator = geniex_emulator if kind == "geniex" else None
-        engine = make_engine(kind, xcfg, SCFG, emulator=emulator,
-                             batch_invariant=True)
+        engine = make_engine(kind, xcfg, SCFG, emulator=emulator)
         n = xcfg.rows
         weights = np.random.default_rng(0).standard_normal((n, n)) * 0.4
         prepared = engine.prepare(weights)
@@ -175,20 +174,25 @@ class TestBatchInvariantEngines:
                     engine.matmul(x[i:i + 1], prepared), full[i:i + 1])
 
     def test_iterative_models_reject_the_flag(self):
-        with pytest.raises(Exception):
-            make_engine("decoupled", XCFG, SCFG, batch_invariant=True)
-        with pytest.raises(Exception):
-            make_engine("circuit", XCFG, SCFG, batch_invariant=True)
+        """Batch invariance is no longer a flag: every kind rejects it
+        as an unknown argument, and the iterative kinds are simply not
+        invariant."""
+        from repro.api.spec import supports_batch_invariance
+        for kind in ("decoupled", "circuit", "exact"):
+            with pytest.raises(TypeError, match="batch_invariant"):
+                make_engine(kind, XCFG, SCFG, batch_invariant=True)
+        assert not supports_batch_invariance("decoupled", SCFG)
+        assert not supports_batch_invariance("circuit", SCFG)
 
     def test_non_zero_preserving_adc_rejects_the_flag(self):
         """Zero-stream skipping is per batch, so an ADC with offset or
-        noise would measure skipped blocks differently depending on batch
-        composition — invariance cannot be honoured."""
-        with pytest.raises(Exception):
-            make_engine("exact", XCFG, SCFG.replace(adc_offset_lsb=0.7),
-                        batch_invariant=True)
-        with pytest.raises(Exception):
-            make_engine("exact", XCFG, SCFG.replace(adc_noise_lsb=0.1),
-                        batch_invariant=True)
-        # The default BLAS path accepts the same configs unchanged.
-        make_engine("exact", XCFG, SCFG.replace(adc_offset_lsb=0.7))
+        noise measures skipped blocks differently depending on batch
+        composition: such engines build as before, and are not
+        batch-invariant."""
+        from repro.api.spec import supports_batch_invariance
+        for sim in (SCFG.replace(adc_offset_lsb=0.7),
+                    SCFG.replace(adc_noise_lsb=0.1)):
+            with pytest.raises(TypeError, match="batch_invariant"):
+                make_engine("exact", XCFG, sim, batch_invariant=True)
+            make_engine("exact", XCFG, sim)
+            assert not supports_batch_invariance("exact", sim)

@@ -8,9 +8,9 @@ the kernel runs — for random emulators, faulty conductances and voltage
 ceilings other than the emulator's own supply; that the pruned forward
 equals an unpruned one; that pruning keeps the serving contract
 (batch-invariant rows, a warm engine == a fresh one bit for bit); and
-that the stacked tile-row forward of batch-invariant engines, which pads
-every tile to the tile-row's widest kept set, equals each tile's own
-forward byte for byte.
+that the width-group forward every geniex layer runs, which stacks a
+tile-row's tiles of one kept width, equals each tile's own forward byte
+for byte at any scratch budget.
 """
 
 import numpy as np
@@ -24,7 +24,6 @@ from repro.core.model import GeniexNet, Normalizer
 from repro.errors import ConfigError
 from repro.funcsim import FuncSimConfig, make_engine
 from repro.funcsim import compiler as compiler_mod
-from repro.funcsim.compiler import ScratchPool
 from repro.funcsim.engine import CrossbarMvmEngine
 from repro.nonideal.pipeline import NonidealitySpec, as_pipeline
 from repro.nonideal.transforms import StuckSpec, VariationSpec
@@ -151,8 +150,8 @@ def test_ceiling_above_factory_supply_rejected():
 
 @pytest.fixture(scope="module")
 def pruned_emulator():
-    """8x8 emulator whose tiles keep 16 or 32 of 48 hidden units."""
-    return random_emulator(8, 8, 48, 1, seed=3, g_gain=3.0)
+    """8x8 emulator whose tiles keep 32 or 64 of 80 hidden units."""
+    return random_emulator(8, 8, 80, 1, seed=3, g_gain=3.0)
 
 
 @pytest.fixture
@@ -175,24 +174,22 @@ class TestPrunedEngine:
         return make_engine("geniex", self.XCFG, SCFG, emulator=emulator,
                            **kwargs)
 
-    @pytest.mark.parametrize("invariant", [False, True])
-    def test_equals_fresh_engine(self, pruned_emulator, weights, rng,
-                                 invariant):
+    def test_equals_fresh_engine(self, pruned_emulator, weights, rng):
         """Tiles with different kept counts share one kernel: a warm
         engine equals a fresh one at every batch size."""
-        engine = self._engine(pruned_emulator, batch_invariant=invariant)
+        engine = self._engine(pruned_emulator)
         prepared = engine.prepare(weights)
         assert len(_kept_counts(prepared)) > 1
         for n in (1, 2, 7, 40):
             x = rng.normal(size=(n, 20)) * 0.4
-            fresh = self._engine(pruned_emulator, batch_invariant=invariant)
+            fresh = self._engine(pruned_emulator)
             assert engine.matmul(x, prepared).tobytes() == \
                 fresh.matmul(x, fresh.prepare(weights)).tobytes()
 
     def test_batch_invariant_rows(self, pruned_emulator, weights, rng):
         """Every row equals its single-row result byte for byte, at every
         batch size."""
-        engine = self._engine(pruned_emulator, batch_invariant=True)
+        engine = self._engine(pruned_emulator)
         prepared = engine.prepare(weights)
         assert len(_kept_counts(prepared)) > 1
         for n in (1, 2, 7, 40):
@@ -208,7 +205,7 @@ class TestPrunedEngine:
             prepared = engine.prepare(weights)
         meta = [s.meta for s in trace.spans() if s.name == "kernel-compile"]
         assert len(meta) == 1
-        assert meta[0]["hidden_total"] == 48 * len(_tiles(prepared))
+        assert meta[0]["hidden_total"] == 80 * len(_tiles(prepared))
         assert meta[0]["hidden_kept"] == sum(
             m.kept.size for m in _tiles(prepared))
         assert meta[0]["hidden_kept"] < meta[0]["hidden_total"]
@@ -217,99 +214,98 @@ class TestPrunedEngine:
 @pytest.fixture(scope="module")
 def pruned_emulator_2l():
     """Two-hidden-layer twin of ``pruned_emulator`` (a shared tail GEMM)."""
-    return random_emulator(8, 8, 48, 2, seed=3, g_gain=3.0)
+    return random_emulator(8, 8, 80, 2, seed=3, g_gain=3.0)
 
 
-def _stacked_layer(emulator, invariant=True, seed=0):
+def _stacked_layer(emulator, seed=0):
     engine = make_engine("geniex", TestPrunedEngine.XCFG, SCFG,
-                         emulator=emulator, batch_invariant=invariant)
+                         emulator=emulator)
     weights = np.random.default_rng(seed).normal(size=(20, 13)) * 0.3
     return engine, engine.prepare(weights)
 
 
 class TestStackedForward:
-    """Batch-invariant engines run each tile-row as one stacked forward."""
+    """Every geniex layer runs each tile-row as width groups."""
 
-    def test_chosen_by_batch_invariance(self, pruned_emulator):
-        _, prepared = _stacked_layer(pruned_emulator, invariant=True)
-        assert all(s is not None for s in prepared.row_stacks)
-        _, prepared = _stacked_layer(pruned_emulator, invariant=False)
-        assert all(s is None for s in prepared.row_stacks)
+    def test_groups_partition_tile_row_by_width(self, pruned_emulator):
+        """Each tile-row's groups hold its models once, one kept width
+        per group, and every tile views its group's stacked operands."""
+        _, prepared = _stacked_layer(pruned_emulator)
+        for models, groups in zip(prepared.row_models, prepared.row_groups):
+            index = np.concatenate([group.index for group in groups])
+            assert sorted(index) == list(range(len(models)))
+            for group in groups:
+                for g, mi in enumerate(group.index):
+                    tile = models[mi]
+                    assert tile.kept.size == group.w_aug.shape[2]
+                    assert tile.w_aug.base is group.w_aug
+                    assert tile.w2_t.base is group.w2
+                    assert tile.w_aug.tobytes() == group.w_aug[g].tobytes()
+        assert any(len(groups) > 1 for groups in prepared.row_groups)
 
     @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("budget", [compiler_mod.STACK_GEMM_COLUMNS, 40])
+    @pytest.mark.parametrize(
+        "budget", [40, 512, compiler_mod.STACK_HIDDEN_ELEMENTS])
     def test_blocks_equal_tile_forward(self, pruned_emulator,
                                        pruned_emulator_2l, monkeypatch,
                                        layers, budget):
-        """Each model's block equals that tile's own forward, at every
-        batch size, with one or several first-layer GEMM groups and with
-        or without a shared tail layer.
-
-        Byte for byte when the padded second layer feeds the 48-wide
-        second hidden layer. With one hidden layer it feeds the 8 output
-        columns directly, and there OpenBLAS sums a 16-deep product in a
-        different order than the same product zero-padded to 32 deep (a
-        kernel choice for narrow outputs): blocks then agree to 2 float32
-        ulps of the block's largest output.
-        """
+        """Each model's fR block equals that tile's own forward byte for
+        byte, at every batch size and scratch budget (one tile per
+        product up to whole groups), with or without a shared tail
+        layer, and whether or not a group's models are contiguous."""
         emulator = pruned_emulator if layers == 1 else pruned_emulator_2l
-        monkeypatch.setattr(compiler_mod, "STACK_GEMM_COLUMNS", budget)
+        monkeypatch.setattr(compiler_mod, "STACK_HIDDEN_ELEMENTS", budget)
         engine, prepared = _stacked_layer(emulator)
         plan = prepared.plan
         factory = engine.tile_factory
-        # Tiles of one tile-row keep different counts: padding is live.
-        assert any(len({m.kept.size for m in models}) > 1
-                   for models in prepared.row_models)
-        if budget == 40:
-            assert any(len(s.first) > 1 for s in prepared.row_stacks)
+        normalizer = emulator.normalizer
+        groups = [g for row in prepared.row_groups for g in row]
+        assert any(np.any(np.diff(g.index) > 1) for g in groups)
         rng = np.random.default_rng(31)
-        scratch = ScratchPool()
         for n in (1, 2, 7, 33):
             levels = rng.integers(0, 2 ** SCFG.stream_bits,
                                   size=(n, plan.rows))
-            shared = factory.prepare_voltages(levels * plan.v_lsb)
-            for tr, stack in enumerate(prepared.row_stacks):
-                models = prepared.row_models[tr]
-                out = np.empty((len(models), n, plan.cols))
-                stack.forward(shared, out, scratch)
+            voltages = levels * plan.v_lsb
+            shared = factory.prepare_voltages(voltages)
+            for tr, models in enumerate(prepared.row_models):
+                fr = prepared._friction(tr, voltages)
                 for mi, model in enumerate(models):
-                    own = model.forward(shared)
-                    where = f"rows={n} tile-row={tr} model={mi}"
-                    if layers == 2:
-                        assert out[mi].tobytes() == own.tobytes(), where
-                    else:
-                        ulp = np.spacing(np.float32(np.abs(own).max()))
-                        np.testing.assert_allclose(
-                            out[mi], own, rtol=0, atol=2 * float(ulp),
-                            err_msg=where)
+                    own = normalizer.denormalize_fr(model.forward(shared))
+                    assert fr[mi].tobytes() == own.tobytes(), \
+                        f"rows={n} tile-row={tr} model={mi}"
+
+
+def _pad_units(factory, tile) -> np.ndarray:
+    """Positions in ``tile.kept`` of the dead units that pad the kept
+    set to a multiple of ``HIDDEN_PAD`` (see ``kept_units``)."""
+    bias = tile.w_aug[-1].astype(np.float64)
+    alive = bias + factory._margin_scale * np.abs(bias) > \
+        factory._alive_floor[tile.kept]
+    return np.flatnonzero(~alive)
 
 
 @pytest.fixture(scope="module")
-def stacked_pads(pruned_emulator):
-    """(factory, stack, pad columns) of the tile-row with most padding."""
+def padded_tile(pruned_emulator):
+    """(factory, tile, pad positions) of the tile with the most pads."""
     engine, prepared = _stacked_layer(pruned_emulator, seed=4)
-    best = None
-    for tr, stack in enumerate(prepared.row_stacks):
-        kmax = stack.w2.shape[1]
-        pads = np.concatenate([
-            np.arange(mi * kmax + m.kept.size, (mi + 1) * kmax)
-            for mi, m in enumerate(prepared.row_models[tr])])
-        if best is None or pads.size > best[2].size:
-            best = (engine.tile_factory, stack, pads)
-    assert best[2].size > 0
-    return best
+    factory = engine.tile_factory
+    tile = max(_tiles(prepared), key=lambda m: _pad_units(factory, m).size)
+    pads = _pad_units(factory, tile)
+    assert pads.size > 0
+    return factory, tile, pads
 
 
 @given(volts=hnp.arrays(np.float64, st.tuples(st.integers(1, 6),
                                               st.just(8)),
                         elements=st.floats(0.0, EMULATOR_SUPPLY_V)))
-def test_pad_units_are_exactly_zero(stacked_pads, volts):
+def test_pad_units_are_exactly_zero(padded_tile, volts):
     """A pad unit's post-ReLU output is exactly 0 for every word-line
-    voltage in ``[0, v_max]``: zero voltage weights and bias -1."""
-    factory, stack, pads = stacked_pads
-    v_aug = factory.prepare_voltages(volts)
-    hidden = np.concatenate([batch_invariant_matmul(v_aug, w)
-                             for _, w in stack.first], axis=1)
-    post = np.maximum(hidden, 0.0)
-    assert np.all(hidden[:, pads] == -1.0)
-    assert post[:, pads].tobytes() == bytes(post[:, pads].nbytes)
+    voltage in ``[0, v_max]``: padding a tile's kept set to the
+    ``HIDDEN_PAD`` grid changes which GEMM shapes run, never a value the
+    second layer sees."""
+    factory, tile, pads = padded_tile
+    hidden = batch_invariant_matmul(factory.prepare_voltages(volts),
+                                    tile.w_aug)
+    assert np.all(hidden[:, pads] <= 0.0)
+    post = np.maximum(hidden[:, pads], 0.0)
+    assert post.tobytes() == bytes(post.nbytes)

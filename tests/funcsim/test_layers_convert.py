@@ -171,8 +171,7 @@ class TestConvertExecutor:
                      seed=0).eval()
 
     def _engine(self, workers=None):
-        return make_engine("exact", XCFG, SCFG, batch_invariant=True,
-                           workers=workers)
+        return make_engine("exact", XCFG, SCFG, workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_workers_match_inline(self, rng, workers):

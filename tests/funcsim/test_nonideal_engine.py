@@ -86,7 +86,7 @@ class TestPerturbationSemantics:
         def stuck_mask(weights):
             # Model (sign 0, slice 0, tile-column 0) of tile-row 0.
             tile = engine.prepare(weights).row_models[0][0]
-            return tile.conductance_s == XBAR.g_on_s
+            return tile.transfer == XBAR.g_on_s
 
         m1, m2, m1_again = stuck_mask(w1), stuck_mask(w2), stuck_mask(w1)
         np.testing.assert_array_equal(m1, m1_again)
@@ -152,10 +152,8 @@ class TestExecutorDeterminism:
 
     def test_batch_invariant_faulty_engine(self, operands):
         x, weights = operands
-        full, _ = run("exact", operands, nonideality=FAULTS,
-                      batch_invariant=True)
-        engine = make_engine("exact", XBAR, SIM, nonideality=FAULTS,
-                             batch_invariant=True)
+        full, _ = run("exact", operands, nonideality=FAULTS)
+        engine = make_engine("exact", XBAR, SIM, nonideality=FAULTS)
         prepared = engine.prepare(weights)
         row = engine.matmul(x[2:3], prepared)
         np.testing.assert_array_equal(full[2:3], row)

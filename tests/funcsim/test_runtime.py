@@ -2,8 +2,8 @@
 
 Covers the determinism contract of the shard kernel
 (:mod:`repro.funcsim.compiler`): every
-worker count and chunk size must produce bit-identical outputs in
-batch-invariant mode; with ADC noise the coordinate-keyed noise streams
+worker count and chunk size must produce bit-identical outputs with a
+deterministic ADC; with ADC noise the coordinate-keyed noise streams
 must make results worker-count independent, fresh on every call and
 statistically equivalent across chunkings. Also covers the thread pool's
 lifecycle, the content-digest prepared-matrix uids and mergeable engine
@@ -50,8 +50,7 @@ def tiny_emulator(tmp_path_factory):
 
 
 def _engine(kind, emulator=None, **kwargs):
-    return make_engine(kind, XCFG, SCFG, emulator=emulator,
-                       batch_invariant=True, **kwargs)
+    return make_engine(kind, XCFG, SCFG, emulator=emulator, **kwargs)
 
 
 def _pooled(engine, shard_rows):
@@ -62,8 +61,8 @@ def _pooled(engine, shard_rows):
 
 
 class TestBackendEquivalence:
-    """Every worker count and chunking, bit for bit, in invariant mode
-    (``workers > 1`` runs the engine's one schedule on threads)."""
+    """Every worker count and chunking, bit for bit, with a deterministic
+    ADC (``workers > 1`` runs the engine's one schedule on threads)."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_exact_bit_identical(self, operands, workers):
@@ -87,7 +86,8 @@ class TestBackendEquivalence:
         engine.close()
 
     def test_shard_size_invariant(self, operands):
-        """Batch-invariant results do not depend on the chunk decomposition."""
+        """Deterministic-ADC results do not depend on the chunk
+        decomposition."""
         x, w = operands
         outputs = []
         for shard_rows in (3, 8, 64):
@@ -181,8 +181,7 @@ class TestPreparedUid:
     def test_engine_config_in_uid(self, operands):
         _, w = operands
         a = _engine("exact").prepare(w)
-        b = make_engine("exact", XCFG, SCFG.with_precision(8),
-                        batch_invariant=True).prepare(w)
+        b = make_engine("exact", XCFG, SCFG.with_precision(8)).prepare(w)
         assert a.uid != b.uid
 
     def test_uid_stable_across_processes(self, operands):
@@ -193,7 +192,7 @@ class TestPreparedUid:
 
         def child(queue, w):
             from repro.funcsim import make_engine as mk
-            eng = mk("exact", XCFG, SCFG, batch_invariant=True)
+            eng = mk("exact", XCFG, SCFG)
             queue.put(eng.prepare(w).uid)
 
         ctx = multiprocessing.get_context("fork")
@@ -389,8 +388,18 @@ class TestFactoryTokens:
         uid_b = _engine("geniex", other).prepare(w).uid
         assert uid_a != uid_b
 
-    def test_batch_invariance_in_uid(self, operands):
-        _, w = operands
-        invariant = make_engine("exact", XCFG, SCFG, batch_invariant=True)
-        plain = make_engine("exact", XCFG, SCFG)
-        assert invariant.prepare(w).uid != plain.prepare(w).uid
+    def test_batch_invariance_in_uid(self):
+        """The tokens keep the literal ``bi=0`` of the former default
+        mode, so prepared uids, and the noisy-ADC streams they seed, are
+        the ones recorded while batch invariance was a flag."""
+        w = np.arange(20 * 13, dtype=np.float64).reshape(20, 13) / 520.0 \
+            - 0.25
+        noisy = SCFG.replace(adc_noise_lsb=0.5)
+        for kind, clean_uid, noisy_uid in (
+                ("exact", "dd497a8d68aa2b33", "3420d4da4a0d5360"),
+                ("analytical", "39eb0dd62337d861", "de7374e6a55c7950")):
+            engine = make_engine(kind, XCFG, SCFG)
+            assert engine.tile_factory.cache_token() == f"{kind}|bi=0"
+            assert engine.prepare(w).uid == clean_uid
+            assert make_engine(kind, XCFG, noisy).prepare(w).uid == \
+                noisy_uid

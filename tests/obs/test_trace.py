@@ -138,8 +138,7 @@ class TestDeterminism:
         rng = np.random.default_rng(1)
         w = rng.standard_normal((12, 8)) * 0.4
         engine = make_engine("analytical", CrossbarConfig(rows=8, cols=8),
-                             FuncSimConfig().with_precision(8),
-                             batch_invariant=True, workers=2)
+                             FuncSimConfig().with_precision(8), workers=2)
         prepared = engine.prepare(w)
         assert prepared.plan is not None
         trace = Trace("req")

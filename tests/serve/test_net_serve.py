@@ -13,6 +13,7 @@ for every engine kind and with active non-idealities.
 import asyncio
 import concurrent.futures
 import json
+import os
 import socket
 import threading
 import time
@@ -239,6 +240,35 @@ class TestDiskPersistence:
                 again = c2.upload_net(model, spec=spec)
         np.testing.assert_array_equal(cold_logits, warm_logits)
         assert again["from_cache"] is True
+
+    def test_program_stored_with_runtime_flag_still_serves(self, served,
+                                                            client):
+        """A program saved while batch invariance was a runtime flag
+        stores ``runtime.batch_invariant`` in its spec; its key never
+        moved, so a fresh registry must load and serve it."""
+        _, _, zoo = served
+        model = tiny_mlp(seed=17)
+        spec = EmulationSpec.from_dict({"engine": "analytical"})
+        key = client.upload_net(model, spec=spec)["net_key"]
+        x = np.random.default_rng(5).standard_normal((3, N_IN))
+        warm_logits = client.net_predict(x, net_key=key)
+        wire, meta = zoo.load_net_program(key)
+        for entry in wire["layers"]:
+            entry["state"] = {name: np.array(value)
+                              for name, value in entry.get("state",
+                                                           {}).items()}
+        assert "batch_invariant" not in meta["spec"]["runtime"]
+        meta["spec"]["runtime"]["batch_invariant"] = False
+        os.remove(zoo._net_path(key))  # the first writer wins otherwise
+        zoo.save_net_program(key, wire, meta)
+
+        cold = EmulationServer(ModelRegistry(GeniexZoo(
+            cache_dir=zoo.cache_dir)))
+        with ServerThread(cold) as handle2:
+            with ServeClient("127.0.0.1", handle2.port,
+                             timeout=300) as c2:
+                cold_logits = c2.net_predict(x, net_key=key)
+        np.testing.assert_array_equal(cold_logits, warm_logits)
 
     def test_unknown_net_key_is_404(self, client):
         with pytest.raises(ServerError) as excinfo:

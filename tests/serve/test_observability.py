@@ -239,3 +239,26 @@ class TestQueueGaugeRollback:
             await scheduler.close()
 
         asyncio.run(main())
+
+
+class TestBlasProbeExport:
+    def test_failed_probe_reported(self, monkeypatch, client):
+        """A shape class pinned to einsum shows up in the JSON
+        ``/metrics`` and as the ``repro_blas_einsum_classes`` gauge."""
+        from repro.utils import numerics
+
+        monkeypatch.setattr(numerics, "_blas_invariant", {})
+        monkeypatch.setattr(numerics, "_probe_blas_row_invariance",
+                            lambda *args: False)
+        rng = np.random.default_rng(0)
+        numerics.batch_invariant_matmul(
+            rng.normal(size=(3, 7)).astype(np.float32),
+            rng.normal(size=(7, 5)).astype(np.float32))
+        probe = client.metrics()["blas_probe"]
+        assert probe["einsum_classes"] == ["7x5:ff"]
+        assert probe["classes"] >= 1
+        text = client.prometheus_metrics()
+        assert "repro_blas_einsum_classes 1" in text.splitlines()
+        monkeypatch.setattr(numerics, "_blas_invariant", {})
+        assert client.metrics()["blas_probe"] == {"classes": 0,
+                                                  "einsum_classes": []}

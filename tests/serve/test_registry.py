@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.api.spec import supports_batch_invariance
 from repro.core.sampling import SamplingSpec
 from repro.core.trainer import TrainSpec
 from repro.core.zoo import GeniexZoo
@@ -89,7 +90,10 @@ class TestCrossbarTier:
             return await registry.matrix_emulator(SPEC, random_g(1))
 
         _, warm = run(scenario())
-        assert warm.batch_invariant
+        v = np.random.default_rng(2).uniform(0.0, 0.25, size=(7, 4))
+        currents = warm.currents(v)
+        for i in range(len(v)):
+            assert currents[i].tobytes() == warm.currents(v[i])[0].tobytes()
 
     def test_shape_mismatch_rejected_before_training(self, tmp_path):
         registry = ModelRegistry(GeniexZoo(cache_dir=str(tmp_path / "zoo")))
@@ -158,7 +162,6 @@ class TestEngineTier:
             return await registry.engine(SPEC, "exact", SIM, weights)
 
         warm = run(scenario())
-        assert warm.engine.tile_factory.batch_invariant
         x = np.random.default_rng(1).standard_normal((8, 4))
         full = warm.matmul(x)
         for i in range(8):
@@ -167,7 +170,8 @@ class TestEngineTier:
 
     def test_offset_adc_sim_served_without_invariance(self, registry):
         """An ADC with offset cannot be batch-invariant (zero-stream
-        skipping is per batch); such configs still serve, with BLAS math."""
+        skipping is per batch); such configs still serve, keyed as not
+        invariant."""
         sim = SIM.replace(adc_offset_lsb=0.7)
         weights = np.eye(4) * 0.3
 
@@ -175,7 +179,9 @@ class TestEngineTier:
             return await registry.engine(SPEC, "exact", sim, weights)
 
         warm = run(scenario())
-        assert not warm.engine.tile_factory.batch_invariant
+        assert not supports_batch_invariance("exact", sim)
+        assert warm.key == ModelRegistry.engine_key(
+            registry.model_key(SPEC), "exact", sim, weights)
         assert warm.matmul(np.ones((2, 4)) * 0.1).shape == (2, 4)
 
     def test_idle_per_key_locks_are_pruned(self, registry):

@@ -6,7 +6,7 @@ tiny fast-to-train GENIEx model and drives it through
 and the load benchmark use.
 
 The equivalence tests assert **byte-identical** agreement with direct
-in-process calls: predictions go through the batch-invariant
+in-process calls: predictions go through the (batch-invariant)
 :class:`~repro.core.emulator.GeniexTileModel` of the programmed crossbar,
 so a response must match a direct per-request call bit-for-bit even when
 the scheduler coalesced it with other traffic.
@@ -57,7 +57,7 @@ def direct_matrix_emulator(zoo: GeniexZoo, conductances: np.ndarray):
     """The exact object the server predicts with, built in-process."""
     emulator = zoo.get_or_train(SPEC.config, SPEC.sampling, SPEC.training,
                                 mode=SPEC.mode)
-    return emulator.for_matrix(conductances, batch_invariant=True)
+    return emulator.for_matrix(conductances)
 
 
 def random_g(seed):
@@ -164,8 +164,7 @@ class TestMatmulEquivalence:
         x = np.random.default_rng(1).standard_normal((5, 4))
         y = client.matmul(x, model=MODEL, weights=weights, engine="exact",
                           sim=SIM)
-        engine = make_engine("exact", SPEC.config, FuncSimConfig(**SIM),
-                             batch_invariant=True)
+        engine = make_engine("exact", SPEC.config, FuncSimConfig(**SIM))
         direct = engine.matmul(x, engine.prepare(weights))
         np.testing.assert_array_equal(y, direct)
 
@@ -179,7 +178,7 @@ class TestMatmulEquivalence:
         emulator = zoo.get_or_train(SPEC.config, SPEC.sampling,
                                     SPEC.training, mode=SPEC.mode)
         engine = make_engine("geniex", SPEC.config, FuncSimConfig(**SIM),
-                             emulator=emulator, batch_invariant=True)
+                             emulator=emulator)
         direct = engine.matmul(x, engine.prepare(weights))
         np.testing.assert_array_equal(y, direct)
 
@@ -213,7 +212,7 @@ class TestMatmulEquivalence:
         emulator = zoo.get_or_train(SPEC.config, SPEC.sampling,
                                     SPEC.training, mode=SPEC.mode)
         engine = make_engine("geniex", SPEC.config, FuncSimConfig(**SIM),
-                             emulator=emulator, batch_invariant=True)
+                             emulator=emulator)
         prepared = engine.prepare(weights)
         for i in range(16):
             direct = engine.matmul(xs[i:i + 1], prepared)[0]

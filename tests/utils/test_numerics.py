@@ -154,3 +154,21 @@ class TestBatchInvariantMatmul:
             a = rng.normal(size=(n, 17)).astype(np.float32)
             assert numerics.batch_invariant_matmul(a, b).tobytes() == \
                 np.einsum("ik,kj->ij", a, b).tobytes()
+
+    def test_probe_verdicts_are_exported(self, monkeypatch):
+        """The verdicts accessor reports each probed class, a failed
+        probe as ``False``, and hands out a copy."""
+        from repro.utils import numerics
+
+        monkeypatch.setattr(numerics, "_blas_invariant", {})
+        monkeypatch.setattr(numerics, "_probe_blas_row_invariance",
+                            lambda k, n, a_dtype, b_dtype: n != 9)
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 13))
+        numerics.batch_invariant_matmul(a, rng.normal(size=(13, 9)))
+        numerics.batch_invariant_matmul(a, rng.normal(size=(13, 5)))
+        verdicts = numerics.blas_probe_verdicts()
+        assert verdicts == {(13, 9, "d", "d"): False,
+                            (13, 5, "d", "d"): True}
+        verdicts.clear()
+        assert len(numerics.blas_probe_verdicts()) == 2
