@@ -56,11 +56,18 @@ class TestFusedBitIdentity:
     """The stacked kernel == the per-model oracle, bit for bit."""
 
     @pytest.mark.parametrize("kind", ["exact", "analytical", "geniex"])
-    def test_kinds(self, operands, tiny_emulator, kind):
+    @pytest.mark.parametrize("row_by_row", [False, True])
+    def test_kinds(self, operands, tiny_emulator, kind, row_by_row):
+        """The whole batch, or each row run alone, equals the oracle."""
         x, w = operands
         engine = _engine(kind, tiny_emulator)
         prepared = engine.prepare(w)
-        np.testing.assert_array_equal(engine.matmul(x, prepared),
+        if row_by_row:
+            out = np.concatenate([engine.matmul(x[i:i + 1], prepared)
+                                  for i in range(len(x))])
+        else:
+            out = engine.matmul(x, prepared)
+        np.testing.assert_array_equal(out,
                                       sequential_matmul(engine, x, prepared))
 
     @pytest.mark.parametrize("kind", ["exact", "geniex"])
@@ -173,9 +180,15 @@ class TestExactBackEnd:
 class TestStackedReadout:
     """Each column block of the stacked read-out is its tile's currents."""
 
-    @pytest.mark.parametrize("kind", ["exact", "analytical", "geniex",
-                                      "decoupled"])
-    def test_blocks_equal_tile_currents(self, tiny_emulator, kind):
+    @pytest.mark.parametrize("kind,row_by_row", [
+        ("exact", False), ("exact", True), ("analytical", False),
+        ("analytical", True), ("geniex", False), ("geniex", True),
+        ("decoupled", False), ("decoupled", True),
+    ])
+    def test_blocks_equal_tile_currents(self, tiny_emulator, kind,
+                                        row_by_row):
+        """Whole batches, or each row read out alone, equal the tile's
+        currents of the whole batch."""
         rng = np.random.default_rng(29)
         engine = _engine(kind, tiny_emulator)
         prepared = engine.prepare(rng.normal(size=(20, 13)) * 0.3)
@@ -186,7 +199,13 @@ class TestStackedReadout:
                                   size=(n, plan.rows))
             voltages = levels * plan.v_lsb
             for tr in range(plan.t_r):
-                stacked = prepared.readout(tr, voltages)
+                if row_by_row:
+                    # readout() returns a scratch view: copy each row.
+                    stacked = np.concatenate([
+                        prepared.readout(tr, voltages[i:i + 1]).copy()
+                        for i in range(n)])
+                else:
+                    stacked = prepared.readout(tr, voltages)
                 for mi, model in enumerate(prepared.row_models[tr]):
                     block = stacked[:, mi * cols:(mi + 1) * cols]
                     # Single rows too: both products pad them to two

@@ -174,17 +174,26 @@ class TestPrunedEngine:
         return make_engine("geniex", self.XCFG, SCFG, emulator=emulator,
                            **kwargs)
 
-    def test_equals_fresh_engine(self, pruned_emulator, weights, rng):
+    @pytest.mark.parametrize("row_by_row", [False, True])
+    def test_equals_fresh_engine(self, pruned_emulator, weights, rng,
+                                 row_by_row):
         """Tiles with different kept counts share one kernel: a warm
-        engine equals a fresh one at every batch size."""
+        engine equals a fresh one at every batch size, whether the fresh
+        engine runs the whole batch or each row alone."""
         engine = self._engine(pruned_emulator)
         prepared = engine.prepare(weights)
         assert len(_kept_counts(prepared)) > 1
         for n in (1, 2, 7, 40):
             x = rng.normal(size=(n, 20)) * 0.4
             fresh = self._engine(pruned_emulator)
+            layer = fresh.prepare(weights)
+            if row_by_row:
+                expected = np.concatenate([fresh.matmul(x[i:i + 1], layer)
+                                           for i in range(n)])
+            else:
+                expected = fresh.matmul(x, layer)
             assert engine.matmul(x, prepared).tobytes() == \
-                fresh.matmul(x, fresh.prepare(weights)).tobytes()
+                expected.tobytes()
 
     def test_batch_invariant_rows(self, pruned_emulator, weights, rng):
         """Every row equals its single-row result byte for byte, at every
