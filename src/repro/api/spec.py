@@ -381,7 +381,7 @@ class EmulationSpec:
 
 
 # ----------------------------------------------------------------------
-# Digest composition (shared with the serving registry's legacy shims)
+# Digest composition
 # ----------------------------------------------------------------------
 def engine_identity(model_key: str, engine: str, sim) -> str:
     """Engine-behaviour digest from pre-resolved parts.
@@ -393,8 +393,8 @@ def engine_identity(model_key: str, engine: str, sim) -> str:
     same key (identical field sets). The derived
     :func:`supports_batch_invariance` is folded under the
     ``batch_invariant`` name the flag once had, so every key the serving
-    registry ever issued keeps its value. :meth:`EmulationSpec.key` and
-    the registry's deprecated ``engine_key`` shim both bottom out here.
+    registry ever issued keeps its value. :meth:`EmulationSpec.key`
+    bottoms out here.
     """
     return content_key("spec", model_key, engine,
                        {"sim": _node_to_dict(sim),

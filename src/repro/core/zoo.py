@@ -193,21 +193,37 @@ class GeniexZoo:
             raise
 
     @staticmethod
+    def _save_artifact(path: str, state: dict, meta: dict) -> None:
+        """Atomically write an artifact of any kind: a ``param::<name>``
+        member per ``state`` array plus ``meta`` as JSON in ``meta_json``
+        (member names are a stored format)."""
+        arrays = {f"param::{k}": np.asarray(v) for k, v in state.items()}
+        arrays["meta_json"] = np.frombuffer(
+            json.dumps(meta).encode(), dtype=np.uint8)
+        GeniexZoo._atomic_savez(path, arrays)
+
+    @staticmethod
+    def _load_artifact(path: str, mmap: bool) -> tuple[dict, dict]:
+        """``(state, meta)`` of an artifact; raises on an unreadable one,
+        which each kind's loader treats as an error or as absent."""
+        archive = load_npz(path, mmap=mmap)
+        meta = json.loads(bytes(archive["meta_json"]).decode())
+        state = {k[len("param::"):]: archive[k]
+                 for k in archive if k.startswith("param::")}
+        return state, meta
+
+    @staticmethod
     def save_model(model: GeniexNet, path: str) -> None:
         """Atomically write a model artifact (see :meth:`_atomic_savez`)."""
         if model.normalizer is None:
             raise SerializationError("cannot save a model without normalizer")
-        meta = {
+        GeniexZoo._save_artifact(path, model.state_dict(), {
             "rows": model.rows,
             "cols": model.cols,
             "hidden": model.hidden,
             "hidden_layers": model.hidden_layers,
             "normalizer": model.normalizer.to_dict(),
-        }
-        arrays = {f"param::{k}": v for k, v in model.state_dict().items()}
-        arrays["meta_json"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8)
-        GeniexZoo._atomic_savez(path, arrays)
+        })
 
     @staticmethod
     def load_model(path: str, mmap: bool = True) -> GeniexNet:
@@ -216,10 +232,7 @@ class GeniexZoo:
         try:
             # Memory-mapped state arrays are safe here: load_state_dict
             # copies into the model's own parameter storage.
-            archive = load_npz(path, mmap=mmap)
-            meta = json.loads(bytes(archive["meta_json"]).decode())
-            state = {k[len("param::"):]: archive[k]
-                     for k in archive if k.startswith("param::")}
+            state, meta = GeniexZoo._load_artifact(path, mmap)
             # Construction stays inside the wrapper: a schema-mismatched
             # artifact (missing meta key, wrong parameter shapes) is just
             # as unusable as a truncated one and must also surface as
@@ -253,10 +266,7 @@ class GeniexZoo:
         fitted calibration buffers); ``meta`` is a small JSON-encodable
         record (sizes, metrics, handle) needed to rebuild and audit it.
         """
-        arrays = {f"param::{k}": np.asarray(v) for k, v in state.items()}
-        arrays["meta_json"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8)
-        self._atomic_savez(self._mitigated_path(key), arrays)
+        self._save_artifact(self._mitigated_path(key), state, meta)
 
     def load_mitigated(self, key: str) -> tuple[dict, dict] | None:
         """Load a mitigated artifact as ``(state, meta)``; None if absent.
@@ -273,11 +283,7 @@ class GeniexZoo:
             # parameters by copy); memory-mapping it is safe. Callers
             # that resume training should construct the zoo with
             # ``mmap=False`` (the copy-on-write escape hatch).
-            archive = load_npz(path, mmap=self.mmap)
-            meta = json.loads(bytes(archive["meta_json"]).decode())
-            state = {k[len("param::"):]: archive[k]
-                     for k in archive if k.startswith("param::")}
-            return state, meta
+            return self._load_artifact(path, self.mmap)
         except Exception:
             return None
 
@@ -295,28 +301,27 @@ class GeniexZoo:
         entries may be JSON-encoded or raw arrays); ``meta`` is a small
         JSON record (spec dict, net digest, model key) that lets any
         fleet worker rebuild and recompile the network from disk without
-        ever having seen the original upload.
+        ever having seen the original upload. Layer ``i``'s array
+        ``name`` is stored as state ``"<i>::<name>"``.
         """
         from repro.nn.serialization import decode_state_array
         layers_meta = []
-        arrays = {}
+        state = {}
         for i, entry in enumerate(wire["layers"]):
-            state = entry.get("state", {})
+            layer_state = entry.get("state", {})
             layers_meta.append({"kind": entry["kind"],
                                 "config": entry.get("config", {}),
-                                "state": sorted(state)})
-            for name, value in state.items():
-                arrays[f"param::{i}::{name}"] = decode_state_array(value)
+                                "state": sorted(layer_state)})
+            for name, value in layer_state.items():
+                state[f"{i}::{name}"] = decode_state_array(value)
         record = {"format": wire["format"], "layers": layers_meta,
                   "input_shape": wire.get("input_shape"), "meta": meta}
-        arrays["meta_json"] = np.frombuffer(
-            json.dumps(record).encode(), dtype=np.uint8)
         path = self._net_path(key)
         with self._file_lock(path):
             # Artifacts are content-addressed: an existing file is the
             # same bytes re-uploaded, so the first writer wins fleet-wide.
             if not os.path.exists(path):
-                self._atomic_savez(path, arrays)
+                self._save_artifact(path, state, record)
 
     def load_net_program(self, key: str) -> tuple[dict, dict] | None:
         """Load an uploaded-network artifact as ``(wire, meta)``.
@@ -329,16 +334,14 @@ class GeniexZoo:
         if not os.path.exists(path):
             return None
         try:
-            arrays = load_npz(path, mmap=self.mmap)
-            record = json.loads(bytes(arrays["meta_json"]).decode())
+            state, record = self._load_artifact(path, self.mmap)
             layers = []
             for i, layer_meta in enumerate(record["layers"]):
                 entry = {"kind": layer_meta["kind"],
                          "config": layer_meta["config"]}
                 if layer_meta["state"]:
-                    entry["state"] = {
-                        name: arrays[f"param::{i}::{name}"]
-                        for name in layer_meta["state"]}
+                    entry["state"] = {name: state[f"{i}::{name}"]
+                                      for name in layer_meta["state"]}
                 layers.append(entry)
             wire = {"format": record["format"], "layers": layers}
             if record.get("input_shape") is not None:

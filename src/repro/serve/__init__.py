@@ -11,9 +11,13 @@ queues, backpressure and a ``/metrics`` endpoint.
 Layers:
 
 * :mod:`repro.serve.protocol` — wire format (specs, arrays, errors);
+  flat ``model`` bodies become an :class:`~repro.api.spec.EmulationSpec`
+  here, the one identity type behind it;
 * :mod:`repro.serve.metrics` — thread-safe serving counters/histograms;
 * :mod:`repro.serve.scheduler` — per-key dynamic microbatching;
-* :mod:`repro.serve.registry` — warm-model LRU over :class:`GeniexZoo`;
+* :mod:`repro.serve.registry` — warm-object LRU tiers over
+  :class:`GeniexZoo` (models, crossbars, engines, mitigated models,
+  compiled nets), keyed by spec digests, one single-flight build per key;
 * :mod:`repro.serve.httpio` — the HTTP/1.1 front door (connection loop,
   response writer, tracing, drain) shared with the :mod:`repro.fleet`
   front-end;

@@ -73,12 +73,13 @@ def _build_dataclass(cls, payload, what: str):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One GENIEx model identity: crossbar + sampling + training + mode.
+    """The flat ``"model"`` wire object: crossbar + sampling + training +
+    mode (+ fault composition).
 
-    A thin wire-format adapter over :class:`repro.api.spec.EmulationSpec`
-    — the flat JSON shape predates the spec tree and is kept for client
-    compatibility; :meth:`to_spec` / :meth:`from_spec` convert, and both
-    key caches through the same spec digests.
+    The flat JSON shape predates the spec tree and is kept for client
+    compatibility. The server turns it into an
+    :class:`~repro.api.spec.EmulationSpec` (:meth:`to_spec`) as soon as
+    it is parsed; nothing behind the protocol sees this type.
     """
 
     config: CrossbarConfig
@@ -86,8 +87,6 @@ class ModelSpec:
     training: TrainSpec
     mode: str = "full"
     #: Device-fault composition (identity = the historical clean model).
-    #: Carried so the registry's model tier keys faulty crossbars apart
-    #: from clean ones — the no-aliasing guarantee holds over the wire.
     nonideality: NonidealitySpec = field(default_factory=NonidealitySpec)
 
     def to_spec(self, engine: str = "geniex",
@@ -103,15 +102,6 @@ class ModelSpec:
                                   training=self.training, mode=self.mode),
             nonideality=self.nonideality,
             **kwargs)
-
-    @classmethod
-    def from_spec(cls, spec: EmulationSpec) -> "ModelSpec":
-        """The model identity of a full emulation spec."""
-        return cls(config=spec.xbar.to_config(),
-                   sampling=spec.emulator.sampling,
-                   training=spec.emulator.training,
-                   mode=spec.emulator.mode,
-                   nonideality=spec.nonideality)
 
     @classmethod
     def from_payload(cls, payload) -> "ModelSpec":
@@ -170,29 +160,37 @@ def reject_mixed_identity(body: dict, key_field: str | None = None) -> None:
                 f"self-contained — drop the flat fields")
 
 
-def parse_model_spec(body: dict) -> ModelSpec:
-    """Model identity from a ``"model"`` object or a full ``"spec"``.
+def parse_model_spec(body: dict, *, engine_tier: bool = False
+                     ) -> EmulationSpec:
+    """The emulation a ``"model"`` object or a full ``"spec"`` names.
 
-    Used by the *emulator-tier* endpoints (``/v1/models``,
-    ``/v1/crossbars``, ``/v1/predict_*``), which always serve the
-    trained GENIEx model — so a spec naming a different engine kind is
-    rejected here rather than silently training GENIEx anyway (the
-    engine-tier endpoints honour ``spec.engine`` and never reach this).
+    The *emulator-tier* endpoints (``/v1/models``, ``/v1/crossbars``,
+    ``/v1/predict_*``) always serve the trained GENIEx model — so a spec
+    naming a different engine kind is rejected here rather than silently
+    training GENIEx anyway, and flat ``engine``/``sim`` fields are
+    ignored. The *engine-tier* endpoints (``/v1/weights``,
+    ``/v1/matmul``) pass ``engine_tier=True``: they honour
+    ``spec.engine``, and on the flat path ``"engine"`` (default
+    ``geniex``) and ``"sim"``.
     """
     if "spec" in body:
         reject_mixed_identity(body)
         spec = parse_emulation_spec(body)
-        if spec.engine != "geniex":
+        if not engine_tier and spec.engine != "geniex":
             raise ProtocolError(
                 f"this endpoint serves the trained GENIEx emulator; the "
                 f"submitted spec names engine {spec.engine!r} — use "
                 f"/v1/weights + /v1/matmul for non-geniex engines, or "
                 f"set spec.engine to \"geniex\"")
-        return ModelSpec.from_spec(spec)
+        return spec
     if "model" not in body:
         raise ProtocolError(
             "request requires a \"model\" or \"spec\" object")
-    return ModelSpec.from_payload(body["model"])
+    model = ModelSpec.from_payload(body["model"])
+    if not engine_tier:
+        return model.to_spec()
+    return model.to_spec(engine=parse_engine_kind(body),
+                         sim=parse_sim_config(body))
 
 
 def parse_emulation_spec(body: dict) -> EmulationSpec:

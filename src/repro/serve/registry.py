@@ -1,43 +1,45 @@
-"""Warm-model registry: async-safe LRU caches layered on the GENIEx zoo.
+"""Warm-object registry: async-safe LRU tiers layered on the GENIEx zoo.
 
-Three tiers, all keyed by deterministic content digests so identical
-requests — from any client, in any order — land on the same warm object
-(and therefore the same microbatching queue):
+Each tier warms one kind of object by a deterministic content key, so
+identical requests — from any client, in any order — land on the same
+warm object (and therefore the same microbatching queue):
 
-* **models** — trained :class:`GeniexEmulator` instances, keyed by the zoo
-  artifact key of the model spec. Misses train (or load) through
-  :class:`GeniexZoo` on an executor thread; an asyncio per-key lock
-  collapses concurrent misses into one training run while the event loop
-  keeps serving other traffic.
+* **models** — trained :class:`GeniexEmulator` instances, keyed by the
+  zoo artifact key (:meth:`ModelRegistry.model_key`: crossbar design,
+  emulator node and fault composition; the engine, sim, runtime and
+  mitigation nodes do not enter it). Misses get or train through
+  :func:`repro.api.session.resolve_emulator`, like every other surface.
 * **crossbars** — the :class:`GeniexTileModel` of a programmed
   conductance matrix (:meth:`GeniexEmulator.for_matrix`: the engine's
-  folded, pruned tile), keyed by (model key, G digest). Its products are
-  batch-invariant, so coalesced predictions are byte-identical to direct
-  per-request calls.
+  folded, pruned tile), keyed by (model key, G digest).
 * **engines** — prepared :class:`CrossbarMvmEngine` pipelines (engine +
-  :class:`PreparedMatrix`), keyed by ``spec.weights_key(weights)`` — the
-  :class:`~repro.api.spec.EmulationSpec` digest scheme every other
-  surface uses. Preparing programs every (sign, slice, tile) model, so
-  it also runs on the executor under a per-key lock. Engines are built
-  through :func:`repro.api.session.build_engine` from the spec, with
-  the registry's shard threads (:meth:`ModelRegistry.serving_spec`).
-  Where the spec supports it
-  (:func:`~repro.api.spec.supports_batch_invariance`), each row is
-  byte-identical whatever batch it is coalesced into: that is how every
-  engine computes, not a mode the registry switches on.
+  :class:`PreparedMatrix`), keyed by
+  ``serving_spec(spec).weights_key(weights)`` and built through
+  :func:`repro.api.session.build_engine` with the registry's shard
+  threads.
 * **mitigated** — whole mitigated classifiers (noise-trained weights on
   a live engine, output calibration applied), keyed by
-  :func:`repro.mitigation.runner.mitigated_key` — full spec digest
-  (which folds the mitigation node) × dataset handle × architecture, so
-  a mitigated model can never alias the raw model serving the same
-  physics. Builds run :func:`~repro.mitigation.runner.run_mitigation`
-  on the executor; the zoo persists the artifact, so a registry restart
-  rebuilds from disk instead of retraining.
+  :func:`repro.mitigation.runner.mitigated_key`, which folds the
+  mitigation node, so a mitigated model never aliases the raw model
+  serving the same physics. The zoo persists the artifact.
+* **nets** — compiled networks, keyed by :meth:`ModelRegistry.net_key`.
+  The zoo persists the uploaded wire, so a restarted server or another
+  fleet worker rebuilds from disk.
 
-Compiled networks (:meth:`ModelRegistry.net`) are keyed and persisted the
-same way. No runtime field enters ``key()``, so ``serving_spec`` moves no
-key, and every key equals the one the registry issued while batch
-invariance was a runtime flag it switched on.
+Every tier is one :class:`_Tier`. A miss starts one build task and every
+concurrent miss of the same key awaits it (single flight); the task is
+shielded, so a cancelled request never cancels a build others wait on.
+Blocking build steps run on executor threads while the event loop keeps
+serving. A failed build is not cached: every waiter gets its exception
+and the next request builds again. The tiers whose values own shard
+threads (engines, mitigated, nets) share one eviction hook, which closes
+the evicted value off the event loop; a closed value still answers
+queued microbatches on the calling thread.
+
+Where the spec supports it
+(:func:`~repro.api.spec.supports_batch_invariance`), each row is
+byte-identical whatever batch it is coalesced into. No runtime field
+enters ``key()``, so :meth:`ModelRegistry.serving_spec` moves no key.
 """
 
 from __future__ import annotations
@@ -48,24 +50,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.session import Session, build_engine
-from repro.api.spec import (
-    EmulationSpec,
-    engine_identity,
-    supports_batch_invariance,
-    weights_identity,
-)
+from repro.api.session import Session, build_engine, resolve_emulator
+from repro.api.spec import EmulationSpec, supports_batch_invariance
 from repro.core.emulator import GeniexEmulator, GeniexTileModel
 from repro.core.zoo import GeniexZoo
 from repro.errors import ConfigError, ShapeError
-from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.convert import convert_to_mvm, mvm_layers
 from repro.funcsim.engine import EngineStats
 from repro.mitigation.runner import mitigated_key, run_mitigation
 from repro.nn.serialization import net_digest, net_from_wire
 from repro.nonideal import as_pipeline
 from repro.obs import counter_family, gauge_family, span
-from repro.serve.protocol import ModelSpec
 from repro.utils.cache import LruDict
 from repro.utils.digest import content_key
 
@@ -217,22 +212,15 @@ def _net_input_features(wire: dict) -> tuple:
         "the wire")
 
 
-class _CacheStats:
-    __slots__ = ("hits", "misses")
-
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-
-
 def _close_off_loop(warm) -> None:
     """Close a warm object off the event loop thread.
 
-    Eviction hooks fire inside ``LruDict.put``; when the put happens on
-    the event loop (the mitigated tier's does), running the session
-    close inline would stall every in-flight request behind runtime-pool
-    teardown. With a running loop the close is handed to the default
-    executor; on a plain thread (tests, shutdown paths) it runs inline.
+    The eviction hook of every tier whose values own shard threads.
+    Hooks fire inside ``LruDict.put``, and tiers put from the event
+    loop; running the close inline would stall every in-flight request
+    behind thread-pool teardown. With a running loop the close is handed
+    to the default executor; on a plain thread (tests, shutdown paths)
+    it runs inline.
     """
     try:
         loop = asyncio.get_running_loop()
@@ -242,8 +230,69 @@ def _close_off_loop(warm) -> None:
     loop.run_in_executor(None, lambda: warm.close(wait=False))
 
 
+async def _off_loop(fn):
+    """Run a blocking build step on the event loop's default executor."""
+    return await asyncio.get_running_loop().run_in_executor(None, fn)
+
+
+class _Tier:
+    """One warm tier: an LRU of built values, its hit and miss counts,
+    and the builds in flight (touched only from the event loop)."""
+
+    def __init__(self, capacity: int, closes: bool = False):
+        self.cache = LruDict(
+            capacity,
+            on_evict=(lambda _key, warm: _close_off_loop(warm))
+            if closes else None)
+        self.hits = 0
+        self.misses = 0
+        self.inflight: dict = {}    # key -> build task
+
+    def get(self, key):
+        """The warm value for ``key`` or ``None``; counts a hit or miss."""
+        value = self.cache.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    async def get_or_build(self, key, build):
+        """The warm value for ``key``; a miss awaits ``build()``.
+
+        Every concurrent miss of ``key`` awaits one build task. A built
+        value other than ``None`` is cached before any waiter resumes.
+        """
+        value = self.get(key)
+        if value is not None:
+            return value
+        task = self.inflight.get(key)
+        # A done task still listed was cancelled before it ever ran (a
+        # loop shut down under it), so its ``finally`` never unlisted it.
+        if task is None or task.done():
+            task = self.inflight[key] = asyncio.ensure_future(
+                self._build(key, build))
+        return await asyncio.shield(task)
+
+    async def _build(self, key, build):
+        try:
+            value = await build()
+            if value is not None:
+                self.cache.put(key, value)
+            return value
+        finally:
+            self.inflight.pop(key, None)
+
+    def stats(self) -> dict:
+        total = self.hits + self.misses
+        return {"size": len(self.cache), "capacity": self.cache.max_entries,
+                "hits": self.hits, "misses": self.misses,
+                "hit_rate": self.hits / total if total else 0.0}
+
+
 class ModelRegistry:
-    """LRU registry of warm emulators, crossbars and prepared engines."""
+    """LRU registry of warm emulators, crossbars, prepared engines,
+    mitigated models and compiled networks."""
 
     def __init__(self, zoo: GeniexZoo | None = None, *,
                  max_models: int = 8, max_crossbars: int = 128,
@@ -254,34 +303,13 @@ class ModelRegistry:
         # funcsim threads (they compose with the asyncio executor
         # threads running the batched calls).
         self.engine_workers = max(1, int(engine_workers))
-        self._models = LruDict(max_models)      # model key -> emulator
-        self._crossbars = LruDict(max_crossbars)
-        # Evicted engines release their shard thread pools without
-        # blocking the event loop (wait=False); the closed engine still
-        # answers queued microbatches on the calling thread.
-        self._engines = LruDict(
-            max_engines, on_evict=lambda _key, warm: warm.close(wait=False))
-        # Mitigated models own a whole session; eviction releases its
-        # shard threads the same way (the zoo artifact survives, so a
-        # re-request rebuilds from disk, not from scratch). Unlike the
-        # engines tier — whose puts happen on executor threads — the
-        # mitigated tier is populated from the event loop, so the close
-        # is pushed to the executor instead of stalling the loop.
-        self._mitigated = LruDict(
-            max_mitigated,
-            on_evict=lambda _key, warm: _close_off_loop(warm))
-        # Warm compiled networks (model-level serving). Populated from
-        # the event loop like the mitigated tier, so eviction pushes the
-        # engine close to the executor; the zoo artifact survives and a
-        # re-request disk-loads + recompiles instead of re-uploading.
-        self._nets = LruDict(
-            max_nets, on_evict=lambda _key, warm: _close_off_loop(warm))
-        self._stats = {"models": _CacheStats(), "crossbars": _CacheStats(),
-                       "engines": _CacheStats(),
-                       "mitigated": _CacheStats(), "nets": _CacheStats()}
-        # Per-key locks are only touched from the event loop, so a plain
-        # dict is safe; the slow work they guard runs on executor threads.
-        self._locks: dict = {}
+        self._tiers = {
+            "models": _Tier(max_models),
+            "crossbars": _Tier(max_crossbars),
+            "engines": _Tier(max_engines, closes=True),
+            "mitigated": _Tier(max_mitigated, closes=True),
+            "nets": _Tier(max_nets, closes=True),
+        }
 
     # ------------------------------------------------------------------
     # Keys — all delegate to the spec digest scheme (repro.api.spec),
@@ -289,8 +317,14 @@ class ModelRegistry:
     # describe the same setup agree on every cache key.
     # ------------------------------------------------------------------
     @staticmethod
-    def model_key(spec: ModelSpec) -> str:
-        return spec.to_spec().model_key()
+    def model_key(spec: EmulationSpec) -> str:
+        """The models-tier key: the zoo artifact key of the spec's
+        trained emulator. Unlike ``spec.model_key()`` it ignores the
+        mitigation node, which does not change the characterisation."""
+        return GeniexZoo.artifact_key(
+            spec.xbar.to_config(), spec.emulator.sampling,
+            spec.emulator.training, spec.emulator.mode,
+            nonideality=spec.nonideality)
 
     @staticmethod
     def crossbar_key(model_key: str, conductance_s: np.ndarray) -> str:
@@ -298,75 +332,53 @@ class ModelRegistry:
             "xb", model_key,
             np.ascontiguousarray(conductance_s, dtype=np.float64))
 
-    @staticmethod
-    def engine_key(model_key: str, kind: str, sim_config: FuncSimConfig,
-                   weights: np.ndarray) -> str:
-        """Deprecated shim: prefer ``EmulationSpec.weights_key``.
+    def serving_spec(self, spec: EmulationSpec) -> EmulationSpec:
+        """Normalise a client spec to this registry's execution policy.
 
-        Composes the same spec digests the registry uses internally, so
-        a key computed here matches the one a full spec produces for the
-        same setup: ``model_key`` (crossbar design + emulator node)
-        always participates, exactly as it did in the legacy scheme.
+        Public: ``registry.serving_spec(spec).weights_key(w)`` is the
+        wire-visible warm-engine key, so clients that want to predict
+        server cache keys call this (see the README's Public API notes).
+
+        The runtime node is server-owned: warm engines run with the
+        registry's shard threads, so clients cannot steer the server onto
+        more threads by submitting a creative runtime node. No runtime
+        field enters ``key()``, so this never moves a key.
         """
-        return weights_identity(
-            engine_identity(model_key, kind, sim_config), weights)
+        return spec.evolve(runtime={"workers": self.engine_workers})
 
-    def _lock_for(self, key: str) -> asyncio.Lock:
-        lock = self._locks.get(key)
-        if lock is None:
-            lock = self._locks[key] = asyncio.Lock()
-        return lock
+    def net_key(self, digest: str, spec: EmulationSpec) -> str:
+        """The warm-program key for (net digest, spec).
 
-    def _drop_lock(self, key: str) -> None:
-        """Forget a per-key lock once it is idle.
-
-        Keeps the lock table bounded by in-flight work instead of growing
-        with every distinct key ever served. If a waiter raced the drop it
-        still holds a reference to the old lock; the worst case is one
-        redundant (idempotent, cache-guarded) build, not corruption.
+        The issue-level identity is ``(net_digest, model_key)``; the
+        cache key additionally folds the engine kind and sim precision
+        through ``serving_spec(spec).key()`` so two specs sharing a
+        trained model but differing in execution can never alias one
+        compiled program.
         """
-        lock = self._locks.get(key)
-        if lock is not None and not lock.locked():
-            del self._locks[key]
-
-    def _lookup(self, cache_name: str, key: str):
-        value = getattr(self, f"_{cache_name}").get(key)
-        stats = self._stats[cache_name]
-        if value is None:
-            stats.misses += 1
-        else:
-            stats.hits += 1
-        return value
+        return content_key("netprog", digest,
+                           self.serving_spec(spec).key())
 
     # ------------------------------------------------------------------
     # Tiers
     # ------------------------------------------------------------------
-    async def emulator(self, spec: ModelSpec) -> tuple:
-        """Warm (or train) the emulator for a model spec.
+    async def emulator(self, spec: EmulationSpec) -> tuple:
+        """Warm (or train) the GENIEx emulator a spec describes.
 
-        Returns ``(model_key, emulator)``. Training runs on an executor
-        thread; concurrent requests for the same key await one shared run.
+        Returns ``(model_key, emulator)``.
         """
         key = self.model_key(spec)
-        emulator = self._lookup("models", key)
-        if emulator is not None:
-            return key, emulator
-        try:
-            async with self._lock_for("model:" + key):
-                emulator = self._models.get(key)
-                if emulator is None:
-                    loop = asyncio.get_running_loop()
-                    emulator = await loop.run_in_executor(
-                        None, lambda: self.zoo.get_or_train(
-                            spec.config, spec.sampling, spec.training,
-                            mode=spec.mode,
-                            nonideality=spec.nonideality))
-                    self._models.put(key, emulator)
-                return key, emulator
-        finally:
-            self._drop_lock("model:" + key)
+        emulator = await self._tiers["models"].get_or_build(
+            key, lambda: _off_loop(lambda: resolve_emulator(spec, self.zoo)))
+        return key, emulator
 
-    async def matrix_emulator(self, spec: ModelSpec,
+    async def _engine_emulator(self, spec: EmulationSpec):
+        """The warm emulator a ``geniex`` engine needs (``None`` for the
+        other kinds), shared with every other endpoint."""
+        if spec.engine != "geniex":
+            return None
+        return (await self.emulator(spec))[1]
+
+    async def matrix_emulator(self, spec: EmulationSpec,
                               conductance_s: np.ndarray) -> tuple:
         """Warm the crossbar tile model for (spec, G).
 
@@ -383,54 +395,28 @@ class ModelRegistry:
         key folds the fault composition through ``model_key``, so clean
         and faulty registrations of the same matrix never alias.
         """
-        model_key = self.model_key(spec)
-        key = self.crossbar_key(model_key, conductance_s)
-        warm = self._lookup("crossbars", key)
-        if warm is not None:
-            return key, warm
-        # Validate the shape before (possibly) paying for training.
-        if conductance_s.shape != spec.config.shape:
-            raise ShapeError(
-                f"conductances must have shape {spec.config.shape}, "
-                f"got {conductance_s.shape}")
-        pipeline = as_pipeline(spec.nonideality)
-        if pipeline is not None:
-            conductance_s = pipeline.perturb(
-                conductance_s, (0,), spec.config.g_off_s,
-                spec.config.g_on_s)
-        _, emulator = await self.emulator(spec)
-        warm = emulator.for_matrix(conductance_s)
-        self._crossbars.put(key, warm)
-        return key, warm
+        key = self.crossbar_key(self.model_key(spec), conductance_s)
+
+        async def build() -> GeniexTileModel:
+            config = spec.xbar.to_config()
+            # Validate the shape before (possibly) paying for training.
+            if conductance_s.shape != config.shape:
+                raise ShapeError(
+                    f"conductances must have shape {config.shape}, "
+                    f"got {conductance_s.shape}")
+            g = conductance_s
+            pipeline = as_pipeline(spec.nonideality)
+            if pipeline is not None:
+                g = pipeline.perturb(g, (0,), config.g_off_s,
+                                     config.g_on_s)
+            _, emulator = await self.emulator(spec)
+            return await _off_loop(lambda: emulator.for_matrix(g))
+
+        return key, await self._tiers["crossbars"].get_or_build(key, build)
 
     def crossbar(self, key: str) -> GeniexTileModel | None:
         """Fetch a previously registered crossbar by key (or ``None``)."""
-        return self._lookup("crossbars", key)
-
-    async def engine(self, spec: ModelSpec, kind: str,
-                     sim_config: FuncSimConfig,
-                     weights: np.ndarray) -> PreparedEngine:
-        """Warm a prepared MVM engine for (spec, kind, sim, weights).
-
-        Thin adapter over :meth:`engine_from_spec` for the flat wire
-        format; both paths share one key scheme and one build path.
-        """
-        return await self.engine_from_spec(
-            spec.to_spec(engine=kind, sim=sim_config), weights)
-
-    def serving_spec(self, spec: EmulationSpec) -> EmulationSpec:
-        """Normalise a client spec to this registry's execution policy.
-
-        Public: ``registry.serving_spec(spec).weights_key(w)`` is the
-        wire-visible warm-engine key, so clients that want to predict
-        server cache keys call this (see the README's Public API notes).
-
-        The runtime node is server-owned: warm engines run with the
-        registry's shard threads, so clients cannot steer the server onto
-        more threads by submitting a creative runtime node. No runtime
-        field enters ``key()``, so this never moves a key.
-        """
-        return spec.evolve(runtime={"workers": self.engine_workers})
+        return self._tiers["crossbars"].get(key)
 
     async def engine_from_spec(self, spec: EmulationSpec,
                                weights: np.ndarray) -> PreparedEngine:
@@ -443,37 +429,25 @@ class ModelRegistry:
         """
         spec = self.serving_spec(spec)
         key = spec.weights_key(weights)
-        warm = self._lookup("engines", key)
-        if warm is not None:
-            return warm
-        try:
-            async with self._lock_for("engine:" + key):
-                warm = self._engines.get(key)
-                if warm is not None:
-                    return warm
-                emulator = None
-                if spec.engine == "geniex":
-                    _, emulator = await self.emulator(
-                        ModelSpec.from_spec(spec))
-                loop = asyncio.get_running_loop()
 
-                def build() -> PreparedEngine:
-                    engine = build_engine(spec, emulator=emulator)
-                    prepared = engine.prepare(weights)
-                    return PreparedEngine(key=key, kind=spec.engine,
-                                          engine=engine, prepared=prepared,
-                                          n_in=prepared.n_in,
-                                          n_out=prepared.n_out)
+        async def build() -> PreparedEngine:
+            emulator = await self._engine_emulator(spec)
 
-                warm = await loop.run_in_executor(None, build)
-                self._engines.put(key, warm)
-                return warm
-        finally:
-            self._drop_lock("engine:" + key)
+            def prepare() -> PreparedEngine:
+                engine = build_engine(spec, emulator=emulator)
+                prepared = engine.prepare(weights)
+                return PreparedEngine(key=key, kind=spec.engine,
+                                      engine=engine, prepared=prepared,
+                                      n_in=prepared.n_in,
+                                      n_out=prepared.n_out)
+
+            return await _off_loop(prepare)
+
+        return await self._tiers["engines"].get_or_build(key, build)
 
     def prepared_engine(self, key: str) -> PreparedEngine | None:
         """Fetch a previously prepared engine by key (or ``None``)."""
-        return self._lookup("engines", key)
+        return self._tiers["engines"].get(key)
 
     async def mitigate(self, spec: EmulationSpec, dataset,
                        hidden=(32,), model_seed: int = 0) -> MitigatedModel:
@@ -484,107 +458,76 @@ class ModelRegistry:
         already folds the mitigation node, so mitigated models never
         collide with the raw engines/crossbars serving the same physics.
         The run itself (training, conversion, calibration, persistence)
-        happens on an executor thread under a per-key lock; the zoo makes
-        repeat requests a disk load and same-process repeats a pure
-        cache hit.
+        happens on an executor thread; the zoo makes repeat requests a
+        disk load and same-process repeats a pure cache hit.
         """
         spec = self.serving_spec(spec)
         key = mitigated_key(spec, dataset, hidden=hidden,
                             model_seed=model_seed)
-        warm = self._lookup("mitigated", key)
-        if warm is not None:
-            return warm
-        try:
-            async with self._lock_for("mitigated:" + key):
-                warm = self._mitigated.get(key)
-                if warm is not None:
-                    return warm
-                emulator = None
-                if spec.engine == "geniex":
-                    # Warm the characterisation emulator through the
-                    # model tier first (mitigation-independent key), so
-                    # it shares the cache with every other endpoint.
-                    _, emulator = await self.emulator(
-                        ModelSpec.from_spec(spec))
-                loop = asyncio.get_running_loop()
 
-                def build() -> MitigatedModel:
-                    session = Session(spec, zoo=self.zoo,
-                                      emulator=emulator)
-                    try:
-                        result = run_mitigation(
-                            spec, dataset, hidden=hidden,
-                            model_seed=model_seed, zoo=self.zoo,
-                            session=session)
-                    except BaseException:
-                        session.close(wait=False)
-                        raise
-                    return MitigatedModel(
-                        key=key, spec_key=spec.key(),
-                        sizes=tuple(result.sizes),
-                        metrics=dict(result.metrics),
-                        from_cache=result.from_cache,
-                        _session=session, _serving=result.serving)
+        async def build() -> MitigatedModel:
+            emulator = await self._engine_emulator(spec)
 
-                warm = await loop.run_in_executor(None, build)
-                self._mitigated.put(key, warm)
-                return warm
-        finally:
-            self._drop_lock("mitigated:" + key)
+            def run() -> MitigatedModel:
+                session = Session(spec, zoo=self.zoo, emulator=emulator)
+                try:
+                    result = run_mitigation(
+                        spec, dataset, hidden=hidden,
+                        model_seed=model_seed, zoo=self.zoo,
+                        session=session)
+                except BaseException:
+                    session.close(wait=False)
+                    raise
+                return MitigatedModel(
+                    key=key, spec_key=spec.key(),
+                    sizes=tuple(result.sizes),
+                    metrics=dict(result.metrics),
+                    from_cache=result.from_cache,
+                    _session=session, _serving=result.serving)
+
+            return await _off_loop(run)
+
+        return await self._tiers["mitigated"].get_or_build(key, build)
 
     def mitigated_model(self, key: str) -> MitigatedModel | None:
         """Fetch a previously built mitigated model by key (or ``None``)."""
-        return self._lookup("mitigated", key)
+        return self._tiers["mitigated"].get(key)
 
     # ------------------------------------------------------------------
     # Compiled networks (model-level serving)
     # ------------------------------------------------------------------
-    def net_key(self, digest: str, spec: EmulationSpec) -> str:
-        """The warm-program key for (net digest, spec).
-
-        The issue-level identity is ``(net_digest, model_key)``; the
-        cache key additionally folds the engine kind and sim precision
-        through ``serving_spec(spec).key()`` so two specs sharing a
-        trained model but differing in execution can never alias one
-        compiled program.
-        """
-        return content_key("netprog", digest,
-                           self.serving_spec(spec).key())
-
     async def net(self, wire: dict, spec: EmulationSpec,
                   persist: bool = True) -> tuple:
         """Warm (or compile) the network a wire + spec describe.
 
         Returns ``(warm, outcome)`` where ``outcome`` is one of
-        ``"memory_hit"``, ``"disk_hit"`` or ``"compiled"``. Compilation
-        (rebuild + per-layer weight preparation)
-        runs on an executor thread under a per-key lock; the zoo
-        persists the wire so every other fleet worker — and a restarted
-        server — rebuilds from disk instead of needing the upload again.
+        ``"memory_hit"``, ``"disk_hit"`` or ``"compiled"``; a request
+        that joined another's build in flight reads ``"memory_hit"``.
+        The zoo persists the wire so every other fleet worker — and a
+        restarted server — rebuilds from disk instead of needing the
+        upload again.
         """
         digest = net_digest(wire)
         key = self.net_key(digest, spec)
-        warm = self._lookup("nets", key)
-        if warm is not None:
-            return warm, "memory_hit"
-        try:
-            async with self._lock_for("net:" + key):
-                warm = self._nets.get(key)
-                if warm is not None:
-                    return warm, "memory_hit"
-                on_disk = await asyncio.get_running_loop().run_in_executor(
-                    None, lambda: self.zoo.load_net_program(key) is not None)
-                warm = await self._build_net(key, digest, wire, spec)
-                if persist and not on_disk:
-                    meta = {"spec": spec.to_dict(), "net_digest": digest,
-                            "model_key": spec.model_key()}
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, lambda: self.zoo.save_net_program(
-                            key, wire, meta))
-                self._nets.put(key, warm)
-                return warm, ("disk_hit" if on_disk else "compiled")
-        finally:
-            self._drop_lock("net:" + key)
+        meta = {"spec": spec.to_dict(), "net_digest": digest,
+                "model_key": spec.model_key()}
+        outcome = "memory_hit"
+
+        async def build() -> CompiledNet:
+            nonlocal outcome
+            on_disk = await _off_loop(
+                lambda: self.zoo.load_net_program(key) is not None)
+            warm = await self._build_net(key, wire, meta,
+                                         persist=persist and not on_disk)
+            outcome = "disk_hit" if on_disk else "compiled"
+            return warm
+
+        warm = None
+        while warm is None:
+            # None: this upload joined a by-key load (compiled_net) that
+            # found no artifact; build the upload itself then.
+            warm = await self._tiers["nets"].get_or_build(key, build)
+        return warm, outcome
 
     async def compiled_net(self, key: str) -> CompiledNet | None:
         """Warm compiled network by key; falls back to the zoo artifact.
@@ -595,44 +538,32 @@ class ModelRegistry:
         compiles once, then stays warm. ``None`` means the key is
         unknown fleet-wide (the caller answers 404).
         """
-        warm = self._lookup("nets", key)
-        if warm is not None:
-            return warm
-        try:
-            async with self._lock_for("net:" + key):
-                warm = self._nets.get(key)
-                if warm is not None:
-                    return warm
-                loaded = await asyncio.get_running_loop().run_in_executor(
-                    None, lambda: self.zoo.load_net_program(key))
-                if loaded is None:
-                    return None
-                wire, meta = loaded
-                spec = EmulationSpec.from_dict(_current_spec(meta["spec"]))
-                warm = await self._build_net(key, meta["net_digest"],
-                                             wire, spec)
-                self._nets.put(key, warm)
-                return warm
-        finally:
-            self._drop_lock("net:" + key)
+        async def build() -> CompiledNet | None:
+            loaded = await _off_loop(lambda: self.zoo.load_net_program(key))
+            if loaded is None:
+                return None
+            wire, meta = loaded
+            return await self._build_net(key, wire, meta, persist=False)
 
-    async def _build_net(self, key: str, digest: str, wire: dict,
-                         spec: EmulationSpec) -> CompiledNet:
-        """Compile a wire into a :class:`CompiledNet` (executor thread).
+        return await self._tiers["nets"].get_or_build(key, build)
 
-        Caller holds the per-key lock. The GENIEx emulator is warmed
-        through the model tier first so uploads share it with every
-        other endpoint; the engine itself is dedicated to this network
-        (each layer's weights are prepared on it during conversion).
+    async def _build_net(self, key: str, wire: dict, meta: dict,
+                         persist: bool) -> CompiledNet:
+        """The one net build path: compile, then persist if asked; the
+        tier caches the result.
+
+        ``meta`` is the record the zoo stores next to the wire. The
+        GENIEx emulator is warmed through the model tier first, so
+        uploads share it with every other endpoint; the engine itself is
+        dedicated to this network (each layer's weights are prepared on
+        it during conversion).
         """
-        sspec = self.serving_spec(spec)
+        sspec = self.serving_spec(
+            EmulationSpec.from_dict(_current_spec(meta["spec"])))
         n_in, input_shape = _net_input_features(wire)
-        emulator = None
-        if sspec.engine == "geniex":
-            _, emulator = await self.emulator(ModelSpec.from_spec(sspec))
-        loop = asyncio.get_running_loop()
+        emulator = await self._engine_emulator(sspec)
 
-        def build() -> CompiledNet:
+        def compile_net() -> CompiledNet:
             started = time.perf_counter()
             model = net_from_wire(wire)
             engine = build_engine(sspec, emulator=emulator)
@@ -643,8 +574,9 @@ class ModelRegistry:
                 engine.close(wait=False)
                 raise
             return CompiledNet(
-                key=key, net_digest=digest, model_key=sspec.model_key(),
-                spec_key=sspec.key(), engine_kind=sspec.engine,
+                key=key, net_digest=meta["net_digest"],
+                model_key=sspec.model_key(), spec_key=sspec.key(),
+                engine_kind=sspec.engine,
                 batch_invariant=supports_batch_invariance(sspec.engine,
                                                           sspec.sim),
                 n_layers=len(wire["layers"]),
@@ -653,32 +585,30 @@ class ModelRegistry:
                 compile_seconds=time.perf_counter() - started,
                 _model=converted, _engine=engine)
 
-        return await loop.run_in_executor(None, build)
+        warm = await _off_loop(compile_net)
+        if persist:
+            try:
+                await _off_loop(
+                    lambda: self.zoo.save_net_program(key, wire, meta))
+            except BaseException:
+                warm.close(wait=False)
+                raise
+        return warm
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def list_models(self) -> list:
+        models = self._tiers["models"].cache
         out = []
-        for key in self._models.keys():
-            emulator: GeniexEmulator = self._models.get(key)
+        for key in models.keys():
+            emulator: GeniexEmulator = models.get(key)
             out.append({"model_key": key, "rows": emulator.rows,
                         "cols": emulator.cols})
         return out
 
     def stats(self) -> dict:
-        caches = {}
-        for name, stats in self._stats.items():
-            cache: LruDict = getattr(self, f"_{name}")
-            total = stats.hits + stats.misses
-            caches[name] = {
-                "size": len(cache),
-                "capacity": cache.max_entries,
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "hit_rate": stats.hits / total if total else 0.0,
-            }
-        return caches
+        return {name: tier.stats() for name, tier in self._tiers.items()}
 
     def obs_families(self) -> dict:
         """Registry-owned figures as obs metric families.
@@ -693,8 +623,10 @@ class ModelRegistry:
         """
         tiers = self.stats()
         engine_events = dict.fromkeys(EngineStats.FIELDS, 0)
-        warm_engines = [warm.engine for warm in self._engines.values()]
-        warm_engines += [warm._engine for warm in self._nets.values()]
+        warm_engines = [warm.engine
+                        for warm in self._tiers["engines"].cache.values()]
+        warm_engines += [warm._engine
+                         for warm in self._tiers["nets"].cache.values()]
         for engine in warm_engines:
             for field, value in engine.stats.snapshot().items():
                 engine_events[field] = engine_events.get(field, 0) + value

@@ -68,10 +68,9 @@ from repro.serve.httpio import (HttpService, RawResponse, StreamingResponse,
                                 wants_prometheus)
 from repro.serve.metrics import ServeMetrics
 from repro.serve.protocol import (ProtocolError, decode_array, encode_array,
-                                  parse_emulation_spec, parse_engine_kind,
                                   parse_mitigate_request, parse_model_spec,
                                   parse_net_predict, parse_net_upload,
-                                  parse_sim_config, reject_mixed_identity)
+                                  reject_mixed_identity)
 from repro.serve.registry import ModelRegistry
 from repro.serve.scheduler import MicrobatchScheduler, QueueFullError
 from repro.utils.numerics import blas_probe_verdicts
@@ -79,6 +78,14 @@ from repro.utils.numerics import blas_probe_verdicts
 
 class _NotFound(ReproError, KeyError):
     """A referenced registry key is unknown (HTTP 404)."""
+
+
+def _check_width(x: np.ndarray, width: int, field: str = "x",
+                 per: str = "vector") -> None:
+    """A row request's 400 for rows of the wrong width."""
+    if x.shape[-1] != width:
+        raise ProtocolError(f"{field} must have {width} entries per {per}, "
+                            f"got shape {x.shape}")
 
 
 def _blas_probe() -> dict:
@@ -226,23 +233,23 @@ class EmulationServer(HttpService):
             conductances = decode_array(body, "conductances", ndim=(2,))
             return await self.registry.matrix_emulator(spec, conductances)
 
+    async def _submit_rows(self, queue_key: tuple, x: np.ndarray,
+                           batch_fn) -> np.ndarray:
+        """Queue one request's rows; a single vector in is one out."""
+        result = await self.scheduler.submit(queue_key, np.atleast_2d(x),
+                                             batch_fn)
+        return result[0] if x.ndim == 1 else result
+
     async def _predict(self, body: dict, endpoint: str, field: str) -> dict:
         key, warm = await self._resolve_crossbar(body)
         voltages = decode_array(body, "voltages")
-        single = voltages.ndim == 1
-        rows = warm.conductance_s.shape[0]
-        if voltages.shape[-1] != rows:
-            raise ProtocolError(
-                f"voltages must have {rows} entries per vector, "
-                f"got shape {voltages.shape}")
+        _check_width(voltages, warm.conductance_s.shape[0], "voltages")
         # A voltage outside the pruned range is this request's 400, not
         # an error of the batch it would have been coalesced into.
         warm.validated(voltages)
-        batch_fn = warm.fr if field == "fr" else warm.currents
-        result = await self.scheduler.submit(
-            (endpoint, key), np.atleast_2d(voltages), batch_fn)
-        if single:
-            result = result[0]
+        result = await self._submit_rows(
+            (endpoint, key), voltages,
+            warm.fr if field == "fr" else warm.currents)
         return {field: encode_array(result), "crossbar_key": key}
 
     async def _post_predict_fr(self, body: dict) -> dict:
@@ -267,33 +274,15 @@ class EmulationServer(HttpService):
                                     f"register it via POST /v1/weights")
                 return warm
             weights = decode_array(body, "weights", ndim=(2,))
-            if "spec" in body:
-                # Declarative path: one EmulationSpec object carries engine
-                # kind, crossbar, sim and emulator — exactly the to_dict()
-                # shape `python -m repro spec` emits — and keys the warm
-                # tier by spec.weights_key(weights). Mixing it with the
-                # flat identity fields is rejected, not silently resolved.
-                reject_mixed_identity(body)
-                return await self.registry.engine_from_spec(
-                    parse_emulation_spec(body), weights)
-            spec = parse_model_spec(body)
-            kind = parse_engine_kind(body)
-            sim_config = parse_sim_config(body)
-            return await self.registry.engine(spec, kind, sim_config,
-                                              weights)
+            return await self.registry.engine_from_spec(
+                parse_model_spec(body, engine_tier=True), weights)
 
     async def _post_matmul(self, body: dict) -> dict:
         warm = await self._resolve_engine(body)
         x = decode_array(body, "x")
-        single = x.ndim == 1
-        if x.shape[-1] != warm.n_in:
-            raise ProtocolError(
-                f"x must have {warm.n_in} entries per vector, "
-                f"got shape {x.shape}")
-        result = await self.scheduler.submit(
-            ("matmul", warm.key), np.atleast_2d(x), warm.matmul)
-        if single:
-            result = result[0]
+        _check_width(x, warm.n_in)
+        result = await self._submit_rows(("matmul", warm.key), x,
+                                         warm.matmul)
         return {"y": encode_array(result), "weights_key": warm.key}
 
     async def _post_mitigate(self, body: dict) -> dict:
@@ -318,17 +307,10 @@ class EmulationServer(HttpService):
             raise _NotFound(f"unknown mitigated_key {key!r}; build it "
                             f"via POST /v1/mitigate")
         x = decode_array(body, "x")
-        single = x.ndim == 1
-        if x.shape[-1] != warm.sizes[0]:
-            raise ProtocolError(
-                f"x must have {warm.sizes[0]} entries per vector, "
-                f"got shape {x.shape}")
-        result = await self.scheduler.submit(
-            ("mitigated", key), np.atleast_2d(x), warm.predict)
-        if single:
-            result = result[0]
+        _check_width(x, warm.sizes[0])
+        result = await self._submit_rows(("mitigated", key), x,
+                                         warm.predict)
         return {"logits": encode_array(result), "mitigated_key": key}
-
 
     async def _post_nets(self, body: dict) -> dict:
         wire, spec = parse_net_upload(body)
@@ -353,20 +335,14 @@ class EmulationServer(HttpService):
         if warm is None:
             raise _NotFound(f"unknown net_key {net_key!r}; upload the "
                             f"net via POST /v1/nets")
-        single = x.ndim == 1
-        if x.shape[-1] != warm.n_in:
-            raise ProtocolError(
-                f"x must have {warm.n_in} entries per row, "
-                f"got shape {x.shape}")
-        x = np.atleast_2d(x)
-        self.metrics.record_net_predict(x.shape[0])
+        _check_width(x, warm.n_in, per="row")
+        rows = np.atleast_2d(x)
+        self.metrics.record_net_predict(rows.shape[0])
         batch_fn = self._net_batch_fn(warm)
         if stream:
             return StreamingResponse(
-                self._net_stream(warm, x, chunk_rows, batch_fn))
-        result = await self.scheduler.submit(("net", warm.key), x, batch_fn)
-        if single:
-            result = result[0]
+                self._net_stream(warm, rows, chunk_rows, batch_fn))
+        result = await self._submit_rows(("net", warm.key), x, batch_fn)
         return {"logits": encode_array(result), "net_key": warm.key}
 
     def _net_batch_fn(self, warm):

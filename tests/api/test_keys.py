@@ -1,4 +1,4 @@
-"""One digest scheme: zoo / registry key shims delegate to spec keys,
+"""One digest scheme: zoo / registry keys delegate to spec keys,
 every digest is stable across a spawn-pickled process boundary, and the
 preset digests are pinned so stored artifacts keep their keys."""
 
@@ -14,40 +14,32 @@ from repro.api import EmulationSpec, get_preset
 from repro.api.spec import engine_identity, weights_identity
 from repro.core.zoo import GeniexZoo
 from repro.errors import ConfigError
-from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.engine import ENGINE_KINDS
-from repro.serve.protocol import ModelSpec
 from repro.serve.registry import ModelRegistry
-
-
-def wire_spec():
-    spec = get_preset("quick")
-    return ModelSpec.from_spec(spec), spec
 
 
 class TestDelegation:
     def test_zoo_artifact_key_is_spec_model_key(self):
-        model, spec = wire_spec()
-        assert GeniexZoo.artifact_key(model.config, model.sampling,
-                                      model.training, model.mode) == \
+        spec = get_preset("quick")
+        assert GeniexZoo.artifact_key(
+            spec.xbar.to_config(), spec.emulator.sampling,
+            spec.emulator.training, spec.emulator.mode) == \
             spec.model_key()
 
     def test_registry_model_key_is_spec_model_key(self):
-        model, spec = wire_spec()
-        assert ModelRegistry.model_key(model) == spec.model_key()
+        spec = get_preset("quick")
+        assert ModelRegistry.model_key(spec) == spec.model_key()
 
-    def test_registry_engine_key_matches_spec_weights_key(self):
-        """The deprecated shim and the spec path agree key-for-key."""
-        model, spec = wire_spec()
-        sim = FuncSimConfig().with_precision(8)
-        weights = np.random.default_rng(0).standard_normal((4, 4))
-        for kind in ("geniex", "exact", "analytical", "decoupled"):
-            shim = ModelRegistry.engine_key(spec.model_key(), kind, sim,
-                                            weights)
-            via_spec = ModelRegistry(
-                GeniexZoo(cache_dir="/nonexistent-unused")).serving_spec(
-                model.to_spec(engine=kind, sim=sim)).weights_key(weights)
-            assert shim == via_spec, kind
+    def test_registry_model_key_is_the_mitigation_free_artifact_key(self):
+        """The models tier shares one trained emulator between a
+        mitigated spec and its raw twin, so it keys on the zoo artifact
+        key, not on ``spec.model_key()`` (which folds the node)."""
+        mitigated = get_preset("quick-mitigated")
+        raw = mitigated.evolve(mitigation={"noise": {"epochs": 0},
+                                           "calibration": {"samples": 0}})
+        assert raw.mitigation.is_identity
+        assert mitigated.model_key() != raw.model_key()
+        assert ModelRegistry.model_key(mitigated) == raw.model_key()
 
     def test_crossbar_key_is_content_keyed(self):
         g = np.random.default_rng(1).uniform(1e-6, 1e-5, size=(4, 4))

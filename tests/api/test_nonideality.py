@@ -13,7 +13,7 @@ from repro.api import EmulationSpec, NonidealitySpec, get_preset
 from repro.core.zoo import GeniexZoo
 from repro.errors import ConfigError
 from repro.nonideal import StuckSpec, VariationSpec
-from repro.serve.protocol import ModelSpec, ProtocolError
+from repro.serve.protocol import ModelSpec, ProtocolError, parse_model_spec
 
 WEIGHTS = np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0
 
@@ -138,16 +138,16 @@ class TestKeySeparation:
 
     def test_zoo_artifact_key_folds_nonideality(self):
         spec = faulty(base="quick")
-        model = ModelSpec.from_spec(spec)
         assert GeniexZoo.artifact_key(
-            model.config, model.sampling, model.training, model.mode,
-            nonideality=model.nonideality) == spec.model_key()
+            spec.xbar.to_config(), spec.emulator.sampling,
+            spec.emulator.training, spec.emulator.mode,
+            nonideality=spec.nonideality) == spec.model_key()
         # Clean call signature unchanged -> clean key unchanged.
         clean = get_preset("quick")
-        clean_model = ModelSpec.from_spec(clean)
         assert GeniexZoo.artifact_key(
-            clean_model.config, clean_model.sampling, clean_model.training,
-            clean_model.mode) == clean.model_key()
+            clean.xbar.to_config(), clean.emulator.sampling,
+            clean.emulator.training, clean.emulator.mode) == \
+            clean.model_key()
 
     def test_preset_variation_is_keyed_apart(self):
         clean = get_preset("paper-64x64")
@@ -163,11 +163,15 @@ class TestKeySeparation:
 
 class TestWireFormat:
     def test_model_spec_round_trips_nonideality(self):
+        """The flat wire model of a faulty spec parses back into the
+        spec's fault node and model key."""
         spec = faulty(base="quick")
-        model = ModelSpec.from_spec(spec)
-        assert model.nonideality == spec.nonideality
-        assert model.to_spec(engine=spec.engine).model_key() == \
-            spec.model_key()
+        wire = spec.to_dict()
+        parsed = parse_model_spec({"model": {
+            **wire["xbar"], **wire["emulator"],
+            "nonideality": wire["nonideality"]}})
+        assert parsed.nonideality == spec.nonideality
+        assert parsed.model_key() == spec.model_key()
 
     def test_flat_payload_accepts_nonideality(self):
         model = ModelSpec.from_payload({

@@ -5,9 +5,10 @@ that misbehave in controlled ways: nothing listening (refused → one
 retry → :class:`ClientConnectionError` naming the endpoint), a server
 that accepts but never answers (timeout → :class:`ClientTimeoutError`,
 provably *not* retried), and a keep-alive peer that drops the idle
-connection (transparent one-shot re-send). The registry's mitigated-tier
-eviction helper is checked to run session close off the event-loop
-thread when a loop is running, inline otherwise.
+connection (transparent one-shot re-send). The registry's eviction
+helper, shared by every tier whose values own threads, is checked to
+run close off the event-loop thread when a loop is running, inline
+otherwise.
 """
 
 import asyncio
@@ -174,24 +175,38 @@ class TestCloseOffLoop:
     def test_mitigated_tier_evict_uses_the_helper(self, tmp_path):
         """The wiring itself: evicting a mitigated entry while the event
         loop runs must not call ``close`` on the loop thread."""
-        from repro.core.zoo import GeniexZoo
-        from repro.serve.registry import ModelRegistry
-
-        registry = ModelRegistry(GeniexZoo(cache_dir=str(tmp_path / "zoo")))
-        warm = _FakeWarm()
-
-        async def scenario():
-            loop_thread = threading.current_thread()
-            registry._mitigated.put("a", warm)
-            # Overflow the tier far beyond capacity to force eviction.
-            for i in range(registry._mitigated.max_entries + 1):
-                registry._mitigated.put(f"filler-{i}", _FakeWarm())
-            for _ in range(100):
-                if warm.closed_on is not None:
-                    break
-                await asyncio.sleep(0.01)
-            return loop_thread
-
-        loop_thread = asyncio.run(scenario())
+        warm, loop_thread = _evict_on_loop(tmp_path, "mitigated")
         assert warm.closed_on is not None
         assert warm.closed_on is not loop_thread
+
+    @pytest.mark.parametrize("tier", ["engines", "nets"])
+    def test_every_thread_owning_tier_uses_the_helper(self, tmp_path, tier):
+        """Engines and nets share the mitigated tier's eviction hook."""
+        warm, loop_thread = _evict_on_loop(tmp_path, tier)
+        assert warm.closed_on is not None
+        assert warm.closed_on is not loop_thread
+
+
+def _evict_on_loop(tmp_path, tier: str):
+    """Evict one warm entry of ``tier`` from the event loop; returns it
+    and the loop thread once its close has run (or after ~1 s)."""
+    from repro.core.zoo import GeniexZoo
+    from repro.serve.registry import ModelRegistry
+
+    registry = ModelRegistry(GeniexZoo(cache_dir=str(tmp_path / "zoo")))
+    warm = _FakeWarm()
+
+    async def scenario():
+        loop_thread = threading.current_thread()
+        cache = registry._tiers[tier].cache
+        cache.put("a", warm)
+        # Overflow the tier far beyond capacity to force eviction.
+        for i in range(cache.max_entries + 1):
+            cache.put(f"filler-{i}", _FakeWarm())
+        for _ in range(100):
+            if warm.closed_on is not None:
+                break
+            await asyncio.sleep(0.01)
+        return loop_thread
+
+    return warm, asyncio.run(scenario())

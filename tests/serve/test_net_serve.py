@@ -12,6 +12,7 @@ for every engine kind and with active non-idealities.
 
 import asyncio
 import concurrent.futures
+import errno
 import json
 import os
 import socket
@@ -26,6 +27,7 @@ from repro.api.session import build_engine, resolve_emulator
 from repro.core.zoo import GeniexZoo
 from repro.funcsim.convert import convert_to_mvm
 from repro.models.mlp import MLP
+from repro.nn.serialization import net_digest, net_to_wire
 from repro.nn.tensor import Tensor, no_grad
 from repro.serve.client import ServeClient, ServerError
 from repro.serve.registry import ModelRegistry
@@ -275,6 +277,53 @@ class TestDiskPersistence:
             client.net_predict(np.ones(4), net_key="netprog-deadbeef")
         assert excinfo.value.status == 404
         assert "netprog-deadbeef" in str(excinfo.value)
+
+
+class TestFullDiskDrill:
+    def test_enospc_during_program_write(self, tmp_path, monkeypatch):
+        """A full disk while ``POST /v1/nets`` persists the program is a
+        500 naming the OS error; nothing is cached or left on disk, and
+        once space returns the same upload compiles, persists and gets
+        the same ``net_key``."""
+        zoo = GeniexZoo(cache_dir=str(tmp_path / "zoo"))
+        registry = ModelRegistry(zoo)
+        model = tiny_mlp(seed=19)
+        spec = EmulationSpec.from_dict({"engine": "exact"})
+        real_savez = np.savez
+
+        def full_disk(handle, **arrays):
+            handle.write(b"PK\x03\x04 partial archive")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def leftovers():
+            if not os.path.isdir(zoo.cache_dir):
+                return []
+            return sorted(name for name in os.listdir(zoo.cache_dir)
+                          if name.startswith(".tmp-")
+                          or (name.startswith("netprog-")
+                              and name.endswith(".npz")))
+
+        with ServerThread(EmulationServer(registry)) as handle:
+            with ServeClient("127.0.0.1", handle.port, timeout=300) as c:
+                monkeypatch.setattr(np, "savez", full_disk)
+                with pytest.raises(ServerError) as excinfo:
+                    c.upload_net(model, spec=spec)
+                assert excinfo.value.status == 500
+                assert excinfo.value.message == \
+                    "OSError: [Errno 28] No space left on device"
+                assert registry.stats()["nets"]["size"] == 0
+                assert leftovers() == []
+
+                monkeypatch.setattr(np, "savez", real_savez)
+                up = c.upload_net(model, spec=spec)
+                x = np.random.default_rng(6).standard_normal((2, N_IN))
+                served_logits = c.net_predict(x, net_key=up["net_key"])
+        assert up["from_cache"] is False
+        assert up["net_key"] == registry.net_key(
+            net_digest(net_to_wire(model)), spec)
+        assert leftovers() == [f"netprog-{up['net_key']}.npz"]
+        np.testing.assert_array_equal(
+            served_logits, local_logits(registry, zoo, spec, model, x))
 
 
 class TestProtocolErrors:

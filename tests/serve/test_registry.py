@@ -1,26 +1,33 @@
-"""Warm-model registry tests: dedup, keying, LRU behaviour."""
+"""Warm-model registry tests: dedup, keying, LRU behaviour, and the
+single-flight contract every tier shares."""
 
 import asyncio
+import dataclasses
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from repro.api.spec import supports_batch_invariance
-from repro.core.sampling import SamplingSpec
-from repro.core.trainer import TrainSpec
+from repro.api.spec import EmulationSpec, SimSpec, supports_batch_invariance
+from repro.core.emulator import GeniexEmulator
 from repro.core.zoo import GeniexZoo
 from repro.errors import ShapeError
 from repro.funcsim.config import FuncSimConfig
-from repro.serve.protocol import ModelSpec
+from repro.serve import registry as registry_module
+from repro.serve.protocol import parse_model_spec
 from repro.serve.registry import ModelRegistry
-from repro.xbar.config import CrossbarConfig
 
-SPEC = ModelSpec(config=CrossbarConfig(rows=4, cols=4),
-                 sampling=SamplingSpec(n_g_matrices=3, n_v_per_g=4, seed=0),
-                 training=TrainSpec(hidden=8, epochs=2, batch_size=8,
-                                    seed=0))
+SAMPLING = {"n_g_matrices": 3, "n_v_per_g": 4, "seed": 0}
+TRAINING = {"hidden": 8, "epochs": 2, "batch_size": 8, "seed": 0}
+SPEC = EmulationSpec.from_dict({
+    "xbar": {"rows": 4, "cols": 4},
+    "emulator": {"sampling": SAMPLING, "training": TRAINING}})
 SIM = FuncSimConfig().with_precision(8)
+
+
+def engine_spec(kind="exact", sim=SIM) -> EmulationSpec:
+    return SPEC.evolve(engine=kind, sim=SimSpec.from_config(sim))
 
 
 def run(coro):
@@ -33,7 +40,7 @@ def registry(tmp_path):
 
 
 def random_g(seed=0, shape=(4, 4)):
-    cfg = SPEC.config
+    cfg = SPEC.xbar
     return np.random.default_rng(seed).uniform(cfg.g_off_s, cfg.g_on_s,
                                                size=shape)
 
@@ -129,8 +136,8 @@ class TestEngineTier:
         weights = np.random.default_rng(0).standard_normal((4, 4)) * 0.4
 
         async def scenario():
-            warm_a = await registry.engine(SPEC, "exact", SIM, weights)
-            warm_b = await registry.engine(SPEC, "exact", SIM, weights)
+            warm_a = await registry.engine_from_spec(engine_spec(), weights)
+            warm_b = await registry.engine_from_spec(engine_spec(), weights)
             return warm_a, warm_b
 
         warm_a, warm_b = run(scenario())
@@ -141,14 +148,14 @@ class TestEngineTier:
 
     def test_key_depends_on_engine_kind_sim_and_weights(self, registry):
         weights = np.eye(4) * 0.3
-        key = ModelRegistry.model_key(SPEC)
-        base = ModelRegistry.engine_key(key, "exact", SIM, weights)
-        assert ModelRegistry.engine_key(key, "analytical", SIM, weights) \
-            != base
-        assert ModelRegistry.engine_key(key, "exact", FuncSimConfig(),
-                                        weights) != base
-        assert ModelRegistry.engine_key(key, "exact", SIM, weights * 2) \
-            != base
+
+        def key(spec, w=weights):
+            return registry.serving_spec(spec).weights_key(w)
+
+        base = key(engine_spec())
+        assert key(engine_spec("analytical")) != base
+        assert key(engine_spec(sim=FuncSimConfig())) != base
+        assert key(engine_spec(), weights * 2) != base
 
     def test_unknown_keys_return_none(self, registry):
         assert registry.crossbar("xb-missing") is None
@@ -159,7 +166,7 @@ class TestEngineTier:
         weights = np.random.default_rng(0).standard_normal((4, 4)) * 0.4
 
         async def scenario():
-            return await registry.engine(SPEC, "exact", SIM, weights)
+            return await registry.engine_from_spec(engine_spec(), weights)
 
         warm = run(scenario())
         x = np.random.default_rng(1).standard_normal((8, 4))
@@ -176,21 +183,24 @@ class TestEngineTier:
         weights = np.eye(4) * 0.3
 
         async def scenario():
-            return await registry.engine(SPEC, "exact", sim, weights)
+            return await registry.engine_from_spec(engine_spec(sim=sim),
+                                                   weights)
 
         warm = run(scenario())
         assert not supports_batch_invariance("exact", sim)
-        assert warm.key == ModelRegistry.engine_key(
-            registry.model_key(SPEC), "exact", sim, weights)
+        assert warm.key == registry.serving_spec(
+            engine_spec(sim=sim)).weights_key(weights)
         assert warm.matmul(np.ones((2, 4)) * 0.1).shape == (2, 4)
 
     def test_idle_per_key_locks_are_pruned(self, registry):
+        """No build stays in flight once its requests are answered."""
         async def scenario():
             await registry.emulator(SPEC)
-            await registry.engine(SPEC, "exact", SIM, np.eye(4) * 0.3)
-            return dict(registry._locks)
+            await registry.engine_from_spec(engine_spec(), np.eye(4) * 0.3)
+            return [dict(tier.inflight)
+                    for tier in registry._tiers.values()]
 
-        assert run(scenario()) == {}
+        assert run(scenario()) == [{}] * 5
 
     def test_stats_shape(self, registry):
         stats = registry.stats()
@@ -203,25 +213,32 @@ class TestEngineTier:
 
 class TestSpecKeyedEngines:
     def test_engine_and_engine_from_spec_share_warm_object(self, registry):
+        """A flat model/engine/sim body and a spec body name one engine."""
         weights = np.random.default_rng(3).standard_normal((4, 4)) * 0.4
+        flat_body = {"model": {"rows": 4, "cols": 4, "sampling": SAMPLING,
+                               "training": TRAINING},
+                     "engine": "exact",
+                     "sim": dataclasses.asdict(SIM)}
+        spec_body = {"spec": engine_spec().to_dict()}
 
         async def scenario():
-            flat = await registry.engine(SPEC, "exact", SIM, weights)
+            flat = await registry.engine_from_spec(
+                parse_model_spec(flat_body, engine_tier=True), weights)
             declarative = await registry.engine_from_spec(
-                SPEC.to_spec(engine="exact", sim=SIM), weights)
+                parse_model_spec(spec_body, engine_tier=True), weights)
             return flat, declarative
 
         flat, declarative = run(scenario())
         assert flat is declarative
         assert flat.key == registry.serving_spec(
-            SPEC.to_spec(engine="exact", sim=SIM)).weights_key(weights)
+            engine_spec()).weights_key(weights)
 
     def test_client_runtime_node_cannot_steer_server_policy(self, registry):
         """A creative runtime node in a submitted spec is server-
         normalised: same key, same warm engine, no extra threads."""
         from repro.api.spec import RuntimeSpec
         weights = np.eye(4) * 0.3
-        base = SPEC.to_spec(engine="exact", sim=SIM)
+        base = engine_spec()
         pushy = base.evolve(runtime=RuntimeSpec(workers=8))
 
         async def scenario():
@@ -232,3 +249,116 @@ class TestSpecKeyedEngines:
         a, b = run(scenario())
         assert a is b
         assert a.engine.workers == 1  # the registry's engine_workers
+
+
+class _GatedBuilds:
+    """Counts a tier's builds and holds each one until ``gate`` opens.
+
+    The hold runs on the executor thread that does the build, so the
+    event loop keeps scheduling the other requests meanwhile.
+    """
+
+    def __init__(self, real):
+        self.real = real
+        self.calls = 0
+        self.gate = threading.Event()
+        self.fail = False
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        assert self.gate.wait(timeout=30), "test gate never opened"
+        if self.fail:
+            raise RuntimeError("build failed")
+        return self.real(*args, **kwargs)
+
+
+@pytest.fixture(params=["engines", "crossbars"])
+def tier(request, registry, monkeypatch):
+    """``(name, request, builds)`` for one tier: ``request()`` is one
+    client request for a fixed key, ``builds`` counts and gates the
+    tier's build step."""
+    if request.param == "engines":
+        builds = _GatedBuilds(registry_module.build_engine)
+        monkeypatch.setattr(registry_module, "build_engine", builds)
+        weights = np.eye(4) * 0.3
+
+        async def one():
+            return await registry.engine_from_spec(engine_spec(), weights)
+    else:
+        # Warm the emulator first: the crossbar build is for_matrix.
+        run(registry.emulator(SPEC))
+        real = GeniexEmulator.for_matrix
+        builds = _GatedBuilds(lambda emulator, g: real(emulator, g))
+        monkeypatch.setattr(GeniexEmulator, "for_matrix",
+                            lambda emulator, g: builds(emulator, g))
+        g = random_g(1)
+
+        async def one():
+            return (await registry.matrix_emulator(SPEC, g))[1]
+    return request.param, one, builds
+
+
+async def _start(one, builds, n):
+    """``n`` concurrent requests, returned once the first build holds."""
+    tasks = [asyncio.ensure_future(one()) for _ in range(n)]
+    while builds.calls == 0:
+        await asyncio.sleep(0.005)
+    await asyncio.sleep(0.02)   # let every request reach its await
+    return tasks
+
+
+class TestSingleFlight:
+    def test_concurrent_misses_run_one_build(self, registry, tier):
+        name, one, builds = tier
+
+        async def scenario():
+            tasks = await _start(one, builds, 6)
+            builds.gate.set()
+            return await asyncio.gather(*tasks)
+
+        values = run(scenario())
+        assert builds.calls == 1
+        assert all(v is values[0] for v in values)
+        assert registry.stats()[name]["size"] == 1
+        assert registry._tiers[name].inflight == {}
+
+    def test_failed_build_reaches_every_waiter_and_is_not_cached(
+            self, registry, tier):
+        name, one, builds = tier
+        builds.fail = True
+
+        async def scenario():
+            tasks = await _start(one, builds, 4)
+            builds.gate.set()
+            return await asyncio.gather(*tasks, return_exceptions=True)
+
+        errors = run(scenario())
+        assert builds.calls == 1
+        assert all(isinstance(e, RuntimeError) for e in errors)
+        assert all(e is errors[0] for e in errors)
+        assert registry.stats()[name]["size"] == 0
+        assert registry._tiers[name].inflight == {}
+        # The next request builds again, and this time succeeds.
+        builds.fail = False
+        assert run(one()) is not None
+        assert builds.calls == 2
+        assert registry.stats()[name]["size"] == 1
+
+    def test_cancelled_first_waiter_does_not_cancel_the_build(
+            self, registry, tier):
+        name, one, builds = tier
+
+        async def scenario():
+            tasks = await _start(one, builds, 4)
+            tasks[0].cancel()
+            await asyncio.sleep(0.02)
+            builds.gate.set()
+            rest = await asyncio.gather(*tasks[1:])
+            return tasks[0], rest, await one()
+
+        first, rest, later = run(scenario())
+        assert first.cancelled()
+        assert builds.calls == 1
+        assert all(v is rest[0] for v in rest)
+        assert later is rest[0]     # cached by the build nobody cancelled
+        assert registry._tiers[name].inflight == {}
