@@ -14,7 +14,6 @@ import contextlib
 import json
 import logging
 import os
-import tempfile
 import threading
 
 try:
@@ -31,7 +30,7 @@ from repro.core.sampling import SamplingSpec
 from repro.core.trainer import TrainSpec, train_geniex
 from repro.errors import SerializationError
 from repro.utils.cache import LruDict
-from repro.utils.npz import load_npz
+from repro.utils.npz import atomic_savez, load_npz
 from repro.xbar.config import CrossbarConfig
 
 _log = logging.getLogger("repro.zoo")
@@ -49,15 +48,9 @@ class GeniexZoo:
     """Train-once cache of :class:`GeniexEmulator` instances."""
 
     def __init__(self, cache_dir: str | None = None, verbose: bool = False,
-                 max_memory_entries: int = 32, mmap: bool = True):
+                 max_memory_entries: int = 32):
         self.cache_dir = cache_dir or default_cache_dir()
         self.verbose = verbose
-        # Zero-copy artifact loads (see repro.utils.npz): fleet workers
-        # sharing one cache dir map weight blobs out of the page cache
-        # instead of each holding a private copy. ``mmap=False`` (or
-        # REPRO_ZOO_MMAP=0, honoured inside load_npz) restores copying
-        # loads for callers that mutate loaded arrays in place.
-        self.mmap = bool(mmap)
         # Bounded LRU: evicted emulators reload from disk in milliseconds,
         # while an unbounded dict would pin every trained network a
         # long-running process (e.g. the serving registry) ever touched.
@@ -165,48 +158,21 @@ class GeniexZoo:
     # Persistence
     # ------------------------------------------------------------------
     @staticmethod
-    def _atomic_savez(path: str, arrays: dict) -> None:
-        """Atomically write an ``.npz`` archive.
-
-        The archive is written to a temporary sibling file and moved into
-        place with :func:`os.replace`, so readers either see the complete
-        previous artifact or the complete new one — never a half-written
-        ``.npz`` — and a crash mid-write leaves the target untouched.
-        Concurrent writers race benignly: both produce identical,
-        deterministic artifacts and the last rename wins.
-        """
-        path = os.path.abspath(path)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            suffix=".npz", prefix=".tmp-", dir=os.path.dirname(path))
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                # savez would append ".npz" to a bare path; a file object
-                # writes exactly where the temp file lives.
-                np.savez(handle, **arrays)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
-    @staticmethod
     def _save_artifact(path: str, state: dict, meta: dict) -> None:
-        """Atomically write an artifact of any kind: a ``param::<name>``
+        """Atomically write an artifact of any kind (see
+        :func:`~repro.utils.npz.atomic_savez`): a ``param::<name>``
         member per ``state`` array plus ``meta`` as JSON in ``meta_json``
         (member names are a stored format)."""
         arrays = {f"param::{k}": np.asarray(v) for k, v in state.items()}
         arrays["meta_json"] = np.frombuffer(
             json.dumps(meta).encode(), dtype=np.uint8)
-        GeniexZoo._atomic_savez(path, arrays)
+        atomic_savez(path, arrays)
 
     @staticmethod
-    def _load_artifact(path: str, mmap: bool) -> tuple[dict, dict]:
+    def _load_artifact(path: str) -> tuple[dict, dict]:
         """``(state, meta)`` of an artifact; raises on an unreadable one,
         which each kind's loader treats as an error or as absent."""
-        archive = load_npz(path, mmap=mmap)
+        archive = load_npz(path)
         meta = json.loads(bytes(archive["meta_json"]).decode())
         state = {k[len("param::"):]: archive[k]
                  for k in archive if k.startswith("param::")}
@@ -214,7 +180,7 @@ class GeniexZoo:
 
     @staticmethod
     def save_model(model: GeniexNet, path: str) -> None:
-        """Atomically write a model artifact (see :meth:`_atomic_savez`)."""
+        """Atomically write a model artifact (see :meth:`_save_artifact`)."""
         if model.normalizer is None:
             raise SerializationError("cannot save a model without normalizer")
         GeniexZoo._save_artifact(path, model.state_dict(), {
@@ -226,13 +192,11 @@ class GeniexZoo:
         })
 
     @staticmethod
-    def load_model(path: str, mmap: bool = True) -> GeniexNet:
+    def load_model(path: str) -> GeniexNet:
         if not os.path.exists(path):
             raise SerializationError(f"no GENIEx artifact at {path}")
         try:
-            # Memory-mapped state arrays are safe here: load_state_dict
-            # copies into the model's own parameter storage.
-            state, meta = GeniexZoo._load_artifact(path, mmap)
+            state, meta = GeniexZoo._load_artifact(path)
             # Construction stays inside the wrapper: a schema-mismatched
             # artifact (missing meta key, wrong parameter shapes) is just
             # as unusable as a truncated one and must also surface as
@@ -275,15 +239,8 @@ class GeniexZoo:
         missing one — the caller simply re-runs mitigation and the
         atomic re-save repairs the file.
         """
-        path = self._mitigated_path(key)
-        if not os.path.exists(path):
-            return None
         try:
-            # Mitigated state is read-only downstream (loaded into model
-            # parameters by copy); memory-mapping it is safe. Callers
-            # that resume training should construct the zoo with
-            # ``mmap=False`` (the copy-on-write escape hatch).
-            return self._load_artifact(path, self.mmap)
+            return self._load_artifact(self._mitigated_path(key))
         except Exception:
             return None
 
@@ -293,8 +250,9 @@ class GeniexZoo:
     def _net_path(self, key: str) -> str:
         return os.path.join(self.cache_dir, f"netprog-{key}.npz")
 
-    def save_net_program(self, key: str, wire: dict, meta: dict) -> None:
-        """Atomically persist one uploaded-network artifact.
+    def save_net_program(self, key: str, wire: dict, meta: dict) -> bool:
+        """Atomically persist one uploaded-network artifact unless a
+        readable one is already there; returns whether it wrote.
 
         ``key`` is the warm-program key (net digest + serving-spec
         identity); ``wire`` is a ``repro-net/1`` layer-list dict (state
@@ -302,7 +260,9 @@ class GeniexZoo:
         JSON record (spec dict, net digest, model key) that lets any
         fleet worker rebuild and recompile the network from disk without
         ever having seen the original upload. Layer ``i``'s array
-        ``name`` is stored as state ``"<i>::<name>"``.
+        ``name`` is stored as state ``"<i>::<name>"``. Artifacts are
+        content-addressed, so a readable file is the same bytes and the
+        first writer wins fleet-wide; an unreadable one is rewritten.
         """
         from repro.nn.serialization import decode_state_array
         layers_meta = []
@@ -318,23 +278,20 @@ class GeniexZoo:
                   "input_shape": wire.get("input_shape"), "meta": meta}
         path = self._net_path(key)
         with self._file_lock(path):
-            # Artifacts are content-addressed: an existing file is the
-            # same bytes re-uploaded, so the first writer wins fleet-wide.
-            if not os.path.exists(path):
-                self._save_artifact(path, state, record)
+            if self.load_net_program(key) is not None:
+                return False
+            self._save_artifact(path, state, record)
+            return True
 
     def load_net_program(self, key: str) -> tuple[dict, dict] | None:
         """Load an uploaded-network artifact as ``(wire, meta)``.
 
         Returns ``None`` when absent or unreadable (the caller answers
         404 / recompiles from a fresh upload). State arrays come back
-        raw — memory-mapped when enabled — not JSON-encoded.
+        raw, not JSON-encoded.
         """
-        path = self._net_path(key)
-        if not os.path.exists(path):
-            return None
         try:
-            state, record = self._load_artifact(path, self.mmap)
+            state, record = self._load_artifact(self._net_path(key))
             layers = []
             for i, layer_meta in enumerate(record["layers"]):
                 entry = {"kind": layer_meta["kind"],
@@ -427,9 +384,7 @@ class GeniexZoo:
         an artifact from an older, non-atomic writer that crashed mid-save)
         — retraining simply rewrites it atomically.
         """
-        if not os.path.exists(path):
-            return None
         try:
-            return GeniexEmulator(self.load_model(path, mmap=self.mmap))
+            return GeniexEmulator(self.load_model(path))
         except SerializationError:
             return None

@@ -30,3 +30,7 @@ class NotFittedError(ReproError, RuntimeError):
 
 class SerializationError(ReproError, RuntimeError):
     """A model or dataset artifact could not be saved or loaded."""
+
+
+class StorageFullError(ReproError, OSError):
+    """An artifact could not be written: the disk (or quota) is full."""

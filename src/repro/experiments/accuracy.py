@@ -17,7 +17,7 @@ from repro.api.session import open_session
 from repro.api.spec import EmulationSpec, RuntimeSpec, SimSpec, XbarSpec
 from repro.core.emulator import GeniexEmulator
 from repro.datasets import make_shapes_split, make_textures_split
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SerializationError
 from repro.experiments.common import Profile, default_workers, dnn_cache_dir
 from repro.funcsim import convert_to_mvm
 from repro.funcsim.config import FuncSimConfig
@@ -68,8 +68,14 @@ def train_reference_network(name: str, profile: Profile,
     num_classes = int(y_train.max()) + 1
     model = _network_for(name, profile, num_classes, seed)
     path = _cache_path(name, profile, seed)
-    if os.path.exists(path):
-        model.load_state_dict(load_state_dict(path))
+    try:
+        state = load_state_dict(path)
+    except SerializationError:
+        # Absent, or corrupt (an interrupted older writer): retrain, and
+        # the atomic save below rewrites the file.
+        state = None
+    if state is not None:
+        model.load_state_dict(state)
     else:
         rng = rng_from_seed(seed)
         optimizer = Adam(model.parameters(), lr=3e-3)

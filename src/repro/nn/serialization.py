@@ -20,33 +20,28 @@ import numpy as np
 
 from repro.errors import SerializationError
 from repro.utils.digest import canonical_json, content_key
+from repro.utils.npz import atomic_savez, load_npz
 
 
 def save_state_dict(state: dict, path: str) -> None:
-    """Write a flat name->array state dict to ``path`` (.npz)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    try:
-        np.savez(path, **{k: np.asarray(v) for k, v in state.items()})
-    except OSError as exc:
-        raise SerializationError(f"could not save state dict to {path}: "
-                                 f"{exc}") from exc
+    """Atomically write a flat name->array state dict to ``path``
+    (``.npz`` is appended when missing, as :func:`numpy.savez` does)."""
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    atomic_savez(path, {k: np.asarray(v) for k, v in state.items()})
 
 
 def load_state_dict(path: str) -> dict:
-    """Read a state dict previously written by :func:`save_state_dict`."""
+    """Read a state dict previously written by :func:`save_state_dict`;
+    a missing or corrupt file raises :class:`SerializationError`."""
     if not os.path.exists(path):
         candidate = path + ".npz"
         if os.path.exists(candidate):
             path = candidate
         else:
             raise SerializationError(f"no state dict at {path}")
-    try:
-        with np.load(path) as archive:
-            return {k: archive[k] for k in archive.files}
-    except (OSError, ValueError) as exc:
-        raise SerializationError(f"could not load state dict from {path}: "
-                                 f"{exc}") from exc
+    return load_npz(path)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +155,8 @@ def decode_state_array(entry) -> np.ndarray:
     """Inverse of :func:`encode_state_array`.
 
     Accepts a ready ``ndarray`` unchanged, so wires rebuilt from zoo
-    artifacts (whose state entries are raw — possibly memory-mapped —
-    arrays) flow through the same code paths as JSON wires.
+    artifacts (whose state entries are raw arrays) flow through the same
+    code paths as JSON wires.
     """
     if isinstance(entry, np.ndarray):
         return entry

@@ -38,7 +38,12 @@ from repro.obs import Trace, TraceBuffer, activate, deactivate
 REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
            405: "Method Not Allowed", 413: "Payload Too Large",
            429: "Too Many Requests", 500: "Internal Server Error",
-           502: "Bad Gateway", 503: "Service Unavailable"}
+           502: "Bad Gateway", 503: "Service Unavailable",
+           507: "Insufficient Storage"}
+
+#: Retry hints by status: backpressure clears in about a second, a full
+#: disk needs an operator (or an eviction) first.
+_RETRY_AFTER_S = {429: 1, 507: 30}
 
 
 class PayloadTooLarge(ReproError, ValueError):
@@ -414,8 +419,8 @@ def encode_response(status: int, body: bytes | None, content_type: str,
             f"\r\nContent-Type: {content_type}"
             f"\r\n{length}"
             f"\r\nConnection: {'keep-alive' if keep_alive else 'close'}")
-    if status == 429:
-        head += "\r\nRetry-After: 1"
+    if status in _RETRY_AFTER_S:
+        head += f"\r\nRetry-After: {_RETRY_AFTER_S[status]}"
     for name, value in (extra_headers or {}).items():
         head += f"\r\n{name}: {value}"
     return head.encode() + b"\r\n\r\n" + (body or b"")

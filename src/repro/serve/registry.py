@@ -496,16 +496,16 @@ class ModelRegistry:
     # ------------------------------------------------------------------
     # Compiled networks (model-level serving)
     # ------------------------------------------------------------------
-    async def net(self, wire: dict, spec: EmulationSpec,
-                  persist: bool = True) -> tuple:
+    async def net(self, wire: dict, spec: EmulationSpec) -> tuple:
         """Warm (or compile) the network a wire + spec describe.
 
         Returns ``(warm, outcome)`` where ``outcome`` is one of
-        ``"memory_hit"``, ``"disk_hit"`` or ``"compiled"``; a request
-        that joined another's build in flight reads ``"memory_hit"``.
-        The zoo persists the wire so every other fleet worker — and a
-        restarted server — rebuilds from disk instead of needing the
-        upload again.
+        ``"memory_hit"``, ``"disk_hit"`` (a readable artifact was
+        already persisted) or ``"compiled"`` (this build wrote it); a
+        request that joined another's build in flight reads
+        ``"memory_hit"``. The zoo persists the wire so every other fleet
+        worker — and a restarted server — rebuilds from disk instead of
+        needing the upload again.
         """
         digest = net_digest(wire)
         key = self.net_key(digest, spec)
@@ -515,11 +515,14 @@ class ModelRegistry:
 
         async def build() -> CompiledNet:
             nonlocal outcome
-            on_disk = await _off_loop(
-                lambda: self.zoo.load_net_program(key) is not None)
-            warm = await self._build_net(key, wire, meta,
-                                         persist=persist and not on_disk)
-            outcome = "disk_hit" if on_disk else "compiled"
+            warm = await self._build_net(key, wire, meta)
+            try:
+                wrote = await _off_loop(
+                    lambda: self.zoo.save_net_program(key, wire, meta))
+            except BaseException:
+                warm.close(wait=False)
+                raise
+            outcome = "compiled" if wrote else "disk_hit"
             return warm
 
         warm = None
@@ -543,14 +546,14 @@ class ModelRegistry:
             if loaded is None:
                 return None
             wire, meta = loaded
-            return await self._build_net(key, wire, meta, persist=False)
+            return await self._build_net(key, wire, meta)
 
         return await self._tiers["nets"].get_or_build(key, build)
 
-    async def _build_net(self, key: str, wire: dict, meta: dict,
-                         persist: bool) -> CompiledNet:
-        """The one net build path: compile, then persist if asked; the
-        tier caches the result.
+    async def _build_net(self, key: str, wire: dict,
+                         meta: dict) -> CompiledNet:
+        """The one net compile path; :meth:`net` persists the result
+        before the tier caches it.
 
         ``meta`` is the record the zoo stores next to the wire. The
         GENIEx emulator is warmed through the model tier first, so
@@ -585,15 +588,7 @@ class ModelRegistry:
                 compile_seconds=time.perf_counter() - started,
                 _model=converted, _engine=engine)
 
-        warm = await _off_loop(compile_net)
-        if persist:
-            try:
-                await _off_loop(
-                    lambda: self.zoo.save_net_program(key, wire, meta))
-            except BaseException:
-                warm.close(wait=False)
-                raise
-        return warm
+        return await _off_loop(compile_net)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -49,7 +49,9 @@ never be answered from a perturbed engine or vice versa.
 Prediction and matmul requests are coalesced per warm object by the
 :class:`MicrobatchScheduler`; a full queue surfaces as HTTP 429 with a
 ``Retry-After`` hint. Error mapping: protocol/shape/config problems are
-400, unknown registry keys 404, backpressure 429, everything else 500.
+400, unknown registry keys 404, backpressure 429, a full disk while
+persisting an artifact 507 (also with ``Retry-After``), everything else
+500.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import threading
 
 import numpy as np
 
-from repro.errors import ConfigError, ReproError, ShapeError
+from repro.errors import ConfigError, ReproError, ShapeError, StorageFullError
 from repro.obs import gauge_family, span
 from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
@@ -160,6 +162,8 @@ class EmulationServer(HttpService):
             return 200, await handler(headers)
         except QueueFullError as exc:
             return 429, {"error": str(exc)}
+        except StorageFullError as exc:
+            return 507, {"error": str(exc)}
         except _NotFound as exc:
             return 404, {"error": str(exc.args[0])}
         except (ProtocolError, ShapeError, ConfigError) as exc:

@@ -1,10 +1,9 @@
-"""Zoo persistence for uploaded networks + memory-mapped artifact loads.
+"""Zoo persistence for uploaded networks and trained emulators.
 
 The fleet's artifact store: one worker compiles an uploaded network,
-every other worker rebuilds it from the shared ``netprog-*.npz`` — with
-weight blobs memory-mapped rather than copied — and the digest computed
-from the disk wire must equal the digest of the original JSON wire, or
-cache keys would diverge across workers.
+every other worker rebuilds it from the shared ``netprog-*.npz``, and
+the digest computed from the disk wire must equal the digest of the
+original JSON wire, or cache keys would diverge across workers.
 """
 
 import numpy as np
@@ -42,29 +41,14 @@ class TestNetProgramRoundTrip:
         np.testing.assert_array_equal(
             logits(net_from_wire(loaded_wire), x), logits(model, x))
 
-    def test_state_arrives_memory_mapped(self, zoo):
-        wire = net_to_wire(MLP([5, 7, 3], seed=2))
-        zoo.save_net_program("k2", wire, {})
-        loaded_wire, _ = zoo.load_net_program("k2")
-        weight = loaded_wire["layers"][0]["state"]["weight"]
-        assert isinstance(weight, np.memmap)
-
-    def test_mmap_false_zoo_loads_plain_arrays(self, tmp_path):
-        zoo = GeniexZoo(cache_dir=str(tmp_path / "zoo"), mmap=False)
-        wire = net_to_wire(MLP([5, 7, 3], seed=2))
-        zoo.save_net_program("k3", wire, {})
-        loaded_wire, _ = zoo.load_net_program("k3")
-        assert not isinstance(loaded_wire["layers"][0]["state"]["weight"],
-                              np.memmap)
-
     def test_absent_key_is_none(self, zoo):
         assert zoo.load_net_program("never-saved") is None
 
     def test_first_writer_wins(self, zoo):
         wire_a = net_to_wire(MLP([5, 7, 3], seed=2))
         wire_b = net_to_wire(MLP([5, 7, 3], seed=9))
-        zoo.save_net_program("k4", wire_a, {"writer": "a"})
-        zoo.save_net_program("k4", wire_b, {"writer": "b"})
+        assert zoo.save_net_program("k4", wire_a, {"writer": "a"})
+        assert not zoo.save_net_program("k4", wire_b, {"writer": "b"})
         _, meta = zoo.load_net_program("k4")
         assert meta == {"writer": "a"}
 
@@ -78,9 +62,8 @@ class TestNetProgramRoundTrip:
 
 class TestEmulatorArtifactMmap:
     def test_trained_model_loads_memory_mapped_and_predicts(self, zoo):
-        """The multi-MB GENIEx weight blobs are the reason mmap exists:
-        a reload must hand memmaps to load_state_dict and still produce
-        the identical model."""
+        """A reload of the persisted GENIEx weights produces the
+        identical model."""
         from repro.core.sampling import SamplingSpec
         from repro.core.trainer import TrainSpec
         from repro.xbar.config import CrossbarConfig

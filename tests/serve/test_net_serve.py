@@ -13,6 +13,7 @@ for every engine kind and with active non-idealities.
 import asyncio
 import concurrent.futures
 import errno
+import http.client
 import json
 import os
 import socket
@@ -22,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import EmulationSpec
+from repro.api import EmulationSpec, get_preset
 from repro.api.session import build_engine, resolve_emulator
 from repro.core.zoo import GeniexZoo
 from repro.funcsim.convert import convert_to_mvm
@@ -272,6 +273,30 @@ class TestDiskPersistence:
                 cold_logits = c2.net_predict(x, net_key=key)
         np.testing.assert_array_equal(cold_logits, warm_logits)
 
+    def test_reupload_repairs_a_corrupt_artifact(self, tmp_path):
+        """A garbage ``netprog-*.npz`` (a torn write, a flipped sector)
+        is no disk hit: the upload compiles, rewrites the file and
+        reports ``compiled``."""
+        zoo = GeniexZoo(cache_dir=str(tmp_path / "zoo"))
+        registry = ModelRegistry(zoo)
+        model = tiny_mlp(seed=23)
+        spec = EmulationSpec.from_dict({"engine": "exact"})
+        key = registry.net_key(net_digest(net_to_wire(model)), spec)
+        os.makedirs(zoo.cache_dir)
+        with open(zoo._net_path(key), "wb") as handle:
+            handle.write(b"not a zip archive")
+        with ServerThread(EmulationServer(registry)) as handle:
+            with ServeClient("127.0.0.1", handle.port, timeout=300) as c:
+                up = c.upload_net(model, spec=spec)
+                text = c.prometheus_metrics()
+        assert up["net_key"] == key
+        assert up["from_cache"] is False
+        assert 'repro_net_uploads_total{outcome="compiled"} 1' in text
+        assert 'outcome="disk_hit"' not in text
+        loaded = zoo.load_net_program(key)
+        assert loaded is not None, "the corrupt artifact was not rewritten"
+        assert net_digest(loaded[0]) == net_digest(net_to_wire(model))
+
     def test_unknown_net_key_is_404(self, client):
         with pytest.raises(ServerError) as excinfo:
             client.net_predict(np.ones(4), net_key="netprog-deadbeef")
@@ -279,21 +304,83 @@ class TestDiskPersistence:
         assert "netprog-deadbeef" in str(excinfo.value)
 
 
+def full_disk(handle, **arrays):
+    """``np.savez`` on a disk that fills up mid-write."""
+    handle.write(b"PK\x03\x04 partial archive")
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def raw_post(port: int, path: str, payload: dict) -> tuple:
+    """``(status, headers, body)`` of one POST; the client hides headers."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=300)
+    try:
+        conn.request("POST", path, json.dumps(payload),
+                     {"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return (response.status, dict(response.getheaders()),
+                json.loads(response.read()))
+    finally:
+        conn.close()
+
+
 class TestFullDiskDrill:
+    """A full disk on any zoo write answers 507 with ``Retry-After``,
+    caches nothing and leaves no file; once space returns, the retry
+    answers the same key."""
+
+    def drill(self, tmp_path, monkeypatch, path, payload, tier, prefix):
+        zoo = GeniexZoo(cache_dir=str(tmp_path / "zoo"))
+        registry = ModelRegistry(zoo)
+
+        def leftovers():
+            if not os.path.isdir(zoo.cache_dir):
+                return []
+            return sorted(name for name in os.listdir(zoo.cache_dir)
+                          if name.endswith(".npz"))
+
+        with ServerThread(EmulationServer(registry)) as handle:
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "savez", full_disk)
+                status, headers, body = raw_post(handle.port, path, payload)
+            assert status == 507
+            assert headers["Retry-After"] == "30"
+            assert body["error"].startswith(
+                f"[Errno 28] No space left on device: cannot write {prefix}")
+            assert registry.stats()[tier]["size"] == 0
+            assert leftovers() == []
+            status, _, first = raw_post(handle.port, path, payload)
+            assert status == 200
+            _, _, again = raw_post(handle.port, path, payload)
+        assert [name.startswith(prefix) for name in leftovers()] == [True]
+        return first, again
+
+    def test_enospc_during_emulator_write(self, tmp_path, monkeypatch):
+        first, again = self.drill(
+            tmp_path, monkeypatch, "/v1/models",
+            {"spec": TINY_GENIEX.to_dict()}, "models", "geniex-")
+        assert first["model_key"] == again["model_key"] == \
+            TINY_GENIEX.model_key()
+
+    def test_enospc_during_mitigated_write(self, tmp_path, monkeypatch):
+        payload = {"spec": get_preset("quick-mitigated").to_dict(),
+                   "dataset": {"name": "blobs", "n_train": 256,
+                               "n_test": 128}}
+        first, again = self.drill(tmp_path, monkeypatch, "/v1/mitigate",
+                                  payload, "mitigated", "mitigated-")
+        assert first["mitigated_key"] == again["mitigated_key"]
+        assert first["from_cache"] is False
+
     def test_enospc_during_program_write(self, tmp_path, monkeypatch):
         """A full disk while ``POST /v1/nets`` persists the program is a
-        500 naming the OS error; nothing is cached or left on disk, and
-        once space returns the same upload compiles, persists and gets
-        the same ``net_key``."""
+        507 naming the OS error and the file; nothing is cached or left
+        on disk, and once space returns the same upload compiles,
+        persists and gets the same ``net_key``."""
         zoo = GeniexZoo(cache_dir=str(tmp_path / "zoo"))
         registry = ModelRegistry(zoo)
         model = tiny_mlp(seed=19)
         spec = EmulationSpec.from_dict({"engine": "exact"})
+        key = registry.net_key(net_digest(net_to_wire(model)), spec)
         real_savez = np.savez
-
-        def full_disk(handle, **arrays):
-            handle.write(b"PK\x03\x04 partial archive")
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         def leftovers():
             if not os.path.isdir(zoo.cache_dir):
@@ -308,9 +395,10 @@ class TestFullDiskDrill:
                 monkeypatch.setattr(np, "savez", full_disk)
                 with pytest.raises(ServerError) as excinfo:
                     c.upload_net(model, spec=spec)
-                assert excinfo.value.status == 500
+                assert excinfo.value.status == 507
                 assert excinfo.value.message == \
-                    "OSError: [Errno 28] No space left on device"
+                    "[Errno 28] No space left on device: cannot write " \
+                    f"netprog-{key}.npz"
                 assert registry.stats()["nets"]["size"] == 0
                 assert leftovers() == []
 
@@ -319,8 +407,7 @@ class TestFullDiskDrill:
                 x = np.random.default_rng(6).standard_normal((2, N_IN))
                 served_logits = c.net_predict(x, net_key=up["net_key"])
         assert up["from_cache"] is False
-        assert up["net_key"] == registry.net_key(
-            net_digest(net_to_wire(model)), spec)
+        assert up["net_key"] == key
         assert leftovers() == [f"netprog-{up['net_key']}.npz"]
         np.testing.assert_array_equal(
             served_logits, local_logits(registry, zoo, spec, model, x))

@@ -1,13 +1,16 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.experiments.accuracy import (
+    _cache_path,
     evaluate_engine,
     evaluate_float,
     load_dataset,
+    train_reference_network,
 )
 from repro.experiments.common import QUICK
 from repro.funcsim import FuncSimConfig, IdealMvmEngine
@@ -33,6 +36,29 @@ class TestLoadDataset:
     def test_unknown_rejected(self):
         with pytest.raises(ConfigError):
             load_dataset("imagenet", MICRO)
+
+
+class TestReferenceNetworkCache:
+    @pytest.mark.parametrize("damage", ["truncate", "garbage"])
+    def test_corrupt_cache_is_retrained_and_rewritten(self, damage):
+        """A half-written or garbage reference-CNN cache must not fail
+        every later run: it is retrained and atomically rewritten."""
+        profile = dataclasses.replace(MICRO, train_epochs=1)
+        first = train_reference_network("shapes", profile)
+        path = _cache_path("shapes", profile, 0)
+        with open(path, "r+b") as handle:
+            if damage == "truncate":
+                handle.truncate(os.path.getsize(path) // 2)
+            else:
+                handle.write(b"not a zip archive")
+        again = train_reference_network("shapes", profile)
+        assert again[3] == first[3]
+        reloaded = train_reference_network("shapes", profile)
+        for name, value in first[0].state_dict().items():
+            np.testing.assert_array_equal(
+                reloaded[0].state_dict()[name], value)
+        assert sorted(os.listdir(os.path.dirname(path))) == \
+            [os.path.basename(path)]
 
 
 class TestEvaluators:

@@ -1,23 +1,23 @@
-"""True memory-mapped loading of ``.npz`` archives.
+"""The one ``.npz`` read and write path.
 
-``np.load(mmap_mode=...)`` silently ignores the request for zip
-archives, so :mod:`repro.utils.npz` parses the zip local headers itself
-and hands back ``np.memmap`` views of stored members. These tests pin
-the properties the zoo relies on: values identical to ``np.load``,
-actual memmaps for stored members, working escape hatches
-(``mmap=False``, ``writable=True``, ``REPRO_ZOO_MMAP=0``), and corrupt
-archives raising a typed error instead of serving wrong values.
+:func:`repro.utils.npz.load_npz` is ``np.load`` on the program's own
+handle: values and layouts are exactly what was saved, every array is a
+plain mutable copy, and a corrupt archive raises a typed error naming
+the file and member instead of serving a plausible wrong value.
+:func:`repro.utils.npz.atomic_savez` writes an archive whole or not at
+all, and turns a full disk into :class:`StorageFullError`.
 """
 
+import errno
 import os
+import struct
 import zipfile
 
 import numpy as np
 import pytest
 
-from repro.errors import SerializationError
-from repro.utils import npz
-from repro.utils.npz import load_npz, mmap_enabled
+from repro.errors import ReproError, SerializationError, StorageFullError
+from repro.utils.npz import atomic_savez, load_npz
 
 
 @pytest.fixture
@@ -46,26 +46,14 @@ class TestValues:
             assert got.dtype == expected.dtype, name
             np.testing.assert_array_equal(got, expected)
 
-    def test_stored_members_are_memmaps(self, archive):
-        path, _ = archive
-        loaded = load_npz(path)
-        assert isinstance(loaded["weights"], np.memmap)
-        assert isinstance(loaded["counts"], np.memmap)
-
     def test_fortran_order_preserved(self, archive):
         path, arrays = archive
         got = load_npz(path)["fortran"]
         assert got.flags["F_CONTIGUOUS"]
         np.testing.assert_array_equal(got, arrays["fortran"])
 
-    def test_memmaps_are_read_only(self, archive):
-        path, _ = archive
-        loaded = load_npz(path)
-        with pytest.raises((ValueError, RuntimeError)):
-            loaded["weights"][0, 0] = 1.0
-
     def test_copy_into_writable_storage_works(self, archive):
-        """The state-dict load pattern: ``dst[...] = memmap_src``."""
+        """The state-dict load pattern: ``dst[...] = src``."""
         path, arrays = archive
         src = load_npz(path)["weights"]
         dst = np.zeros_like(arrays["weights"])
@@ -74,33 +62,28 @@ class TestValues:
 
 
 class TestEscapeHatches:
+    """What used to be opt-outs is the only behaviour: every loaded array
+    is a plain, private, mutable copy."""
+
     def test_mmap_false_returns_plain_writable_arrays(self, archive):
         path, arrays = archive
-        loaded = load_npz(path, mmap=False)
-        assert not isinstance(loaded["weights"], np.memmap)
+        loaded = load_npz(path)
+        assert all(type(value) is np.ndarray for value in loaded.values())
         loaded["weights"][0, 0] = 42.0   # mutable copy
         np.testing.assert_array_equal(loaded["bias"], arrays["bias"])
+        np.testing.assert_array_equal(load_npz(path)["weights"],
+                                      arrays["weights"])
 
     def test_writable_true_returns_mutable_copies(self, archive):
         path, _ = archive
-        loaded = load_npz(path, writable=True)
+        loaded = load_npz(path)
         loaded["counts"][0, 0] = 99
         assert loaded["counts"][0, 0] == 99
-
-    def test_env_kill_switch(self, archive, monkeypatch):
-        path, _ = archive
-        monkeypatch.setenv("REPRO_ZOO_MMAP", "0")
-        assert not mmap_enabled()
-        loaded = load_npz(path)
-        assert not isinstance(loaded["weights"], np.memmap)
-        monkeypatch.setenv("REPRO_ZOO_MMAP", "1")
-        assert mmap_enabled()
 
 
 class TestCompressedFallback:
     def test_deflated_members_fall_back_to_np_load(self, tmp_path):
-        """Compressed archives cannot be mapped; values must still be
-        right (plain arrays via the fallback loader)."""
+        """Deflated archives (not what the program writes) still load."""
         path = str(tmp_path / "packed.npz")
         rng = np.random.default_rng(1)
         arrays = {"a": rng.standard_normal((5, 5)),
@@ -112,12 +95,15 @@ class TestCompressedFallback:
 
 
 def _flip_payload_bit(path: str, member: str) -> None:
-    """Flip one bit in the middle of ``member``'s array data."""
+    """Flip one bit in the middle of ``member``'s stored bytes."""
     with zipfile.ZipFile(path) as archive:
         info = archive.getinfo(member)
     with open(path, "r+b") as handle:
-        offset = npz._member_data_offset(handle, info)
-        target = offset + info.file_size - 8   # inside the last element
+        # The local header's own name/extra lengths give the data start.
+        handle.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<2H", handle.read(4))
+        target = (info.header_offset + 30 + name_len + extra_len
+                  + info.compress_size // 2)
         handle.seek(target)
         byte = handle.read(1)[0]
         handle.seek(target)
@@ -125,43 +111,92 @@ def _flip_payload_bit(path: str, member: str) -> None:
 
 
 class TestIntegrity:
-    """Mapping skips the zip CRC; ``load_npz`` checks it itself."""
+    """The zip layer checks each member's CRC-32 as ``np.load`` reads it;
+    ``load_npz`` turns every failure into one typed error."""
 
-    @pytest.mark.parametrize("mmap", [True, False])
-    def test_flipped_payload_bit_raises(self, tmp_path, mmap):
+    @pytest.mark.parametrize("compressed", [True, False])
+    def test_flipped_payload_bit_raises(self, tmp_path, compressed):
         path = str(tmp_path / "flip.npz")
-        np.savez(path, value=np.array([493.0]), other=np.arange(4.0))
+        save = np.savez_compressed if compressed else np.savez
+        save(path, value=np.linspace(0.0, 493.0, 64), other=np.arange(4.0))
         _flip_payload_bit(path, "value.npy")
         with pytest.raises(SerializationError) as excinfo:
-            load_npz(path, mmap=mmap)
+            load_npz(path)
         assert path in str(excinfo.value)
         assert "value.npy" in str(excinfo.value)
 
-    @pytest.mark.parametrize("mmap", [True, False])
-    def test_truncated_file_raises(self, archive, mmap):
-        path, _ = archive
+    @pytest.mark.parametrize("compressed", [True, False])
+    def test_truncated_file_raises(self, archive, compressed):
+        path, arrays = archive
+        if compressed:
+            np.savez_compressed(path, **arrays)
         size = os.path.getsize(path)
         with open(path, "r+b") as handle:
             handle.truncate(size // 2)
-        with pytest.raises(SerializationError, match="corrupt artifact"):
-            load_npz(path, mmap=mmap)
-
-    def test_checked_once_per_file_state(self, archive, monkeypatch):
-        """An unchanged file is verified once per process; a rewritten
-        one is verified again."""
-        path, _ = archive
-        calls = []
-        check = npz._check_crc
-        monkeypatch.setattr(npz, "_check_crc",
-                            lambda *args: calls.append(1) or check(*args))
-        load_npz(path)
-        first = len(calls)
-        assert first > 0
-        load_npz(path)
-        assert len(calls) == first
-        _flip_payload_bit(path, "bias.npy")
-        stat = os.stat(path)
-        os.utime(path, ns=(stat.st_atime_ns,
-                           stat.st_mtime_ns + 1_000_000_000))
-        with pytest.raises(SerializationError, match="bias.npy"):
+        # Truncation takes the zip directory with it: the error names
+        # the file; no member can be named.
+        with pytest.raises(SerializationError, match="corrupt artifact") \
+                as excinfo:
             load_npz(path)
+        assert path in str(excinfo.value)
+
+    @pytest.mark.parametrize("content", [b"", b"not a zip archive"])
+    def test_non_archive_raises(self, tmp_path, content):
+        path = str(tmp_path / "junk.npz")
+        with open(path, "wb") as handle:
+            handle.write(content)
+        with pytest.raises(SerializationError, match="corrupt artifact"):
+            load_npz(path)
+
+    def test_bare_npy_file_is_not_an_archive(self, tmp_path):
+        path = str(tmp_path / "single.npz")
+        with open(path, "wb") as handle:
+            np.save(handle, np.arange(3))
+        with pytest.raises(SerializationError, match="not an .npz"):
+            load_npz(path)
+
+
+def _leftovers(directory) -> list:
+    return sorted(os.listdir(directory))
+
+
+class TestAtomicSavez:
+    def test_round_trip_members_are_stored(self, tmp_path):
+        path = str(tmp_path / "sub" / "a.npz")
+        atomic_savez(path, {"x": np.arange(5.0), "meta_json": np.zeros(2)})
+        np.testing.assert_array_equal(load_npz(path)["x"], np.arange(5.0))
+        with zipfile.ZipFile(path) as archive:
+            assert sorted(archive.namelist()) == ["meta_json.npy", "x.npy"]
+            assert {info.compress_type for info in archive.infolist()} \
+                == {zipfile.ZIP_STORED}
+        assert _leftovers(tmp_path / "sub") == ["a.npz"]
+
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EDQUOT])
+    def test_full_disk_is_typed_and_leaves_nothing(self, tmp_path,
+                                                   monkeypatch, code):
+        path = str(tmp_path / "a.npz")
+        atomic_savez(path, {"x": np.arange(3.0)})
+
+        def full_disk(handle, **arrays):
+            handle.write(b"PK\x03\x04 partial archive")
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(np, "savez", full_disk)
+        with pytest.raises(StorageFullError) as excinfo:
+            atomic_savez(path, {"x": np.arange(4.0)})
+        assert isinstance(excinfo.value, ReproError)
+        assert excinfo.value.errno == code
+        assert "a.npz" in str(excinfo.value)
+        # The previous archive is untouched and no temporary file stays.
+        assert _leftovers(tmp_path) == ["a.npz"]
+        np.testing.assert_array_equal(load_npz(path)["x"], np.arange(3.0))
+
+    def test_other_os_errors_pass_through(self, tmp_path, monkeypatch):
+        def io_error(handle, **arrays):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(np, "savez", io_error)
+        with pytest.raises(OSError) as excinfo:
+            atomic_savez(str(tmp_path / "a.npz"), {"x": np.arange(3.0)})
+        assert not isinstance(excinfo.value, StorageFullError)
+        assert _leftovers(tmp_path) == []
