@@ -15,8 +15,10 @@ Two drivers share the algorithm:
   (the device-model-heavy part) is vectorised across the whole batch, the
   line search shrinks its working set as systems accept their steps, and
   converged or stalled systems drop out of subsequent iterations entirely.
-  Only the per-system sparse LU factorisation remains sequential, because
-  each system has its own Jacobian values (the sparsity pattern is shared).
+  The Newton step itself comes from a caller-supplied callback that solves
+  ``J_k p_k = -F_k`` for every active system at once, so the caller picks
+  the linear solver (the crossbar simulator uses a batched preconditioned
+  conjugate-gradient solve; a per-system sparse LU also fits).
 """
 
 from __future__ import annotations
@@ -140,25 +142,29 @@ def solve_newton(residual_and_jacobian, x0: np.ndarray,
     return NewtonResult(x, opts.max_iter, norm, False)
 
 
-def solve_newton_batch(residual_batch, jacobian_batch, x0: np.ndarray,
+def solve_newton_batch(residual_batch, step_batch, x0: np.ndarray,
                        options: NewtonOptions | None = None,
                        scale=0.0) -> NewtonBatchResult:
     """Solve B independent systems ``F_k(x_k) = 0`` simultaneously.
 
-    The iteration is algorithmically identical to :func:`solve_newton`
-    applied per system (same step, damping rule and stall detection), so the
-    two agree to solver tolerance; the batched form exists because residual
-    evaluation vectorises across systems and converged systems stop paying
-    for further iterations.
+    Given exact steps, the iteration is algorithmically identical to
+    :func:`solve_newton` applied per system (same damping rule and stall
+    detection), so the two agree to solver tolerance; the batched form
+    exists because residual evaluation and the step solve vectorise across
+    systems and converged systems stop paying for further iterations. The
+    convergence test always uses the true residual, so an inexact step
+    changes the path to the operating point, not the tolerance it meets.
 
     Args:
         residual_batch: Callable ``(x, idx) -> F`` mapping iterates of shape
             ``(M, n)`` for the systems listed in ``idx`` (an int array of
             original batch positions, used to select per-system constants
             such as RHS vectors) to residuals of shape ``(M, n)``.
-        jacobian_batch: Callable ``(x, idx) -> iterable of M sparse
-            matrices`` (each convertible to CSC) — the Jacobians at the
-            given iterates. Only called at accepted iterates, never inside
+        step_batch: Callable ``(x, idx, f) -> p`` returning the Newton
+            steps ``p_k = -J_k(x_k)^{-1} f_k``, shape ``(M, n)``, for the
+            iterates ``x`` of the systems in ``idx`` and their residuals
+            ``f`` (both shape ``(M, n)``). Only called at accepted
+            iterates, whose residuals were just evaluated, never inside
             the line search.
         x0: Initial iterates, shape ``(B, n)``; the crossbar simulator seeds
             with the batched linear solution. ``B = 0`` is allowed and
@@ -191,9 +197,7 @@ def solve_newton_batch(residual_batch, jacobian_batch, x0: np.ndarray,
         if not active.any():
             break
         idx = np.nonzero(active)[0]
-        step = np.empty((idx.size, n))
-        for j, jac in enumerate(jacobian_batch(x[idx], idx)):
-            step[j] = splu(jac.tocsc()).solve(-f[idx[j]])
+        step = np.asarray(step_batch(x[idx], idx, f[idx]), dtype=float)
 
         # Backtracking line search with a per-system step length; systems
         # leave the working set as soon as their Armijo condition holds.

@@ -10,7 +10,13 @@ currents for (V, G) pairs, in ``ideal``, ``linear`` and ``full`` modes.
 :meth:`CrossbarCircuitSimulator.solve_batch` is the high-throughput path:
 whole voltage batches share one cached LU factorisation in linear mode and
 one batched Newton run (per-system convergence mask, vectorised device
-evaluation, precomputed Jacobian sparsity) in full mode.
+evaluation) in full mode. A full-mode Newton step factorises nothing: every
+active operating point's step comes out of one batched preconditioned
+conjugate-gradient run, preconditioned by that same cached linear LU, at
+a cost of a few matrix-free Jacobian products and multi-RHS
+back-substitutions. Only an operating point that reaches the iteration cap
+``CG_MAX_ITER`` takes the exact step (Jacobian assembled on the
+precomputed sparsity pattern and factorised with ``splu``).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from repro.devices import (
     AccessTransistor,
@@ -40,16 +47,24 @@ from repro.circuit.topology import CrossbarTopology
 
 MODES = ("ideal", "linear", "full")
 
+# Batched conjugate-gradient Newton steps (see
+# CrossbarCircuitSimulator._newton_steps): relative stopping threshold on
+# the step residual's infinity norm, and the iteration cap past which a
+# system takes the exact sparse-LU step.
+CG_RTOL = 1e-9
+CG_MAX_ITER = 60
+
 
 class _StampPattern:
     """Precomputed CSC sparsity pattern for parasitics + device stamps.
 
     Assembling the Jacobian from COO triplets costs a sort and a duplicate
-    reduction on every Newton iteration of every system. The pattern of the
-    nodal matrix never changes for a given topology, so this helper computes
-    the CSC structure (and where every COO entry lands in it) once; per
-    system, assembly reduces to one ``bincount`` over the device stamp
-    values plus the constant parasitic contribution.
+    reduction per call. The pattern of the nodal matrix never changes for a
+    given topology, so this helper computes the CSC structure (and where
+    every COO entry lands in it) once; per system, assembly reduces to one
+    ``bincount`` over the device stamp values plus the constant parasitic
+    contribution. The batched solver assembles only for its exact-step
+    fallback.
     """
 
     def __init__(self, topology: CrossbarTopology):
@@ -224,8 +239,8 @@ class CrossbarCircuitSimulator:
 
         return residual_and_jacobian
 
-    def _batched_callbacks(self, device, rhs):
-        """Residual / Jacobian callbacks for :func:`solve_newton_batch`.
+    def _batched_callbacks(self, device, rhs, lu):
+        """Residual / step callbacks for :func:`solve_newton_batch`.
 
         ``rhs`` has shape ``(B, n_nodes)``; the callbacks receive the
         original batch indices so per-system RHS rows line up with the
@@ -233,15 +248,18 @@ class CrossbarCircuitSimulator:
         ``(M, n_cells)`` voltage-difference arrays and happens once per
         iterate: the residual computes I and dI/dV together (the 1T1R
         series stack solves its internal node once for both) and memoises
-        the conductances, which the Jacobian callback — always invoked at
+        the conductances, which the step callback — always invoked at
         iterates the line search just evaluated — picks up by value.
+
+        The step solves ``J p = -F`` for all active systems in one batched
+        preconditioned conjugate-gradient run (see :meth:`_newton_steps`),
+        preconditioned by ``lu``, the linear network's factorisation.
         """
         topo = self.topology
         an, bn = topo.cell_row_nodes, topo.cell_col_nodes
         para = self._parasitic_csr
-        pattern = self._stamp_pattern
-        # vd-bytes -> per-cell conductance rows seen since the last
-        # Jacobian assembly (one outer Newton iteration's line search).
+        # vd-bytes -> per-cell conductance rows seen since the last step
+        # (one outer Newton iteration's line search).
         g_memo: dict = {}
 
         def residual(x, idx):
@@ -254,32 +272,91 @@ class CrossbarCircuitSimulator:
             f[:, bn] -= i_dev
             return f
 
-        def jacobian(x, idx):
+        def step(x, idx, f):
             vd = x[:, an] - x[:, bn]
-            jacs = []
+            g_dev = np.empty_like(vd)
             for k in range(x.shape[0]):
                 g_row = g_memo.get(vd[k].tobytes())
                 if g_row is None:  # never hit in practice; stay correct
                     g_row = device.conductance(vd[k])
-                jacs.append(pattern.assemble(g_row))
+                g_dev[k] = g_row
             g_memo.clear()
-            return jacs
+            return self._newton_steps(g_dev, f, lu)
 
-        return residual, jacobian
+        return residual, step
+
+    def _newton_steps(self, g_dev, f, lu) -> np.ndarray:
+        """Newton steps ``p_k = -J_k^{-1} f_k`` for a batch of systems.
+
+        ``J_k`` is the parasitic matrix plus the cell stamps of the
+        per-cell device conductances ``g_dev[k]``: a symmetric positive
+        definite M-matrix (every device current strictly increases with
+        its voltage). It differs from the linear network's matrix, whose
+        factorisation ``lu`` the batch already holds, only in the cell
+        stamps, so ``lu`` is a close preconditioner and conjugate
+        gradients converge in a handful of iterations. Each iteration is
+        one matrix-free ``J p`` product and one multi-RHS ``lu.solve``
+        over the systems still iterating; a system stops once
+        ``max|r| <= CG_RTOL * max|f|``. A system still short of that at
+        ``CG_MAX_ITER`` iterations takes the exact step instead: its
+        Jacobian assembled on the precomputed pattern and factorised with
+        ``splu``.
+        """
+        topo = self.topology
+        an, bn = topo.cell_row_nodes, topo.cell_col_nodes
+        para = self._parasitic_csr
+
+        def apply_jacobian(p, g):
+            d = g * (p[:, an] - p[:, bn])
+            out = (para @ p.T).T
+            out[:, an] += d
+            out[:, bn] -= d
+            return out
+
+        def precondition(r):
+            return lu.solve(r.T).T
+
+        steps = np.zeros_like(f)
+        tol = CG_RTOL * np.max(np.abs(f), axis=1)
+        active = np.arange(f.shape[0])
+        r = -f
+        p = precondition(r)
+        rz = np.einsum("ij,ij->i", r, p)
+        for _ in range(CG_MAX_ITER):
+            ap = apply_jacobian(p, g_dev[active])
+            alpha = rz / np.einsum("ij,ij->i", p, ap)
+            steps[active] += alpha[:, None] * p
+            r = r - alpha[:, None] * ap
+            going = np.max(np.abs(r), axis=1) > tol[active]
+            active, r, p, rz = active[going], r[going], p[going], rz[going]
+            if not active.size:
+                break
+            z = precondition(r)
+            rz_next = np.einsum("ij,ij->i", r, z)
+            p = z + (rz_next / rz)[:, None] * p
+            rz = rz_next
+        for k in active:
+            steps[k] = splu(self._stamp_pattern.assemble(g_dev[k])).solve(
+                -f[k])
+        return steps
 
     def _solve_full_batch(self, voltages_v, conductance_s) -> np.ndarray:
         """Batched non-linear solve; one Newton run for the whole batch."""
         if voltages_v.shape[0] == 0:
             return np.zeros((0, self.config.cols))
+        return self.topology.output_currents(
+            self._newton_batch(voltages_v, conductance_s).x)
+
+    def _newton_batch(self, voltages_v, conductance_s):
+        """:class:`NewtonBatchResult` of a non-empty full-mode batch."""
         device = self.make_cell_device(conductance_s)
         x0 = self.linear_solver.solve_node_voltages(voltages_v, conductance_s)
+        lu = self.linear_solver.factorization(conductance_s)
         rhs = self.topology.rhs_for_inputs(voltages_v)
-        scale = np.max(np.abs(rhs), axis=1) if rhs.size else \
-            np.zeros(rhs.shape[0])
-        residual, jacobian = self._batched_callbacks(device, rhs)
-        result = solve_newton_batch(residual, jacobian, x0,
-                                    self.newton_options, scale=scale)
-        return self.topology.output_currents(result.x)
+        scale = np.max(np.abs(rhs), axis=1)
+        residual, step = self._batched_callbacks(device, rhs, lu)
+        return solve_newton_batch(residual, step, x0, self.newton_options,
+                                  scale=scale)
 
     def _solve_full(self, voltages_v, conductance_s,
                     device: TwoTerminalDevice | None = None) -> CrossbarSolution:

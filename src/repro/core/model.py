@@ -79,11 +79,15 @@ class GeniexNet(Module):
     layer). ``hidden_layers=2`` adds a second hidden layer, which captures
     the residual multiplicative V x G structure noticeably better; the
     ablation bench quantifies the difference.
+
+    ``initialize=False`` skips the random initialisation (parameters start
+    at zero), for a network whose state dict is loaded straight after.
     """
 
     def __init__(self, rows: int, cols: int, hidden: int = 500,
                  hidden_layers: int = 1,
-                 normalizer: Normalizer | None = None, seed=0):
+                 normalizer: Normalizer | None = None, seed=0,
+                 initialize: bool = True):
         super().__init__()
         if hidden < 1:
             raise ConfigError(f"hidden width must be >= 1, got {hidden}")
@@ -96,13 +100,16 @@ class GeniexNet(Module):
         self.hidden_layers = int(hidden_layers)
         self.normalizer = normalizer
         in_features = rows + rows * cols
-        layers = [Linear(in_features, hidden, seed=seed), ReLU()]
+        layers = [Linear(in_features, hidden, seed=seed,
+                         initialize=initialize), ReLU()]
         for k in range(1, hidden_layers):
             layers += [Linear(hidden, hidden,
-                              seed=None if seed is None else seed + k),
+                              seed=None if seed is None else seed + k,
+                              initialize=initialize),
                        ReLU()]
         layers.append(Linear(hidden, cols,
-                             seed=None if seed is None else seed + 100))
+                             seed=None if seed is None else seed + 100,
+                             initialize=initialize))
         self.body = Sequential(*layers)
 
     @property

@@ -201,10 +201,12 @@ class GeniexZoo:
             # artifact (missing meta key, wrong parameter shapes) is just
             # as unusable as a truncated one and must also surface as
             # SerializationError so get_or_train falls back to retraining.
+            # Every parameter is overwritten, so none is drawn at random.
             model = GeniexNet(meta["rows"], meta["cols"],
                               hidden=meta["hidden"],
                               hidden_layers=meta.get("hidden_layers", 1),
-                              normalizer=Normalizer(**meta["normalizer"]))
+                              normalizer=Normalizer(**meta["normalizer"]),
+                              initialize=False)
             model.load_state_dict(state)
         except SerializationError:
             raise
@@ -248,7 +250,21 @@ class GeniexZoo:
     # Compiled-network artifacts (model-level serving)
     # ------------------------------------------------------------------
     def _net_path(self, key: str) -> str:
-        return os.path.join(self.cache_dir, f"netprog-{key}.npz")
+        """``<key>.npz``: net keys carry their own ``netprog-`` prefix.
+        A key that is not a plain file name (a client may send any
+        string) raises ``ValueError``."""
+        if os.path.basename(key) != key:
+            raise ValueError(f"net key {key!r} is not a plain file name")
+        return os.path.join(self.cache_dir, f"{key}.npz")
+
+    def _net_read_path(self, key: str) -> str:
+        """Where to read a net artifact: ``<key>.npz``, or else the
+        ``netprog-<key>.npz`` name that earlier versions wrote."""
+        path = self._net_path(key)
+        legacy = os.path.join(self.cache_dir, f"netprog-{key}.npz")
+        if not os.path.exists(path) and os.path.exists(legacy):
+            return legacy
+        return path
 
     def save_net_program(self, key: str, wire: dict, meta: dict) -> bool:
         """Atomically persist one uploaded-network artifact unless a
@@ -291,7 +307,7 @@ class GeniexZoo:
         raw, not JSON-encoded.
         """
         try:
-            state, record = self._load_artifact(self._net_path(key))
+            state, record = self._load_artifact(self._net_read_path(key))
             layers = []
             for i, layer_meta in enumerate(record["layers"]):
                 entry = {"kind": layer_meta["kind"],

@@ -13,22 +13,32 @@ from repro.utils.rng import rng_from_seed
 
 
 class Linear(Module):
-    """Affine layer ``y = x @ W.T + b`` with weight shape ``(out, in)``."""
+    """Affine layer ``y = x @ W.T + b`` with weight shape ``(out, in)``.
+
+    ``initialize=False`` allocates zeroed parameters instead of drawing
+    random ones, for callers that load a state dict straight after.
+    """
 
     def __init__(self, in_features: int, out_features: int,
-                 bias: bool = True, seed=None):
+                 bias: bool = True, seed=None, initialize: bool = True):
         super().__init__()
         if in_features < 1 or out_features < 1:
             raise ConfigError("in_features and out_features must be >= 1")
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        rng = rng_from_seed(seed)
-        weight = init.kaiming_uniform((out_features, in_features), rng,
-                                      gain=np.sqrt(2.0))
-        self.weight = Tensor(weight.astype(DEFAULT_DTYPE), requires_grad=True)
+        if initialize:
+            rng = rng_from_seed(seed)
+            weight = init.kaiming_uniform((out_features, in_features), rng,
+                                          gain=np.sqrt(2.0))
+        else:
+            weight = np.zeros((out_features, in_features), DEFAULT_DTYPE)
+        self.weight = Tensor(weight.astype(DEFAULT_DTYPE, copy=False),
+                             requires_grad=True)
         if bias:
-            b = init.uniform_bias(in_features, out_features, rng)
-            self.bias = Tensor(b.astype(DEFAULT_DTYPE), requires_grad=True)
+            b = init.uniform_bias(in_features, out_features, rng) \
+                if initialize else np.zeros(out_features, DEFAULT_DTYPE)
+            self.bias = Tensor(b.astype(DEFAULT_DTYPE, copy=False),
+                               requires_grad=True)
         else:
             self.bias = None
 

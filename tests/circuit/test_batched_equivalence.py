@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from repro.circuit.linear_solver import LinearCrossbarSolver
 from repro.circuit.newton import (
@@ -34,6 +35,11 @@ config_strategy = st.builds(
     r_sink_ohm=st.sampled_from([10.0, 100.0]),
     with_access_transistor=st.booleans(),
 )
+
+
+def lu_steps(jacobians, f):
+    """Exact Newton steps ``splu(J_k).solve(-f_k)``, one per system."""
+    return np.stack([splu(jac).solve(-f_k) for jac, f_k in zip(jacobians, f)])
 
 
 def sample_vg(config, batch, seed):
@@ -118,22 +124,22 @@ class TestNewtonBatched:
         def residual_batch(x, idx):
             return i0 * np.expm1(x / vt) + g * x - b_values[idx, None]
 
-        def jacobian_batch(x, idx):
-            return (sparse.csc_matrix(
+        def step_batch(x, idx, f):
+            return lu_steps((sparse.csc_matrix(
                 np.array([[i0 / vt * np.exp(x[k, 0] / vt) + g]]))
-                for k in range(x.shape[0]))
+                for k in range(x.shape[0])), f)
 
-        return residual_single, residual_batch, jacobian_batch
+        return residual_single, residual_batch, step_batch
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 16),
            batch=st.integers(min_value=1, max_value=6))
     def test_matches_sequential(self, seed, batch):
         rng = np.random.default_rng(seed)
         b_values = rng.uniform(1e-6, 1e-3, size=batch)
-        single, res_b, jac_b = self._problem(b_values)
+        single, res_b, step_b = self._problem(b_values)
         opts = NewtonOptions(tol_residual=1e-14)
         x0 = np.zeros((batch, 1))
-        out = solve_newton_batch(res_b, jac_b, x0, opts,
+        out = solve_newton_batch(res_b, step_b, x0, opts,
                                  scale=np.abs(b_values))
         assert out.converged.all()
         for k in range(batch):
@@ -144,8 +150,8 @@ class TestNewtonBatched:
             assert out.iterations[k] == ref.iterations
 
     def test_empty_batch(self):
-        _, res_b, jac_b = self._problem(np.zeros(0))
-        out = solve_newton_batch(res_b, jac_b, np.zeros((0, 1)))
+        _, res_b, step_b = self._problem(np.zeros(0))
+        out = solve_newton_batch(res_b, step_b, np.zeros((0, 1)))
         assert out.x.shape == (0, 1)
         assert out.converged.shape == (0,)
 
@@ -155,12 +161,12 @@ class TestNewtonBatched:
         def res(x, idx):
             return np.ones_like(x)  # never reducible
 
-        def jac(x, idx):
-            return (sparse.identity(x.shape[1], format="csc")
-                    for _ in range(x.shape[0]))
+        def step(x, idx, f):
+            return lu_steps((sparse.identity(x.shape[1], format="csc")
+                             for _ in range(x.shape[0])), f)
 
         with pytest.raises(ConvergenceError, match="2/2"):
-            solve_newton_batch(res, jac, np.zeros((2, 3)),
+            solve_newton_batch(res, step, np.zeros((2, 3)),
                                NewtonOptions(max_iter=3))
 
     def test_nan_residual_trials_keep_first_iterate(self):
@@ -169,12 +175,12 @@ class TestNewtonBatched:
         def res(x, idx):
             return np.where(np.abs(x) > 1e-6, np.nan, x - 20.0)
 
-        def jac(x, idx):
-            return (sparse.identity(1, format="csc")
-                    for _ in range(x.shape[0]))
+        def step(x, idx, f):
+            return lu_steps((sparse.identity(1, format="csc")
+                             for _ in range(x.shape[0])), f)
 
         out = solve_newton_batch(
-            res, jac, np.zeros((2, 1)),
+            res, step, np.zeros((2, 1)),
             NewtonOptions(max_iter=1, raise_on_failure=False))
         assert not out.converged.any()
         # The full Newton step lands at x = 20 where the residual is NaN;
@@ -185,12 +191,12 @@ class TestNewtonBatched:
         def res(x, idx):
             return np.ones_like(x)
 
-        def jac(x, idx):
-            return (sparse.identity(x.shape[1], format="csc")
-                    for _ in range(x.shape[0]))
+        def step(x, idx, f):
+            return lu_steps((sparse.identity(x.shape[1], format="csc")
+                             for _ in range(x.shape[0])), f)
 
         out = solve_newton_batch(
-            res, jac, np.zeros((2, 3)),
+            res, step, np.zeros((2, 3)),
             NewtonOptions(max_iter=3, raise_on_failure=False))
         assert not out.converged.any()
 

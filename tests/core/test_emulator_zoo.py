@@ -106,3 +106,22 @@ class TestZoo:
                                    model.predict_fr_norm(feats.copy()),
                                    rtol=1e-6)
         assert loaded.normalizer == model.normalizer
+
+    def test_load_restores_state_byte_for_byte(self, trained, tmp_path,
+                                               monkeypatch):
+        from repro.nn import init
+
+        def no_random_init(*args, **kwargs):
+            raise AssertionError("load_model drew a random initialisation")
+
+        model, _ = trained
+        path = str(tmp_path / "model.npz")
+        GeniexZoo.save_model(model, path)
+        monkeypatch.setattr(init, "kaiming_uniform", no_random_init)
+        monkeypatch.setattr(init, "uniform_bias", no_random_init)
+        saved = model.state_dict()
+        loaded = GeniexZoo.load_model(path).state_dict()
+        assert list(loaded) == list(saved)
+        for name, value in saved.items():
+            assert loaded[name].dtype == value.dtype
+            assert loaded[name].tobytes() == value.tobytes()

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from repro.core.model import GeniexNet
+from repro.core.model import GeniexNet, Normalizer
 from repro.core.zoo import GeniexZoo, default_cache_dir
 from repro.errors import SerializationError
+
+NORMALIZER = Normalizer(v_supply_v=0.25, g_off_s=1e-6, g_on_s=1e-5,
+                        fr_min=0.5, fr_max=1.0)
 
 
 class TestZooErrorPaths:
@@ -21,6 +24,20 @@ class TestZooErrorPaths:
         path.write_bytes(b"not a zip archive")
         with pytest.raises(Exception):
             GeniexZoo.load_model(str(path))
+
+    def test_schema_mismatch_raises_serialization_error(self, tmp_path):
+        path = str(tmp_path / "m.npz")
+        model = GeniexNet(4, 4, hidden=8, normalizer=NORMALIZER)
+        GeniexZoo.save_model(model, path)
+        state, meta = GeniexZoo._load_artifact(path)
+        meta["hidden"] = 9  # parameter shapes no longer match
+        GeniexZoo._save_artifact(path, state, meta)
+        with pytest.raises(SerializationError, match="schema-mismatched"):
+            GeniexZoo.load_model(path)
+        del state["body.layer0.weight"]
+        GeniexZoo._save_artifact(path, state, {**meta, "hidden": 8})
+        with pytest.raises(SerializationError, match="missing"):
+            GeniexZoo.load_model(path)
 
     def test_cache_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))

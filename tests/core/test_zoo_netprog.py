@@ -1,10 +1,13 @@
 """Zoo persistence for uploaded networks and trained emulators.
 
 The fleet's artifact store: one worker compiles an uploaded network,
-every other worker rebuilds it from the shared ``netprog-*.npz``, and
+every other worker rebuilds it from the shared ``<net_key>.npz`` (net
+keys start with ``netprog-``), and
 the digest computed from the disk wire must equal the digest of the
 original JSON wire, or cache keys would diverge across workers.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -58,6 +61,48 @@ class TestNetProgramRoundTrip:
         with open(zoo._net_path("k5"), "wb") as handle:
             handle.write(b"not a zip archive")
         assert zoo.load_net_program("k5") is None
+
+
+class TestNetProgramFileName:
+    """``<key>.npz`` is written; the ``netprog-<key>.npz`` name earlier
+    versions wrote is still read when the new one is absent."""
+
+    KEY = "netprog-0123abcd"
+
+    def legacy_path(self, zoo):
+        return os.path.join(zoo.cache_dir, f"netprog-{self.KEY}.npz")
+
+    def test_writes_the_key_as_file_name(self, zoo):
+        wire = net_to_wire(MLP([5, 7, 3], seed=2))
+        assert zoo.save_net_program(self.KEY, wire, {})
+        assert [name for name in os.listdir(zoo.cache_dir)
+                if name.endswith(".npz")] == [f"{self.KEY}.npz"]
+
+    def test_old_name_artifact_still_serves(self, zoo):
+        wire = net_to_wire(MLP([5, 7, 3], seed=2))
+        zoo.save_net_program(self.KEY, wire, {"writer": "old"})
+        os.rename(zoo._net_path(self.KEY), self.legacy_path(zoo))
+        loaded_wire, meta = zoo.load_net_program(self.KEY)
+        assert meta == {"writer": "old"}
+        assert net_digest(loaded_wire) == net_digest(wire)
+        # A readable old-name artifact is a disk hit: nothing is rewritten.
+        assert not zoo.save_net_program(self.KEY, wire, {"writer": "new"})
+        assert not os.path.exists(zoo._net_path(self.KEY))
+
+    def test_reupload_over_corrupt_old_name_writes_new_name(self, zoo):
+        wire = net_to_wire(MLP([5, 7, 3], seed=2))
+        os.makedirs(zoo.cache_dir)
+        with open(self.legacy_path(zoo), "wb") as handle:
+            handle.write(b"not a zip archive")
+        assert zoo.load_net_program(self.KEY) is None
+        assert zoo.save_net_program(self.KEY, wire, {"writer": "new"})
+        assert os.path.exists(zoo._net_path(self.KEY))
+        _, meta = zoo.load_net_program(self.KEY)
+        assert meta == {"writer": "new"}
+
+    @pytest.mark.parametrize("key", ["../escape", "a/b"])
+    def test_key_with_a_path_is_absent(self, zoo, key):
+        assert zoo.load_net_program(key) is None
 
 
 class TestEmulatorArtifactMmap:

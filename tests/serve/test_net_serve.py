@@ -398,7 +398,7 @@ class TestFullDiskDrill:
                 assert excinfo.value.status == 507
                 assert excinfo.value.message == \
                     "[Errno 28] No space left on device: cannot write " \
-                    f"netprog-{key}.npz"
+                    f"{key}.npz"
                 assert registry.stats()["nets"]["size"] == 0
                 assert leftovers() == []
 
@@ -408,7 +408,7 @@ class TestFullDiskDrill:
                 served_logits = c.net_predict(x, net_key=up["net_key"])
         assert up["from_cache"] is False
         assert up["net_key"] == key
-        assert leftovers() == [f"netprog-{up['net_key']}.npz"]
+        assert leftovers() == [f"{up['net_key']}.npz"]
         np.testing.assert_array_equal(
             served_logits, local_logits(registry, zoo, spec, model, x))
 
