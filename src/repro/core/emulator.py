@@ -116,8 +116,8 @@ class GeniexEmulator:
 #: Kept hidden units are padded with dropped ones to a multiple of this
 #: width, so the pruned tile GEMMs fall into a handful of shape classes
 #: (each new class costs a one-time batch-invariance probe) and a
-#: tile-row's tiles into a few width groups, each one stacked product
-#: on a few-row batch. 32 rather than 16 cuts a serving tile-row from
+#: layer's tiles into a few width groups, each one stacked product
+#: on a few-row batch. 32 rather than 16 cut a serving tile-row from
 #: about 3 groups to 2; large shards pay for the extra dead units in
 #: FLOPs.
 HIDDEN_PAD = 32
@@ -191,14 +191,15 @@ class GeniexTileFactory:
                 f"{config.v_supply_v} V")
 
     def prepare_voltages(self, voltages_v: np.ndarray):
-        """Augmented normalised voltages ``[v_norm, 1]`` ``(n, rows + 1)``,
-        shared by every tile in a tile-row; the constant column folds each
-        tile's hidden bias into its first GEMM."""
+        """Augmented normalised voltages ``[v_norm, 1]`` ``(..., n, rows +
+        1)``, shared by every tile of a tile-row; the constant column
+        folds each tile's hidden bias into its first GEMM."""
         v_norm = self.emulator.normalizer.normalize_v(
             np.atleast_2d(voltages_v))
-        v_aug = np.empty((v_norm.shape[0], v_norm.shape[1] + 1), np.float32)
-        v_aug[:, :-1] = v_norm
-        v_aug[:, -1] = 1.0
+        v_aug = np.empty(v_norm.shape[:-1] + (v_norm.shape[-1] + 1,),
+                         np.float32)
+        v_aug[..., :-1] = v_norm
+        v_aug[..., -1] = 1.0
         return v_aug
 
     def kept_units(self, bias: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ circuit simulator.
   merge plan and cost metadata (:mod:`repro.funcsim.planner`);
   :func:`convert_to_mvm` does this once for every layer of a network;
 * :meth:`CrossbarMvmEngine.matmul` (execute) runs the layer as
-  independent (batch-chunk, tile-row) shards through its kernel
+  independent (batch-chunk, tile-row range) shards through its kernel
   (:mod:`repro.funcsim.compiler`), on the calling thread or — with
   ``workers > 1`` — on the engine's thread pool, merging partial sums
   digitally in tile-row order as the hardware's peripheral logic would.
@@ -37,10 +37,11 @@ Every worker count produces bit-identical outputs; with ADC noise,
 per-shard noise streams are keyed by tile coordinates so noisy runs
 reproduce exactly regardless of scheduling.
 
-**One compiled kernel.** Every prepared layer runs one tile-row shard
-kernel (:mod:`repro.funcsim.compiler`), the same for every engine kind:
-all active stream blocks of a tile-row are read out in
-one flat ``(streams * batch, models * cols)`` measurement — one stacked
+**One compiled kernel.** Every prepared layer runs one shard kernel
+(:mod:`repro.funcsim.compiler`), the same for every engine kind: all
+active stream blocks of the shard's tile-rows (the whole layer for a
+few-row chunk, else one tile-row) are read out in one
+``(tile-rows, streams * batch, models * cols)`` measurement — one stacked
 GEMM for ``exact``/``analytical``, plus the pruned NN forward and fR
 divide for ``geniex``, or each model's own solve for
 ``decoupled``/``circuit`` — digitised by one in-place ADC pass. The
@@ -56,8 +57,8 @@ stream blocks of a tile-row into a single such batch per tile model — the
 tile models therefore see one large batched inference/solve instead of one
 call per stream, which is what makes non-ideal inference tractable (cf. the
 GENIEx premise of replacing per-vector SPICE solves with batched NN
-inference). With ADC noise enabled, each shard draws its samples in the
-flat measurement layout from a generator keyed by tile coordinates, so
+inference). With ADC noise enabled, each tile-row draws its samples in
+the flat measurement layout from a generator keyed by tile coordinates, so
 noisy runs reproduce exactly at any worker count. Engine statistics
 (:class:`EngineStats`) count read-outs and ADC conversions as the modelled
 hardware would execute them.

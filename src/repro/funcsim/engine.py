@@ -20,12 +20,13 @@
   the fixed-point accumulator.
 
 Every matmul runs one schedule: the batch is cut into fixed
-:data:`~repro.funcsim.compiler.DEFAULT_SHARD_ROWS`-row chunks and
-each (chunk, tile-row) shard goes through the kernel with its own
-coordinate-keyed ADC noise stream; tile-row partial sums are then merged
-through the fixed-point accumulator in tile-row order. ``workers > 1``
-fans the shards over an engine-owned thread pool (the tile math is BLAS
-and releases the GIL). The shard set never depends on ``workers``, so
+:data:`~repro.funcsim.compiler.DEFAULT_SHARD_ROWS`-row chunks, a chunk
+of at most :data:`~repro.funcsim.compiler.STACK_ROWS` rows runs every
+tile-row of the layer as one shard and a larger one a shard per
+tile-row, each tile-row with its own coordinate-keyed ADC noise stream;
+tile-row partial sums are then merged through the fixed-point
+accumulator in tile-row order. ``workers > 1`` fans the shards over an
+engine-owned thread pool (the tile math is BLAS and releases the GIL). The shard set never depends on ``workers``, so
 every worker count returns bit-identical outputs; see
 :mod:`repro.funcsim.compiler` for the determinism contract. The
 closed-form kinds (:data:`INVARIANT_KINDS`) run every tile product
@@ -38,11 +39,11 @@ batches and microbatched serving alike.
 ``(M, rows)`` and returns currents of shape ``(M, cols)`` — that is the
 batched tile API. The kernel exploits it by stacking all non-zero
 (activation-sign, stream) blocks of a tile-row into one ``(S * B, rows)``
-voltage batch, read out by one stacked GEMM for the closed-form tiles
-(:mod:`repro.funcsim.compiler`) or by a *single* batched call per
-iterative tile model instead of ``S`` separate ones, so the per-call
-overhead (Python dispatch, normaliser matmuls, sparse back-substitution
-setup, Newton bring-up) is paid once per tile.
+voltage batch, read out by one stacked GEMM over the shard's tile-rows
+for the closed-form tiles (:mod:`repro.funcsim.compiler`) or by a
+*single* batched call per iterative tile model instead of ``S`` separate
+ones, so the per-call overhead (Python dispatch, normaliser matmuls,
+sparse back-substitution setup, Newton bring-up) is paid once per tile.
 
 Tile models:
 
@@ -51,7 +52,7 @@ Tile models:
   tile is programmed: the conductance term of the hidden layer folds into
   a per-tile bias, hidden units that bias provably keeps at zero are
   dropped, and the bias rides in the first GEMM on voltages augmented
-  once per tile-row. A tile-row's tiles of one kept width run as stacked
+  once per shard. A layer's tiles of one kept width run as stacked
   per-tile products (:class:`~repro.funcsim.compiler.GeniexWidthGroup`).
 * :class:`AnalyticalTileFactory` — exact linear parasitic model (one sparse
   LU per tile, reused across all streams).
@@ -86,6 +87,7 @@ from repro.funcsim.compiler import (
     chunk_ranges,
     merge_tile_rows,
     quantize_input,
+    tile_row_ranges,
 )
 from repro.funcsim.planner import weight_signs
 from repro.obs import span
@@ -284,7 +286,10 @@ class EngineStats:
     Zero-valued stream blocks are skipped per chunk (they drive no
     current) and tallied in ``skipped_zero_streams``; for a one-chunk call
     ``readouts + skipped`` equals the static worst case of
-    :func:`repro.funcsim.cost.matmul_cost`.
+    :func:`repro.funcsim.cost.matmul_cost`. All three count per
+    tile-row, so they read the same whether a chunk's tile-rows run as
+    one shard or one shard each: the zero blocks that pad a shared
+    shard are neither read-outs nor skips.
 
     Counters accumulate shard-locally during execution and are folded in
     through :meth:`merge`, which is lock-protected, so shards running on
@@ -382,9 +387,10 @@ class IdealMvmEngine:
 class CrossbarMvmEngine:
     """Bit-sliced, tiled crossbar MVM with a non-ideal tile model.
 
-    ``workers`` sets how many threads run the (chunk, tile-row) shards of
-    one ``matmul``; ``1`` runs them in order on the calling thread. The
-    pool is created on first use and released by :meth:`close`.
+    ``workers`` sets how many threads run the (chunk, tile-row range)
+    shards of one ``matmul``; ``1`` runs them in order on the calling
+    thread. The pool is created on first use and released by
+    :meth:`close`.
 
     ``nonideality`` (optional :class:`repro.nonideal.NonidealitySpec` or
     pipeline) injects device faults at *programming* time: every tile's
@@ -494,16 +500,23 @@ class CrossbarMvmEngine:
         """Quantised crossbar product of ``x (B, K)`` with prepared weights.
 
         The batch is cut into chunks of ``shard_rows`` rows (at most the
-        layer plan's ``chunk_rows`` cap); every (chunk,
-        tile-row) shard runs through the layer's kernel
-        (:meth:`~repro.funcsim.compiler.PreparedMatrix.run_shard`) with an
-        ADC whose noise
-        stream is keyed by (layer, matmul sequence number, tile-row,
-        chunk), and the tile-row contributions are merged digitally in
-        tile-row order. Shards run on the engine's thread pool when
-        ``workers > 1`` and the call is big enough to pay for dispatch
-        (see :meth:`_should_inline`); the schedule never changes a bit of
-        the result, noisy or not.
+        layer plan's ``chunk_rows`` cap). A chunk of at most
+        :data:`~repro.funcsim.compiler.STACK_ROWS` rows runs every
+        tile-row of the layer as one shard, paying the kernel's dispatch
+        once per layer; a larger chunk runs one shard per tile-row
+        (:func:`~repro.funcsim.compiler.tile_row_ranges`, a function of
+        the chunk's row count and the plan only). Every shard runs
+        through the layer's kernel
+        (:meth:`~repro.funcsim.compiler.PreparedMatrix.run_shard`), each
+        tile-row with an ADC whose noise stream is keyed by (layer,
+        matmul sequence number, tile-row, chunk), and the tile-row
+        contributions are merged digitally in tile-row order. Shards run
+        on the engine's thread pool when ``workers > 1`` and the call is
+        big enough to pay for dispatch (see :meth:`_should_inline`);
+        neither the schedule nor the range a tile-row runs in changes a
+        bit of the result, noisy or not. The ``fused-execute`` span's
+        ``tile_rows`` lists each chunk's shard width: the layer's
+        tile-row count when the chunk ran as one shard, else 1.
         """
         if not isinstance(prepared, PreparedMatrix):
             prepared = self.prepare(prepared)
@@ -521,22 +534,26 @@ class CrossbarMvmEngine:
             chunks = chunk_ranges(qx.shape[0],
                                   min(self.shard_rows, plan.chunk_rows))
             # Activation signs are a per-chunk property shared by every
-            # tile-row shard of the chunk; compute them once here.
+            # shard of the chunk; compute them once here.
             signs = [active_signs(qx[start:stop]) for start, stop in chunks]
             counts = np.empty((plan.t_r, qx.shape[0], plan.out_width))
 
             def run(shard) -> dict:
-                chunk, tr = shard
+                chunk, lo, hi = shard
                 start, stop = chunks[chunk]
                 tr_counts, local = prepared.run_shard(
-                    qx[start:stop], signs[chunk], seq, tr, chunk)
-                # Disjoint (tile-row, chunk) slab: safe to write unlocked.
-                counts[tr, start:stop] = tr_counts
+                    qx[start:stop], signs[chunk], seq, lo, hi, chunk)
+                # Disjoint (tile-rows, chunk) slab: safe to write unlocked.
+                counts[lo:hi, start:stop] = tr_counts
                 return local
 
-            shards = [(chunk, tr) for chunk in range(len(chunks))
-                      for tr in range(plan.t_r)]
-            with span("fused-execute", layer=plan.uid):
+            ranges = [tile_row_ranges(plan, stop - start)
+                      for start, stop in chunks]
+            shards = [(chunk, lo, hi) for chunk, row_ranges in
+                      enumerate(ranges) for lo, hi in row_ranges]
+            with span("fused-execute", layer=plan.uid,
+                      tile_rows=[row_ranges[0][1] - row_ranges[0][0]
+                                 for row_ranges in ranges]):
                 futures = self._submit(plan, qx, run, shards)
                 if futures is None:
                     shard_stats = [run(shard) for shard in shards]

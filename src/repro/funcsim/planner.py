@@ -12,7 +12,7 @@ prepared matrix's content (its quantised weights and uid) alone.
 
 The plan is part of the compiled layer,
 :class:`~repro.funcsim.compiler.PreparedMatrix`, which runs one
-(tile-row, batch-chunk) shard at a time;
+(tile-row range, batch-chunk) shard at a time;
 :meth:`CrossbarMvmEngine.matmul
 <repro.funcsim.engine.CrossbarMvmEngine.matmul>` schedules the shards.
 Converting a network prepares every layer once — the RxNN-style
@@ -34,10 +34,12 @@ from repro.funcsim.tiles import n_tiles
 #: Mask applied to seed components fed to ``np.random.default_rng``.
 _SEED_MASK = (1 << 63) - 1
 
-#: Byte budget of one shard's flat float64 measurement ``(S * chunk,
+#: Byte budget of one shard's flat float64 measurement ``(R, S * chunk,
 #: M * cols)`` with every stream block active; :func:`plan_layer` caps a
-#: layer's chunk rows to stay under it (the kernel's other temporaries
-#: are a small multiple of the measurement).
+#: layer's chunk rows of one tile-row (``R = 1``) to stay under it, and
+#: a multi-tile-row shard takes at most that many tile-row rows
+#: (:func:`~repro.funcsim.compiler.tile_row_ranges`). The kernel's other
+#: temporaries are a small multiple of the measurement.
 MAX_SHARD_BYTES = 1 << 28
 
 #: The exact digital back end sums integer ADC codes times signed powers

@@ -202,10 +202,10 @@ class TestStackedReadout:
                 if row_by_row:
                     # readout() returns a scratch view: copy each row.
                     stacked = np.concatenate([
-                        prepared.readout(tr, voltages[i:i + 1]).copy()
-                        for i in range(n)])
+                        prepared.readout(tr, voltages[None, i:i + 1])[0]
+                        .copy() for i in range(n)])
                 else:
-                    stacked = prepared.readout(tr, voltages)
+                    stacked = prepared.readout(tr, voltages[None])[0]
                 for mi, model in enumerate(prepared.row_models[tr]):
                     block = stacked[:, mi * cols:(mi + 1) * cols]
                     # Single rows too: both products pad them to two

@@ -9,8 +9,8 @@ ceilings other than the emulator's own supply; that the pruned forward
 equals an unpruned one; that pruning keeps the serving contract
 (batch-invariant rows, a warm engine == a fresh one bit for bit); and
 that the width-group forward every geniex layer runs, which stacks a
-tile-row's tiles of one kept width, equals each tile's own forward byte
-for byte at any scratch budget.
+layer's tiles of one kept width, equals each tile's own forward byte
+for byte at any scratch budget and in any tile-row range.
 """
 
 import numpy as np
@@ -234,23 +234,32 @@ def _stacked_layer(emulator, seed=0):
 
 
 class TestStackedForward:
-    """Every geniex layer runs each tile-row as width groups."""
+    """Every geniex layer runs its tiles as layer-wide width groups."""
 
     def test_groups_partition_tile_row_by_width(self, pruned_emulator):
-        """Each tile-row's groups hold its models once, one kept width
-        per group, and every tile views its group's stacked operands."""
+        """The groups hold every model of the layer once, one kept width
+        per group, sorted by (tile-row, model) so each tile-row is one
+        slice of a group, and every tile views its group's stacked
+        operands."""
         _, prepared = _stacked_layer(pruned_emulator)
-        for models, groups in zip(prepared.row_models, prepared.row_groups):
-            index = np.concatenate([group.index for group in groups])
-            assert sorted(index) == list(range(len(models)))
-            for group in groups:
-                for g, mi in enumerate(group.index):
-                    tile = models[mi]
-                    assert tile.kept.size == group.w_aug.shape[2]
-                    assert tile.w_aug.base is group.w_aug
-                    assert tile.w2_t.base is group.w2
-                    assert tile.w_aug.tobytes() == group.w_aug[g].tobytes()
-        assert any(len(groups) > 1 for groups in prepared.row_groups)
+        models = [m for row in prepared.row_models for m in row]
+        n_models = prepared.n_models
+        groups = prepared.width_groups
+        index = np.concatenate([group.index for group in groups])
+        assert sorted(index) == list(range(len(models)))
+        for group in groups:
+            assert list(group.index) == sorted(group.index)
+            for tr in range(prepared.plan.t_r):
+                members = group.index[group.bounds[tr]:group.bounds[tr + 1]]
+                assert all(flat // n_models == tr for flat in members)
+            for g, flat in enumerate(group.index):
+                tile = models[flat]
+                assert tile.kept.size == group.w_aug.shape[2]
+                assert tile.w_aug.base is group.w_aug
+                assert tile.w2_t.base is group.w2
+                assert tile.w_aug.tobytes() == group.w_aug[g].tobytes()
+        assert len(groups) > 1
+        assert prepared.plan.t_r > 1
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize(
@@ -261,27 +270,32 @@ class TestStackedForward:
         """Each model's fR block equals that tile's own forward byte for
         byte, at every batch size and scratch budget (one tile per
         product up to whole groups), with or without a shared tail
-        layer, and whether or not a group's models are contiguous."""
+        layer, whether or not a group's models are contiguous, and
+        whether its tile-row runs alone or in a layer-wide range."""
         emulator = pruned_emulator if layers == 1 else pruned_emulator_2l
         monkeypatch.setattr(compiler_mod, "STACK_HIDDEN_ELEMENTS", budget)
         engine, prepared = _stacked_layer(emulator)
         plan = prepared.plan
         factory = engine.tile_factory
         normalizer = emulator.normalizer
-        groups = [g for row in prepared.row_groups for g in row]
-        assert any(np.any(np.diff(g.index) > 1) for g in groups)
+        n_models = prepared.n_models
+        assert any(np.any(np.diff(g.index) > 1)
+                   for g in prepared.width_groups)
         rng = np.random.default_rng(31)
         for n in (1, 2, 7, 33):
             levels = rng.integers(0, 2 ** SCFG.stream_bits,
-                                  size=(n, plan.rows))
+                                  size=(plan.t_r, n, plan.rows))
             voltages = levels * plan.v_lsb
-            shared = factory.prepare_voltages(voltages)
+            stacked = prepared._friction(0, voltages).copy()
             for tr, models in enumerate(prepared.row_models):
-                fr = prepared._friction(tr, voltages)
+                shared = factory.prepare_voltages(voltages[tr])
+                alone = prepared._friction(tr, voltages[tr:tr + 1])
                 for mi, model in enumerate(models):
                     own = normalizer.denormalize_fr(model.forward(shared))
-                    assert fr[mi].tobytes() == own.tobytes(), \
+                    assert alone[mi].tobytes() == own.tobytes(), \
                         f"rows={n} tile-row={tr} model={mi}"
+                    assert stacked[tr * n_models + mi].tobytes() == \
+                        own.tobytes(), f"rows={n} tile-row={tr} model={mi}"
 
 
 def _pad_units(factory, tile) -> np.ndarray:

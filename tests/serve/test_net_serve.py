@@ -137,6 +137,27 @@ class TestByteIdentity:
         ref = local_logits(registry, zoo, spec, model, x)
         np.testing.assert_array_equal(got, ref)
 
+    @pytest.mark.parametrize("spec", [
+        EmulationSpec.from_dict({"engine": "exact",
+                                 "xbar": {"rows": 4, "cols": 4}}),
+        TINY_GENIEX,
+    ], ids=["exact", "geniex"])
+    def test_tile_row_ranges_match_batched_forward(self, served, client,
+                                                   spec):
+        """Every layer spans three 4-row tile-rows, and the input's second
+        tile-row block is all zero. Served logits at batch 1, 2 and 40
+        equal the rows of one in-process 40-row forward byte for byte,
+        whether a layer ran its tile-rows as one shard or one each."""
+        _, registry, zoo = served
+        model = MLP([12, 12, N_OUT], seed=5)
+        x = np.random.default_rng(17).standard_normal((40, 12))
+        x[:, 4:8] = 0.0
+        key = client.upload_net(model, spec=spec)["net_key"]
+        ref = local_logits(registry, zoo, spec, model, x)
+        for batch in (1, 2, 40):
+            got = client.net_predict(x[:batch], net_key=key)
+            assert got.tobytes() == ref[:batch].tobytes(), f"batch={batch}"
+
     def test_concurrent_requests_coalesce_and_stay_byte_identical(
             self, served, client):
         """Eight concurrent clients hit one net; the scheduler stacks

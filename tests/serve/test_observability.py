@@ -10,6 +10,7 @@ scheduler exception paths.
 
 import asyncio
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ def client(served):
     handle, _ = served
     with ServeClient("127.0.0.1", handle.port) as c:
         yield c
+
+
+def _wait_idle(server, timeout_s=10.0):
+    """Wait until ``server`` has no request in flight.
+
+    The server logs a request after its response is written, so a client
+    can hold the response before the access line exists."""
+    deadline = time.monotonic() + timeout_s
+    while server._inflight:
+        assert time.monotonic() < deadline, "server never went idle"
+        time.sleep(0.005)
 
 
 def _span_index(spans, index=None):
@@ -188,13 +200,17 @@ class TestMetricsExport:
 
 class TestAccessLog:
     def test_one_structured_line_per_request(self, served, client):
+        handle, _ = served
         handler = _RecordingHandler()
         access = logging.getLogger("repro.serve.access")
         level = access.level
+        # An earlier test's request may still be logging.
+        _wait_idle(handle.server)
         access.addHandler(handler)
         access.setLevel(logging.INFO)
         try:
             client.health()
+            _wait_idle(handle.server)
         finally:
             access.removeHandler(handler)
             access.setLevel(level)
