@@ -12,6 +12,9 @@ Run with ``pytest benchmarks/bench_batched_engine.py -s`` (add
 ``PYTHONPATH=src python benchmarks/bench_batched_engine.py``. Asserted
 invariants: batched results match sequential within 1e-9 relative
 tolerance, and linear-mode tile solves reach >= 5x throughput at batch 64.
+The full-mode 1e-9 check at 16x16, batch 64 is also a tier-1 test
+(``tests/circuit/test_batched_equivalence.py``), so it keeps guarding the
+circuit solver's Newton step without this bench.
 """
 
 import os

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
+from repro.circuit.linear_solver import sparse_lu
 from repro.errors import ConvergenceError
 
 
@@ -111,7 +111,7 @@ def solve_newton(residual_and_jacobian, x0: np.ndarray,
     for iteration in range(1, opts.max_iter + 1):
         if norm <= tol:
             return NewtonResult(x, iteration - 1, norm, True)
-        lu = splu(jac.tocsc())
+        lu = sparse_lu(jac.tocsc())
         step = lu.solve(-f)
 
         # Backtracking line search on the residual infinity norm.

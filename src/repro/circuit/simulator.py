@@ -16,7 +16,8 @@ conjugate-gradient run, preconditioned by that same cached linear LU, at
 a cost of a few matrix-free Jacobian products and multi-RHS
 back-substitutions. Only an operating point that reaches the iteration cap
 ``CG_MAX_ITER`` takes the exact step (Jacobian assembled on the
-precomputed sparsity pattern and factorised with ``splu``).
+precomputed sparsity pattern and factorised with
+:func:`~repro.circuit.linear_solver.sparse_lu`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from repro.devices import (
     AccessTransistor,
@@ -37,7 +37,7 @@ from repro.errors import ConfigError
 from repro.utils.validation import check_matrix, check_vector
 from repro.xbar.config import CrossbarConfig
 from repro.xbar.ideal import ideal_mvm
-from repro.circuit.linear_solver import LinearCrossbarSolver
+from repro.circuit.linear_solver import LinearCrossbarSolver, sparse_lu
 from repro.circuit.newton import (
     NewtonOptions,
     solve_newton,
@@ -300,7 +300,7 @@ class CrossbarCircuitSimulator:
         ``max|r| <= CG_RTOL * max|f|``. A system still short of that at
         ``CG_MAX_ITER`` iterations takes the exact step instead: its
         Jacobian assembled on the precomputed pattern and factorised with
-        ``splu``.
+        ``sparse_lu``.
         """
         topo = self.topology
         an, bn = topo.cell_row_nodes, topo.cell_col_nodes
@@ -336,8 +336,8 @@ class CrossbarCircuitSimulator:
             p = z + (rz_next / rz)[:, None] * p
             rz = rz_next
         for k in active:
-            steps[k] = splu(self._stamp_pattern.assemble(g_dev[k])).solve(
-                -f[k])
+            steps[k] = sparse_lu(
+                self._stamp_pattern.assemble(g_dev[k])).solve(-f[k])
         return steps
 
     def _solve_full_batch(self, voltages_v, conductance_s) -> np.ndarray:

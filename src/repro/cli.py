@@ -158,25 +158,16 @@ def _crossbar_from_args(args, spec=_UNRESOLVED):
 
 
 def _cmd_characterize(args) -> int:
-    from repro.circuit.simulator import CrossbarCircuitSimulator
+    from repro.core.dataset import label_groups
     from repro.core.metrics import nonideality_factor, valid_mask
     from repro.core.sampling import SamplingSpec, VgSampler
-    from repro.xbar.ideal import ideal_mvm
 
     config = _crossbar_from_args(args)
     spec = SamplingSpec(n_g_matrices=args.samples, n_v_per_g=8,
                         seed=args.seed)
-    voltages, conductances, groups = VgSampler(config, spec).sample()
-    simulator = CrossbarCircuitSimulator(config)
-    values = []
-    for g in range(spec.n_g_matrices):
-        rows = np.nonzero(groups == g)[0]
-        i_ideal = ideal_mvm(voltages[rows], conductances[g])
-        i_real = simulator.solve_batch(voltages[rows], conductances[g],
-                                       mode="full")
-        values.append(nonideality_factor(i_ideal,
-                                         i_real)[valid_mask(i_ideal)])
-    nf = np.concatenate(values)
+    i_ideal, (i_real,) = label_groups(
+        config, *VgSampler(config, spec).sample())
+    nf = nonideality_factor(i_ideal, i_real)[valid_mask(i_ideal)]
     print(f"crossbar {config.rows}x{config.cols}  R_on "
           f"{config.r_on_ohm / 1e3:g}k  ON/OFF {config.onoff_ratio:g}  "
           f"Vdd {config.v_supply_v:g} V")

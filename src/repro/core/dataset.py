@@ -5,11 +5,24 @@ over a stratified sample of operating points and packages normalised inputs
 and labels. The dataset stores conductance matrices once per group and
 expands them lazily, because the flattened G component dominates memory for
 64x64 crossbars.
+
+:func:`label_groups` is the one labeller of a (V, G) sweep. It solves the
+sweep's conductance groups on one thread per CPU the process may run on
+(its affinity set), at most one per group, and no knob; the calling
+thread is one of them. Each thread takes the next unlabelled group and
+keeps its own simulator, since the LU cache and the Newton memo are not
+thread-safe; each group writes its own rows of the output, so the labels
+are byte-identical at any thread count. The threads pay because
+SuperLU's back-substitution, the largest cost of a full-mode solve,
+releases the GIL.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +118,9 @@ def build_geniex_dataset(config: CrossbarConfig,
                          progress: bool = False) -> GeniexDataset:
     """Generate a labelled dataset by simulating every operating point.
 
+    The sweep is labelled by :func:`label_groups`, on every CPU of the
+    process's affinity set.
+
     Args:
         config: Crossbar design to characterise.
         spec: Sampling strategy; defaults to :class:`SamplingSpec` defaults.
@@ -119,22 +135,8 @@ def build_geniex_dataset(config: CrossbarConfig,
     sampler = VgSampler(config, spec)
     voltages, conductances, group_index = sampler.sample()
 
-    simulator = CrossbarCircuitSimulator(config)
-    n = voltages.shape[0]
-    i_nonideal = np.empty((n, config.cols))
-    i_ideal = np.empty((n, config.cols))
-    start = time.time()
-    for group in range(spec.n_g_matrices):
-        rows = np.nonzero(group_index == group)[0]
-        i_ideal[rows] = ideal_mvm(voltages[rows], conductances[group])
-        i_nonideal[rows] = simulator.solve_batch(
-            voltages[rows], conductances[group], mode=mode)
-        if progress:
-            done = (group + 1) / spec.n_g_matrices
-            elapsed = time.time() - start
-            print(f"  [geniex-dataset] group {group + 1}/"
-                  f"{spec.n_g_matrices} ({done:4.0%}) "
-                  f"elapsed {elapsed:6.1f}s", flush=True)
+    i_ideal, (i_nonideal,) = label_groups(
+        config, voltages, conductances, group_index, (mode,), progress)
     fr = ratio_fr(i_ideal, i_nonideal, eps_a)
     mask = valid_mask(i_ideal, eps_a)
     masked = fr[mask]
@@ -145,3 +147,80 @@ def build_geniex_dataset(config: CrossbarConfig,
     fr_max = float(masked.max())
     return GeniexDataset(config, voltages, conductances, group_index,
                          i_ideal, i_nonideal, fr, mask, fr_min, fr_max)
+
+
+def _affinity_cpus() -> int:
+    """CPUs this process may run on (all CPUs where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def label_groups(config: CrossbarConfig, voltages: np.ndarray,
+                 conductances: np.ndarray, group_index: np.ndarray,
+                 modes=("full",), progress: bool = False) -> tuple:
+    """Ideal and circuit currents of every operating point of a sweep.
+
+    Args:
+        config: Crossbar design the sweep samples.
+        voltages: ``(n, rows)`` input voltages.
+        conductances: ``(n_groups, rows, cols)`` conductance matrices.
+        group_index: ``(n,)`` map from sample to conductance group.
+        modes: Simulator modes to solve every group in.
+        progress: Print one timing line per finished group.
+
+    Returns:
+        ``(i_ideal, currents)``: the ``(n, cols)`` ideal currents and a
+        list holding the ``(n, cols)`` currents of each mode in ``modes``.
+    """
+    n_groups = conductances.shape[0]
+    i_ideal = np.empty((voltages.shape[0], config.cols))
+    currents = [np.empty_like(i_ideal) for _ in modes]
+    pending = iter(range(n_groups))
+    lock = threading.Lock()
+    finished = 0
+    failed = False
+    start = time.time()
+
+    def next_group():
+        with lock:
+            return None if failed else next(pending, None)
+
+    def work():
+        nonlocal finished, failed
+        # One simulator per thread, made and dropped on that thread: its
+        # LU cache and Newton memo are not thread-safe, and SciPy frees a
+        # SuperLU factor's memory only on the thread that factorised it.
+        simulator = CrossbarCircuitSimulator(config)
+        # A sweep never returns to a finished group's G, and a cached
+        # SuperLU factor holds several MB (its fill estimate), so each
+        # thread keeps only the factor of the group it is labelling.
+        simulator.linear_solver.lu_cache_size = 1
+        try:
+            while (group := next_group()) is not None:
+                rows = np.nonzero(group_index == group)[0]
+                v, g = voltages[rows], conductances[group]
+                i_ideal[rows] = ideal_mvm(v, g)
+                for out, mode in zip(currents, modes):
+                    out[rows] = simulator.solve_batch(v, g, mode=mode)
+                if progress:
+                    with lock:
+                        finished += 1
+                        print(f"  [geniex-dataset] group {group + 1} done, "
+                              f"{finished}/{n_groups} "
+                              f"({finished / n_groups:4.0%}) elapsed "
+                              f"{time.time() - start:6.1f}s", flush=True)
+        except BaseException:
+            failed = True  # the other threads stop after their group
+            raise
+
+    # The calling thread labels too, so a 1-CPU process starts no thread.
+    helpers = max(0, min(_affinity_cpus(), n_groups) - 1)
+    with ThreadPoolExecutor(max(1, helpers),
+                            thread_name_prefix="geniex-label") as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for future in futures:
+            future.result()
+    return i_ideal, currents

@@ -12,12 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.circuit.simulator import CrossbarCircuitSimulator
+from repro.core.dataset import label_groups
 from repro.core.metrics import nonideality_factor, valid_mask
 from repro.core.sampling import SamplingSpec, VgSampler
 from repro.experiments.common import Profile, format_table, get_profile
 from repro.xbar.config import CrossbarConfig
-from repro.xbar.ideal import ideal_mvm
 
 
 @dataclass
@@ -70,15 +69,8 @@ def _simulate_nf(config: CrossbarConfig, n_g: int, n_v: int,
                  seed: int = 7) -> tuple:
     """Full-simulation currents for a stratified operating-point sample."""
     spec = SamplingSpec(n_g_matrices=n_g, n_v_per_g=n_v, seed=seed)
-    voltages, conductances, groups = VgSampler(config, spec).sample()
-    simulator = CrossbarCircuitSimulator(config)
-    i_ideal = np.empty((len(voltages), config.cols))
-    i_nonideal = np.empty_like(i_ideal)
-    for g in range(n_g):
-        rows = np.nonzero(groups == g)[0]
-        i_ideal[rows] = ideal_mvm(voltages[rows], conductances[g])
-        i_nonideal[rows] = simulator.solve_batch(voltages[rows],
-                                                 conductances[g], mode="full")
+    i_ideal, (i_nonideal,) = label_groups(
+        config, *VgSampler(config, spec).sample())
     return i_ideal, i_nonideal
 
 

@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.circuit.simulator import CrossbarCircuitSimulator
+from repro.core.dataset import label_groups
 from repro.core.metrics import valid_mask
 from repro.core.sampling import SamplingSpec, VgSampler
 from repro.experiments.common import Profile, format_table, get_profile
-from repro.xbar.ideal import ideal_mvm
 
 DEFAULT_VSUPPLY_GRID = (0.1, 0.2, 0.25, 0.3, 0.4, 0.5)
 
@@ -52,18 +51,8 @@ def run_fig3(profile: Profile | None = None,
         config = profile.crossbar(v_supply_v=v_supply)
         spec = SamplingSpec(n_g_matrices=profile.nf_n_g,
                             n_v_per_g=profile.nf_n_v, seed=11)
-        voltages, conductances, groups = VgSampler(config, spec).sample()
-        simulator = CrossbarCircuitSimulator(config)
-        i_linear = np.empty((len(voltages), config.cols))
-        i_full = np.empty_like(i_linear)
-        i_ideal = np.empty_like(i_linear)
-        for g in range(spec.n_g_matrices):
-            rows = np.nonzero(groups == g)[0]
-            i_ideal[rows] = ideal_mvm(voltages[rows], conductances[g])
-            i_linear[rows] = simulator.solve_batch(
-                voltages[rows], conductances[g], mode="linear")
-            i_full[rows] = simulator.solve_batch(
-                voltages[rows], conductances[g], mode="full")
+        i_ideal, (i_linear, i_full) = label_groups(
+            config, *VgSampler(config, spec).sample(), ("linear", "full"))
         mask = valid_mask(i_ideal)
         rel = np.abs(i_full[mask] - i_linear[mask]) / np.maximum(
             np.abs(i_linear[mask]), 1e-15)

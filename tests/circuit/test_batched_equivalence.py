@@ -250,3 +250,20 @@ class TestSimulatorBatched:
         promoted = sim.solve_batch(v[0], g, mode=mode)
         assert promoted.shape == (1, config.cols)
         np.testing.assert_allclose(promoted[0], single, rtol=RTOL)
+
+    def test_full_mode_batch_64_matches_per_vector_at_16x16(self):
+        """A 16x16 batch of 64 full-mode operating points through the
+        batched conjugate-gradient Newton step matches one exact-LU Newton
+        solve per vector at 1e-9."""
+        config = CrossbarConfig(rows=16, cols=16)
+        rng = np.random.default_rng(0)
+        g = rng.uniform(config.g_off_s, config.g_on_s, size=config.shape)
+        v = rng.uniform(0.0, config.v_supply_v, size=(64, config.rows))
+        sim = CrossbarCircuitSimulator(config)
+        device = sim.make_cell_device(g)
+        per_vector = np.stack([sim._solve_full(vk, g, device=device)
+                               .currents_a for vk in v])
+        batched = sim.solve_batch(v, g, mode="full")
+        scale = np.abs(per_vector).max()
+        np.testing.assert_allclose(batched, per_vector, rtol=RTOL,
+                                   atol=RTOL * scale)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
-from repro.circuit.linear_solver import LinearCrossbarSolver
+from repro.circuit.linear_solver import LinearCrossbarSolver, sparse_lu
 from repro.xbar.config import CrossbarConfig
 from repro.xbar.ideal import ideal_mvm
 
@@ -49,6 +50,35 @@ class TestAgainstDenseOracle:
         for k in range(6):
             np.testing.assert_allclose(batch[k], solver.solve(vs[k], g),
                                        rtol=1e-10)
+
+
+class TestLuOrdering:
+    """Every circuit LU uses one fill-reducing ordering (``LU_ORDERING``)."""
+
+    @staticmethod
+    def _nnz(lu):
+        return lu.L.nnz + lu.U.nnz
+
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_fewer_nonzeros_than_colamd(self, size, rng):
+        config = CrossbarConfig(rows=size, cols=size)
+        solver = LinearCrossbarSolver(config)
+        g = rng.uniform(config.g_off_s, config.g_on_s, size=config.shape)
+        matrix = solver.system_matrix(g)
+        ordered = self._nnz(solver.factorization(g))
+        assert ordered == self._nnz(sparse_lu(matrix))
+        assert ordered < self._nnz(splu(matrix, permc_spec="COLAMD"))
+
+    def test_solve_matches_dense_at_16(self, rng):
+        config = CrossbarConfig(rows=16, cols=16)
+        solver = LinearCrossbarSolver(config)
+        g = rng.uniform(config.g_off_s, config.g_on_s, size=config.shape)
+        v = rng.uniform(0, config.v_supply_v, size=(5, 16))
+        dense = np.stack([dense_reference_currents(config, vk, g)
+                          for vk in v])
+        np.testing.assert_allclose(solver.solve(v, g), dense, rtol=1e-9)
+        np.testing.assert_allclose(v @ solver.transfer_matrix(g), dense,
+                                   rtol=1e-9)
 
 
 class TestPhysics:

@@ -9,9 +9,9 @@ at the geometry that labels the GENIEx training sets.
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
 import repro.circuit.simulator as simulator_mod
+from repro.circuit.linear_solver import sparse_lu
 from repro.circuit.newton import solve_newton_batch
 from repro.circuit.simulator import CrossbarCircuitSimulator
 from repro.core.sampling import VgSampler
@@ -24,7 +24,7 @@ RTOL = 1e-9
 def exact_lu_solve_batch(sim, v, g):
     """Full-mode batch currents with one sparse LU per Newton step: the
     batched damped Newton with the Jacobian assembled on the simulator's
-    stamp pattern and factorised per system."""
+    stamp pattern and factorised per system, in the solver's ordering."""
     topo = sim.topology
     an, bn = topo.cell_row_nodes, topo.cell_col_nodes
     para = sim._parasitic_csr
@@ -45,7 +45,7 @@ def exact_lu_solve_batch(sim, v, g):
     def step(x, idx, f):
         vd = x[:, an] - x[:, bn]
         out = np.stack([
-            splu(sim._stamp_pattern.assemble(g_memo[vd[k].tobytes()]))
+            sparse_lu(sim._stamp_pattern.assemble(g_memo[vd[k].tobytes()]))
             .solve(-f[k]) for k in range(x.shape[0])])
         g_memo.clear()
         return out
@@ -118,7 +118,7 @@ class TestConjugateGradientStep:
         steps = sim._newton_steps(g_dev, f, lu)
         for k in range(5):
             jac = sim._stamp_pattern.assemble(g_dev[k])
-            exact = splu(jac).solve(-f[k])
+            exact = sparse_lu(jac).solve(-f[k])
             assert np.max(np.abs(jac @ steps[k] + f[k])) <= \
                 simulator_mod.CG_RTOL * np.max(np.abs(f[k])) * 1.01
             np.testing.assert_allclose(steps[k], exact, rtol=1e-6,
