@@ -23,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.circuit.linear_solver import sparse_lu
 from repro.circuit.simulator import CrossbarCircuitSimulator
 from repro.core.sampling import SamplingSpec
 from repro.core.trainer import TrainSpec
@@ -107,13 +108,17 @@ def test_batched_solve_throughput():
                 t_batch = _time(batched)
             else:
                 # The pre-batching per-vector path paid one factorisation
-                # per solve; replicate that by disabling the LU cache.
-                uncached = CrossbarCircuitSimulator(config)
-                uncached.linear_solver.lu_cache_size = 0
+                # per linear solve; replicate that with a fresh LU each.
+                solver, topo = sim.linear_solver, sim.topology
 
-                def sequential(mode=mode, sim=uncached):
+                def sequential(mode=mode):
                     for vk in v:
-                        sim.solve(vk, g, mode=mode)
+                        if mode == "ideal":
+                            sim.solve(vk, g, mode=mode)
+                        else:
+                            lu = sparse_lu(solver.system_matrix(g))
+                            topo.output_currents(
+                                lu.solve(topo.rhs_for_inputs(vk)))
 
                 def batched(mode=mode):
                     sim.solve_batch(v, g, mode=mode)

@@ -10,10 +10,13 @@ input-voltage vectors. This is simultaneously:
   parasitic resistances, cf. Jain et al., CxDNN), wrapped with a friendlier
   API in :mod:`repro.analytical.linear_model`.
 
-The factorisation is memoised per conductance matrix (a small LRU keyed by
-the matrix bytes), so repeated solves against the same programmed crossbar —
-the access pattern of both dataset generation and the functional simulator —
-pay the LU cost once and back-substitute whole voltage batches afterwards.
+The solver keeps one factor: that of the last conductance matrix it
+factorised, keyed by the matrix bytes. Repeated solves against the same
+programmed crossbar — the access pattern of both dataset generation and the
+functional simulator — pay the LU cost once and back-substitute whole
+voltage batches afterwards. No caller returns to an older matrix, and a
+SuperLU factor holds several MB (its fill estimate), so older factors are
+dropped rather than kept.
 
 Every sparse LU in the circuit solver, here and in the full-mode Newton
 steps, goes through :func:`sparse_lu` and so uses one fill-reducing column
@@ -30,7 +33,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from repro.utils.cache import LruDict
 from repro.utils.validation import check_matrix
 from repro.xbar.config import CrossbarConfig
 from repro.circuit.topology import CrossbarTopology
@@ -47,23 +49,15 @@ def sparse_lu(matrix):
 class LinearCrossbarSolver:
     """Sparse direct solver for the linear parasitic crossbar.
 
-    ``lu_cache_size`` bounds the number of retained LU factorisations;
-    each cache entry is keyed by the conductance matrix *values*, so a hit
-    is always numerically exact.
+    The LU memo is keyed by the conductance matrix *values*, so a hit is
+    always numerically exact.
     """
 
-    def __init__(self, config: CrossbarConfig, lu_cache_size: int = 8):
+    def __init__(self, config: CrossbarConfig):
         self.config = config
         self.topology = CrossbarTopology(config)
-        self._lu_cache = LruDict(lu_cache_size)
-
-    @property
-    def lu_cache_size(self) -> int:
-        return self._lu_cache.max_entries
-
-    @lu_cache_size.setter
-    def lu_cache_size(self, n: int) -> None:
-        self._lu_cache.max_entries = int(n)
+        #: ``(matrix bytes, LU)`` of the last conductance matrix factorised.
+        self._last_lu = (None, None)
 
     def system_matrix(self, conductance_s: np.ndarray) -> sparse.csc_matrix:
         """Nodal matrix with the given ohmic cell conductances stamped in."""
@@ -77,19 +71,20 @@ class LinearCrossbarSolver:
         return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsc()
 
     def factorization(self, conductance_s):
-        """Cached sparse LU of the nodal system for this conductance matrix.
+        """Sparse LU of the nodal system for this conductance matrix.
 
-        The cache is an LRU of ``lu_cache_size`` factorisations keyed by the
-        matrix bytes; every distinct programmed crossbar is factorised once
-        and all subsequent (batched) solves reuse the factors.
+        The factor of the last matrix is kept, so back-to-back (batched)
+        solves against one programmed crossbar factorise it once. The memo
+        is read once per call and replaced whole, so threads sharing a
+        solver each get a factor of the matrix they asked for.
         """
         conductance_s = check_matrix("conductance_s", conductance_s,
                                      self.config.shape)
         key = conductance_s.tobytes()
-        lu = self._lu_cache.get(key)
-        if lu is None:
+        last_key, lu = self._last_lu
+        if last_key != key:
             lu = sparse_lu(self.system_matrix(conductance_s))
-            self._lu_cache.put(key, lu)
+            self._last_lu = (key, lu)
         return lu
 
     def solve_node_voltages(self, voltages_v, conductance_s) -> np.ndarray:
@@ -135,9 +130,9 @@ class LinearCrossbarSolver:
         the "matrix inversion" formulation of the analytical baseline
         (CxDNN) and what makes the analytical MVM engine fast.
 
-        The factorisation is deliberately *not* cached: callers keep the
-        transfer matrix, not the LU, so inserting these one-shot factors
-        would only evict entries the repeated-solve paths still reuse.
+        The factorisation is deliberately *not* memoised: callers keep the
+        transfer matrix, not the LU, so keeping this one-shot factor would
+        only replace the one the repeated-solve paths still reuse.
         """
         conductance_s = check_matrix("conductance_s", conductance_s,
                                      self.config.shape)

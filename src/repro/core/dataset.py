@@ -189,14 +189,10 @@ def label_groups(config: CrossbarConfig, voltages: np.ndarray,
 
     def work():
         nonlocal finished, failed
-        # One simulator per thread, made and dropped on that thread: its
-        # LU cache and Newton memo are not thread-safe, and SciPy frees a
-        # SuperLU factor's memory only on the thread that factorised it.
+        # One simulator per thread, made and dropped on that thread: SciPy
+        # frees a SuperLU factor's memory only on the thread that
+        # factorised it.
         simulator = CrossbarCircuitSimulator(config)
-        # A sweep never returns to a finished group's G, and a cached
-        # SuperLU factor holds several MB (its fill estimate), so each
-        # thread keeps only the factor of the group it is labelling.
-        simulator.linear_solver.lu_cache_size = 1
         try:
             while (group := next_group()) is not None:
                 rows = np.nonzero(group_index == group)[0]

@@ -14,8 +14,7 @@ layer executes in three phases:
    fixed point.
 
 The analog tile computation is pluggable: exact ideal, GENIEx emulation,
-the linear analytical model, a cheap decoupled IR-drop model, or the full
-circuit simulator.
+the linear analytical model, or the full circuit simulator.
 
 **Plan/execute split.** The simulator separates *compilation* from
 *execution*:
@@ -43,10 +42,10 @@ active stream blocks of the shard's tile-rows (the whole layer for a
 few-row chunk, else one tile-row) are read out in one
 ``(tile-rows, streams * batch, models * cols)`` measurement — one stacked
 GEMM for ``exact``/``analytical``, plus the pruned NN forward and fR
-divide for ``geniex``, or each model's own solve for
-``decoupled``/``circuit`` — digitised by one in-place ADC pass. The
-digital back end is exact: integer ADC codes meet signed power-of-two
-shift-and-add prefactors, every partial sum stays below ``2**53``
+divide for ``geniex``, or each model's own solve for ``circuit`` —
+digitised by one in-place ADC pass. The digital back end is exact:
+integer ADC codes meet signed power-of-two shift-and-add prefactors,
+every partial sum stays below ``2**53``
 (asserted when the layer is planned), so the contraction is exact in any
 order, and the ``exact`` engine equals tile-row-accumulated Ideal FxP
 bit for bit.
@@ -72,7 +71,6 @@ from repro.funcsim.engine import (
     AnalyticalTileFactory,
     CircuitTileFactory,
     CrossbarMvmEngine,
-    DecoupledTileFactory,
     EngineStats,
     ExactTileFactory,
     IdealMvmEngine,
@@ -92,7 +90,6 @@ __all__ = [
     "ExactTileFactory",
     "GeniexTileFactory",
     "AnalyticalTileFactory",
-    "DecoupledTileFactory",
     "CircuitTileFactory",
     "make_engine",
     "LayerPlan",

@@ -25,8 +25,8 @@ slice, tile-column) models of a tile-row:
    adds its tiles' pruned NN forward, stacked per kept width across the
    range (:class:`GeniexWidthGroup`) and byte-equal to each tile's own
    (:meth:`~repro.core.emulator.GeniexTileModel.forward`), and the fR
-   divide; ``decoupled`` and ``circuit`` fill each model's column block
-   with that model's ``currents()`` of its tile-row's active rows. Only
+   divide; ``circuit`` fills each model's column block with that
+   model's ``currents()`` of its tile-row's active rows. Only
    this stage depends on the kind. Every closed-form product is
    :func:`~repro.utils.numerics.batch_invariant_matmul`.
 2. **ADC.** :meth:`~repro.funcsim.adc.AdcModel.transfer` turns the
@@ -64,7 +64,7 @@ Determinism contract:
   matter how execution is scheduled.
 * A tile-row's contribution does not depend on the range it runs in:
   padding adds exact zeros to the decode, each closed-form product is
-  row-invariant, and the iterative kinds solve exactly the rows a
+  row-invariant, and the ``circuit`` kind solves exactly the rows a
   one-tile-row shard would. Zero-stream skips, ``readouts`` and
   ``adc_conversions`` are counted per tile-row, as a one-tile-row shard
   counts them.
@@ -432,8 +432,8 @@ class PreparedMatrix:
                 [models[(sw, k, tr, tc)] for sw, k, tc in coords]
                 for tr in range(plan.t_r)]
             #: ``(t_r, rows, M * cols)`` read-out operand, tile-row ``tr``'s
-            #: at ``[tr]`` (``None`` for the iterative kinds, which solve
-            #: each tile themselves).
+            #: at ``[tr]`` (``None`` for ``circuit``, which solves each
+            #: tile itself).
             self.row_operands = _cat_columns(np.stack([
                 [m.transfer for m in row] for row in self.row_models])) \
                 if hasattr(self.row_models[0][0], "transfer") else None
@@ -483,7 +483,7 @@ class PreparedMatrix:
         column from one operand column, so every block equals that
         model's own ``currents()`` call (tested). ``live[r]`` (default
         all ``n``) counts tile-row ``lo + r``'s leading rows that carry a
-        stream block; the iterative kinds solve only those and read
+        stream block; the circuit kind solves only those and reads
         zeros below them.
         """
         cols = self.plan.cols

@@ -56,7 +56,6 @@ Tile models:
   per-tile products (:class:`~repro.funcsim.compiler.GeniexWidthGroup`).
 * :class:`AnalyticalTileFactory` — exact linear parasitic model (one sparse
   LU per tile, reused across all streams).
-* :class:`DecoupledTileFactory` — cheap first-order IR-drop model.
 * :class:`CircuitTileFactory` — full non-linear circuit solve via the
   batched Newton path (slow; used to validate the emulator in tests).
 
@@ -71,7 +70,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.analytical.fast_model import DecoupledIrDropModel
 from repro.circuit.linear_solver import LinearCrossbarSolver
 from repro.circuit.simulator import CrossbarCircuitSimulator
 from repro.core.emulator import GeniexEmulator, GeniexTileFactory
@@ -102,13 +100,12 @@ from repro.xbar.mapping import conductances_from_levels
 #: Every engine kind :func:`make_engine` accepts, in documentation order.
 #: The factory's docstring, its error message and the serving protocol all
 #: derive from this single tuple (tested against the docstring).
-ENGINE_KINDS = ("ideal", "exact", "geniex", "analytical", "decoupled",
-                "circuit")
+ENGINE_KINDS = ("ideal", "exact", "geniex", "analytical", "circuit")
 
 #: Kinds whose tile products are always
 #: :func:`~repro.utils.numerics.batch_invariant_matmul` (closed-form tile
-#: math; the iterative ``decoupled``/``circuit`` models are not
-#: invariant, and ``ideal`` is exact integer math).
+#: math; the iterative ``circuit`` model is not invariant, and
+#: ``ideal`` is exact integer math).
 #: :func:`repro.api.spec.supports_batch_invariance` builds on it.
 INVARIANT_KINDS = ("geniex", "exact", "analytical")
 
@@ -194,35 +191,6 @@ class AnalyticalTileFactory(_ConfigTileFactory):
 
     def build(self, conductance_s: np.ndarray) -> LinearTileModel:
         return LinearTileModel(self._solver.transfer_matrix(conductance_s))
-
-
-class DecoupledTileModel:
-    """Tile evaluating the first-order IR-drop approximation."""
-
-    def __init__(self, model: DecoupledIrDropModel,
-                 conductance_s: np.ndarray):
-        self._model = model
-        self.conductance_s = np.asarray(conductance_s, dtype=float)
-
-    def currents(self, voltages_v) -> np.ndarray:
-        return self._model.predict_currents(voltages_v, self.conductance_s)
-
-
-class DecoupledTileFactory(_ConfigTileFactory):
-    """First-order IR-drop approximation (ablation model)."""
-
-    name = "decoupled"
-
-    def __init__(self, config: CrossbarConfig, n_sweeps: int = 2):
-        self.config = config
-        self._model = DecoupledIrDropModel(config, n_sweeps=n_sweeps)
-
-    def cache_token(self) -> str:
-        return f"decoupled|sweeps={self._model.n_sweeps}"
-
-    def build(self, conductance_s: np.ndarray) -> DecoupledTileModel:
-        return DecoupledTileModel(self._model,
-                                  np.asarray(conductance_s, dtype=float))
 
 
 class CircuitTileModel:
@@ -631,8 +599,8 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
                 emulator: GeniexEmulator | None = None,
                 workers: int | None = None,
                 nonideality=None):
-    """Engine factory: ``ideal | exact | geniex | analytical | decoupled |
-    circuit`` (the :data:`ENGINE_KINDS` tuple).
+    """Engine factory: ``ideal | exact | geniex | analytical | circuit``
+    (the :data:`ENGINE_KINDS` tuple).
 
     ``ideal`` bypasses the analog pipeline (exact fixed-point product);
     ``exact`` runs the full bit-sliced pipeline with ideality-oracle tiles,
@@ -644,10 +612,9 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
     independent of the batch it shares (the serving contract; see
     :func:`repro.api.spec.supports_batch_invariance`). ``ideal`` is
     invariant by construction (exact integer arithmetic). The iterative
-    ``decoupled`` and ``circuit`` models are not, and neither is any
-    kind under converter offset or noise: the engine skips all-zero
-    stream blocks *per batch*, which only equals per-row execution when
-    ``measure(0) == 0``.
+    ``circuit`` model is not, and neither is any kind under converter
+    offset or noise: the engine skips all-zero stream blocks *per batch*,
+    which only equals per-row execution when ``measure(0) == 0``.
 
     ``workers`` (default 1) is the number of threads running one
     matmul's shards; any value gives bit-identical results. It pays when
@@ -684,8 +651,6 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
         factory = ExactTileFactory(xbar_config)
     elif kind == "analytical":
         factory = AnalyticalTileFactory(xbar_config)
-    elif kind == "decoupled":
-        factory = DecoupledTileFactory(xbar_config)
     elif kind == "circuit":
         factory = CircuitTileFactory(xbar_config)
     else:

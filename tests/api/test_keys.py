@@ -132,8 +132,6 @@ SERVING_KEYS = {
                        "eng-24361100a3df777f3709"),
         "circuit": ("spec-a5ada68b9f609769c159",
                     "eng-6ad715df18598b4723ca"),
-        "decoupled": ("spec-74f015e564563853d6e2",
-                      "eng-3912ca357819240483f7"),
         "exact": ("spec-a7ad24bd25e3d6a1dac8",
                   "eng-f90b3252070efd54008e"),
         "geniex": ("spec-7786c20f8460e8bd1794",
@@ -146,8 +144,6 @@ SERVING_KEYS = {
                        "eng-c17cafc2403500d5bdb1"),
         "circuit": ("spec-730335376497ea37f36d",
                     "eng-0a43a80f22ea0715260f"),
-        "decoupled": ("spec-995cc298f9c72d7e1ee1",
-                      "eng-840f6ecbc39cce6bdc40"),
         "exact": ("spec-e739fce6ffb346d27f42",
                   "eng-515daf4af5691a558f77"),
         "geniex": ("spec-413c19633dea6452460c",
@@ -160,8 +156,6 @@ SERVING_KEYS = {
                        "eng-0872e195ebe48366e1b7"),
         "circuit": ("spec-e470b98c66225fb2c7df",
                     "eng-a30a896b16f8d7583404"),
-        "decoupled": ("spec-9dbe71fa54ed3c84ccff",
-                      "eng-ab83dad921e717e86d01"),
         "exact": ("spec-ed329bf6692326cae4ce",
                   "eng-7c771549cd50d8253c45"),
         "geniex": ("spec-74b78f1a849d4f7e3696",
@@ -172,8 +166,6 @@ SERVING_KEYS = {
                        "eng-98bbddafef827ac7905b"),
         "circuit": ("spec-f707b8a6afafedde06c6",
                     "eng-f20637ea84604f288f20"),
-        "decoupled": ("spec-2df1b38ea8e91d0ab0ef",
-                      "eng-29a20bea25d211f188da"),
         "exact": ("spec-a724f9fc231c27c16bf2",
                   "eng-09f2602cd79888cf1d80"),
         "geniex": ("spec-01056ef08a6381fd244b",
@@ -186,8 +178,6 @@ SERVING_KEYS = {
                        "eng-98bbddafef827ac7905b"),
         "circuit": ("spec-f707b8a6afafedde06c6",
                     "eng-f20637ea84604f288f20"),
-        "decoupled": ("spec-2df1b38ea8e91d0ab0ef",
-                      "eng-29a20bea25d211f188da"),
         "exact": ("spec-a724f9fc231c27c16bf2",
                   "eng-09f2602cd79888cf1d80"),
         "geniex": ("spec-01056ef08a6381fd244b",
@@ -200,8 +190,6 @@ SERVING_KEYS = {
                        "eng-98bbddafef827ac7905b"),
         "circuit": ("spec-f707b8a6afafedde06c6",
                     "eng-f20637ea84604f288f20"),
-        "decoupled": ("spec-2df1b38ea8e91d0ab0ef",
-                      "eng-29a20bea25d211f188da"),
         "exact": ("spec-a724f9fc231c27c16bf2",
                   "eng-09f2602cd79888cf1d80"),
         "geniex": ("spec-01056ef08a6381fd244b",
@@ -214,8 +202,6 @@ SERVING_KEYS = {
                        "eng-814fabfb7e19983a910d"),
         "circuit": ("spec-3d953bfe2e2f2557a238",
                     "eng-54eaade443fc6131b630"),
-        "decoupled": ("spec-a37668f856f356cf5a86",
-                      "eng-2782c8757f12f4b23a5a"),
         "exact": ("spec-8fc4d09497a208ab035e",
                   "eng-c137bb1c7b2d8052e343"),
         "geniex": ("spec-4acbc229ab5d9f0f9260",

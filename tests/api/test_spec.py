@@ -88,6 +88,10 @@ class TestStrictDecoding:
     def test_unknown_engine_kind(self):
         with pytest.raises(ConfigError, match="unknown engine kind"):
             EmulationSpec(engine="hspice")
+        # A removed kind is just as unknown.
+        with pytest.raises(ConfigError,
+                           match="unknown engine kind 'decoupled'"):
+            EmulationSpec.from_dict({"engine": "decoupled"})
 
     def test_unknown_preset_lists_alternatives(self):
         with pytest.raises(ConfigError, match="quick"):
@@ -218,8 +222,7 @@ class TestKeys:
         warm-engine key, whatever the engine kind (their currents differ
         even though no trained emulator is involved)."""
         weights = np.eye(4) * 0.25
-        for kind in ("exact", "analytical", "decoupled", "circuit",
-                     "ideal"):
+        for kind in ("exact", "analytical", "circuit", "ideal"):
             small = EmulationSpec(engine=kind).evolve(
                 xbar={"rows": 16, "cols": 16, "r_on_ohm": 100e3})
             other = small.evolve(
@@ -243,7 +246,7 @@ class TestBatchInvarianceHelper:
         sim = FuncSimConfig()
         for kind in ("geniex", "exact", "analytical"):
             assert supports_batch_invariance(kind, sim)
-        for kind in ("decoupled", "circuit", "ideal"):
+        for kind in ("circuit", "ideal"):
             assert not supports_batch_invariance(kind, sim)
 
     def test_noisy_or_offset_adc_rules_it_out(self):

@@ -85,15 +85,19 @@ class TestLinearBatched:
             (0, solver.topology.n_nodes)
 
     def test_factorization_cache_reused_and_bounded(self):
+        """The solver keeps one factor: the same G reuses it, a new G
+        replaces it."""
         config = CrossbarConfig(rows=3, cols=3)
-        solver = LinearCrossbarSolver(config, lu_cache_size=2)
+        solver = LinearCrossbarSolver(config)
         rng = np.random.default_rng(0)
         gs = [rng.uniform(config.g_off_s, config.g_on_s, size=config.shape)
-              for _ in range(3)]
-        assert solver.factorization(gs[0]) is solver.factorization(gs[0])
-        solver.factorization(gs[1])
-        solver.factorization(gs[2])  # evicts gs[0]
-        assert len(solver._lu_cache) == 2
+              for _ in range(2)]
+        first = solver.factorization(gs[0])
+        assert solver.factorization(gs[0].copy()) is first
+        second = solver.factorization(gs[1])
+        assert second is not first
+        assert solver.factorization(gs[1]) is second
+        assert solver.factorization(gs[0]) is not first  # re-factorised
         # A re-factorised matrix still produces the same solution.
         v = rng.uniform(0.0, config.v_supply_v, size=config.rows)
         expected = LinearCrossbarSolver(config).solve(v, gs[0])

@@ -5,6 +5,7 @@ from repro.errors import ConfigError, ShapeError
 from repro.funcsim.compiler import DEFAULT_SHARD_ROWS
 from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.engine import IdealMvmEngine, make_engine
+from repro.nonideal import NonidealitySpec, StuckSpec, VariationSpec
 from repro.xbar.config import CrossbarConfig
 
 
@@ -127,15 +128,6 @@ class TestNonIdealEngines:
         err = np.abs(out - ref).mean() / np.abs(ref).mean()
         assert 0.001 < err < 0.5
 
-    def test_decoupled_engine_close_to_analytical(self, operands):
-        x, w = operands
-        ana = make_engine("analytical", XCFG, SCFG)
-        dec = make_engine("decoupled", XCFG, SCFG)
-        out_a = ana.matmul(x, ana.prepare(w))
-        out_d = dec.matmul(x, dec.prepare(w))
-        scale = np.abs(out_a).mean()
-        assert np.abs(out_a - out_d).mean() / scale < 0.2
-
     @pytest.mark.slow
     def test_circuit_engine_small_case(self, rng):
         x = rng.normal(size=(2, 6)) * 0.3
@@ -176,6 +168,57 @@ class TestActivationShapes:
             engine.matmul(np.zeros(shape), prepared)
 
 
+class TestEngineProperties:
+    """Physics the engines must follow, checked on whole matmuls."""
+
+    def test_analytical_equals_exact_at_zero_parasitics(self):
+        """With no source, sink or wire resistance the parasitic network
+        passes ``G @ V`` through: the analytical engine returns the exact
+        engine's output bit for bit."""
+        xcfg = XCFG.replace(r_source_ohm=1e-6, r_sink_ohm=1e-6,
+                            r_wire_ohm=0.0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(5, 20)) * 0.4
+        w = rng.normal(size=(20, 12)) * 0.3
+        outs = {}
+        for kind in ("analytical", "exact"):
+            engine = make_engine(kind, xcfg, SCFG)
+            outs[kind] = engine.matmul(x, engine.prepare(w))
+        np.testing.assert_array_equal(outs["analytical"], outs["exact"])
+
+    #: Nonideality seeds the expected error is averaged over.
+    FAULT_SEEDS = range(6)
+
+    def _mean_fault_error(self, operands, **faults):
+        x, w = operands
+        clean = make_engine("exact", XCFG, SCFG)
+        reference = clean.matmul(x, clean.prepare(w))
+        errors = []
+        for seed in self.FAULT_SEEDS:
+            engine = make_engine("exact", XCFG, SCFG,
+                                 nonideality=NonidealitySpec(seed=seed,
+                                                             **faults))
+            errors.append(np.abs(engine.matmul(x, engine.prepare(w))
+                                 - reference).mean())
+        return float(np.mean(errors))
+
+    def test_variation_raises_error_in_expectation(self, operands):
+        errors = [self._mean_fault_error(
+            operands, variation=VariationSpec(sigma=sigma))
+            for sigma in (0.0, 0.05, 0.2)]
+        assert errors[0] == 0.0
+        assert errors[0] < errors[1] < errors[2], errors
+
+    def test_stuck_rate_raises_error_in_expectation(self, operands):
+        """``rate`` is the share of stuck cells, half stuck on and half
+        stuck off."""
+        errors = [self._mean_fault_error(
+            operands, stuck=StuckSpec(p_on=rate / 2, p_off=rate / 2))
+            for rate in (0.0, 0.01, 0.05)]
+        assert errors[0] == 0.0
+        assert errors[0] < errors[1] < errors[2], errors
+
+
 class TestEngineKindsDocumented:
     """`make_engine`'s docstring, error message and ENGINE_KINDS agree,
     and every documented kind actually constructs."""
@@ -207,10 +250,12 @@ class TestEngineKindsDocumented:
 
     def test_undocumented_kind_raises_config_error(self):
         from repro.funcsim.engine import ENGINE_KINDS
-        for bogus in ("spice", "", "GENIEX", "exact "):
+        for bogus in ("spice", "", "GENIEX", "exact ", "decoupled"):
             assert bogus not in ENGINE_KINDS
-            with pytest.raises(ConfigError, match="unknown engine kind"):
+            with pytest.raises(ConfigError, match="unknown engine kind") \
+                    as excinfo:
                 make_engine(bogus, XCFG, SCFG)
+            assert str(excinfo.value).endswith(", ".join(ENGINE_KINDS))
 
 
 class TestInvariantKindsSingleSource:

@@ -108,7 +108,7 @@ def operands(rng):
 class TestGoldenEquivalence:
     """Batched matmul is byte-for-byte the sequential pipeline."""
 
-    @pytest.mark.parametrize("kind", ["exact", "analytical", "decoupled"])
+    @pytest.mark.parametrize("kind", ["exact", "analytical"])
     def test_fast_factories(self, kind, operands):
         x, w = operands
         engine = make_engine(kind, XCFG, SCFG)
@@ -116,10 +116,10 @@ class TestGoldenEquivalence:
         golden = sequential_matmul(engine, x, prepared)
         np.testing.assert_array_equal(engine.matmul(x, prepared), golden)
 
-    @pytest.mark.slow
     def test_circuit_factory(self, rng):
+        """The per-model ``currents()`` read-out, on a tiny layer."""
         cfg = FuncSimConfig().with_precision(6)
-        xcfg = CrossbarConfig(rows=6, cols=6)
+        xcfg = CrossbarConfig(rows=4, cols=4)
         engine = make_engine("circuit", xcfg, cfg)
         x = rng.normal(size=(2, 6)) * 0.3
         w = rng.normal(size=(6, 4)) * 0.3
@@ -175,13 +175,12 @@ class TestBatchInvariantEngines:
 
     def test_iterative_models_reject_the_flag(self):
         """Batch invariance is no longer a flag: every kind rejects it
-        as an unknown argument, and the iterative kinds are simply not
-        invariant."""
+        as an unknown argument, and the iterative ``circuit`` kind is
+        simply not invariant."""
         from repro.api.spec import supports_batch_invariance
-        for kind in ("decoupled", "circuit", "exact"):
+        for kind in ("circuit", "exact"):
             with pytest.raises(TypeError, match="batch_invariant"):
                 make_engine(kind, XCFG, SCFG, batch_invariant=True)
-        assert not supports_batch_invariance("decoupled", SCFG)
         assert not supports_batch_invariance("circuit", SCFG)
 
     def test_non_zero_preserving_adc_rejects_the_flag(self):

@@ -108,15 +108,21 @@ class TestBackendEquivalence:
         assert snapshots[0] == snapshots[1]
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("kind", ["exact", "analytical", "decoupled"])
+    @pytest.mark.parametrize("kind", ["exact", "analytical", "circuit"])
     def test_all_kinds_process_matches_serial(self, operands, kind):
         """Heavier sweep: every CPU tile kind, pooled on two threads vs
-        inline on one."""
+        inline on one. ``circuit``'s tiles share one simulator, and with
+        it one LU memo, across the pool's threads; a tiny layer keeps it
+        fast."""
         x, w = operands
+        xcfg, shard_rows = XCFG, 6
+        if kind == "circuit":
+            x, w = x[:5, :8], w[:8, :5]
+            xcfg, shard_rows = CrossbarConfig(rows=4, cols=4), 2
         outs = {}
         for workers in (1, 2):
-            engine = _pooled(make_engine(kind, XCFG, SCFG, workers=workers),
-                             6)
+            engine = _pooled(make_engine(kind, xcfg, SCFG, workers=workers),
+                             shard_rows)
             outs[workers] = engine.matmul(x, engine.prepare(w))
             engine.close()
         np.testing.assert_array_equal(outs[1], outs[2])

@@ -146,11 +146,11 @@ def test_noisy_adc_keeps_its_bits(emulator, weights, monkeypatch, batch):
     assert results[0][0] != results[0][1]  # fresh noise per call
 
 
-@pytest.mark.parametrize("kind", ["decoupled", "circuit"])
+@pytest.mark.parametrize("kind", ["circuit"])
 def test_iterative_kinds_run_a_range(kind):
-    """The per-model ``currents()`` kinds run a whole-layer range on a
-    tiny layer and equal their one-tile-row shards: each model solves
-    exactly its tile-row's active rows."""
+    """``circuit``, the per-model ``currents()`` kind, runs a whole-layer
+    range on a tiny layer and equals its one-tile-row shards: each model
+    solves exactly its tile-row's active rows."""
     xcfg = CrossbarConfig(rows=4, cols=4)
     rng = np.random.default_rng(2)
     weights = rng.normal(size=(12, 3)) * 0.3

@@ -294,6 +294,29 @@ class TestDiskPersistence:
                 cold_logits = c2.net_predict(x, net_key=key)
         np.testing.assert_array_equal(cold_logits, warm_logits)
 
+    def test_program_naming_a_removed_kind_is_400(self, served, client):
+        """A stored program whose spec names the removed ``decoupled``
+        kind fails its compile with the unknown-engine 400 on a fresh
+        registry, never a 500, and the server keeps serving."""
+        _, _, zoo = served
+        key = client.upload_net(tiny_mlp(seed=19), spec=EmulationSpec(
+            engine="exact"))["net_key"]
+        wire, meta = zoo.load_net_program(key)
+        meta["spec"]["engine"] = "decoupled"
+        os.remove(zoo._net_path(key))  # the first writer wins otherwise
+        zoo.save_net_program(key, wire, meta)
+
+        cold = EmulationServer(ModelRegistry(GeniexZoo(
+            cache_dir=zoo.cache_dir)))
+        with ServerThread(cold) as handle2:
+            with ServeClient("127.0.0.1", handle2.port,
+                             timeout=300) as c2:
+                with pytest.raises(ServerError) as excinfo:
+                    c2.net_predict(np.ones(N_IN), net_key=key)
+                assert c2.health() == {"status": "ok"}
+        assert excinfo.value.status == 400
+        assert "unknown engine kind 'decoupled'" in str(excinfo.value)
+
     def test_reupload_repairs_a_corrupt_artifact(self, tmp_path):
         """A garbage ``netprog-*.npz`` (a torn write, a flipped sector)
         is no disk hit: the upload compiles, rewrites the file and
@@ -463,6 +486,25 @@ class TestProtocolErrors:
             client._request("POST", "/v1/nets",
                             {"spec": {"engine": "exact"}})
         assert excinfo.value.status == 400
+
+    def test_removed_engine_kind_is_400(self, client):
+        """``decoupled`` is no longer an engine kind: a spec body or the
+        flat ``engine`` field naming it gets the unknown-engine 400."""
+        calls = [
+            lambda: client.upload_net(tiny_mlp(),
+                                      spec={"engine": "decoupled"}),
+            lambda: client.register_weights(spec={"engine": "decoupled"},
+                                            weights=np.eye(4)),
+            lambda: client.register_weights(model={"rows": 4, "cols": 4},
+                                            weights=np.eye(4),
+                                            engine="decoupled"),
+        ]
+        for call in calls:
+            with pytest.raises(ServerError) as excinfo:
+                call()
+            assert excinfo.value.status == 400
+            assert "unknown engine" in str(excinfo.value)
+            assert "'decoupled'" in str(excinfo.value)
 
 
 class TestNetMetrics:
