@@ -3,7 +3,8 @@
 Quantifies the tentpole speedup of the batched solve pipeline: the
 *sequential* baseline solves one voltage vector per call exactly as the
 pre-batching code did (fresh factorisation per linear solve, one Newton run
-per operating point, per-vector GENIEx inference), while the *batched* path
+per operating point — ``solve`` runs it as a batch of one — per-vector
+GENIEx inference), while the *batched* path
 shares one cached LU / one batched Newton run / one NN forward pass across
 the whole batch.
 
@@ -92,14 +93,12 @@ def test_batched_solve_throughput():
         # --- ideal / linear / full circuit modes ------------------------
         for mode in ("ideal", "linear", "full"):
             if mode == "full":
-                device = sim.make_cell_device(g)
                 seq_out = np.stack([
-                    sim._solve_full(vk, g, device=device).currents_a
-                    for vk in v])
+                    sim.solve(vk, g, mode="full").currents_a for vk in v])
 
-                def sequential(device=device):
+                def sequential():
                     for vk in v[:8]:  # full per-vector solves are slow;
-                        sim._solve_full(vk, g, device=device)  # time 8, scale
+                        sim.solve(vk, g, mode="full")  # time 8, scale
 
                 def batched():
                     sim.solve_batch(v, g, mode="full")

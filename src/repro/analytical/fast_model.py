@@ -71,16 +71,6 @@ class DecoupledIrDropModel:
         out = i_cell.sum(axis=1)
         return out[0] if squeeze else out
 
-    def predict_currents_batch(self, voltages_v, conductance_s) -> np.ndarray:
-        """Batched prediction, always shaped ``(batch, cols)``.
-
-        The sweeps are fully vectorised over the batch dimension (one set of
-        cumulative-sum passes for all vectors), so cost grows sub-linearly
-        with batch size; ``batch = 0`` returns an empty array.
-        """
-        voltages_v = np.atleast_2d(np.asarray(voltages_v, dtype=float))
-        return self.predict_currents(voltages_v, conductance_s)
-
 
 class ScalarAlphaModel:
     """Single-scalar degradation model ``I_nonideal ~= alpha * I_ideal``."""
@@ -105,8 +95,3 @@ class ScalarAlphaModel:
         if self.alpha is None:
             raise NotFittedError("ScalarAlphaModel.fit must be called first")
         return self.alpha * ideal_mvm(voltages_v, conductance_s)
-
-    def predict_currents_batch(self, voltages_v, conductance_s) -> np.ndarray:
-        """Batched prediction, always shaped ``(batch, cols)``."""
-        voltages_v = np.atleast_2d(np.asarray(voltages_v, dtype=float))
-        return self.predict_currents(voltages_v, conductance_s)

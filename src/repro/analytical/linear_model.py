@@ -30,14 +30,6 @@ class AnalyticalLinearModel:
         """Non-ideal bit-line currents for a vector or batch of inputs."""
         return self._solver.solve(voltages_v, conductance_s)
 
-    def predict_currents_batch(self, voltages_v, conductance_s) -> np.ndarray:
-        """Batched prediction, always shaped ``(batch, cols)``.
-
-        One cached LU factorisation of the parasitic network answers the
-        whole batch via multi-RHS back-substitution.
-        """
-        return self._solver.solve_batch(voltages_v, conductance_s)
-
     def predict_ratio(self, voltages_v, conductance_s,
                       eps_a: float = 1e-18) -> np.ndarray:
         """Predicted distortion ratio fR = I_ideal / I_nonideal."""

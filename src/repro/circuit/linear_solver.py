@@ -12,15 +12,16 @@ input-voltage vectors. This is simultaneously:
 
 The solver keeps one factor: that of the last conductance matrix it
 factorised, keyed by the matrix bytes. Repeated solves against the same
-programmed crossbar — the access pattern of both dataset generation and the
-functional simulator — pay the LU cost once and back-substitute whole
-voltage batches afterwards. No caller returns to an older matrix, and a
-SuperLU factor holds several MB (its fill estimate), so older factors are
-dropped rather than kept.
+programmed crossbar — the access pattern of dataset generation — pay the
+LU cost once and back-substitute whole voltage batches afterwards. No
+caller returns to an older matrix, and a SuperLU factor holds several MB
+(its fill estimate), so older factors are dropped rather than kept.
 
-Every sparse LU in the circuit solver, here and in the full-mode Newton
-steps, goes through :func:`sparse_lu` and so uses one fill-reducing column
-ordering, :data:`LU_ORDERING`. The nodal matrix is structurally symmetric,
+Every nodal matrix of the circuit solver, here and in the full-mode Newton
+steps, is assembled by :meth:`LinearCrossbarSolver.system_matrix` on one
+precomputed :class:`StampPattern`. Every sparse LU goes through
+:func:`sparse_lu` and so uses one fill-reducing column ordering,
+:data:`LU_ORDERING`. The nodal matrix is structurally symmetric,
 so minimum degree on ``A^T + A`` fills it less than SuperLU's default
 ``COLAMD``: 10088 -> 8450 L+U nonzeros at 16x16, 63446 -> 53056 at 32x32
 and 402072 -> 321288 at 64x64, and back-substitution gets cheaper with
@@ -46,6 +47,53 @@ def sparse_lu(matrix):
     return splu(matrix, permc_spec=LU_ORDERING)
 
 
+class StampPattern:
+    """Precomputed CSC sparsity pattern for parasitics + cell stamps.
+
+    Assembling the nodal matrix from COO triplets costs a sort and a
+    duplicate reduction per call. The pattern of the nodal matrix never
+    changes for a given topology, so this helper computes the CSC structure
+    (and where every COO entry lands in it) once; per matrix, assembly
+    reduces to one ``bincount`` over the cell stamp values plus the
+    constant parasitic contribution. It is the one assembler of the
+    circuit solver: the linear network's matrix (ohmic cells) and the
+    full-mode Newton Jacobian (per-cell device conductances) alike.
+    """
+
+    def __init__(self, topology: CrossbarTopology):
+        an, bn = topology.cell_row_nodes, topology.cell_col_nodes
+        rows = np.concatenate([topology.parasitic_rows, an, bn, an, bn])
+        cols = np.concatenate([topology.parasitic_cols, an, bn, bn, an])
+        n = topology.n_nodes
+        order = np.lexsort((rows, cols))
+        rows_sorted, cols_sorted = rows[order], cols[order]
+        keys = cols_sorted.astype(np.int64) * n + rows_sorted
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        positions_sorted = np.cumsum(first) - 1
+        positions = np.empty(order.size, dtype=np.int64)
+        positions[order] = positions_sorted
+        self.nnz = int(positions_sorted[-1]) + 1
+        self.shape = (n, n)
+        self.indices = rows_sorted[first].astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(cols_sorted[first], minlength=n))]
+        ).astype(np.int64)
+        n_parasitic = topology.parasitic_vals.size
+        self._parasitic_data = np.bincount(
+            positions[:n_parasitic], weights=topology.parasitic_vals,
+            minlength=self.nnz)
+        self._stamp_positions = positions[n_parasitic:]
+
+    def assemble(self, g_cells: np.ndarray) -> sparse.csc_matrix:
+        """CSC nodal matrix for flat per-cell conductances ``g_cells``."""
+        vals = np.concatenate([g_cells, g_cells, -g_cells, -g_cells])
+        data = self._parasitic_data + np.bincount(
+            self._stamp_positions, weights=vals, minlength=self.nnz)
+        return sparse.csc_matrix((data, self.indices, self.indptr),
+                                 shape=self.shape)
+
+
 class LinearCrossbarSolver:
     """Sparse direct solver for the linear parasitic crossbar.
 
@@ -56,19 +104,14 @@ class LinearCrossbarSolver:
     def __init__(self, config: CrossbarConfig):
         self.config = config
         self.topology = CrossbarTopology(config)
+        self.pattern = StampPattern(self.topology)
         #: ``(matrix bytes, LU)`` of the last conductance matrix factorised.
         self._last_lu = (None, None)
 
     def system_matrix(self, conductance_s: np.ndarray) -> sparse.csc_matrix:
         """Nodal matrix with the given ohmic cell conductances stamped in."""
-        topo = self.topology
-        g = np.asarray(conductance_s, dtype=float).ravel()
-        an, bn = topo.cell_row_nodes, topo.cell_col_nodes
-        rows = np.concatenate([topo.parasitic_rows, an, bn, an, bn])
-        cols = np.concatenate([topo.parasitic_cols, an, bn, bn, an])
-        vals = np.concatenate([topo.parasitic_vals, g, g, -g, -g])
-        shape = (topo.n_nodes, topo.n_nodes)
-        return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsc()
+        return self.pattern.assemble(
+            np.asarray(conductance_s, dtype=float).ravel())
 
     def factorization(self, conductance_s):
         """Sparse LU of the nodal system for this conductance matrix.
@@ -111,15 +154,6 @@ class LinearCrossbarSolver:
         """Bit-line output currents for one voltage vector or a batch."""
         node_v = self.solve_node_voltages(voltages_v, conductance_s)
         return self.topology.output_currents(node_v)
-
-    def solve_batch(self, voltages_v, conductance_s) -> np.ndarray:
-        """Batched bit-line currents, always shaped ``(batch, cols)``.
-
-        Accepts ``(rows,)`` or ``(batch, rows)`` voltages (``batch = 0``
-        included); one cached factorisation answers the whole batch.
-        """
-        voltages_v = np.atleast_2d(np.asarray(voltages_v, dtype=float))
-        return self.solve(voltages_v, conductance_s)
 
     def transfer_matrix(self, conductance_s) -> np.ndarray:
         """The linear map ``I = V @ T`` of the parasitic network.

@@ -7,17 +7,20 @@ damped Newton-Raphson, seeded from the exact linear solution. The public API
 deliberately mirrors what the paper extracts from HSPICE: bit-line output
 currents for (V, G) pairs, in ``ideal``, ``linear`` and ``full`` modes.
 
-:meth:`CrossbarCircuitSimulator.solve_batch` is the high-throughput path:
-whole voltage batches share one cached LU factorisation in linear mode and
-one batched Newton run (per-system convergence mask, vectorised device
-evaluation) in full mode. A full-mode Newton step factorises nothing: every
-active operating point's step comes out of one batched preconditioned
-conjugate-gradient run, preconditioned by that same cached linear LU, at
-a cost of a few matrix-free Jacobian products and multi-RHS
-back-substitutions. Only an operating point that reaches the iteration cap
-``CG_MAX_ITER`` takes the exact step (Jacobian assembled on the
-precomputed sparsity pattern and factorised with
-:func:`~repro.circuit.linear_solver.sparse_lu`).
+Every full-mode solve is one run of the batched Newton driver
+(:func:`~repro.circuit.newton.solve_newton_batch`):
+:meth:`CrossbarCircuitSimulator.solve_batch` runs it on the whole voltage
+batch and :meth:`CrossbarCircuitSimulator.solve` on a batch of one. The
+linear mode shares one cached LU factorisation across a batch. A
+full-mode Newton step factorises nothing: every active operating point's
+step comes out of one batched preconditioned conjugate-gradient run,
+preconditioned by that same linear LU, at a cost of a few matrix-free
+Jacobian products and multi-RHS back-substitutions. Only an operating
+point that reaches the iteration cap ``CG_MAX_ITER`` takes the exact step:
+its Jacobian assembled by the one nodal assembler,
+:meth:`~repro.circuit.linear_solver.LinearCrossbarSolver.system_matrix`,
+with the device conductances in place of the ohmic ones, and factorised
+with :func:`~repro.circuit.linear_solver.sparse_lu`.
 """
 
 from __future__ import annotations
@@ -39,11 +42,10 @@ from repro.xbar.config import CrossbarConfig
 from repro.xbar.ideal import ideal_mvm
 from repro.circuit.linear_solver import LinearCrossbarSolver, sparse_lu
 from repro.circuit.newton import (
+    NewtonBatchResult,
     NewtonOptions,
-    solve_newton,
     solve_newton_batch,
 )
-from repro.circuit.topology import CrossbarTopology
 
 MODES = ("ideal", "linear", "full")
 
@@ -53,52 +55,6 @@ MODES = ("ideal", "linear", "full")
 # system takes the exact sparse-LU step.
 CG_RTOL = 1e-9
 CG_MAX_ITER = 60
-
-
-class _StampPattern:
-    """Precomputed CSC sparsity pattern for parasitics + device stamps.
-
-    Assembling the Jacobian from COO triplets costs a sort and a duplicate
-    reduction per call. The pattern of the nodal matrix never changes for a
-    given topology, so this helper computes the CSC structure (and where
-    every COO entry lands in it) once; per system, assembly reduces to one
-    ``bincount`` over the device stamp values plus the constant parasitic
-    contribution. The batched solver assembles only for its exact-step
-    fallback.
-    """
-
-    def __init__(self, topology: CrossbarTopology):
-        an, bn = topology.cell_row_nodes, topology.cell_col_nodes
-        rows = np.concatenate([topology.parasitic_rows, an, bn, an, bn])
-        cols = np.concatenate([topology.parasitic_cols, an, bn, bn, an])
-        n = topology.n_nodes
-        order = np.lexsort((rows, cols))
-        rows_sorted, cols_sorted = rows[order], cols[order]
-        keys = cols_sorted.astype(np.int64) * n + rows_sorted
-        first = np.ones(keys.size, dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        positions_sorted = np.cumsum(first) - 1
-        positions = np.empty(order.size, dtype=np.int64)
-        positions[order] = positions_sorted
-        self.nnz = int(positions_sorted[-1]) + 1
-        self.shape = (n, n)
-        self.indices = rows_sorted[first].astype(np.int32)
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(cols_sorted[first], minlength=n))]
-        ).astype(np.int64)
-        n_parasitic = topology.parasitic_vals.size
-        self._parasitic_data = np.bincount(
-            positions[:n_parasitic], weights=topology.parasitic_vals,
-            minlength=self.nnz)
-        self._stamp_positions = positions[n_parasitic:]
-
-    def assemble(self, g_dev: np.ndarray) -> sparse.csc_matrix:
-        """CSC nodal Jacobian for per-cell device conductances ``g_dev``."""
-        vals = np.concatenate([g_dev, g_dev, -g_dev, -g_dev])
-        data = self._parasitic_data + np.bincount(
-            self._stamp_positions, weights=vals, minlength=self.nnz)
-        return sparse.csc_matrix((data, self.indices, self.indptr),
-                                 shape=self.shape)
 
 
 @dataclass
@@ -124,11 +80,9 @@ class CrossbarCircuitSimulator:
     def __init__(self, config: CrossbarConfig,
                  newton_options: NewtonOptions | None = None):
         self.config = config
-        self.topology = CrossbarTopology(config)
         self.linear_solver = LinearCrossbarSolver(config)
+        self.topology = topo = self.linear_solver.topology
         self.newton_options = newton_options or NewtonOptions()
-        self._stamp_pattern = _StampPattern(self.topology)
-        topo = self.topology
         self._parasitic_csr = sparse.coo_matrix(
             (topo.parasitic_vals, (topo.parasitic_rows, topo.parasitic_cols)),
             shape=(topo.n_nodes, topo.n_nodes)).tocsr()
@@ -164,7 +118,10 @@ class CrossbarCircuitSimulator:
     # ------------------------------------------------------------------
     def solve(self, voltages_v, conductance_s,
               mode: str = "full") -> CrossbarSolution:
-        """Solve one (V, G) operating point in the requested mode."""
+        """Solve one (V, G) operating point in the requested mode.
+
+        Full mode runs the batched Newton driver on a batch of one.
+        """
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
         conductance_s = check_matrix("conductance_s", conductance_s,
@@ -179,7 +136,10 @@ class CrossbarCircuitSimulator:
                                                             conductance_s)
             return CrossbarSolution(self.topology.output_currents(node_v),
                                     node_v, 0, mode)
-        return self._solve_full(voltages_v, conductance_s)
+        result = self._newton_batch(voltages_v[None, :], conductance_s)
+        node_v = result.x[0]
+        return CrossbarSolution(self.topology.output_currents(node_v),
+                                node_v, int(result.iterations[0]), mode)
 
     def solve_batch(self, voltages_v, conductance_s,
                     mode: str = "full") -> np.ndarray:
@@ -201,7 +161,10 @@ class CrossbarCircuitSimulator:
             return ideal_mvm(voltages_v, conductance_s)
         if mode == "linear":
             return self.linear_solver.solve(voltages_v, conductance_s)
-        return self._solve_full_batch(voltages_v, conductance_s)
+        if voltages_v.shape[0] == 0:
+            return np.zeros((0, self.config.cols))
+        return self.topology.output_currents(
+            self._newton_batch(voltages_v, conductance_s).x)
 
     def cell_voltage_matrix(self, solution: CrossbarSolution) -> np.ndarray:
         """Per-cell voltage differences ``V_a(i,j) - V_b(i,j)``.
@@ -217,27 +180,6 @@ class CrossbarCircuitSimulator:
         topo = self.topology
         return (x[topo.cell_row_nodes]
                 - x[topo.cell_col_nodes]).reshape(self.config.shape)
-
-    def _residual_and_jacobian_factory(self, device, rhs):
-        topo = self.topology
-        an, bn = topo.cell_row_nodes, topo.cell_col_nodes
-        shape = (topo.n_nodes, topo.n_nodes)
-        para = self._parasitic_csr
-        stamp_rows = np.concatenate([an, bn, an, bn])
-        stamp_cols = np.concatenate([an, bn, bn, an])
-
-        def residual_and_jacobian(x):
-            vd = x[an] - x[bn]
-            i_dev, g_dev = device.current_and_conductance(vd)
-            f = para @ x - rhs
-            f[an] += i_dev
-            f[bn] -= i_dev
-            vals = np.concatenate([g_dev, g_dev, -g_dev, -g_dev])
-            jac = para + sparse.coo_matrix(
-                (vals, (stamp_rows, stamp_cols)), shape=shape).tocsr()
-            return f, jac
-
-        return residual_and_jacobian
 
     def _batched_callbacks(self, device, rhs, lu):
         """Residual / step callbacks for :func:`solve_newton_batch`.
@@ -337,37 +279,31 @@ class CrossbarCircuitSimulator:
             rz = rz_next
         for k in active:
             steps[k] = sparse_lu(
-                self._stamp_pattern.assemble(g_dev[k])).solve(-f[k])
+                self.linear_solver.system_matrix(g_dev[k])).solve(-f[k])
         return steps
-
-    def _solve_full_batch(self, voltages_v, conductance_s) -> np.ndarray:
-        """Batched non-linear solve; one Newton run for the whole batch."""
-        if voltages_v.shape[0] == 0:
-            return np.zeros((0, self.config.cols))
-        return self.topology.output_currents(
-            self._newton_batch(voltages_v, conductance_s).x)
 
     def _newton_batch(self, voltages_v, conductance_s):
         """:class:`NewtonBatchResult` of a non-empty full-mode batch."""
         device = self.make_cell_device(conductance_s)
-        x0 = self.linear_solver.solve_node_voltages(voltages_v, conductance_s)
         lu = self.linear_solver.factorization(conductance_s)
+        return self.newton_batch(voltages_v, device, lu)
+
+    def newton_batch(self, voltages_v, device: TwoTerminalDevice,
+                     lu) -> NewtonBatchResult:
+        """One batched Newton run on a programmed crossbar.
+
+        ``device`` is the crossbar's cell stack, fresh from
+        :meth:`make_cell_device` (a 1T1R stack warm-starts from its last
+        call), and ``lu`` the factor of its linear network's nodal matrix:
+        it seeds every operating point with the exact small-signal linear
+        solution (for on-state 1T1R stacks already very close) and
+        preconditions every Newton step. ``voltages_v`` has shape
+        ``(B, rows)``, ``B = 0`` included. A caller that reads one crossbar
+        many times, like a ``circuit`` engine tile, factorises it once.
+        """
         rhs = self.topology.rhs_for_inputs(voltages_v)
+        x0 = lu.solve(rhs.T).T
         scale = np.max(np.abs(rhs), axis=1)
         residual, step = self._batched_callbacks(device, rhs, lu)
         return solve_newton_batch(residual, step, x0, self.newton_options,
                                   scale=scale)
-
-    def _solve_full(self, voltages_v, conductance_s,
-                    device: TwoTerminalDevice | None = None) -> CrossbarSolution:
-        if device is None:
-            device = self.make_cell_device(conductance_s)
-        # Seed Newton with the exact solution of the small-signal linear
-        # network; for on-state 1T1R stacks this is already very close.
-        x0 = self.linear_solver.solve_node_voltages(voltages_v, conductance_s)
-        rhs = self.topology.rhs_for_inputs(voltages_v)
-        fn = self._residual_and_jacobian_factory(device, rhs)
-        scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-        result = solve_newton(fn, x0, self.newton_options, scale=scale)
-        currents = self.topology.output_currents(result.x)
-        return CrossbarSolution(currents, result.x, result.iterations, "full")

@@ -57,7 +57,8 @@ Tile models:
 * :class:`AnalyticalTileFactory` — exact linear parasitic model (one sparse
   LU per tile, reused across all streams).
 * :class:`CircuitTileFactory` — full non-linear circuit solve via the
-  batched Newton path (slow; used to validate the emulator in tests).
+  batched Newton path (slow; used to validate the emulator in tests). Each
+  tile factorises its linear network once, when it is programmed.
 
 :class:`IdealMvmEngine` bypasses the analog pipeline entirely and computes
 the exact fixed-point product ("Ideal FxP" in the paper's figures).
@@ -70,7 +71,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.circuit.linear_solver import LinearCrossbarSolver
+from repro.circuit.linear_solver import LinearCrossbarSolver, sparse_lu
 from repro.circuit.simulator import CrossbarCircuitSimulator
 from repro.core.emulator import GeniexEmulator, GeniexTileFactory
 from repro.errors import ConfigError, ShapeError
@@ -94,6 +95,7 @@ from repro.funcsim.tiles import n_tiles, tile_matrix
 from repro.nonideal.pipeline import as_pipeline
 from repro.utils.digest import content_key
 from repro.utils.numerics import batch_invariant_matmul
+from repro.utils.validation import check_matrix
 from repro.xbar.config import CrossbarConfig
 from repro.xbar.mapping import conductances_from_levels
 
@@ -194,16 +196,32 @@ class AnalyticalTileFactory(_ConfigTileFactory):
 
 
 class CircuitTileModel:
-    """Tile running a full non-linear circuit solve per readout."""
+    """Tile running a full non-linear circuit solve per readout.
+
+    Programming the tile factorises its linear network once; every readout
+    is then one batched Newton run of the shared simulator, which holds no
+    per-tile state. The factor stays with the tile, so a layer's tiles
+    never re-factorise each other's G and pool threads never replace a
+    factor another thread made. The cell device stack is built per
+    readout: a 1T1R stack keeps its last internal-node solution as the
+    next warm start, so a shared one would tie a readout's bytes to the
+    tile's earlier readouts (building it costs ~1% of a Newton run).
+    """
 
     def __init__(self, simulator: CrossbarCircuitSimulator,
                  conductance_s: np.ndarray):
         self._simulator = simulator
-        self.conductance_s = np.asarray(conductance_s, dtype=float)
+        self.conductance_s = check_matrix("conductance_s", conductance_s,
+                                          simulator.config.shape)
+        self._lu = sparse_lu(
+            simulator.linear_solver.system_matrix(self.conductance_s))
 
     def currents(self, voltages_v) -> np.ndarray:
-        return self._simulator.solve_batch(voltages_v, self.conductance_s,
-                                           mode="full")
+        sim = self._simulator
+        voltages_v = np.atleast_2d(np.asarray(voltages_v, dtype=float))
+        device = sim.make_cell_device(self.conductance_s)
+        result = sim.newton_batch(voltages_v, device, self._lu)
+        return sim.topology.output_currents(result.x)
 
 
 class CircuitTileFactory(_ConfigTileFactory):
@@ -219,8 +237,7 @@ class CircuitTileFactory(_ConfigTileFactory):
         return "circuit"
 
     def build(self, conductance_s: np.ndarray) -> CircuitTileModel:
-        return CircuitTileModel(self._simulator,
-                                np.asarray(conductance_s, dtype=float))
+        return CircuitTileModel(self._simulator, conductance_s)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Property-style equivalence tests: batched solves == per-vector solves.
 
 The batched pipeline (cached-LU linear solve, batched damped Newton, the
-simulator's ``solve_batch``) must agree with the per-vector reference path
-to solver tolerance across crossbar sizes, simulation modes and parasitic
-configurations, including the ``B = 1`` and empty-batch edge cases.
+simulator's ``solve_batch``) must agree with per-vector solves to solver
+tolerance across crossbar sizes, simulation modes and parasitic
+configurations, including the ``B = 1`` and empty-batch edge cases. The
+batched Newton driver is checked against an independent per-system
+reference, the scalar damped Newton of :mod:`newton_reference`.
 """
 
 import numpy as np
@@ -13,12 +15,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from newton_reference import reference_solve_full, solve_newton
 from repro.circuit.linear_solver import LinearCrossbarSolver
-from repro.circuit.newton import (
-    NewtonOptions,
-    solve_newton,
-    solve_newton_batch,
-)
+from repro.circuit.newton import NewtonOptions, solve_newton_batch
 from repro.circuit.simulator import CrossbarCircuitSimulator
 from repro.xbar.config import CrossbarConfig
 
@@ -56,7 +55,7 @@ class TestLinearBatched:
     def test_batched_matches_per_vector(self, config, batch, seed):
         v, g = sample_vg(config, batch, seed)
         solver = LinearCrossbarSolver(config)
-        batched = solver.solve_batch(v, g)
+        batched = solver.solve(v, g)
         assert batched.shape == (batch, config.cols)
         reference = LinearCrossbarSolver(config)
         for k in range(batch):
@@ -80,7 +79,7 @@ class TestLinearBatched:
         solver = LinearCrossbarSolver(config)
         v = np.zeros((0, config.rows))
         g = np.full(config.shape, config.g_off_s)
-        assert solver.solve_batch(v, g).shape == (0, config.cols)
+        assert solver.solve(v, g).shape == (0, config.cols)
         assert solver.solve_node_voltages(v, g).shape == \
             (0, solver.topology.n_nodes)
 
@@ -188,7 +187,7 @@ class TestNewtonBatched:
             NewtonOptions(max_iter=1, raise_on_failure=False))
         assert not out.converged.any()
         # The full Newton step lands at x = 20 where the residual is NaN;
-        # that first trial is kept, exactly as solve_newton would.
+        # that first trial is kept, exactly as the scalar reference would.
         np.testing.assert_array_equal(out.x, np.full((2, 1), 20.0))
 
     def test_failure_tolerated_when_not_raising(self):
@@ -257,17 +256,25 @@ class TestSimulatorBatched:
 
     def test_full_mode_batch_64_matches_per_vector_at_16x16(self):
         """A 16x16 batch of 64 full-mode operating points through the
-        batched conjugate-gradient Newton step matches one exact-LU Newton
-        solve per vector at 1e-9."""
+        batched conjugate-gradient Newton step matches one exact-LU scalar
+        Newton solve per vector at 1e-9, and so does each vector solved
+        alone (a batch of one), in as many iterations."""
         config = CrossbarConfig(rows=16, cols=16)
         rng = np.random.default_rng(0)
         g = rng.uniform(config.g_off_s, config.g_on_s, size=config.shape)
         v = rng.uniform(0.0, config.v_supply_v, size=(64, config.rows))
         sim = CrossbarCircuitSimulator(config)
         device = sim.make_cell_device(g)
-        per_vector = np.stack([sim._solve_full(vk, g, device=device)
-                               .currents_a for vk in v])
+        references = [reference_solve_full(sim, vk, g, device=device)
+                      for vk in v]
+        per_vector = sim.topology.output_currents(
+            np.stack([ref.x for ref in references]))
         batched = sim.solve_batch(v, g, mode="full")
         scale = np.abs(per_vector).max()
         np.testing.assert_allclose(batched, per_vector, rtol=RTOL,
                                    atol=RTOL * scale)
+        for vk, ref, expected in zip(v, references, per_vector):
+            single = sim.solve(vk, g, mode="full")
+            np.testing.assert_allclose(single.currents_a, expected,
+                                       rtol=RTOL, atol=RTOL * scale)
+            assert single.iterations == ref.iterations

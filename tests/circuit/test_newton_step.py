@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro.circuit.simulator as simulator_mod
+from newton_reference import reference_solve_full, residual_and_jacobian
 from repro.circuit.linear_solver import sparse_lu
 from repro.circuit.newton import solve_newton_batch
 from repro.circuit.simulator import CrossbarCircuitSimulator
@@ -23,8 +24,8 @@ RTOL = 1e-9
 
 def exact_lu_solve_batch(sim, v, g):
     """Full-mode batch currents with one sparse LU per Newton step: the
-    batched damped Newton with the Jacobian assembled on the simulator's
-    stamp pattern and factorised per system, in the solver's ordering."""
+    batched damped Newton with the Jacobian assembled by the simulator's
+    nodal assembler and factorised per system, in the solver's ordering."""
     topo = sim.topology
     an, bn = topo.cell_row_nodes, topo.cell_col_nodes
     para = sim._parasitic_csr
@@ -45,8 +46,9 @@ def exact_lu_solve_batch(sim, v, g):
     def step(x, idx, f):
         vd = x[:, an] - x[:, bn]
         out = np.stack([
-            sparse_lu(sim._stamp_pattern.assemble(g_memo[vd[k].tobytes()]))
-            .solve(-f[k]) for k in range(x.shape[0])])
+            sparse_lu(sim.linear_solver.system_matrix(
+                g_memo[vd[k].tobytes()])).solve(-f[k])
+            for k in range(x.shape[0])])
         g_memo.clear()
         return out
 
@@ -57,15 +59,16 @@ def exact_lu_solve_batch(sim, v, g):
 
 
 def count_exact_steps(monkeypatch):
-    """Count Jacobian assemblies, i.e. exact-LU fallback steps."""
+    """Count the simulator's own LU factorisations: its exact-LU fallback
+    steps (the linear network's factor is made by the linear solver)."""
     calls = []
-    original = simulator_mod._StampPattern.assemble
+    original = simulator_mod.sparse_lu
 
-    def counting(self, g_dev):
+    def counting(matrix):
         calls.append(1)
-        return original(self, g_dev)
+        return original(matrix)
 
-    monkeypatch.setattr(simulator_mod._StampPattern, "assemble", counting)
+    monkeypatch.setattr(simulator_mod, "sparse_lu", counting)
     return calls
 
 
@@ -117,7 +120,7 @@ class TestConjugateGradientStep:
         f = rng.standard_normal((5, sim.topology.n_nodes)) * 1e-6
         steps = sim._newton_steps(g_dev, f, lu)
         for k in range(5):
-            jac = sim._stamp_pattern.assemble(g_dev[k])
+            jac = sim.linear_solver.system_matrix(g_dev[k])
             exact = sparse_lu(jac).solve(-f[k])
             assert np.max(np.abs(jac @ steps[k] + f[k])) <= \
                 simulator_mod.CG_RTOL * np.max(np.abs(f[k])) * 1.01
@@ -148,12 +151,13 @@ class TestCharacterizeGeometry:
             device = sim.make_cell_device(g)
             currents = sim.topology.output_currents(result.x)
             for k in range(v.shape[0]):
-                fn = sim._residual_and_jacobian_factory(device, rhs[k])
+                fn = residual_and_jacobian(sim, device, rhs[k])
                 residual = np.max(np.abs(fn(result.x[k])[0]))
                 tol = opts.tol_residual + opts.tol_relative * np.max(
                     np.abs(rhs[k]))
                 assert residual <= tol
-                exact = sim._solve_full(v[k], g).currents_a
+                exact = sim.topology.output_currents(
+                    reference_solve_full(sim, v[k], g).x)
                 np.testing.assert_allclose(currents[k], exact, rtol=RTOL,
                                            atol=1e-18)
         assert not calls, "the CG step fell back to exact LU"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from newton_reference import residual_and_jacobian
 from repro.circuit.simulator import CrossbarCircuitSimulator
 from repro.devices.rram import RramParameters
 from repro.errors import ConfigError
@@ -75,7 +76,7 @@ class TestPhysics:
         sol = sim.solve(v, g, mode="full")
         device = sim.make_cell_device(g)
         rhs = sim.topology.rhs_for_inputs(v)
-        fn = sim._residual_and_jacobian_factory(device, rhs)
+        fn = residual_and_jacobian(sim, device, rhs)
         residual, _ = fn(sol.node_voltages_v)
         assert np.max(np.abs(residual)) < 1e-10
 

@@ -111,9 +111,8 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("kind", ["exact", "analytical", "circuit"])
     def test_all_kinds_process_matches_serial(self, operands, kind):
         """Heavier sweep: every CPU tile kind, pooled on two threads vs
-        inline on one. ``circuit``'s tiles share one simulator, and with
-        it one LU memo, across the pool's threads; a tiny layer keeps it
-        fast."""
+        inline on one. ``circuit``'s tiles share one simulator across the
+        pool's threads; a tiny layer keeps it fast."""
         x, w = operands
         xcfg, shard_rows = XCFG, 6
         if kind == "circuit":
@@ -126,6 +125,44 @@ class TestBackendEquivalence:
             outs[workers] = engine.matmul(x, engine.prepare(w))
             engine.close()
         np.testing.assert_array_equal(outs[1], outs[2])
+
+
+class TestCircuitTileFactors:
+    """Every ``circuit`` tile factorises its G once, when it is programmed;
+    its readouts on any pool thread reuse that factor."""
+
+    def test_matmuls_factorise_nothing(self, operands, monkeypatch):
+        import repro.circuit.linear_solver as linear_solver_mod
+        import repro.circuit.simulator as simulator_mod
+        import repro.funcsim.engine as engine_mod
+
+        calls = []
+        original = linear_solver_mod.sparse_lu
+
+        def counting(matrix):
+            calls.append(1)
+            return original(matrix)
+
+        for module in (linear_solver_mod, simulator_mod, engine_mod):
+            monkeypatch.setattr(module, "sparse_lu", counting)
+        x, w = operands
+        x, w = x[:5, :8], w[:8, :5]
+        outs = {}
+        for workers in (1, 2):
+            engine = _pooled(make_engine("circuit",
+                                         CrossbarConfig(rows=4, cols=4),
+                                         SCFG, workers=workers), 2)
+            prepared = engine.prepare(w)
+            n_models = sum(len(row) for row in prepared.row_models)
+            assert len(calls) == n_models
+            calls.clear()
+            first = engine.matmul(x, prepared)
+            second = engine.matmul(x, prepared)
+            engine.close()
+            assert not calls, f"{len(calls)} LU calls in two matmuls"
+            assert first.tobytes() == second.tobytes()
+            outs[workers] = first
+        assert outs[1].tobytes() == outs[2].tobytes()
 
 
 class TestNoiseDeterminism:
