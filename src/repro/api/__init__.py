@@ -38,7 +38,6 @@ from repro.api.spec import (
     DeviceSpec,
     EmulationSpec,
     EmulatorSpec,
-    FleetSpec,
     RuntimeSpec,
     SimSpec,
     XbarSpec,
@@ -65,7 +64,6 @@ __all__ = [
     "MitigationSpec",
     "NoiseTrainSpec",
     "CalibrationSpec",
-    "FleetSpec",
     "RuntimeSpec",
     "Session",
     "open_session",

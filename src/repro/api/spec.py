@@ -26,7 +26,7 @@ The spec tree::
     │   ├── noise: NoiseTrainSpec    # noise-injection / HW-loop training
     │   ├── calibration: CalibrationSpec
     │   └── seed
-    └── runtime: RuntimeSpec         # workers / chunking / fleet
+    └── runtime: RuntimeSpec         # workers / chunking
 
 The design-parameter nodes subclass the validated config dataclasses they
 describe (:class:`XbarSpec` extends
@@ -181,26 +181,6 @@ class EmulatorSpec:
 
 
 @dataclass(frozen=True)
-class FleetSpec:
-    """Fleet routing policy for this spec when served behind a front-end.
-
-    ``replication`` asks the fleet front-end to spread this model's
-    traffic over that many distinct workers (capped by the fleet size);
-    the front-end picks the least-loaded replica per request. Purely a
-    routing hint: like every runtime knob, it never enters
-    ``model_key()``/``key()`` or any cache digest, and a single-process
-    server ignores it entirely.
-    """
-
-    replication: int = 1
-
-    def __post_init__(self):
-        if self.replication < 1:
-            raise ConfigError(
-                f"fleet replication must be >= 1, got {self.replication}")
-
-
-@dataclass(frozen=True)
 class RuntimeSpec:
     """Execution policy: how a resolved engine runs, not what it computes.
 
@@ -213,17 +193,14 @@ class RuntimeSpec:
         workers: Threads running one matmul's shards (``make_engine``'s
             ``workers``); results are identical at any count.
         chunk_rows: Conv-layer im2col chunking for converted models.
-        fleet: Fleet routing policy (:class:`FleetSpec`); a digest-
-            neutral hint consumed only by the fleet front-end.
 
-    Stored specs naming a removed runtime field (the executor, the tile
-    cache size, the array backend or the batch-invariance flag) are
-    rejected like any other unknown field.
+    Specs naming a removed runtime field (the executor, the tile cache
+    size, the array backend, the batch-invariance flag or the fleet
+    routing node) are rejected like any other unknown field.
     """
 
     workers: int = 1
     chunk_rows: int | None = None
-    fleet: FleetSpec = FleetSpec()
 
     def __post_init__(self):
         if self.workers < 1:
@@ -369,9 +346,9 @@ class EmulationSpec:
         registry scheme, so non-learned kinds key conservatively on the
         emulator node too rather than risk ever sharing an engine across
         different crossbar designs) and the sim precision. Excludes the
-        whole runtime node: worker count, chunking and fleet routing
-        never change results (the runtime's determinism contract), so
-        two specs that differ only there share warm engines.
+        whole runtime node: worker count and chunking never change
+        results (the runtime's determinism contract), so two specs that
+        differ only there share warm engines.
         """
         return engine_identity(self.model_key(), self.engine, self.sim)
 
@@ -505,7 +482,6 @@ _SPEC_CHILDREN = {
                     "nonideality": NonidealitySpec,
                     "mitigation": MitigationSpec},
     XbarSpec: {"rram": DeviceSpec},
-    RuntimeSpec: {"fleet": FleetSpec},
     EmulatorSpec: {"sampling": SamplingSpec, "training": TrainSpec},
     MitigationSpec: {"noise": NoiseTrainSpec,
                      "calibration": CalibrationSpec},

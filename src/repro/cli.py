@@ -392,6 +392,7 @@ def _cmd_serve(args) -> int:
 def _cmd_fleet(args) -> int:
     import asyncio
     import logging
+    import signal
 
     from repro.core.zoo import default_cache_dir
     from repro.fleet import FleetFrontend, FleetSupervisor
@@ -403,7 +404,6 @@ def _cmd_fleet(args) -> int:
                    "--max-nets", str(args.max_nets),
                    "--engine-workers", str(args.engine_workers)]
     frontend = FleetFrontend(
-        replication=args.replication, vnodes=args.vnodes,
         max_inflight=args.max_inflight,
         quota_rate=args.quota_rate, quota_burst=args.quota_burst,
         health_interval_s=args.health_interval)
@@ -426,10 +426,24 @@ def _cmd_fleet(args) -> int:
             await frontend.close()
 
     async def run() -> None:
-        await frontend.start(args.host, args.port)
-        await supervisor.start(frontend)
-        log.info("fleet: %d worker(s), replication %d, shared cache %s",
-                 args.workers, args.replication, cache_dir)
+        # Workers run in sessions of their own, so a SIGTERM that killed
+        # this process while they boot would leave them running. Until
+        # the drain handler takes over, SIGTERM cancels the boot and
+        # every worker already spawned is stopped.
+        try:
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, asyncio.current_task().cancel)
+        except (NotImplementedError, RuntimeError):
+            pass
+        try:
+            await frontend.start(args.host, args.port)
+            await supervisor.start(frontend)
+        except asyncio.CancelledError:
+            log.info("boot cancelled; stopping workers")
+            await _Fleet().close()
+            return
+        log.info("fleet: %d worker(s), shared cache %s",
+                 args.workers, cache_dir)
         await _run_until_sigterm(_Fleet(), log, "fleet")
 
     try:
@@ -489,8 +503,8 @@ def _cmd_obs_fleet(args) -> int:
                           "workers": report}, indent=2))
     else:
         shed = metrics.get("fleet", {}).get("shed", {})
-        print(f"{len(report)} worker(s), "
-              f"{len(metrics.get('ring', {}).get('members', []))} in ring"
+        live = sum(row["healthy"] for row in report.values())
+        print(f"{len(report)} worker(s), {live} live"
               + (f", shed {shed}" if shed else ""))
         print(format_fleet_report(report))
     return 0
@@ -591,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(func=_cmd_serve)
 
     p_fleet = sub.add_parser(
-        "fleet", help="run a consistent-hash front-end over N serve "
+        "fleet", help="run a least-loaded front-end over N serve "
                       "workers sharing one artifact store")
     p_fleet.add_argument("--workers", type=int, default=2,
                          help="serve worker processes to spawn")
@@ -600,11 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "loopback)")
     p_fleet.add_argument("--port", type=int, default=8000,
                          help="front-end port; 0 picks a free port")
-    p_fleet.add_argument("--replication", type=int, default=1,
-                         help="default workers per routing key (hot keys "
-                              "can raise it via spec.runtime.fleet)")
-    p_fleet.add_argument("--vnodes", type=int, default=64,
-                         help="virtual nodes per worker on the hash ring")
     p_fleet.add_argument("--max-inflight", type=int, default=256,
                          help="global in-flight bound before 429")
     p_fleet.add_argument("--quota-rate", type=float, default=None,

@@ -1,26 +1,26 @@
-"""The fleet front-end: one asyncio process routing to N serve workers.
+"""The fleet front-end: one asyncio process over a pool of N serve workers.
 
 Accepts the existing ``repro.serve`` wire protocol unchanged (a
 :class:`~repro.serve.client.ServeClient` pointed at the front-end works
-as-is) and forwards each request — body bytes verbatim — to a worker
-chosen by consistent-hashing its resolved routing key
-(:func:`repro.fleet.routing.routing_key`). Responses come back byte-
-identical to a single-process server because workers *are* the existing
-serve stack and the proxy never re-encodes a payload.
+as-is) and forwards each request — body bytes verbatim — to the live
+worker with the fewest in-flight forwards (ties go to the worker
+registered first, the lowest id). A request naming a memory-only key
+(``crossbar_key``, ``weights_key``, ``mitigated_key``) goes to the
+worker that returned that key (:mod:`repro.fleet.routing`). Responses
+come back byte-identical to a single-process server because workers
+*are* the existing serve stack and the proxy never re-encodes a payload.
 
 Robustness is built in, not bolted on:
 
-* **replication** — hot keys can run with ``replication > 1`` (front-end
-  default or per-request ``spec.runtime.fleet.replication``); among the
-  key's replica set the least-loaded worker (front-end-tracked in-flight
-  forwards) takes the request;
 * **retry-once-on-peer-failure** — a connection-level failure marks the
-  worker dead, re-hashes the ring and retries the request once on the
-  next replica (safe: every endpoint is content-addressed and
-  idempotent); timeouts are *not* retried — the work may be executing;
+  worker dead and retries the request once on another live worker
+  (safe: every endpoint is content-addressed and idempotent); timeouts
+  are *not* retried — the work may be executing;
 * **health checks** — a background loop probes ``/healthz`` per worker;
-  two consecutive failures evict it from the ring, a later success
-  re-admits it (the supervisor's respawns re-register explicitly);
+  two consecutive failures evict it from the pool, a later success
+  re-admits it (the supervisor's respawns re-register explicitly); a
+  dead or re-registered worker's pins stop routing, so its keys get a
+  live worker's honest 404;
 * **load shedding** — a global in-flight bound answers 429 before the
   front-end melts, and optional per-tenant token buckets (keyed by the
   ``X-Repro-Tenant`` header) enforce quotas;
@@ -46,15 +46,12 @@ import json
 import logging
 from time import perf_counter
 
-from repro.fleet.ring import HashRing
 from repro.fleet.routing import (
-    KEY_FIELDS,
-    LEARN_ENDPOINTS,
+    KEYED_ENDPOINTS,
+    PIN_FIELDS,
     ROUTED_ENDPOINTS,
     TokenBucket,
-    fallback_key,
-    requested_replication,
-    routing_key,
+    pinned_key,
 )
 from repro.obs import MetricsRegistry, current_trace
 from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
@@ -120,16 +117,16 @@ class FleetMetrics:
             labelnames=("worker",))
         self._retries = reg.counter(
             "repro_fleet_retries_total",
-            "Requests retried on a replica after a peer failure.")
-        self._rehashes = reg.counter(
-            "repro_fleet_rehashes_total",
-            "Ring re-hashes after a worker was marked dead.")
+            "Requests retried on another worker after a peer failure.")
+        self._evictions = reg.counter(
+            "repro_fleet_evictions_total",
+            "Workers evicted from the pool after being marked dead.")
         self._shed = reg.counter(
             "repro_fleet_shed_total",
             "Requests shed with 429, by reason (queue | quota).",
             labelnames=("reason",))
         self._workers = reg.gauge(
-            "repro_fleet_workers", "Workers currently in the hash ring.")
+            "repro_fleet_workers", "Live workers in the pool.")
         self._inflight = reg.gauge(
             "repro_fleet_inflight",
             "Requests currently forwarded and awaiting a worker.")
@@ -178,8 +175,8 @@ class FleetMetrics:
     def record_retry(self) -> None:
         self._retries.inc()
 
-    def record_rehash(self) -> None:
-        self._rehashes.inc()
+    def record_eviction(self) -> None:
+        self._evictions.inc()
 
     def set_workers(self, n: int) -> None:
         self._workers.set(n)
@@ -202,7 +199,7 @@ class FleetMetrics:
             "forwards": ServeMetrics._sum_family(self._forwards),
             "shed": ServeMetrics._sum_family(self._shed),
             "retries": self._retries._default.value,
-            "rehashes": self._rehashes._default.value,
+            "evictions": self._evictions._default.value,
             "inflight": self._inflight._default.value,
             "workers": self._workers._default.value,
             "latency": {
@@ -215,13 +212,12 @@ class FleetMetrics:
 
 
 class FleetFrontend(HttpService):
-    """Consistent-hash routing proxy over a fleet of serve workers."""
+    """Least-loaded routing proxy over a pool of serve workers."""
 
     TRACE_PREFIX = "fleet"
     LOGGER = "repro.fleet"
 
-    def __init__(self, *, replication: int = 1, vnodes: int = 64,
-                 max_inflight: int = 256,
+    def __init__(self, *, max_inflight: int = 256,
                  quota_rate: float | None = None,
                  quota_burst: float | None = None,
                  health_interval_s: float = 2.0,
@@ -230,12 +226,9 @@ class FleetFrontend(HttpService):
                  forward_timeout_s: float = 300.0,
                  max_body_bytes: int = 32 * 1024 * 1024,
                  idle_timeout_s: float = 120.0, tracing: bool = True,
-                 learned_keys: int = 4096, max_tenants: int = 1024):
-        if replication < 1:
-            raise ValueError(f"replication must be >= 1, got {replication}")
+                 pinned_keys: int = 4096, max_tenants: int = 1024):
         super().__init__(FleetMetrics(), max_body_bytes=max_body_bytes,
                          idle_timeout_s=idle_timeout_s, tracing=tracing)
-        self.replication = int(replication)
         self.max_inflight = int(max_inflight)
         self.quota_rate = quota_rate
         self.quota_burst = quota_burst if quota_burst is not None \
@@ -244,10 +237,9 @@ class FleetFrontend(HttpService):
         self.health_timeout_s = float(health_timeout_s)
         self.connect_timeout_s = float(connect_timeout_s)
         self.forward_timeout_s = float(forward_timeout_s)
-        self.ring = HashRing(vnodes)
         self.workers: dict = {}          # wid -> WorkerState
         self._pools: dict = {}           # wid -> [(reader, writer), ...]
-        self._learned = LruDict(learned_keys)   # derived key -> route key
+        self._pins = LruDict(pinned_keys)       # key -> WorkerState
         self._tenants = LruDict(max_tenants)    # tenant -> TokenBucket
         self._health_task = None
         self.routes = {("GET", "/healthz"): self._get_healthz,
@@ -263,33 +255,30 @@ class FleetFrontend(HttpService):
     # Topology
     # ------------------------------------------------------------------
     def add_worker(self, wid: str, host: str, port: int) -> None:
-        """Register (or re-register, e.g. after a respawn) a worker."""
+        """Register (or re-register, e.g. after a respawn) a worker.
+
+        A re-registered worker is a new process, so it gets a new
+        :class:`WorkerState` and the old one's pins stop routing.
+        """
         if wid in self.workers:
             self._close_pool(wid)
         self.workers[wid] = WorkerState(wid, host, port)
-        self.ring.add(wid)
-        self.metrics.set_workers(len(self.ring))
-        _log.info("worker %s joined at %s:%d (ring size %d)",
-                  wid, host, port, len(self.ring))
-
-    def forget_worker(self, wid: str) -> None:
-        """Drop a worker entirely (supervisor shutdown path)."""
-        self.workers.pop(wid, None)
-        self.ring.remove(wid)
-        self._close_pool(wid)
-        self.metrics.set_workers(len(self.ring))
+        live = len(self._live_workers())
+        self.metrics.set_workers(live)
+        _log.info("worker %s joined at %s:%d (%d live)",
+                  wid, host, port, live)
 
     def _mark_dead(self, wid: str, reason: str) -> None:
         worker = self.workers.get(wid)
         if worker is None or not worker.healthy:
             return
         worker.healthy = False
-        self.ring.remove(wid)
         self._close_pool(wid)
-        self.metrics.record_rehash()
-        self.metrics.set_workers(len(self.ring))
-        _log.warning("worker %s marked dead (%s); ring re-hashed to %d "
-                     "member(s)", wid, reason, len(self.ring))
+        self.metrics.record_eviction()
+        live = len(self._live_workers())
+        self.metrics.set_workers(live)
+        _log.warning("worker %s marked dead (%s); %d live", wid, reason,
+                     live)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -342,9 +331,9 @@ class FleetFrontend(HttpService):
         bytes arrived) is retried once on a fresh connection — the one
         failure mode where the request was provably never processed. A
         fresh connection failing raises :class:`_WorkerUnreachable` (the
-        caller re-hashes and retries on a replica); a timeout raises
-        :class:`_ForwardTimeout` and is never retried, because the worker
-        may be executing the request.
+        caller marks the worker dead and retries on another); a timeout
+        raises :class:`_ForwardTimeout` and is never retried, because the
+        worker may be executing the request.
         """
         timeout_s = timeout_s if timeout_s is not None \
             else self.forward_timeout_s
@@ -400,14 +389,12 @@ class FleetFrontend(HttpService):
 
     async def _get_healthz(self, headers: dict) -> dict:
         return {"status": "ok", "role": "fleet-frontend",
-                "workers": len(self.ring)}
+                "workers": len(self._live_workers())}
 
     async def _get_fleet(self, headers: dict) -> dict:
-        return {"ring": self.ring.describe(),
-                "replication": self.replication,
-                "workers": {wid: state.describe()
+        return {"workers": {wid: state.describe()
                             for wid, state in self.workers.items()},
-                "learned_keys": len(self._learned)}
+                "pinned_keys": len(self._pins)}
 
     # ------------------------------------------------------------------
     # Routing
@@ -437,15 +424,10 @@ class FleetFrontend(HttpService):
 
         trace = current_trace()
         t_route = perf_counter()
-        rkey, parsed = await self._routing_key(path, body)
+        pinned = await self._pinned_worker(path, body)
         if trace is not None:
             trace.add_span("route", t_route, perf_counter() - t_route,
-                           meta={"key": rkey[:24]})
-
-        replication = self.replication
-        if isinstance(parsed, dict):
-            replication = max(replication,
-                              requested_replication(parsed) or 1)
+                           meta={"pinned": pinned is not None})
 
         data = encode_request(
             "POST", path, body,
@@ -453,13 +435,10 @@ class FleetFrontend(HttpService):
                                          "application/json")})
         attempted: set = set()
         for attempt in (0, 1):
-            candidates = [wid for wid in self.ring.lookup(rkey, replication)
-                          if wid not in attempted]
-            if not candidates:
+            worker = self._choose(pinned, attempted)
+            if worker is None:
                 break
-            wid = min(candidates,
-                      key=lambda w: self.workers[w].inflight)
-            worker = self.workers[wid]
+            wid = worker.wid
             attempted.add(wid)
             if attempt:
                 self.metrics.record_retry()
@@ -480,64 +459,70 @@ class FleetFrontend(HttpService):
                     trace.add_span("forward", t_fwd, duration,
                                    meta={"worker": wid,
                                          "attempt": attempt})
-            if status == 200 and path in LEARN_ENDPOINTS:
-                self._learn(rkey, rbody)
+            if status == 200 and path in PIN_FIELDS:
+                self._pin(PIN_FIELDS[path], rbody, worker)
             return status, RawResponse(
                 rheaders.get("content-type", "application/json"), rbody,
                 {"X-Repro-Worker": wid})
-        if not len(self.ring):
+        if not self._live_workers():
             return 503, {"error": "no live workers in the fleet"}
         return 502, {"error": f"request failed on {len(attempted)} "
-                              f"worker(s) and no replica remains; "
+                              f"worker(s) and no live worker remains; "
                               f"retry later"}
 
-    async def _routing_key(self, path: str, body: bytes) -> tuple:
-        """Resolve ``(routing_key, parsed_body_or_None)`` without raising.
+    def _choose(self, pinned: WorkerState | None,
+                attempted: set) -> WorkerState | None:
+        """The pinned worker while it lives, else the least-loaded one.
 
-        Malformed bodies route by a digest of the raw bytes so the
-        *worker* produces the authoritative 400/404 — the front-end never
-        duplicates (and can never drift from) the strict protocol
-        validation.
+        ``min`` keeps the first of equal loads, and ``workers`` holds
+        registration order, so ties go to the lowest worker id.
         """
+        if pinned is not None and pinned.healthy \
+                and pinned.wid not in attempted \
+                and self.workers.get(pinned.wid) is pinned:
+            return pinned
+        candidates = [w for w in self._live_workers()
+                      if w.wid not in attempted]
+        return min(candidates, key=lambda w: w.inflight) \
+            if candidates else None
+
+    async def _pinned_worker(self, path: str,
+                             body: bytes) -> WorkerState | None:
+        """The worker holding the memory-only key a request names.
+
+        Only endpoints that accept such a key are parsed. A malformed
+        body reads as unpinned, so a worker produces the authoritative
+        400 and the front-end never duplicates protocol validation.
+        """
+        field = KEYED_ENDPOINTS.get(path)
+        if field is None:
+            return None
         try:
             parsed = await self.load_json(body)
         except (UnicodeDecodeError, json.JSONDecodeError):
-            return fallback_key(body), None
-        if not isinstance(parsed, dict):
-            return fallback_key(body), parsed
-        try:
-            kind, key = routing_key(parsed)
-        except Exception:
-            return fallback_key(body), parsed
-        if kind == "derived":
-            learned = self._learned.get(key)
-            return (learned if learned is not None
-                    else fallback_key(key)), parsed
-        return key, parsed
+            return None
+        key = pinned_key(parsed, field)
+        return self._pins.get(key) if key is not None else None
 
-    def _learn(self, rkey: str, rbody: bytes) -> None:
-        """Map derived keys in a registration response to its route key.
+    def _pin(self, field: str, rbody: bytes, worker: WorkerState) -> None:
+        """Pin the key a registration response names to its worker.
 
-        Registration responses are small (a key and a shape), so parsing
-        on the loop is cheap; fallback-routed registrations still learn —
-        later key-addressed requests then follow the same route.
+        Registration responses are small (a key and a shape, or a
+        mitigation's metrics), so parsing on the loop is cheap.
         """
         try:
             response = json.loads(rbody)
         except (UnicodeDecodeError, json.JSONDecodeError):
             return
-        if not isinstance(response, dict):
-            return
-        for field in KEY_FIELDS:
-            value = response.get(field)
-            if isinstance(value, str) and value:
-                self._learned.put(value, rkey)
+        key = pinned_key(response, field)
+        if key is not None:
+            self._pins.put(key, worker)
 
     # ------------------------------------------------------------------
     # Aggregated GETs
     # ------------------------------------------------------------------
     def _live_workers(self) -> list:
-        return [self.workers[wid] for wid in self.ring.members()]
+        return [w for w in self.workers.values() if w.healthy]
 
     async def _get_models(self, headers: dict) -> dict:
         """Union of every live worker's warm models."""
@@ -599,8 +584,6 @@ class FleetFrontend(HttpService):
             workers[wid] = entry
         return {
             "fleet": self.metrics.summary(),
-            "ring": {**self.ring.describe(),
-                     "replication": self.replication},
             "workers": workers,
             "families": self.metrics.registry.snapshot(),
         }
@@ -648,10 +631,9 @@ class FleetFrontend(HttpService):
                     worker.fails = 0
                     if not worker.healthy:
                         worker.healthy = True
-                        self.ring.add(wid)
-                        self.metrics.set_workers(len(self.ring))
+                        self.metrics.set_workers(len(self._live_workers()))
                         _log.info("worker %s recovered; re-admitted "
-                                  "to the ring", wid)
+                                  "to the pool", wid)
                 else:
                     worker.fails += 1
                     # One failed probe may be a slow scrape racing a

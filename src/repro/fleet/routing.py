@@ -1,29 +1,18 @@
-"""Request → routing-key resolution and front-end admission control.
+"""Which requests the front-end pins to a worker, and tenant quotas.
 
-The front-end routes every request by the *model identity* it resolves
-to — ``EmulationSpec.model_key()``, the same digest the zoo and every
-warm registry tier key on — so all traffic for one trained model lands
-on one worker (replicas aside) and its microbatch queues coalesce
-exactly as they would on a single-process server. ``model_key()`` is
-runtime-independent by construction, so the front-end computes it
-without knowing any worker's runtime policy; a worker's
-``registry.serving_spec(...)`` normalisation changes engine/weights
-digests, never the model key.
-
-Key-addressed requests (``crossbar_key``/``weights_key``/
-``mitigated_key``) carry a derived digest the model key cannot be
-recovered from; the front-end learns the mapping from registration
-responses (which name both) and falls back to hashing the opaque key
-itself — deterministic, so repeats land on one worker, which answers an
-honest 404 for a key it never saw (the wire contract already tells
-clients to re-register).
+The fleet is a least-loaded pool: any live worker can serve any request
+that names a model, a spec or a ``net_key``, because every worker
+rebuilds trained models and compiled nets from the shared zoo. Three
+warm objects live only in the memory of the worker that built them — a
+registered crossbar, prepared weights and a mitigated classifier (the
+registry's ``crossbars``, ``engines`` and ``mitigated`` tiers) — so a
+request naming one by key must reach that worker. The front-end learns
+these pins from the registration responses (:data:`PIN_FIELDS`) and
+parses a request body only on the endpoints that accept such a key
+(:data:`KEYED_ENDPOINTS`).
 """
 
 from __future__ import annotations
-
-import hashlib
-
-from repro.serve.protocol import ModelSpec, parse_emulation_spec
 
 #: POST endpoints the front-end routes to workers.
 ROUTED_ENDPOINTS = ("/v1/models", "/v1/crossbars", "/v1/predict_fr",
@@ -31,68 +20,30 @@ ROUTED_ENDPOINTS = ("/v1/models", "/v1/crossbars", "/v1/predict_fr",
                     "/v1/mitigate", "/v1/mitigated_predict", "/v1/nets",
                     "/v1/net_predict")
 
-#: Response fields that name warm objects derived from a model key; the
-#: front-end learns ``derived key -> routing key`` from these.
-KEY_FIELDS = ("crossbar_key", "weights_key", "mitigated_key", "net_key")
+#: Registration endpoints, by the response field naming the memory-only
+#: key they return; the front-end pins that key to the answering worker.
+PIN_FIELDS = {"/v1/crossbars": "crossbar_key",
+              "/v1/weights": "weights_key",
+              "/v1/mitigate": "mitigated_key"}
 
-#: Registration endpoints with small responses, safe to parse on the
-#: event loop for key learning (predict/matmul responses carry the same
-#: fields but multi-MB arrays too — not worth the loop stall).
-LEARN_ENDPOINTS = ("/v1/models", "/v1/crossbars", "/v1/weights",
-                   "/v1/mitigate", "/v1/nets")
+#: Endpoints that accept a memory-only key, by the request field read.
+KEYED_ENDPOINTS = {"/v1/predict_fr": "crossbar_key",
+                   "/v1/predict_currents": "crossbar_key",
+                   "/v1/matmul": "weights_key",
+                   "/v1/mitigated_predict": "mitigated_key"}
 
 
-def routing_key(body: dict) -> tuple:
-    """Resolve a parsed request body to ``(kind, key)``.
+def pinned_key(body, field: str) -> str | None:
+    """The memory-only key a parsed request body names, if any.
 
-    ``("model", model_key)`` when the body carries a spec or flat model
-    object; ``("derived", key)`` when it is key-addressed (the caller
-    consults its learned map, falling back to :func:`fallback_key`).
-    Raises whatever the protocol parsers raise on malformed identity —
-    the caller routes by :func:`fallback_key` instead so the *worker*
-    produces the authoritative 400, keeping error bodies byte-identical
-    to the single-process server.
+    Never raises: a body that is not an object, or whose key is not a
+    non-empty string, reads as unpinned and goes to the least-loaded
+    worker, whose strict protocol check produces the authoritative 400.
     """
-    for field in KEY_FIELDS:
-        if field in body:
-            return "derived", str(body[field])
-    if "spec" in body:
-        return "model", parse_emulation_spec(body).model_key()
-    return "model", ModelSpec.from_payload(
-        body.get("model")).to_spec().model_key()
-
-
-def fallback_key(data) -> str:
-    """Deterministic routing key of last resort.
-
-    Used for unlearned derived keys and unparseable bodies: hashing the
-    opaque key string (or the raw body bytes) still routes repeats of
-    the same request to the same worker.
-    """
-    if isinstance(data, str):
-        data = data.encode()
-    return "fb-" + hashlib.sha256(data).hexdigest()[:16]
-
-
-def requested_replication(body: dict) -> int | None:
-    """The spec's ``runtime.fleet.replication`` knob, dug out leniently.
-
-    Routing must never reject what a worker would accept, so this never
-    raises: anything but a well-formed positive integer at the expected
-    path reads as "not requested" and the strict spec codec on the
-    worker produces the authoritative 400.
-    """
-    node = body.get("spec")
-    for field in ("runtime", "fleet"):
-        if not isinstance(node, dict):
-            return None
-        node = node.get(field)
-    if not isinstance(node, dict):
+    if not isinstance(body, dict):
         return None
-    value = node.get("replication")
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
-        return value
-    return None
+    key = body.get(field)
+    return key if isinstance(key, str) and key else None
 
 
 class TokenBucket:

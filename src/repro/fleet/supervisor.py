@@ -151,7 +151,7 @@ class FleetSupervisor:
 
     # ------------------------------------------------------------------
     async def start(self, frontend: FleetFrontend) -> None:
-        """Spawn all workers, wait until healthy, register with the ring."""
+        """Spawn all workers, wait until healthy, register with the pool."""
         for i in range(self.n_workers):
             wid = f"w{i}"
             self.workers[wid] = self._spawn(wid)

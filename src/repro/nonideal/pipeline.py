@@ -89,13 +89,6 @@ class NonidealitySpec:
                 for index, kind in enumerate(TRANSFORM_KINDS)
                 if not getattr(self, kind).is_identity]
 
-    def to_payload(self) -> dict:
-        """Plain JSON-encodable dict (the spec codec's wire shape)."""
-        out = {"seed": self.seed}
-        for kind in TRANSFORM_KINDS:
-            out[kind] = dataclasses.asdict(getattr(self, kind))
-        return out
-
     def digest(self) -> str:
         """Stable content digest of the *active* fault composition.
 

@@ -169,13 +169,13 @@ def _current_spec(stored: dict) -> dict:
     """A stored net program's spec dict in today's schema.
 
     Programs saved while batch invariance was a runtime flag store
-    ``runtime.batch_invariant``. Their keys never moved (the registry
-    always keyed them on the derived invariance, whatever the stored
-    flag said), so the field is dropped, not rejected; a client that
-    submits it still gets the unknown-field error.
+    ``runtime.batch_invariant``, and programs saved while the fleet had
+    a routing node store ``runtime.fleet``. No runtime field ever
+    entered a key, so both are dropped, not rejected; a client that
+    submits either still gets the unknown-field error.
     """
     runtime = {k: v for k, v in stored.get("runtime", {}).items()
-               if k != "batch_invariant"}
+               if k not in ("batch_invariant", "fleet")}
     return {**stored, "runtime": runtime}
 
 

@@ -234,9 +234,7 @@ class TestStoredSpecs:
     def test_runtime_node_never_moves_key(self, name):
         spec = get_preset(name)
         for runtime in ({"workers": 4}, {"chunk_rows": 16},
-                        {"fleet": {"replication": 3}},
-                        {"workers": 2, "chunk_rows": 1,
-                         "fleet": {"replication": 2}}):
+                        {"workers": 2, "chunk_rows": 1}):
             assert spec.evolve(runtime=runtime).key() == spec.key(), runtime
 
     def test_preset_list_is_pinned(self):
@@ -244,13 +242,14 @@ class TestStoredSpecs:
         assert preset_names() == sorted(PINNED_PRESET_KEYS)
 
     def test_removed_runtime_fields_rejected(self):
-        """A spec stored when executors, array backends and the
-        batch-invariance flag existed fails to load with the typed
-        unknown-field error naming the field."""
+        """A spec stored when executors, array backends, the
+        batch-invariance flag and the fleet routing node existed fails to
+        load with the typed unknown-field error naming the field."""
         for field, value in (("executor", "process"), ("backend", "numba"),
                              ("backend", "interp"),
                              ("batch_invariant", True),
-                             ("batch_invariant", False)):
+                             ("batch_invariant", False),
+                             ("fleet", {"replication": 2})):
             stored = {"engine": "exact",
                       "runtime": {"workers": 4, field: value}}
             with pytest.raises(

@@ -11,8 +11,10 @@ reference server, and asserts over actual HTTP:
   fleet-wide (zoo counters federated through the front-end prove it),
   and a model trained through one worker serves from another via a disk
   load, never a retrain;
-* killing a worker mid-traffic re-hashes the ring, retries in-flight
-  requests on a replica, and keeps answers byte-identical.
+* concurrent key-addressed follow-ups reach the worker that holds the
+  key (zero 404s), and concurrent clients spread over both workers;
+* killing a worker mid-traffic evicts it, retries in-flight requests on
+  the survivor, and keeps answers byte-identical.
 
 Ordering note: the worker-kill drill mutates the module-scoped fleet,
 so it lives in the last test class of the file.
@@ -21,12 +23,14 @@ so it lives in the last test class of the file.
 import http.client
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.api import get_preset
+from repro.api import EmulationSpec, get_preset
 from repro.core.zoo import GeniexZoo
+from repro.models.mlp import MLP
 from repro.obs import fleet_report, format_fleet_report
 from repro.serve.client import ServeClient
 from repro.serve.protocol import ModelSpec
@@ -48,12 +52,11 @@ DATASET = {"name": "blobs", "n_train": 256, "n_test": 128}
 def fleet(tmp_path_factory):
     """Front-end + 2 workers over one shared artifact store.
 
-    ``replication=2`` puts both workers in every key's replica set, so
-    traffic can land on either — the setup the shared zoo must survive.
+    Concurrent traffic lands on either worker — the setup the shared zoo
+    and the key pins must survive.
     """
     handle = FleetThread(
         2, str(tmp_path_factory.mktemp("fleet-zoo")),
-        frontend_kwargs={"replication": 2},
         worker_args=["--max-batch", "16"])
     handle.start()
     yield handle
@@ -91,6 +94,11 @@ def raw_post(port: int, path: str, payload: dict):
         return response.status, response.read(), dict(response.getheaders())
     finally:
         conn.close()
+
+
+def live_workers(metrics: dict) -> set:
+    return {wid for wid, entry in metrics["workers"].items()
+            if entry["healthy"]}
 
 
 def random_g(seed):
@@ -217,9 +225,7 @@ class TestSharedArtifactStore:
 class TestFleetObservability:
     def test_json_metrics_shape(self, fleet_client):
         metrics = fleet_client.metrics()
-        assert set(metrics) >= {"fleet", "ring", "workers", "families"}
-        assert metrics["ring"]["members"] == ["w0", "w1"]
-        assert metrics["ring"]["replication"] == 2
+        assert set(metrics) == {"fleet", "workers", "families"}
         assert metrics["fleet"]["workers"] == 2
         assert any(name.startswith("repro_fleet_")
                    for name in metrics["families"])
@@ -245,8 +251,9 @@ class TestFleetObservability:
         finally:
             conn.close()
         assert response.status == 200
-        assert topo["ring"]["members"] == ["w0", "w1"]
+        assert set(topo) == {"workers", "pinned_keys"}
         assert set(topo["workers"]) == {"w0", "w1"}
+        assert all(w["healthy"] for w in topo["workers"].values())
 
     def test_models_fans_out_and_dedupes(self, fleet_client):
         fleet_client.load_model(MODEL)
@@ -279,10 +286,93 @@ class TestFleetObservability:
         assert len(lines) == 4   # header + rule + one row per worker
 
 
+class TestPool:
+    def test_concurrent_key_addressed_follow_ups_never_404(
+            self, fleet, direct, direct_client):
+        """Memory-only keys registered concurrently (so on either worker)
+        and then used concurrently all reach the worker holding them:
+        zero 404s, and every body equals the direct server's."""
+        def register(i):
+            with ServeClient("127.0.0.1", fleet.port, timeout=300) as c:
+                w = np.random.default_rng(40 + i).uniform(-1, 1, (4, 4))
+                g = random_g(50 + i)
+                return (c.register_weights(MODEL, w),
+                        c.register_crossbar(MODEL, g), w, g)
+
+        with ThreadPoolExecutor(4) as pool:
+            registered = list(pool.map(register, range(4)))
+        with ServeClient("127.0.0.1", fleet.port, timeout=300) as c:
+            mitigated = c.mitigate(spec=MITIGATED_SPEC,
+                                   dataset=DATASET)["mitigated_key"]
+        requests = [("/v1/mitigated_predict",
+                     {"mitigated_key": mitigated,
+                      "x": np.random.default_rng(60).normal(
+                          size=(2, 16)).tolist()})]
+        for i, (weights_key, crossbar_key, w, g) in enumerate(registered):
+            assert weights_key == direct_client.register_weights(MODEL, w)
+            assert crossbar_key == direct_client.register_crossbar(MODEL, g)
+            requests.append(("/v1/matmul", {
+                "weights_key": weights_key,
+                "x": np.random.default_rng(70 + i).uniform(
+                    -1, 1, (2, 4)).tolist()}))
+            requests.append(("/v1/predict_fr", {
+                "crossbar_key": crossbar_key,
+                "voltages": random_v(80 + i, (2, 4)).tolist()}))
+        direct_client.mitigate(spec=MITIGATED_SPEC, dataset=DATASET)
+        want = []
+        for path, payload in requests:
+            status, body, _ = raw_post(direct.port, path, payload)
+            assert status == 200, body
+            want.append(body)
+
+        def follow_ups(_thread):
+            return [raw_post(fleet.port, path, payload)[:2]
+                    for _ in range(5) for path, payload in requests]
+
+        with ThreadPoolExecutor(4) as pool:
+            answers = [a for part in pool.map(follow_ups, range(4))
+                       for a in part]
+        statuses = [status for status, _ in answers]
+        assert statuses.count(404) == 0, statuses
+        assert set(statuses) == {200}
+        assert [body for _, body in answers] == want * 20
+
+    def test_concurrent_net_predicts_reach_both_workers(self, fleet):
+        spec = EmulationSpec.from_dict({"engine": "exact"})
+        with ServeClient("127.0.0.1", fleet.port, timeout=300) as c:
+            key = c.upload_net(MLP([8, 12, 4], seed=0),
+                               spec=spec)["net_key"]
+        payload = {"net_key": key, "x": np.random.default_rng(0)
+                   .standard_normal((1, 8)).tolist()}
+
+        def client(_thread):
+            conn = http.client.HTTPConnection("127.0.0.1", fleet.port,
+                                              timeout=300)
+            seen = []
+            try:
+                for _ in range(40):
+                    conn.request("POST", "/v1/net_predict",
+                                 body=json.dumps(payload),
+                                 headers={"Content-Type":
+                                          "application/json"})
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 200
+                    seen.append(response.getheader("X-Repro-Worker"))
+            finally:
+                conn.close()
+            return seen
+
+        with ThreadPoolExecutor(2) as pool:
+            seen = [wid for part in pool.map(client, range(2))
+                    for wid in part]
+        assert set(seen) == {"w0", "w1"}, seen
+
+
 class TestWorkerDeath:
     """Mutates the fleet (kills w?); keep this class last in the file."""
 
-    def test_kill_mid_traffic_rehashes_and_stays_byte_identical(
+    def test_kill_mid_traffic_retries_and_stays_byte_identical(
             self, fleet, direct, fleet_client, direct_client):
         fleet_client.load_model(MODEL)
         direct_client.load_model(MODEL)
@@ -308,7 +398,7 @@ class TestWorkerDeath:
         _, _, headers = raw_post(fleet.port, path, payload)
         victim = headers["X-Repro-Worker"]
         fleet.kill_worker(victim)
-        # Keep hammering through the death + rehash window.
+        # Keep hammering through the death + eviction window.
         deadline = threading.Event()
         deadline.wait(1.5)
         stop.set()
@@ -317,15 +407,14 @@ class TestWorkerDeath:
         assert not errors
         assert answers
         # Every single response — including requests in flight during the
-        # kill, retried on the surviving replica — is byte-identical.
+        # kill, retried on the surviving worker — is byte-identical.
         for status, body in answers:
             assert status == 200
             assert body == want
         survivor = {"w0", "w1"} - {victim}
         topo = fleet_client.metrics()
-        assert topo["ring"]["members"] == sorted(survivor)
-        fleet_stats = topo["fleet"]
-        assert fleet_stats["rehashes"] >= 1
+        assert live_workers(topo) == survivor
+        assert topo["fleet"]["evictions"] >= 1
 
     def test_traffic_after_death_served_by_survivor(self, fleet, direct,
                                                     fleet_client):
@@ -335,4 +424,4 @@ class TestWorkerDeath:
             assert f_status == d_status == 200
             assert f_body == d_body
             assert f_headers["X-Repro-Worker"] in \
-                fleet_client.metrics()["ring"]["members"]
+                live_workers(fleet_client.metrics())

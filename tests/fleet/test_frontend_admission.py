@@ -3,7 +3,7 @@
 These tests boot a :class:`FleetFrontend` with *no workers* (admission
 decisions all happen before any forward), drive it with raw HTTP via the
 shared httpio helpers, and check the shedding/drain/error surface: 503
-with an empty ring or while draining, 429 with ``Retry-After`` for
+with no live workers or while draining, 429 with ``Retry-After`` for
 over-quota tenants, 404/405 parity with the single-process server. The
 connection loop both services share (413, dropped requests, idle reaping,
 drain) is tested against both in ``tests/serve/test_http_service.py``.
@@ -11,8 +11,6 @@ drain) is tested against both in ``tests/serve/test_http_service.py``.
 
 import asyncio
 import json
-
-import pytest
 
 from repro.fleet.frontend import FleetFrontend
 from repro.serve.httpio import encode_request, read_response
@@ -42,7 +40,7 @@ async def roundtrip(frontend, method, path, payload=None, headers=None):
 
 
 class TestAdmission:
-    def test_empty_ring_sheds_503(self):
+    def test_no_live_workers_sheds_503(self):
         async def scenario():
             frontend = await boot()
             try:
@@ -87,7 +85,7 @@ class TestAdmission:
                 await frontend.close()
 
         first, second, other, summary = run(scenario())
-        assert first[0] == 503          # admitted, then empty ring
+        assert first[0] == 503          # admitted, then no workers
         assert second[0] == 429         # alice's bucket is dry
         assert second[1].get("retry-after") == "1"
         assert "quota" in json.loads(second[2])["error"]
@@ -138,8 +136,8 @@ class TestAdmission:
         assert body["role"] == "fleet-frontend" and body["workers"] == 0
 
 
-class TestRingStateTransitions:
-    def test_mark_dead_rehashes_and_counts(self):
+class TestPoolStateTransitions:
+    def test_mark_dead_evicts_and_counts(self):
         async def scenario():
             frontend = await boot()
             frontend.add_worker("w0", "127.0.0.1", 1)
@@ -147,13 +145,13 @@ class TestRingStateTransitions:
             frontend._mark_dead("w0", "test")
             frontend._mark_dead("w0", "again")   # idempotent
             summary = frontend.metrics.summary()
-            members = frontend.ring.members()
+            live = [w.wid for w in frontend._live_workers()]
             await frontend.close()
-            return summary, members
+            return summary, live
 
-        summary, members = run(scenario())
-        assert members == ["w1"]
-        assert summary["rehashes"] == 1
+        summary, live = run(scenario())
+        assert live == ["w1"]
+        assert summary["evictions"] == 1
         assert summary["workers"] == 1
 
     def test_reregistration_replaces_a_respawned_worker(self):
@@ -163,14 +161,10 @@ class TestRingStateTransitions:
             frontend._mark_dead("w0", "test")
             frontend.add_worker("w0", "127.0.0.1", 99)
             state = frontend.workers["w0"]
-            members = frontend.ring.members()
+            live = [w.wid for w in frontend._live_workers()]
             await frontend.close()
-            return state, members
+            return state, live
 
-        state, members = run(scenario())
-        assert members == ["w0"]
+        state, live = run(scenario())
+        assert live == ["w0"]
         assert state.port == 99 and state.healthy
-
-    def test_replication_validation(self):
-        with pytest.raises(ValueError):
-            FleetFrontend(replication=0)

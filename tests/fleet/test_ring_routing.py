@@ -1,116 +1,20 @@
-"""Unit tests for the hash ring, routing-key resolution and quotas."""
+"""Unit tests for least-loaded routing, key pins and quotas."""
+
+import asyncio
 
 import pytest
 
-from repro.api import EmulationSpec, FleetSpec, RuntimeSpec
-from repro.errors import ConfigError
-from repro.fleet.ring import HashRing
+from repro.fleet.frontend import FleetFrontend
 from repro.fleet.routing import (
+    KEYED_ENDPOINTS,
+    PIN_FIELDS,
     ROUTED_ENDPOINTS,
     TokenBucket,
-    fallback_key,
-    requested_replication,
-    routing_key,
+    pinned_key,
 )
-
-MODEL = {
-    "rows": 4, "cols": 4,
-    "sampling": {"n_g_matrices": 3, "n_v_per_g": 4, "seed": 0},
-    "training": {"hidden": 8, "epochs": 2, "batch_size": 8, "seed": 0},
-}
-
-
-class TestHashRing:
-    def test_lookup_deterministic(self):
-        a, b = HashRing(32), HashRing(32)
-        for member in ("w0", "w1", "w2"):
-            a.add(member)
-            b.add(member)
-        keys = [f"key-{i}" for i in range(50)]
-        assert [a.lookup(k) for k in keys] == [b.lookup(k) for k in keys]
-
-    def test_all_members_receive_keys(self):
-        ring = HashRing(64)
-        for member in ("w0", "w1", "w2", "w3"):
-            ring.add(member)
-        owners = {ring.lookup(f"key-{i}")[0] for i in range(200)}
-        assert owners == {"w0", "w1", "w2", "w3"}
-
-    def test_removal_remaps_only_the_dead_members_slice(self):
-        ring = HashRing(64)
-        for member in ("w0", "w1", "w2"):
-            ring.add(member)
-        keys = [f"key-{i}" for i in range(300)]
-        before = {k: ring.lookup(k)[0] for k in keys}
-        ring.remove("w1")
-        for key, owner in before.items():
-            if owner != "w1":
-                # Consistent hashing: survivors keep their keys.
-                assert ring.lookup(key)[0] == owner
-            else:
-                assert ring.lookup(key)[0] in ("w0", "w2")
-
-    def test_replica_lookup_returns_distinct_members(self):
-        ring = HashRing(64)
-        for member in ("w0", "w1", "w2"):
-            ring.add(member)
-        for i in range(50):
-            replicas = ring.lookup(f"key-{i}", 2)
-            assert len(replicas) == 2
-            assert len(set(replicas)) == 2
-        # n beyond the member count is capped, not an error.
-        assert sorted(ring.lookup("k", 10)) == ["w0", "w1", "w2"]
-
-    def test_empty_ring_and_idempotent_membership(self):
-        ring = HashRing(8)
-        assert ring.lookup("anything") == []
-        ring.add("w0")
-        ring.add("w0")
-        assert len(ring) == 1 and ring.describe()["points"] == 8
-        ring.remove("missing")
-        ring.remove("w0")
-        ring.remove("w0")
-        assert len(ring) == 0 and ring.lookup("anything") == []
-
-    def test_vnodes_validation(self):
-        with pytest.raises(ValueError):
-            HashRing(0)
 
 
 class TestRoutingKey:
-    def test_spec_body_routes_by_model_key(self):
-        spec = EmulationSpec()
-        kind, key = routing_key({"spec": spec.to_dict(), "x": [1.0]})
-        assert kind == "model" and key == spec.model_key()
-
-    def test_flat_model_body_routes_by_model_key(self):
-        kind, key = routing_key({"model": MODEL, "voltages": [0.1] * 4})
-        assert kind == "model" and len(key) > 8
-
-    def test_runtime_policy_does_not_change_the_route(self):
-        base = EmulationSpec()
-        tuned = EmulationSpec(runtime=RuntimeSpec(
-            workers=4, chunk_rows=16,
-            fleet=FleetSpec(replication=2)))
-        assert routing_key({"spec": base.to_dict()}) \
-            == routing_key({"spec": tuned.to_dict()})
-
-    def test_key_addressed_bodies_are_derived(self):
-        for field in ("crossbar_key", "weights_key", "mitigated_key"):
-            kind, key = routing_key({field: "abc123", "x": [1.0]})
-            assert kind == "derived" and key == "abc123"
-
-    def test_malformed_identity_raises_for_caller_fallback(self):
-        with pytest.raises(Exception):
-            routing_key({"spec": {"engine": "no-such-engine"}})
-        with pytest.raises(Exception):
-            routing_key({"voltages": [0.1]})
-
-    def test_fallback_key_deterministic(self):
-        assert fallback_key("abc") == fallback_key(b"abc")
-        assert fallback_key("abc") != fallback_key("abd")
-        assert fallback_key("abc").startswith("fb-")
-
     def test_routed_endpoints_cover_the_wire_protocol(self):
         assert set(ROUTED_ENDPOINTS) == {
             "/v1/models", "/v1/crossbars", "/v1/predict_fr",
@@ -118,27 +22,104 @@ class TestRoutingKey:
             "/v1/mitigate", "/v1/mitigated_predict", "/v1/nets",
             "/v1/net_predict"}
 
-    def test_net_key_routes_as_derived(self):
-        kind, key = routing_key({"net_key": "netprog-abc", "x": [1.0]})
-        assert kind == "derived" and key == "netprog-abc"
 
+class TestPinnedKey:
+    def test_key_addressed_bodies_are_pinned(self):
+        for field in ("crossbar_key", "weights_key", "mitigated_key"):
+            assert pinned_key({field: "abc123", "x": [1.0]}, field) \
+                == "abc123"
 
-class TestRequestedReplication:
-    def test_well_formed(self):
-        body = {"spec": {"runtime": {"fleet": {"replication": 3}}}}
-        assert requested_replication(body) == 3
+    def test_net_key_is_not_pinned(self):
+        # Any worker rebuilds a compiled net from the shared zoo.
+        assert "/v1/net_predict" not in KEYED_ENDPOINTS
+        assert "net_key" not in PIN_FIELDS.values()
 
     @pytest.mark.parametrize("body", [
-        {},
-        {"spec": None},
-        {"spec": {"runtime": None}},
-        {"spec": {"runtime": {"fleet": "nope"}}},
-        {"spec": {"runtime": {"fleet": {"replication": 0}}}},
-        {"spec": {"runtime": {"fleet": {"replication": "two"}}}},
-        {"spec": {"runtime": {"fleet": {"replication": True}}}},
+        None, [], "abc", {}, {"weights_key": ""}, {"weights_key": 7},
+        {"model": {"rows": 4}, "weights": [[1.0]]},
     ])
-    def test_lenient_on_anything_else(self, body):
-        assert requested_replication(body) is None
+    def test_malformed_or_model_bodies_are_not_pinned(self, body):
+        assert pinned_key(body, "weights_key") is None
+
+    def test_every_keyed_field_has_a_registration_endpoint(self):
+        assert set(KEYED_ENDPOINTS.values()) == set(PIN_FIELDS.values())
+        assert set(KEYED_ENDPOINTS) | set(PIN_FIELDS) \
+            <= set(ROUTED_ENDPOINTS)
+
+
+def pool(*wids):
+    """A front-end with registered (unreachable) workers, no loop."""
+    frontend = FleetFrontend()
+    for port, wid in enumerate(wids, start=1):
+        frontend.add_worker(wid, "127.0.0.1", port)
+    return frontend
+
+
+class TestLeastLoaded:
+    def test_ties_go_to_the_lowest_worker_id(self):
+        frontend = pool("w0", "w1", "w2")
+        assert frontend._choose(None, set()).wid == "w0"
+
+    def test_fewest_inflight_wins(self):
+        frontend = pool("w0", "w1", "w2")
+        frontend.workers["w0"].inflight = 2
+        frontend.workers["w1"].inflight = 1
+        frontend.workers["w2"].inflight = 1
+        assert frontend._choose(None, set()).wid == "w1"
+
+    def test_every_live_worker_takes_concurrent_load(self):
+        frontend = pool("w0", "w1", "w2", "w3")
+        chosen = []
+        for _ in range(4):   # four requests in flight at once
+            worker = frontend._choose(None, set())
+            worker.inflight += 1
+            chosen.append(worker.wid)
+        assert chosen == ["w0", "w1", "w2", "w3"]
+
+    def test_retry_skips_attempted_and_dead_workers(self):
+        frontend = pool("w0", "w1", "w2")
+        frontend._mark_dead("w1", "test")
+        assert frontend._choose(None, {"w0"}).wid == "w2"
+        assert frontend._choose(None, {"w0", "w2"}) is None
+        assert pool()._choose(None, set()) is None
+
+    def test_pinned_worker_wins_over_load(self):
+        frontend = pool("w0", "w1")
+        w1 = frontend.workers["w1"]
+        w1.inflight = 5
+        assert frontend._choose(w1, set()) is w1
+
+    def test_dead_or_respawned_workers_pins_stop_routing(self):
+        frontend = pool("w0", "w1", "w2")
+        w1, w2 = frontend.workers["w1"], frontend.workers["w2"]
+        frontend._pins.put("k1", w1)
+        frontend._pins.put("k2", w2)
+        frontend._mark_dead("w1", "test")
+        # The dead worker's key goes to the least-loaded live worker
+        # (whose honest 404 tells the client to re-register); the
+        # survivor keeps its pin.
+        assert frontend._choose(frontend._pins.get("k1"), set()).wid == "w0"
+        assert frontend._choose(frontend._pins.get("k2"), set()) is w2
+        # A respawn re-registers a new process: the old pins stay dead.
+        frontend.add_worker("w2", "127.0.0.1", 99)
+        assert frontend._choose(w2, set()).wid == "w0"
+
+    def test_pin_learned_only_from_a_registration_response(self):
+        async def scenario():
+            frontend = pool("w0", "w1")
+            w1 = frontend.workers["w1"]
+            frontend._pin("weights_key", b'{"weights_key": "eng-1"}', w1)
+            frontend._pin("weights_key", b"not json", w1)
+            body = b'{"weights_key": "eng-1", "x": [1.0]}'
+            return (await frontend._pinned_worker("/v1/matmul", body),
+                    await frontend._pinned_worker("/v1/net_predict", body),
+                    await frontend._pinned_worker("/v1/matmul", b"{bad"),
+                    w1, len(frontend._pins))
+
+        on_matmul, on_nets, malformed, w1, n_pins = asyncio.run(scenario())
+        assert on_matmul is w1
+        assert on_nets is None and malformed is None
+        assert n_pins == 1
 
 
 class TestTokenBucket:
@@ -159,28 +140,3 @@ class TestTokenBucket:
         bucket = TokenBucket(rate=10.0, burst=1.0, now=0.0)
         assert bucket.admit(100.0)
         assert not bucket.admit(100.0)
-
-
-class TestFleetSpec:
-    def test_digest_neutral(self):
-        base = EmulationSpec()
-        replicated = EmulationSpec(runtime=RuntimeSpec(
-            fleet=FleetSpec(replication=4)))
-        assert base.model_key() == replicated.model_key()
-        assert base.key() == replicated.key()
-
-    def test_round_trips_through_dict(self):
-        spec = EmulationSpec.from_dict(
-            {"runtime": {"fleet": {"replication": 2}}})
-        assert spec.runtime.fleet.replication == 2
-        assert EmulationSpec.from_dict(spec.to_dict()) == spec
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            FleetSpec(replication=0)
-        with pytest.raises(ConfigError):
-            EmulationSpec.from_dict(
-                {"runtime": {"fleet": {"replication": -1}}})
-        with pytest.raises(ConfigError):
-            EmulationSpec.from_dict(
-                {"runtime": {"fleet": {"bogus": 1}}})

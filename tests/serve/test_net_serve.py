@@ -86,6 +86,33 @@ def local_logits(registry: ModelRegistry, zoo: GeniexZoo,
         engine.close()
 
 
+def restore_with_runtime_field(served, client, seed, field, value):
+    """Re-store an uploaded program with a removed runtime ``field`` in
+    its spec, then assert a fresh registry serves its key unchanged."""
+    _, _, zoo = served
+    model = tiny_mlp(seed=seed)
+    spec = EmulationSpec.from_dict({"engine": "analytical"})
+    key = client.upload_net(model, spec=spec)["net_key"]
+    x = np.random.default_rng(5).standard_normal((3, N_IN))
+    warm_logits = client.net_predict(x, net_key=key)
+    wire, meta = zoo.load_net_program(key)
+    for entry in wire["layers"]:
+        entry["state"] = {name: np.array(value)
+                          for name, value in entry.get("state",
+                                                       {}).items()}
+    assert field not in meta["spec"]["runtime"]
+    meta["spec"]["runtime"][field] = value
+    os.remove(zoo._net_path(key))  # the first writer wins otherwise
+    zoo.save_net_program(key, wire, meta)
+
+    cold = EmulationServer(ModelRegistry(GeniexZoo(
+        cache_dir=zoo.cache_dir)))
+    with ServerThread(cold) as handle2:
+        with ServeClient("127.0.0.1", handle2.port, timeout=300) as c2:
+            cold_logits = c2.net_predict(x, net_key=key)
+    np.testing.assert_array_equal(cold_logits, warm_logits)
+
+
 class TestUploadAndCompile:
     def test_upload_reports_program_shape(self, client):
         resp = client.upload_net(tiny_mlp(), spec=EmulationSpec.from_dict(
@@ -270,29 +297,16 @@ class TestDiskPersistence:
         """A program saved while batch invariance was a runtime flag
         stores ``runtime.batch_invariant`` in its spec; its key never
         moved, so a fresh registry must load and serve it."""
-        _, _, zoo = served
-        model = tiny_mlp(seed=17)
-        spec = EmulationSpec.from_dict({"engine": "analytical"})
-        key = client.upload_net(model, spec=spec)["net_key"]
-        x = np.random.default_rng(5).standard_normal((3, N_IN))
-        warm_logits = client.net_predict(x, net_key=key)
-        wire, meta = zoo.load_net_program(key)
-        for entry in wire["layers"]:
-            entry["state"] = {name: np.array(value)
-                              for name, value in entry.get("state",
-                                                           {}).items()}
-        assert "batch_invariant" not in meta["spec"]["runtime"]
-        meta["spec"]["runtime"]["batch_invariant"] = False
-        os.remove(zoo._net_path(key))  # the first writer wins otherwise
-        zoo.save_net_program(key, wire, meta)
+        restore_with_runtime_field(served, client, 17,
+                                   "batch_invariant", False)
 
-        cold = EmulationServer(ModelRegistry(GeniexZoo(
-            cache_dir=zoo.cache_dir)))
-        with ServerThread(cold) as handle2:
-            with ServeClient("127.0.0.1", handle2.port,
-                             timeout=300) as c2:
-                cold_logits = c2.net_predict(x, net_key=key)
-        np.testing.assert_array_equal(cold_logits, warm_logits)
+    def test_program_stored_with_fleet_node_still_serves(self, served,
+                                                          client):
+        """Every program saved while the fleet had a routing node stores
+        ``runtime.fleet``; no runtime field enters its key, so a fresh
+        registry must load and serve it."""
+        restore_with_runtime_field(served, client, 18,
+                                   "fleet", {"replication": 1})
 
     def test_program_naming_a_removed_kind_is_400(self, served, client):
         """A stored program whose spec names the removed ``decoupled``
@@ -486,6 +500,16 @@ class TestProtocolErrors:
             client._request("POST", "/v1/nets",
                             {"spec": {"engine": "exact"}})
         assert excinfo.value.status == 400
+
+    def test_removed_fleet_node_is_400(self, client):
+        """``runtime.fleet`` is gone: a ``/v1/nets`` spec naming it gets
+        the unknown-field 400."""
+        with pytest.raises(ServerError) as excinfo:
+            client.upload_net(tiny_mlp(), spec={
+                "engine": "exact", "runtime": {"fleet": {"replication": 2}}})
+        assert excinfo.value.status == 400
+        assert "unknown spec field spec.runtime.'fleet'" in \
+            str(excinfo.value)
 
     def test_removed_engine_kind_is_400(self, client):
         """``decoupled`` is no longer an engine kind: a spec body or the
