@@ -2,15 +2,21 @@
 
 Boots a real fleet (front-end + ``N`` ``repro serve`` worker processes
 over one shared zoo cache) and hammers ``POST /v1/matmul`` through the
-front-end from ``C`` concurrent keep-alive clients. The workload
-round-robins over several distinct tiny models, each request carrying
-its model and weights inline: such a request names no memory-only key,
-so the front-end sends it to the least-loaded worker (a ``weights_key``
-would pin it to the worker that registered the key).
+front-end from ``C`` concurrent keep-alive clients, round-robining over
+several distinct tiny models, in two workloads:
 
-Results (req/s per worker count, per-worker forward distribution) are
-printed and written to ``BENCH_fleet.json`` at the repo root. Every
-worker must take forwards. The JSON records ``cpus_available`` and
+* ``weights_key`` — one client first registers each model's weights
+  (``/v1/weights``), then every request names its ``weights_key``. A
+  prepared engine lives only in the memory of the worker that built it,
+  so each request goes to the worker holding its key; the front-end
+  spreads the registrations over the pool (fewest pins first).
+* ``inline`` — each request carries its model and weights. It names no
+  memory-only key, so it goes to the least-loaded worker.
+
+Results (req/s per worker count and workload, per-worker forward
+distribution) are printed and written to ``BENCH_fleet.json`` at the
+repo root. Every worker must take forwards in both workloads. The JSON
+records ``cpus_available`` and
 scaling is only asserted when the host actually exposes >= 4 CPUs —
 worker processes cannot create cores, and on the single-CPU containers
 this repo targets, extra workers only add scheduler thrash (the numbers
@@ -63,10 +69,12 @@ def _cache_dir():
     return env or os.path.join(tempfile.gettempdir(), "repro-bench-fleet")
 
 
-def _workload(port: int, models: list, weights: list, concurrency: int):
-    """Single-vector matmuls round-robining over ``models``.
+def _workload(port: int, calls: list, concurrency: int):
+    """Single-vector matmuls round-robining over ``calls``.
 
-    Thread-per-connection load generation in-process, as in
+    Each entry of ``calls`` is the keyword set of one
+    :meth:`ServeClient.matmul` (a ``weights_key``, or a model and its
+    weights). Thread-per-connection load generation in-process, as in
     ``bench_serve`` — on small CI boxes extra load-generator processes
     only add scheduler thrash, and the client-side cost is identical at
     every worker count, so the comparison stays fair.
@@ -86,9 +94,8 @@ def _workload(port: int, models: list, weights: list, concurrency: int):
                 i = wid
                 while not stop.is_set():
                     try:
-                        k = i % len(models)
                         client.matmul(vectors[i % len(vectors)],
-                                      model=models[k], weights=weights[k])
+                                      **calls[i % len(calls)])
                         counts[wid] += 1
                     except ServerBusyError:
                         rejected[wid] += 1
@@ -117,31 +124,45 @@ def _workload(port: int, models: list, weights: list, concurrency: int):
 
 
 def _run_fleet(n_workers: int, cache_dir: str) -> dict:
+    """Both workloads on one fleet; forwards are counted per workload."""
     fleet = FleetThread(n_workers, cache_dir,
                         worker_args=["--max-batch", "64"]).start()
     try:
         models = _models()
         weights = [np.random.default_rng(100 + i).standard_normal((4, 4))
                    * 0.4 for i in range(N_MODELS)]
+        results = {}
         with ServeClient("127.0.0.1", fleet.port, timeout=300) as client:
             for model in models:
                 client.load_model(model)
-            rps, rejected = _workload(fleet.port, models, weights,
-                                      CONCURRENCY)
-            metrics = client.metrics()
-        summary = metrics["fleet"]
-        result = {
-            "requests_per_s": round(rps, 1),
-            "rejected": rejected,
-            "forwards_by_worker": summary["forwards"],
-            "retries": summary["retries"],
-            "evictions": summary["evictions"],
-            "latency": summary["latency"],
-        }
-        print(f"workers={n_workers:<2} c={CONCURRENCY:<3} "
-              f"{rps:>8.1f} req/s   "
-              f"forwards {summary['forwards']} ({rejected} rejected)")
-        return result
+            workloads = {
+                "weights_key": [
+                    {"weights_key": client.register_weights(
+                        model, w, engine="geniex")}
+                    for model, w in zip(models, weights)],
+                "inline": [{"model": model, "weights": w,
+                            "engine": "geniex"}
+                           for model, w in zip(models, weights)],
+            }
+            before = client.metrics()["fleet"]
+            for name, calls in workloads.items():
+                rps, rejected = _workload(fleet.port, calls, CONCURRENCY)
+                summary = client.metrics()["fleet"]
+                forwards = {wid: count - before["forwards"].get(wid, 0)
+                            for wid, count in summary["forwards"].items()}
+                before = summary
+                results[name] = {
+                    "requests_per_s": round(rps, 1),
+                    "rejected": rejected,
+                    "forwards_by_worker": forwards,
+                }
+                print(f"workers={n_workers:<2} c={CONCURRENCY:<3} "
+                      f"{name:<12} {rps:>8.1f} req/s   "
+                      f"forwards {forwards} ({rejected} rejected)")
+        results.update(retries=summary["retries"],
+                       evictions=summary["evictions"],
+                       latency=summary["latency"])
+        return results
     finally:
         fleet.stop()
 
@@ -152,10 +173,11 @@ def run_bench() -> dict:
           f"POST /v1/matmul, {MEASURE_S:.0f}s per point, shared zoo "
           f"cache at {cache_dir}")
     report = {
-        "workload": f"POST /v1/matmul, one 4-vector per request with "
-                    f"its model and weights inline, {N_MODELS} distinct "
-                    f"4x4 geniex models round-robined from "
-                    f"{CONCURRENCY} keep-alive clients",
+        "workload": f"POST /v1/matmul, one 4-vector per request, "
+                    f"{N_MODELS} distinct 4x4 geniex models round-"
+                    f"robined from {CONCURRENCY} keep-alive clients; "
+                    f"'weights_key' names weights registered by one "
+                    f"client, 'inline' carries the model and weights",
         "cpus_available": _cpus(),
         "measure_seconds": MEASURE_S,
         "workers": {},
@@ -182,17 +204,21 @@ def test_fleet_throughput_across_worker_counts():
     report = run_bench()
     for n_workers in WORKER_COUNTS:
         point = report["workers"][str(n_workers)]
-        assert point["requests_per_s"] > 0
         # Routing stayed stable under load: nothing died mid-bench.
         assert point["evictions"] == 0
-        # The least-loaded pool leaves no worker idle.
-        forwards = point["forwards_by_worker"]
-        assert set(forwards) == {f"w{i}" for i in range(n_workers)}
-        assert all(count > 0 for count in forwards.values()), forwards
-    multi = report["workers"]["4"]
+        # The pool leaves no worker idle: one client's registered keys
+        # spread over every worker, and inline requests follow load.
+        for workload in ("weights_key", "inline"):
+            assert point[workload]["requests_per_s"] > 0
+            forwards = point[workload]["forwards_by_worker"]
+            assert set(forwards) == {f"w{i}" for i in range(n_workers)}
+            assert all(count > 0 for count in forwards.values()), \
+                (workload, forwards)
     if report["cpus_available"] >= 4:
-        solo = report["workers"]["1"]["requests_per_s"]
-        assert multi["requests_per_s"] >= 1.2 * solo
+        for workload in ("weights_key", "inline"):
+            solo = report["workers"]["1"][workload]["requests_per_s"]
+            multi = report["workers"]["4"][workload]["requests_per_s"]
+            assert multi >= 1.2 * solo, workload
     else:
         print(f"(skipping scaling assertion: host exposes "
               f"{report['cpus_available']} CPU(s))")

@@ -3,10 +3,14 @@
 Accepts the existing ``repro.serve`` wire protocol unchanged (a
 :class:`~repro.serve.client.ServeClient` pointed at the front-end works
 as-is) and forwards each request — body bytes verbatim — to the live
-worker with the fewest in-flight forwards (ties go to the worker
-registered first, the lowest id). A request naming a memory-only key
-(``crossbar_key``, ``weights_key``, ``mitigated_key``) goes to the
-worker that returned that key (:mod:`repro.fleet.routing`). Responses
+worker with the fewest in-flight forwards; ties rotate over the
+workers, so a lone sequential client alternates between them. A request
+naming a memory-only key (``crossbar_key``, ``weights_key``,
+``mitigated_key``) goes to the worker that returned that key
+(:mod:`repro.fleet.routing`); a registration that creates such a key
+breaks load ties toward the worker holding the fewest pins, so the keys
+of one client spread over the pool instead of piling onto one worker's
+memory-only tiers. Responses
 come back byte-identical to a single-process server because workers
 *are* the existing serve stack and the proxy never re-encodes a payload.
 
@@ -80,7 +84,8 @@ class _ForwardTimeout(Exception):
 class WorkerState:
     """Front-end bookkeeping for one worker process."""
 
-    __slots__ = ("wid", "host", "port", "healthy", "fails", "inflight")
+    __slots__ = ("wid", "host", "port", "healthy", "fails", "inflight",
+                 "pins")
 
     def __init__(self, wid: str, host: str, port: int):
         self.wid = wid
@@ -89,11 +94,12 @@ class WorkerState:
         self.healthy = True
         self.fails = 0
         self.inflight = 0
+        self.pins = 0        # memory-only keys pinned to this worker
 
     def describe(self) -> dict:
         return {"host": self.host, "port": self.port,
                 "healthy": self.healthy, "fails": self.fails,
-                "inflight": self.inflight}
+                "inflight": self.inflight, "pins": self.pins}
 
 
 class FleetMetrics:
@@ -239,7 +245,9 @@ class FleetFrontend(HttpService):
         self.forward_timeout_s = float(forward_timeout_s)
         self.workers: dict = {}          # wid -> WorkerState
         self._pools: dict = {}           # wid -> [(reader, writer), ...]
-        self._pins = LruDict(pinned_keys)       # key -> WorkerState
+        self._pins = LruDict(pinned_keys,       # key -> WorkerState
+                             on_evict=self._unpin)
+        self._turn = 0                          # rotates load ties
         self._tenants = LruDict(max_tenants)    # tenant -> TokenBucket
         self._health_task = None
         self.routes = {("GET", "/healthz"): self._get_healthz,
@@ -433,9 +441,10 @@ class FleetFrontend(HttpService):
             "POST", path, body,
             {"Content-Type": headers.get("content-type",
                                          "application/json")})
+        registers = path in PIN_FIELDS
         attempted: set = set()
         for attempt in (0, 1):
-            worker = self._choose(pinned, attempted)
+            worker = self._choose(pinned, attempted, registers)
             if worker is None:
                 break
             wid = worker.wid
@@ -459,7 +468,7 @@ class FleetFrontend(HttpService):
                     trace.add_span("forward", t_fwd, duration,
                                    meta={"worker": wid,
                                          "attempt": attempt})
-            if status == 200 and path in PIN_FIELDS:
+            if status == 200 and registers:
                 self._pin(PIN_FIELDS[path], rbody, worker)
             return status, RawResponse(
                 rheaders.get("content-type", "application/json"), rbody,
@@ -470,12 +479,14 @@ class FleetFrontend(HttpService):
                               f"worker(s) and no live worker remains; "
                               f"retry later"}
 
-    def _choose(self, pinned: WorkerState | None,
-                attempted: set) -> WorkerState | None:
+    def _choose(self, pinned: WorkerState | None, attempted: set,
+                registers: bool = False) -> WorkerState | None:
         """The pinned worker while it lives, else the least-loaded one.
 
-        ``min`` keeps the first of equal loads, and ``workers`` holds
-        registration order, so ties go to the lowest worker id.
+        A registration (``registers``) breaks load ties toward the
+        fewest pins, so one client's memory-only keys spread over the
+        pool. ``min`` keeps the first of equal keys, and each call starts
+        the scan one worker further along, so remaining ties rotate.
         """
         if pinned is not None and pinned.healthy \
                 and pinned.wid not in attempted \
@@ -483,8 +494,14 @@ class FleetFrontend(HttpService):
             return pinned
         candidates = [w for w in self._live_workers()
                       if w.wid not in attempted]
-        return min(candidates, key=lambda w: w.inflight) \
-            if candidates else None
+        if not candidates:
+            return None
+        start = self._turn % len(candidates)
+        self._turn += 1
+        rotated = candidates[start:] + candidates[:start]
+        if registers:
+            return min(rotated, key=lambda w: (w.inflight, w.pins))
+        return min(rotated, key=lambda w: w.inflight)
 
     async def _pinned_worker(self, path: str,
                              body: bytes) -> WorkerState | None:
@@ -515,8 +532,19 @@ class FleetFrontend(HttpService):
         except (UnicodeDecodeError, json.JSONDecodeError):
             return
         key = pinned_key(response, field)
-        if key is not None:
-            self._pins.put(key, worker)
+        if key is None:
+            return
+        previous = self._pins.get(key)
+        if previous is not worker:
+            if previous is not None:
+                previous.pins -= 1
+            worker.pins += 1
+        self._pins.put(key, worker)
+
+    @staticmethod
+    def _unpin(_key: str, worker: WorkerState) -> None:
+        """``LruDict`` eviction hook: the pin no longer counts."""
+        worker.pins -= 1
 
     # ------------------------------------------------------------------
     # Aggregated GETs

@@ -5,6 +5,15 @@ dies without stopping them. A SIGTERM that reaches ``repro fleet``
 while its workers are still booting must stop every one of them.
 """
 
+#: Put on the workers' ``PYTHONPATH``, this stalls every ``repro serve``
+#: process before it imports anything, so the fleet is still booting
+#: (no worker healthy) whenever the test's SIGTERM lands.
+STALL_SERVE = """\
+import sys, time
+if "serve" in sys.orig_argv:
+    time.sleep(120)
+"""
+
 import os
 import re
 import signal
@@ -36,11 +45,16 @@ class TestFleetFlags:
 
 class TestBootSigterm:
     def test_sigterm_while_booting_stops_every_worker(self, tmp_path):
+        stall = tmp_path / "stall"
+        stall.mkdir()
+        (stall / "sitecustomize.py").write_text(STALL_SERVE)
+        env = _worker_env()
+        env["PYTHONPATH"] += os.pathsep + str(stall)
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "--log-level", "INFO",
              "fleet", "--workers", "2", "--port", "0",
-             "--cache-dir", str(tmp_path)],
-            env=_worker_env(), stdout=subprocess.DEVNULL,
+             "--cache-dir", str(tmp_path / "zoo")],
+            env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE, text=True)
         pids = []
         try:
@@ -51,9 +65,10 @@ class TestBootSigterm:
                 if len(pids) == 2:
                     break
             assert len(pids) == 2, "the fleet never spawned its workers"
-            # The workers are still importing: nothing is healthy yet.
+            # The workers are stalled: nothing is healthy yet.
             proc.send_signal(signal.SIGTERM)
             _out, err = proc.communicate(timeout=60)
+            assert "boot cancelled; stopping workers" in err, err
             deadline = time.monotonic() + 5.0
             while any(map(alive, pids)) and time.monotonic() < deadline:
                 time.sleep(0.05)

@@ -12,7 +12,8 @@ reference server, and asserts over actual HTTP:
   and a model trained through one worker serves from another via a disk
   load, never a retrain;
 * concurrent key-addressed follow-ups reach the worker that holds the
-  key (zero 404s), and concurrent clients spread over both workers;
+  key (zero 404s), one client's registered keys spread over both
+  workers, and clients spread over both workers;
 * killing a worker mid-traffic evicts it, retries in-flight requests on
   the survivor, and keeps answers byte-identical.
 
@@ -92,6 +93,18 @@ def raw_post(port: int, path: str, payload: dict):
                      headers={"Content-Type": "application/json"})
         response = conn.getresponse()
         return response.status, response.read(), dict(response.getheaders())
+    finally:
+        conn.close()
+
+
+def topology(port: int) -> dict:
+    """The front-end's ``GET /v1/fleet``."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request("GET", "/v1/fleet")
+        response = conn.getresponse()
+        assert response.status == 200
+        return json.loads(response.read())
     finally:
         conn.close()
 
@@ -242,15 +255,7 @@ class TestFleetObservability:
         assert "repro_http_requests_total" in text
 
     def test_topology_endpoint(self, fleet):
-        conn = http.client.HTTPConnection("127.0.0.1", fleet.port,
-                                          timeout=30)
-        try:
-            conn.request("GET", "/v1/fleet")
-            response = conn.getresponse()
-            topo = json.loads(response.read())
-        finally:
-            conn.close()
-        assert response.status == 200
+        topo = topology(fleet.port)
         assert set(topo) == {"workers", "pinned_keys"}
         assert set(topo["workers"]) == {"w0", "w1"}
         assert all(w["healthy"] for w in topo["workers"].values())
@@ -337,7 +342,40 @@ class TestPool:
         assert set(statuses) == {200}
         assert [body for _, body in answers] == want * 20
 
-    def test_concurrent_net_predicts_reach_both_workers(self, fleet):
+    def test_one_clients_keys_spread_over_both_workers(
+            self, fleet, direct, direct_client):
+        """Keys one sequential client registers, with unpinned traffic
+        in between, land on both workers (fewest pins wins a load tie),
+        and their follow-ups reach both with zero 404s."""
+        before = {wid: w["pins"]
+                  for wid, w in topology(fleet.port)["workers"].items()}
+        # The lighter worker catches up first; two more keys reach both.
+        n_keys = abs(before["w0"] - before["w1"]) + 2
+        requests = []
+        with ServeClient("127.0.0.1", fleet.port, timeout=300) as c:
+            for i in range(n_keys):
+                c.load_model(MODEL)
+                w = np.random.default_rng(90 + i).uniform(-1, 1, (4, 4))
+                key = c.register_weights(MODEL, w)
+                assert key == direct_client.register_weights(MODEL, w)
+                requests.append({"weights_key": key,
+                                 "x": np.random.default_rng(i).uniform(
+                                     -1, 1, (1, 4)).tolist()})
+        after = {wid: w["pins"]
+                 for wid, w in topology(fleet.port)["workers"].items()}
+        assert abs(after["w0"] - after["w1"]) <= 1, (before, after)
+        seen = set()
+        for payload in requests:
+            want = raw_post(direct.port, "/v1/matmul", payload)[1]
+            status, body, headers = raw_post(fleet.port, "/v1/matmul",
+                                             payload)
+            assert (status, body) == (200, want)
+            seen.add(headers["X-Repro-Worker"])
+        assert seen == {"w0", "w1"}
+
+    def test_net_predicts_spread_over_both_workers(self, fleet):
+        """Load ties rotate, so two clients reach both workers whether
+        or not their requests overlap in time."""
         spec = EmulationSpec.from_dict({"engine": "exact"})
         with ServeClient("127.0.0.1", fleet.port, timeout=300) as c:
             key = c.upload_net(MLP([8, 12, 4], seed=0),

@@ -56,9 +56,11 @@ def pool(*wids):
 
 
 class TestLeastLoaded:
-    def test_ties_go_to_the_lowest_worker_id(self):
+    def test_ties_rotate_over_the_pool(self):
+        # A lone sequential client (nothing in flight) alternates.
         frontend = pool("w0", "w1", "w2")
-        assert frontend._choose(None, set()).wid == "w0"
+        chosen = [frontend._choose(None, set()).wid for _ in range(4)]
+        assert chosen == ["w0", "w1", "w2", "w0"]
 
     def test_fewest_inflight_wins(self):
         frontend = pool("w0", "w1", "w2")
@@ -102,7 +104,41 @@ class TestLeastLoaded:
         assert frontend._choose(frontend._pins.get("k2"), set()) is w2
         # A respawn re-registers a new process: the old pins stay dead.
         frontend.add_worker("w2", "127.0.0.1", 99)
-        assert frontend._choose(w2, set()).wid == "w0"
+        assert frontend._choose(w2, set()) is not w2
+
+    def test_registrations_break_ties_toward_the_fewest_pins(self):
+        frontend = pool("w0", "w1", "w2")
+        w0, w1 = frontend.workers["w0"], frontend.workers["w1"]
+        frontend._pin("weights_key", b'{"weights_key": "k1"}', w0)
+        frontend._pin("crossbar_key", b'{"crossbar_key": "k2"}', w1)
+        # Whatever the rotation, a registration goes to the pin-free
+        # worker; unpinned traffic ignores pins.
+        for _ in range(3):
+            assert frontend._choose(None, set(), registers=True).wid \
+                == "w2"
+        assert {frontend._choose(None, set()).wid
+                for _ in range(3)} == {"w0", "w1", "w2"}
+        # Load still comes first.
+        frontend.workers["w2"].inflight = 1
+        assert frontend._choose(None, set(), registers=True).wid \
+            in ("w0", "w1")
+
+    def test_pin_counts_follow_moves_and_evictions(self):
+        frontend = FleetFrontend(pinned_keys=2)
+        frontend.add_worker("w0", "127.0.0.1", 1)
+        frontend.add_worker("w1", "127.0.0.1", 2)
+        w0, w1 = frontend.workers["w0"], frontend.workers["w1"]
+        frontend._pin("weights_key", b'{"weights_key": "k1"}', w0)
+        frontend._pin("weights_key", b'{"weights_key": "k2"}', w0)
+        frontend._pin("weights_key", b'{"weights_key": "k2"}', w0)
+        assert (w0.pins, w1.pins) == (2, 0)
+        # Re-registered on another worker: the pin moves.
+        frontend._pin("weights_key", b'{"weights_key": "k1"}', w1)
+        assert (w0.pins, w1.pins) == (1, 1)
+        # A third key evicts the least recently pinned (k2, on w0).
+        frontend._pin("weights_key", b'{"weights_key": "k3"}', w1)
+        assert (w0.pins, w1.pins) == (0, 2)
+        assert frontend._pins.get("k2") is None
 
     def test_pin_learned_only_from_a_registration_response(self):
         async def scenario():
