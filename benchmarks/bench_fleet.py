@@ -49,11 +49,13 @@ WARMUP_S = 0.4
 
 
 def _models():
-    """Tiny models differing only in seeds — distinct model keys."""
+    """Tiny model specs differing only in seeds — distinct model keys."""
     return [{
-        "rows": 4, "cols": 4,
-        "sampling": {"n_g_matrices": 3, "n_v_per_g": 4, "seed": i},
-        "training": {"hidden": 8, "epochs": 2, "batch_size": 8, "seed": i},
+        "engine": "geniex", "xbar": {"rows": 4, "cols": 4},
+        "emulator": {
+            "sampling": {"n_g_matrices": 3, "n_v_per_g": 4, "seed": i},
+            "training": {"hidden": 8, "epochs": 2, "batch_size": 8,
+                         "seed": i}},
     } for i in range(N_MODELS)]
 
 
@@ -73,7 +75,7 @@ def _workload(port: int, calls: list, concurrency: int):
     """Single-vector matmuls round-robining over ``calls``.
 
     Each entry of ``calls`` is the keyword set of one
-    :meth:`ServeClient.matmul` (a ``weights_key``, or a model and its
+    :meth:`ServeClient.matmul` (a ``weights_key``, or a spec and its
     weights). Thread-per-connection load generation in-process, as in
     ``bench_serve`` — on small CI boxes extra load-generator processes
     only add scheduler thrash, and the client-side cost is identical at
@@ -137,11 +139,9 @@ def _run_fleet(n_workers: int, cache_dir: str) -> dict:
                 client.load_model(model)
             workloads = {
                 "weights_key": [
-                    {"weights_key": client.register_weights(
-                        model, w, engine="geniex")}
+                    {"weights_key": client.register_weights(model, w)}
                     for model, w in zip(models, weights)],
-                "inline": [{"model": model, "weights": w,
-                            "engine": "geniex"}
+                "inline": [{"spec": model, "weights": w}
                            for model, w in zip(models, weights)],
             }
             before = client.metrics()["fleet"]

@@ -40,9 +40,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUTPUT = os.path.join(ROOT, "BENCH_serve.json")
 
 MODEL = {
-    "rows": 16, "cols": 16,
-    "sampling": {"n_g_matrices": 6, "n_v_per_g": 10, "seed": 0},
-    "training": {"hidden": 32, "epochs": 15, "batch_size": 32, "seed": 0},
+    "engine": "geniex", "xbar": {"rows": 16, "cols": 16},
+    "emulator": {
+        "sampling": {"n_g_matrices": 6, "n_v_per_g": 10, "seed": 0},
+        "training": {"hidden": 32, "epochs": 15, "batch_size": 32,
+                     "seed": 0}},
 }
 LAYER_SHAPE = (64, 32)  # spans a 4x2 grid of 16x16 crossbar tiles
 CONCURRENCY = (1, 16, 64)
@@ -134,7 +136,7 @@ def _run_mode(label: str, max_batch_rows: int,
                 c.load_model(MODEL)
                 weights = (np.random.default_rng(7)
                            .standard_normal(LAYER_SHAPE) * 0.4)
-                key = c.register_weights(MODEL, weights, engine="geniex")
+                key = c.register_weights(MODEL, weights)
                 rps, rejected = _workload(handle.port, key, concurrency)
                 metrics = c.metrics()
                 micro = metrics["microbatch"]
@@ -167,7 +169,7 @@ def _tracing_overhead(micro: dict) -> dict:
             c.load_model(MODEL)
             weights = (np.random.default_rng(7)
                        .standard_normal(LAYER_SHAPE) * 0.4)
-            key = c.register_weights(MODEL, weights, engine="geniex")
+            key = c.register_weights(MODEL, weights)
             rps, _ = _workload(handle.port, key, concurrency)
     traced_rps = micro[str(concurrency)]["requests_per_s"]
     overhead_pct = (rps - traced_rps) / rps * 100.0 if rps else 0.0
@@ -183,12 +185,7 @@ def _tracing_overhead(micro: dict) -> dict:
 
 def _net_spec():
     from repro.api import EmulationSpec
-    return EmulationSpec.from_dict({
-        "engine": "geniex",
-        "xbar": {"rows": MODEL["rows"], "cols": MODEL["cols"]},
-        "emulator": {"sampling": MODEL["sampling"],
-                     "training": MODEL["training"]},
-    })
+    return EmulationSpec.from_dict(MODEL)
 
 
 def _net_model():
@@ -291,7 +288,7 @@ def _run_layer_rpc_mode(max_batch_rows: int, label: str) -> dict:
         with _boot(max_batch_rows) as handle:
             with ServeClient("127.0.0.1", handle.port, timeout=300) as c:
                 c.load_model(MODEL)
-                keys = [c.register_weights(MODEL, w, engine="geniex")
+                keys = [c.register_weights(MODEL, w)
                         for w in layer_weights]
 
                 def one(client, v, keys=keys):

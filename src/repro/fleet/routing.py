@@ -1,7 +1,7 @@
 """Which requests the front-end pins to a worker, and tenant quotas.
 
 The fleet is a least-loaded pool: any live worker can serve any request
-that names a model, a spec or a ``net_key``, because every worker
+that names a spec or a ``net_key``, because every worker
 rebuilds trained models and compiled nets from the shared zoo. Three
 warm objects live only in the memory of the worker that built them — a
 registered crossbar, prepared weights and a mitigated classifier (the

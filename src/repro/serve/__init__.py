@@ -10,9 +10,9 @@ queues, backpressure and a ``/metrics`` endpoint.
 
 Layers:
 
-* :mod:`repro.serve.protocol` — wire format (specs, arrays, errors);
-  flat ``model`` bodies become an :class:`~repro.api.spec.EmulationSpec`
-  here, the one identity type behind it;
+* :mod:`repro.serve.protocol` — wire format: every request names its
+  emulation by one :class:`~repro.api.spec.EmulationSpec` (``"spec"``)
+  or by a warm-object key; arrays; errors;
 * :mod:`repro.serve.metrics` — thread-safe serving counters/histograms;
 * :mod:`repro.serve.scheduler` — per-key dynamic microbatching;
 * :mod:`repro.serve.registry` — warm-object LRU tiers over

@@ -49,38 +49,17 @@ class ClientTimeoutError(ReproError, TimeoutError):
     so it is deliberately not retried)."""
 
 
-def _identity_payload(payload: dict, model: dict | None, spec, *,
-                      engine: str | None = None, sim: dict | None = None,
-                      default_engine: str | None = None) -> dict:
-    """Attach the model identity: flat ``model`` object or full ``spec``.
+def _spec_dict(spec) -> dict:
+    """The wire ``"spec"`` object.
 
     ``spec`` may be a ``repro.api`` :class:`EmulationSpec` (anything with
     ``to_dict()``) or an already-encoded dict; the client stays decoupled
-    from the spec classes themselves. Passing both is rejected — the spec
-    is self-contained, and silently preferring one over the other would
-    hide a mismatch from a half-migrated caller. Endpoints that take
-    ``engine``/``sim`` pass them through here (with ``default_engine``
-    naming the flat-path fallback); combining them with a spec is
-    rejected for the same reason.
+    from the spec classes themselves.
     """
-    if spec is not None and model is not None:
-        raise ValueError("pass either model=... or spec=..., not both "
-                         "(a spec already carries the model identity)")
-    if spec is not None:
-        if engine is not None or sim is not None:
-            raise ValueError("engine=/sim= are part of the spec; "
-                             "don't pass them alongside spec=")
-        payload["spec"] = spec.to_dict() if hasattr(spec, "to_dict") \
-            else dict(spec)
-    elif model is not None:
-        payload["model"] = model
-        if default_engine is not None:
-            payload["engine"] = engine or default_engine
-        if sim is not None:
-            payload["sim"] = sim
-    else:
-        raise ValueError("pass either a model object or a spec")
-    return payload
+    if spec is None:
+        raise ValueError("a spec is required (an EmulationSpec or its "
+                         "to_dict() shape)")
+    return spec.to_dict() if hasattr(spec, "to_dict") else dict(spec)
 
 
 class ServeClient:
@@ -231,48 +210,40 @@ class ServeClient:
         return self._request("GET", "/v1/models",
                              timeout=timeout)["models"]
 
-    def load_model(self, model: dict | None = None, *,
-                   spec=None, timeout: float | None = None) -> dict:
-        """Train (or load) a model spec into the server's warm registry.
+    def load_model(self, spec, *, timeout: float | None = None) -> dict:
+        """Train (or load) the GENIEx emulator a spec names into the
+        server's warm registry.
 
-        Takes the flat ``model`` wire object or a declarative ``spec``
-        (an :class:`repro.api.spec.EmulationSpec` or its ``to_dict()``
-        shape).
+        ``spec`` is an :class:`repro.api.spec.EmulationSpec` or its
+        ``to_dict()`` shape; its engine must be ``geniex``.
         """
         return self._request("POST", "/v1/models",
-                             _identity_payload({}, model, spec),
-                             timeout=timeout)
+                             {"spec": _spec_dict(spec)}, timeout=timeout)
 
-    def register_crossbar(self, model: dict | None = None,
-                          conductances=None, *, spec=None,
+    def register_crossbar(self, spec, conductances, *,
                           timeout: float | None = None) -> str:
         """Program a conductance matrix; returns its ``crossbar_key``."""
-        if conductances is None:
-            raise ValueError("conductances are required")
-        payload = _identity_payload(
-            {"conductances": np.asarray(conductances).tolist()},
-            model, spec)
+        payload = {"spec": _spec_dict(spec),
+                   "conductances": np.asarray(conductances).tolist()}
         return self._request("POST", "/v1/crossbars", payload,
                              timeout=timeout)["crossbar_key"]
 
     def _predict(self, path: str, field: str, voltages, *,
-                 model: dict | None = None, conductances=None,
                  crossbar_key: str | None = None, spec=None,
+                 conductances=None,
                  timeout: float | None = None) -> np.ndarray:
-        voltages = np.asarray(voltages)
-        payload: dict = {"voltages": voltages.tolist()}
+        payload: dict = {"voltages": np.asarray(voltages).tolist()}
         if crossbar_key is not None:
-            if model is not None or spec is not None \
-                    or conductances is not None:
+            if spec is not None or conductances is not None:
                 raise ValueError(
                     "crossbar_key= already names the warm crossbar; "
-                    "don't pass model=/spec=/conductances= alongside it")
+                    "don't pass spec=/conductances= alongside it")
             payload["crossbar_key"] = crossbar_key
         else:
-            if (model is None and spec is None) or conductances is None:
+            if spec is None or conductances is None:
                 raise ValueError(
-                    "pass either crossbar_key or model/spec + conductances")
-            payload = _identity_payload(payload, model, spec)
+                    "pass either crossbar_key or spec + conductances")
+            payload["spec"] = _spec_dict(spec)
             payload["conductances"] = np.asarray(conductances).tolist()
         return np.asarray(self._request("POST", path, payload,
                                         timeout=timeout)[field])
@@ -284,61 +255,44 @@ class ServeClient:
     def predict_currents(self, voltages, **kwargs) -> np.ndarray:
         """Non-ideal currents for ``voltages`` (``(rows,)`` or
         ``(B, rows)``), addressed by ``crossbar_key=...`` or
-        ``model=... , conductances=...``."""
+        ``spec=..., conductances=...``."""
         return self._predict("/v1/predict_currents", "currents", voltages,
                              **kwargs)
 
-    def register_weights(self, model: dict | None = None, weights=None, *,
-                         engine: str | None = None,
-                         sim: dict | None = None, spec=None,
+    def register_weights(self, spec, weights, *,
                          timeout: float | None = None) -> str:
         """Prepare an MVM engine for a weight matrix; returns its key.
 
-        A declarative ``spec`` replaces the ``model``/``engine``/``sim``
-        trio (passing both is an error — the spec already carries them).
-        Either way the server keys the warm engine by
+        The server keys the warm engine by
         ``registry.serving_spec(spec).weights_key(weights)`` — the spec
         digest after the server normalises the runtime node to its own
-        policy, *not* ``spec.weights_key`` verbatim. On the flat path
-        ``engine`` defaults to ``geniex``.
+        policy, *not* ``spec.weights_key`` verbatim.
         """
-        if weights is None:
-            raise ValueError("weights are required")
-        payload = _identity_payload(
-            {"weights": np.asarray(weights).tolist()}, model, spec,
-            engine=engine, sim=sim, default_engine="geniex")
+        payload = {"spec": _spec_dict(spec),
+                   "weights": np.asarray(weights).tolist()}
         return self._request("POST", "/v1/weights", payload,
                              timeout=timeout)["weights_key"]
 
-    def matmul(self, x, *, weights_key: str | None = None,
-               model: dict | None = None, weights=None,
-               engine: str | None = None,
-               sim: dict | None = None, spec=None,
-               timeout: float | None = None) -> np.ndarray:
+    def matmul(self, x, *, weights_key: str | None = None, spec=None,
+               weights=None, timeout: float | None = None) -> np.ndarray:
         """Bit-sliced crossbar product for ``x`` (``(K,)`` or ``(B, K)``).
 
         Address the engine by ``weights_key=`` (from
-        :meth:`register_weights`), by ``spec= + weights=``, or by the
-        flat ``model= + weights=`` wire format (where ``engine``
-        defaults to ``geniex``).
+        :meth:`register_weights`) or by ``spec= + weights=``.
         """
-        x = np.asarray(x)
-        payload: dict = {"x": x.tolist()}
+        payload: dict = {"x": np.asarray(x).tolist()}
         if weights_key is not None:
-            if model is not None or spec is not None or weights is not None \
-                    or engine is not None or sim is not None:
+            if spec is not None or weights is not None:
                 raise ValueError(
                     "weights_key= already names the warm engine; don't "
-                    "pass model=/spec=/weights=/engine=/sim= alongside it")
+                    "pass spec=/weights= alongside it")
             payload["weights_key"] = weights_key
         else:
-            if (model is None and spec is None) or weights is None:
+            if spec is None or weights is None:
                 raise ValueError(
-                    "pass either weights_key or model/spec + weights")
+                    "pass either weights_key or spec + weights")
+            payload["spec"] = _spec_dict(spec)
             payload["weights"] = np.asarray(weights).tolist()
-            payload = _identity_payload(payload, model, spec,
-                                        engine=engine, sim=sim,
-                                        default_engine="geniex")
         return np.asarray(self._request("POST", "/v1/matmul", payload,
                                         timeout=timeout)["y"])
 
@@ -356,8 +310,7 @@ class ServeClient:
         (address for :meth:`mitigated_predict`), ``sizes``, ``metrics``
         (float/mitigated/baseline accuracies) and ``from_cache``.
         """
-        payload = _identity_payload({}, None, spec)
-        payload["dataset"] = dataset
+        payload = {"spec": _spec_dict(spec), "dataset": dataset}
         net: dict = {}
         if hidden is not None:
             net["hidden"] = [int(h) for h in hidden]
@@ -396,8 +349,7 @@ class ServeClient:
         else:
             from repro.nn.serialization import net_to_wire
             wire = net_to_wire(net, input_shape=input_shape)
-        payload = _identity_payload({}, None, spec)
-        payload["net"] = wire
+        payload = {"spec": _spec_dict(spec), "net": wire}
         return self._request("POST", "/v1/nets", payload, timeout=timeout)
 
     def net_predict(self, x, *, net_key: str, stream: bool = False,

@@ -1,10 +1,10 @@
 """Wire format of the emulation service.
 
-Requests and responses are JSON. A *model spec* describes everything needed
-to train (or load) a GENIEx emulator — the crossbar configuration plus the
-sampling/training hyper-parameters — and maps 1:1 onto the dataclasses the
-rest of the library uses, so a spec submitted over HTTP hits exactly the
-same zoo cache key as the equivalent in-process call.
+Requests and responses are JSON. Every request that names an emulation
+carries it as one ``"spec"`` object: a full declarative
+:class:`~repro.api.spec.EmulationSpec` in its ``to_dict()`` shape (what
+``python -m repro spec`` prints), so a spec submitted over HTTP hits
+exactly the same cache keys as the equivalent in-process call.
 
 All validation failures raise :class:`ProtocolError`, which the server maps
 to HTTP 400 with the message in the body.
@@ -12,185 +12,78 @@ to HTTP 400 with the message in the body.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.api.spec import (
-    EmulationSpec,
-    EmulatorSpec,
-    SimSpec,
-    XbarSpec,
-    nonideality_from_dict,
-)
-from repro.core.sampling import SamplingSpec
-from repro.core.trainer import TrainSpec
+from repro.api.spec import EmulationSpec
 from repro.datasets.handles import normalise_handle
-from repro.devices.rram import RramParameters
 from repro.errors import ConfigError, ReproError
-from repro.funcsim.config import FuncSimConfig
-from repro.funcsim.engine import ENGINE_KINDS
-from repro.nonideal import NonidealitySpec
-from repro.xbar.config import CrossbarConfig
 
-MODES = ("full", "linear")
+#: Registration endpoint of each warm-object key a request may name.
+KEY_SOURCES = {"crossbar_key": "/v1/crossbars", "weights_key": "/v1/weights",
+               "mitigated_key": "/v1/mitigate", "net_key": "/v1/nets"}
 
 
 class ProtocolError(ReproError, ValueError):
     """A request payload is malformed or fails validation."""
 
 
-def _build_dataclass(cls, payload, what: str):
-    """Instantiate a config dataclass from a JSON object, strictly.
+def reject_flat_identity(body: dict) -> None:
+    """Refuse the retired flat ``model``/``engine``/``sim`` fields.
 
-    Unknown fields are rejected (a typo silently falling back to a default
-    would key a *different* zoo artifact than the caller intended); list
-    values are converted to the tuples the frozen dataclasses expect.
+    The emulation is named by ``"spec"`` alone; the server runs this on
+    every POST body, so a half-migrated caller gets a 400 naming the
+    replacement rather than a 200 computed with its fields ignored.
     """
-    if payload is None:
-        payload = {}
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"{what} must be a JSON object, "
-                            f"got {type(payload).__name__}")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in payload.items():
-        if key not in allowed:
-            raise ProtocolError(
-                f"unknown {what} field {key!r}; expected one of "
-                f"{sorted(allowed)}")
-        if isinstance(value, list):
-            value = tuple(value)
-        if key == "rram":
-            value = _build_dataclass(RramParameters, value, "rram")
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid {what}: {exc}") from exc
+    flat = [key for key in ("model", "engine", "sim") if key in body]
+    if flat:
+        raise ProtocolError(
+            f"request carries {flat}; name the emulation by a \"spec\" "
+            f"object instead (EmulationSpec.to_dict(), what "
+            f"`python -m repro spec` prints)")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """The flat ``"model"`` wire object: crossbar + sampling + training +
-    mode (+ fault composition).
+def parse_key(body: dict, field: str) -> str:
+    """The warm-object key ``field`` names: a non-empty string, alone.
 
-    The flat JSON shape predates the spec tree and is kept for client
-    compatibility. The server turns it into an
-    :class:`~repro.api.spec.EmulationSpec` (:meth:`to_spec`) as soon as
-    it is parsed; nothing behind the protocol sees this type.
+    A number, ``null`` or list is this request's 400, never a lookup of
+    its string form answered 404. The key already names a fully-built
+    object, so a spec or payload array riding along (which would be
+    silently discarded) is rejected too.
     """
-
-    config: CrossbarConfig
-    sampling: SamplingSpec
-    training: TrainSpec
-    mode: str = "full"
-    #: Device-fault composition (identity = the historical clean model).
-    nonideality: NonidealitySpec = field(default_factory=NonidealitySpec)
-
-    def to_spec(self, engine: str = "geniex",
-                sim: FuncSimConfig | None = None,
-                runtime=None) -> EmulationSpec:
-        """The equivalent :class:`EmulationSpec` (canonical identity)."""
-        kwargs = {} if runtime is None else {"runtime": runtime}
-        return EmulationSpec(
-            engine=engine,
-            xbar=XbarSpec.from_config(self.config),
-            sim=SimSpec.from_config(sim or FuncSimConfig()),
-            emulator=EmulatorSpec(sampling=self.sampling,
-                                  training=self.training, mode=self.mode),
-            nonideality=self.nonideality,
-            **kwargs)
-
-    @classmethod
-    def from_payload(cls, payload) -> "ModelSpec":
-        if not isinstance(payload, dict):
-            raise ProtocolError("\"model\" must be a JSON object")
-        payload = dict(payload)
-        sampling = payload.pop("sampling", None)
-        training = payload.pop("training", None)
-        mode = payload.pop("mode", "full")
-        nonideality = payload.pop("nonideality", None)
-        if mode not in MODES:
-            raise ProtocolError(
-                f"unknown mode {mode!r}; expected one of {MODES}")
-        try:
-            nonideality = nonideality_from_dict(nonideality)
-        except ConfigError as exc:
-            raise ProtocolError(str(exc)) from exc
-        return cls(config=_build_dataclass(CrossbarConfig, payload,
-                                           "crossbar config"),
-                   sampling=_build_dataclass(SamplingSpec, sampling,
-                                             "sampling spec"),
-                   training=_build_dataclass(TrainSpec, training,
-                                             "training spec"),
-                   mode=mode,
-                   nonideality=nonideality)
-
-
-def reject_mixed_identity(body: dict, key_field: str | None = None) -> None:
-    """Refuse bodies mixing identity descriptions.
-
-    A spec is self-contained; silently preferring it over an
-    accompanying ``model``/``engine``/``sim`` would hide a mismatch from
-    a half-migrated caller (the Python client raises the same way —
-    this enforces the contract for raw HTTP callers too). Likewise a
-    warm-object key (``key_field``, e.g. ``weights_key``) already names
-    a fully-built engine; a spec or model riding along would be silently
-    ignored, so it is rejected instead.
-    """
-    if key_field is not None and key_field in body:
-        # Payload fields (weights/conductances) count as identity here
-        # too: the key already fixed them, and a different array riding
-        # along would be silently discarded otherwise.
-        mixed = [key for key in ("spec", "model", "engine", "sim",
-                                 "weights", "conductances")
-                 if key in body]
-        if mixed:
-            raise ProtocolError(
-                f"request carries both {key_field!r} and {mixed}; the key "
-                f"already names the warm object — drop the other "
-                f"identity fields")
-    if "spec" in body:
-        mixed = [key for key in ("model", "engine", "sim") if key in body]
-        if mixed:
-            raise ProtocolError(
-                f"request carries both \"spec\" and {mixed}; a spec is "
-                f"self-contained — drop the flat fields")
+    key = body.get(field)
+    if not isinstance(key, str) or not key:
+        raise ProtocolError(
+            f"request requires a {field!r} string (from POST "
+            f"{KEY_SOURCES[field]})")
+    mixed = [name for name in ("spec", "weights", "conductances")
+             if name in body]
+    if mixed:
+        raise ProtocolError(
+            f"request carries both {field!r} and {mixed}; the key "
+            f"already names the warm object — drop the other identity "
+            f"fields")
+    return key
 
 
 def parse_model_spec(body: dict, *, engine_tier: bool = False
                      ) -> EmulationSpec:
-    """The emulation a ``"model"`` object or a full ``"spec"`` names.
+    """The emulation a request's ``"spec"`` names.
 
     The *emulator-tier* endpoints (``/v1/models``, ``/v1/crossbars``,
     ``/v1/predict_*``) always serve the trained GENIEx model — so a spec
     naming a different engine kind is rejected here rather than silently
-    training GENIEx anyway, and flat ``engine``/``sim`` fields are
-    ignored. The *engine-tier* endpoints (``/v1/weights``,
-    ``/v1/matmul``) pass ``engine_tier=True``: they honour
-    ``spec.engine``, and on the flat path ``"engine"`` (default
-    ``geniex``) and ``"sim"``.
+    training GENIEx anyway. The *engine-tier* endpoints
+    (``/v1/weights``, ``/v1/matmul``) pass ``engine_tier=True`` and
+    honour ``spec.engine``.
     """
-    if "spec" in body:
-        reject_mixed_identity(body)
-        spec = parse_emulation_spec(body)
-        if not engine_tier and spec.engine != "geniex":
-            raise ProtocolError(
-                f"this endpoint serves the trained GENIEx emulator; the "
-                f"submitted spec names engine {spec.engine!r} — use "
-                f"/v1/weights + /v1/matmul for non-geniex engines, or "
-                f"set spec.engine to \"geniex\"")
-        return spec
-    if "model" not in body:
+    spec = parse_emulation_spec(body)
+    if not engine_tier and spec.engine != "geniex":
         raise ProtocolError(
-            "request requires a \"model\" or \"spec\" object")
-    model = ModelSpec.from_payload(body["model"])
-    if not engine_tier:
-        return model.to_spec()
-    return model.to_spec(engine=parse_engine_kind(body),
-                         sim=parse_sim_config(body))
+            f"this endpoint serves the trained GENIEx emulator; the "
+            f"submitted spec names engine {spec.engine!r} — use "
+            f"/v1/weights + /v1/matmul for non-geniex engines, or "
+            f"set spec.engine to \"geniex\"")
+    return spec
 
 
 def parse_emulation_spec(body: dict) -> EmulationSpec:
@@ -218,10 +111,8 @@ def parse_mitigate_request(body: dict) -> tuple:
     calibration-only recipe against), a content-addressable ``"dataset"``
     handle (name or dict, see :mod:`repro.datasets.handles`), and an
     optional ``"net"`` object choosing the classifier architecture
-    (``{"hidden": [...], "seed": 0}`` — named ``net`` because the flat
-    ``model`` field already means the GENIEx model identity).
+    (``{"hidden": [...], "seed": 0}``).
     """
-    reject_mixed_identity(body)
     spec = parse_emulation_spec(body)
     if spec.mitigation.is_identity:
         raise ProtocolError(
@@ -273,7 +164,6 @@ def parse_net_upload(body: dict) -> tuple:
     """
     from repro.errors import SerializationError, ShapeError
     from repro.nn.serialization import net_from_wire
-    reject_mixed_identity(body)
     spec = parse_emulation_spec(body)
     if "net" not in body:
         raise ProtocolError(
@@ -295,15 +185,11 @@ def parse_net_predict(body: dict) -> tuple:
     the hot path would defeat the warm-program cache, so it is rejected
     like any other mixed identity.
     """
-    reject_mixed_identity(body, key_field="net_key")
     if "net" in body:
         raise ProtocolError(
             "net_predict takes a \"net_key\" (from POST /v1/nets), not "
             "an inline \"net\" wire")
-    net_key = body.get("net_key")
-    if not isinstance(net_key, str) or not net_key:
-        raise ProtocolError(
-            "request requires a \"net_key\" string (from POST /v1/nets)")
+    net_key = parse_key(body, "net_key")
     x = decode_array(body, "x", ndim=(1, 2))
     stream = body.get("stream", False)
     if not isinstance(stream, bool):
@@ -316,33 +202,26 @@ def parse_net_predict(body: dict) -> tuple:
     return net_key, x, stream, chunk_rows
 
 
-def parse_sim_config(body: dict) -> FuncSimConfig:
-    """Functional-simulator config from the optional ``sim`` object."""
-    return _build_dataclass(FuncSimConfig, body.get("sim"), "sim config")
-
-
-def parse_engine_kind(body: dict) -> str:
-    kind = body.get("engine", "geniex")
-    if kind not in ENGINE_KINDS:
-        raise ProtocolError(
-            f"unknown engine {kind!r}; expected one of {ENGINE_KINDS}")
-    return kind
-
-
 def decode_array(body: dict, field: str, ndim: tuple = (1, 2)) -> np.ndarray:
     """Decode a JSON number array into a float64 ndarray, strictly.
 
-    Rejects missing fields, ragged nesting, non-numeric entries and
-    non-finite values — a NaN smuggled into a coalesced batch must not be
+    Rejects missing fields, ragged nesting, non-numeric entries (numeric
+    strings and booleans included) and non-finite values — a NaN smuggled into a coalesced batch must not be
     able to poison other requests' outputs downstream.
     """
     if field not in body:
         raise ProtocolError(f"request requires a {field!r} array")
     try:
-        array = np.asarray(body[field], dtype=np.float64)
+        array = np.asarray(body[field])
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"{field!r} is not a numeric array: "
                             f"{exc}") from exc
+    # JSON numbers decode to int/float; strings, booleans and nulls
+    # infer another dtype kind and are refused rather than coerced.
+    if array.dtype.kind not in "iuf":
+        raise ProtocolError(f"{field!r} is not a numeric array: got "
+                            f"{array.dtype.name} entries")
+    array = array.astype(np.float64, copy=False)
     if array.ndim not in ndim:
         raise ProtocolError(
             f"{field!r} must have {' or '.join(map(str, ndim))} "

@@ -424,8 +424,8 @@ class ModelRegistry:
 
         The cache key is ``spec.weights_key(weights)`` under the
         server-side runtime policy, so identical setups submitted as
-        flat wire payloads, spec JSON or in-process specs all land on
-        the same warm engine (and the same microbatching queue).
+        spec JSON or in-process specs all land on the same warm engine
+        (and the same microbatching queue).
         """
         spec = self.serving_spec(spec)
         key = spec.weights_key(weights)

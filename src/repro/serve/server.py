@@ -36,14 +36,14 @@ Endpoints
                              chunks the response as NDJSON)
 ===========================  ========================================
 
-Every ``POST /v1/*`` body that names a model may either carry the flat
-``"model"``/``"engine"``/``"sim"`` wire objects or a single ``"spec"``
-object — a full declarative :class:`repro.api.spec.EmulationSpec` in its
-``to_dict()`` shape (what ``python -m repro spec`` prints). Both paths
-resolve and cache through the same spec digests, and both accept a
-``nonideality`` fault composition (inside the spec, or as a
-``"nonideality"`` key of the flat model object) — faulty setups are
-keyed apart from clean ones at every warm tier, so a clean request can
+Every ``POST /v1/*`` body that names an emulation carries one
+``"spec"`` object — a full declarative
+:class:`repro.api.spec.EmulationSpec` in its ``to_dict()`` shape (what
+``python -m repro spec`` prints) — or the key of a warm object built
+from one. A body carrying the retired flat ``"model"``, ``"engine"`` or
+``"sim"`` fields is a 400 naming ``"spec"``, never a request answered
+with those fields ignored. A spec's ``nonideality`` fault composition is
+keyed apart from clean setups at every warm tier, so a clean request can
 never be answered from a perturbed engine or vice versa.
 
 Prediction and matmul requests are coalesced per warm object by the
@@ -70,9 +70,9 @@ from repro.serve.httpio import (HttpService, RawResponse, StreamingResponse,
                                 wants_prometheus)
 from repro.serve.metrics import ServeMetrics
 from repro.serve.protocol import (ProtocolError, decode_array, encode_array,
-                                  parse_mitigate_request, parse_model_spec,
-                                  parse_net_predict, parse_net_upload,
-                                  reject_mixed_identity)
+                                  parse_key, parse_mitigate_request,
+                                  parse_model_spec, parse_net_predict,
+                                  parse_net_upload, reject_flat_identity)
 from repro.serve.registry import ModelRegistry
 from repro.serve.scheduler import MicrobatchScheduler, QueueFullError
 from repro.utils.numerics import blas_probe_verdicts
@@ -158,6 +158,7 @@ class EmulationServer(HttpService):
                     raise ProtocolError(f"invalid JSON body: {exc}") from exc
                 if not isinstance(parsed, dict):
                     raise ProtocolError("request body must be a JSON object")
+                reject_flat_identity(parsed)
                 return 200, await handler(parsed)
             return 200, await handler(headers)
         except QueueFullError as exc:
@@ -223,11 +224,10 @@ class EmulationServer(HttpService):
         return {"crossbar_key": key, "rows": rows, "cols": cols}
 
     async def _resolve_crossbar(self, body: dict):
-        """A warm crossbar from ``crossbar_key`` or (model, conductances)."""
+        """A warm crossbar from ``crossbar_key`` or (spec, conductances)."""
         with span("registry-resolve"):
             if "crossbar_key" in body:
-                reject_mixed_identity(body, key_field="crossbar_key")
-                key = str(body["crossbar_key"])
+                key = parse_key(body, "crossbar_key")
                 warm = self.registry.crossbar(key)
                 if warm is None:
                     raise _NotFound(f"unknown crossbar_key {key!r}; "
@@ -245,8 +245,10 @@ class EmulationServer(HttpService):
         return result[0] if x.ndim == 1 else result
 
     async def _predict(self, body: dict, endpoint: str, field: str) -> dict:
-        key, warm = await self._resolve_crossbar(body)
+        # Decoded before the resolve: a malformed array is a 400 that
+        # never pays for training or programming an inline crossbar.
         voltages = decode_array(body, "voltages")
+        key, warm = await self._resolve_crossbar(body)
         _check_width(voltages, warm.conductance_s.shape[0], "voltages")
         # A voltage outside the pruned range is this request's 400, not
         # an error of the batch it would have been coalesced into.
@@ -270,8 +272,7 @@ class EmulationServer(HttpService):
     async def _resolve_engine(self, body: dict):
         with span("registry-resolve"):
             if "weights_key" in body:
-                reject_mixed_identity(body, key_field="weights_key")
-                key = str(body["weights_key"])
+                key = parse_key(body, "weights_key")
                 warm = self.registry.prepared_engine(key)
                 if warm is None:
                     raise _NotFound(f"unknown weights_key {key!r}; "
@@ -282,8 +283,8 @@ class EmulationServer(HttpService):
                 parse_model_spec(body, engine_tier=True), weights)
 
     async def _post_matmul(self, body: dict) -> dict:
+        x = decode_array(body, "x")   # before the resolve, as in _predict
         warm = await self._resolve_engine(body)
-        x = decode_array(body, "x")
         _check_width(x, warm.n_in)
         result = await self._submit_rows(("matmul", warm.key), x,
                                          warm.matmul)
@@ -299,12 +300,7 @@ class EmulationServer(HttpService):
                 "from_cache": warm.from_cache}
 
     async def _post_mitigated_predict(self, body: dict) -> dict:
-        if "mitigated_key" not in body:
-            raise ProtocolError(
-                "request requires a \"mitigated_key\" (from POST "
-                "/v1/mitigate)")
-        reject_mixed_identity(body, key_field="mitigated_key")
-        key = str(body["mitigated_key"])
+        key = parse_key(body, "mitigated_key")
         with span("registry-resolve"):
             warm = self.registry.mitigated_model(key)
         if warm is None:

@@ -13,7 +13,7 @@ from repro.api import EmulationSpec, NonidealitySpec, get_preset
 from repro.core.zoo import GeniexZoo
 from repro.errors import ConfigError
 from repro.nonideal import StuckSpec, VariationSpec
-from repro.serve.protocol import ModelSpec, ProtocolError, parse_model_spec
+from repro.serve.protocol import ProtocolError, parse_model_spec
 
 WEIGHTS = np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0
 
@@ -163,27 +163,14 @@ class TestKeySeparation:
 
 class TestWireFormat:
     def test_model_spec_round_trips_nonideality(self):
-        """The flat wire model of a faulty spec parses back into the
-        spec's fault node and model key."""
+        """The wire spec of a faulty setup parses back into its fault
+        node and model key."""
         spec = faulty(base="quick")
-        wire = spec.to_dict()
-        parsed = parse_model_spec({"model": {
-            **wire["xbar"], **wire["emulator"],
-            "nonideality": wire["nonideality"]}})
+        parsed = parse_model_spec({"spec": spec.to_dict()})
         assert parsed.nonideality == spec.nonideality
         assert parsed.model_key() == spec.model_key()
 
-    def test_flat_payload_accepts_nonideality(self):
-        model = ModelSpec.from_payload({
-            "rows": 4, "cols": 4,
-            "sampling": {"n_g_matrices": 3, "n_v_per_g": 4},
-            "training": {"hidden": 8, "epochs": 2},
-            "nonideality": {"seed": 3, "stuck": {"p_on": 0.05}}})
-        assert model.nonideality.stuck.p_on == 0.05
-        assert model.nonideality.seed == 3
-
-    def test_flat_payload_rejects_bad_nonideality(self):
+    def test_spec_payload_rejects_bad_nonideality(self):
         with pytest.raises(ProtocolError, match="nonideality"):
-            ModelSpec.from_payload({
-                "rows": 4, "cols": 4,
-                "nonideality": {"variation": {"sigma": -1.0}}})
+            parse_model_spec({"spec": {
+                "nonideality": {"variation": {"sigma": -1.0}}}})

@@ -34,17 +34,16 @@ from repro.core.zoo import GeniexZoo
 from repro.models.mlp import MLP
 from repro.obs import fleet_report, format_fleet_report
 from repro.serve.client import ServeClient
-from repro.serve.protocol import ModelSpec
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import EmulationServer, ServerThread
 from repro.fleet import FleetThread
 
-MODEL = {
-    "rows": 4, "cols": 4,
-    "sampling": {"n_g_matrices": 3, "n_v_per_g": 4, "seed": 0},
-    "training": {"hidden": 8, "epochs": 2, "batch_size": 8, "seed": 0},
-}
-SPEC = ModelSpec.from_payload(MODEL)
+SPEC = EmulationSpec.from_dict({
+    "engine": "geniex", "xbar": {"rows": 4, "cols": 4},
+    "emulator": {
+        "sampling": {"n_g_matrices": 3, "n_v_per_g": 4, "seed": 0},
+        "training": {"hidden": 8, "epochs": 2, "batch_size": 8, "seed": 0}}})
+CONFIG = SPEC.xbar.to_config()
 MITIGATED_SPEC = get_preset("quick-mitigated")
 DATASET = {"name": "blobs", "n_train": 256, "n_test": 128}
 
@@ -115,13 +114,13 @@ def live_workers(metrics: dict) -> set:
 
 
 def random_g(seed):
-    cfg = SPEC.config
+    cfg = CONFIG
     return np.random.default_rng(seed).uniform(cfg.g_off_s, cfg.g_on_s,
                                                size=cfg.shape)
 
 
 def random_v(seed, shape):
-    return np.random.default_rng(seed).uniform(0.0, SPEC.config.v_supply_v,
+    return np.random.default_rng(seed).uniform(0.0, CONFIG.v_supply_v,
                                                size=shape)
 
 
@@ -131,13 +130,13 @@ def corpus():
     w = np.random.default_rng(2).uniform(-1, 1, size=(4, 4)).tolist()
     return [
         ("/v1/predict_fr",
-         {"model": MODEL, "conductances": g,
+         {"spec": SPEC.to_dict(), "conductances": g,
           "voltages": random_v(3, (3, 4)).tolist()}),
         ("/v1/predict_currents",
-         {"model": MODEL, "conductances": g,
+         {"spec": SPEC.to_dict(), "conductances": g,
           "voltages": random_v(4, (2, 4)).tolist()}),
         ("/v1/matmul",
-         {"model": MODEL, "weights": w,
+         {"spec": SPEC.to_dict(), "weights": w,
           "x": np.random.default_rng(5).uniform(-1, 1, (3, 4)).tolist()}),
     ]
 
@@ -145,8 +144,8 @@ def corpus():
 class TestByteIdentity:
     def test_corpus_routed_equals_direct(self, fleet, direct,
                                          fleet_client, direct_client):
-        fleet_client.load_model(MODEL)
-        direct_client.load_model(MODEL)
+        fleet_client.load_model(SPEC)
+        direct_client.load_model(SPEC)
         for path, payload in corpus():
             f_status, f_body, f_headers = raw_post(fleet.port, path, payload)
             d_status, d_body, _ = raw_post(direct.port, path, payload)
@@ -157,8 +156,8 @@ class TestByteIdentity:
     def test_key_addressed_follow_up_routes_to_the_same_state(
             self, fleet, direct, fleet_client, direct_client):
         g = random_g(7)
-        key_f = fleet_client.register_crossbar(MODEL, g)
-        key_d = direct_client.register_crossbar(MODEL, g)
+        key_f = fleet_client.register_crossbar(SPEC, g)
+        key_d = direct_client.register_crossbar(SPEC, g)
         assert key_f == key_d   # content digests agree across topologies
         payload = {"crossbar_key": key_f,
                    "voltages": random_v(8, (2, 4)).tolist()}
@@ -169,8 +168,8 @@ class TestByteIdentity:
     def test_matmul_by_weights_key(self, fleet, direct, fleet_client,
                                    direct_client):
         w = np.random.default_rng(9).uniform(-1, 1, size=(4, 4))
-        key = fleet_client.register_weights(MODEL, w)
-        assert key == direct_client.register_weights(MODEL, w)
+        key = fleet_client.register_weights(SPEC, w)
+        assert key == direct_client.register_weights(SPEC, w)
         x = np.random.default_rng(10).uniform(-1, 1, (2, 4))
         np.testing.assert_array_equal(
             fleet_client.matmul(x, weights_key=key),
@@ -206,7 +205,7 @@ class TestByteIdentity:
 
 class TestSharedArtifactStore:
     def test_exactly_one_train_fleet_wide(self, fleet, fleet_client):
-        fleet_client.load_model(MODEL)
+        fleet_client.load_model(SPEC)
         metrics = fleet_client.metrics()
         trains = {wid: entry["zoo"]["trains"]
                   for wid, entry in metrics["workers"].items()}
@@ -214,7 +213,7 @@ class TestSharedArtifactStore:
 
     def test_model_trained_through_one_worker_serves_from_another(
             self, fleet, fleet_client):
-        fleet_client.load_model(MODEL)
+        fleet_client.load_model(SPEC)
         before = {wid: entry["zoo"]
                   for wid, entry in fleet_client.metrics()["workers"].items()}
         cold_wid = next(wid for wid, zoo in before.items()
@@ -223,10 +222,10 @@ class TestSharedArtifactStore:
         # the model its peer trained, via a disk load — never a retrain.
         worker = fleet.supervisor.workers[cold_wid]
         with ServeClient(worker.host, worker.port, timeout=300) as c:
-            loaded = c.load_model(MODEL)
+            loaded = c.load_model(SPEC)
             assert loaded["rows"] == 4
             y = c.predict_fr(random_v(3, (2, 4)),
-                             model=MODEL, conductances=random_g(1))
+                             spec=SPEC, conductances=random_g(1))
             assert y.shape == (2, 4)
         after = fleet_client.metrics()["workers"]
         assert after[cold_wid]["zoo"]["trains"] == 0
@@ -261,14 +260,14 @@ class TestFleetObservability:
         assert all(w["healthy"] for w in topo["workers"].values())
 
     def test_models_fans_out_and_dedupes(self, fleet_client):
-        fleet_client.load_model(MODEL)
+        fleet_client.load_model(SPEC)
         models = fleet_client.models()
         keys = [m["model_key"] for m in models]
         assert len(keys) == len(set(keys))
         assert any(m["rows"] == 4 for m in models)
 
     def test_traces_record_route_and_forward(self, fleet_client):
-        fleet_client.load_model(MODEL)
+        fleet_client.load_model(SPEC)
         traces = fleet_client.traces()
         routed = [t for t in traces if t["name"] == "POST /v1/models"][-1]
         # One trace shape with the server: a single ``http`` root span,
@@ -301,8 +300,8 @@ class TestPool:
             with ServeClient("127.0.0.1", fleet.port, timeout=300) as c:
                 w = np.random.default_rng(40 + i).uniform(-1, 1, (4, 4))
                 g = random_g(50 + i)
-                return (c.register_weights(MODEL, w),
-                        c.register_crossbar(MODEL, g), w, g)
+                return (c.register_weights(SPEC, w),
+                        c.register_crossbar(SPEC, g), w, g)
 
         with ThreadPoolExecutor(4) as pool:
             registered = list(pool.map(register, range(4)))
@@ -314,8 +313,8 @@ class TestPool:
                       "x": np.random.default_rng(60).normal(
                           size=(2, 16)).tolist()})]
         for i, (weights_key, crossbar_key, w, g) in enumerate(registered):
-            assert weights_key == direct_client.register_weights(MODEL, w)
-            assert crossbar_key == direct_client.register_crossbar(MODEL, g)
+            assert weights_key == direct_client.register_weights(SPEC, w)
+            assert crossbar_key == direct_client.register_crossbar(SPEC, g)
             requests.append(("/v1/matmul", {
                 "weights_key": weights_key,
                 "x": np.random.default_rng(70 + i).uniform(
@@ -354,10 +353,10 @@ class TestPool:
         requests = []
         with ServeClient("127.0.0.1", fleet.port, timeout=300) as c:
             for i in range(n_keys):
-                c.load_model(MODEL)
+                c.load_model(SPEC)
                 w = np.random.default_rng(90 + i).uniform(-1, 1, (4, 4))
-                key = c.register_weights(MODEL, w)
-                assert key == direct_client.register_weights(MODEL, w)
+                key = c.register_weights(SPEC, w)
+                assert key == direct_client.register_weights(SPEC, w)
                 requests.append({"weights_key": key,
                                  "x": np.random.default_rng(i).uniform(
                                      -1, 1, (1, 4)).tolist()})
@@ -407,13 +406,49 @@ class TestPool:
         assert set(seen) == {"w0", "w1"}, seen
 
 
+class TestSpecOnlyWire:
+    """The worker's spec-only checks hold through the front-end: a
+    retired flat body and a mistyped warm-object key are the worker's
+    400, relayed verbatim."""
+
+    @pytest.mark.parametrize("path", [
+        "/v1/models", "/v1/crossbars", "/v1/predict_fr",
+        "/v1/predict_currents", "/v1/weights", "/v1/matmul"])
+    def test_flat_model_body_is_400(self, fleet, direct, path):
+        flat = {"model": {"rows": 4, "cols": 4}, "engine": "exact",
+                "sim": {"adc_bits": 3},
+                "conductances": random_g(1).tolist(),
+                "voltages": random_v(3, (1, 4)).tolist(),
+                "weights": np.eye(4).tolist(), "x": [[0.1] * 4]}
+        f_status, f_body, _ = raw_post(fleet.port, path, flat)
+        d_status, d_body, _ = raw_post(direct.port, path, flat)
+        assert f_status == d_status == 400
+        assert f_body == d_body and b'\\"spec\\"' in f_body, f_body
+
+    @pytest.mark.parametrize("value", [5, None, "", []])
+    @pytest.mark.parametrize("path,field", [
+        ("/v1/predict_fr", "crossbar_key"),
+        ("/v1/predict_currents", "crossbar_key"),
+        ("/v1/matmul", "weights_key"),
+        ("/v1/mitigated_predict", "mitigated_key"),
+        ("/v1/net_predict", "net_key")])
+    def test_non_string_key_is_400(self, fleet, direct, path, field,
+                                   value):
+        body = {field: value, "x": [[0.1] * 4],
+                "voltages": [[0.1] * 4]}
+        f_status, f_body, _ = raw_post(fleet.port, path, body)
+        d_status, d_body, _ = raw_post(direct.port, path, body)
+        assert f_status == d_status == 400
+        assert f_body == d_body and field.encode() in f_body, f_body
+
+
 class TestWorkerDeath:
     """Mutates the fleet (kills w?); keep this class last in the file."""
 
     def test_kill_mid_traffic_retries_and_stays_byte_identical(
             self, fleet, direct, fleet_client, direct_client):
-        fleet_client.load_model(MODEL)
-        direct_client.load_model(MODEL)
+        fleet_client.load_model(SPEC)
+        direct_client.load_model(SPEC)
         path, payload = corpus()[0]
         _, want, _ = raw_post(direct.port, path, payload)
 

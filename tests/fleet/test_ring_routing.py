@@ -36,7 +36,7 @@ class TestPinnedKey:
 
     @pytest.mark.parametrize("body", [
         None, [], "abc", {}, {"weights_key": ""}, {"weights_key": 7},
-        {"model": {"rows": 4}, "weights": [[1.0]]},
+        {"spec": {"xbar": {"rows": 4}}, "weights": [[1.0]]},
     ])
     def test_malformed_or_model_bodies_are_not_pinned(self, body):
         assert pinned_key(body, "weights_key") is None

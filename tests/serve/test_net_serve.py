@@ -512,16 +512,13 @@ class TestProtocolErrors:
             str(excinfo.value)
 
     def test_removed_engine_kind_is_400(self, client):
-        """``decoupled`` is no longer an engine kind: a spec body or the
-        flat ``engine`` field naming it gets the unknown-engine 400."""
+        """``decoupled`` is no longer an engine kind: a spec naming it
+        gets the unknown-engine 400."""
         calls = [
             lambda: client.upload_net(tiny_mlp(),
                                       spec={"engine": "decoupled"}),
             lambda: client.register_weights(spec={"engine": "decoupled"},
                                             weights=np.eye(4)),
-            lambda: client.register_weights(model={"rows": 4, "cols": 4},
-                                            weights=np.eye(4),
-                                            engine="decoupled"),
         ]
         for call in calls:
             with pytest.raises(ServerError) as excinfo:
@@ -561,19 +558,19 @@ class TestIdempotentRetryPath:
         import time
         zoo = GeniexZoo(cache_dir=str(tmp_path / "zoo"))
         server = EmulationServer(ModelRegistry(zoo), idle_timeout_s=0.2)
-        model = {"rows": 4, "cols": 4,
-                 "sampling": {"n_g_matrices": 3, "n_v_per_g": 4,
-                              "seed": 0},
-                 "training": {"hidden": 8, "epochs": 2, "batch_size": 8,
-                              "seed": 0}}
+        spec = EmulationSpec.from_dict({
+            "xbar": {"rows": 4, "cols": 4},
+            "emulator": {"sampling": {"n_g_matrices": 3, "n_v_per_g": 4,
+                                      "seed": 0},
+                         "training": {"hidden": 8, "epochs": 2,
+                                      "batch_size": 8, "seed": 0}}})
         rng = np.random.default_rng(0)
         g = rng.uniform(1.7e-6, 1e-5, size=(4, 4))
         v = rng.uniform(0.0, 0.25, size=(2, 4))
         with ServerThread(server) as handle:
             with ServeClient("127.0.0.1", handle.port,
                              timeout=300) as client:
-                key = client.register_crossbar(model=model,
-                                               conductances=g)
+                key = client.register_crossbar(spec, g)
                 fr_before = client.predict_fr(v, crossbar_key=key)
                 cur_before = client.predict_currents(v, crossbar_key=key)
                 time.sleep(0.5)   # server reaps the idle keep-alive

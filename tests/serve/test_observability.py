@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api.spec import EmulationSpec
 from repro.core.zoo import GeniexZoo
 from repro.obs.prometheus import CONTENT_TYPE
 from repro.serve.client import ServeClient
@@ -23,11 +24,11 @@ from repro.serve.registry import ModelRegistry
 from repro.serve.scheduler import MicrobatchScheduler
 from repro.serve.server import EmulationServer, ServerThread
 
-MODEL = {
-    "rows": 4, "cols": 4,
-    "sampling": {"n_g_matrices": 3, "n_v_per_g": 4, "seed": 0},
-    "training": {"hidden": 8, "epochs": 2, "batch_size": 8, "seed": 0},
-}
+SPEC = EmulationSpec.from_dict({
+    "engine": "geniex", "xbar": {"rows": 4, "cols": 4},
+    "emulator": {
+        "sampling": {"n_g_matrices": 3, "n_v_per_g": 4, "seed": 0},
+        "training": {"hidden": 8, "epochs": 2, "batch_size": 8, "seed": 0}}})
 
 
 class _RecordingHandler(logging.Handler):
@@ -45,10 +46,10 @@ def served(tmp_path_factory):
     server = EmulationServer(ModelRegistry(zoo), max_batch_rows=16)
     with ServerThread(server) as handle:
         with ServeClient("127.0.0.1", handle.port) as client:
-            client.load_model(MODEL)
+            client.load_model(SPEC)
             weights = (np.random.default_rng(3)
                        .standard_normal((4, 4)) * 0.3)
-            weights_key = client.register_weights(MODEL, weights)
+            weights_key = client.register_weights(SPEC, weights)
             yield handle, weights_key
 
 

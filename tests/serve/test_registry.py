@@ -2,7 +2,6 @@
 single-flight contract every tier shares."""
 
 import asyncio
-import dataclasses
 import os
 import threading
 
@@ -15,7 +14,6 @@ from repro.core.zoo import GeniexZoo
 from repro.errors import ShapeError
 from repro.funcsim.config import FuncSimConfig
 from repro.serve import registry as registry_module
-from repro.serve.protocol import parse_model_spec
 from repro.serve.registry import ModelRegistry
 
 SAMPLING = {"n_g_matrices": 3, "n_v_per_g": 4, "seed": 0}
@@ -212,27 +210,6 @@ class TestEngineTier:
 
 
 class TestSpecKeyedEngines:
-    def test_engine_and_engine_from_spec_share_warm_object(self, registry):
-        """A flat model/engine/sim body and a spec body name one engine."""
-        weights = np.random.default_rng(3).standard_normal((4, 4)) * 0.4
-        flat_body = {"model": {"rows": 4, "cols": 4, "sampling": SAMPLING,
-                               "training": TRAINING},
-                     "engine": "exact",
-                     "sim": dataclasses.asdict(SIM)}
-        spec_body = {"spec": engine_spec().to_dict()}
-
-        async def scenario():
-            flat = await registry.engine_from_spec(
-                parse_model_spec(flat_body, engine_tier=True), weights)
-            declarative = await registry.engine_from_spec(
-                parse_model_spec(spec_body, engine_tier=True), weights)
-            return flat, declarative
-
-        flat, declarative = run(scenario())
-        assert flat is declarative
-        assert flat.key == registry.serving_spec(
-            engine_spec()).weights_key(weights)
-
     def test_client_runtime_node_cannot_steer_server_policy(self, registry):
         """A creative runtime node in a submitted spec is server-
         normalised: same key, same warm engine, no extra threads."""

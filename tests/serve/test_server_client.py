@@ -17,23 +17,28 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api.spec import EmulationSpec
 from repro.core.emulator import GeniexTileModel
 from repro.core.zoo import GeniexZoo
 from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.engine import make_engine
 from repro.serve.client import ServeClient, ServerBusyError, ServerError
-from repro.serve.protocol import ModelSpec
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import EmulationServer, ServerThread
 
-MODEL = {
-    "rows": 4, "cols": 4,
-    "sampling": {"n_g_matrices": 3, "n_v_per_g": 4, "seed": 0},
-    "training": {"hidden": 8, "epochs": 2, "batch_size": 8, "seed": 0},
-}
+SPEC = EmulationSpec.from_dict({
+    "engine": "geniex", "xbar": {"rows": 4, "cols": 4},
+    "emulator": {
+        "sampling": {"n_g_matrices": 3, "n_v_per_g": 4, "seed": 0},
+        "training": {"hidden": 8, "epochs": 2, "batch_size": 8, "seed": 0}}})
 SIM = {"weight_bits": 8, "weight_frac_bits": 5,
        "activation_bits": 8, "activation_frac_bits": 5}
-SPEC = ModelSpec.from_payload(MODEL)
+CONFIG = SPEC.xbar.to_config()
+
+
+def engine_spec(kind: str) -> EmulationSpec:
+    """SPEC run by engine ``kind`` at the 8-bit SIM precision."""
+    return SPEC.evolve(engine=kind, sim=SIM)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +47,7 @@ def served(tmp_path_factory):
     server = EmulationServer(ModelRegistry(zoo), max_batch_rows=16)
     with ServerThread(server) as handle:
         with ServeClient("127.0.0.1", handle.port) as client:
-            client.load_model(MODEL)  # warm once for the whole module
+            client.load_model(SPEC)  # warm once for the whole module
             yield handle, zoo
 
 
@@ -53,21 +58,31 @@ def client(served):
         yield c
 
 
+def trained(zoo: GeniexZoo):
+    """The GENIEx emulator SPEC names, trained (or loaded) in-process."""
+    emulator = SPEC.emulator
+    return zoo.get_or_train(CONFIG, emulator.sampling, emulator.training,
+                            mode=emulator.mode)
+
+
 def direct_matrix_emulator(zoo: GeniexZoo, conductances: np.ndarray):
     """The exact object the server predicts with, built in-process."""
-    emulator = zoo.get_or_train(SPEC.config, SPEC.sampling, SPEC.training,
-                                mode=SPEC.mode)
-    return emulator.for_matrix(conductances)
+    return trained(zoo).for_matrix(conductances)
+
+
+def geniex_engine(zoo: GeniexZoo):
+    return make_engine("geniex", CONFIG, FuncSimConfig(**SIM),
+                       emulator=trained(zoo))
 
 
 def random_g(seed):
-    cfg = SPEC.config
+    cfg = CONFIG
     return np.random.default_rng(seed).uniform(cfg.g_off_s, cfg.g_on_s,
                                                size=cfg.shape)
 
 
 def random_v(seed, shape):
-    return np.random.default_rng(seed).uniform(0.0, SPEC.config.v_supply_v,
+    return np.random.default_rng(seed).uniform(0.0, CONFIG.v_supply_v,
                                                size=shape)
 
 
@@ -81,21 +96,21 @@ class TestBasics:
         assert models[0]["rows"] == 4 and models[0]["cols"] == 4
 
     def test_load_model_is_idempotent(self, client):
-        first = client.load_model(MODEL)
-        second = client.load_model(MODEL)
+        first = client.load_model(SPEC)
+        second = client.load_model(SPEC)
         assert first == second
 
     def test_register_crossbar_is_deterministic(self, client):
         g = random_g(7)
-        assert client.register_crossbar(MODEL, g) == \
-            client.register_crossbar(MODEL, g)
+        assert client.register_crossbar(SPEC, g) == \
+            client.register_crossbar(SPEC, g)
 
 
 class TestPredictionEquivalence:
     def test_single_vector_byte_identical(self, client, served):
         _, zoo = served
         g, v = random_g(1), random_v(2, 4)
-        out = client.predict_currents(v, model=MODEL, conductances=g)
+        out = client.predict_currents(v, spec=SPEC, conductances=g)
         direct = direct_matrix_emulator(zoo, g).currents(v)[0]
         np.testing.assert_array_equal(out, direct)
         assert out.shape == (4,)
@@ -103,14 +118,14 @@ class TestPredictionEquivalence:
     def test_batch_request_byte_identical(self, client, served):
         _, zoo = served
         g, v = random_g(3), random_v(4, (6, 4))
-        out = client.predict_currents(v, model=MODEL, conductances=g)
+        out = client.predict_currents(v, spec=SPEC, conductances=g)
         direct = direct_matrix_emulator(zoo, g).currents(v)
         np.testing.assert_array_equal(out, direct)
 
     def test_predict_fr_byte_identical(self, client, served):
         _, zoo = served
         g, v = random_g(5), random_v(6, (3, 4))
-        key = client.register_crossbar(MODEL, g)
+        key = client.register_crossbar(SPEC, g)
         out = client.predict_fr(v, crossbar_key=key)
         direct = direct_matrix_emulator(zoo, g).fr(v)
         np.testing.assert_array_equal(out, direct)
@@ -126,7 +141,7 @@ class TestPredictionEquivalence:
         g = random_g(8)
         voltages = random_v(9, (32, 4))
         with ServeClient("127.0.0.1", handle.port) as warmup:
-            key = warmup.register_crossbar(MODEL, g)
+            key = warmup.register_crossbar(SPEC, g)
         results = [None] * 32
         errors = []
         barrier = threading.Barrier(32)
@@ -162,9 +177,8 @@ class TestMatmulEquivalence:
     def test_exact_engine_byte_identical(self, client, served):
         weights = np.random.default_rng(0).standard_normal((4, 4)) * 0.4
         x = np.random.default_rng(1).standard_normal((5, 4))
-        y = client.matmul(x, model=MODEL, weights=weights, engine="exact",
-                          sim=SIM)
-        engine = make_engine("exact", SPEC.config, FuncSimConfig(**SIM))
+        y = client.matmul(x, spec=engine_spec("exact"), weights=weights)
+        engine = make_engine("exact", CONFIG, FuncSimConfig(**SIM))
         direct = engine.matmul(x, engine.prepare(weights))
         np.testing.assert_array_equal(y, direct)
 
@@ -172,13 +186,9 @@ class TestMatmulEquivalence:
         _, zoo = served
         weights = np.random.default_rng(2).standard_normal((4, 4)) * 0.4
         x = np.random.default_rng(3).standard_normal((3, 4))
-        key = client.register_weights(MODEL, weights, engine="geniex",
-                                      sim=SIM)
+        key = client.register_weights(engine_spec("geniex"), weights)
         y = client.matmul(x, weights_key=key)
-        emulator = zoo.get_or_train(SPEC.config, SPEC.sampling,
-                                    SPEC.training, mode=SPEC.mode)
-        engine = make_engine("geniex", SPEC.config, FuncSimConfig(**SIM),
-                             emulator=emulator)
+        engine = geniex_engine(zoo)
         direct = engine.matmul(x, engine.prepare(weights))
         np.testing.assert_array_equal(y, direct)
 
@@ -188,8 +198,7 @@ class TestMatmulEquivalence:
         weights = np.random.default_rng(4).standard_normal((4, 4)) * 0.4
         xs = np.random.default_rng(5).standard_normal((16, 4))
         with ServeClient("127.0.0.1", handle.port) as warmup:
-            key = warmup.register_weights(MODEL, weights, engine="geniex",
-                                          sim=SIM)
+            key = warmup.register_weights(engine_spec("geniex"), weights)
         results = [None] * 16
         errors = []
         barrier = threading.Barrier(16)
@@ -209,10 +218,7 @@ class TestMatmulEquivalence:
         for t in threads:
             t.join()
         assert not errors
-        emulator = zoo.get_or_train(SPEC.config, SPEC.sampling,
-                                    SPEC.training, mode=SPEC.mode)
-        engine = make_engine("geniex", SPEC.config, FuncSimConfig(**SIM),
-                             emulator=emulator)
+        engine = geniex_engine(zoo)
         prepared = engine.prepare(weights)
         for i in range(16):
             direct = engine.matmul(xs[i:i + 1], prepared)[0]
@@ -220,8 +226,8 @@ class TestMatmulEquivalence:
 
     def test_single_vector_matmul_shape(self, client):
         weights = np.eye(4) * 0.3
-        y = client.matmul(np.ones(4) * 0.1, model=MODEL, weights=weights,
-                          engine="exact", sim=SIM)
+        y = client.matmul(np.ones(4) * 0.1, spec=engine_spec("exact"),
+                          weights=weights)
         assert y.shape == (4,)
 
 
@@ -255,14 +261,14 @@ class TestErrorMapping:
         assert excinfo.value.status == 404
 
     def test_wrong_voltage_width_400(self, client):
-        key = client.register_crossbar(MODEL, random_g(11))
+        key = client.register_crossbar(SPEC, random_g(11))
         with pytest.raises(ServerError) as excinfo:
             client.predict_currents(np.zeros(5), crossbar_key=key)
         assert excinfo.value.status == 400
 
     def test_bad_model_spec_400(self, client):
         with pytest.raises(ServerError) as excinfo:
-            client.load_model({"rows": -3})
+            client.load_model({"xbar": {"rows": -3}})
         assert excinfo.value.status == 400
 
     def test_oversized_request_line_drops_connection(self, served, client):
@@ -277,7 +283,7 @@ class TestErrorMapping:
         assert client.health() == {"status": "ok"}
 
     def test_non_finite_voltages_400(self, client):
-        key = client.register_crossbar(MODEL, random_g(11))
+        key = client.register_crossbar(SPEC, random_g(11))
         with pytest.raises(ServerError) as excinfo:
             client._request("POST", "/v1/predict_currents",
                             {"crossbar_key": key,
@@ -286,13 +292,13 @@ class TestErrorMapping:
 
     @pytest.mark.parametrize("bad", [-0.01, 1.2])
     def test_out_of_range_voltage_400_names_range(self, client, bad):
-        key = client.register_crossbar(MODEL, random_g(11))
+        key = client.register_crossbar(SPEC, random_g(11))
         v = random_v(12, 4)
-        v[2] = bad * SPEC.config.v_supply_v
+        v[2] = bad * CONFIG.v_supply_v
         with pytest.raises(ServerError) as excinfo:
             client.predict_currents(v, crossbar_key=key)
         assert excinfo.value.status == 400
-        assert f"[0, {SPEC.config.v_supply_v}] V" in excinfo.value.message
+        assert f"[0, {CONFIG.v_supply_v}] V" in excinfo.value.message
 
     def test_out_of_range_request_never_fails_its_batch(self, served):
         """Out-of-range requests are rejected before they are queued: the
@@ -302,9 +308,9 @@ class TestErrorMapping:
         g = random_g(13)
         good = random_v(14, (8, 4))
         bad = random_v(15, (8, 4))
-        bad[:, 1] = 1.5 * SPEC.config.v_supply_v
+        bad[:, 1] = 1.5 * CONFIG.v_supply_v
         with ServeClient("127.0.0.1", handle.port) as warmup:
-            key = warmup.register_crossbar(MODEL, g)
+            key = warmup.register_crossbar(SPEC, g)
         results, statuses = [None] * 8, [None] * 8
         barrier = threading.Barrier(16)
 
@@ -349,9 +355,9 @@ class TestBackpressure:
                                  max_queue_rows=8)
         with ServerThread(server) as handle:
             with ServeClient("127.0.0.1", handle.port) as client:
-                client.load_model(MODEL)
+                client.load_model(SPEC)
                 g = random_g(1)
-                key = client.register_crossbar(MODEL, g)
+                key = client.register_crossbar(SPEC, g)
                 monkeypatch.setattr(GeniexTileModel, "currents", gated)
 
                 def send(rows, seed):
@@ -409,7 +415,8 @@ class TestWeightsKeyEcho:
     def test_weights_key_lookup_reports_actual_engine(self, client):
         weights = np.eye(4) * 0.3
         first = client._request("POST", "/v1/weights",
-                                {"model": MODEL, "engine": "analytical",
+                                {"spec": SPEC.evolve(
+                                    engine="analytical").to_dict(),
                                  "weights": weights.tolist()})
         assert first["engine"] == "analytical"
         # Re-fetching by key (no engine field in the body) must report the
@@ -428,8 +435,8 @@ class TestOversizedRequest:
                                  max_queue_rows=8)
         with ServerThread(server) as handle:
             with ServeClient("127.0.0.1", handle.port) as client:
-                client.load_model(MODEL)
-                key = client.register_crossbar(MODEL, random_g(1))
+                client.load_model(SPEC)
+                key = client.register_crossbar(SPEC, random_g(1))
                 with pytest.raises(ServerError) as excinfo:
                     client.predict_currents(random_v(0, (9, 4)),
                                             crossbar_key=key)
@@ -458,7 +465,7 @@ class TestDeclarativeSpec:
     registry with cache hits keyed by the spec digest scheme."""
 
     def _spec(self, engine="exact"):
-        return SPEC.to_spec(engine=engine, sim=FuncSimConfig(**SIM))
+        return engine_spec(engine)
 
     def _weights(self, seed=0):
         return np.random.default_rng(seed).standard_normal((4, 4)) * 0.4
@@ -480,21 +487,6 @@ class TestDeclarativeSpec:
             espec).weights_key(w)
         assert client.register_weights(spec=espec, weights=w) == expected
 
-    def test_spec_and_flat_wire_format_share_the_engine(self, client):
-        espec, w = self._spec(), self._weights(2)
-        key_spec = client.register_weights(spec=espec, weights=w)
-        key_flat = client.register_weights(MODEL, w, engine="exact",
-                                           sim=SIM)
-        assert key_spec == key_flat
-
-    def test_matmul_via_spec_byte_identical_to_flat(self, client):
-        espec, w = self._spec(), self._weights(3)
-        x = np.random.default_rng(4).standard_normal((5, 4)) * 0.5
-        y_spec = client.matmul(x, spec=espec, weights=w)
-        y_flat = client.matmul(x, model=MODEL, weights=w, engine="exact",
-                               sim=SIM)
-        np.testing.assert_array_equal(y_spec, y_flat)
-
     def test_predict_currents_via_spec_byte_identical(self, client,
                                                       served):
         _, zoo = served
@@ -513,26 +505,29 @@ class TestDeclarativeSpec:
         assert "rowz" in err.value.message
 
     def test_conflicting_identity_arguments_rejected(self, client):
+        """The spec is the client's one identity argument: no flat
+        model=/engine=/sim= keyword rides along it."""
         espec, w = self._spec(), self._weights()
-        with pytest.raises(ValueError, match="not both"):
-            client.register_weights(MODEL, w, spec=espec)
-        with pytest.raises(ValueError, match="part of the spec"):
-            client.register_weights(spec=espec, weights=w,
-                                    engine="analytical")
-        with pytest.raises(ValueError, match="part of the spec"):
+        with pytest.raises(TypeError):
+            client.register_weights(espec, w, engine="analytical")
+        with pytest.raises(TypeError):
             client.matmul(np.zeros((1, 4)), spec=espec, weights=w,
                           sim=SIM)
+        with pytest.raises(TypeError):
+            client.load_model(model={"rows": 4})
+        with pytest.raises(ValueError, match="spec"):
+            client.register_crossbar(None, random_g(1))
 
     def test_server_rejects_mixed_identity_fields(self, client):
-        """Raw HTTP bodies mixing "spec" with flat identity fields are
-        HTTP 400, mirroring the client-side ValueError."""
+        """A raw HTTP body naming a retired flat identity field next to
+        its spec is a 400 naming "spec", not a 200 that ignored it."""
         espec = self._spec()
         body = {"spec": espec.to_dict(), "engine": "analytical",
                 "weights": np.eye(4).tolist(), "x": [[0.1] * 4]}
         with pytest.raises(ServerError) as err:
             client._request("POST", "/v1/matmul", body)
         assert err.value.status == 400
-        assert "self-contained" in err.value.message
+        assert "\"spec\"" in err.value.message
 
     def test_key_addressing_rejects_extra_identity(self, client):
         espec, w = self._spec(), self._weights()
@@ -541,11 +536,10 @@ class TestDeclarativeSpec:
             client.matmul(np.zeros((1, 4)), weights_key=key, spec=espec)
         with pytest.raises(ValueError, match="crossbar_key= already"):
             client.predict_currents(np.zeros(4), crossbar_key="xb-x",
-                                    model=MODEL)
+                                    spec=SPEC)
 
     def test_server_rejects_key_plus_identity_bodies(self, client):
-        """Raw HTTP bodies combining a warm-object key with spec/model
-        identity fields are 400, not silently resolved by the key."""
+        """Raw HTTP bodies combining a warm-object key with a spec are 400, not silently resolved by the key."""
         espec, w = self._spec(), self._weights()
         key = client.register_weights(spec=espec, weights=w)
         body = {"weights_key": key, "spec": espec.to_dict(),
@@ -570,9 +564,6 @@ class TestDeclarativeSpec:
     def test_client_rejects_payload_kwargs_alongside_keys(self, client):
         espec, w = self._spec(), self._weights()
         key = client.register_weights(spec=espec, weights=w)
-        with pytest.raises(ValueError, match="weights_key= already"):
-            client.matmul(np.zeros((1, 4)), weights_key=key,
-                          engine="analytical")
         with pytest.raises(ValueError, match="weights_key= already"):
             client.matmul(np.zeros((1, 4)), weights_key=key, weights=w)
         with pytest.raises(ValueError, match="crossbar_key= already"):
